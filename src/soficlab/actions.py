@@ -1,10 +1,15 @@
 """Finite-scale models of compact groups with G-actions by automorphisms,
 and the algebraic actions presented by integer group matrices.
 
-Two model classes stand in for the compact group X:
+Three model classes stand in for the compact group X:
 
 * ``FiniteGroupModel``: an explicit finite group (element list, multiplication
   and inverse tables).  Points are integer indices into ``labels``.
+* ``PairModel``: the doubled model X x X of a finite model, as built by
+  ``product_model``.  Points are the pair indices i*n + j; the group law
+  decodes them to the factor's tables, so doubling costs O(1) memory beyond
+  the factor and never builds an n^2 x n^2 table.  ``FiniteModel`` is the
+  common base of these two index-point models.
 * ``TorusGridModel``: the grid ((1/q)Z/Z)^sites inside the torus power.
   Points are length-``sites`` tuples of residues mod q; candidate arrays carry
   them as int64 rows.  All torus arithmetic is exact (residues, never floats).
@@ -38,7 +43,7 @@ from .errors import (
     UnsupportedElementError,
     ValidationError,
 )
-from .groups import GroupElement, GroupSpec, SoficApproximation, _sort_key
+from .groups import GroupElement, GroupSpec, SoficApproximation, _sort_key, _validate_table
 
 
 # ---------------------------------------------------------------------------
@@ -46,51 +51,25 @@ from .groups import GroupElement, GroupSpec, SoficApproximation, _sort_key
 # ---------------------------------------------------------------------------
 
 
-class FiniteGroupModel:
-    """Explicit finite group; model points are indices 0..n-1."""
+class FiniteModel:
+    """A finite group model whose points are the indices 0..n-1.
 
-    def __init__(self, labels: Sequence, mul: np.ndarray, identity: int, name: str = ""):
-        self.labels = tuple(labels)
-        self.mul = np.asarray(mul, dtype=np.int64)
-        self.identity = int(identity)
-        self.name = name or f"finite({len(self.labels)})"
-        n = len(self.labels)
-        if self.mul.shape != (n, n):
-            raise ValidationError("multiplication table shape mismatch")
-        if not ((self.mul[self.identity, :] == np.arange(n)).all()
-                and (self.mul[:, self.identity] == np.arange(n)).all()):
-            raise ValidationError("identity axiom fails")
-        inv = np.full(n, -1, dtype=np.int64)
-        rows, cols = np.nonzero(self.mul == self.identity)
-        inv[rows] = cols
-        if (inv < 0).any():
-            raise ValidationError("some element has no inverse")
-        self.inv = inv
-        if n <= 64 and not (self.mul[self.mul, :] == self.mul[:, self.mul]).all():
-            raise ValidationError("multiplication table is not associative")
-        self.mul.setflags(write=False)
-        self.inv.setflags(write=False)
-
-    @property
-    def n_points(self) -> int:
-        return len(self.labels)
+    Subclasses supply ``n_points``, ``identity``, ``name``, ``labels``,
+    ``generators`` (point indices whose right products, starting from the
+    identity, reach every point) and the vectorized ``candidate_mul`` and
+    ``candidate_inv``.
+    """
 
     def iter_points(self) -> Iterable[int]:
         return range(self.n_points)
 
     def op(self, a: int, b: int) -> int:
-        return int(self.mul[a, b])
+        return int(self.candidate_mul(a, b))
 
     def inverse(self, a: int) -> int:
-        return int(self.inv[a])
+        return int(self.candidate_inv(a))
 
     # candidate arrays are int64 index vectors of shape (d,) or (N, d)
-    def candidate_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self.mul[a, b]
-
-    def candidate_inv(self, a: np.ndarray) -> np.ndarray:
-        return self.inv[a]
-
     def identity_candidate(self, d: int) -> np.ndarray:
         return np.full(d, self.identity, dtype=np.int64)
 
@@ -101,7 +80,69 @@ class FiniteGroupModel:
         return {"kind": "finite-group", "order": self.n_points, "name": self.name}
 
     def __repr__(self):
-        return f"FiniteGroupModel({self.name})"
+        return f"{type(self).__name__}({self.name})"
+
+
+class FiniteGroupModel(FiniteModel):
+    """Explicit finite group: element labels plus multiplication table."""
+
+    def __init__(self, labels: Sequence, mul: np.ndarray, identity: int, name: str = ""):
+        self.labels = tuple(labels)
+        self.mul = np.asarray(mul, dtype=np.int64)
+        self.identity = int(identity)
+        self.name = name or f"finite({len(self.labels)})"
+        n = len(self.labels)
+        if self.mul.shape != (n, n):
+            raise ValidationError("multiplication table shape mismatch")
+        self.inv, self.generators = _validate_table(self.mul, self.identity)
+        self.mul.setflags(write=False)
+        self.inv.setflags(write=False)
+
+    @property
+    def n_points(self) -> int:
+        return len(self.labels)
+
+    def candidate_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self.mul[a, b]
+
+    def candidate_inv(self, a: np.ndarray) -> np.ndarray:
+        return self.inv[a]
+
+
+class PairModel(FiniteModel):
+    """The doubled model X x X of a finite model X, stored as X alone.
+
+    Points are the pair indices i*n + j that ``pair_candidates`` builds.  The
+    group law splits them with divmod and applies X's operations to each half,
+    so no n^2 x n^2 table is built.  A product of groups is a group, so there
+    is nothing to validate.
+    """
+
+    def __init__(self, factor: FiniteModel):
+        self.factor = factor
+        n, e = factor.n_points, factor.identity
+        self.n_points = n * n
+        self.identity = e * n + e
+        self.name = f"{factor.name}^2"
+        # (s, e) and (e, s) over the factor's generators s generate X x X
+        self.generators = tuple(s * n + e for s in factor.generators) + tuple(
+            e * n + s for s in factor.generators
+        )
+
+    @property
+    def labels(self) -> tuple:
+        return tuple(itertools.product(self.factor.labels, repeat=2))
+
+    def candidate_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        n = self.factor.n_points
+        a1, a2 = np.divmod(a, n)
+        b1, b2 = np.divmod(b, n)
+        return self.factor.candidate_mul(a1, b1) * n + self.factor.candidate_mul(a2, b2)
+
+    def candidate_inv(self, a: np.ndarray) -> np.ndarray:
+        n = self.factor.n_points
+        a1, a2 = np.divmod(a, n)
+        return self.factor.candidate_inv(a1) * n + self.factor.candidate_inv(a2)
 
 
 class TorusGridModel:
@@ -166,24 +207,23 @@ class TorusGridModel:
         return f"TorusGridModel(q={self.q}, sites={self.sites})"
 
 
-CompactGroupModel = FiniteGroupModel | TorusGridModel
+CompactGroupModel = FiniteModel | TorusGridModel
 
 
 def product_model(model):
-    """The doubled model X x X with componentwise operations."""
-    if isinstance(model, FiniteGroupModel):
-        n = model.n_points
-        labels = tuple((model.labels[i], model.labels[j]) for i in range(n) for j in range(n))
-        left, right = np.divmod(np.arange(n * n), n)
-        mul = model.mul[left[:, None], left[None, :]] * n + model.mul[right[:, None], right[None, :]]
-        return FiniteGroupModel(labels, mul, model.identity * n + model.identity,
-                                name=f"{model.name}^2")
+    """The doubled model X x X with componentwise operations.
+
+    A finite model doubles to a lazy ``PairModel`` over its pair indices,
+    which holds no table of its own; a torus grid doubles its sites.
+    """
+    if isinstance(model, FiniteModel):
+        return PairModel(model)
     return TorusGridModel(model.q, 2 * model.sites, name=f"{model.name}^2")
 
 
 def pair_candidates(model, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     """Combine candidates over X into candidates over the doubled model."""
-    if isinstance(model, FiniteGroupModel):
+    if isinstance(model, FiniteModel):
         return x1 * model.n_points + x2
     return np.concatenate([x1, x2], axis=-1)
 
@@ -238,14 +278,18 @@ class AutomorphismAction:
     # -- validation ----------------------------------------------------------
 
     def _check_automorphism(self, m: np.ndarray) -> np.ndarray:
-        if isinstance(self.model, FiniteGroupModel):
-            n = self.model.n_points
-            if m.shape != (n,) or np.bincount(m, minlength=n).max() > 1:
+        if isinstance(self.model, FiniteModel):
+            model = self.model
+            points = np.arange(model.n_points)
+            if m.shape != points.shape or not np.array_equal(np.sort(m), points):
                 raise ValidationError("map is not a bijection of the model")
-            if m[self.model.identity] != self.model.identity:
+            if m[model.identity] != model.identity:
                 raise ValidationError("map does not fix the identity")
-            if not (m[self.model.mul] == self.model.mul[m[:, None], m[None, :]]).all():
-                raise ValidationError("map is not multiplicative")
+            # m(x s) = m(x) m(s) for every generator s extends to all products
+            # by induction along words in the generators
+            for s in model.generators:
+                if not (m[model.candidate_mul(points, s)] == model.candidate_mul(m, m[s])).all():
+                    raise ValidationError("map is not multiplicative")
         else:
             s = self.model.sites
             if m.shape != (s, s):
@@ -259,17 +303,17 @@ class AutomorphismAction:
 
     def _compose(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Function composition a o b."""
-        if isinstance(self.model, FiniteGroupModel):
+        if isinstance(self.model, FiniteModel):
             return a[b]
         return (a @ b) % self.model.q
 
     def _identity_map(self) -> np.ndarray:
-        if isinstance(self.model, FiniteGroupModel):
+        if isinstance(self.model, FiniteModel):
             return np.arange(self.model.n_points, dtype=np.int64)
         return np.eye(self.model.sites, dtype=np.int64)
 
     def _invert_map(self, m: np.ndarray) -> np.ndarray:
-        if isinstance(self.model, FiniteGroupModel):
+        if isinstance(self.model, FiniteModel):
             return np.argsort(m).astype(np.int64)
         # adjugate / det mod q
         q = self.model.q
@@ -356,14 +400,14 @@ class AutomorphismAction:
 
     def act_point(self, g: GroupElement, x):
         m = self.point_map(g)
-        if isinstance(self.model, FiniteGroupModel):
+        if isinstance(self.model, FiniteModel):
             return int(m[x])
         return tuple(int(v) for v in (m @ np.asarray(x, dtype=np.int64)) % self.model.q)
 
     def act_candidates(self, g: GroupElement, x: np.ndarray) -> np.ndarray:
         """Apply g pointwise to a candidate array (vectorized)."""
         m = self.point_map(g)
-        if isinstance(self.model, FiniteGroupModel):
+        if isinstance(self.model, FiniteModel):
             return m[x]
         return np.einsum("st,...t->...s", m, x) % self.model.q
 
@@ -374,7 +418,7 @@ def act(action: AutomorphismAction, g: GroupElement, x):
 
 
 def trivial_action(group: GroupSpec, model: CompactGroupModel) -> AutomorphismAction:
-    if isinstance(model, FiniteGroupModel):
+    if isinstance(model, FiniteModel):
         ident = np.arange(model.n_points, dtype=np.int64)
     else:
         ident = np.eye(model.sites, dtype=np.int64)
@@ -390,11 +434,14 @@ def trivial_action(group: GroupSpec, model: CompactGroupModel) -> AutomorphismAc
 def diagonal_action(action: AutomorphismAction) -> AutomorphismAction:
     """The action g.(x, y) = (g.x, g.y) on the doubled model."""
     model2 = product_model(action.model)
-    if isinstance(action.model, FiniteGroupModel):
+    if isinstance(action.model, FiniteModel):
         n = action.model.n_points
+        left, right = np.divmod(np.arange(n * n), n)
 
+        # A lift is an automorphism of X x X exactly when its factor map is
+        # one of X, and the factor maps are already validated; the checks the
+        # constructor reruns on the lifts cost O(n^2) per generator, not n^4.
         def lift(m: np.ndarray) -> np.ndarray:
-            left, right = np.divmod(np.arange(n * n), n)
             return m[left] * n + m[right]
 
     else:
@@ -756,28 +803,44 @@ def dual_model(f: IntegerGroupMatrix) -> tuple[FiniteGroupModel, AutomorphismAct
     points = continuous_kernel(rt)
     if len(points) > 4096:
         raise BudgetExceededError(len(points), 4096, "dual model size")
-    index = {p: i for i, p in enumerate(points)}
-    K = len(points)
-    mul = np.zeros((K, K), dtype=np.int64)
-    for a in range(K):
-        for b in range(K):
-            summed = tuple((x + y) % 1 for x, y in zip(points[a], points[b]))
-            mul[a, b] = index[summed]
-    ident = index[tuple(Fraction(0) for _ in range(N * f.n))]
+    K, cols = len(points), N * f.n
+    # exact integer coordinates: the sorted labels scaled by the lcm of their
+    # denominators are lexicographically sorted, distinct int64 rows
+    scale = math.lcm(*(v.denominator for p in points for v in p))
+    pts = np.array([[int(v * scale) for v in p] for p in points], dtype=np.int64).reshape(K, cols)
+    block = max(1, 2**20 // (K * cols))  # rows of sums looked up at once
+    mul = np.concatenate([
+        _row_index(pts, (pts[a : a + block, None, :] + pts[None, :, :]) % scale)
+        for a in range(0, K, block)
+    ])
+    ident = int(_row_index(pts, np.zeros((1, cols), dtype=np.int64))[0])
     model = FiniteGroupModel(points, mul, ident, name=f"dual(|G|={N}, n={f.n})")
-    maps: dict[GroupElement, np.ndarray] = {}
-    for g in els:
-        ginv = spec.inverse(g)
-        coord_perm = [pos[spec.multiply(ginv, h)] for h in els]  # source coord per target h
-        perm = np.zeros(K, dtype=np.int64)
-        for a, p in enumerate(points):
-            moved = tuple(
-                p[coord_perm[hi] * f.n + j] for hi in range(N) for j in range(f.n)
-            )
-            perm[a] = index[moved]
-        maps[g] = perm
+    # (g.x)[(h, j)] = x[(g^-1 h, j)]: the source column of every target column
+    src = np.array([
+        [pos[spec.multiply(spec.inverse(g), h)] * f.n + j for h in els for j in range(f.n)]
+        for g in els
+    ])
+    perms = _row_index(pts, pts[:, src].transpose(1, 0, 2))
+    maps = {g: perms[k] for k, g in enumerate(els)}
     action = AutomorphismAction(spec, model, element_maps=maps)
     return model, action
+
+
+def _row_index(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Position of every row of ``queries`` in ``table``, whose rows are
+    lexicographically sorted and distinct; shaped like the queries' leading axes."""
+    k, cols = table.shape
+    rows = np.concatenate([table, queries.reshape(-1, cols)])
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    starts = np.ones(len(rows), dtype=bool)
+    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    if starts.sum() != k:
+        raise ValidationError("a looked-up row is not a row of the table")
+    # the distinct rows in sorted order are the table's rows, in its order
+    out = np.empty(len(rows), dtype=np.int64)
+    out[order] = np.cumsum(starts) - 1
+    return out[k:].reshape(queries.shape[:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 
 from .actions import (
     CompactGroupModel,
-    FiniteGroupModel,
+    FiniteModel,
     TorusGridModel,
     pair_candidates,
     product_model,
@@ -37,7 +37,7 @@ from .errors import ValidationError
 
 def _point_indices(model: CompactGroupModel, x: np.ndarray) -> np.ndarray:
     """Candidate array -> point-index array (lex index for torus models)."""
-    if isinstance(model, FiniteGroupModel):
+    if isinstance(model, FiniteModel):
         return np.asarray(x, dtype=np.int64)
     coords = np.asarray(x, dtype=np.int64)
     powers = model.q ** np.arange(model.sites - 1, -1, -1, dtype=np.int64)
@@ -45,7 +45,7 @@ def _point_indices(model: CompactGroupModel, x: np.ndarray) -> np.ndarray:
 
 
 def _points_from_indices(model: CompactGroupModel, idx: np.ndarray) -> np.ndarray:
-    if isinstance(model, FiniteGroupModel):
+    if isinstance(model, FiniteModel):
         return np.asarray(idx, dtype=np.int64)
     idx = np.asarray(idx, dtype=np.int64)
     out = np.empty(idx.shape + (model.sites,), dtype=np.int64)
@@ -87,7 +87,7 @@ class SiteMeasure:
     @classmethod
     def point_mass(cls, model: CompactGroupModel, point) -> "SiteMeasure":
         num = np.zeros(model.n_points, dtype=np.int64)
-        if isinstance(model, FiniteGroupModel):
+        if isinstance(model, FiniteModel):
             idx = int(point)
         else:
             idx = model.point_index(tuple(point))
@@ -124,34 +124,24 @@ class SiteMeasure:
     def convolve(self, other: "SiteMeasure") -> "SiteMeasure":
         """Group convolution: pushforward of the product under multiplication."""
         model = self.model
-        if isinstance(model, FiniteGroupModel):
-            out = np.zeros(model.n_points, dtype=np.int64)
-            ia = np.nonzero(self.num)[0]
-            ib = np.nonzero(other.num)[0]
-            prod = np.outer(self.num[ia], other.num[ib])
-            targets = model.mul[np.ix_(ia, ib)]
-            np.add.at(out, targets.reshape(-1), prod.reshape(-1))
-            return SiteMeasure(model, out, self.den * other.den)
-        # torus grid: indices add coordinatewise
+        den = _product_den(self, other)
         ia = np.nonzero(self.num)[0]
         ib = np.nonzero(other.num)[0]
-        pa = _points_from_indices(model, ia)
-        pb = _points_from_indices(model, ib)
-        sums = (pa[:, None, :] + pb[None, :, :]) % model.q
-        tgt = _point_indices(model, sums.reshape(-1, model.sites))
+        if isinstance(model, FiniteModel):
+            targets = model.candidate_mul(ia[:, None], ib[None, :])
+        else:
+            pa = _points_from_indices(model, ia)
+            pb = _points_from_indices(model, ib)
+            targets = _point_indices(model, model.candidate_mul(pa[:, None, :], pb[None, :, :]))
         out = np.zeros(model.n_points, dtype=np.int64)
-        np.add.at(out, tgt, np.outer(self.num[ia], other.num[ib]).reshape(-1))
-        return SiteMeasure(model, out, self.den * other.den)
+        np.add.at(out, targets.reshape(-1), np.outer(self.num[ia], other.num[ib]).reshape(-1))
+        return SiteMeasure(model, out, den)
 
     def tensor(self, other: "SiteMeasure") -> "SiteMeasure":
         """Product measure on the doubled model (pair points)."""
-        pm = product_model(self.model)
-        if isinstance(self.model, FiniteGroupModel):
-            out = np.outer(self.num, other.num).reshape(-1)
-        else:
-            # doubled torus: index = idx_left * q^sites + idx_right
-            out = np.outer(self.num, other.num).reshape(-1)
-        return SiteMeasure(pm, out, self.den * other.den)
+        den = _product_den(self, other)
+        out = np.outer(self.num, other.num).reshape(-1)
+        return SiteMeasure(product_model(self.model), out, den)
 
     def sample_indices(self, rng: np.random.Generator, k: int) -> np.ndarray:
         p = self.num / self.den
@@ -170,6 +160,20 @@ class SiteMeasure:
 
     def __hash__(self):
         return hash((self.den, self.num.tobytes()))
+
+
+def _product_den(a: SiteMeasure, b: SiteMeasure) -> int:
+    """The denominator of a product of two site measures.
+
+    Every weight product and every sum of them is at most this denominator,
+    so int64 weights cannot wrap below 2^63; beyond it the product is refused.
+    """
+    den = a.den * b.den
+    if den >= 2**63:
+        raise OverflowError(
+            f"product denominator {den} = {a.den} * {b.den} does not fit int64 weights"
+        )
+    return den
 
 
 # ---------------------------------------------------------------------------

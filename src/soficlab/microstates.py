@@ -26,7 +26,7 @@ from .actions import (
     AlgebraicActionModel,
     AutomorphismAction,
     CompactGroupModel,
-    FiniteGroupModel,
+    FiniteModel,
     TorusGridModel,
     product_model,
 )
@@ -44,11 +44,12 @@ from .measures import SiteMeasure, _point_indices, _points_from_indices
 class Pseudometric:
     """A pseudometric on model points via squared distances.
 
-    Exact metrics store per-pair squared distances as ``num/den`` (finite
-    models tabulate; torus metrics compute from residues).  ``exact=False``
-    metrics store float squared distances.  ``generating_witness`` is the
-    finite set of group elements certifying dynamical generation (the
-    built-in metrics are genuine metrics, so the identity suffices).
+    Squared distances are exact, ``num/den``: finite models tabulate the
+    numerators in ``table_num`` (an n x n array, or a ``PairTable`` for a
+    doubled metric); torus metrics compute them from residues.
+    ``generating_witness`` is the finite set of group elements certifying
+    dynamical generation (the built-in metrics are genuine metrics, so the
+    identity suffices).
     """
 
     name: str
@@ -58,12 +59,11 @@ class Pseudometric:
     diam_sq: Fraction
     min_positive_sq: Fraction | None
     generating_witness: tuple = ()
-    kind: str = "table"  # "table" | "torus" | "float-table"
-    table_num: np.ndarray | None = field(default=None, repr=False)
+    kind: str = "table"  # "table" | "torus"
+    table_num: np.ndarray | PairTable | None = field(default=None, repr=False)
     den: int = 1
-    table_float: np.ndarray | None = field(default=None, repr=False)
 
-    def sq(self, x, y) -> Fraction | float:
+    def sq(self, x, y) -> Fraction:
         """Squared distance between two points."""
         if self.kind == "torus":
             q = self.model.q
@@ -72,12 +72,10 @@ class Pseudometric:
             return Fraction(int((m * m).sum()), self.den)
         i = self._index(np.atleast_1d(np.asarray(x)))
         j = self._index(np.atleast_1d(np.asarray(y)))
-        if self.kind == "table":
-            return Fraction(int(self.table_num[int(i[0]), int(j[0])]), self.den)
-        return float(self.table_float[int(i[0]), int(j[0])])
+        return Fraction(int(self.table_num[int(i[0]), int(j[0])]), self.den)
 
     def _index(self, pts: np.ndarray) -> np.ndarray:
-        if isinstance(self.model, FiniteGroupModel):
+        if isinstance(self.model, FiniteModel):
             return np.atleast_1d(np.asarray(pts, dtype=np.int64))
         arr = np.asarray(pts, dtype=np.int64)
         if arr.ndim == 1:
@@ -88,7 +86,7 @@ class Pseudometric:
         return math.sqrt(float(self.sq(x, y)))
 
 
-def discrete_metric(model: FiniteGroupModel) -> Pseudometric:
+def discrete_metric(model: FiniteModel) -> Pseudometric:
     """0/1 metric on a finite model; bi-invariant, diameter 1."""
     n = model.n_points
     table = np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64)
@@ -124,47 +122,55 @@ def torus_metric(model: TorusGridModel) -> Pseudometric:
 
 
 def default_metric(model: CompactGroupModel) -> Pseudometric:
-    if isinstance(model, FiniteGroupModel):
+    if isinstance(model, FiniteModel):
         return discrete_metric(model)
     return torus_metric(model)
 
 
+class PairTable:
+    """The n^2 x n^2 table of a doubled table metric, computed on demand.
+
+    Entry [i, j] for pair indices i, j is t[i // n, j // n] + t[i % n, j % n],
+    with t the n x n factor table; only t is stored.  Indexing takes integer
+    arrays of any matching shape, like ``ndarray[i, j]``.
+    """
+
+    def __init__(self, factor):
+        self.factor = factor
+        n = factor.shape[0]
+        self.shape = (n * n, n * n)
+        self.nbytes = factor.nbytes
+
+    def __getitem__(self, key):
+        i, j = key
+        n = self.factor.shape[0]
+        i1, i2 = np.divmod(i, n)
+        j1, j2 = np.divmod(j, n)
+        return self.factor[i1, j1] + self.factor[i2, j2]
+
+
 def doubled_metric(metric: Pseudometric) -> Pseudometric:
-    """The metric on X x X averaging the squared per-factor distances."""
+    """The metric on X x X averaging the squared per-factor distances.
+
+    A torus metric doubles to the torus metric on twice the sites.  A table
+    metric keeps its factor table behind a lazy ``PairTable`` (entries add,
+    the denominator doubles), so no n^2 x n^2 table is built.
+    """
     model2 = product_model(metric.model)
     if metric.kind == "torus":
         return torus_metric(model2)
-    n = metric.model.n_points
-    if metric.kind == "table":
-        t = metric.table_num
-        big = (
-            t[:, None, :, None].repeat(n, 1).repeat(n, 3)
-            + t[None, :, None, :].repeat(n, 0).repeat(n, 2)
-        ).reshape(n * n, n * n)
-        return Pseudometric(
-            name=f"{metric.name}^2",
-            model=model2,
-            bi_invariant=metric.bi_invariant,
-            exact=True,
-            diam_sq=metric.diam_sq,
-            min_positive_sq=(
-                metric.min_positive_sq / 2 if metric.min_positive_sq is not None else None
-            ),
-            kind="table",
-            table_num=big,
-            den=2 * metric.den,
-        )
-    t = metric.table_float
-    big = (t[:, None, :, None] + t[None, :, None, :]).reshape(n * n, n * n) / 2.0
     return Pseudometric(
         name=f"{metric.name}^2",
         model=model2,
         bi_invariant=metric.bi_invariant,
-        exact=False,
+        exact=True,
         diam_sq=metric.diam_sq,
-        min_positive_sq=None,
-        kind="float-table",
-        table_float=big,
+        min_positive_sq=(
+            metric.min_positive_sq / 2 if metric.min_positive_sq is not None else None
+        ),
+        kind="table",
+        table_num=PairTable(metric.table_num),
+        den=2 * metric.den,
     )
 
 
@@ -183,12 +189,10 @@ def _pair_sq_num(metric: Pseudometric, x: np.ndarray, y: np.ndarray) -> np.ndarr
         m = np.minimum(dx, q - dx)
         # candidates carry a trailing sites axis: sum it together with d
         return (m * m).sum(axis=(-1, -2))
-    if metric.kind == "table":
-        return metric.table_num[x, y].sum(axis=-1)
-    return metric.table_float[x, y].sum(axis=-1)
+    return metric.table_num[x, y].sum(axis=-1)
 
 
-def rho2_sq(metric: Pseudometric, x: np.ndarray, y: np.ndarray) -> Fraction | float:
+def rho2_sq(metric: Pseudometric, x: np.ndarray, y: np.ndarray) -> Fraction:
     """Exact squared rho2: the mean of squared point distances."""
     x = np.asarray(x, dtype=np.int64)
     y = np.asarray(y, dtype=np.int64)
@@ -200,9 +204,7 @@ def rho2_sq(metric: Pseudometric, x: np.ndarray, y: np.ndarray) -> Fraction | fl
         dx = np.abs(x - y)
         m = np.minimum(dx, q - dx)
         return Fraction(int((m * m).sum()), d * metric.den)
-    if metric.kind == "table":
-        return Fraction(int(metric.table_num[x, y].sum()), d * metric.den)
-    return float(metric.table_float[x, y].sum()) / d
+    return Fraction(int(metric.table_num[x, y].sum()), d * metric.den)
 
 
 def rho2(metric: Pseudometric, x: np.ndarray, y: np.ndarray) -> float:
@@ -212,9 +214,6 @@ def rho2(metric: Pseudometric, x: np.ndarray, y: np.ndarray) -> float:
 
 def _lt_threshold(nums, count: int, metric: Pseudometric, delta: Fraction):
     """Vectorized test: (num / (count*den)) < delta^2, or num == 0."""
-    if metric.kind == "float-table":
-        vals = nums / count
-        return (vals < float(delta) ** 2) | (nums == 0)
     dsq = delta * delta
     lhs = np.asarray(nums, dtype=object) * dsq.denominator
     rhs = dsq.numerator * count * metric.den
@@ -250,7 +249,7 @@ class TestFunction:
         Returns (nums, den) with mean = num/den for exact functions, or a
         float array otherwise.  ``xs`` has shape (N, d[, sites]).
         """
-        idx = _point_indices(model, xs) if not isinstance(model, FiniteGroupModel) else xs
+        idx = _point_indices(model, xs) if not isinstance(model, FiniteModel) else xs
         d = idx.shape[-1]
         if self.exact:
             return self.values_num[idx].sum(axis=-1), d * self.values_den
@@ -289,7 +288,7 @@ def character_panel(model: CompactGroupModel, freqs: Sequence[int] = (1,), scale
     """
     out = []
     n = model.n_points
-    if isinstance(model, FiniteGroupModel):
+    if isinstance(model, FiniteModel):
         labels = model.labels
         if labels and isinstance(labels[0], tuple):
             phases = np.array([float(l[0]) for l in labels])
@@ -435,7 +434,7 @@ def _all_candidates(model: CompactGroupModel, d: int, budget: int) -> np.ndarray
     for k in range(d - 1, -1, -1):
         digits[:, k] = rem % n
         rem = rem // n
-    if isinstance(model, FiniteGroupModel):
+    if isinstance(model, FiniteModel):
         return digits
     return _points_from_indices(model, digits)
 
@@ -478,7 +477,7 @@ def enumerate_top_microstates(
         return model.enumerate_kernel(budget)
     delta = Fraction(delta)
     if (
-        isinstance(model, FiniteGroupModel)
+        isinstance(model, FiniteModel)
         and forces_exact_equivariance(metric, delta, sigma.d)
     ):
         out = _enumerate_equivariant(model, sigma, F, action, budget)
@@ -489,7 +488,7 @@ def enumerate_top_microstates(
 
 
 def _enumerate_equivariant(
-    model: FiniteGroupModel,
+    model: FiniteModel,
     sigma: SoficApproximation,
     F: Sequence[GroupElement],
     action: AutomorphismAction,
@@ -585,7 +584,7 @@ def sample_microstates(
     Returns up to n_samples verified candidates (possibly fewer); the result
     is a pure function of the arguments.  Finite models only.
     """
-    if not isinstance(model, FiniteGroupModel):
+    if not isinstance(model, FiniteModel):
         raise ValidationError("randomized repair search needs a finite model")
     if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from soficlab.actions import FiniteGroupModel
 from soficlab.errors import UnsupportedElementError, ValidationError
 from soficlab.groups import (
     GroupSpec,
@@ -82,6 +83,52 @@ class TestGroupAlgebra:
         assert z3.multiply(g, g) == z3.parse("g2")
         with pytest.raises(ValidationError):
             GroupSpec.from_table(labels=["e", "g"], mul_table=[[0, 1], [1, 1]])
+
+    def test_table_generator_is_an_element(self):
+        z3 = GroupSpec.from_table(
+            labels=["e", "g", "g2"],
+            mul_table=[[0, 1, 2], [1, 2, 0], [2, 0, 1]],
+            generator_indices=[1],
+        )
+        g = z3.generator(0)
+        assert g in z3.elements()
+        sigma = quotient_sofic(z3, {"kind": "regular"}, list(z3.elements()))
+        assert (sigma.perm(g) == [1, 2, 0]).all()
+
+    def test_parse_prefers_a_table_label(self):
+        z3 = GroupSpec.from_table(
+            labels=["0", "1", "2"],
+            mul_table=[[0, 1, 2], [1, 2, 0], [2, 0, 1]],
+        )
+        assert z3.parse("1").key[1] == 1
+        assert z3.parse("e") == z3.identity()
+        assert GroupSpec.cyclic(3).parse("1") == GroupSpec.cyclic(3).identity()
+
+    def test_large_non_associative_table_rejected(self):
+        # Z/65 with one entry changed: identity row and column and an inverse
+        # in every row survive, associativity does not
+        n = 65
+        table = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
+        table[2, 3] = 6
+        labels = [str(i) for i in range(n)]
+        with pytest.raises(ValidationError, match="associative"):
+            GroupSpec.from_table(labels=labels, mul_table=table)
+        with pytest.raises(ValidationError, match="associative"):
+            FiniteGroupModel(labels, table, 0)
+
+    def test_large_groups_accepted(self):
+        # Z/5 x S_3 x Z/3 (90 elements, non-abelian) as a table
+        s3 = [(0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 2, 0), (2, 0, 1)]
+        elements = [(a, p, c) for a in range(5) for p in s3 for c in range(3)]
+        index = {el: i for i, el in enumerate(elements)}
+        table = [
+            [index[((a + b) % 5, tuple(p[k] for k in q), (c + e) % 3)] for b, q, e in elements]
+            for a, p, c in elements
+        ]
+        model = FiniteGroupModel(range(90), table, 0)
+        assert len(model.generators) <= 7
+        assert (model.mul[np.arange(90), model.inv] == 0).all()
+        GroupSpec.from_table(labels=[str(i) for i in range(90)], mul_table=table)
 
 
 class TestQuotientSofic:

@@ -39,6 +39,20 @@ class TestSiteMeasure:
         mu = SiteMeasure.uniform(z3)
         assert mu.weights() == [Fraction(1, 3)] * 3
 
+    def test_convolution_overflow_names_the_denominator(self):
+        # denominator ~10^6: two self-convolutions fit int64, the third's
+        # denominator ~10^24 does not
+        model = cyclic_model(63)
+        w = 500 * np.arange(1, 64) + 1
+        mu = SiteMeasure(model, w, int(w.sum()))
+        out = mu.convolve(mu).convolve(mu)
+        assert out.num.sum() == out.den
+        assert out.den * mu.den >= 2**63
+        with pytest.raises(OverflowError, match="denominator"):
+            out.convolve(mu)
+        with pytest.raises(OverflowError, match="denominator"):
+            out.tensor(mu)
+
     def test_mass_conservation_enforced(self, z3):
         with pytest.raises(ValidationError):
             SiteMeasure(z3, np.array([1, 1, 1]), 4)
