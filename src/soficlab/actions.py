@@ -379,22 +379,20 @@ class AutomorphismAction:
                 raise UnsupportedElementError(g, "action element maps")
             out = self.element_maps[g]
         else:
-            out = self._identity_map()
-            name_of = self.group.generators
+            # (generator index, exponent) pairs: an abelian key lists one
+            # exponent per generator, a free key the letters of its word
             if g.key[0][0] == "a":
-                for i, e in enumerate(g.key[1]):
-                    base = self.generator_maps[name_of[i]]
-                    step = base if e >= 0 else self._invert_map(base)
-                    for _ in range(abs(e)):
-                        out = self._compose(out, step)
+                word = enumerate(g.key[1])
             elif g.key[0][0] == "f":
-                for gen, e in g.key[1]:
-                    base = self.generator_maps[name_of[gen]]
-                    step = base if e >= 0 else self._invert_map(base)
-                    for _ in range(abs(e)):
-                        out = self._compose(out, step)
+                word = g.key[1]
             else:
                 raise UnsupportedElementError(g, "cannot express in generators")
+            out = self._identity_map()
+            for gen, e in word:
+                base = self.generator_maps[self.group.generators[gen]]
+                step = base if e >= 0 else self._invert_map(base)
+                for _ in range(abs(e)):
+                    out = self._compose(out, step)
         self._cache[g] = out
         return out
 
@@ -543,23 +541,6 @@ class IntegerGroupMatrix:
                     seen[g] = None
         return tuple(sorted(seen, key=_sort_key))
 
-    def to_json(self) -> list:
-        return [
-            [
-                [[c, self.group.element_to_json(g)] for g, c in sorted(cell.items(), key=lambda kv: _sort_key(kv[0]))]
-                for cell in row
-            ]
-            for row in self.entries
-        ]
-
-    @classmethod
-    def from_json(cls, group: GroupSpec, data, m: int | None = None, n: int | None = None):
-        grid = [
-            [[(c, group.element_from_json(g)) for c, g in cell] for cell in row]
-            for row in data
-        ]
-        return cls.from_pairs(group, grid, m=m, n=n)
-
 
 def sigma_matrix(f: IntegerGroupMatrix, sigma: SoficApproximation) -> np.ndarray:
     """The integer matrix f^(sigma) of shape (m*d, n*d).
@@ -599,10 +580,6 @@ class AlgebraicActionModel:
     def d(self) -> int:
         return self.sigma.d
 
-    @property
-    def site_model(self) -> TorusGridModel:
-        return TorusGridModel(self.q, self.source.n)
-
     def residue_bound(self) -> int:
         """Largest residue c with c/q within tol of 0 on the circle."""
         t = self.tol
@@ -616,23 +593,12 @@ class AlgebraicActionModel:
         dist = np.minimum(res, self.q - res)
         return bool((dist <= self.residue_bound()).all())
 
-    def kernel_mask(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized membership for an (N, d, n) candidate batch."""
-        flat = xs.reshape(xs.shape[0], -1)
-        res = (flat @ self.matrix.T) % self.q
-        dist = np.minimum(res, self.q - res)
-        return (dist <= self.residue_bound()).all(axis=1)
-
     def enumerate_kernel(self, budget: int = 10**6) -> np.ndarray:
-        """All tolerance-kernel grid points, deterministic order, shape (N, d, n)."""
-        pts = list(_solve_residue_box(self.matrix, self.q, self.residue_bound(), budget))
-        pts.sort()
-        arr = np.array(pts, dtype=np.int64).reshape(len(pts), self.d, self.source.n)
-        return arr
-
-    def continuous_kernel_points(self) -> list[tuple[Fraction, ...]]:
-        """The exact torus kernel (full-rank square case), as Fraction tuples."""
-        return continuous_kernel(self.matrix)
+        """All tolerance-kernel grid points, shape (N, d, n), in lexicographic
+        order of the flattened candidates; the same solve as grid-tolerance
+        counting."""
+        pts = _solve_residue_box(self.matrix, self.q, self.residue_bound(), budget)
+        return pts.reshape(len(pts), self.d, self.source.n)
 
     def manifest(self) -> dict:
         return {
@@ -663,56 +629,17 @@ def instantiate_Xf(
     return AlgebraicActionModel(source=f, sigma=sigma, q=q, tol=tol, matrix=mat)
 
 
-def _solve_residue_box(mat: np.ndarray, q: int, bound: int, budget: int):
-    """Iterate x in (Z/q)^cols with every residue of (mat x) mod q in
-    [-bound, bound] around 0.  Single Smith decomposition, one solve per
-    admissible target."""
-    rows, cols = mat.shape
-    allowed = sorted({r % q for r in range(-bound, bound + 1)})
+def _solve_residue_box(mat: np.ndarray, q: int, bound: int, budget: int) -> np.ndarray:
+    """Every x in (Z/q)^cols with every residue of (mat x) mod q in
+    [-bound, bound] around 0, as sorted int64 rows: one Smith form and one
+    batch solve over all admissible targets."""
+    rows = mat.shape[0]
+    allowed = np.array(sorted({r % q for r in range(-bound, bound + 1)}), dtype=np.int64)
     n_targets = len(allowed) ** rows
-    s, u, v = intlin.smith_normal_form(mat.tolist())
-    r = min(rows, cols)
-    diag = [s[i][i] for i in range(r)]
-    per_sol = 1
-    for i in range(cols):
-        si = diag[i] if i < r else 0
-        per_sol *= math.gcd(si, q)
-    if n_targets * per_sol > budget * 4 and n_targets > budget:
+    if n_targets > budget:
         raise BudgetExceededError(n_targets, budget, "residue box enumeration")
-    count_emitted = 0
-    for target in itertools.product(allowed, repeat=rows):
-        ut = [sum(u[i][k] * target[k] for k in range(rows)) % q for i in range(rows)]
-        per_coord: list[list[int]] = []
-        ok = True
-        for i in range(cols):
-            si = diag[i] if i < r else 0
-            rhs = ut[i] if i < rows else 0
-            g = math.gcd(si, q)
-            if i < rows and rhs % g != 0:
-                ok = False
-                break
-            if si % q == 0:
-                per_coord.append(list(range(q)))
-            else:
-                step = q // g
-                base = (rhs // g) * pow(si // g, -1, step) % step
-                per_coord.append([(base + k * step) % q for k in range(g)])
-        if not ok:
-            continue
-        for i in range(cols, rows):
-            if ut[i] % q != 0:
-                ok = False
-                break
-        if not ok:
-            continue
-        for y in itertools.product(*per_coord):
-            x = tuple(
-                sum(v[i][j] * y[j] for j in range(cols)) % q for i in range(cols)
-            )
-            count_emitted += 1
-            if count_emitted > budget:
-                raise BudgetExceededError(count_emitted, budget, "residue box enumeration")
-            yield x
+    targets = allowed[intlin.mixed_radix(np.arange(n_targets), [len(allowed)] * rows)]
+    return intlin.solve_mod_batch(intlin.smith_normal_form(mat.tolist()), targets, q, budget)
 
 
 def count_kernel_points(model: AlgebraicActionModel, mode: str, budget: int = 10**6) -> int:
@@ -721,7 +648,9 @@ def count_kernel_points(model: AlgebraicActionModel, mode: str, budget: int = 10
     continuous-exact: |det f^(sigma)| (square, nonsingular).
     grid-exact: exact solutions on the q-grid, prod gcd(s_i, q) over the
     Smith diagonal (zero divisors contribute q).
-    grid-tolerance: tolerance-kernel grid points, lattice-enumerated.
+    grid-tolerance: tolerance-kernel grid points, listed by one batch solve
+    over the admissible residue targets.  Refused with BudgetExceededError
+    when the targets or the points exceed ``budget``.
     """
     mat = model.matrix
     if mode == "continuous-exact":
@@ -731,28 +660,36 @@ def count_kernel_points(model: AlgebraicActionModel, mode: str, budget: int = 10
     if mode == "grid-exact":
         return intlin.kernel_count_mod(mat.tolist(), model.q)
     if mode == "grid-tolerance":
-        return sum(1 for _ in _solve_residue_box(mat, model.q, model.residue_bound(), budget))
+        return len(_solve_residue_box(mat, model.q, model.residue_bound(), budget))
     raise ValidationError(f"unknown counting mode {mode!r}")
 
 
-def continuous_kernel(mat: np.ndarray) -> list[tuple[Fraction, ...]]:
-    """All x in (R/Z)^cols with mat x = 0 mod 1, for full-column-rank mat.
+def _torsion_kernel(mat: np.ndarray, budget: int | None = None) -> tuple[np.ndarray, int]:
+    """The finite kernel of mat on (R/Z)^cols as (k, s_r): sorted int64 rows k
+    with the points x = k / s_r, where s_r is the largest invariant factor.
 
-    Solved through the Smith form: y ranges over prod (1/s_i)Z/Z and x = V y.
+    Every point lies on that grid, since x = V y with y in prod (1/s_i)Z/Z
+    and each s_i divides s_r; so the kernel is the solve of mat k = 0 mod s_r.
     """
     rows, cols = mat.shape
-    s, u, v = intlin.smith_normal_form(mat.tolist())
-    diag = [s[i][i] for i in range(min(rows, cols))]
+    snf = intlin.smith_normal_form(mat.tolist())
+    diag = [snf[0][i][i] for i in range(min(rows, cols))]
     if len(diag) < cols or any(x == 0 for x in diag):
         raise SingularMatrixError("kernel is not finite (rank deficient)")
-    points = []
-    for combo in itertools.product(*[range(si) for si in diag]):
-        y = [Fraction(k, si) for k, si in zip(combo, diag)]
-        x = tuple(
-            sum(Fraction(v[i][j]) * y[j] for j in range(cols)) % 1 for i in range(cols)
-        )
-        points.append(x)
-    return sorted(set(points))
+    scale = diag[-1]
+    return intlin.solve_mod_batch(snf, np.zeros((1, rows), dtype=np.int64), scale, budget), scale
+
+
+def continuous_kernel(mat: np.ndarray) -> list[tuple[Fraction, ...]]:
+    """All x in (R/Z)^cols with mat x = 0 mod 1, for full-column-rank mat,
+    in lexicographic order.
+
+    Solved through the Smith form: the points are the solutions k of
+    mat k = 0 mod s_r, for s_r the largest invariant factor, divided by s_r.
+    Raises OverflowError when s_r >= 2^31.
+    """
+    pts, scale = _torsion_kernel(mat)
+    return [tuple(Fraction(k, scale) for k in row) for row in pts.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -783,7 +720,9 @@ def dual_model(f: IntegerGroupMatrix) -> tuple[FiniteGroupModel, AutomorphismAct
     by the transpose of the r(f) matrix, with the coordinate-permutation dual
     action (g.x)[(h, j)] = x[(g^-1 h, j)].
 
-    Requires the kernel to be finite (r(f) of full column rank over Q).
+    Requires the kernel to be finite (r(f) of full column rank over Q).  A
+    kernel of more than 4096 points is refused with BudgetExceededError
+    before it is listed.
     """
     spec = f.group
     if spec.order() is None:
@@ -800,14 +739,10 @@ def dual_model(f: IntegerGroupMatrix) -> tuple[FiniteGroupModel, AutomorphismAct
                 for g in els:
                     h = spec.multiply(g, w)
                     rt[pos[g] * f.m + l, pos[h] * f.n + j] += c
-    points = continuous_kernel(rt)
-    if len(points) > 4096:
-        raise BudgetExceededError(len(points), 4096, "dual model size")
-    K, cols = len(points), N * f.n
-    # exact integer coordinates: the sorted labels scaled by the lcm of their
-    # denominators are lexicographically sorted, distinct int64 rows
-    scale = math.lcm(*(v.denominator for p in points for v in p))
-    pts = np.array([[int(v * scale) for v in p] for p in points], dtype=np.int64).reshape(K, cols)
+    # the kernel points are pts / scale: sorted, distinct int64 rows
+    pts, scale = _torsion_kernel(rt, budget=4096)
+    K, cols = pts.shape
+    points = [tuple(Fraction(k, scale) for k in row) for row in pts.tolist()]
     block = max(1, 2**20 // (K * cols))  # rows of sums looked up at once
     mul = np.concatenate([
         _row_index(pts, (pts[a : a + block, None, :] + pts[None, :, :]) % scale)

@@ -506,14 +506,6 @@ class SoficApproximation:
         except KeyError:
             raise UnsupportedElementError(g, "sofic approximation support") from None
 
-    def permutation_matrix(self, g: GroupElement) -> np.ndarray:
-        """0/1 matrix P with (P x)_a = x_{sigma(g)^{-1}(a)} (so P_g P_h = P_{gh}
-        whenever the table composes exactly)."""
-        p = self.perm(g)
-        mat = np.zeros((self.d, self.d), dtype=np.int64)
-        mat[p, np.arange(self.d)] = 1
-        return mat
-
     def to_json_dict(self) -> dict:
         return {
             "format": "soficlab-sofic/1",

@@ -1,10 +1,13 @@
 """Exact integer linear algebra.
 
 Determinants (Bareiss fraction-free elimination), Smith normal form with
-unimodular transforms, and lattice solvers for ``A x = c (mod q)``.  All
-arithmetic is over Python ints, so nothing overflows and every count is
-exact.  Matrices are accepted as nested sequences or numpy arrays and are
-normalized to lists of lists of ints internally.
+unimodular transforms, and the one lattice solver for ``A x = t (mod q)``.
+Bareiss and the Smith form work over Python ints, so nothing overflows and
+every count is exact.  ``solve_mod_batch`` takes a Smith form, reduces its
+transforms mod q once and solves a batch of targets in vectorized int64
+(q < 2^31), decoding the solution lattice with ``mixed_radix``; ``solve_mod``
+is its one-target iterator.  Matrices are accepted as nested sequences or
+numpy arrays and are normalized to lists of lists of ints internally.
 """
 
 from __future__ import annotations
@@ -181,71 +184,85 @@ def kernel_count_mod(mat, q: int) -> int:
     return count
 
 
-def _matvec_mod(m, x, q):
-    return [sum(r * v for r, v in zip(row, x)) % q for row in m]
+def mixed_radix(idx, widths) -> np.ndarray:
+    """Digits of ``idx`` in the mixed radix ``widths``, the last digit fastest.
+
+    Counting idx = 0, 1, ... runs through the product of the ranges
+    ``range(w)`` in ``itertools.product`` order.  The output has shape
+    ``idx.shape + (len(widths),)``.
+    """
+    rem = np.array(idx, dtype=np.int64)
+    out = np.empty(rem.shape + (len(widths),), dtype=np.int64)
+    for k in range(len(widths) - 1, -1, -1):
+        np.remainder(rem, widths[k], out=out[..., k])
+        rem //= widths[k]
+    return out
+
+
+def _apply_mod(m: np.ndarray, xs: np.ndarray, q: int) -> np.ndarray:
+    """m @ x mod q for every row x of ``xs``; entries of both are below q.
+    Reducing after every column keeps each intermediate below q^2 + q."""
+    out = np.zeros((xs.shape[0], m.shape[0]), dtype=np.int64)
+    for k in range(m.shape[1]):
+        out += np.multiply.outer(xs[:, k], m[:, k])
+        out %= q
+    return out
+
+
+def solve_mod_batch(snf, targets, q: int, budget: int | None = None) -> np.ndarray:
+    """Every x in (Z/q)^cols with A x = t (mod q) for some row t of ``targets``.
+
+    ``snf`` is the (s, u, v) triple of ``smith_normal_form(A)`` and
+    ``targets`` a (T, rows) int array of residues, distinct mod q.  With
+    x = V y the system splits into the congruences s_i y_i = (U t)_i
+    (mod q), with s_i = 0 past the diagonal: each has gcd(s_i, q) solutions
+    or none.  Solutions never repeat, because V is invertible mod q and
+    distinct targets have disjoint solution sets.  They come back as
+    lexicographically sorted int64 rows of shape (N, cols).
+
+    Raises BudgetExceededError, before building anything, when N exceeds
+    ``budget``, and OverflowError when q >= 2^31, where int64 products of
+    residues could wrap.
+    """
+    s, u, v = snf
+    rows, cols = len(u), len(v)
+    if q >= 2**31:
+        raise OverflowError(f"modulus q = {q} is at least 2^31: int64 residue products would overflow")
+    # c = U t padded with zeros to n coordinates; the rows past cols read
+    # 0 = c_i (mod q), which gcd(0, q) = q tests like any other row
+    n = max(rows, cols)
+    diag = [s[i][i] if i < min(rows, cols) else 0 for i in range(n)]
+    g = [math.gcd(si, q) for si in diag]
+    u_q = np.zeros((n, rows), dtype=np.int64)
+    u_q[:rows] = [[x % q for x in row] for row in u]
+    v_q = np.array([[x % q for x in row] for row in v], dtype=np.int64).reshape(cols, cols)
+    c = _apply_mod(u_q, np.array(targets, dtype=np.int64, ndmin=2) % q, q)
+    c = c[(c % np.array(g, dtype=np.int64) == 0).all(axis=1), :cols]
+    widths = g[:cols]
+    per_target = math.prod(widths)
+    if budget is not None and len(c) * per_target > budget:
+        raise BudgetExceededError(len(c) * per_target, budget, "lattice solve")
+    # s_i y_i = c_i (mod q): y_i = (c_i/g_i) (s_i/g_i)^-1 mod q/g_i, plus any
+    # multiple of q/g_i; pow(0, -1, 1) == 0 covers s_i = 0 mod q
+    step = np.array([q // gi for gi in widths], dtype=np.int64)
+    inv = np.array([pow(si // gi % (q // gi), -1, q // gi) for si, gi in zip(diag, widths)], dtype=np.int64)
+    base = c // np.array(widths, dtype=np.int64) * inv % step
+    y = (base[:, None, :] + mixed_radix(np.arange(per_target), widths) * step).reshape(-1, cols)
+    x = _apply_mod(v_q, y, q)
+    return x[np.lexsort(x.T[::-1])]
 
 
 def solve_mod(mat, target, q: int, budget: int | None = None) -> Iterator[tuple[int, ...]]:
     """Iterate all x in (Z/q)^cols with mat @ x = target (mod q).
 
-    Deterministic order.  Raises BudgetExceededError before yielding anything
+    Lexicographic order.  Raises BudgetExceededError before yielding anything
     if the solution count exceeds ``budget``.
     """
     a = as_int_rows(mat)
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    t = [int(v) for v in target]
-    if len(t) != rows:
+    t = [int(v) % q for v in target]
+    if len(t) != len(a):
         raise ValueError("target length mismatch")
-    s, u, v = smith_normal_form(a)
-    ut = _matvec_mod(u, t, q)
-    r = min(rows, cols)
-    # per-coordinate congruences s_i y_i = ut_i (mod q)
-    per_coord: list[list[int]] = []
-    for i in range(cols):
-        si = s[i][i] if i < r else 0
-        rhs = ut[i] if i < rows else 0
-        g = math.gcd(si, q)
-        if i < rows and rhs % g != 0:
-            return iter(())
-        if si % q == 0:
-            # free coordinate (or fully constrained to all residues)
-            per_coord.append(list(range(q)))
-        else:
-            step = q // g
-            base = (rhs // g) * pow(si // g, -1, step) % step
-            per_coord.append([(base + k * step) % q for k in range(g)])
-    for i in range(cols, rows):
-        if ut[i] % q != 0:
-            return iter(())
-    total = 1
-    for options in per_coord:
-        total *= len(options)
-    if budget is not None and total > budget:
-        raise BudgetExceededError(total, budget, "lattice solve")
-
-    def generate():
-        idx = [0] * cols
-        while True:
-            y = [per_coord[i][idx[i]] for i in range(cols)]
-            x = tuple(sum(v[i][j] * y[j] for j in range(cols)) % q for i in range(cols))
-            yield x
-            k = cols - 1
-            while k >= 0:
-                idx[k] += 1
-                if idx[k] < len(per_coord[k]):
-                    break
-                idx[k] = 0
-                k -= 1
-            if k < 0:
-                return
-
-    return generate()
-
-
-def solution_count_mod(mat, q: int) -> int:
-    """Alias of kernel_count_mod kept close to the solver it describes."""
-    return kernel_count_mod(mat, q)
+    return map(tuple, solve_mod_batch(smith_normal_form(a), [t], q, budget).tolist())
 
 
 def abs_det(mat) -> int:
@@ -253,12 +270,3 @@ def abs_det(mat) -> int:
     if d == 0:
         raise SingularMatrixError("matrix is singular")
     return abs(d)
-
-
-def np_int_matrix(mat) -> np.ndarray:
-    """Matrix as an int64 numpy array (entries must fit; raise otherwise)."""
-    arr = np.array(as_int_rows(mat), dtype=object)
-    out = arr.astype(np.int64)
-    if not (out.astype(object) == arr).all():
-        raise OverflowError("matrix entries exceed int64")
-    return out

@@ -28,6 +28,7 @@ from .actions import (
     product_model,
 )
 from .errors import ValidationError
+from .intlin import mixed_radix
 
 
 # ---------------------------------------------------------------------------
@@ -47,13 +48,7 @@ def _point_indices(model: CompactGroupModel, x: np.ndarray) -> np.ndarray:
 def _points_from_indices(model: CompactGroupModel, idx: np.ndarray) -> np.ndarray:
     if isinstance(model, FiniteModel):
         return np.asarray(idx, dtype=np.int64)
-    idx = np.asarray(idx, dtype=np.int64)
-    out = np.empty(idx.shape + (model.sites,), dtype=np.int64)
-    rem = idx
-    for s in range(model.sites - 1, -1, -1):
-        out[..., s] = rem % model.q
-        rem = rem // model.q
-    return out
+    return mixed_radix(idx, [model.q] * model.sites)
 
 
 @dataclass(frozen=True)
@@ -93,11 +88,6 @@ class SiteMeasure:
             idx = model.point_index(tuple(point))
         num[idx] = 1
         return cls(model, num, 1)
-
-    @classmethod
-    def from_counts(cls, model: CompactGroupModel, counts: np.ndarray) -> "SiteMeasure":
-        counts = np.asarray(counts, dtype=np.int64)
-        return cls(model, counts, int(counts.sum()))
 
     def weight(self, i: int) -> Fraction:
         return Fraction(int(self.num[i]), self.den)
@@ -146,9 +136,6 @@ class SiteMeasure:
     def sample_indices(self, rng: np.random.Generator, k: int) -> np.ndarray:
         p = self.num / self.den
         return rng.choice(self.model.n_points, size=k, p=p)
-
-    def sample_points(self, rng: np.random.Generator, k: int) -> np.ndarray:
-        return _points_from_indices(self.model, self.sample_indices(rng, k))
 
     def __eq__(self, other):
         return (
@@ -430,8 +417,7 @@ def exact_support(mu: ModelMeasure, budget: int = 10**6) -> Support | None:
         total = len(nz) ** mu.d
         if total > budget:
             return None
-        digits = _mixed_radix(total, len(nz), mu.d)
-        idx = nz[digits]
+        idx = nz[mixed_radix(np.arange(total), [len(nz)] * mu.d)]
         pts = _points_from_indices(model, idx)
         w = mu.site.num[idx].astype(object).prod(axis=-1)
         return Support(pts, np.array(w, dtype=np.int64), mu.site.den**mu.d, True)
@@ -464,16 +450,6 @@ def exact_support(mu: ModelMeasure, budget: int = 10**6) -> Support | None:
     pts = pair_candidates(measure_model(mu.inner), sub.points[ii], sub.points[jj])
     w = sub.weights_num[ii].astype(object) * sub.weights_num[jj].astype(object)
     return Support(pts, w, sub.weights_den**2, sub.exact)
-
-
-def _mixed_radix(total: int, base: int, width: int) -> np.ndarray:
-    flat = np.arange(total, dtype=np.int64)
-    digits = np.empty((total, width), dtype=np.int64)
-    rem = flat
-    for k in range(width - 1, -1, -1):
-        digits[:, k] = rem % base
-        rem = rem // base
-    return digits
 
 
 def _merge_product(model, la: Support, lb: Support) -> Support:

@@ -27,11 +27,13 @@ from .actions import (
     AutomorphismAction,
     CompactGroupModel,
     FiniteModel,
+    PairModel,
     TorusGridModel,
     product_model,
 )
 from .errors import BudgetExceededError, UnsupportedElementError, ValidationError
 from .groups import GroupElement, SoficApproximation
+from .intlin import mixed_radix
 from .measures import SiteMeasure, _point_indices, _points_from_indices
 
 
@@ -119,12 +121,6 @@ def torus_metric(model: TorusGridModel) -> Pseudometric:
         kind="torus",
         den=s * q * q,
     )
-
-
-def default_metric(model: CompactGroupModel) -> Pseudometric:
-    if isinstance(model, FiniteModel):
-        return discrete_metric(model)
-    return torus_metric(model)
 
 
 class PairTable:
@@ -284,18 +280,22 @@ def character_panel(model: CompactGroupModel, freqs: Sequence[int] = (1,), scale
     """Real/imaginary parts of low-frequency characters (float-valued).
 
     Finite models with integer labels use exp(2 pi i k x / n); dual models
-    with rational-tuple labels and torus grids use the first coordinate.
+    with rational-tuple labels and torus grids use the first coordinate.  A
+    doubled finite model takes the character of its first coordinate: pair
+    point i gets the factor's phase of i // n.
     """
     out = []
-    n = model.n_points
     if isinstance(model, FiniteModel):
+        idx = np.arange(model.n_points)
+        while isinstance(model, PairModel):
+            idx, model = idx // model.factor.n_points, model.factor
         labels = model.labels
         if labels and isinstance(labels[0], tuple):
-            phases = np.array([float(l[0]) for l in labels])
+            phases = np.array([float(l[0]) for l in labels])[idx]
         else:
-            phases = np.array([float(int(l)) / n for l in labels])
+            phases = np.array([float(int(l)) / model.n_points for l in labels])[idx]
     else:
-        pts = _points_from_indices(model, np.arange(n))
+        pts = _points_from_indices(model, np.arange(model.n_points))
         phases = pts[:, 0] / model.q
     for k in freqs:
         for part, fn in (("re", np.cos), ("im", np.sin)):
@@ -428,15 +428,7 @@ def _all_candidates(model: CompactGroupModel, d: int, budget: int) -> np.ndarray
     total = n**d
     if total > budget:
         raise BudgetExceededError(total, budget, "candidate enumeration")
-    flat = np.arange(total, dtype=np.int64)
-    digits = np.empty((total, d), dtype=np.int64)
-    rem = flat
-    for k in range(d - 1, -1, -1):
-        digits[:, k] = rem % n
-        rem = rem // n
-    if isinstance(model, FiniteModel):
-        return digits
-    return _points_from_indices(model, digits)
+    return _points_from_indices(model, mixed_radix(np.arange(total), [n] * d))
 
 
 def _sorted_candidates(model: CompactGroupModel, xs: np.ndarray) -> np.ndarray:
@@ -548,13 +540,7 @@ def _enumerate_equivariant(
         return np.empty((0, d), dtype=np.int64)
     out = np.empty((total, d), dtype=np.int64)
     # mixed-radix assignment of root values, lexicographic over root order
-    widths = [len(v) for v in valid]
-    flat = np.arange(total, dtype=np.int64)
-    digit = np.empty((total, len(roots)), dtype=np.int64)
-    rem = flat
-    for k in range(len(roots) - 1, -1, -1):
-        digit[:, k] = rem % widths[k]
-        rem = rem // widths[k]
+    digit = mixed_radix(np.arange(total), [len(v) for v in valid])
     for k, (root, vals) in enumerate(zip(roots, valid)):
         root_vals = vals[digit[:, k]]
         members = [j for j in range(d) if comp_root[j] == root]

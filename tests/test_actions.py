@@ -345,3 +345,34 @@ class TestRegularMatrix:
         )
         mat = regular_matrix(f)
         assert mat.shape == (2, 4)
+
+
+class TestWordMaps:
+    def test_free_word_map_is_the_composition_of_its_letters(self):
+        F2 = GroupSpec.free(2)
+        model = cyclic_model(5)
+        a, b = unit_automorphism(model, 2), unit_automorphism(model, 3)
+        action = AutomorphismAction(F2, model, generator_maps={"a": a, "b": b})
+        b_inv = np.argsort(b)
+        assert np.array_equal(action.point_map(F2.parse("a*b^-1*a^2")), a[b_inv[a[a]]])
+
+    def test_free_word_map_composes_in_word_order(self):
+        # non-commuting shears on the 5-grid of the 2-torus
+        F2 = GroupSpec.free(2)
+        model = TorusGridModel(5, 2)
+        A = np.array([[1, 1], [0, 1]])
+        B = np.array([[1, 0], [1, 1]])
+        B_inv = np.array([[1, 0], [4, 1]])
+        action = AutomorphismAction(F2, model, generator_maps={"a": A, "b": B})
+        want = A @ B_inv @ A @ A % 5
+        assert not np.array_equal(want, A @ A @ A @ B_inv % 5)
+        assert np.array_equal(action.point_map(F2.parse("a*b^-1*a^2")), want)
+
+    def test_abelian_word_map_with_mixed_sign_exponents(self):
+        Z2 = GroupSpec.integers2()
+        model = cyclic_model(7)
+        s, t = unit_automorphism(model, 2), unit_automorphism(model, 3)
+        action = AutomorphismAction(Z2, model, generator_maps=dict(zip(Z2.generators, (s, t))))
+        g = Z2.multiply(Z2.power(Z2.generator(0), 2), Z2.power(Z2.generator(1), -3))
+        # x -> 2^2 * (3^-1)^3 * x = 4 * 5^3 * x = 4 * 6 * x mod 7
+        assert np.array_equal(action.point_map(g), (24 * np.arange(7)) % 7)
