@@ -14,6 +14,22 @@ Three model classes stand in for the compact group X:
   Points are length-``sites`` tuples of residues mod q; candidate arrays carry
   them as int64 rows.  All torus arithmetic is exact (residues, never floats).
 
+Every model owns its point encoding and its automorphisms, so the code built
+on top (actions, measures, microstates) never asks which kind it holds:
+
+* ``point_indices(x)`` / ``points_from_indices(idx)`` convert a candidate
+  array to point indices 0..n_points-1 and back.  Finite points are their own
+  indices; a residue row's index is lexicographic, the last site fastest.
+* ``identity_map()``, ``compose(a, b)`` (a o b), ``invert_map(m)`` and
+  ``apply_map(m, x)`` work on automorphisms, stored as permutation arrays of
+  point indices on a finite model (x -> m[x]) and as sites x sites integer
+  matrices on a torus (x -> M x mod q).
+* ``check_map(m)`` raises ValidationError unless m is an automorphism: a
+  bijection fixing the identity and multiplicative on the generators, or a
+  matrix invertible mod q.
+* ``lift_map(m)`` is the diagonal map (x, y) -> (m x, m y) on the doubled
+  model that ``product_model`` builds.
+
 An algebraic action X_f given by f in M_{m,n}(Z(G)) is modeled two ways:
 
 * for finite G, ``dual_model`` realizes X_f exactly as the finite subgroup of
@@ -75,6 +91,46 @@ class FiniteModel:
 
     def candidate_key(self, x: np.ndarray) -> bytes:
         return np.ascontiguousarray(x, dtype=np.int64).tobytes()
+
+    # points are their own indices
+    def point_indices(self, x) -> np.ndarray:
+        return np.asarray(x, dtype=np.int64)
+
+    def points_from_indices(self, idx) -> np.ndarray:
+        return np.asarray(idx, dtype=np.int64)
+
+    # automorphisms are permutation arrays m, with x -> m[x]
+    def identity_map(self) -> np.ndarray:
+        return np.arange(self.n_points, dtype=np.int64)
+
+    def compose(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Function composition a o b."""
+        return a[b]
+
+    def invert_map(self, m: np.ndarray) -> np.ndarray:
+        return np.argsort(m).astype(np.int64)
+
+    def apply_map(self, m: np.ndarray, x) -> np.ndarray:
+        return m[x]
+
+    def check_map(self, m: np.ndarray) -> None:
+        points = np.arange(self.n_points)
+        if m.shape != points.shape or not np.array_equal(np.sort(m), points):
+            raise ValidationError("map is not a bijection of the model")
+        if m[self.identity] != self.identity:
+            raise ValidationError("map does not fix the identity")
+        # m(x s) = m(x) m(s) for every generator s extends to all products
+        # by induction along words in the generators
+        for s in self.generators:
+            if not (m[self.candidate_mul(points, s)] == self.candidate_mul(m, m[s])).all():
+                raise ValidationError("map is not multiplicative")
+
+    def lift_map(self, m: np.ndarray) -> np.ndarray:
+        """The map (x, y) -> (m x, m y) on the pair indices of the doubled model.
+
+        A lift is an automorphism of X x X exactly when m is one of X, so
+        checking a lift, at O(n^2) per generator, never needs an n^4 step."""
+        return (m[:, None] * self.n_points + m[None, :]).reshape(-1)
 
     def manifest(self) -> dict:
         return {"kind": "finite-group", "order": self.n_points, "name": self.name}
@@ -187,18 +243,48 @@ class TorusGridModel:
     def candidate_key(self, x: np.ndarray) -> bytes:
         return np.ascontiguousarray(x, dtype=np.int64).tobytes()
 
+    # points are residue rows with their lexicographic index
+    def point_indices(self, x) -> np.ndarray:
+        if self.n_points > 2**63:
+            raise OverflowError(f"{self!r} has {self.n_points} points: indices overflow int64")
+        powers = self.q ** np.arange(self.sites - 1, -1, -1, dtype=np.int64)
+        return np.asarray(x, dtype=np.int64) @ powers
+
+    def points_from_indices(self, idx) -> np.ndarray:
+        return intlin.mixed_radix(idx, [self.q] * self.sites)
+
     def point_index(self, p: tuple[int, ...]) -> int:
-        idx = 0
-        for v in p:
-            idx = idx * self.q + int(v)
-        return idx
+        return int(self.point_indices(p))
 
     def point_from_index(self, idx: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.sites):
-            out.append(idx % self.q)
-            idx //= self.q
-        return tuple(reversed(out))
+        return tuple(self.points_from_indices(idx).tolist())
+
+    # automorphisms are integer matrices M, with x -> M x mod q
+    def identity_map(self) -> np.ndarray:
+        return np.eye(self.sites, dtype=np.int64)
+
+    def compose(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Function composition a o b."""
+        return (a @ b) % self.q
+
+    def invert_map(self, m: np.ndarray) -> np.ndarray:
+        """The inverse mod q: column j solves m x = e_j."""
+        units = np.eye(self.sites, dtype=np.int64)
+        return np.array([next(intlin.solve_mod(m, e, self.q)) for e in units], dtype=np.int64).T
+
+    def apply_map(self, m: np.ndarray, x) -> np.ndarray:
+        return np.einsum("st,...t->...s", m, x) % self.q
+
+    def check_map(self, m: np.ndarray) -> None:
+        if m.shape != (self.sites, self.sites):
+            raise ValidationError("torus map must be a sites x sites integer matrix")
+        det = intlin.det_bareiss(m.tolist())
+        if math.gcd(det % self.q, self.q) != 1:
+            raise ValidationError("torus matrix is not invertible mod q")
+
+    def lift_map(self, m: np.ndarray) -> np.ndarray:
+        """The block-diagonal map (x, y) -> (M x, M y) on twice the sites."""
+        return np.kron(np.eye(2, dtype=np.int64), m)
 
     def manifest(self) -> dict:
         return {"kind": "torus-grid", "q": self.q, "sites": self.sites}
@@ -278,58 +364,10 @@ class AutomorphismAction:
     # -- validation ----------------------------------------------------------
 
     def _check_automorphism(self, m: np.ndarray) -> np.ndarray:
-        if isinstance(self.model, FiniteModel):
-            model = self.model
-            points = np.arange(model.n_points)
-            if m.shape != points.shape or not np.array_equal(np.sort(m), points):
-                raise ValidationError("map is not a bijection of the model")
-            if m[model.identity] != model.identity:
-                raise ValidationError("map does not fix the identity")
-            # m(x s) = m(x) m(s) for every generator s extends to all products
-            # by induction along words in the generators
-            for s in model.generators:
-                if not (m[model.candidate_mul(points, s)] == model.candidate_mul(m, m[s])).all():
-                    raise ValidationError("map is not multiplicative")
-        else:
-            s = self.model.sites
-            if m.shape != (s, s):
-                raise ValidationError("torus map must be a sites x sites integer matrix")
-            det = intlin.det_bareiss(m.tolist())
-            if math.gcd(det % self.model.q, self.model.q) != 1:
-                raise ValidationError("torus matrix is not invertible mod q")
+        self.model.check_map(m)
         m = m.copy()
         m.setflags(write=False)
         return m
-
-    def _compose(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Function composition a o b."""
-        if isinstance(self.model, FiniteModel):
-            return a[b]
-        return (a @ b) % self.model.q
-
-    def _identity_map(self) -> np.ndarray:
-        if isinstance(self.model, FiniteModel):
-            return np.arange(self.model.n_points, dtype=np.int64)
-        return np.eye(self.model.sites, dtype=np.int64)
-
-    def _invert_map(self, m: np.ndarray) -> np.ndarray:
-        if isinstance(self.model, FiniteModel):
-            return np.argsort(m).astype(np.int64)
-        # adjugate / det mod q
-        q = self.model.q
-        det = intlin.det_bareiss(m.tolist()) % q
-        det_inv = pow(det, -1, q)
-        s = self.model.sites
-        adj = np.zeros((s, s), dtype=np.int64)
-        for i in range(s):
-            for j in range(s):
-                minor = [
-                    [int(m[r, c]) for c in range(s) if c != j]
-                    for r in range(s)
-                    if r != i
-                ]
-                adj[j, i] = ((-1) ** (i + j)) * intlin.det_bareiss(minor)
-        return (det_inv * adj) % q
 
     def _check_relations(self):
         if self.group.kind == "free":
@@ -337,18 +375,17 @@ class AutomorphismAction:
         if self.group.kind == "abelian":
             names = self.group.generators
             maps = [self.generator_maps[n] for n in names]
-            ident = self._identity_map()
+            compose = self.model.compose
+            ident = self.model.identity_map()
             for i in range(len(names)):
                 for j in range(i + 1, len(names)):
-                    if not np.array_equal(
-                        self._compose(maps[i], maps[j]), self._compose(maps[j], maps[i])
-                    ):
+                    if not np.array_equal(compose(maps[i], maps[j]), compose(maps[j], maps[i])):
                         raise ValidationError("generator maps do not commute")
                 m = self.group.moduli[i]
                 if m:
                     acc = ident
                     for _ in range(m):
-                        acc = self._compose(maps[i], acc)
+                        acc = compose(maps[i], acc)
                     if not np.array_equal(acc, ident):
                         raise ValidationError(f"relation g^{m} does not act as identity")
             return
@@ -363,7 +400,7 @@ class AutomorphismAction:
             for h in els:
                 gh = self.group.multiply(g, h)
                 if not np.array_equal(
-                    self._compose(self.element_maps[g], self.element_maps[h]),
+                    self.model.compose(self.element_maps[g], self.element_maps[h]),
                     self.element_maps[gh],
                 ):
                     raise ValidationError("element maps are not a homomorphism")
@@ -387,27 +424,23 @@ class AutomorphismAction:
                 word = g.key[1]
             else:
                 raise UnsupportedElementError(g, "cannot express in generators")
-            out = self._identity_map()
+            out = self.model.identity_map()
             for gen, e in word:
                 base = self.generator_maps[self.group.generators[gen]]
-                step = base if e >= 0 else self._invert_map(base)
+                step = base if e >= 0 else self.model.invert_map(base)
                 for _ in range(abs(e)):
-                    out = self._compose(out, step)
+                    out = self.model.compose(out, step)
         self._cache[g] = out
         return out
 
     def act_point(self, g: GroupElement, x):
-        m = self.point_map(g)
-        if isinstance(self.model, FiniteModel):
-            return int(m[x])
-        return tuple(int(v) for v in (m @ np.asarray(x, dtype=np.int64)) % self.model.q)
+        """g.x for one point: an int index, or a residue tuple on a torus."""
+        y = self.model.apply_map(self.point_map(g), np.asarray(x, dtype=np.int64))
+        return tuple(y.tolist()) if y.ndim else int(y)
 
     def act_candidates(self, g: GroupElement, x: np.ndarray) -> np.ndarray:
         """Apply g pointwise to a candidate array (vectorized)."""
-        m = self.point_map(g)
-        if isinstance(self.model, FiniteModel):
-            return m[x]
-        return np.einsum("st,...t->...s", m, x) % self.model.q
+        return self.model.apply_map(self.point_map(g), x)
 
 
 def act(action: AutomorphismAction, g: GroupElement, x):
@@ -416,10 +449,7 @@ def act(action: AutomorphismAction, g: GroupElement, x):
 
 
 def trivial_action(group: GroupSpec, model: CompactGroupModel) -> AutomorphismAction:
-    if isinstance(model, FiniteModel):
-        ident = np.arange(model.n_points, dtype=np.int64)
-    else:
-        ident = np.eye(model.sites, dtype=np.int64)
+    ident = model.identity_map()
     if group.kind == "table":
         return AutomorphismAction(
             group, model, element_maps={g: ident for g in group.elements()}
@@ -432,25 +462,7 @@ def trivial_action(group: GroupSpec, model: CompactGroupModel) -> AutomorphismAc
 def diagonal_action(action: AutomorphismAction) -> AutomorphismAction:
     """The action g.(x, y) = (g.x, g.y) on the doubled model."""
     model2 = product_model(action.model)
-    if isinstance(action.model, FiniteModel):
-        n = action.model.n_points
-        left, right = np.divmod(np.arange(n * n), n)
-
-        # A lift is an automorphism of X x X exactly when its factor map is
-        # one of X, and the factor maps are already validated; the checks the
-        # constructor reruns on the lifts cost O(n^2) per generator, not n^4.
-        def lift(m: np.ndarray) -> np.ndarray:
-            return m[left] * n + m[right]
-
-    else:
-        s = action.model.sites
-
-        def lift(m: np.ndarray) -> np.ndarray:
-            out = np.zeros((2 * s, 2 * s), dtype=np.int64)
-            out[:s, :s] = m
-            out[s:, s:] = m
-            return out
-
+    lift = action.model.lift_map
     if action.element_maps is not None:
         return AutomorphismAction(
             action.group, model2,

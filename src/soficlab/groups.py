@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -32,6 +32,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import UnsupportedElementError, ValidationError
+from .intlin import mixed_radix
 
 
 @dataclass(frozen=True)
@@ -273,17 +274,8 @@ class GroupSpec:
         if self.kind == "table":
             return tuple(GroupElement((self._tag, i)) for i in range(len(self.labels)))
         if self.kind == "abelian" and all(self.moduli):
-            out = []
-            idx = [0] * len(self.moduli)
-            total = math.prod(self.moduli)
-            for _ in range(total):
-                out.append(GroupElement((self._tag, tuple(idx))))
-                for k in reversed(range(len(idx))):
-                    idx[k] += 1
-                    if idx[k] < self.moduli[k]:
-                        break
-                    idx[k] = 0
-            return tuple(out)
+            exps = mixed_radix(np.arange(math.prod(self.moduli)), self.moduli)
+            return tuple(GroupElement((self._tag, tuple(e))) for e in exps.tolist())
         raise ValidationError("elements() needs a finite group")
 
     def order(self) -> int | None:

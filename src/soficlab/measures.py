@@ -16,17 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .actions import (
-    CompactGroupModel,
-    FiniteModel,
-    TorusGridModel,
-    pair_candidates,
-    product_model,
-)
+from .actions import CompactGroupModel, TorusGridModel, pair_candidates, product_model
 from .errors import ValidationError
 from .intlin import mixed_radix
 
@@ -34,21 +28,6 @@ from .intlin import mixed_radix
 # ---------------------------------------------------------------------------
 # site measures
 # ---------------------------------------------------------------------------
-
-
-def _point_indices(model: CompactGroupModel, x: np.ndarray) -> np.ndarray:
-    """Candidate array -> point-index array (lex index for torus models)."""
-    if isinstance(model, FiniteModel):
-        return np.asarray(x, dtype=np.int64)
-    coords = np.asarray(x, dtype=np.int64)
-    powers = model.q ** np.arange(model.sites - 1, -1, -1, dtype=np.int64)
-    return coords @ powers
-
-
-def _points_from_indices(model: CompactGroupModel, idx: np.ndarray) -> np.ndarray:
-    if isinstance(model, FiniteModel):
-        return np.asarray(idx, dtype=np.int64)
-    return mixed_radix(idx, [model.q] * model.sites)
 
 
 @dataclass(frozen=True)
@@ -82,11 +61,7 @@ class SiteMeasure:
     @classmethod
     def point_mass(cls, model: CompactGroupModel, point) -> "SiteMeasure":
         num = np.zeros(model.n_points, dtype=np.int64)
-        if isinstance(model, FiniteModel):
-            idx = int(point)
-        else:
-            idx = model.point_index(tuple(point))
-        num[idx] = 1
+        num[int(model.point_indices(point))] = 1
         return cls(model, num, 1)
 
     def weight(self, i: int) -> Fraction:
@@ -117,12 +92,9 @@ class SiteMeasure:
         den = _product_den(self, other)
         ia = np.nonzero(self.num)[0]
         ib = np.nonzero(other.num)[0]
-        if isinstance(model, FiniteModel):
-            targets = model.candidate_mul(ia[:, None], ib[None, :])
-        else:
-            pa = _points_from_indices(model, ia)
-            pb = _points_from_indices(model, ib)
-            targets = _point_indices(model, model.candidate_mul(pa[:, None, :], pb[None, :, :]))
+        pa = model.points_from_indices(ia)
+        pb = model.points_from_indices(ib)
+        targets = model.point_indices(model.candidate_mul(pa[:, None], pb[None, :]))
         out = np.zeros(model.n_points, dtype=np.int64)
         np.add.at(out, targets.reshape(-1), np.outer(self.num[ia], other.num[ib]).reshape(-1))
         return SiteMeasure(model, out, den)
@@ -140,9 +112,9 @@ class SiteMeasure:
     def __eq__(self, other):
         return (
             isinstance(other, SiteMeasure)
+            and self.model.n_points == other.model.n_points
             and self.den == other.den
             and (self.num == other.num).all()
-            and self.model.n_points == other.model.n_points
         )
 
     def __hash__(self):
@@ -354,14 +326,14 @@ def marginal(mu: ModelMeasure, j: int) -> tuple[SiteMeasure, bool]:
         return mu.site, True
     if isinstance(mu, PointMass):
         num = np.zeros(model.n_points, dtype=np.int64)
-        num[int(_point_indices(model, mu.point[j : j + 1])[0])] = 1
+        num[int(model.point_indices(mu.point[j]))] = 1
         return SiteMeasure(model, num, 1), True
     if isinstance(mu, UniformOnSet):
-        idx = _point_indices(model, mu.points[:, j])
+        idx = model.point_indices(mu.points[:, j])
         counts = np.bincount(idx, minlength=model.n_points)
         return SiteMeasure(model, counts, int(counts.sum())), True
     if isinstance(mu, SampleBased):
-        idx = _point_indices(model, mu.points[:, j])
+        idx = model.point_indices(mu.points[:, j])
         num = np.zeros(model.n_points, dtype=np.int64)
         np.add.at(num, idx, mu.weights_num)
         return SiteMeasure(model, num, mu.weights_den), mu.exact
@@ -418,7 +390,7 @@ def exact_support(mu: ModelMeasure, budget: int = 10**6) -> Support | None:
         if total > budget:
             return None
         idx = nz[mixed_radix(np.arange(total), [len(nz)] * mu.d)]
-        pts = _points_from_indices(model, idx)
+        pts = model.points_from_indices(idx)
         w = mu.site.num[idx].astype(object).prod(axis=-1)
         return Support(pts, np.array(w, dtype=np.int64), mu.site.den**mu.d, True)
     if isinstance(mu, Convolution):
@@ -486,7 +458,7 @@ def sample(mu: ModelMeasure, k: int, rng: np.random.Generator) -> np.ndarray:
     model = measure_model(mu)
     if isinstance(mu, ProductMeasure):
         idx = mu.site.sample_indices(rng, k * mu.d).reshape(k, mu.d)
-        return _points_from_indices(model, idx)
+        return model.points_from_indices(idx)
     if isinstance(mu, PointMass):
         return np.repeat(mu.point[None, ...], k, axis=0)
     if isinstance(mu, UniformOnSet):

@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .actions import (
 from .errors import BudgetExceededError, UnsupportedElementError, ValidationError
 from .groups import GroupElement, SoficApproximation
 from .intlin import mixed_radix
-from .measures import SiteMeasure, _point_indices, _points_from_indices
+from .measures import SiteMeasure
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +48,8 @@ class Pseudometric:
 
     Squared distances are exact, ``num/den``: finite models tabulate the
     numerators in ``table_num`` (an n x n array, or a ``PairTable`` for a
-    doubled metric); torus metrics compute them from residues.
+    doubled metric); torus metrics have no table and compute them from
+    residues.
     ``generating_witness`` is the finite set of group elements certifying
     dynamical generation (the built-in metrics are genuine metrics, so the
     identity suffices).
@@ -61,28 +62,18 @@ class Pseudometric:
     diam_sq: Fraction
     min_positive_sq: Fraction | None
     generating_witness: tuple = ()
-    kind: str = "table"  # "table" | "torus"
     table_num: np.ndarray | PairTable | None = field(default=None, repr=False)
     den: int = 1
 
+    def __post_init__(self):
+        # a table reads point indices, which only a finite model's points are
+        if (self.table_num is not None) != isinstance(self.model, FiniteModel):
+            raise ValidationError("a finite model needs a table_num, a torus model none")
+
     def sq(self, x, y) -> Fraction:
         """Squared distance between two points."""
-        if self.kind == "torus":
-            q = self.model.q
-            dx = np.abs(np.asarray(x, dtype=np.int64) - np.asarray(y, dtype=np.int64))
-            m = np.minimum(dx, q - dx)
-            return Fraction(int((m * m).sum()), self.den)
-        i = self._index(np.atleast_1d(np.asarray(x)))
-        j = self._index(np.atleast_1d(np.asarray(y)))
-        return Fraction(int(self.table_num[int(i[0]), int(j[0])]), self.den)
-
-    def _index(self, pts: np.ndarray) -> np.ndarray:
-        if isinstance(self.model, FiniteModel):
-            return np.atleast_1d(np.asarray(pts, dtype=np.int64))
-        arr = np.asarray(pts, dtype=np.int64)
-        if arr.ndim == 1:
-            arr = arr[None, :]
-        return _point_indices(self.model, arr)
+        x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
+        return Fraction(int(_sq_nums(self, x, y)), self.den)
 
     def distance(self, x, y) -> float:
         return math.sqrt(float(self.sq(x, y)))
@@ -100,7 +91,6 @@ def discrete_metric(model: FiniteModel) -> Pseudometric:
         exact=True,
         diam_sq=Fraction(1),
         min_positive_sq=Fraction(1),
-        kind="table",
         table_num=table,
         den=1,
     )
@@ -118,7 +108,6 @@ def torus_metric(model: TorusGridModel) -> Pseudometric:
         exact=True,
         diam_sq=Fraction(s * half * half, s * q * q),
         min_positive_sq=Fraction(1, s * q * q),
-        kind="torus",
         den=s * q * q,
     )
 
@@ -153,7 +142,7 @@ def doubled_metric(metric: Pseudometric) -> Pseudometric:
     the denominator doubles), so no n^2 x n^2 table is built.
     """
     model2 = product_model(metric.model)
-    if metric.kind == "torus":
+    if metric.table_num is None:
         return torus_metric(model2)
     return Pseudometric(
         name=f"{metric.name}^2",
@@ -164,7 +153,6 @@ def doubled_metric(metric: Pseudometric) -> Pseudometric:
         min_positive_sq=(
             metric.min_positive_sq / 2 if metric.min_positive_sq is not None else None
         ),
-        kind="table",
         table_num=PairTable(metric.table_num),
         den=2 * metric.den,
     )
@@ -173,19 +161,19 @@ def doubled_metric(metric: Pseudometric) -> Pseudometric:
 # -- rho2 ---------------------------------------------------------------------
 
 
-def _pair_sq_num(metric: Pseudometric, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-candidate summed squared distances (numerators over metric.den).
+def _sq_nums(metric: Pseudometric, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Pointwise squared distances (numerators over metric.den).
 
-    x, y are candidate arrays of matching shape (..., d[, sites]); the result
-    sums over the final candidate axes and keeps the leading batch shape.
+    x, y are int64 arrays of points of matching shape: indices (...) for a
+    table metric, residue rows (..., sites) for a torus metric, whose sites
+    axis is summed.  The result has the leading point shape (...).
     """
-    if metric.kind == "torus":
-        q = metric.model.q
-        dx = np.abs(x - y)
-        m = np.minimum(dx, q - dx)
-        # candidates carry a trailing sites axis: sum it together with d
-        return (m * m).sum(axis=(-1, -2))
-    return metric.table_num[x, y].sum(axis=-1)
+    if metric.table_num is not None:
+        return metric.table_num[x, y]
+    q = metric.model.q
+    dx = np.abs(x - y)
+    m = np.minimum(dx, q - dx)
+    return (m * m).sum(axis=-1)
 
 
 def rho2_sq(metric: Pseudometric, x: np.ndarray, y: np.ndarray) -> Fraction:
@@ -194,13 +182,7 @@ def rho2_sq(metric: Pseudometric, x: np.ndarray, y: np.ndarray) -> Fraction:
     y = np.asarray(y, dtype=np.int64)
     if x.shape != y.shape:
         raise ValidationError("rho2 needs equal-length candidates")
-    d = x.shape[0]
-    if metric.kind == "torus":
-        q = metric.model.q
-        dx = np.abs(x - y)
-        m = np.minimum(dx, q - dx)
-        return Fraction(int((m * m).sum()), d * metric.den)
-    return Fraction(int(metric.table_num[x, y].sum()), d * metric.den)
+    return Fraction(int(_sq_nums(metric, x, y).sum()), x.shape[0] * metric.den)
 
 
 def rho2(metric: Pseudometric, x: np.ndarray, y: np.ndarray) -> float:
@@ -245,7 +227,7 @@ class TestFunction:
         Returns (nums, den) with mean = num/den for exact functions, or a
         float array otherwise.  ``xs`` has shape (N, d[, sites]).
         """
-        idx = _point_indices(model, xs) if not isinstance(model, FiniteModel) else xs
+        idx = model.point_indices(xs)
         d = idx.shape[-1]
         if self.exact:
             return self.values_num[idx].sum(axis=-1), d * self.values_den
@@ -295,7 +277,7 @@ def character_panel(model: CompactGroupModel, freqs: Sequence[int] = (1,), scale
         else:
             phases = np.array([float(int(l)) / model.n_points for l in labels])[idx]
     else:
-        pts = _points_from_indices(model, np.arange(model.n_points))
+        pts = model.points_from_indices(np.arange(model.n_points))
         phases = pts[:, 0] / model.q
     for k in freqs:
         for part, fn in (("re", np.cos), ("im", np.sin)):
@@ -360,7 +342,7 @@ def top_microstate_mask(
     for g in F:
         moved = action.act_candidates(g, xs)
         permuted = xs[:, sigma.perm(g)]
-        nums = _pair_sq_num(metric, moved, permuted)
+        nums = _sq_nums(metric, moved, permuted).sum(axis=-1)
         ok &= np.asarray(_lt_threshold(nums, d, metric, delta), dtype=bool)
     return ok
 
@@ -428,7 +410,7 @@ def _all_candidates(model: CompactGroupModel, d: int, budget: int) -> np.ndarray
     total = n**d
     if total > budget:
         raise BudgetExceededError(total, budget, "candidate enumeration")
-    return _points_from_indices(model, mixed_radix(np.arange(total), [n] * d))
+    return model.points_from_indices(mixed_radix(np.arange(total), [n] * d))
 
 
 def _sorted_candidates(model: CompactGroupModel, xs: np.ndarray) -> np.ndarray:
@@ -634,7 +616,7 @@ def _repair(x: np.ndarray, maps, rng: np.random.Generator, rounds: int) -> np.nd
 
 def empirical_pushforward(x: np.ndarray, model: CompactGroupModel) -> SiteMeasure:
     """The empirical distribution of the coordinates of x (total mass 1)."""
-    idx = _point_indices(model, np.asarray(x, dtype=np.int64))
+    idx = model.point_indices(x)
     counts = np.bincount(idx, minlength=model.n_points)
     return SiteMeasure(model, counts, int(counts.sum()))
 

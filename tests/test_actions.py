@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from soficlab.actions import (
     AlgebraicActionModel,
@@ -16,6 +18,7 @@ from soficlab.actions import (
     continuous_kernel,
     count_kernel_points,
     cyclic_model,
+    diagonal_action,
     dual_model,
     instantiate_Xf,
     pair_candidates,
@@ -28,6 +31,7 @@ from soficlab.actions import (
 )
 from soficlab.errors import SingularMatrixError, UnsupportedElementError, ValidationError
 from soficlab.groups import GroupSpec, quotient_sofic
+from soficlab.intlin import det_bareiss
 
 
 @pytest.fixture
@@ -65,6 +69,12 @@ class TestModels:
         assert t.inverse((1, 0)) == (7, 0)
         assert t.n_points == 64
         assert t.point_from_index(t.point_index((5, 2))) == (5, 2)
+
+    def test_torus_point_index_overflow_is_refused(self):
+        assert TorusGridModel(2, 63).point_index((1,) * 63) == 2**63 - 1
+        # 2^64 points: the index of (1, 0, ..., 0) would wrap int64 to 0
+        with pytest.raises(OverflowError, match="int64"):
+            TorusGridModel(2, 64).point_index((1,) + (0,) * 63)
 
     def test_product_model(self):
         m = cyclic_model(3)
@@ -135,6 +145,17 @@ class TestActions:
         g = Z.generator(0)
         x = (3, 5)
         assert act(action, Z.inverse(g), act(action, g, x)) == x
+
+    def test_torus_diagonal_action_is_block_diagonal(self, Z):
+        shear = np.array([[1, 1], [0, 1]])  # (a, b) -> (a + b, b)
+        action = diagonal_action(AutomorphismAction(Z, TorusGridModel(5, 2), generator_maps={"t": shear}))
+        assert (action.model.q, action.model.sites) == (5, 4)
+        block = np.array([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]])
+        assert np.array_equal(action.point_map(Z.generator(0)), block)
+        g = Z.power(Z.generator(0), -2)  # (a, b) -> (a - 2b, b) on each factor
+        for x in [(3, 4, 1, 2), (0, 0, 4, 1), (2, 3, 2, 3)]:
+            a, b, c, d = x
+            assert act(action, g, x) == ((a - 2 * b) % 5, b, (c - 2 * d) % 5, d)
 
     def test_unsupported_element(self, Z2):
         model, action = dual_model(two_plus_t(Z2))
@@ -376,3 +397,17 @@ class TestWordMaps:
         g = Z2.multiply(Z2.power(Z2.generator(0), 2), Z2.power(Z2.generator(1), -3))
         # x -> 2^2 * (3^-1)^3 * x = 4 * 5^3 * x = 4 * 6 * x mod 7
         assert np.array_equal(action.point_map(g), (24 * np.arange(7)) % 7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 12), st.integers(1, 3), st.data())
+def test_torus_inverse_map_mod_q(q, sites, data):
+    entries = st.lists(st.integers(-6, 6), min_size=sites * sites, max_size=sites * sites)
+    m = np.array(data.draw(entries)).reshape(sites, sites)
+    assume(np.gcd(det_bareiss(m.tolist()) % q, q) == 1)
+    Z = GroupSpec.integers()
+    action = AutomorphismAction(Z, TorusGridModel(q, sites), generator_maps={"t": m})
+    inv = action.point_map(Z.inverse(Z.generator(0)))
+    assert ((inv >= 0) & (inv < q)).all()
+    assert np.array_equal(m @ inv % q, np.eye(sites, dtype=np.int64))
+    assert np.array_equal(inv @ m % q, np.eye(sites, dtype=np.int64))

@@ -1,5 +1,6 @@
 """Group presentations, quotients, and sofic approximations."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -68,6 +69,12 @@ class TestGroupAlgebra:
         z4 = GroupSpec.cyclic(4)
         assert z4.offers_quotient({"kind": "cyclic-powers", "orders": [2]})
         assert not z4.offers_quotient({"kind": "cyclic-powers", "orders": [3]})
+
+    def test_abelian_elements_in_product_order(self):
+        g = GroupSpec.abelian(("a", "b", "c"), (2, 3, 4))
+        keys = [el.key[1] for el in g.elements()]
+        assert keys == list(itertools.product(range(2), range(3), range(4)))
+        assert all(type(e) is int for k in keys for e in k)
 
     def test_ball(self, Z):
         ball = Z.ball(2)

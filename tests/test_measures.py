@@ -93,6 +93,17 @@ class TestSiteMeasure:
         b = SiteMeasure.point_mass(t, (3,))
         assert a.convolve(b) == SiteMeasure.point_mass(t, (0,))
 
+    def test_torus_convolution_on_two_sites(self):
+        t = TorusGridModel(3, 2)
+        a = SiteMeasure(t, [0, 1, 0, 0, 0, 0, 0, 0, 3], 4)  # 1/4 at (0, 1), 3/4 at (2, 2)
+        b = SiteMeasure.point_mass(t, (1, 2))
+        # (0, 1) + (1, 2) = (1, 0), index 3; (2, 2) + (1, 2) = (0, 1), index 1
+        assert a.convolve(b) == SiteMeasure(t, [0, 3, 0, 1, 0, 0, 0, 0, 0], 4)
+
+    def test_equality_across_model_sizes(self):
+        # equal denominators, different lengths: unequal, not a broadcast error
+        assert SiteMeasure.uniform(cyclic_model(2)) != SiteMeasure(cyclic_model(4), [1, 1, 0, 0], 2)
+
     def test_tv_distance(self, z3):
         u = SiteMeasure.uniform(z3)
         p = SiteMeasure.point_mass(z3, 0)

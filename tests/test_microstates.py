@@ -14,11 +14,13 @@ from soficlab.actions import (
     unit_automorphism,
     IntegerGroupMatrix,
 )
-from soficlab.errors import BudgetExceededError, UnsupportedElementError
+from soficlab.errors import BudgetExceededError, UnsupportedElementError, ValidationError
 from soficlab.groups import GroupSpec, quotient_sofic
 from soficlab.measures import SiteMeasure
 from soficlab.microstates import (
     MapWindow,
+    Pseudometric,
+    character_panel,
     default_panel,
     discrete_metric,
     doubled_metric,
@@ -34,6 +36,7 @@ from soficlab.microstates import (
     sample_microstates,
     save_microstates,
     shift_lift,
+    top_microstate_mask,
     torus_metric,
 )
 
@@ -433,3 +436,81 @@ class TestMonotonicity:
             for y in members:
                 xy = model.candidate_mul(x, y)
                 assert is_top_microstate(xy, sigma, F, 2 * delta, metric, action)
+
+
+class TestTorusModels:
+    """The torus paths, each against explicit residue arithmetic."""
+
+    @staticmethod
+    def circle_sq(u, v, q):
+        c = abs(int(u) - int(v)) % q
+        return min(c, q - c) ** 2
+
+    def test_doubled_metric_is_the_metric_on_twice_the_sites(self):
+        dm = doubled_metric(torus_metric(TorusGridModel(6, 2)))
+        ref = torus_metric(TorusGridModel(6, 4))
+        assert (dm.model.q, dm.model.sites) == (6, 4)
+        assert (dm.den, dm.diam_sq, dm.min_positive_sq) == (ref.den, ref.diam_sq, ref.min_positive_sq)
+        x, y = (1, 5, 0, 3), (4, 0, 0, 2)
+        # circle distances 3, 1, 0, 1 over 4 sites of the 6-grid
+        assert dm.sq(x, y) == ref.sq(x, y) == Fraction(9 + 1 + 0 + 1, 4 * 36)
+
+    def test_sq_agrees_with_rho2_at_d_1(self):
+        q, s = 5, 3
+        metric = torus_metric(TorusGridModel(q, s))
+        rng = np.random.default_rng(3)
+        for x, y in rng.integers(0, q, size=(20, 2, s)):
+            want = Fraction(sum(self.circle_sq(a, b, q) for a, b in zip(x, y)), s * q * q)
+            assert metric.sq(x, y) == rho2_sq(metric, x[None], y[None]) == want
+
+    def test_top_mask(self):
+        Z = GroupSpec.integers()
+        q, d = 3, 4
+        model = TorusGridModel(q, 2)
+        action = AutomorphismAction(Z, model, generator_maps={"t": np.array([[1, 1], [0, 1]])})
+        one = Z.generator(0)
+        sigma = quotient_sofic(
+            Z, {"kind": "cyclic-powers", "orders": [d]}, [Z.identity(), one, Z.inverse(one)]
+        )
+        delta = Fraction(1, 4)
+        xs = np.random.default_rng(5).integers(0, q, size=(60, d, 2))
+        perm = sigma.perm(one)
+        want = []
+        for x in xs:
+            # rho2^2 between t.x = ((a + b) mod q, b) per coordinate and x o sigma(t)
+            total = Fraction(0)
+            for j in range(d):
+                a, b = x[j]
+                moved = ((a + b) % q, b)
+                total += sum(self.circle_sq(u, v, q) for u, v in zip(moved, x[perm[j]]))
+            total = total / (d * 2 * q * q)
+            want.append(total < delta**2 or total == 0)
+        got = top_microstate_mask(xs, sigma, [one], delta, torus_metric(model), action)
+        assert any(want) and not all(want)
+        assert got.tolist() == want
+
+    def test_empirical_measure_means_and_characters(self):
+        t = TorusGridModel(3, 2)
+        x = np.array([[0, 1], [2, 2], [0, 1], [1, 0]])
+        # the point (a, b) has index 3a + b
+        weights = empirical_pushforward(x, t).weights()
+        assert weights == [0, Fraction(1, 2), 0, Fraction(1, 4), 0, 0, 0, 0, Fraction(1, 4)]
+        nums, den = indicator_panel(t)[1].means(t, x[None])
+        assert nums.tolist() == [2] and den == 4
+        re, im = character_panel(t)
+        # the character of the first coordinate: exp(2 pi i a / 3)
+        assert np.allclose(re.values_float, [np.cos(2 * np.pi * (i // 3) / 3) for i in range(9)])
+        assert np.allclose(im.means(t, x[None]), [np.mean([np.sin(2 * np.pi * a / 3) for a, _ in x])])
+
+    def test_table_metric_needs_a_finite_model(self):
+        # a table reads point indices: on a torus it would read residues as
+        # indices, so the metric is refused, as is a finite model without one
+        fields = dict(
+            name="discrete", bi_invariant=True, exact=True,
+            diam_sq=Fraction(1), min_positive_sq=Fraction(1),
+        )
+        table = discrete_metric(cyclic_model(9)).table_num
+        with pytest.raises(ValidationError, match="table_num"):
+            Pseudometric(model=TorusGridModel(3, 2), table_num=table, **fields)
+        with pytest.raises(ValidationError, match="table_num"):
+            Pseudometric(model=cyclic_model(9), **fields)
