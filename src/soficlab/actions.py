@@ -59,7 +59,7 @@ from .errors import (
     UnsupportedElementError,
     ValidationError,
 )
-from .groups import GroupElement, GroupSpec, SoficApproximation, _sort_key, _validate_table
+from .groups import GroupElement, GroupSpec, SoficApproximation, _sort_key, _validate_table, quotient_sofic
 
 
 # ---------------------------------------------------------------------------
@@ -85,13 +85,7 @@ class FiniteModel:
     def inverse(self, a: int) -> int:
         return int(self.candidate_inv(a))
 
-    # candidate arrays are int64 index vectors of shape (d,) or (N, d)
-    def identity_candidate(self, d: int) -> np.ndarray:
-        return np.full(d, self.identity, dtype=np.int64)
-
-    def candidate_key(self, x: np.ndarray) -> bytes:
-        return np.ascontiguousarray(x, dtype=np.int64).tobytes()
-
+    # candidate arrays are int64 index vectors of shape (d,) or (N, d), and
     # points are their own indices
     def point_indices(self, x) -> np.ndarray:
         return np.asarray(x, dtype=np.int64)
@@ -131,9 +125,6 @@ class FiniteModel:
         A lift is an automorphism of X x X exactly when m is one of X, so
         checking a lift, at O(n^2) per generator, never needs an n^4 step."""
         return (m[:, None] * self.n_points + m[None, :]).reshape(-1)
-
-    def manifest(self) -> dict:
-        return {"kind": "finite-group", "order": self.n_points, "name": self.name}
 
     def __repr__(self):
         return f"{type(self).__name__}({self.name})"
@@ -237,12 +228,6 @@ class TorusGridModel:
     def candidate_inv(self, a: np.ndarray) -> np.ndarray:
         return (-a) % self.q
 
-    def identity_candidate(self, d: int) -> np.ndarray:
-        return np.zeros((d, self.sites), dtype=np.int64)
-
-    def candidate_key(self, x: np.ndarray) -> bytes:
-        return np.ascontiguousarray(x, dtype=np.int64).tobytes()
-
     # points are residue rows with their lexicographic index
     def point_indices(self, x) -> np.ndarray:
         if self.n_points > 2**63:
@@ -285,9 +270,6 @@ class TorusGridModel:
     def lift_map(self, m: np.ndarray) -> np.ndarray:
         """The block-diagonal map (x, y) -> (M x, M y) on twice the sites."""
         return np.kron(np.eye(2, dtype=np.int64), m)
-
-    def manifest(self) -> dict:
-        return {"kind": "torus-grid", "q": self.q, "sites": self.sites}
 
     def __repr__(self):
         return f"TorusGridModel(q={self.q}, sites={self.sites})"
@@ -416,16 +398,8 @@ class AutomorphismAction:
                 raise UnsupportedElementError(g, "action element maps")
             out = self.element_maps[g]
         else:
-            # (generator index, exponent) pairs: an abelian key lists one
-            # exponent per generator, a free key the letters of its word
-            if g.key[0][0] == "a":
-                word = enumerate(g.key[1])
-            elif g.key[0][0] == "f":
-                word = g.key[1]
-            else:
-                raise UnsupportedElementError(g, "cannot express in generators")
             out = self.model.identity_map()
-            for gen, e in word:
+            for gen, e in self.group.word(g):
                 base = self.generator_maps[self.group.generators[gen]]
                 step = base if e >= 0 else self.model.invert_map(base)
                 for _ in range(abs(e)):
@@ -612,17 +586,6 @@ class AlgebraicActionModel:
         pts = _solve_residue_box(self.matrix, self.q, self.residue_bound(), budget)
         return pts.reshape(len(pts), self.d, self.source.n)
 
-    def manifest(self) -> dict:
-        return {
-            "kind": "algebraic-action",
-            "q": self.q,
-            "tol": str(self.tol),
-            "d": self.d,
-            "m": self.source.m,
-            "n": self.source.n,
-            "sigma": self.sigma.cache_key(),
-        }
-
 
 def instantiate_Xf(
     f: IntegerGroupMatrix, sigma: SoficApproximation, q: int, tol
@@ -711,20 +674,12 @@ def continuous_kernel(mat: np.ndarray) -> list[tuple[Fraction, ...]]:
 
 def regular_matrix(f: IntegerGroupMatrix) -> np.ndarray:
     """The left-regular matrix of lambda(f): rows (g, l), columns (g', j),
-    entry f_{lj}(g g'^-1).  Finite groups only."""
+    entry f_{lj}(g g'^-1).  Finite groups only.
+
+    This is f^(sigma) for sigma the left-regular representation, whose
+    sigma(h) sends g' to h g' in the order of ``elements()``."""
     spec = f.group
-    els = list(spec.elements())
-    pos = {g: i for i, g in enumerate(els)}
-    N = len(els)
-    out = np.zeros((f.m * N, f.n * N), dtype=np.int64)
-    for l in range(f.m):
-        for j in range(f.n):
-            for h, c in f.entries[l][j].items():
-                # g g'^-1 = h  <=>  g = h g'
-                for gp in els:
-                    g = spec.multiply(h, gp)
-                    out[pos[g] * f.m + l, pos[gp] * f.n + j] += c
-    return out
+    return sigma_matrix(f, quotient_sofic(spec, {"kind": "regular"}, (spec.identity(),) + f.support()))
 
 
 def dual_model(f: IntegerGroupMatrix) -> tuple[FiniteGroupModel, AutomorphismAction]:

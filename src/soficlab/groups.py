@@ -172,6 +172,21 @@ class GroupSpec:
             return GroupElement((self._tag, ((i, 1),)))
         return GroupElement((self._tag, self.generator_indices[i]))
 
+    def word(self, g: GroupElement) -> tuple[tuple[int, int], ...]:
+        """g as (generator index, exponent) pairs: one exponent per generator
+        for an abelian group, the letters of the reduced word for a free group.
+
+        Raises UnsupportedElementError for an element of another group, and
+        for table groups, whose elements are not stored as words.
+        """
+        if g.key[0] != self._tag:
+            raise UnsupportedElementError(g, f"not an element of {self!r}")
+        if self.kind == "abelian":
+            return tuple(enumerate(g.key[1]))
+        if self.kind == "free":
+            return g.key[1]
+        raise UnsupportedElementError(g, "cannot express in generators")
+
     def _reduce_abelian(self, exps: tuple[int, ...]) -> GroupElement:
         reduced = tuple(e % m if m else e for e, m in zip(exps, self.moduli))
         return GroupElement((self._tag, reduced))
@@ -601,17 +616,15 @@ def quotient_sofic(
         # index of (a_1..a_k) is sum a_i * stride_i, lexicographic
         grids = np.meshgrid(*[np.arange(o) for o in orders], indexing="ij")
         for g in support:
-            if g.key[0][0] != "a":
-                raise UnsupportedElementError(g, "not an abelian word")
-            coords = [(grid + e) % o for grid, e, o in zip(grids, g.key[1], orders)]
+            coords = [(grid + e) % o for grid, (_, e), o in zip(grids, spec.word(g), orders)]
             perm = sum(c * s for c, s in zip(coords, strides)).reshape(-1)
             table[g] = _block_copies(perm.astype(np.int64), copies)
         d = d0 * copies
     elif kind == "regular":
         n = len(spec.labels)
         for g in support:
-            if g.key[0][0] != "x":
-                raise UnsupportedElementError(g, "not a table element")
+            if g.key[0] != spec._tag:
+                raise UnsupportedElementError(g, f"not an element of {spec!r}")
             perm = spec.mul_table[g.key[1], :].astype(np.int64)  # j -> g*j
             table[g] = _block_copies(perm, copies)
         d = n * copies
@@ -624,11 +637,9 @@ def quotient_sofic(
         gen_perms = [rng.permutation(degree).astype(np.int64) for rng in rng_gens]
         inv_perms = [np.argsort(p).astype(np.int64) for p in gen_perms]
         for g in support:
-            if g.key[0][0] != "f":
-                raise UnsupportedElementError(g, "not a free word")
             # left-to-right function composition: sigma(uv) = sigma(u) o sigma(v)
             perm = np.arange(degree, dtype=np.int64)
-            for gen, exp in g.key[1]:
+            for gen, exp in spec.word(g):
                 step = gen_perms[gen] if exp > 0 else inv_perms[gen]
                 for _ in range(abs(exp)):
                     perm = perm[step]

@@ -6,6 +6,11 @@ the candidate-space variants: product measures, uniform measures on explicit
 candidate sets, convolutions, point masses, sample-based atom lists, convex
 mixtures, and the doubled measure mu (x) mu on the product model.
 
+``SampleBased`` is the one atom list: ``exact_support`` materializes every
+variant as one, and ``convolve`` returns one for small exact supports.  Atoms
+that a convolution or a mixture makes equal are merged, and the merged atoms
+come in lexicographic order of their candidate rows.
+
 Weights are exact rationals wherever the variant is exact; Monte Carlo paths
 are reproducible from the generator handed in.  Total mass 1 is enforced at
 construction.
@@ -14,13 +19,14 @@ construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .actions import CompactGroupModel, TorusGridModel, pair_candidates, product_model
+from .actions import CompactGroupModel, pair_candidates, product_model
 from .errors import ValidationError
 from .intlin import mixed_radix
 
@@ -89,7 +95,8 @@ class SiteMeasure:
     def convolve(self, other: "SiteMeasure") -> "SiteMeasure":
         """Group convolution: pushforward of the product under multiplication."""
         model = self.model
-        den = _product_den(self, other)
+        _check_same_model(model, other.model)
+        den = _product_den(self.den, other.den)
         ia = np.nonzero(self.num)[0]
         ib = np.nonzero(other.num)[0]
         pa = model.points_from_indices(ia)
@@ -101,7 +108,7 @@ class SiteMeasure:
 
     def tensor(self, other: "SiteMeasure") -> "SiteMeasure":
         """Product measure on the doubled model (pair points)."""
-        den = _product_den(self, other)
+        den = _product_den(self.den, other.den)
         out = np.outer(self.num, other.num).reshape(-1)
         return SiteMeasure(product_model(self.model), out, den)
 
@@ -121,18 +128,23 @@ class SiteMeasure:
         return hash((self.den, self.num.tobytes()))
 
 
-def _product_den(a: SiteMeasure, b: SiteMeasure) -> int:
-    """The denominator of a product of two site measures.
+def _product_den(a: int, b: int) -> int:
+    """The denominator of a product of two measures with denominators a and b.
 
     Every weight product and every sum of them is at most this denominator,
     so int64 weights cannot wrap below 2^63; beyond it the product is refused.
     """
-    den = a.den * b.den
+    den = a * b
     if den >= 2**63:
-        raise OverflowError(
-            f"product denominator {den} = {a.den} * {b.den} does not fit int64 weights"
-        )
+        raise OverflowError(f"product denominator {den} = {a} * {b} does not fit int64 weights")
     return den
+
+
+def _check_same_model(a: CompactGroupModel, b: CompactGroupModel) -> None:
+    """Refuse to multiply points of two models that differ in class, size or
+    grid resolution."""
+    if (type(a), a.n_points, getattr(a, "q", None)) != (type(b), b.n_points, getattr(b, "q", None)):
+        raise ValidationError(f"convolution factors live on different models: {a!r} and {b!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -197,20 +209,17 @@ class Convolution:
     right: "ModelMeasure"
 
     def __post_init__(self):
-        if measure_d(self.left) != measure_d(self.right):
+        if self.left.d != self.right.d:
             raise ValidationError("convolution needs equal d")
-        if isinstance(measure_model(self.left), TorusGridModel) != isinstance(
-            measure_model(self.right), TorusGridModel
-        ):
-            raise ValidationError("convolution factors live on different models")
+        _check_same_model(self.left.model, self.right.model)
 
     @property
     def model(self):
-        return measure_model(self.left)
+        return self.left.model
 
     @property
     def d(self) -> int:
-        return measure_d(self.left)
+        return self.left.d
 
 
 @dataclass(frozen=True)
@@ -234,7 +243,9 @@ class SampleBased:
         num = np.asarray(self.weights_num, dtype=np.int64).copy()
         if num.shape[0] != pts.shape[0]:
             raise ValidationError("one weight per atom")
-        if int(num.sum()) != self.weights_den:
+        # an int64 sum would wrap once the denominator reaches 2^63
+        total = int(num.sum()) if self.weights_den < 2**63 else sum(num.tolist())
+        if total != self.weights_den:
             raise ValidationError("atom weights must sum to 1")
         num.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -243,6 +254,9 @@ class SampleBased:
     @property
     def d(self) -> int:
         return self.points.shape[1]
+
+    def weights(self) -> list[Fraction]:
+        return [Fraction(int(v), self.weights_den) for v in self.weights_num]
 
 
 @dataclass(frozen=True)
@@ -257,16 +271,16 @@ class Mixture:
             raise ValidationError("one coefficient per part")
         if sum(self.coeffs, Fraction(0)) != 1:
             raise ValidationError("mixture coefficients must sum to 1")
-        if len({measure_d(p) for p in self.parts}) != 1:
+        if len({p.d for p in self.parts}) != 1:
             raise ValidationError("mixture parts must share d")
 
     @property
     def model(self):
-        return measure_model(self.parts[0])
+        return self.parts[0].model
 
     @property
     def d(self) -> int:
-        return measure_d(self.parts[0])
+        return self.parts[0].d
 
 
 @dataclass(frozen=True)
@@ -277,24 +291,16 @@ class Doubled:
 
     @property
     def model(self):
-        return product_model(measure_model(self.inner))
+        return product_model(self.inner.model)
 
     @property
     def d(self) -> int:
-        return measure_d(self.inner)
+        return self.inner.d
 
 
 ModelMeasure = (
     ProductMeasure | UniformOnSet | PointMass | Convolution | SampleBased | Mixture | Doubled
 )
-
-
-def measure_model(mu: ModelMeasure) -> CompactGroupModel:
-    return mu.model
-
-
-def measure_d(mu: ModelMeasure) -> int:
-    return mu.d
 
 
 def is_exact(mu: ModelMeasure) -> bool:
@@ -319,9 +325,9 @@ def marginal(mu: ModelMeasure, j: int) -> tuple[SiteMeasure, bool]:
     Exact for products, point masses, explicit sets, convolutions of exacts,
     mixtures of exacts; sample-estimated (flagged) for Monte Carlo atoms.
     """
-    if not 0 <= j < measure_d(mu):
+    if not 0 <= j < mu.d:
         raise ValidationError(f"coordinate {j} out of range")
-    model = measure_model(mu)
+    model = mu.model
     if isinstance(mu, ProductMeasure):
         return mu.site, True
     if isinstance(mu, PointMass):
@@ -343,13 +349,8 @@ def marginal(mu: ModelMeasure, j: int) -> tuple[SiteMeasure, bool]:
         return a.convolve(b), ea and eb
     if isinstance(mu, Mixture):
         parts = [marginal(p, j) for p in mu.parts]
-        fracs = [Fraction(0)] * model.n_points
-        for (site, _), c in zip(parts, mu.coeffs):
-            for i in np.nonzero(site.num)[0]:
-                fracs[i] += c * Fraction(int(site.num[i]), site.den)
-        den = math.lcm(*[f.denominator for f in fracs], 1)
-        num = np.array([int(f * den) for f in fracs], dtype=np.int64)
-        return SiteMeasure(model, num, den), all(e for _, e in parts)
+        nums, den = _mix([s.num for s, _ in parts], [s.den for s, _ in parts], mu.coeffs)
+        return SiteMeasure(model, sum(nums), den), all(e for _, e in parts)
     # Doubled
     inner, exact = marginal(mu.inner, j)
     return inner.tensor(inner), exact
@@ -358,32 +359,22 @@ def marginal(mu: ModelMeasure, j: int) -> tuple[SiteMeasure, bool]:
 # -- support enumeration -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Support:
-    points: np.ndarray
-    weights_num: np.ndarray
-    weights_den: int
-    exact: bool
+def exact_support(mu: ModelMeasure, budget: int = 10**6) -> SampleBased | None:
+    """Materialize mu as weighted atoms when the representable support is
+    within budget; None when it is too large.  ``exact`` echoes the variant.
 
-    def weights(self) -> list[Fraction]:
-        return [Fraction(int(v), self.weights_den) for v in self.weights_num]
-
-
-def exact_support(mu: ModelMeasure, budget: int = 10**6) -> Support | None:
-    """Materialize (points, weights) when the representable support is within
-    budget; None when it is too large.  ``exact`` echoes the variant."""
-    model = measure_model(mu)
+    The atoms of convolutions and mixtures are merged and lexicographically
+    sorted; the other variants keep their atoms as listed."""
+    model = mu.model
     if isinstance(mu, PointMass):
-        return Support(mu.point[None, ...], np.array([1]), 1, True)
+        return SampleBased(model, mu.point[None, ...], [1], 1, exact=True)
     if isinstance(mu, UniformOnSet):
         n = mu.points.shape[0]
         if n > budget:
             return None
-        return Support(mu.points, np.ones(n, dtype=np.int64), n, True)
+        return SampleBased(model, mu.points, np.ones(n, dtype=np.int64), n, exact=True)
     if isinstance(mu, SampleBased):
-        if mu.points.shape[0] > budget:
-            return None
-        return Support(mu.points, mu.weights_num, mu.weights_den, mu.exact)
+        return None if mu.points.shape[0] > budget else mu
     if isinstance(mu, ProductMeasure):
         nz = np.nonzero(mu.site.num)[0]
         total = len(nz) ** mu.d
@@ -392,62 +383,56 @@ def exact_support(mu: ModelMeasure, budget: int = 10**6) -> Support | None:
         idx = nz[mixed_radix(np.arange(total), [len(nz)] * mu.d)]
         pts = model.points_from_indices(idx)
         w = mu.site.num[idx].astype(object).prod(axis=-1)
-        return Support(pts, np.array(w, dtype=np.int64), mu.site.den**mu.d, True)
+        return SampleBased(model, pts, np.array(w, dtype=np.int64), mu.site.den**mu.d, exact=True)
     if isinstance(mu, Convolution):
         la = exact_support(mu.left, budget)
         lb = exact_support(mu.right, budget)
         if la is None or lb is None or la.points.shape[0] * lb.points.shape[0] > budget:
             return None
-        return _merge_product(model, la, lb)
+        return _merged(_cross(model, la, lb, model.candidate_mul))
     if isinstance(mu, Mixture):
         subs = [exact_support(p, budget) for p in mu.parts]
         if any(s is None for s in subs):
             return None
-        acc: dict[bytes, Fraction] = {}
-        shapes: dict[bytes, np.ndarray] = {}
-        for sub, c in zip(subs, mu.coeffs):
-            for i in range(sub.points.shape[0]):
-                key = model.candidate_key(sub.points[i])
-                acc[key] = acc.get(key, Fraction(0)) + c * Fraction(
-                    int(sub.weights_num[i]), sub.weights_den
-                )
-                shapes[key] = sub.points[i]
-        return _from_fraction_dict(shapes, acc, all(s.exact for s in subs))
+        nums, den = _mix([s.weights_num for s in subs], [s.weights_den for s in subs], mu.coeffs)
+        points = np.concatenate([s.points for s in subs])
+        exact = all(s.exact for s in subs)
+        atoms = _merged(SampleBased(model, points, np.concatenate(nums), den, exact=exact))
+        g = math.gcd(den, *atoms.weights_num.tolist())
+        return replace(atoms, weights_num=atoms.weights_num // g, weights_den=den // g)
     # Doubled
     sub = exact_support(mu.inner, budget)
     if sub is None or sub.points.shape[0] ** 2 > budget:
         return None
-    n = sub.points.shape[0]
-    ii, jj = np.divmod(np.arange(n * n), n)
-    pts = pair_candidates(measure_model(mu.inner), sub.points[ii], sub.points[jj])
-    w = sub.weights_num[ii].astype(object) * sub.weights_num[jj].astype(object)
-    return Support(pts, w, sub.weights_den**2, sub.exact)
+    return _cross(model, sub, sub, partial(pair_candidates, mu.inner.model))
 
 
-def _merge_product(model, la: Support, lb: Support) -> Support:
-    na, nb = la.points.shape[0], lb.points.shape[0]
-    ii, jj = np.divmod(np.arange(na * nb), nb)
-    prods = model.candidate_mul(la.points[ii], lb.points[jj])
-    w = la.weights_num[ii].astype(object) * lb.weights_num[jj].astype(object)
-    den = la.weights_den * lb.weights_den
-    acc: dict[bytes, int] = {}
-    shapes: dict[bytes, np.ndarray] = {}
-    for i in range(prods.shape[0]):
-        key = model.candidate_key(prods[i])
-        acc[key] = acc.get(key, 0) + int(w[i])
-        shapes[key] = prods[i]
-    keys = sorted(acc)
-    pts = np.stack([shapes[k] for k in keys])
-    num = np.array([acc[k] for k in keys], dtype=np.int64)
-    return Support(pts, num, den, la.exact and lb.exact)
+def _cross(model, a: SampleBased, b: SampleBased, combine) -> SampleBased:
+    """Every pair of atoms of a and b, as combine(x, y) on ``model``, with the
+    product weight; a's atom varies slowest."""
+    den = _product_den(a.weights_den, b.weights_den)
+    ii, jj = np.divmod(np.arange(a.points.shape[0] * b.points.shape[0]), b.points.shape[0])
+    w = a.weights_num[ii] * b.weights_num[jj]  # each at most den < 2^63
+    return SampleBased(model, combine(a.points[ii], b.points[jj]), w, den, exact=a.exact and b.exact)
 
 
-def _from_fraction_dict(shapes: dict, acc: dict, exact: bool) -> Support:
-    keys = sorted(acc)
-    den = math.lcm(*[acc[k].denominator for k in keys])
-    num = np.array([int(acc[k] * den) for k in keys], dtype=np.int64)
-    pts = np.stack([shapes[k] for k in keys])
-    return Support(pts, num, den, exact)
+def _merged(atoms: SampleBased) -> SampleBased:
+    """The atoms with equal candidates summed, in lexicographic row order."""
+    n = atoms.points.shape[0]
+    rows, inverse = np.unique(atoms.points.reshape(n, -1), axis=0, return_inverse=True)
+    num = np.zeros(rows.shape[0], dtype=np.int64)
+    np.add.at(num, inverse.reshape(-1), atoms.weights_num)
+    points = rows.reshape((rows.shape[0],) + atoms.points.shape[1:])
+    return replace(atoms, points=points, weights_num=num)
+
+
+def _mix(nums: list[np.ndarray], dens: list[int], coeffs) -> tuple[list[np.ndarray], int]:
+    """Mixture weights coeffs[k] * nums[k] / dens[k] over one common denominator."""
+    den = math.lcm(*(c.denominator * d for c, d in zip(coeffs, dens)))
+    if den >= 2**63:
+        raise OverflowError(f"mixture denominator {den} does not fit int64 weights")
+    # every scaled weight is at most den, so the int64 products cannot wrap
+    return [n * (c.numerator * den // (c.denominator * d)) for n, c, d in zip(nums, coeffs, dens)], den
 
 
 # -- sampling -----------------------------------------------------------------
@@ -455,7 +440,7 @@ def _from_fraction_dict(shapes: dict, acc: dict, exact: bool) -> Support:
 
 def sample(mu: ModelMeasure, k: int, rng: np.random.Generator) -> np.ndarray:
     """k candidates drawn from mu; reproducible from the generator state."""
-    model = measure_model(mu)
+    model = mu.model
     if isinstance(mu, ProductMeasure):
         idx = mu.site.sample_indices(rng, k * mu.d).reshape(k, mu.d)
         return model.points_from_indices(idx)
@@ -488,7 +473,7 @@ def sample(mu: ModelMeasure, k: int, rng: np.random.Generator) -> np.ndarray:
     # Doubled
     a = sample(mu.inner, k, rng)
     b = sample(mu.inner, k, rng)
-    return pair_candidates(measure_model(mu.inner), a, b)
+    return pair_candidates(mu.inner.model, a, b)
 
 
 # -- mass of a set --------------------------------------------------------------
@@ -537,9 +522,10 @@ def convolve(nu: ModelMeasure, mu: ModelMeasure, budget: int = 4096) -> ModelMea
     collapses to the product of site convolutions; otherwise a lazy
     Convolution node (exact marginals, sampled masses).
     """
-    if measure_d(nu) != measure_d(mu):
+    if nu.d != mu.d:
         raise ValidationError("convolve needs equal d")
-    model = measure_model(nu)
+    model = nu.model
+    _check_same_model(model, mu.model)
     if isinstance(nu, ProductMeasure) and isinstance(mu, ProductMeasure):
         return ProductMeasure(nu.site.convolve(mu.site), nu.d)
     sa = exact_support(nu, budget)
@@ -551,15 +537,7 @@ def convolve(nu: ModelMeasure, mu: ModelMeasure, budget: int = 4096) -> ModelMea
         and sb.exact
         and sa.points.shape[0] * sb.points.shape[0] <= budget
     ):
-        merged = _merge_product(model, sa, sb)
-        return SampleBased(
-            model=model,
-            points=merged.points,
-            weights_num=merged.weights_num,
-            weights_den=merged.weights_den,
-            seed=None,
-            exact=True,
-        )
+        return _merged(_cross(model, sa, sb, model.candidate_mul))
     return Convolution(nu, mu)
 
 
@@ -573,32 +551,13 @@ def doubled(mu: ModelMeasure) -> ModelMeasure:
         # (nu * mu) (x) (nu * mu) = (nu (x) nu) * (mu (x) mu)
         return Convolution(doubled(mu.left), doubled(mu.right))
     if isinstance(mu, Mixture):
-        parts = []
-        coeffs = []
-        for pi, ci in zip(mu.parts, mu.coeffs):
-            for pj, cj in zip(mu.parts, mu.coeffs):
-                parts.append(_paired(pi, pj))
-                coeffs.append(ci * cj)
-        return Mixture(tuple(parts), tuple(coeffs))
+        # each pair of parts becomes its materialized atoms a (x) b
+        subs = [exact_support(p, 4096) for p in mu.parts]
+        if any(s is None or s.points.shape[0] ** 2 > 4096 for s in subs):
+            raise ValidationError("mixture doubling needs small supports")
+        model2, pair = product_model(mu.model), partial(pair_candidates, mu.model)
+        return Mixture(
+            tuple(_cross(model2, a, b, pair) for a in subs for b in subs),
+            tuple(ci * cj for ci in mu.coeffs for cj in mu.coeffs),
+        )
     return Doubled(mu)
-
-
-def _paired(a: ModelMeasure, b: ModelMeasure) -> ModelMeasure:
-    """a (x) b for mixture doubling; falls back to materialized atoms."""
-    model = measure_model(a)
-    sa = exact_support(a, 4096)
-    sb = exact_support(b, 4096)
-    if sa is None or sb is None or sa.points.shape[0] * sb.points.shape[0] > 4096:
-        raise ValidationError("mixture doubling needs small supports")
-    na, nb = sa.points.shape[0], sb.points.shape[0]
-    ii, jj = np.divmod(np.arange(na * nb), nb)
-    pts = pair_candidates(model, sa.points[ii], sb.points[jj])
-    w = sa.weights_num[ii].astype(object) * sb.weights_num[jj].astype(object)
-    return SampleBased(
-        model=product_model(model),
-        points=pts,
-        weights_num=w.astype(np.int64),
-        weights_den=sa.weights_den * sb.weights_den,
-        seed=None,
-        exact=sa.exact and sb.exact,
-    )

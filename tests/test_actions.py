@@ -164,6 +164,14 @@ class TestActions:
             action.point_map(free.generator(0))
 
 
+    def test_element_of_another_abelian_group_refused(self, Z):
+        action = AutomorphismAction(Z, cyclic_model(5), generator_maps={"t": unit_automorphism(cyclic_model(5), 2)})
+        # Z/3's generator used to get the map of Z's t; a Z^2 element an IndexError
+        for other in (GroupSpec.cyclic(3).generator(0), GroupSpec.integers2().parse("s*t")):
+            with pytest.raises(UnsupportedElementError):
+                action.point_map(other)
+
+
 class TestDualModel:
     def test_two_plus_t_is_z3_with_trivial_action(self, Z2):
         model, action = dual_model(two_plus_t(Z2))
@@ -366,6 +374,16 @@ class TestRegularMatrix:
         )
         mat = regular_matrix(f)
         assert mat.shape == (2, 4)
+
+    def test_non_abelian_entries_without_the_identity_in_support(self):
+        # S3 as permutations of three points: entry (g, g') is f(g g'^-1)
+        perms = list(itertools.permutations(range(3)))
+        table = [[perms.index(tuple(p[q[i]] for i in range(3))) for q in perms] for p in perms]
+        S3 = GroupSpec.from_table([str(p) for p in perms], table)
+        els = S3.elements()
+        coeff = {els[1]: 1, els[3]: 2}
+        mat = regular_matrix(IntegerGroupMatrix.single(S3, list(zip(coeff.values(), coeff))))
+        assert mat.tolist() == [[coeff.get(S3.multiply(g, S3.inverse(h)), 0) for h in els] for g in els]
 
 
 class TestWordMaps:

@@ -138,6 +138,24 @@ class TestGroupAlgebra:
         GroupSpec.from_table(labels=[str(i) for i in range(90)], mul_table=table)
 
 
+class TestWords:
+    def test_word_pairs(self, Z):
+        Z2 = GroupSpec.integers2()
+        assert Z2.word(Z2.parse("s*t^-2")) == ((0, 1), (1, -2))
+        F2 = GroupSpec.free(2)
+        assert F2.word(F2.parse("a*b^-1*a^2")) == ((0, 1), (1, -1), (0, 2))
+
+    def test_element_of_another_group_is_refused(self, Z):
+        for other in (GroupSpec.integers2().parse("s*t^2"), GroupSpec.cyclic(3).generator(0)):
+            with pytest.raises(UnsupportedElementError):
+                Z.word(other)
+
+    def test_table_elements_are_not_words(self):
+        z3 = GroupSpec.from_table(labels=["e", "g", "g2"], mul_table=[[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+        with pytest.raises(UnsupportedElementError):
+            z3.word(z3.generator(0))
+
+
 class TestQuotientSofic:
     def test_z8_shift(self, Z):
         sigma = quotient_sofic(
@@ -180,6 +198,23 @@ class TestQuotientSofic:
         with pytest.raises(UnsupportedElementError) as err:
             sofic_defects(sigma, [Z.parse("t^5"), Z.identity()])
         assert "t" in str(err.value) or "g0" in str(err.value)
+
+    def test_abelian_element_of_another_group_refused(self, Z):
+        # a Z^2 element on a Z quotient used to act as its first exponent
+        Z2 = GroupSpec.integers2()
+        with pytest.raises(UnsupportedElementError):
+            quotient_sofic(Z, {"kind": "cyclic-powers", "orders": [5]}, [Z.identity(), Z2.parse("s*t^2")])
+
+    def test_table_element_of_another_table_group_refused(self):
+        z3 = GroupSpec.from_table(labels=["e", "g", "g2"], mul_table=[[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+        z2 = GroupSpec.from_table(labels=["1", "x"], mul_table=[[0, 1], [1, 0]])
+        with pytest.raises(UnsupportedElementError):
+            quotient_sofic(z3, {"kind": "regular"}, [z3.identity(), z2.generator(1)])
+
+    def test_free_element_of_another_rank_refused(self):
+        F2, F3 = GroupSpec.free(2), GroupSpec.free(3)
+        with pytest.raises(UnsupportedElementError):
+            quotient_sofic(F2, {"kind": "random-permutations", "degree": 4}, [F2.identity(), F3.parse("a")])
 
     def test_block_copies(self, Z2_group):
         sigma = quotient_sofic(

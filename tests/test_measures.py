@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from soficlab.actions import cyclic_model, dual_model, IntegerGroupMatrix, TorusGridModel
+from soficlab.actions import cyclic_model, dual_model, IntegerGroupMatrix, TorusGridModel, product_model
 from soficlab.errors import ValidationError
 from soficlab.groups import GroupSpec
 from soficlab.measures import (
@@ -173,6 +175,12 @@ class TestSupport:
         assert sup.points.shape == (8, 3)
         assert all(w == Fraction(1, 8) for w in sup.weights())
 
+    def test_product_support_with_a_denominator_past_int64(self, z3):
+        # 180^9 >= 2^63, though every atom weight fits int64
+        mu = ProductMeasure(SiteMeasure(z3, np.array([61, 60, 59]), 180), d=9)
+        assert exact_support(mu).weights_den == 180**9
+        assert mass(mu, lambda xs: xs[:, 0] == 0).fraction == Fraction(61, 180)
+
     def test_budget_returns_none(self, z3):
         mu = ProductMeasure(SiteMeasure.uniform(z3), d=20)
         assert exact_support(mu, budget=10**4) is None
@@ -183,6 +191,67 @@ class TestSupport:
         sup = exact_support(Convolution(a, b))
         got = {tuple(p): w for p, w in zip(sup.points.tolist(), sup.weights())}
         assert got == {(0,): Fraction(1, 2), (1,): Fraction(1, 4), (2,): Fraction(1, 4)}
+
+
+    def test_product_denominator_overflow_names_the_denominator(self, z3):
+        big = SampleBased(z3, [[0], [1]], [1, 2**32 - 1], 2**32, exact=True)
+        with pytest.raises(OverflowError, match="denominator"):
+            exact_support(Convolution(big, big))
+        with pytest.raises(OverflowError, match="denominator"):
+            convolve(big, big)
+        one = PointMass(z3, [2])
+        mix = Mixture((big, one), (Fraction(1, 2**31 + 1), Fraction(2**31, 2**31 + 1)))
+        with pytest.raises(OverflowError, match="denominator"):
+            exact_support(mix)
+
+
+MODELS = [cyclic_model(5), product_model(cyclic_model(17)), TorusGridModel(4, 2)]
+
+
+@st.composite
+def atom_lists(draw, model, d):
+    k = draw(st.integers(1, 6))
+    idx = draw(st.lists(st.integers(0, model.n_points - 1), min_size=k * d, max_size=k * d))
+    w = draw(st.lists(st.integers(1, 5), min_size=k, max_size=k))
+    pts = model.points_from_indices(np.array(idx).reshape(k, d))
+    return SampleBased(model, pts, w, sum(w), exact=True)
+
+
+def law(points, weights) -> dict:
+    """Atoms summed by candidate row in a Fraction dict: the reference merge."""
+    out = {}
+    for x, w in zip(points.reshape(len(points), -1).tolist(), weights):
+        out[tuple(x)] = out.get(tuple(x), 0) + w
+    return out
+
+
+def assert_merged(sup, want: dict):
+    rows = [tuple(r) for r in sup.points.reshape(len(sup.points), -1).tolist()]
+    assert rows == sorted(want)  # one atom per candidate, lexicographic order
+    assert sup.weights() == [want[r] for r in rows]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(MODELS), st.integers(1, 3), st.integers(1, 9), st.data())
+def test_merged_supports_match_fraction_sums(model, d, c, data):
+    a, b = data.draw(atom_lists(model, d)), data.draw(atom_lists(model, d))
+    ia, ib = np.divmod(np.arange(len(a.points) * len(b.points)), len(b.points))
+    prods = model.candidate_mul(a.points[ia], b.points[ib])
+    conv = exact_support(Convolution(a, b))
+    assert_merged(conv, law(prods, [a.weights()[i] * b.weights()[j] for i, j in zip(ia, ib)]))
+    assert conv.weights_den == a.weights_den * b.weights_den
+
+    coeffs = (Fraction(c, 10), 1 - Fraction(c, 10))
+    mixed = law(
+        np.concatenate([a.points, b.points]),
+        [coeffs[0] * w for w in a.weights()] + [coeffs[1] * w for w in b.weights()],
+    )
+    mix = exact_support(Mixture((a, b), coeffs))
+    assert_merged(mix, mixed)
+    assert mix.weights_den == math.lcm(*(w.denominator for w in mixed.values()))
+    for j in range(d):
+        (ma, _), (mb, _), (mm, _) = marginal(a, j), marginal(b, j), marginal(Mixture((a, b), coeffs), j)
+        assert mm.weights() == [coeffs[0] * x + coeffs[1] * y for x, y in zip(ma.weights(), mb.weights())]
 
 
 class TestSampling:
@@ -262,6 +331,29 @@ class TestConvolve:
     def test_d_mismatch(self, z3):
         with pytest.raises(ValidationError):
             convolve(PointMass(z3, np.array([0])), PointMass(z3, np.array([0, 1])))
+
+
+    def test_factors_of_different_sizes_refused(self):
+        # Z/2 x Z/5 used to index out of range in the convolution or its marginal
+        a, b = SiteMeasure.uniform(cyclic_model(2)), SiteMeasure.uniform(cyclic_model(5))
+        with pytest.raises(ValidationError, match="different models"):
+            a.convolve(b)
+        for build in (Convolution, convolve):
+            with pytest.raises(ValidationError, match="different models"):
+                build(ProductMeasure(a, 2), ProductMeasure(b, 2))
+
+    def test_torus_grids_of_different_resolution_refused(self):
+        # 1/4 + 6/8 = 0, but the residues 1 + 6 used to be read mod 4 as 3
+        a, b = PointMass(TorusGridModel(4, 1), [[1]]), PointMass(TorusGridModel(8, 1), [[6]])
+        for build in (Convolution, convolve):
+            with pytest.raises(ValidationError, match="different models"):
+                build(a, b)
+        with pytest.raises(ValidationError, match="different models"):
+            SiteMeasure.point_mass(a.model, (1,)).convolve(SiteMeasure.point_mass(b.model, (6,)))
+        # equal sizes, different grids: 4^2 = 16^1 points
+        c, e = PointMass(TorusGridModel(4, 2), [[1, 1]]), PointMass(TorusGridModel(16, 1), [[5]])
+        with pytest.raises(ValidationError, match="different models"):
+            convolve(c, e)
 
 
 class TestDoubled:
