@@ -34,7 +34,9 @@ An algebraic action X_f given by f in M_{m,n}(Z(G)) is modeled two ways:
 
 * for finite G, ``dual_model`` realizes X_f exactly as the finite subgroup of
   (Q/Z)^{n|G|} annihilated by the transpose of the r(f) matrix, carrying the
-  coordinate-permutation G-action (the dual of left multiplication);
+  coordinate-permutation G-action (the dual of left multiplication).  Its
+  table and maps are index arithmetic on each point's Smith digits, the
+  coordinates in which the Smith form splits X_f into a sum of Z/s_i;
 * for any sofic approximation sigma, ``instantiate_Xf`` builds the
   approximate-kernel model: the set of x in (T_q^n)^d with every coordinate of
   f^(sigma) x within ``tol`` of 0 in R/Z, where f^(sigma) substitutes the
@@ -639,20 +641,22 @@ def count_kernel_points(model: AlgebraicActionModel, mode: str, budget: int = 10
     raise ValidationError(f"unknown counting mode {mode!r}")
 
 
-def _torsion_kernel(mat: np.ndarray, budget: int | None = None) -> tuple[np.ndarray, int]:
-    """The finite kernel of mat on (R/Z)^cols as (k, s_r): sorted int64 rows k
-    with the points x = k / s_r, where s_r is the largest invariant factor.
+def _torsion_kernel(mat: np.ndarray, budget: int | None = None) -> tuple[np.ndarray, list[int], list[list[int]]]:
+    """The finite kernel of mat on (R/Z)^cols as (k, s, u): sorted int64 rows k
+    with the points x = k / s_r, the invariant factors s = (s_1, ..., s_r) with
+    r = cols, and the left transform u of the Smith form u @ mat @ v = diag(s).
 
-    Every point lies on that grid, since x = V y with y in prod (1/s_i)Z/Z
-    and each s_i divides s_r; so the kernel is the solve of mat k = 0 mod s_r.
+    Every point lies on the grid (1/s_r)Z, since x = V y with y in
+    prod (1/s_i)Z/Z and each s_i divides s_r; so the kernel is the solve of
+    mat k = 0 mod s_r.  ``dual_model`` reads each point's coordinates y_i
+    through u, as its Smith digits.
     """
     rows, cols = mat.shape
     snf = intlin.smith_normal_form(mat.tolist())
     diag = [snf[0][i][i] for i in range(min(rows, cols))]
     if len(diag) < cols or any(x == 0 for x in diag):
         raise SingularMatrixError("kernel is not finite (rank deficient)")
-    scale = diag[-1]
-    return intlin.solve_mod_batch(snf, np.zeros((1, rows), dtype=np.int64), scale, budget), scale
+    return intlin.solve_mod_batch(snf, np.zeros((1, rows), dtype=np.int64), diag[-1], budget), diag, snf[1]
 
 
 def continuous_kernel(mat: np.ndarray) -> list[tuple[Fraction, ...]]:
@@ -663,8 +667,8 @@ def continuous_kernel(mat: np.ndarray) -> list[tuple[Fraction, ...]]:
     mat k = 0 mod s_r, for s_r the largest invariant factor, divided by s_r.
     Raises OverflowError when s_r >= 2^31.
     """
-    pts, scale = _torsion_kernel(mat)
-    return [tuple(Fraction(k, scale) for k in row) for row in pts.tolist()]
+    pts, diag, _ = _torsion_kernel(mat)
+    return [tuple(Fraction(k, diag[-1]) for k in row) for row in pts.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -687,9 +691,16 @@ def dual_model(f: IntegerGroupMatrix) -> tuple[FiniteGroupModel, AutomorphismAct
     by the transpose of the r(f) matrix, with the coordinate-permutation dual
     action (g.x)[(h, j)] = x[(g^-1 h, j)].
 
+    The points x = k / s_r come in lexicographic order of k.  For the Smith
+    form U R^T V = diag(s), the digits y_i = (U R^T k / s_r)_i mod s_i over the
+    s_i > 1 map X_f isomorphically onto the sum of the Z/s_i; so a + b is the
+    point with digits y_a + y_b mod s, g.x the one with the digits of the
+    permuted k, and each is found by the mixed-radix index of its digits.
+
     Requires the kernel to be finite (r(f) of full column rank over Q).  A
     kernel of more than 4096 points is refused with BudgetExceededError
-    before it is listed.
+    before it is listed, and OverflowError is raised when the int64 product
+    R^T k could wrap.
     """
     spec = f.group
     if spec.order() is None:
@@ -707,42 +718,42 @@ def dual_model(f: IntegerGroupMatrix) -> tuple[FiniteGroupModel, AutomorphismAct
                     h = spec.multiply(g, w)
                     rt[pos[g] * f.m + l, pos[h] * f.n + j] += c
     # the kernel points are pts / scale: sorted, distinct int64 rows
-    pts, scale = _torsion_kernel(rt, budget=4096)
+    pts, diag, u = _torsion_kernel(rt, budget=4096)
     K, cols = pts.shape
+    scale = diag[-1]
+    norm = max(sum(map(abs, row)) for row in rt.tolist())
+    if norm * (scale - 1) >= 2**63:
+        raise OverflowError(
+            f"R^T k reaches {norm} * {scale - 1} = {norm * (scale - 1)}, past the int64 bound 2^63"
+        )
+    big = [i for i, s in enumerate(diag) if s > 1]
+    moduli = np.array(diag, dtype=np.int64)[big]
+    place = np.cumprod(moduli[::-1])[::-1] // moduli  # the last digit fastest
+    u_digits = np.array([[x % scale for x in row] for row in u], dtype=np.int64)[big]
+
+    def digits(k: np.ndarray) -> np.ndarray:
+        # R^T k = 0 mod scale for every kernel point, so the division is exact
+        z = (k.reshape(-1, cols) @ rt.T) // scale % scale
+        y = intlin._apply_mod(u_digits, z, scale) % moduli
+        return y.reshape(k.shape[:-1] + moduli.shape)
+
+    y = digits(pts)
+    rank = np.empty(K, dtype=np.int64)  # mixed-radix index -> point
+    rank[y @ place] = np.arange(K)
+    sums = np.zeros((K, K), dtype=np.int64)
+    for i in range(len(moduli)):
+        sums += (y[:, None, i] + y[None, :, i]) % moduli[i] * place[i]
     points = [tuple(Fraction(k, scale) for k in row) for row in pts.tolist()]
-    block = max(1, 2**20 // (K * cols))  # rows of sums looked up at once
-    mul = np.concatenate([
-        _row_index(pts, (pts[a : a + block, None, :] + pts[None, :, :]) % scale)
-        for a in range(0, K, block)
-    ])
-    ident = int(_row_index(pts, np.zeros((1, cols), dtype=np.int64))[0])
-    model = FiniteGroupModel(points, mul, ident, name=f"dual(|G|={N}, n={f.n})")
+    model = FiniteGroupModel(points, rank[sums], int(rank[0]), name=f"dual(|G|={N}, n={f.n})")
     # (g.x)[(h, j)] = x[(g^-1 h, j)]: the source column of every target column
     src = np.array([
         [pos[spec.multiply(spec.inverse(g), h)] * f.n + j for h in els for j in range(f.n)]
         for g in els
     ])
-    perms = _row_index(pts, pts[:, src].transpose(1, 0, 2))
+    perms = rank[digits(pts[:, src].transpose(1, 0, 2)) @ place]
     maps = {g: perms[k] for k, g in enumerate(els)}
     action = AutomorphismAction(spec, model, element_maps=maps)
     return model, action
-
-
-def _row_index(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Position of every row of ``queries`` in ``table``, whose rows are
-    lexicographically sorted and distinct; shaped like the queries' leading axes."""
-    k, cols = table.shape
-    rows = np.concatenate([table, queries.reshape(-1, cols)])
-    order = np.lexsort(rows.T[::-1])
-    ranked = rows[order]
-    starts = np.ones(len(rows), dtype=bool)
-    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    if starts.sum() != k:
-        raise ValidationError("a looked-up row is not a row of the table")
-    # the distinct rows in sorted order are the table's rows, in its order
-    out = np.empty(len(rows), dtype=np.int64)
-    out[order] = np.cumsum(starts) - 1
-    return out[k:].reshape(queries.shape[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -768,48 +779,15 @@ class HypothesisReport:
     homoclinic_dense_surrogate: Verdict
 
 
-def _symbol_det_poly(f: IntegerGroupMatrix) -> dict[int, int]:
-    """Determinant of the Fourier-symbol matrix for G = Z, as a Laurent
-    polynomial (exponent -> coefficient).  Cofactor expansion; n is small."""
-
-    def poly_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                out[ea + eb] = out.get(ea + eb, 0) + ca * cb
-        return {e: c for e, c in out.items() if c}
-
-    def poly_add(a: dict[int, int], b: dict[int, int], sign: int) -> dict[int, int]:
-        out = dict(a)
-        for e, c in b.items():
-            out[e] = out.get(e, 0) + sign * c
-        return {e: c for e, c in out.items() if c}
-
-    def cell_poly(l: int, j: int) -> dict[int, int]:
-        return {g.key[1][0]: c for g, c in f.entries[l][j].items()}
-
-    def det(rows: list[int], cols: list[int]) -> dict[int, int]:
-        if len(rows) == 1:
-            return cell_poly(rows[0], cols[0])
-        total: dict[int, int] = {}
-        for k, col in enumerate(cols):
-            sub = det(rows[1:], cols[:k] + cols[k + 1 :])
-            term = poly_mul(cell_poly(rows[0], col), sub)
-            total = poly_add(total, term, 1 if k % 2 == 0 else -1)
-        return total
-
-    n = f.n
-    return det(list(range(n)), list(range(n)))
-
-
 def verify_hypotheses(f: IntegerGroupMatrix, spec: GroupSpec | None = None) -> HypothesisReport:
     """Decide injectivity / dense image of lambda(f) where a finite-scale
     criterion exists; return explicit unknowns elsewhere.
 
     Finite G: rank of the left-regular integer matrix (determinant in the
     square case).  G = Z with square f: the Fourier-symbol determinant is the
-    zero polynomial iff lambda(f) fails injectivity; injective and dense image
-    coincide there by rank-nullity.
+    zero polynomial iff lambda(f) fails injectivity, which exact determinants
+    at enough integer points decide; injective and dense image coincide there
+    by rank-nullity.
     """
     spec = spec if spec is not None else f.group
     order = spec.order()
@@ -827,8 +805,16 @@ def verify_hypotheses(f: IntegerGroupMatrix, spec: GroupSpec | None = None) -> H
             homoclinic_dense_surrogate=Verdict(True, "finite-group-vacuous"),
         )
     if spec.kind == "abelian" and spec.moduli == (0,) and f.m == f.n:
-        det = _symbol_det_poly(f)
-        inj = bool(det)
+        # det(t^-lo f(t)) is a polynomial of degree at most n (hi - lo), so it
+        # is zero exactly when it vanishes at n (hi - lo) + 1 points
+        exps = [g.key[1][0] for g in f.support()] or [0]
+        lo, hi = min(exps), max(exps)
+        inj = any(
+            intlin.det_bareiss(
+                [[sum(c * t ** (g.key[1][0] - lo) for g, c in cell.items()) for cell in row] for row in f.entries]
+            )
+            for t in range(1, f.n * (hi - lo) + 2)
+        )
         return HypothesisReport(
             lambda_injective=Verdict(inj, "fourier-symbol-determinant"),
             lambda_dense_image=Verdict(inj, "fourier-symbol-determinant+rank-nullity"),

@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .actions import CompactGroupModel, pair_candidates, product_model
+from .actions import CompactGroupModel, FiniteGroupModel, PairModel, pair_candidates, product_model
 from .errors import ValidationError
 from .intlin import mixed_radix
 
@@ -141,10 +141,15 @@ def _product_den(a: int, b: int) -> int:
 
 
 def _check_same_model(a: CompactGroupModel, b: CompactGroupModel) -> None:
-    """Refuse to multiply points of two models that differ in class, size or
-    grid resolution."""
-    if (type(a), a.n_points, getattr(a, "q", None)) != (type(b), b.n_points, getattr(b, "q", None)):
-        raise ValidationError(f"convolution factors live on different models: {a!r} and {b!r}")
+    """Refuse to combine points of two models with different group laws: a
+    different class, size, grid, pair factor, or table and identity."""
+    while isinstance(a, PairModel) and isinstance(b, PairModel):
+        a, b = a.factor, b.factor
+    same = (type(a), a.n_points, getattr(a, "q", None)) == (type(b), b.n_points, getattr(b, "q", None))
+    if same and isinstance(a, FiniteGroupModel) and a is not b:
+        same = a.identity == b.identity and np.array_equal(a.mul, b.mul)
+    if not same:
+        raise ValidationError(f"measures live on different models: {a!r} and {b!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +248,8 @@ class SampleBased:
         num = np.asarray(self.weights_num, dtype=np.int64).copy()
         if num.shape[0] != pts.shape[0]:
             raise ValidationError("one weight per atom")
+        if (num < 0).any():
+            raise ValidationError("weights must be nonnegative")
         # an int64 sum would wrap once the denominator reaches 2^63
         total = int(num.sum()) if self.weights_den < 2**63 else sum(num.tolist())
         if total != self.weights_den:
@@ -273,6 +280,8 @@ class Mixture:
             raise ValidationError("mixture coefficients must sum to 1")
         if len({p.d for p in self.parts}) != 1:
             raise ValidationError("mixture parts must share d")
+        for p in self.parts[1:]:
+            _check_same_model(self.parts[0].model, p.model)
 
     @property
     def model(self):

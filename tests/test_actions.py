@@ -202,6 +202,21 @@ class TestDualModel:
         model, _ = dual_model(f)
         assert model.n_points == 1
 
+    def test_digit_products_refused_past_int64(self):
+        # over the trivial group R^T = [[3, 0], [M, 1]]: three points k / 3,
+        # whose products R^T k reach (M + 1) * 2
+        C1 = GroupSpec.cyclic(1)
+
+        def f(M):
+            return IntegerGroupMatrix.from_pairs(C1, [[[(3, "e")], []], [[(M, "e")], [(1, "e")]]])
+
+        model, _ = dual_model(f(2**62 - 2))  # (M + 1) * 2 = 2^63 - 2
+        thirds = [Fraction(a, 3) for a in range(3)]
+        assert model.labels == tuple(zip(thirds, thirds))
+        assert model.mul.tolist() == [[(a + b) % 3 for b in range(3)] for a in range(3)]
+        with pytest.raises(OverflowError, match="2\\^63"):
+            dual_model(f(2**62))
+
     def test_kernel_points_form_subgroup(self, Z2):
         model, action = dual_model(two_minus_t(Z2))
         pts = range(model.n_points)
@@ -361,6 +376,66 @@ class TestVerifyHypotheses:
             assert rep.lambda_injective.value == finite
         g = IntegerGroupMatrix.single(Z2, [(1, "e"), (1, "t")])
         assert verify_hypotheses(g).lambda_injective.value is False
+
+
+def symbol_det_poly(f: IntegerGroupMatrix) -> dict[int, int]:
+    """Determinant of the Fourier-symbol matrix for G = Z, as a Laurent
+    polynomial (exponent -> coefficient), by cofactor expansion."""
+
+    def poly_mul(a, b):
+        out = {}
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+        return {e: c for e, c in out.items() if c}
+
+    def poly_add(a, b, sign):
+        out = dict(a)
+        for e, c in b.items():
+            out[e] = out.get(e, 0) + sign * c
+        return {e: c for e, c in out.items() if c}
+
+    def cell_poly(l, j):
+        return {g.key[1][0]: c for g, c in f.entries[l][j].items()}
+
+    def det(rows, cols):
+        if len(rows) == 1:
+            return cell_poly(rows[0], cols[0])
+        total = {}
+        for k, col in enumerate(cols):
+            term = poly_mul(cell_poly(rows[0], col), det(rows[1:], cols[:k] + cols[k + 1 :]))
+            total = poly_add(total, term, 1 if k % 2 == 0 else -1)
+        return total
+
+    return det(list(range(f.n)), list(range(f.n)))
+
+
+@st.composite
+def z_symbols(draw):
+    """A square matrix over Z(Z) with n <= 3; half of them have their last row
+    a monomial multiple of the first (or zero when n = 1), so are singular."""
+    Z = GroupSpec.integers()
+    n = draw(st.integers(1, 3))
+    poly = st.dictionaries(st.integers(-2, 2), st.integers(-2, 2), max_size=3)
+    cells = [[draw(poly) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        shift, c = draw(st.integers(-1, 1)), draw(st.integers(-2, 2))
+        cells[-1] = [{e + shift: c * v for e, v in cell.items()} for cell in (cells[0] if n > 1 else [{}])]
+    t = Z.generator(0)
+    return IntegerGroupMatrix.from_pairs(
+        Z, [[[(v, Z.power(t, e)) for e, v in cell.items()] for cell in row] for row in cells], m=n, n=n
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(z_symbols())
+def test_symbol_verdict_matches_cofactor_expansion(f):
+    want = bool(symbol_det_poly(f))
+    rep = verify_hypotheses(f)
+    assert (rep.lambda_injective.value, rep.lambda_injective.method) == (want, "fourier-symbol-determinant")
+    assert (rep.lambda_dense_image.value, rep.lambda_dense_image.method) == (
+        want, "fourier-symbol-determinant+rank-nullity"
+    )
 
 
 class TestRegularMatrix:

@@ -1,11 +1,12 @@
 """The lazy doubled model, doubled metric and diagonal action, and the
 vectorized dual-model tables, against materialized reference constructions."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from soficlab.actions import (
     AutomorphismAction,
@@ -218,10 +219,33 @@ def test_pair_model_automorphism_check_is_complete():
 # -- dual model tables ----------------------------------------------------------------
 
 
+def s3_spec():
+    """S3 as permutations of three points, composed right to left."""
+    perms = list(itertools.permutations(range(3)))
+    table = [[perms.index(tuple(p[q[i]] for i in range(3))) for q in perms] for p in perms]
+    return GroupSpec.from_table([str(p) for p in perms], table)
+
+
+S3 = s3_spec()
+# 2 + (1 2 0) + (2 1 0) over S3: 32 points, Smith moduli 2, 2, 8
+S3_DUAL = IntegerGroupMatrix.single(S3, [(2, S3.elements()[0]), (1, S3.elements()[3]), (1, S3.elements()[5])])
+# a 2 x 2 matrix over Z/2 x Z/2: 48 points, Smith moduli 2, 2, 2, 6
+V4_DUAL = IntegerGroupMatrix.from_pairs(
+    GroupSpec.abelian(("a", "b"), (2, 2)),
+    [[[(2, "e"), (-2, "b")], [(2, "e"), (-1, "b")]], [[(2, "a")], [(-1, "e"), (-1, "a*b")]]],
+)
+
+
 @settings(max_examples=30, deadline=None)
-@given(st.integers(1, 3), st.integers(-4, 4), st.integers(-4, 4))
-def test_dual_model_tables_match_fraction_loop(order, c0, c1):
-    f = IntegerGroupMatrix.single(GroupSpec.cyclic(order), [(c0, "e"), (c1, "t")])
+@given(
+    st.builds(
+        lambda order, c0, c1: IntegerGroupMatrix.single(GroupSpec.cyclic(order), [(c0, "e"), (c1, "t")]),
+        st.integers(1, 3), st.integers(-4, 4), st.integers(-4, 4),
+    )
+)
+@example(S3_DUAL)
+@example(V4_DUAL)
+def test_dual_model_tables_match_fraction_loop(f):
     try:
         points, mul, ident, maps = fraction_loop_dual_tables(f)
     except SingularMatrixError:

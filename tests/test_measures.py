@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soficlab.actions import cyclic_model, dual_model, IntegerGroupMatrix, TorusGridModel, product_model
+from soficlab.actions import (
+    FiniteGroupModel,
+    IntegerGroupMatrix,
+    TorusGridModel,
+    cyclic_model,
+    dual_model,
+    product_model,
+)
 from soficlab.errors import ValidationError
 from soficlab.groups import GroupSpec
 from soficlab.measures import (
@@ -204,6 +211,18 @@ class TestSupport:
         with pytest.raises(OverflowError, match="denominator"):
             exact_support(mix)
 
+    def test_negative_weights_refused(self, z3):
+        # the mass of {x_0 = 0} under these atoms used to be exactly 2
+        with pytest.raises(ValidationError, match="nonnegative"):
+            SampleBased(z3, [[0], [1]], [2, -1], 1, exact=True)
+
+    def test_mixture_parts_on_different_models_refused(self):
+        # marginal used to raise a broadcast ValueError, and exact_support to
+        # label the Z/5 atoms 3 and 4 with the Z/3 model
+        a, b = (ProductMeasure(SiteMeasure.uniform(cyclic_model(n)), 2) for n in (3, 5))
+        with pytest.raises(ValidationError, match="different models"):
+            Mixture((a, b), (Fraction(1, 2), Fraction(1, 2)))
+
 
 MODELS = [cyclic_model(5), product_model(cyclic_model(17)), TorusGridModel(4, 2)]
 
@@ -354,6 +373,26 @@ class TestConvolve:
         c, e = PointMass(TorusGridModel(4, 2), [[1, 1]]), PointMass(TorusGridModel(16, 1), [[5]])
         with pytest.raises(ValidationError, match="different models"):
             convolve(c, e)
+
+    def test_tables_of_the_same_order_refused(self):
+        # the point masses at 1 on Z/4 and on the Klein four-group used to
+        # convolve to the point mass at 2 in one order and at 0 in the other
+        klein = FiniteGroupModel(range(4), np.arange(4)[:, None] ^ np.arange(4)[None, :], 0)
+        for x, y in ((cyclic_model(4), klein), (klein, cyclic_model(4))):
+            a, b = PointMass(x, [1]), PointMass(y, [1])
+            for build in (Convolution, convolve):
+                with pytest.raises(ValidationError, match="different models"):
+                    build(a, b)
+            with pytest.raises(ValidationError, match="different models"):
+                SiteMeasure.point_mass(x, 1).convolve(SiteMeasure.point_mass(y, 1))
+            with pytest.raises(ValidationError, match="different models"):
+                convolve(doubled(a), doubled(b))
+
+    def test_two_dual_models_of_one_f_convolve(self):
+        f = IntegerGroupMatrix.single(GroupSpec.cyclic(2), [(3, "e"), (-1, "t")])
+        (m1, _), (m2, _) = dual_model(f), dual_model(f)
+        out = convolve(PointMass(m1, [1]), PointMass(m2, [2]))
+        assert exact_support(out).points.tolist() == [[m1.op(1, 2)]]
 
 
 class TestDoubled:
