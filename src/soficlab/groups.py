@@ -300,23 +300,6 @@ class GroupSpec:
             return math.prod(self.moduli)
         return None
 
-    @property
-    def relations(self) -> tuple[str, ...]:
-        """Defining relations (display form) implied by the presentation."""
-        if self.kind == "abelian":
-            rels = []
-            names = self.generators
-            for i in range(len(names)):
-                for j in range(i + 1, len(names)):
-                    rels.append(f"{names[i]}*{names[j]}*{names[i]}^-1*{names[j]}^-1")
-            for n, m in zip(names, self.moduli):
-                if m:
-                    rels.append(f"{n}^{m}")
-            return tuple(rels)
-        if self.kind == "free":
-            return ()
-        return ("<multiplication table>",)
-
     # -- quotients ---------------------------------------------------------
 
     def offers_quotient(self, quotient: Mapping) -> bool:

@@ -2,14 +2,18 @@
 
 ``SiteMeasure`` is an exact finitely-supported measure on the model points
 (integer weights over a common denominator).  ``ModelMeasure`` is the union of
-the candidate-space variants: product measures, uniform measures on explicit
-candidate sets, convolutions, point masses, sample-based atom lists, convex
-mixtures, and the doubled measure mu (x) mu on the product model.
+the five candidate-space variants: product measures (``ProductMeasure``),
+lazy convolutions (``Convolution``), weighted atom lists (``SampleBased``),
+convex mixtures (``Mixture``) and the lazy doubled measure mu (x) mu on the
+product model (``Doubled``).
 
-``SampleBased`` is the one atom list: ``exact_support`` materializes every
-variant as one, and ``convolve`` returns one for small exact supports.  Atoms
-that a convolution or a mixture makes equal are merged, and the merged atoms
-come in lexicographic order of their candidate rows.
+``SampleBased`` is the one atom list.  ``PointMass`` and ``UniformOnSet``
+build it, ``exact_support`` materializes every variant as one, and
+``convolve`` returns one for small exact supports.  Atoms that a convolution
+or a mixture makes equal are merged, and the merged atoms come in
+lexicographic order of their candidate rows.  ``doubled`` keeps two
+structural shortcuts, a product of doubled sites and a convolution of doubled
+factors, and returns ``Doubled`` for every other variant.
 
 Weights are exact rationals wherever the variant is exact; Monte Carlo paths
 are reproducible from the generator handed in.  Total mass 1 is enforced at
@@ -45,15 +49,16 @@ class SiteMeasure:
     den: int
 
     def __post_init__(self):
+        if self.den < 1:
+            raise ValidationError("a measure needs a positive denominator")
         num = np.asarray(self.num, dtype=np.int64).copy()
         if num.shape != (self.model.n_points,):
             raise ValidationError("weight vector length must match the model")
         if (num < 0).any():
             raise ValidationError("weights must be nonnegative")
-        total = int(num.sum())
-        if total != self.den:
+        if int(num.sum()) != self.den:
             raise ValidationError("weights must sum to 1")
-        g = int(np.gcd.reduce(np.append(num[num > 0], self.den))) if total else 1
+        g = int(np.gcd.reduce(np.append(num, self.den)))
         num //= g
         num.setflags(write=False)
         object.__setattr__(self, "num", num)
@@ -70,9 +75,6 @@ class SiteMeasure:
         num[int(model.point_indices(point))] = 1
         return cls(model, num, 1)
 
-    def weight(self, i: int) -> Fraction:
-        return Fraction(int(self.num[i]), self.den)
-
     def weights(self) -> list[Fraction]:
         return [Fraction(int(v), self.den) for v in self.num]
 
@@ -85,8 +87,7 @@ class SiteMeasure:
         return float(np.dot(self.num.astype(np.float64), values) / self.den)
 
     def tv_distance(self, other: "SiteMeasure") -> Fraction:
-        if other.model.n_points != self.model.n_points:
-            raise ValidationError("models differ")
+        _check_same_model(self.model, other.model)
         l = math.lcm(self.den, other.den)
         a = self.num.astype(object) * (l // self.den)
         b = other.num.astype(object) * (l // other.den)
@@ -119,7 +120,7 @@ class SiteMeasure:
     def __eq__(self, other):
         return (
             isinstance(other, SiteMeasure)
-            and self.model.n_points == other.model.n_points
+            and _same_model(self.model, other.model)
             and self.den == other.den
             and (self.num == other.num).all()
         )
@@ -140,27 +141,26 @@ def _product_den(a: int, b: int) -> int:
     return den
 
 
-def _check_same_model(a: CompactGroupModel, b: CompactGroupModel) -> None:
-    """Refuse to combine points of two models with different group laws: a
-    different class, size, grid, pair factor, or table and identity."""
+def _same_model(a: CompactGroupModel, b: CompactGroupModel) -> bool:
+    """Whether two models have one group law: the same class, size, grid,
+    pair factor, and table and identity."""
     while isinstance(a, PairModel) and isinstance(b, PairModel):
         a, b = a.factor, b.factor
     same = (type(a), a.n_points, getattr(a, "q", None)) == (type(b), b.n_points, getattr(b, "q", None))
     if same and isinstance(a, FiniteGroupModel) and a is not b:
         same = a.identity == b.identity and np.array_equal(a.mul, b.mul)
-    if not same:
+    return same
+
+
+def _check_same_model(a: CompactGroupModel, b: CompactGroupModel) -> None:
+    """Refuse to combine points of two models with different group laws."""
+    if not _same_model(a, b):
         raise ValidationError(f"measures live on different models: {a!r} and {b!r}")
 
 
 # ---------------------------------------------------------------------------
 # candidate-space measures
 # ---------------------------------------------------------------------------
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.asarray(arr, dtype=np.int64).copy()
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -173,37 +173,6 @@ class ProductMeasure:
     @property
     def model(self) -> CompactGroupModel:
         return self.site.model
-
-
-@dataclass(frozen=True)
-class UniformOnSet:
-    """Uniform measure on an explicit nonempty candidate set."""
-
-    model: CompactGroupModel
-    points: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        pts = _freeze(self.points)
-        if pts.shape[0] == 0:
-            raise ValidationError("UniformOnSet needs a nonempty set")
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def d(self) -> int:
-        return self.points.shape[1]
-
-
-@dataclass(frozen=True)
-class PointMass:
-    model: CompactGroupModel
-    point: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "point", _freeze(self.point))
-
-    @property
-    def d(self) -> int:
-        return self.point.shape[0]
 
 
 @dataclass(frozen=True)
@@ -244,7 +213,9 @@ class SampleBased:
     exact: bool = False
 
     def __post_init__(self):
-        pts = _freeze(self.points)
+        if self.weights_den < 1:
+            raise ValidationError("a measure needs a positive denominator")
+        pts = np.asarray(self.points, dtype=np.int64).copy()
         num = np.asarray(self.weights_num, dtype=np.int64).copy()
         if num.shape[0] != pts.shape[0]:
             raise ValidationError("one weight per atom")
@@ -254,6 +225,7 @@ class SampleBased:
         total = int(num.sum()) if self.weights_den < 2**63 else sum(num.tolist())
         if total != self.weights_den:
             raise ValidationError("atom weights must sum to 1")
+        pts.setflags(write=False)
         num.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights_num", num)
@@ -264,6 +236,17 @@ class SampleBased:
 
     def weights(self) -> list[Fraction]:
         return [Fraction(int(v), self.weights_den) for v in self.weights_num]
+
+
+def PointMass(model: CompactGroupModel, point) -> SampleBased:
+    """The point mass at one candidate: one exact atom of weight 1."""
+    return SampleBased(model, np.asarray(point)[None, ...], [1], 1, exact=True)
+
+
+def UniformOnSet(model: CompactGroupModel, points) -> SampleBased:
+    """The uniform measure on a nonempty candidate set: n exact atoms of weight 1/n."""
+    n = len(points)
+    return SampleBased(model, points, np.ones(n, dtype=np.int64), n, exact=True)
 
 
 @dataclass(frozen=True)
@@ -307,14 +290,12 @@ class Doubled:
         return self.inner.d
 
 
-ModelMeasure = (
-    ProductMeasure | UniformOnSet | PointMass | Convolution | SampleBased | Mixture | Doubled
-)
+ModelMeasure = ProductMeasure | Convolution | SampleBased | Mixture | Doubled
 
 
 def is_exact(mu: ModelMeasure) -> bool:
     """Whether every statistic of mu is exactly representable."""
-    if isinstance(mu, (ProductMeasure, UniformOnSet, PointMass)):
+    if isinstance(mu, ProductMeasure):
         return True
     if isinstance(mu, SampleBased):
         return mu.exact
@@ -331,22 +312,14 @@ def is_exact(mu: ModelMeasure) -> bool:
 def marginal(mu: ModelMeasure, j: int) -> tuple[SiteMeasure, bool]:
     """Coordinate-j marginal and whether it is exact.
 
-    Exact for products, point masses, explicit sets, convolutions of exacts,
-    mixtures of exacts; sample-estimated (flagged) for Monte Carlo atoms.
+    Exact for products, exact atom lists, and convolutions, mixtures and
+    doublings of exacts; sample-estimated (flagged) for Monte Carlo atoms.
     """
     if not 0 <= j < mu.d:
         raise ValidationError(f"coordinate {j} out of range")
     model = mu.model
     if isinstance(mu, ProductMeasure):
         return mu.site, True
-    if isinstance(mu, PointMass):
-        num = np.zeros(model.n_points, dtype=np.int64)
-        num[int(model.point_indices(mu.point[j]))] = 1
-        return SiteMeasure(model, num, 1), True
-    if isinstance(mu, UniformOnSet):
-        idx = model.point_indices(mu.points[:, j])
-        counts = np.bincount(idx, minlength=model.n_points)
-        return SiteMeasure(model, counts, int(counts.sum())), True
     if isinstance(mu, SampleBased):
         idx = model.point_indices(mu.points[:, j])
         num = np.zeros(model.n_points, dtype=np.int64)
@@ -375,13 +348,6 @@ def exact_support(mu: ModelMeasure, budget: int = 10**6) -> SampleBased | None:
     The atoms of convolutions and mixtures are merged and lexicographically
     sorted; the other variants keep their atoms as listed."""
     model = mu.model
-    if isinstance(mu, PointMass):
-        return SampleBased(model, mu.point[None, ...], [1], 1, exact=True)
-    if isinstance(mu, UniformOnSet):
-        n = mu.points.shape[0]
-        if n > budget:
-            return None
-        return SampleBased(model, mu.points, np.ones(n, dtype=np.int64), n, exact=True)
     if isinstance(mu, SampleBased):
         return None if mu.points.shape[0] > budget else mu
     if isinstance(mu, ProductMeasure):
@@ -453,11 +419,6 @@ def sample(mu: ModelMeasure, k: int, rng: np.random.Generator) -> np.ndarray:
     if isinstance(mu, ProductMeasure):
         idx = mu.site.sample_indices(rng, k * mu.d).reshape(k, mu.d)
         return model.points_from_indices(idx)
-    if isinstance(mu, PointMass):
-        return np.repeat(mu.point[None, ...], k, axis=0)
-    if isinstance(mu, UniformOnSet):
-        pick = rng.integers(0, mu.points.shape[0], size=k)
-        return mu.points[pick]
     if isinstance(mu, SampleBased):
         p = mu.weights_num / mu.weights_den
         pick = rng.choice(mu.points.shape[0], size=k, p=p)
@@ -551,22 +512,11 @@ def convolve(nu: ModelMeasure, mu: ModelMeasure, budget: int = 4096) -> ModelMea
 
 
 def doubled(mu: ModelMeasure) -> ModelMeasure:
-    """mu (x) mu on the doubled model, with structure-preserving shortcuts."""
+    """mu (x) mu on the doubled model: a product of doubled sites, a
+    convolution of doubled factors, and the lazy ``Doubled`` otherwise."""
     if isinstance(mu, ProductMeasure):
         return ProductMeasure(mu.site.tensor(mu.site), mu.d)
-    if isinstance(mu, PointMass):
-        return PointMass(product_model(mu.model), pair_candidates(mu.model, mu.point, mu.point))
     if isinstance(mu, Convolution):
         # (nu * mu) (x) (nu * mu) = (nu (x) nu) * (mu (x) mu)
         return Convolution(doubled(mu.left), doubled(mu.right))
-    if isinstance(mu, Mixture):
-        # each pair of parts becomes its materialized atoms a (x) b
-        subs = [exact_support(p, 4096) for p in mu.parts]
-        if any(s is None or s.points.shape[0] ** 2 > 4096 for s in subs):
-            raise ValidationError("mixture doubling needs small supports")
-        model2, pair = product_model(mu.model), partial(pair_candidates, mu.model)
-        return Mixture(
-            tuple(_cross(model2, a, b, pair) for a in subs for b in subs),
-            tuple(ci * cj for ci in mu.coeffs for cj in mu.coeffs),
-        )
     return Doubled(mu)

@@ -50,18 +50,12 @@ class Pseudometric:
     numerators in ``table_num`` (an n x n array, or a ``PairTable`` for a
     doubled metric); torus metrics have no table and compute them from
     residues.
-    ``generating_witness`` is the finite set of group elements certifying
-    dynamical generation (the built-in metrics are genuine metrics, so the
-    identity suffices).
     """
 
     name: str
     model: CompactGroupModel
-    bi_invariant: bool
-    exact: bool
     diam_sq: Fraction
     min_positive_sq: Fraction | None
-    generating_witness: tuple = ()
     table_num: np.ndarray | PairTable | None = field(default=None, repr=False)
     den: int = 1
 
@@ -75,9 +69,6 @@ class Pseudometric:
         x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
         return Fraction(int(_sq_nums(self, x, y)), self.den)
 
-    def distance(self, x, y) -> float:
-        return math.sqrt(float(self.sq(x, y)))
-
 
 def discrete_metric(model: FiniteModel) -> Pseudometric:
     """0/1 metric on a finite model; bi-invariant, diameter 1."""
@@ -87,8 +78,6 @@ def discrete_metric(model: FiniteModel) -> Pseudometric:
     return Pseudometric(
         name="discrete",
         model=model,
-        bi_invariant=True,
-        exact=True,
         diam_sq=Fraction(1),
         min_positive_sq=Fraction(1),
         table_num=table,
@@ -104,8 +93,6 @@ def torus_metric(model: TorusGridModel) -> Pseudometric:
     return Pseudometric(
         name="torus-l2",
         model=model,
-        bi_invariant=True,
-        exact=True,
         diam_sq=Fraction(s * half * half, s * q * q),
         min_positive_sq=Fraction(1, s * q * q),
         den=s * q * q,
@@ -147,8 +134,6 @@ def doubled_metric(metric: Pseudometric) -> Pseudometric:
     return Pseudometric(
         name=f"{metric.name}^2",
         model=model2,
-        bi_invariant=metric.bi_invariant,
-        exact=True,
         diam_sq=metric.diam_sq,
         min_positive_sq=(
             metric.min_positive_sq / 2 if metric.min_positive_sq is not None else None
@@ -212,7 +197,6 @@ class TestFunction:
     """
 
     name: str
-    sup_norm: float
     values_num: np.ndarray | None = field(default=None, repr=False)
     values_den: int = 1
     values_float: np.ndarray | None = field(default=None, repr=False)
@@ -247,14 +231,7 @@ def indicator_panel(model: CompactGroupModel, scale: Fraction = Fraction(1)) -> 
     for i in range(n):
         num = np.zeros(n, dtype=np.int64)
         num[i] = scale.numerator
-        out.append(
-            TestFunction(
-                name=f"ind[{i}]",
-                sup_norm=float(scale),
-                values_num=num,
-                values_den=scale.denominator,
-            )
-        )
+        out.append(TestFunction(name=f"ind[{i}]", values_num=num, values_den=scale.denominator))
     return tuple(out)
 
 
@@ -282,11 +259,7 @@ def character_panel(model: CompactGroupModel, freqs: Sequence[int] = (1,), scale
     for k in freqs:
         for part, fn in (("re", np.cos), ("im", np.sin)):
             out.append(
-                TestFunction(
-                    name=f"chi{k}.{part}",
-                    sup_norm=float(scale),
-                    values_float=float(scale) * fn(2 * np.pi * k * phases),
-                )
+                TestFunction(name=f"chi{k}.{part}", values_float=float(scale) * fn(2 * np.pi * k * phases))
             )
     return tuple(out)
 

@@ -156,7 +156,7 @@ def test_doubled_metric_matches_averaged_factor_distances(model_action, data):
     ).reshape(n, n)
     den = data.draw(st.integers(1, 7))
     metric = Pseudometric(
-        name="t", model=model, bi_invariant=False, exact=True, diam_sq=Fraction(50, den),
+        name="t", model=model, diam_sq=Fraction(50, den),
         min_positive_sq=None, table_num=table, den=den,
     )
     for base in (metric, discrete_metric(model)):

@@ -1,12 +1,18 @@
-"""Source hygiene: every name a soficlab module imports is used in it, and
-every module-level private function or class is referenced somewhere."""
+"""Source hygiene: every name a soficlab module imports is used in it, every
+module-level private function or class is referenced somewhere, and every
+public function, class and method is referenced by the package, its tests or
+the benchmark."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "soficlab").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "soficlab").glob("*.py"))
+READERS = SOURCES + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "soficbench").glob("*.py"))
+DEFS = (ast.FunctionDef, ast.ClassDef)
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -18,47 +24,73 @@ def unused_imports(tree: ast.Module) -> list[str]:
             for alias in node.names:
                 name = alias.asname or alias.name.split(".")[0]
                 imported[name] = node.lineno
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | quoted_names(tree)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | set(quoted_names(tree))
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
-def quoted_names(tree: ast.AST) -> set[str]:
-    """Names quoted in annotations, such as "SiteMeasure"."""
-    names = set()
+def quoted_names(tree: ast.AST) -> list[str]:
+    """Names quoted in annotations, such as "SiteMeasure", once per quote."""
+    names = []
     for node in ast.walk(tree):
         for ann in (getattr(node, "annotation", None), getattr(node, "returns", None)):
             for sub in ast.walk(ann) if ann is not None else ():
                 if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
                     expr = ast.parse(sub.value, mode="eval")
-                    names |= {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
+                    names += [n.id for n in ast.walk(expr) if isinstance(n, ast.Name)]
     return names
 
 
-def referenced_names(tree: ast.AST) -> set[str]:
-    """Names a tree loads, reads as attributes, imports by name or quotes."""
-    names = quoted_names(tree)
+def references(tree: ast.AST) -> Counter:
+    """How often a tree loads, reads as an attribute, imports by name or
+    quotes each name."""
+    refs = Counter(quoted_names(tree))
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            refs[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            refs[node.attr] += 1
         elif isinstance(node, ast.ImportFrom):
-            names |= {alias.name for alias in node.names}
-    return names
+            refs.update(alias.name for alias in node.names)
+    return refs
+
+
+def unreferenced(defs: list[tuple[str, ast.AST]], readers) -> list[str]:
+    """The named definitions that no reader references outside the definition
+    itself."""
+    total = sum((references(tree) for tree in readers), Counter())
+    return [
+        f"{name} (line {node.lineno})" for name, node in defs if total[node.name] == references(node)[node.name]
+    ]
 
 
 def unreferenced_privates(modules: dict[str, ast.Module]) -> list[str]:
     """Module-level ``_private`` functions and classes that no module
     references outside their own definition."""
-    stmts = [(mod, stmt, referenced_names(stmt)) for mod, tree in modules.items() for stmt in tree.body]
-    return [
-        f"{mod}.{node.name} (line {node.lineno})"
-        for mod, node, _ in stmts
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
-        and not node.name.startswith("__")
-        and not any(node.name in names for _, stmt, names in stmts if stmt is not node)
+    defs = [
+        (f"{mod}.{node.name}", node)
+        for mod, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, DEFS) and node.name.startswith("_") and not node.name.startswith("__")
     ]
+    return unreferenced(defs, modules.values())
+
+
+def unreferenced_publics(modules: dict[str, ast.Module], readers) -> list[str]:
+    """Public module-level functions and classes of ``modules``, and public
+    methods of their classes, that no reader references outside their own
+    definition."""
+    defs = []
+    for mod, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, DEFS) and not node.name.startswith("_"):
+                defs.append((f"{mod}.{node.name}", node))
+            if isinstance(node, ast.ClassDef):
+                defs += [
+                    (f"{mod}.{node.name}.{m.name}", m)
+                    for m in node.body
+                    if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
+                ]
+    return unreferenced(defs, readers)
 
 
 def test_sources_found():
@@ -73,6 +105,11 @@ def test_no_unused_imports(path):
 def test_no_unreferenced_private_helpers():
     modules = {p.stem: ast.parse(p.read_text()) for p in SOURCES}
     assert unreferenced_privates(modules) == []
+
+
+def test_no_unreferenced_public_names():
+    modules = {p.stem: ast.parse(p.read_text()) for p in SOURCES}
+    assert unreferenced_publics(modules, [ast.parse(p.read_text()) for p in READERS]) == []
 
 
 def test_scan_flags_an_unreferenced_private_helper():
@@ -94,3 +131,23 @@ def test_scan_flags_an_unused_import():
         "def f(x: 'Sequence[int]'): return np.asarray(x)\n"
     )
     assert unused_imports(tree) == ["Callable (line 2)"]
+
+
+def test_scan_flags_unreferenced_public_names():
+    lib = ast.parse(
+        "def used(x): return x\n\n"
+        "def recursive(n): return recursive(n - 1) if n else 0\n\n"
+        "def _private(): pass\n\n"
+        "class Quoted:\n"
+        "    def __init__(self): pass\n\n"
+        "    def called(self): return self.helper()\n\n"
+        "    def helper(self): pass\n\n"
+        "    @property\n"
+        "    def unread(self): return 1\n\n"
+        "    def _hidden(self): pass\n"
+    )
+    user = ast.parse("from lib import used\n\ndef f(q: 'Quoted'): return used(q).called()\n")
+    assert unreferenced_publics({"lib": lib}, [lib, user]) == [
+        "lib.recursive (line 3)",
+        "lib.Quoted.unread (line 15)",
+    ]

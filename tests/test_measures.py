@@ -14,6 +14,7 @@ from soficlab.actions import (
     TorusGridModel,
     cyclic_model,
     dual_model,
+    pair_candidates,
     product_model,
 )
 from soficlab.errors import ValidationError
@@ -41,6 +42,9 @@ from soficlab.measures import (
 @pytest.fixture
 def z3():
     return cyclic_model(3)
+
+
+KLEIN = FiniteGroupModel(range(4), np.arange(4)[:, None] ^ np.arange(4)[None, :], 0)
 
 
 class TestSiteMeasure:
@@ -112,6 +116,19 @@ class TestSiteMeasure:
     def test_equality_across_model_sizes(self):
         # equal denominators, different lengths: unequal, not a broadcast error
         assert SiteMeasure.uniform(cyclic_model(2)) != SiteMeasure(cyclic_model(4), [1, 1, 0, 0], 2)
+
+    def test_tables_of_the_same_order_compare_unequal(self):
+        # the point masses at 1 on Z/4 and on the Klein four-group used to
+        # compare equal, at TV distance 0
+        a, b = SiteMeasure.point_mass(cyclic_model(4), 1), SiteMeasure.point_mass(KLEIN, 1)
+        assert a != b
+        with pytest.raises(ValidationError, match="different models"):
+            a.tv_distance(b)
+        assert a == SiteMeasure.point_mass(cyclic_model(4), 1)
+
+    def test_zero_denominator_refused(self, z3):
+        with pytest.raises(ValidationError, match="positive denominator"):
+            SiteMeasure(z3, [0, 0, 0], 0)
 
     def test_tv_distance(self, z3):
         u = SiteMeasure.uniform(z3)
@@ -216,6 +233,13 @@ class TestSupport:
         with pytest.raises(ValidationError, match="nonnegative"):
             SampleBased(z3, [[0], [1]], [2, -1], 1, exact=True)
 
+    def test_empty_atom_list_refused(self, z3):
+        # mass of it used to divide by zero and its marginal to have den 0
+        with pytest.raises(ValidationError, match="positive denominator"):
+            SampleBased(z3, np.empty((0, 2)), [], 0)
+        with pytest.raises(ValidationError, match="positive denominator"):
+            UniformOnSet(z3, np.empty((0, 2)))
+
     def test_mixture_parts_on_different_models_refused(self):
         # marginal used to raise a broadcast ValueError, and exact_support to
         # label the Z/5 atoms 3 and 4 with the Z/3 model
@@ -299,6 +323,35 @@ class TestSampling:
         zero_rows = (out == 0).all(axis=1).mean()
         assert zero_rows > 0.4  # half point mass plus accidental zeros
 
+    def test_weighted_atom_frequencies(self, z3):
+        mu = SampleBased(z3, [[0, 0], [1, 2], [2, 1], [2, 2]], [1, 2, 3, 6], 12, exact=True)
+        k = 6000
+        out = sample(mu, k, np.random.default_rng(3))
+        assert (out == sample(mu, k, np.random.default_rng(3))).all()
+        for atom, w in zip(mu.points, mu.weights()):
+            freq = (out == atom).all(axis=1).mean()
+            assert abs(freq - float(w)) < 5 * math.sqrt(float(w * (1 - w)) / k)
+
+    def test_doubled_draws_pair_inner_atoms(self, z3):
+        inner = UniformOnSet(z3, np.array([[0, 1], [2, 2], [1, 0]]))
+        out = sample(Doubled(inner), 200, np.random.default_rng(8))
+        atoms = {tuple(a) for a in inner.points.tolist()}
+        for half in np.divmod(out, 3):
+            assert {tuple(x) for x in half.tolist()} <= atoms
+
+    def test_monte_carlo_mass_of_a_doubled_set(self, z3):
+        dU = doubled(UniformOnSet(z3, np.array([[0, 1], [2, 2], [1, 0], [1, 1]])))
+
+        def same_first(xs):
+            return xs[:, 0] // 3 == xs[:, 0] % 3
+
+        exact = mass(dU, same_first)
+        assert exact.exact and exact.fraction == Fraction(6, 16)
+        n, p = 4000, float(exact.fraction)
+        est = mass(dU, same_first, budget=4, n_samples=n, rng=np.random.default_rng(6))
+        assert not est.exact and est.n_samples == n
+        assert abs(est.value - p) < 5 * math.sqrt(p * (1 - p) / n)
+
     def test_torus_sampling_shape(self):
         t = TorusGridModel(8, 2)
         mu = ProductMeasure(SiteMeasure.uniform(t), d=5)
@@ -347,6 +400,16 @@ class TestConvolve:
         out = convolve(a, a)
         assert isinstance(out, SampleBased) and out.exact
 
+    def test_lazy_above_the_budget(self, z3):
+        a = UniformOnSet(z3, np.array([[0, 1], [2, 2], [1, 0]]))
+        b = UniformOnSet(z3, np.array([[0, 0], [1, 2], [2, 1], [1, 1]]))
+        out = convolve(a, b, budget=11)
+        assert isinstance(out, Convolution) and out.left is a and out.right is b
+        small = convolve(a, b, budget=12)
+        assert isinstance(small, SampleBased)
+        sup = exact_support(out)
+        assert (sup.points == small.points).all() and sup.weights() == small.weights()
+
     def test_d_mismatch(self, z3):
         with pytest.raises(ValidationError):
             convolve(PointMass(z3, np.array([0])), PointMass(z3, np.array([0, 1])))
@@ -377,8 +440,7 @@ class TestConvolve:
     def test_tables_of_the_same_order_refused(self):
         # the point masses at 1 on Z/4 and on the Klein four-group used to
         # convolve to the point mass at 2 in one order and at 0 in the other
-        klein = FiniteGroupModel(range(4), np.arange(4)[:, None] ^ np.arange(4)[None, :], 0)
-        for x, y in ((cyclic_model(4), klein), (klein, cyclic_model(4))):
+        for x, y in ((cyclic_model(4), KLEIN), (KLEIN, cyclic_model(4))):
             a, b = PointMass(x, [1]), PointMass(y, [1])
             for build in (Convolution, convolve):
                 with pytest.raises(ValidationError, match="different models"):
@@ -403,10 +465,9 @@ class TestDoubled:
         assert out.site.model.n_points == 9
 
     def test_point_mass_doubles(self, z3):
-        mu = PointMass(z3, np.array([1, 2]))
-        out = doubled(mu)
-        assert isinstance(out, PointMass)
-        assert (out.point == np.array([1 * 3 + 1, 2 * 3 + 2])).all()
+        sup = exact_support(doubled(PointMass(z3, np.array([1, 2]))))
+        assert sup.points.tolist() == [[1 * 3 + 1, 2 * 3 + 2]]
+        assert sup.weights() == [1]
 
     def test_convolution_doubles_structurally(self, z3):
         a = ProductMeasure(SiteMeasure.uniform(z3), d=2)
@@ -434,3 +495,31 @@ class TestDoubled:
         )
         assert not is_exact(sb)
         assert not is_exact(Convolution(ProductMeasure(SiteMeasure.uniform(z3), 2), sb))
+        assert is_exact(PointMass(z3, [0, 1])) and is_exact(UniformOnSet(z3, [[0, 1], [1, 1]]))
+        exact = ProductMeasure(SiteMeasure.uniform(z3), 2)
+        half = (Fraction(1, 2), Fraction(1, 2))
+        assert is_exact(Mixture((exact, PointMass(z3, [0, 1])), half))
+        assert not is_exact(Mixture((exact, sb), half))
+        assert is_exact(Doubled(exact)) and not is_exact(doubled(sb))
+
+    def test_mixture_with_a_large_part_doubles(self):
+        # a 70-atom part used to be refused ("mixture doubling needs small
+        # supports"); mu (x) mu is the mixture of the crossed parts
+        z5 = cyclic_model(5)
+        rng = np.random.default_rng(11)
+        parts = (UniformOnSet(z5, rng.integers(0, 5, size=(70, 3))), PointMass(z5, [1, 4, 0]))
+        coeffs = (Fraction(2, 3), Fraction(1, 3))
+        mix = Mixture(parts, coeffs)
+        crossed = []
+        for a in parts:
+            for b in parts:
+                ii, jj = np.divmod(np.arange(len(a.points) * len(b.points)), len(b.points))
+                pts = pair_candidates(z5, a.points[ii], b.points[jj])
+                w = a.weights_num[ii] * b.weights_num[jj]
+                crossed.append(SampleBased(product_model(z5), pts, w, a.weights_den * b.weights_den, exact=True))
+        want = Mixture(tuple(crossed), tuple(ci * cj for ci in coeffs for cj in coeffs))
+        out = doubled(mix)
+        got_sup, want_sup = exact_support(out), exact_support(want)
+        assert law(got_sup.points, got_sup.weights()) == law(want_sup.points, want_sup.weights())
+        for j in range(3):
+            assert marginal(out, j) == marginal(want, j)

@@ -506,8 +506,7 @@ class TestTorusModels:
         # a table reads point indices: on a torus it would read residues as
         # indices, so the metric is refused, as is a finite model without one
         fields = dict(
-            name="discrete", bi_invariant=True, exact=True,
-            diam_sq=Fraction(1), min_positive_sq=Fraction(1),
+            name="discrete", diam_sq=Fraction(1), min_positive_sq=Fraction(1),
         )
         table = discrete_metric(cyclic_model(9)).table_num
         with pytest.raises(ValidationError, match="table_num"):
