@@ -668,7 +668,15 @@ def continuous_kernel(mat: np.ndarray) -> list[tuple[Fraction, ...]]:
     Raises OverflowError when s_r >= 2^31.
     """
     pts, diag, _ = _torsion_kernel(mat)
-    return [tuple(Fraction(k, diag[-1]) for k in row) for row in pts.tolist()]
+    return _grid_labels(pts, diag[-1])
+
+
+def _grid_labels(pts: np.ndarray, scale: int) -> list[tuple[Fraction, ...]]:
+    """The labels k / scale of int64 rows k with entries in [0, scale), built
+    from one Fraction per value of k.  A torsion kernel has a point of order
+    scale, so there are never more values than points."""
+    values = [Fraction(k, scale) for k in range(scale)]
+    return [tuple(values[k] for k in row) for row in pts.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -743,8 +751,7 @@ def dual_model(f: IntegerGroupMatrix) -> tuple[FiniteGroupModel, AutomorphismAct
     sums = np.zeros((K, K), dtype=np.int64)
     for i in range(len(moduli)):
         sums += (y[:, None, i] + y[None, :, i]) % moduli[i] * place[i]
-    points = [tuple(Fraction(k, scale) for k in row) for row in pts.tolist()]
-    model = FiniteGroupModel(points, rank[sums], int(rank[0]), name=f"dual(|G|={N}, n={f.n})")
+    model = FiniteGroupModel(_grid_labels(pts, scale), rank[sums], int(rank[0]), name=f"dual(|G|={N}, n={f.n})")
     # (g.x)[(h, j)] = x[(g^-1 h, j)]: the source column of every target column
     src = np.array([
         [pos[spec.multiply(spec.inverse(g), h)] * f.n + j for h in els for j in range(f.n)]

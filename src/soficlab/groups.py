@@ -423,7 +423,7 @@ def _validate_table(mul: np.ndarray, e: int) -> tuple[np.ndarray, tuple[int, ...
             continue
         before = int(reached.sum())
         gens.append(g)
-        reached = _right_closure(mul, e, gens)
+        _close(mul, reached, g)
         if reached.sum() < 2 * before:
             # not a subgroup extension, so not a group: with an identity and
             # inverses, only associativity can fail
@@ -438,16 +438,28 @@ def _validate_table(mul: np.ndarray, e: int) -> tuple[np.ndarray, tuple[int, ...
     return inv, tuple(gens)
 
 
-def _right_closure(mul: np.ndarray, e: int, gens: Sequence[int]) -> np.ndarray:
-    """Mask of the points reached from ``e`` by right multiplication by ``gens``."""
-    reached = np.zeros(mul.shape[0], dtype=bool)
-    reached[e] = True
-    frontier = np.array([e])
-    while frontier.size:
-        nxt = mul[frontier[:, None], np.asarray(gens)].reshape(-1)
-        frontier = np.unique(nxt[~reached[nxt]])
-        reached[frontier] = True
-    return reached
+def _close(mul: np.ndarray, reached: np.ndarray, g: int) -> None:
+    """Grow the mask ``reached``, closed under products, by ``g`` to the set
+    of all products of its points (in a group, the subgroup they generate).
+
+    Each round multiplies the points new in the last round by every reached
+    point on both sides, so every pair is multiplied once and the word
+    lengths reached double per round; products are gathered in row blocks of
+    about 2^20 entries.
+    """
+    n = mul.shape[0]
+    block = max(1, 2**20 // n)
+    reached[g] = True
+    new = np.array([g])
+    while new.size:
+        old = np.flatnonzero(reached)
+        hit = np.zeros(n, dtype=bool)
+        for lo in range(0, new.size, block):
+            part = new[lo : lo + block]
+            hit[mul[np.ix_(part, old)]] = True
+            hit[mul[np.ix_(old, part)]] = True
+        new = np.flatnonzero(hit & ~reached)
+        reached[new] = True
 
 
 # ---------------------------------------------------------------------------

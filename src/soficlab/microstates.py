@@ -6,10 +6,11 @@ indices for finite models, (d, sites) of residues for torus-grid models.
 Batches stack candidates along a leading axis.
 
 Thresholds are exact: built-in metrics carry squared distances as integers
-over a common denominator, and every comparison against delta^2 is done by
-integer cross-multiplication.  The membership rule is strict inequality with
-the zero-distance case admitted (so exactly equivariant candidates pass at
-every delta, including 0).
+over a common denominator, and each rational threshold is turned once into an
+inclusive integer range for those numerators, which int64 arrays are then
+compared against.  The membership rule is strict inequality with the
+zero-distance case admitted (so exactly equivariant candidates pass at every
+delta, including 0).
 """
 
 from __future__ import annotations
@@ -175,12 +176,23 @@ def rho2(metric: Pseudometric, x: np.ndarray, y: np.ndarray) -> float:
     return math.sqrt(float(rho2_sq(metric, x, y)))
 
 
+_INT64 = np.iinfo(np.int64)
+
+
+def _in_range(nums: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Mask of lo <= nums <= hi for int64 nums, exact for any Python-int bounds."""
+    if lo > hi or lo > _INT64.max or hi < _INT64.min:
+        return np.zeros(np.shape(nums), dtype=bool)
+    return (nums >= max(lo, _INT64.min)) & (nums <= min(hi, _INT64.max))
+
+
 def _lt_threshold(nums, count: int, metric: Pseudometric, delta: Fraction):
-    """Vectorized test: (num / (count*den)) < delta^2, or num == 0."""
-    dsq = delta * delta
-    lhs = np.asarray(nums, dtype=object) * dsq.denominator
-    rhs = dsq.numerator * count * metric.den
-    return (lhs < rhs) | (np.asarray(nums) == 0)
+    """Vectorized test: (num / (count*den)) < delta^2, or num == 0.
+
+    For integer nums that is num <= ceil(delta^2 * count * den) - 1, or
+    num <= 0 when that bound is -1 (delta = 0)."""
+    limit = math.ceil(delta * delta * count * metric.den)
+    return nums <= min(max(limit - 1, 0), _INT64.max)
 
 
 # ---------------------------------------------------------------------------
@@ -350,11 +362,13 @@ def meas_microstate_mask(
         res = f.means(model, xs)
         if f.exact:
             nums, den = res
-            # |num/den - target| < delta, via integers
-            t = Fraction(target)
-            lhs = np.abs(np.asarray(nums, dtype=object) * t.denominator - t.numerator * den)
-            bound = delta.numerator * den * t.denominator
-            ok &= (lhs * delta.denominator < bound) | (lhs == 0)
+            # |num - c| < delta*den or num == c, for c = target*den: the
+            # integers strictly inside the interval, plus c when integral
+            c, r = Fraction(target) * den, delta * den
+            lo, hi = math.floor(c - r) + 1, math.ceil(c + r) - 1
+            if c.denominator == 1:
+                lo, hi = min(lo, int(c)), max(hi, int(c))
+            ok &= _in_range(nums, lo, hi)
         else:
             gap = np.abs(res - float(target))
             ok &= (gap < float(delta)) | (gap == 0)
@@ -386,7 +400,7 @@ def _all_candidates(model: CompactGroupModel, d: int, budget: int) -> np.ndarray
     return model.points_from_indices(mixed_radix(np.arange(total), [n] * d))
 
 
-def _sorted_candidates(model: CompactGroupModel, xs: np.ndarray) -> np.ndarray:
+def _sorted_candidates(xs: np.ndarray) -> np.ndarray:
     if xs.shape[0] <= 1:
         return xs
     flat = xs.reshape(xs.shape[0], -1)
@@ -428,7 +442,7 @@ def enumerate_top_microstates(
         and forces_exact_equivariance(metric, delta, sigma.d)
     ):
         out = _enumerate_equivariant(model, sigma, F, action, budget)
-        return _sorted_candidates(model, out)
+        return _sorted_candidates(out)
     xs = _all_candidates(model, sigma.d, budget)
     mask = top_microstate_mask(xs, sigma, F, delta, metric, action)
     return xs[mask]
@@ -519,8 +533,11 @@ def sample_microstates(
     seed: int,
     max_attempts_per_sample: int = 40,
 ) -> np.ndarray:
-    """Randomized search for measure microstates: seed uniform candidates and
-    greedily repair the worst coordinate until membership holds.
+    """Randomized search for measure microstates: seed uniform candidates,
+    greedily repair them against the F-equations x(sigma(g) j) = g.x(j), and
+    keep the first candidate of each slot that passes the full membership
+    test.  Repair lowers only the count of broken F-equations; the delta
+    threshold and the L-panel conditions are checked at the end.
 
     Returns up to n_samples verified candidates (possibly fewer); the result
     is a pure function of the arguments.  Finite models only.
@@ -533,12 +550,15 @@ def sample_microstates(
     d = sigma.d
     n = model.n_points
     found = []
-    maps = [(sigma.perm(g), action.point_map(g)) for g in window.F]
+    eqs = []
+    for g in window.F:
+        p = sigma.perm(g)
+        eqs.append((p.tolist(), np.argsort(p).tolist(), action.point_map(g).tolist()))
     for slot in range(n_samples):
         rng = np.random.default_rng([seed, 0x5A3C, slot])
         for _ in range(max_attempts_per_sample):
             x = rng.integers(0, n, size=d).astype(np.int64)
-            x = _repair(x, maps, rng, rounds=4 * d)
+            x = _repair(x, eqs, n, rng, rounds=4 * d)
             if is_meas_microstate(x, sigma, window, metric, action):
                 found.append(x)
                 break
@@ -547,39 +567,62 @@ def sample_microstates(
     return np.stack(found)
 
 
-def _violations(x: np.ndarray, maps) -> np.ndarray:
-    """Per-coordinate count of broken equivariance equations."""
-    d = x.shape[0]
-    out = np.zeros(d, dtype=np.int64)
-    for p, m in maps:
-        bad = m[x] != x[p]
-        out += bad  # source side
-        np.add.at(out, p[bad], 1)  # target side
-    return out
+def _repair(x: np.ndarray, eqs, n: int, rng: np.random.Generator, rounds: int) -> np.ndarray:
+    """Greedy walk lowering the broken equations m(x_j) = x_{p(j)}, one for
+    each (p, p^-1, m) in ``eqs`` and each coordinate j, over values 0..n-1.
 
+    Each round takes the first coordinate j of most broken equations through
+    it and moves it to the smallest value that breaks strictly fewer; when no
+    value does, one random coordinate takes a random value (the value is drawn
+    first).  A move changes only the <= 2|eqs| equations through j, so the
+    flags ``bad``, the per-coordinate counts ``viol`` (an equation counts at
+    j and at p(j), so twice at a fixed point) and the total are updated in
+    place, and each value is scored from those equations alone.
+    """
+    x = x.tolist()
+    d = len(x)
+    bad = [[m[x[j]] != x[p[j]] for j in range(d)] for p, _, m in eqs]
+    viol = [0] * d
+    total = 0
+    for (p, _, _), broken in zip(eqs, bad):
+        for j in range(d):
+            if broken[j]:
+                viol[j] += 1
+                viol[p[j]] += 1
+                total += 1
 
-def _repair(x: np.ndarray, maps, rng: np.random.Generator, rounds: int) -> np.ndarray:
-    x = x.copy()
-    n_points = max(int(m.shape[0]) for _, m in maps) if maps else 0
+    def move(j: int, v: int) -> None:
+        nonlocal total
+        x[j] = v
+        for (p, p_inv, m), broken in zip(eqs, bad):
+            for i in (j,) if p[j] == j else (j, p_inv[j]):
+                now = m[x[i]] != x[p[i]]
+                if now != broken[i]:
+                    step = 1 if now else -1
+                    broken[i] = now
+                    viol[i] += step
+                    viol[p[i]] += step
+                    total += step
+
     for _ in range(rounds):
-        viol = _violations(x, maps)
-        total = int(viol.sum())
         if total == 0:
-            return x
-        j = int(np.argmax(viol))
-        best_val, best_score = int(x[j]), total
-        for v in range(n_points):
-            if v == x[j]:
-                continue
-            x[j] = v
-            score = int(_violations(x, maps).sum())
-            if score < best_score:
-                best_val, best_score = v, score
-        x[j] = best_val
-        if best_score == total:
-            # stuck: random restart of one coordinate
-            x[int(rng.integers(0, x.shape[0]))] = int(rng.integers(0, n_points))
-    return x
+            break
+        j = viol.index(max(viol))
+        # scores[v]: the broken equations through j once x_j = v
+        scores = [0] * n
+        for p, p_inv, m in eqs:
+            if p[j] == j:
+                scores = [s + (m[v] != v) for v, s in enumerate(scores)]
+            else:
+                a, b = x[p[j]], m[x[p_inv[j]]]
+                scores = [s + (m[v] != a) + (v != b) for v, s in enumerate(scores)]
+        best = min(scores)
+        if best < scores[x[j]]:
+            move(j, scores.index(best))
+        else:
+            v = int(rng.integers(0, n))
+            move(int(rng.integers(0, d)), v)
+    return np.array(x, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

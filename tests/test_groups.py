@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from soficlab.actions import FiniteGroupModel
 from soficlab.errors import UnsupportedElementError, ValidationError
 from soficlab.groups import (
     GroupSpec,
     SoficApproximation,
+    _validate_table,
     perturb,
     quotient_sofic,
     sofic_defects,
@@ -136,6 +138,91 @@ class TestGroupAlgebra:
         assert len(model.generators) <= 7
         assert (model.mul[np.arange(90), model.inv] == 0).all()
         GroupSpec.from_table(labels=[str(i) for i in range(90)], mul_table=table)
+
+
+
+def _reference_validate_table(mul, e):
+    """The validator with its breadth-first right closure from e, one
+    np.unique per frontier step: the reference for the product closure."""
+    n = mul.shape[0]
+    if not 0 <= e < n or (mul < 0).any() or (mul >= n).any():
+        raise ValidationError("table entries out of range")
+    if not ((mul[e, :] == np.arange(n)).all() and (mul[:, e] == np.arange(n)).all()):
+        raise ValidationError("identity axiom fails")
+    inv = np.full(n, -1, dtype=np.int64)
+    rows, cols = np.nonzero(mul == e)
+    inv[rows] = cols
+    if (inv < 0).any():
+        raise ValidationError("some element has no inverse")
+    gens, reached = [], np.zeros(n, dtype=bool)
+    reached[e] = True
+    for g in range(n):
+        if reached[g]:
+            continue
+        before = int(reached.sum())
+        gens.append(g)
+        reached = np.zeros(n, dtype=bool)
+        reached[e] = True
+        frontier = np.array([e])
+        while frontier.size:
+            nxt = mul[frontier[:, None], np.asarray(gens)].reshape(-1)
+            frontier = np.unique(nxt[~reached[nxt]])
+            reached[frontier] = True
+        if reached.sum() < 2 * before:
+            raise ValidationError("multiplication table is not associative")
+    for g in gens:
+        if not (mul[mul[:, g]] == mul[:, mul[g]]).all():
+            raise ValidationError("multiplication table is not associative")
+    return inv, tuple(gens)
+
+
+@st.composite
+def group_tables(draw):
+    """The table of a random permutation group of degree <= 4 times Z/m,
+    with its elements in a random order."""
+    k = draw(st.integers(1, 4))
+    perms = {tuple(range(k))} | {tuple(draw(st.permutations(range(k)))) for _ in range(draw(st.integers(0, 2)))}
+    group = set(perms)
+    while True:
+        more = {tuple(a[i] for i in b) for a in group for b in perms} - group
+        if not more:
+            break
+        group |= more
+    m = draw(st.integers(1, 3))
+    elements = draw(st.permutations(sorted((p, c) for p in group for c in range(m))))
+    index = {el: i for i, el in enumerate(elements)}
+    table = np.array(
+        [[index[(tuple(a[i] for i in b), (c + d) % m)] for b, d in elements] for a, c in elements],
+        dtype=np.int64,
+    )
+    return table, index[(tuple(range(k)), 0)]
+
+
+class TestTableValidator:
+    @settings(max_examples=80, deadline=None)
+    @given(group_tables())
+    def test_same_generators_as_the_right_closure(self, case):
+        table, e = case
+        inv, gens = _validate_table(table, e)
+        ref_inv, ref_gens = _reference_validate_table(table, e)
+        assert gens == ref_gens and inv.tolist() == ref_inv.tolist()
+
+    @settings(max_examples=80, deadline=None)
+    @given(group_tables(), st.data())
+    def test_same_refusal_of_a_changed_entry(self, case, data):
+        # an entry off the identity row and column changed: never a group
+        table, e = case
+        n = table.shape[0]
+        others = [i for i in range(n) if i != e]
+        if not others:
+            return
+        a, b = data.draw(st.sampled_from(others)), data.draw(st.sampled_from(others))
+        table[a, b] = data.draw(st.sampled_from([v for v in range(n) if v != table[a, b]]))
+        with pytest.raises(ValidationError) as got:
+            _validate_table(table, e)
+        with pytest.raises(ValidationError) as ref:
+            _reference_validate_table(table, e)
+        assert type(got.value) is type(ref.value)
 
 
 class TestWords:

@@ -1,7 +1,8 @@
 """Source hygiene: every name a soficlab module imports is used in it, every
-module-level private function or class is referenced somewhere, and every
-public function, class and method is referenced by the package, its tests or
-the benchmark."""
+module-level private function or class is referenced somewhere, every public
+function, class and method is referenced by the package, its tests or the
+benchmark, and every parameter of a module-level function is read in its
+body."""
 
 import ast
 from collections import Counter
@@ -93,6 +94,24 @@ def unreferenced_publics(modules: dict[str, ast.Module], readers) -> list[str]:
     return unreferenced(defs, readers)
 
 
+def unread_parameters(tree: ast.Module) -> list[str]:
+    """Parameters of module-level functions that the function body never
+    reads."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+            read = {
+                n.id
+                for stmt in node.body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            out += [f"{node.name}({p.arg}) (line {node.lineno})" for p in params if p.arg not in read]
+    return out
+
+
 def test_sources_found():
     assert {p.name for p in SOURCES} >= {"actions.py", "measures.py", "microstates.py"}
 
@@ -100,6 +119,11 @@ def test_sources_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unread_parameters(path):
+    assert unread_parameters(ast.parse(path.read_text())) == []
 
 
 def test_no_unreferenced_private_helpers():
@@ -151,3 +175,12 @@ def test_scan_flags_unreferenced_public_names():
         "lib.recursive (line 3)",
         "lib.Quoted.unread (line 15)",
     ]
+
+
+def test_scan_flags_an_unread_parameter():
+    tree = ast.parse(
+        "def f(a, b, *args, c=1, **kw): return a + c + sum(args) + len(kw)\n\n"
+        "def g(x, y):\n    y = 2\n    def inner(): return x\n    return inner\n\n"
+        "class C:\n    def method(self, unused): pass\n"
+    )
+    assert unread_parameters(tree) == ["f(b) (line 1)", "g(y) (line 3)"]

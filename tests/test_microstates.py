@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from soficlab.actions import (
     AutomorphismAction,
@@ -20,6 +21,9 @@ from soficlab.measures import SiteMeasure
 from soficlab.microstates import (
     MapWindow,
     Pseudometric,
+    TestFunction as PanelFunction,  # aliased so pytest does not collect it
+    _lt_threshold,
+    _repair,
     character_panel,
     default_panel,
     discrete_metric,
@@ -34,6 +38,7 @@ from soficlab.microstates import (
     rho2,
     rho2_sq,
     sample_microstates,
+    meas_microstate_mask,
     save_microstates,
     shift_lift,
     top_microstate_mask,
@@ -513,3 +518,140 @@ class TestTorusModels:
             Pseudometric(model=TorusGridModel(3, 2), table_num=table, **fields)
         with pytest.raises(ValidationError, match="table_num"):
             Pseudometric(model=cyclic_model(9), **fields)
+
+
+class TestExactThresholds:
+    """The integer thresholds against their Fraction definitions."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        nums=st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=8),
+        count=st.integers(1, 2**62),
+        q=st.integers(1, 9),
+        delta=st.fractions(min_value=0, max_value=4, max_denominator=2**40),
+    )
+    @example(nums=[0, 1, 3], count=4, q=1, delta=Fraction(0))
+    @example(nums=[0, 3, 4, 5], count=5, q=1, delta=Fraction(1))
+    @example(nums=[0, 1, 2], count=3, q=1, delta=Fraction(2**32, 2**33 + 1))
+    @example(nums=[2**63 - 1, 2**63 - 2], count=2**62, q=9, delta=Fraction(4))
+    def test_top_threshold(self, nums, count, q, delta):
+        metric = discrete_metric(cyclic_model(2)) if q == 1 else torus_metric(TorusGridModel(q, 2))
+        want = [Fraction(k, count * metric.den) < delta * delta or k == 0 for k in nums]
+        got = _lt_threshold(np.array(nums, dtype=np.int64), count, metric, delta)
+        assert got.tolist() == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        values=st.lists(st.integers(-(2**20), 2**20), min_size=3, max_size=3),
+        values_den=st.integers(1, 2**34),
+        weights=st.lists(st.integers(0, 2**40), min_size=3, max_size=3).filter(any),
+        delta=st.fractions(min_value=0, max_value=2, max_denominator=2**40),
+    )
+    @example(values=[0, 1, 0], values_den=1, weights=[1, 1, 2], delta=Fraction(0))
+    @example(values=[3, 0, 1], values_den=7, weights=[2**40 + 1, 3, 2**33], delta=Fraction(1, 2**32 + 3))
+    @example(values=[1, 0, 0], values_den=1, weights=[1, 2, 1], delta=Fraction(1, 4))
+    def test_exact_panel(self, values, values_den, weights, delta):
+        # F = () leaves only the panel; every candidate of length 4 on Z/3
+        model = cyclic_model(3)
+        group = GroupSpec.cyclic(2)
+        sigma = quotient_sofic(group, {"kind": "regular", "copies": 2}, list(group.elements()))
+        f = PanelFunction("f", values_num=np.array(values, dtype=np.int64), values_den=values_den)
+        target = SiteMeasure(model, np.array(weights, dtype=np.int64), sum(weights))
+        xs = np.array(np.meshgrid(*[range(3)] * 4, indexing="ij")).reshape(4, -1).T
+        t = sum(Fraction(w * v, sum(weights) * values_den) for w, v in zip(weights, values))
+        means = [sum(Fraction(values[i], 4 * values_den) for i in x) for x in xs]
+        want = [abs(m - t) < delta or m == t for m in means]
+        window = MapWindow(F=(), delta=delta, L=(f,), target=target)
+        got = meas_microstate_mask(xs, sigma, window, discrete_metric(model), trivial_action(group, model))
+        assert got.tolist() == want
+
+
+# -- the repair walk ----------------------------------------------------------
+
+
+def _reference_violations(x, maps):
+    """Per-coordinate count of broken equations, recomputed from scratch."""
+    out = np.zeros(x.shape[0], dtype=np.int64)
+    for p, m in maps:
+        bad = m[x] != x[p]
+        out += bad
+        np.add.at(out, p[bad], 1)
+    return out
+
+
+def _reference_repair(x, maps, rng, rounds):
+    """The walk that rescores every value of the worst coordinate by
+    recomputing every equation: the reference for the incremental walk."""
+    x = x.copy()
+    n_points = max(int(m.shape[0]) for _, m in maps) if maps else 0
+    for _ in range(rounds):
+        viol = _reference_violations(x, maps)
+        total = int(viol.sum())
+        if total == 0:
+            return x
+        j = int(np.argmax(viol))
+        best_val, best_score = int(x[j]), total
+        for v in range(n_points):
+            if v == x[j]:
+                continue
+            x[j] = v
+            score = int(_reference_violations(x, maps).sum())
+            if score < best_score:
+                best_val, best_score = v, score
+        x[j] = best_val
+        if best_score == total:
+            x[int(rng.integers(0, x.shape[0]))] = int(rng.integers(0, n_points))
+    return x
+
+
+@st.composite
+def repair_cases(draw):
+    """Random walks: permutations p (with fixed points at small d), bijective
+    or arbitrary value maps m, 0 to 3 equations per coordinate, d >= 1."""
+    d, n = draw(st.integers(1, 7)), draw(st.integers(1, 4))
+    maps = []
+    for _ in range(draw(st.integers(0, 3))):
+        p = draw(st.permutations(range(d)))
+        m = draw(st.permutations(range(n)) | st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        maps.append((np.array(p, dtype=np.int64), np.array(m, dtype=np.int64)))
+    x = np.array(draw(st.lists(st.integers(0, n - 1), min_size=d, max_size=d)), dtype=np.int64)
+    return maps, n, x, draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 4 * d + 4))
+
+
+class TestRepairWalk:
+    @settings(max_examples=300, deadline=None)
+    @given(repair_cases())
+    def test_matches_the_reference_walk(self, case):
+        maps, n, x, seed, rounds = case
+        eqs = [(p.tolist(), np.argsort(p).tolist(), m.tolist()) for p, m in maps]
+        rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = _reference_repair(x, maps, rng_ref, rounds)
+        got = _repair(x, eqs, n, rng, rounds)
+        assert got.dtype == np.int64 and got.tolist() == want.tolist()
+        # the same draws were taken, in the same order
+        assert rng.integers(0, 2**63) == rng_ref.integers(0, 2**63)
+
+    def test_pinned_samples(self):
+        # Z on Z/3 by negation, sigma the shift on Z/d: the samples the
+        # full-recomputation walk drew, as digit strings
+        Z = GroupSpec.integers()
+        model = cyclic_model(3)
+        action = AutomorphismAction(Z, model, generator_maps={"t": unit_automorphism(model, -1)})
+        t = Z.generator(0)
+        uniform = SiteMeasure.uniform(model)
+        metric = discrete_metric(model)
+        cases = [
+            (16, (), Fraction(1, 4), ["1212121212121212", "2121212121212121", "0000000000000000"]),
+            (30, indicator_panel(model), Fraction(1, 4), []),
+            (30, indicator_panel(model), Fraction(1, 2), [
+                "121212121212112121212122121212",
+                "000000212121121211200000000000",
+                "121212121202122121212100000002",
+            ]),
+        ]
+        for d, panel, delta, want in cases:
+            sigma = quotient_sofic(Z, {"kind": "cyclic-powers", "orders": [d]}, [Z.identity(), t, Z.inverse(t)])
+            window = MapWindow(F=(t,), delta=delta, L=panel, target=uniform)
+            got = sample_microstates(model, sigma, window, metric, action, n_samples=3, seed=4)
+            assert got.shape == (len(want), d) and got.dtype == np.int64
+            assert ["".join(map(str, row)) for row in got.tolist()] == want
