@@ -622,7 +622,8 @@ def _solve_residue_box(mat: np.ndarray, q: int, bound: int, budget: int) -> np.n
 def count_kernel_points(model: AlgebraicActionModel, mode: str, budget: int = 10**6) -> int:
     """Kernel size under one of three counting modes.
 
-    continuous-exact: |det f^(sigma)| (square, nonsingular).
+    continuous-exact: |det f^(sigma)| (square, nonsingular), exact by the
+    multi-modular CRT of ``intlin.det_multimodular``.
     grid-exact: exact solutions on the q-grid, prod gcd(s_i, q) over the
     Smith diagonal (zero divisors contribute q).
     grid-tolerance: tolerance-kernel grid points, listed by one batch solve
@@ -633,7 +634,7 @@ def count_kernel_points(model: AlgebraicActionModel, mode: str, budget: int = 10
     if mode == "continuous-exact":
         if model.source.m != model.source.n:
             raise ValidationError("continuous-exact needs a square matrix")
-        return intlin.abs_det(mat.tolist())
+        return intlin.abs_det(mat)
     if mode == "grid-exact":
         return intlin.kernel_count_mod(mat.tolist(), model.q)
     if mode == "grid-tolerance":

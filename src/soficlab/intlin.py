@@ -1,9 +1,13 @@
 """Exact integer linear algebra.
 
-Determinants (Bareiss fraction-free elimination), Smith normal form with
-unimodular transforms, and the one lattice solver for ``A x = t (mod q)``.
-Bareiss and the Smith form work over Python ints, so nothing overflows and
-every count is exact.  ``solve_mod_batch`` takes a Smith form, reduces its
+Determinants, Smith normal form with unimodular transforms, and the one
+lattice solver for ``A x = t (mod q)``.  ``det_multimodular`` computes
+determinants: a Crout LU in float64 modulo word-size primes, batched over the
+primes, combined by CRT past twice the Hadamard bound, so every result is
+exact.  ``abs_det``, and with it continuous-exact counting, goes through it.
+``det_bareiss`` (fraction-free elimination over Python ints) stays for small
+exact determinants.  The Smith form works over Python ints, so nothing
+overflows.  ``solve_mod_batch`` takes a Smith form, reduces its
 transforms mod q once and solves a batch of targets in vectorized int64
 (q < 2^31), decoding the solution lattice with ``mixed_radix``; ``solve_mod``
 is its one-target iterator.  Matrices are accepted as nested sequences or
@@ -57,6 +61,124 @@ def det_bareiss(mat) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+# The LU stack of one batch of primes stays within this many bytes.
+_LU_BYTES = 32 * 2**20
+# Primes found so far, largest first, for each upper limit.
+_PRIMES: dict[int, list[int]] = {}
+
+
+def _hadamard_bound(a: np.ndarray) -> int:
+    """B > |det a|: isqrt of the smaller of the products of the squared
+    row norms and of the squared column norms, plus 1.  The squares are
+    summed in int64 when no sum can reach 2^63, else over Python ints."""
+    top = max(int(a.max()), -int(a.min()))
+    sq = (a if len(a) * top * top < 2**63 else a.astype(object)) ** 2
+    return math.isqrt(min(math.prod(sq.sum(axis=k).tolist()) for k in (0, 1))) + 1
+
+
+def _is_prime(m: int) -> bool:
+    """Miller-Rabin with bases 2, 3, 5, 7: deterministic for m < 3,215,031,751."""
+    if m < 11:
+        return m in (2, 3, 5, 7)
+    e, s = m - 1, 0
+    while e % 2 == 0:
+        e, s = e // 2, s + 1
+    for b in (2, 3, 5, 7):
+        x = pow(b, e, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes(n: int, bound: int) -> list[int]:
+    """Primes p with n (p - 1)^2 < 2^53, largest first, until their product
+    exceeds 2 * bound.  Every dot product of n residues mod p is then exact
+    in float64.  The primes are found lazily and cached per limit."""
+    limit = math.isqrt((2**53 - 1) // n) + 1
+    cache = _PRIMES.setdefault(limit, [])
+    out, mod = [], 1
+    while mod <= 2 * bound:
+        if len(out) == len(cache):
+            m = cache[-1] - 1 if cache else limit
+            while not _is_prime(m):
+                if m < 2:
+                    raise OverflowError(f"the primes below {limit} do not exceed twice the Hadamard bound")
+                m -= 1
+            cache.append(m)
+        out.append(cache[len(out)])
+        mod *= out[-1]
+    return out
+
+
+def _det_residues(a: np.ndarray, primes: list[int]) -> list[int]:
+    """det a mod p for each prime, by one Crout LU of the (P, n, n) float64
+    stack of residues, with L (unit diagonal) and U stored in place.
+
+    Step k forms column k of L U and row k of U with batched matvecs; entries
+    below p keep every dot product exact.  Each prime pivots on its first
+    nonzero entry of the column, and det is the signed product of the pivots,
+    the diagonal of U; a prime without a pivot has det = 0 mod p.
+    """
+    n = a.shape[0]
+    ps = np.array(primes, dtype=np.int64)[:, None]
+    lu = np.empty((len(primes), n, n))
+    for j, p in enumerate(primes):
+        lu[j] = a % p
+    batch = np.arange(len(primes))
+    det = np.ones(len(primes), dtype=np.int64)
+    for k in range(n):
+        col = lu[:, k:, k] - np.matmul(lu[:, k:, :k], lu[:, :k, k, None])[..., 0]
+        col = col.astype(np.int64) % ps
+        r = (col != 0).argmax(axis=1)
+        lu[batch, k], lu[batch, k + r] = lu[batch, k + r], lu[batch, k]
+        col[batch, 0], col[batch, r] = col[batch, r], col[batch, 0]
+        piv = col[:, 0]
+        det = np.where(r > 0, -det, det) * piv % ps[:, 0]
+        if not det.any():
+            break
+        inv = np.array([pow(v, -1, p) if v else 0 for v, p in zip(piv.tolist(), primes)], dtype=np.int64)
+        lu[:, k + 1 :, k] = col[:, 1:] * inv[:, None] % ps
+        row = lu[:, k, k + 1 :] - np.matmul(lu[:, k, None, :k], lu[:, :k, k + 1 :])[:, 0]
+        lu[:, k, k + 1 :] = row.astype(np.int64) % ps
+    return det.tolist()
+
+
+def det_multimodular(mat) -> int:
+    """Exact determinant of a square integer matrix, by CRT over primes.
+
+    The primes, below a limit set by n so that float64 elimination mod p is
+    exact, are taken until their product M exceeds twice the Hadamard bound;
+    every one of them is used.  The residues are found in batches whose LU
+    stack stays within ``_LU_BYTES``, combined by CRT, and the symmetric
+    residue mod M is the determinant.  Entries beyond int64 are reduced mod
+    p over Python ints.
+    """
+    try:
+        a = np.array(mat, dtype=np.int64)
+    except OverflowError:
+        a = np.array(as_int_rows(mat), dtype=object)
+    n = len(a)
+    if n == 0:
+        return 1
+    if a.shape != (n, n):
+        raise ValueError("determinant needs a square matrix")
+    primes = _primes(n, _hadamard_bound(a))
+    per_batch = max(1, _LU_BYTES // (8 * n * n))
+    det, mod = 0, 1
+    for i in range(0, len(primes), per_batch):
+        batch = primes[i : i + per_batch]
+        for p, r in zip(batch, _det_residues(a, batch)):
+            det += mod * ((r - det) * pow(mod, -1, p) % p)
+            mod *= p
+    return det - mod if det > mod // 2 else det
 
 
 def _swap_rows(m, i, j):
@@ -266,7 +388,7 @@ def solve_mod(mat, target, q: int, budget: int | None = None) -> Iterator[tuple[
 
 
 def abs_det(mat) -> int:
-    d = det_bareiss(mat)
+    d = det_multimodular(mat)
     if d == 0:
         raise SingularMatrixError("matrix is singular")
     return abs(d)

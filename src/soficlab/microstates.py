@@ -19,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -186,6 +186,10 @@ def _in_range(nums: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return (nums >= max(lo, _INT64.min)) & (nums <= min(hi, _INT64.max))
 
 
+# Panel means gather at most this many values at once.
+_GATHER_ITEMS = 2**17
+
+
 def _lt_threshold(nums, count: int, metric: Pseudometric, delta: Fraction):
     """Vectorized test: (num / (count*den)) < delta^2, or num == 0.
 
@@ -217,17 +221,24 @@ class TestFunction:
     def exact(self) -> bool:
         return self.values_num is not None
 
-    def means(self, model: CompactGroupModel, xs: np.ndarray):
-        """Empirical mean over coordinates for a batch of candidates.
+    def means(self, idx: np.ndarray):
+        """Empirical mean over coordinates for a batch of candidates, given
+        by their point indices ``idx`` of shape (N, d).
 
         Returns (nums, den) with mean = num/den for exact functions, or a
-        float array otherwise.  ``xs`` has shape (N, d[, sites]).
+        float array otherwise.  The values are gathered a block of rows at a
+        time, so the gathered array stays small; each row is still summed by
+        numpy's own reduction, whose rounding the float thresholds see.
         """
-        idx = model.point_indices(xs)
-        d = idx.shape[-1]
+        n, d = idx.shape
+        table = self.values_num if self.exact else self.values_float
+        out = np.empty(n, dtype=table.dtype)
+        rows = max(1, _GATHER_ITEMS // d)
+        for s in range(0, n, rows):
+            out[s : s + rows] = table[idx[s : s + rows]].sum(axis=-1)
         if self.exact:
-            return self.values_num[idx].sum(axis=-1), d * self.values_den
-        return self.values_float[idx].mean(axis=-1)
+            return out, d * self.values_den
+        return out / d
 
     def integral(self, mu: SiteMeasure):
         """Exact (Fraction) or float integral against a site measure."""
@@ -321,7 +332,11 @@ def top_microstate_mask(
 ) -> np.ndarray:
     """Vectorized Map membership for a candidate batch of shape (N, d[, sites])."""
     _check_window_support(sigma, F)
-    delta = Fraction(delta)
+    return _top_mask(xs, sigma, F, Fraction(delta), metric, action)
+
+
+def _top_mask(xs: np.ndarray, sigma: SoficApproximation, F, delta: Fraction, metric: Pseudometric, action):
+    """``top_microstate_mask`` without the window support check."""
     N, d = xs.shape[0], xs.shape[1]
     ok = np.ones(N, dtype=bool)
     for g in F:
@@ -354,25 +369,42 @@ def meas_microstate_mask(
     action: AutomorphismAction,
 ) -> np.ndarray:
     """Map_mu membership: topological membership plus the L-panel conditions."""
-    ok = top_microstate_mask(xs, sigma, window.F, window.delta, metric, action)
-    model = metric.model
+    return _meas_test(sigma, window, metric, action)(xs)
+
+
+def _meas_test(sigma: SoficApproximation, window: MapWindow, metric: Pseudometric, action) -> Callable:
+    """Map_mu membership of candidate batches of length sigma.d, as a
+    function of the batch.  The window support is checked, and each panel
+    function's target and threshold are computed, once here."""
+    _check_window_support(sigma, window.F)
     delta = window.delta
+    panel = []
     for f in window.L:
         target = f.integral(window.target)
-        res = f.means(model, xs)
         if f.exact:
-            nums, den = res
             # |num - c| < delta*den or num == c, for c = target*den: the
             # integers strictly inside the interval, plus c when integral
+            den = sigma.d * f.values_den
             c, r = Fraction(target) * den, delta * den
             lo, hi = math.floor(c - r) + 1, math.ceil(c + r) - 1
             if c.denominator == 1:
                 lo, hi = min(lo, int(c)), max(hi, int(c))
-            ok &= _in_range(nums, lo, hi)
+            panel.append((f, (lo, hi)))
         else:
-            gap = np.abs(res - float(target))
-            ok &= (gap < float(delta)) | (gap == 0)
-    return ok
+            panel.append((f, float(target)))
+
+    def test(xs: np.ndarray) -> np.ndarray:
+        ok = _top_mask(xs, sigma, window.F, delta, metric, action)
+        idx = metric.model.point_indices(xs)
+        for f, bound in panel:
+            if f.exact:
+                ok &= _in_range(f.means(idx)[0], *bound)
+            else:
+                gap = np.abs(f.means(idx) - bound)
+                ok &= (gap < float(delta)) | (gap == 0)
+        return ok
+
+    return test
 
 
 def is_meas_microstate(
@@ -546,7 +578,7 @@ def sample_microstates(
         raise ValidationError("randomized repair search needs a finite model")
     if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")
-    _check_window_support(sigma, window.F)
+    member = _meas_test(sigma, window, metric, action)
     d = sigma.d
     n = model.n_points
     found = []
@@ -559,7 +591,7 @@ def sample_microstates(
         for _ in range(max_attempts_per_sample):
             x = rng.integers(0, n, size=d).astype(np.int64)
             x = _repair(x, eqs, n, rng, rounds=4 * d)
-            if is_meas_microstate(x, sigma, window, metric, action):
+            if member(x[None])[0]:
                 found.append(x)
                 break
     if not found:

@@ -1,6 +1,7 @@
 """Compact group models, automorphism actions, and algebraic action models."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -309,6 +310,30 @@ class TestSigmaMatrix:
     def test_q_too_small(self, Z2):
         with pytest.raises(ValidationError):
             instantiate_Xf(two_plus_t(Z2), regular_sigma(Z2), q=1, tol=0)
+
+
+class TestContinuousExactAtScale:
+    """Continuous-exact counts at d = 256 against oracles that use no exact
+    linear algebra: the circulant determinant and the character sum."""
+
+    def test_z_three_minus_t(self, Z):
+        d = 256
+        f = IntegerGroupMatrix.single(Z, [(3, "e"), (-1, "t")])
+        sigma = quotient_sofic(Z, {"kind": "cyclic-powers", "orders": [d]}, list(f.support()))
+        # 3I - P for the d-cycle P: det = 3^d - 1
+        assert count_kernel_points(instantiate_Xf(f, sigma, q=2, tol=0), "continuous-exact") == 3**d - 1
+
+    def test_z2_torus_matches_character_sum(self):
+        n = 16
+        Z2 = GroupSpec.integers2()
+        f = IntegerGroupMatrix.single(Z2, [(5, "e"), (-1, "s"), (-1, "s^-1"), (-1, "t"), (-1, "t^-1")])
+        sigma = quotient_sofic(Z2, {"kind": "cyclic-powers", "orders": [n, n]}, list(f.support()))
+        count = count_kernel_points(instantiate_Xf(f, sigma, q=2, tol=0), "continuous-exact")
+        # log|det| of a multilevel circulant is the sum of log|symbol| over the
+        # characters of Z/n x Z/n
+        c = 2 * np.cos(2 * np.pi * np.arange(n) / n)
+        want = float(np.log(5 - c[:, None] - c[None, :]).sum())
+        assert math.log(count) / n**2 == pytest.approx(want / n**2, abs=1e-9)
 
 
 class TestContinuousKernel:

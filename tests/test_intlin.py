@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import sympy
+from hypothesis import example, given, settings, strategies as st
 
 from soficlab import intlin
 from soficlab.errors import BudgetExceededError, SingularMatrixError
@@ -126,3 +127,133 @@ def test_solve_mod_budget():
 def test_abs_det_singular():
     with pytest.raises(SingularMatrixError):
         intlin.abs_det([[1, 1], [1, 1]])
+
+
+# -- the multi-modular determinant --------------------------------------------
+
+ENTRIES = st.one_of(st.integers(-3, 3), st.integers(-(2**80), 2**80))
+
+
+def square_matrices(max_n, entries=ENTRIES):
+    return st.integers(0, max_n).flatmap(
+        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+
+
+def with_dependent_row(m):
+    """m with its last row replaced by a combination of the others: singular."""
+    if len(m) < 2:
+        return [[0] * len(m) for _ in m]
+    other = m[1] if len(m) > 2 else [0] * len(m)
+    return m[:-1] + [[2 * a - b for a, b in zip(m[0], other)]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=square_matrices(9), singular=st.booleans())
+@example(m=[], singular=False)
+@example(m=[[2**64 + 1]], singular=False)
+def test_det_multimodular_matches_bareiss(m, singular):
+    if singular:
+        m = with_dependent_row(m)
+    assert intlin.det_multimodular(m) == intlin.det_bareiss(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=square_matrices(6, st.integers(-50, 50)).filter(len))
+def test_det_multimodular_matches_sympy(m):
+    assert intlin.det_multimodular(m) == int(sympy.Matrix(m).det())
+
+
+def test_det_multimodular_edge_sizes():
+    assert intlin.det_multimodular([]) == 1
+    for x in (0, 1, -1, 7, 2**63, -(2**100) - 3):
+        assert intlin.det_multimodular([[x]]) == x
+    with pytest.raises(ValueError):
+        intlin.det_multimodular([[1, 2]])
+
+
+def test_det_multimodular_singular():
+    rng = np.random.default_rng(6)
+    for n in (2, 5, 12, 40):
+        m = with_dependent_row(random_matrix(rng, n, n))
+        assert intlin.det_multimodular(m) == 0
+        with pytest.raises(SingularMatrixError):
+            intlin.abs_det(m)
+    assert intlin.det_multimodular([[0] * 30 for _ in range(30)]) == 0
+
+
+def test_det_multimodular_entries_beyond_int64():
+    rng = np.random.default_rng(7)
+    for n in (2, 4, 7):
+        high, low = (np.array(random_matrix(rng, n, n), dtype=object) for _ in range(2))
+        m = (high * 2**70 + low).tolist()
+        assert intlin.det_multimodular(m) == intlin.det_bareiss(m)
+    m = [[2**63, 1], [1, -(2**63) - 1]]
+    assert intlin.det_multimodular(m) == -(2**126) - 2**63 - 1
+
+
+def test_det_multimodular_zero_mod_its_own_primes():
+    # diag(q_1, ..., q_k) of the first k primes the routine takes at size k:
+    # the residue is 0 mod each of them, and only the further primes the
+    # Hadamard bound calls for carry the determinant
+    k = 6
+    qs = intlin._primes(k, 2 ** (30 * k))[:k]
+    mat = [[qs[i] if i == j else 0 for j in range(k)] for i in range(k)]
+    chosen = intlin._primes(k, intlin._hadamard_bound(np.array(mat)))
+    assert chosen[:k] == qs and len(chosen) > k
+    assert intlin._det_residues(np.array(mat), qs) == [0] * k
+    assert intlin.det_multimodular(mat) == math.prod(qs)
+
+
+def test_det_multimodular_sylvester_hadamard_meets_the_bound():
+    h = np.array([[1]])
+    for _ in range(3):
+        h = np.block([[h, h], [h, -h]])
+    m = h.tolist()
+    assert intlin._hadamard_bound(np.array(m)) == 8**4 + 1
+    assert abs(intlin.det_multimodular(m)) == 8**4
+    assert intlin.det_multimodular(m) == intlin.det_bareiss(m)
+
+
+def test_det_multimodular_across_batches(monkeypatch):
+    # an LU stack of two primes at a time: the residues of several batches
+    # are combined by one CRT
+    rng = np.random.default_rng(8)
+    m = random_matrix(rng, 20, 20, bound=40)
+    monkeypatch.setattr(intlin, "_LU_BYTES", 2 * 8 * 20 * 20)
+    assert len(intlin._primes(20, intlin._hadamard_bound(np.array(m)))) > 4
+    assert intlin.det_multimodular(m) == intlin.det_bareiss(m)
+
+
+def test_det_multimodular_big_circulant():
+    d = 90
+    mat = [[0] * d for _ in range(d)]
+    for j in range(d):
+        mat[j][j] = -2
+        mat[(j + 1) % d][j] += 1
+    assert abs(intlin.det_multimodular(mat)) == 2**d - 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 10**5), bits=st.integers(0, 3000))
+@example(n=1, bits=3000)
+@example(n=10**5, bits=3000)
+def test_primes_keep_float64_dot_products_exact(n, bits):
+    bound = 2**bits
+    primes = intlin._primes(n, bound)
+    assert all(n * (p - 1) ** 2 < 2**53 for p in primes)
+    assert all(sympy.isprime(p) for p in primes)
+    assert primes == sorted(primes, reverse=True) and len(set(primes)) == len(primes)
+    # largest first: the next prime up is too large
+    assert n * (sympy.nextprime(primes[0]) - 1) ** 2 >= 2**53
+    # consecutive primes, and only as many as 2 * bound calls for
+    assert all(sympy.prevprime(p) == q for p, q in zip(primes, primes[1:]))
+    assert math.prod(primes) > 2 * bound >= math.prod(primes[:-1])
+
+
+def test_is_prime_matches_sympy():
+    # 25326001 is a strong pseudoprime to bases 2, 3 and 5
+    special = [2047, 3277, 4033, 4681, 8321, 1373653, 25326001, 94906249, 94906263]
+    rng = np.random.default_rng(9)
+    for m in list(range(-2, 5000)) + special + rng.integers(2**20, 2**27, size=2000).tolist():
+        assert intlin._is_prime(m) == sympy.isprime(m)

@@ -500,12 +500,12 @@ class TestTorusModels:
         # the point (a, b) has index 3a + b
         weights = empirical_pushforward(x, t).weights()
         assert weights == [0, Fraction(1, 2), 0, Fraction(1, 4), 0, 0, 0, 0, Fraction(1, 4)]
-        nums, den = indicator_panel(t)[1].means(t, x[None])
+        nums, den = indicator_panel(t)[1].means(t.point_indices(x[None]))
         assert nums.tolist() == [2] and den == 4
         re, im = character_panel(t)
         # the character of the first coordinate: exp(2 pi i a / 3)
         assert np.allclose(re.values_float, [np.cos(2 * np.pi * (i // 3) / 3) for i in range(9)])
-        assert np.allclose(im.means(t, x[None]), [np.mean([np.sin(2 * np.pi * a / 3) for a, _ in x])])
+        assert np.allclose(im.means(t.point_indices(x[None])), [np.mean([np.sin(2 * np.pi * a / 3) for a, _ in x])])
 
     def test_table_metric_needs_a_finite_model(self):
         # a table reads point indices: on a torus it would read residues as
@@ -564,6 +564,78 @@ class TestExactThresholds:
         window = MapWindow(F=(), delta=delta, L=(f,), target=target)
         got = meas_microstate_mask(xs, sigma, window, discrete_metric(model), trivial_action(group, model))
         assert got.tolist() == want
+
+
+def _gather_mask(xs, sigma, window, metric, action):
+    """Map_mu membership with each panel mean taken from the gathered (N, d)
+    array of values: the reference for the row-block sums."""
+    ok = top_microstate_mask(xs, sigma, window.F, window.delta, metric, action)
+    idx = metric.model.point_indices(xs)
+    for f in window.L:
+        target = f.integral(window.target)
+        if f.exact:
+            # |nums/den - target| < delta, or equal, cross-multiplied
+            nums, den = f.values_num[idx].sum(axis=-1), idx.shape[-1] * f.values_den
+            t, delta = Fraction(target), window.delta
+            gap = np.abs(nums * t.denominator - t.numerator * den)
+            ok &= (gap * delta.denominator < delta.numerator * den * t.denominator) | (gap == 0)
+        else:
+            gap = np.abs(f.values_float[idx].mean(axis=-1) - float(target))
+            ok &= (gap < float(window.delta)) | (gap == 0)
+    return ok
+
+
+class TestPanelSums:
+    """The panel means gathered a block of rows at a time give the masks of
+    the whole gathered array."""
+
+    DELTAS = (Fraction(0), Fraction(1, 7), Fraction(1, 4), Fraction(1, 2))
+
+    def near_and_uniform(self, rng, n_rows, d, shape, q):
+        """Uniform candidates, and near-constant ones whose panel means sit on
+        the thresholds."""
+        uniform = rng.integers(0, q, size=(n_rows, d) + shape)
+        near = np.repeat(rng.integers(0, q, size=(n_rows, 1) + shape), d, axis=1)
+        rows = np.arange(n_rows)
+        for _ in range(d // 2):
+            near[rows, rng.integers(0, d, size=n_rows)] = rng.integers(0, q, size=(n_rows,) + shape)
+        return np.concatenate([uniform, near]).astype(np.int64)
+
+    def test_finite_model(self):
+        # d = 20 on Z/3: a row-block boundary falls inside the batch, and
+        # the character means tie with the thresholds at delta = 1/4
+        Z = GroupSpec.integers()
+        model = cyclic_model(3)
+        action = AutomorphismAction(Z, model, generator_maps={"t": unit_automorphism(model, -1)})
+        t = Z.generator(0)
+        d = 20
+        sigma = quotient_sofic(Z, {"kind": "cyclic-powers", "orders": [d]}, [Z.identity(), t, Z.inverse(t)])
+        metric = discrete_metric(model)
+        xs = self.near_and_uniform(np.random.default_rng(11), 4000, d, (), 3)
+        panel = default_panel(model, Fraction(2, 3)) + character_panel(model, freqs=(2,))
+        for target in (SiteMeasure.uniform(model), SiteMeasure(model, np.array([3, 1, 2]), 6)):
+            for delta in self.DELTAS:
+                window = MapWindow(F=(Z.identity(),), delta=delta, L=panel, target=target)
+                want = _gather_mask(xs, sigma, window, metric, action)
+                got = meas_microstate_mask(xs, sigma, window, metric, action)
+                assert got.tolist() == want.tolist()
+                assert (delta == 0 or want.any()) and not want.all()
+
+    def test_multi_site_torus(self):
+        Z = GroupSpec.integers()
+        q, d = 3, 6
+        model = TorusGridModel(q, 2)
+        action = AutomorphismAction(Z, model, generator_maps={"t": np.array([[1, 1], [0, 1]])})
+        t = Z.generator(0)
+        sigma = quotient_sofic(Z, {"kind": "cyclic-powers", "orders": [d]}, [Z.identity(), t, Z.inverse(t)])
+        metric = torus_metric(model)
+        xs = self.near_and_uniform(np.random.default_rng(12), 1500, d, (2,), q)
+        target = SiteMeasure.uniform(model)
+        for delta in self.DELTAS:
+            window = MapWindow(F=(Z.identity(),), delta=delta, L=default_panel(model), target=target)
+            want = _gather_mask(xs, sigma, window, metric, action)
+            assert meas_microstate_mask(xs, sigma, window, metric, action).tolist() == want.tolist()
+            assert delta == 0 or want.any()
 
 
 # -- the repair walk ----------------------------------------------------------
