@@ -485,6 +485,9 @@ class IntegerGroupMatrix:
     entries: tuple[tuple[Mapping[GroupElement, int], ...], ...]
 
     def __post_init__(self):
+        # an empty f^(sigma) has no rows to list, so its columns would be lost
+        if self.m < 1 or self.n < 1:
+            raise ValidationError(f"f must be at least 1 x 1, not {self.m} x {self.n}")
         if len(self.entries) != self.m or any(len(r) != self.n for r in self.entries):
             raise ValidationError("entry grid must be m x n")
         frozen = tuple(

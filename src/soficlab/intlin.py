@@ -7,7 +7,10 @@ primes, combined by CRT past twice the Hadamard bound, so every result is
 exact.  ``abs_det``, and with it continuous-exact counting, goes through it.
 ``det_bareiss`` (fraction-free elimination over Python ints) stays for small
 exact determinants.  The Smith form works over Python ints, so nothing
-overflows.  ``solve_mod_batch`` takes a Smith form, reduces its
+overflows; it repeats one round (move the least nonzero entry of the trailing
+block to the pivot, reduce its row and column by floor division) until the
+pivot divides the block, and the pivot falls at least every second round, so
+the loop ends.  ``solve_mod_batch`` takes a Smith form, reduces its
 transforms mod q once and solves a batch of targets in vectorized int64
 (q < 2^31), decoding the solution lattice with ``mixed_radix``; ``solve_mod``
 is its one-target iterator.  Matrices are accepted as nested sequences or
@@ -181,103 +184,58 @@ def det_multimodular(mat) -> int:
     return det - mod if det > mod // 2 else det
 
 
-def _swap_rows(m, i, j):
-    m[i], m[j] = m[j], m[i]
-
-
-def _swap_cols(m, i, j):
-    for row in m:
-        row[i], row[j] = row[j], row[i]
-
-
-def _add_row(m, src, dst, c):
-    """row[dst] += c * row[src]"""
-    m[dst] = [x + c * y for x, y in zip(m[dst], m[src])]
-
-
-def _add_col(m, src, dst, c):
-    for row in m:
-        row[dst] += c * row[src]
-
-
-def _negate_row(m, i):
-    m[i] = [-x for x in m[i]]
-
-
 def smith_normal_form(mat) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
     """Smith normal form with transforms: returns (s, u, v) with u @ mat @ v = s.
 
     ``u`` and ``v`` are unimodular; ``s`` is diagonal with nonnegative
     invariant factors s_1 | s_2 | ... (zeros last).
+
+    One kind of round on the block a[t:, t:] until it is zero: swap its
+    nonzero entry of least |.| (first in row-major order) to (t, t) and make
+    it positive; subtract from every row below t, and then from every column
+    right of t, its floor multiple of row or column t.  A nonzero remainder
+    in row or column t starts the next round.  Otherwise, if the pivot fails
+    to divide an entry of the block, that entry's row is added to row t and
+    the next round starts; else t moves on.  A remainder is below the pivot,
+    and the row added in the second case leaves one in row t a round later,
+    so the pivot falls at least once every two rounds and the loop ends.
     """
     a = as_int_rows(mat)
     rows = len(a)
     cols = len(a[0]) if rows else 0
     u = [[int(i == j) for j in range(rows)] for i in range(rows)]
     v = [[int(i == j) for j in range(cols)] for i in range(cols)]
-
-    def pivot_search(t):
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        return best
-
     t = 0
     while t < min(rows, cols):
-        pos = pivot_search(t)
-        if pos is None:
+        least = min(((abs(x), i, j) for i in range(t, rows) for j, x in enumerate(a[i][t:], t) if x), default=None)
+        if least is None:
             break
-        i, j = pos
-        if i != t:
-            _swap_rows(a, t, i)
-            _swap_rows(u, t, i)
-        if j != t:
-            _swap_cols(a, t, j)
-            _swap_cols(v, t, j)
-        # clear the edging below/right of the pivot; restart if a remainder
-        # smaller than the pivot appears (keeps the loop terminating on |pivot|)
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, rows):
-                if a[i][t] != 0:
-                    c = a[i][t] // a[t][t]
-                    _add_row(a, t, i, -c)
-                    _add_row(u, t, i, -c)
-                    if a[i][t] != 0:
-                        _swap_rows(a, t, i)
-                        _swap_rows(u, t, i)
-                        dirty = True
-            for j in range(t + 1, cols):
-                if a[t][j] != 0:
-                    c = a[t][j] // a[t][t]
-                    _add_col(a, t, j, -c)
-                    _add_col(v, t, j, -c)
-                    if a[t][j] != 0:
-                        _swap_cols(a, t, j)
-                        _swap_cols(v, t, j)
-                        dirty = True
+        _, i, j = least
+        a[t], a[i], u[t], u[i] = a[i], a[t], u[i], u[t]
+        for row in a + v:
+            row[t], row[j] = row[j], row[t]
         if a[t][t] < 0:
-            _negate_row(a, t)
-            _negate_row(u, t)
-        # divisibility fix-up: pivot must divide the remaining block
-        fixed = False
+            a[t], u[t] = [-x for x in a[t]], [-x for x in u[t]]
+        p = a[t][t]
         for i in range(t + 1, rows):
-            if fixed:
-                break
-            for j in range(t + 1, cols):
-                if a[i][j] % a[t][t] != 0:
-                    _add_row(a, i, t, 1)
-                    _add_row(u, i, t, 1)
-                    fixed = True
-                    break
-        if fixed:
+            c = a[i][t] // p
+            if c:
+                a[i] = [x - c * y for x, y in zip(a[i], a[t])]
+                u[i] = [x - c * y for x, y in zip(u[i], u[t])]
+        for j in range(t + 1, cols):
+            c = a[t][j] // p
+            if c:
+                for row in a + v:
+                    row[j] -= c * row[t]
+        if any(a[i][t] for i in range(t + 1, rows)) or any(a[t][t + 1 :]):
+            continue
+        i = next((i for i in range(t + 1, rows) if any(x % p for x in a[i][t + 1 :])), None)
+        if i is not None:
+            a[t] = [x + y for x, y in zip(a[t], a[i])]
+            u[t] = [x + y for x, y in zip(u[t], u[i])]
             continue
         t += 1
-    s = a
-    return s, u, v
+    return a, u, v
 
 
 def invariant_factors(mat) -> list[int]:

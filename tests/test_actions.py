@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import time_cap
 from soficlab.actions import (
     AlgebraicActionModel,
     AutomorphismAction,
@@ -307,6 +308,14 @@ class TestSigmaMatrix:
         with pytest.raises(UnsupportedElementError):
             instantiate_Xf(f, sigma_e_only, q=4, tol=0)
 
+    @pytest.mark.parametrize("m, n", [(0, 1), (1, 0), (0, 0)])
+    def test_empty_matrix_refused(self, m, n):
+        # f^(sigma) of an empty f would have no rows to hold its columns: a
+        # 0 x 1 f counted 1 grid-exact point instead of all q^d
+        Z3 = GroupSpec.cyclic(3)
+        with pytest.raises(ValidationError):
+            IntegerGroupMatrix.from_pairs(Z3, [[]] * m, m=m, n=n)
+
     def test_q_too_small(self, Z2):
         with pytest.raises(ValidationError):
             instantiate_Xf(two_plus_t(Z2), regular_sigma(Z2), q=1, tol=0)
@@ -336,6 +345,52 @@ class TestContinuousExactAtScale:
         assert math.log(count) / n**2 == pytest.approx(want / n**2, abs=1e-9)
 
 
+def rank_mod_prime(mat: np.ndarray, p: int) -> int:
+    """Rank of an integer matrix over Z/p, by Gauss-Jordan elimination."""
+    a = np.array(mat, dtype=np.int64) % p
+    rank = 0
+    for col in range(a.shape[1]):
+        nonzero = np.flatnonzero(a[rank:, col])
+        if len(nonzero) == 0:
+            continue
+        r = rank + nonzero[0]
+        a[[rank, r]] = a[[r, rank]]
+        a[rank] = a[rank] * pow(int(a[rank, col]), -1, p) % p
+        factors = a[:, col].copy()
+        factors[rank] = 0
+        a = (a - np.outer(factors, a[rank])) % p
+        rank += 1
+        if rank == a.shape[0]:
+            break
+    return rank
+
+
+class TestGridExactAtScale:
+    """Grid-exact counts through the integer Smith form at sizes where a
+    Smith form with growing coefficients does not finish, against
+    7^(d - rank mod 7)."""
+
+    @pytest.mark.parametrize(
+        "group, quotient",
+        [
+            ("Z2", {"kind": "cyclic-powers", "orders": [4, 4]}),
+            ("Z2", {"kind": "cyclic-powers", "orders": [8, 8]}),
+            # seeds whose f^(sigma) is singular mod 7, so the count is 7, not 1
+            ("F2", {"kind": "random-permutations", "degree": 32, "seed": 2}),
+            ("F2", {"kind": "random-permutations", "degree": 64, "seed": 4}),
+        ],
+        ids=["Z2-16", "Z2-64", "F2-32", "F2-64"],
+    )
+    def test_count_matches_rank_mod_7(self, group, quotient):
+        spec, (a, b) = (GroupSpec.integers2(), "st") if group == "Z2" else (GroupSpec.free(2), "ab")
+        f = IntegerGroupMatrix.single(spec, [(5, "e"), (-1, a), (-1, f"{a}^-1"), (-1, b), (-1, f"{b}^-1")])
+        sigma = quotient_sofic(spec, quotient, list(f.support()))
+        model = instantiate_Xf(f, sigma, q=7, tol=0)
+        with time_cap(2):
+            count = count_kernel_points(model, "grid-exact")
+        assert count == 7 ** (sigma.d - rank_mod_prime(model.matrix, 7))
+
+
 class TestContinuousKernel:
     def test_matches_smith_count_small_random(self):
         rng = np.random.default_rng(12)
@@ -362,6 +417,15 @@ class TestVerifyHypotheses:
         assert rep.lambda_injective.value is True
         assert rep.lambda_dense_image.value is True
         assert "determinant" in rep.lambda_injective.method
+
+    def test_torus_four_by_four_injective(self):
+        spec = GroupSpec.abelian(("s", "t"), (4, 4))
+        f = IntegerGroupMatrix.single(spec, [(5, "e"), (-1, "s"), (-1, "s^-1"), (-1, "t"), (-1, "t^-1")])
+        with time_cap(2):
+            rep = verify_hypotheses(f)
+        assert rep.lambda_injective.value is True
+        assert rep.lambda_injective.method == "left-regular-determinant"
+        assert rep.lambda_dense_image.value is True
 
     def test_one_plus_t_singular(self, Z2):
         f = IntegerGroupMatrix.single(Z2, [(1, "e"), (1, "t")])

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
+from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
 
+from conftest import time_cap
 from soficlab import intlin
 from soficlab.errors import BudgetExceededError, SingularMatrixError
 
@@ -257,3 +259,49 @@ def test_is_prime_matches_sympy():
     rng = np.random.default_rng(9)
     for m in list(range(-2, 5000)) + special + rng.integers(2**20, 2**27, size=2000).tolist():
         assert intlin._is_prime(m) == sympy.isprime(m)
+
+
+# -- the Smith form at random sizes ----------------------------------------------
+
+
+@st.composite
+def smith_inputs(draw):
+    """Matrices up to 7 x 7 with entries up to +-1000.  About a third are
+    products B C through an inner size r below min(rows, cols), so their rank
+    is at most r."""
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    if draw(st.integers(0, 2)):
+        row = st.lists(st.integers(-1000, 1000), min_size=cols, max_size=cols)
+        return draw(st.lists(row, min_size=rows, max_size=rows))
+    r = draw(st.integers(0, min(rows, cols) - 1))
+    top = 1000 // (3 * max(r, 1))
+    b = draw(st.lists(st.lists(st.integers(-3, 3), min_size=r, max_size=r), min_size=rows, max_size=rows))
+    c = draw(st.lists(st.lists(st.integers(-top, top), min_size=cols, max_size=cols), min_size=r, max_size=r))
+    return [[sum(b[i][k] * c[k][j] for k in range(r)) for j in range(cols)] for i in range(rows)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=smith_inputs())
+@example(m=[
+    [-20, 13, -1, 1, 5, -9, 20],
+    [-18, -9, -5, 3, -4, -15, -19],
+    [-20, -19, -14, 20, -13, 6, 10],
+    [-11, -9, -3, -10, 19, -13, 16],
+    [12, 14, -16, -4, 5, 0, 7],
+    [7, 7, -18, 19, 2, 17, -9],
+    [-6, 16, -13, -18, -5, 7, -15],
+])  # s_7 = |det| = 10594015796; a Smith form that grows its transforms stalls here
+def test_smith_form_random_sizes(m):
+    with time_cap(1):
+        s, u, v = intlin.smith_normal_form(m)
+    rows, cols = len(m), len(m[0])
+    uu, mm, vv = (np.array(x, dtype=object) for x in (u, m, v))
+    assert (uu @ mm @ vv).tolist() == s
+    assert abs(intlin.det_bareiss(u)) == abs(intlin.det_bareiss(v)) == 1
+    assert all(s[i][j] == 0 for i in range(rows) for j in range(cols) if i != j)
+    diag = [s[i][i] for i in range(min(rows, cols))]
+    nonzero = [x for x in diag if x]
+    assert diag == nonzero + [0] * (len(diag) - len(nonzero))
+    assert all(x > 0 for x in nonzero)
+    assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
+    assert diag == [abs(int(x)) for x in sympy_invariant_factors(sympy.Matrix(m), domain=sympy.ZZ)]
