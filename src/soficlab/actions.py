@@ -627,8 +627,10 @@ def count_kernel_points(model: AlgebraicActionModel, mode: str, budget: int = 10
 
     continuous-exact: |det f^(sigma)| (square, nonsingular), exact by the
     multi-modular CRT of ``intlin.det_multimodular``.
-    grid-exact: exact solutions on the q-grid, prod gcd(s_i, q) over the
-    Smith diagonal (zero divisors contribute q).
+    grid-exact: exact solutions on the q-grid, by ``intlin.kernel_count_mod``:
+    elimination on unit pivots mod q in int64 for q < 2^31, then
+    prod gcd(s_i, q) * q^(skipped - rank) over the Smith form of the block
+    left without a unit pivot (zero for a prime q).
     grid-tolerance: tolerance-kernel grid points, listed by one batch solve
     over the admissible residue targets.  Refused with BudgetExceededError
     when the targets or the points exceed ``budget``.
@@ -639,7 +641,7 @@ def count_kernel_points(model: AlgebraicActionModel, mode: str, budget: int = 10
             raise ValidationError("continuous-exact needs a square matrix")
         return intlin.abs_det(mat)
     if mode == "grid-exact":
-        return intlin.kernel_count_mod(mat.tolist(), model.q)
+        return intlin.kernel_count_mod(mat, model.q)
     if mode == "grid-tolerance":
         return len(_solve_residue_box(mat, model.q, model.residue_bound(), budget))
     raise ValidationError(f"unknown counting mode {mode!r}")

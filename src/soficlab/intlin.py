@@ -1,20 +1,23 @@
 """Exact integer linear algebra.
 
-Determinants, Smith normal form with unimodular transforms, and the one
-lattice solver for ``A x = t (mod q)``.  ``det_multimodular`` computes
-determinants: a Crout LU in float64 modulo word-size primes, batched over the
-primes, combined by CRT past twice the Hadamard bound, so every result is
-exact.  ``abs_det``, and with it continuous-exact counting, goes through it.
-``det_bareiss`` (fraction-free elimination over Python ints) stays for small
-exact determinants.  The Smith form works over Python ints, so nothing
-overflows; it repeats one round (move the least nonzero entry of the trailing
-block to the pivot, reduce its row and column by floor division) until the
-pivot divides the block, and the pivot falls at least every second round, so
-the loop ends.  ``solve_mod_batch`` takes a Smith form, reduces its
-transforms mod q once and solves a batch of targets in vectorized int64
-(q < 2^31), decoding the solution lattice with ``mixed_radix``; ``solve_mod``
-is its one-target iterator.  Matrices are accepted as nested sequences or
-numpy arrays and are normalized to lists of lists of ints internally.
+Determinants, Smith normal form with unimodular transforms, grid-exact
+kernel counts and the one lattice solver for ``A x = t (mod q)``.
+``det_multimodular`` computes determinants: a Crout LU in float64 modulo
+word-size primes, batched over the primes, combined by CRT past twice the
+Hadamard bound, so every result is exact.  ``abs_det``, and with it
+continuous-exact counting, goes through it.  ``det_bareiss`` (fraction-free
+elimination over Python ints) stays for small exact determinants.  The Smith
+form works over Python ints, so nothing overflows; it repeats one round (move
+the least nonzero entry of the trailing block to the pivot, reduce its row and
+column by floor division) until the pivot divides the block, and the pivot
+falls at least every second round, so the loop ends.  ``kernel_count_mod``
+eliminates on unit pivots mod q in int64 (q < 2^31) and hands the Smith form
+only the block left without a unit pivot.  ``solve_mod_batch`` takes a Smith
+form, reduces its transforms mod q once and solves a batch of targets in
+vectorized int64 (q < 2^31), decoding the solution lattice with
+``mixed_radix``; ``solve_mod`` is its one-target iterator.  Matrices are
+accepted as nested sequences or numpy arrays; ``as_int_array`` keeps the
+shape of an array, so a matrix without rows still has its columns.
 """
 
 from __future__ import annotations
@@ -35,6 +38,17 @@ def as_int_rows(mat) -> list[list[int]]:
         if any(len(r) != width for r in rows):
             raise ValueError("ragged matrix")
     return rows
+
+
+def as_int_array(mat) -> np.ndarray:
+    """mat as a 2-D int64 array, or an object array of Python ints when an
+    entry is beyond int64.  The shape of an array is kept, so a (0, k) input
+    still has k columns; an empty sequence is 0 x 0."""
+    try:
+        a = np.array(mat, dtype=np.int64)
+    except OverflowError:
+        a = np.array(as_int_rows(mat), dtype=object)
+    return a.reshape(0, 0) if a.size == 0 and a.ndim < 2 else a
 
 
 def det_bareiss(mat) -> int:
@@ -164,10 +178,7 @@ def det_multimodular(mat) -> int:
     residue mod M is the determinant.  Entries beyond int64 are reduced mod
     p over Python ints.
     """
-    try:
-        a = np.array(mat, dtype=np.int64)
-    except OverflowError:
-        a = np.array(as_int_rows(mat), dtype=object)
+    a = as_int_array(mat)
     n = len(a)
     if n == 0:
         return 1
@@ -200,9 +211,9 @@ def smith_normal_form(mat) -> tuple[list[list[int]], list[list[int]], list[list[
     and the row added in the second case leaves one in row t a round later,
     so the pivot falls at least once every two rounds and the loop ends.
     """
-    a = as_int_rows(mat)
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
+    m = as_int_array(mat)
+    rows, cols = m.shape
+    a = m.tolist()
     u = [[int(i == j) for j in range(rows)] for i in range(rows)]
     v = [[int(i == j) for j in range(cols)] for i in range(cols)]
     t = 0
@@ -251,16 +262,40 @@ def integer_rank(mat) -> int:
 def kernel_count_mod(mat, q: int) -> int:
     """Number of x in (Z/q)^cols with mat @ x = 0 (mod q).
 
-    Equals prod gcd(s_i, q) over the Smith diagonal, with zero divisors
-    contributing q each (gcd(0, q) = q).
+    For q < 2^31, one Gaussian elimination mod q in int64: column by column,
+    the first unused row whose entry is a unit mod q is swapped up, scaled to
+    1 and subtracted from the unused rows below it, whole rows, because the
+    skipped columns to the left are still live.  A column without a unit
+    pivot is skipped.  With r pivots, column operations then give
+    mat = diag(I_r, R) over Z/q, for R the unused rows on the skipped columns, so
+    the count is prod gcd(s_i, q) * q^(skipped - rank R) over the invariant
+    factors s_i of R.  R is zero for a prime q and = 0 (mod p) for q = p^k.
+    Residues below 2^31 keep every product below 2^62; for a larger q no
+    pivot is taken and R is the whole matrix.
     """
-    a = as_int_rows(mat)
-    cols = len(a[0]) if a else 0
-    divisors = invariant_factors(a)
-    count = 1
+    a = as_int_array(mat)
+    cols = a.shape[1]
+    used, skipped = 0, []
+    if q < 2**31:
+        a = (a % q).astype(np.int64)
+        for j in range(cols):
+            units = np.flatnonzero(np.gcd(a[used:, j], q) == 1)
+            if len(units) == 0:
+                skipped.append(j)
+                continue
+            i = used + units[0]
+            a[[used, i]] = a[[i, used]]
+            a[used] = a[used] * pow(int(a[used, j]), -1, q) % q
+            below = used + 1 + np.flatnonzero(a[used + 1 :, j])
+            a[below] = (a[below] - np.outer(a[below, j], a[used])) % q
+            used += 1
+    else:
+        skipped = list(range(cols))
+    block = a[used:, skipped]
+    divisors = invariant_factors(block.tolist()) if block.any() else []
+    count = q ** (len(skipped) - len(divisors))
     for s in divisors:
         count *= math.gcd(s, q)
-    count *= q ** (cols - len(divisors))
     return count
 
 
@@ -327,9 +362,9 @@ def solve_mod_batch(snf, targets, q: int, budget: int | None = None) -> np.ndarr
     step = np.array([q // gi for gi in widths], dtype=np.int64)
     inv = np.array([pow(si // gi % (q // gi), -1, q // gi) for si, gi in zip(diag, widths)], dtype=np.int64)
     base = c // np.array(widths, dtype=np.int64) * inv % step
-    y = (base[:, None, :] + mixed_radix(np.arange(per_target), widths) * step).reshape(-1, cols)
+    y = (base[:, None, :] + mixed_radix(np.arange(per_target), widths) * step).reshape(len(c) * per_target, cols)
     x = _apply_mod(v_q, y, q)
-    return x[np.lexsort(x.T[::-1])]
+    return x[np.lexsort(x.T[::-1])] if cols else x
 
 
 def solve_mod(mat, target, q: int, budget: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -338,7 +373,7 @@ def solve_mod(mat, target, q: int, budget: int | None = None) -> Iterator[tuple[
     Lexicographic order.  Raises BudgetExceededError before yielding anything
     if the solution count exceeds ``budget``.
     """
-    a = as_int_rows(mat)
+    a = as_int_array(mat)
     t = [int(v) % q for v in target]
     if len(t) != len(a):
         raise ValueError("target length mismatch")

@@ -366,29 +366,42 @@ def rank_mod_prime(mat: np.ndarray, p: int) -> int:
 
 
 class TestGridExactAtScale:
-    """Grid-exact counts through the integer Smith form at sizes where a
-    Smith form with growing coefficients does not finish, against
-    7^(d - rank mod 7)."""
+    """Grid-exact counts at sizes where a Smith form of the whole f^(sigma)
+    does not finish: by elimination mod 7, against 7^(d - rank mod 7) or a
+    closed form."""
 
     @pytest.mark.parametrize(
-        "group, quotient",
+        "group, quotient, cap",
         [
-            ("Z2", {"kind": "cyclic-powers", "orders": [4, 4]}),
-            ("Z2", {"kind": "cyclic-powers", "orders": [8, 8]}),
+            ("Z2", {"kind": "cyclic-powers", "orders": [4, 4]}, 2),
+            ("Z2", {"kind": "cyclic-powers", "orders": [8, 8]}, 2),
+            ("Z2", {"kind": "cyclic-powers", "orders": [16, 16]}, 1),
             # seeds whose f^(sigma) is singular mod 7, so the count is 7, not 1
-            ("F2", {"kind": "random-permutations", "degree": 32, "seed": 2}),
-            ("F2", {"kind": "random-permutations", "degree": 64, "seed": 4}),
+            ("F2", {"kind": "random-permutations", "degree": 32, "seed": 2}, 2),
+            ("F2", {"kind": "random-permutations", "degree": 64, "seed": 4}, 2),
+            ("F2", {"kind": "random-permutations", "degree": 256, "seed": 10}, 1),
         ],
-        ids=["Z2-16", "Z2-64", "F2-32", "F2-64"],
+        ids=["Z2-16", "Z2-64", "Z2-256", "F2-32", "F2-64", "F2-256"],
     )
-    def test_count_matches_rank_mod_7(self, group, quotient):
+    def test_count_matches_rank_mod_7(self, group, quotient, cap):
         spec, (a, b) = (GroupSpec.integers2(), "st") if group == "Z2" else (GroupSpec.free(2), "ab")
         f = IntegerGroupMatrix.single(spec, [(5, "e"), (-1, a), (-1, f"{a}^-1"), (-1, b), (-1, f"{b}^-1")])
         sigma = quotient_sofic(spec, quotient, list(f.support()))
         model = instantiate_Xf(f, sigma, q=7, tol=0)
-        with time_cap(2):
+        with time_cap(cap):
             count = count_kernel_points(model, "grid-exact")
         assert count == 7 ** (sigma.d - rank_mod_prime(model.matrix, 7))
+
+    @pytest.mark.parametrize("d", [768, 1024])
+    def test_z_count_matches_closed_form(self, Z, d):
+        # x_{j+1} = 3 x_j mod 7 around the cycle: 3 has order 6 mod 7, so
+        # every x_0 closes up when 6 | d, and only x_0 = 0 otherwise
+        f = IntegerGroupMatrix.single(Z, [(3, "e"), (-1, "t")])
+        sigma = quotient_sofic(Z, {"kind": "cyclic-powers", "orders": [d]}, list(f.support()))
+        model = instantiate_Xf(f, sigma, q=7, tol=0)
+        with time_cap(1):
+            count = count_kernel_points(model, "grid-exact")
+        assert count == (7 if d % 6 == 0 else 1)
 
 
 class TestContinuousKernel:

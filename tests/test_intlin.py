@@ -1,5 +1,6 @@
 """Exact integer linear algebra: determinants, Smith form, lattice solves."""
 
+import itertools
 import math
 
 import numpy as np
@@ -264,20 +265,26 @@ def test_is_prime_matches_sympy():
 # -- the Smith form at random sizes ----------------------------------------------
 
 
-@st.composite
-def smith_inputs(draw):
-    """Matrices up to 7 x 7 with entries up to +-1000.  About a third are
-    products B C through an inner size r below min(rows, cols), so their rank
-    is at most r."""
-    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
-    if draw(st.integers(0, 2)):
-        row = st.lists(st.integers(-1000, 1000), min_size=cols, max_size=cols)
-        return draw(st.lists(row, min_size=rows, max_size=rows))
+def low_rank(draw, rows, cols):
+    """A product B C through an inner size r below min(rows, cols), so of
+    rank at most r, with entries up to +-1000."""
     r = draw(st.integers(0, min(rows, cols) - 1))
     top = 1000 // (3 * max(r, 1))
     b = draw(st.lists(st.lists(st.integers(-3, 3), min_size=r, max_size=r), min_size=rows, max_size=rows))
     c = draw(st.lists(st.lists(st.integers(-top, top), min_size=cols, max_size=cols), min_size=r, max_size=r))
     return [[sum(b[i][k] * c[k][j] for k in range(r)) for j in range(cols)] for i in range(rows)]
+
+
+def matrices(draw, rows, cols, entries=st.integers(-1000, 1000)):
+    return draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+
+
+@st.composite
+def smith_inputs(draw):
+    """Matrices up to 7 x 7 with entries up to +-1000.  About a third are
+    rank-deficient products B C."""
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    return matrices(draw, rows, cols) if draw(st.integers(0, 2)) else low_rank(draw, rows, cols)
 
 
 @settings(max_examples=100, deadline=None)
@@ -305,3 +312,61 @@ def test_smith_form_random_sizes(m):
     assert all(x > 0 for x in nonzero)
     assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
     assert diag == [abs(int(x)) for x in sympy_invariant_factors(sympy.Matrix(m), domain=sympy.ZZ)]
+
+
+# -- grid-exact counts ---------------------------------------------------------------
+
+PRIMES = [2, 3, 5, 7, 11, 101, 2**31 - 1]
+PRIME_POWERS = [4, 8, 9, 25, 27, 49, 2**10, 3**7]
+COMPOSITES = [6, 12, 30, 360, 1000]
+
+
+@st.composite
+def count_inputs(draw):
+    """(m, q) with m up to 7 x 7 and q a prime, a prime power or a composite.
+    A third of the matrices are rank-deficient products B C, and a third have
+    every entry a multiple of one divisor g > 1 of q, so that no entry is a
+    unit mod q and the block left after elimination is large."""
+    q = draw(st.sampled_from(PRIMES + PRIME_POWERS + COMPOSITES))
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        return matrices(draw, rows, cols), q
+    if kind == 1:
+        return low_rank(draw, rows, cols), q
+    g = draw(st.sampled_from([g for g in sympy.divisors(q) if g > 1]))
+    return [[g * x for x in row] for row in matrices(draw, rows, cols, st.integers(-50, 50))], q
+
+
+def count_by_sympy(m, q):
+    """prod gcd(s_i, q) * q^(cols - rank) over sympy's invariant factors;
+    sympy lists min(rows, cols) of them, zeros included, and gcd(0, q) = q."""
+    s = sympy_invariant_factors(sympy.Matrix(m), domain=sympy.ZZ)
+    cols = len(m[0])
+    return math.prod(math.gcd(int(x), q) for x in s) * q ** (cols - len(s))
+
+
+@settings(max_examples=200, deadline=None)
+@given(inputs=count_inputs())
+@example(inputs=([[2**31, 6, 0], [4, 2**32 + 2, 8]], 2**32))  # q >= 2^31: the whole matrix is left over
+@example(inputs=([[1, 2**60 + 5], [2**59 + 7, (2**60 + 5) * (2**59 + 7) % (2**61 - 1)]], 2**61 - 1))  # rank 1 mod q
+@example(inputs=([[2**100 + 3, 5, 2**99], [7, -(2**100), 1], [2**100 + 10, 2**100 + 5, 2**99 + 1]], 360))
+@example(inputs=([[-(2**100) * 6, 12], [2**101 * 3, 6 * (2**100 + 1)]], 360))
+def test_kernel_count_mod_matches_sympy(inputs):
+    m, q = inputs
+    with time_cap(1):
+        count = intlin.kernel_count_mod(m, q)
+    assert count == count_by_sympy(m, q)
+
+
+def test_kernel_count_mod_keeps_the_columns_of_an_empty_array():
+    # no equations: every x in (Z/5)^3 solves them
+    assert intlin.kernel_count_mod(np.zeros((0, 3), dtype=np.int64), 5) == 125
+    assert intlin.kernel_count_mod(np.zeros((2, 0), dtype=np.int64), 5) == 1
+
+
+def test_solve_mod_on_an_empty_array():
+    assert list(intlin.solve_mod(np.zeros((0, 2), dtype=np.int64), [], 3)) == list(itertools.product(range(3), repeat=2))
+    no_cols = np.zeros((2, 0), dtype=np.int64)
+    assert list(intlin.solve_mod(no_cols, [0, 0], 3)) == [()]
+    assert list(intlin.solve_mod(no_cols, [0, 1], 3)) == []
