@@ -304,109 +304,96 @@ def pair_candidates(model, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
 
 
 class AutomorphismAction:
-    """A G-action on a model by group automorphisms.
+    """A G-action on a model by group automorphisms, given by the images of
+    the generators: a homomorphism G -> Aut(X) is fixed by them once they
+    satisfy the relations.
 
-    Generator maps are permutation arrays (finite models) or integer matrices
-    acting by x -> M x mod q (torus models).  Maps for arbitrary elements are
-    composed along the canonical word; table groups may instead supply a full
-    ``element_maps`` dictionary.  Construction verifies that each map is an
-    automorphism and that the defining relations act as the identity
-    (tolerance zero).
+    ``generator_maps`` maps each generator name to a permutation array
+    (finite models) or an integer matrix acting by x -> M x mod q (torus
+    models); each must be an automorphism of the model.  The relations are
+    checked by group kind, with tolerance zero:
+
+    * table groups: a breadth-first walk of the Cayley graph from e sets
+      phi(g s) = phi(g) o phi(s) for every generator s, and every later visit
+      of an element must give the map already cached for it.  If
+      phi(g s) = phi(g) phi(s) for all g and s, then phi is a homomorphism (by
+      induction on word length), so every relation holds; the walk costs
+      |G| |S| compositions and leaves every element's map cached;
+    * abelian groups: the generator maps commute and g^m acts as the
+      identity for a generator of order m;
+    * free groups: there are no relations.
+
+    Other elements' maps are composed along the canonical word on first use.
+    Every cached map is read-only.
     """
 
-    def __init__(
-        self,
-        group: GroupSpec,
-        model: CompactGroupModel,
-        generator_maps: Mapping[str, np.ndarray] | None = None,
-        element_maps: Mapping[GroupElement, np.ndarray] | None = None,
-    ):
+    def __init__(self, group: GroupSpec, model: CompactGroupModel, generator_maps: Mapping[str, np.ndarray]):
         self.group = group
         self.model = model
         self._cache: dict[GroupElement, np.ndarray] = {}
-        self.generator_maps = None
-        self.element_maps = None
-        if element_maps is not None:
-            frozen = {}
-            for g, m in element_maps.items():
-                frozen[g] = self._check_automorphism(np.asarray(m, dtype=np.int64))
-            self.element_maps = MappingProxyType(frozen)
-            self._check_homomorphism_table()
-        elif generator_maps is not None:
-            frozen = {}
-            for name in group.generators:
-                if name not in generator_maps:
-                    raise ValidationError(f"missing generator map for {name!r}")
-                frozen[name] = self._check_automorphism(
-                    np.asarray(generator_maps[name], dtype=np.int64)
-                )
-            self.generator_maps = MappingProxyType(frozen)
-            self._check_relations()
-        else:
-            raise ValidationError("need generator_maps or element_maps")
+        frozen = {}
+        for name in group.generators:
+            if name not in generator_maps:
+                raise ValidationError(f"missing generator map for {name!r}")
+            m = np.array(generator_maps[name], dtype=np.int64)
+            model.check_map(m)
+            frozen[name] = _read_only(m)
+        self.generator_maps = MappingProxyType(frozen)
+        if group.kind == "table":
+            self._walk_cayley_graph()
+        elif group.kind == "abelian":
+            self._check_abelian_relations()
 
     # -- validation ----------------------------------------------------------
 
-    def _check_automorphism(self, m: np.ndarray) -> np.ndarray:
-        self.model.check_map(m)
-        m = m.copy()
-        m.setflags(write=False)
-        return m
+    def _walk_cayley_graph(self):
+        group, compose = self.group, self.model.compose
+        steps = [(group.generator(i), self.generator_maps[name]) for i, name in enumerate(group.generators)]
+        e = group.identity()
+        self._cache[e] = _read_only(self.model.identity_map())
+        frontier = [e]
+        while frontier:
+            nxt = []
+            for g in frontier:
+                for s, m in steps:
+                    gs, out = group.multiply(g, s), compose(self._cache[g], m)
+                    if gs not in self._cache:
+                        self._cache[gs] = _read_only(out)
+                        nxt.append(gs)
+                    elif not np.array_equal(out, self._cache[gs]):
+                        raise ValidationError(f"generator maps are not a homomorphism: two words for {gs} differ")
+            frontier = nxt
 
-    def _check_relations(self):
-        if self.group.kind == "free":
-            return
-        if self.group.kind == "abelian":
-            names = self.group.generators
-            maps = [self.generator_maps[n] for n in names]
-            compose = self.model.compose
-            ident = self.model.identity_map()
-            for i in range(len(names)):
-                for j in range(i + 1, len(names)):
-                    if not np.array_equal(compose(maps[i], maps[j]), compose(maps[j], maps[i])):
-                        raise ValidationError("generator maps do not commute")
-                m = self.group.moduli[i]
-                if m:
-                    acc = ident
-                    for _ in range(m):
-                        acc = compose(maps[i], acc)
-                    if not np.array_equal(acc, ident):
-                        raise ValidationError(f"relation g^{m} does not act as identity")
-            return
-        raise ValidationError("table groups need explicit element_maps")
-
-    def _check_homomorphism_table(self):
-        els = list(self.element_maps.keys())
-        missing = [g for g in self.group.elements() if g not in self.element_maps]
-        if missing:
-            raise ValidationError(f"element_maps missing {missing[0]}")
-        for g in els:
-            for h in els:
-                gh = self.group.multiply(g, h)
-                if not np.array_equal(
-                    self.model.compose(self.element_maps[g], self.element_maps[h]),
-                    self.element_maps[gh],
-                ):
-                    raise ValidationError("element maps are not a homomorphism")
+    def _check_abelian_relations(self):
+        names = self.group.generators
+        maps = [self.generator_maps[n] for n in names]
+        compose = self.model.compose
+        ident = self.model.identity_map()
+        for i in range(len(names)):
+            for j in range(i + 1, len(names)):
+                if not np.array_equal(compose(maps[i], maps[j]), compose(maps[j], maps[i])):
+                    raise ValidationError("generator maps do not commute")
+            m = self.group.moduli[i]
+            if m:
+                acc = ident
+                for _ in range(m):
+                    acc = compose(maps[i], acc)
+                if not np.array_equal(acc, ident):
+                    raise ValidationError(f"relation g^{m} does not act as identity")
 
     # -- application -----------------------------------------------------------
 
     def point_map(self, g: GroupElement) -> np.ndarray:
-        """The automorphism of the model implementing g (cached)."""
+        """The automorphism of the model implementing g (cached, read-only)."""
         if g in self._cache:
             return self._cache[g]
-        if self.element_maps is not None:
-            if g not in self.element_maps:
-                raise UnsupportedElementError(g, "action element maps")
-            out = self.element_maps[g]
-        else:
-            out = self.model.identity_map()
-            for gen, e in self.group.word(g):
-                base = self.generator_maps[self.group.generators[gen]]
-                step = base if e >= 0 else self.model.invert_map(base)
-                for _ in range(abs(e)):
-                    out = self.model.compose(out, step)
-        self._cache[g] = out
+        out = self.model.identity_map()
+        for gen, e in self.group.word(g):
+            base = self.generator_maps[self.group.generators[gen]]
+            step = base if e >= 0 else self.model.invert_map(base)
+            for _ in range(abs(e)):
+                out = self.model.compose(out, step)
+        self._cache[g] = _read_only(out)
         return out
 
     def act_point(self, g: GroupElement, x):
@@ -419,34 +406,25 @@ class AutomorphismAction:
         return self.model.apply_map(self.point_map(g), x)
 
 
+def _read_only(m: np.ndarray) -> np.ndarray:
+    m.setflags(write=False)
+    return m
+
+
 def act(action: AutomorphismAction, g: GroupElement, x):
     """The automorphism action, one point at a time: act(e, x) = x."""
     return action.act_point(g, x)
 
 
 def trivial_action(group: GroupSpec, model: CompactGroupModel) -> AutomorphismAction:
-    ident = model.identity_map()
-    if group.kind == "table":
-        return AutomorphismAction(
-            group, model, element_maps={g: ident for g in group.elements()}
-        )
-    return AutomorphismAction(
-        group, model, generator_maps={n: ident for n in group.generators}
-    )
+    return AutomorphismAction(group, model, {n: model.identity_map() for n in group.generators})
 
 
 def diagonal_action(action: AutomorphismAction) -> AutomorphismAction:
     """The action g.(x, y) = (g.x, g.y) on the doubled model."""
-    model2 = product_model(action.model)
     lift = action.model.lift_map
-    if action.element_maps is not None:
-        return AutomorphismAction(
-            action.group, model2,
-            element_maps={g: lift(m) for g, m in action.element_maps.items()},
-        )
     return AutomorphismAction(
-        action.group, model2,
-        generator_maps={k: lift(m) for k, m in action.generator_maps.items()},
+        action.group, product_model(action.model), {k: lift(m) for k, m in action.generator_maps.items()}
     )
 
 
@@ -758,14 +736,15 @@ def dual_model(f: IntegerGroupMatrix) -> tuple[FiniteGroupModel, AutomorphismAct
     for i in range(len(moduli)):
         sums += (y[:, None, i] + y[None, :, i]) % moduli[i] * place[i]
     model = FiniteGroupModel(_grid_labels(pts, scale), rank[sums], int(rank[0]), name=f"dual(|G|={N}, n={f.n})")
-    # (g.x)[(h, j)] = x[(g^-1 h, j)]: the source column of every target column
+    # (g.x)[(h, j)] = x[(g^-1 h, j)]: the source column of every target
+    # column, for each generator g
+    gens = [spec.generator(i) for i in range(len(spec.generators))]
     src = np.array([
         [pos[spec.multiply(spec.inverse(g), h)] * f.n + j for h in els for j in range(f.n)]
-        for g in els
-    ])
+        for g in gens
+    ], dtype=np.int64).reshape(len(gens), N * f.n)
     perms = rank[digits(pts[:, src].transpose(1, 0, 2)) @ place]
-    maps = {g: perms[k] for k, g in enumerate(els)}
-    action = AutomorphismAction(spec, model, element_maps=maps)
+    action = AutomorphismAction(spec, model, dict(zip(spec.generators, perms)))
     return model, action
 
 
@@ -792,26 +771,22 @@ class HypothesisReport:
     homoclinic_dense_surrogate: Verdict
 
 
-def verify_hypotheses(f: IntegerGroupMatrix, spec: GroupSpec | None = None) -> HypothesisReport:
+def verify_hypotheses(f: IntegerGroupMatrix) -> HypothesisReport:
     """Decide injectivity / dense image of lambda(f) where a finite-scale
     criterion exists; return explicit unknowns elsewhere.
 
-    Finite G: rank of the left-regular integer matrix (determinant in the
-    square case).  G = Z with square f: the Fourier-symbol determinant is the
-    zero polynomial iff lambda(f) fails injectivity, which exact determinants
-    at enough integer points decide; injective and dense image coincide there
-    by rank-nullity.
+    Finite G: rank of the left-regular integer matrix (in the square case,
+    full rank is a nonzero determinant).  G = Z with square f: the
+    Fourier-symbol determinant is the zero polynomial iff lambda(f) fails
+    injectivity, which exact determinants at enough integer points decide;
+    injective and dense image coincide there by rank-nullity.
     """
-    spec = spec if spec is not None else f.group
+    spec = f.group
     order = spec.order()
     if order is not None:
-        mat = regular_matrix(f)
-        rank = intlin.integer_rank(mat.tolist())
-        inj = rank == f.n * order
-        dense = rank == f.m * order
-        method = "left-regular-rank"
-        if f.m == f.n:
-            method = "left-regular-determinant"
+        rank = intlin.integer_rank(regular_matrix(f).tolist())
+        inj, dense = rank == f.n * order, rank == f.m * order
+        method = "left-regular-determinant" if f.m == f.n else "left-regular-rank"
         return HypothesisReport(
             lambda_injective=Verdict(inj, method),
             lambda_dense_image=Verdict(dense, method),

@@ -100,8 +100,10 @@ class GroupSpec:
             if self.mul_table.shape != (n, n):
                 raise ValidationError("multiplication table shape mismatch")
             self.identity_index: int = params["identity_index"]
-            self.inv_table, _ = _validate_table(self.mul_table, self.identity_index)
             self.generator_indices: tuple[int, ...] = params["generator_indices"]
+            self.inv_table, gens = _validate_table(self.mul_table, self.identity_index, self.generator_indices)
+            if not set(gens) <= set(self.generator_indices):
+                raise ValidationError(f"generator indices {self.generator_indices} do not generate the group")
             self._tag = ("x", self.labels)
         else:
             raise ValidationError(f"unknown group kind {kind!r}")
@@ -144,7 +146,9 @@ class GroupSpec:
     ) -> "GroupSpec":
         table = np.asarray(mul_table, dtype=np.int64)
         n = len(labels)
-        gens = tuple(generator_indices) if generator_indices is not None else tuple(range(n))
+        gens = tuple(map(int, generator_indices)) if generator_indices is not None else tuple(range(n))
+        if any(not 0 <= i < n for i in gens):
+            raise ValidationError(f"generator indices {gens} out of range 0..{n - 1}")
         return cls(
             "table",
             tuple(labels[i] for i in gens),
@@ -392,9 +396,11 @@ def _sort_key(el: GroupElement):
     return (2, len(body), flat)
 
 
-def _validate_table(mul: np.ndarray, e: int) -> tuple[np.ndarray, tuple[int, ...]]:
+def _validate_table(mul: np.ndarray, e: int, first: tuple[int, ...] = ()) -> tuple[np.ndarray, tuple[int, ...]]:
     """Check that ``mul`` is the multiplication table of a group with identity
-    index ``e``; return its inverse table and a generating set.
+    index ``e``; return its inverse table and a generating set, drawn from the
+    indices ``first`` before any other, so that it lies inside ``first``
+    exactly when ``first`` generates the group.
 
     Associativity is checked completely by Light's test: if (x g) y = x (g y)
     for all x, y and every g in a generating set S, it holds for all g, since
@@ -418,7 +424,7 @@ def _validate_table(mul: np.ndarray, e: int) -> tuple[np.ndarray, tuple[int, ...
     gens: list[int] = []
     reached = np.zeros(n, dtype=bool)
     reached[e] = True
-    for g in range(n):
+    for g in (*first, *range(n)):
         if reached[g]:
             continue
         before = int(reached.sum())
@@ -602,17 +608,11 @@ def quotient_sofic(
     if kind == "cyclic-powers":
         orders = data
         d0 = math.prod(orders)
-        strides = []
-        acc = 1
-        for o in reversed(orders):
-            strides.append(acc)
-            acc *= o
-        strides = tuple(reversed(strides))
-        # index of (a_1..a_k) is sum a_i * stride_i, lexicographic
+        # the index of (a_1..a_k) is lexicographic, the last coordinate fastest
         grids = np.meshgrid(*[np.arange(o) for o in orders], indexing="ij")
         for g in support:
             coords = [(grid + e) % o for grid, (_, e), o in zip(grids, spec.word(g), orders)]
-            perm = sum(c * s for c, s in zip(coords, strides)).reshape(-1)
+            perm = np.ravel_multi_index(coords, orders).reshape(-1)
             table[g] = _block_copies(perm.astype(np.int64), copies)
         d = d0 * copies
     elif kind == "regular":

@@ -432,14 +432,6 @@ def _all_candidates(model: CompactGroupModel, d: int, budget: int) -> np.ndarray
     return model.points_from_indices(mixed_radix(np.arange(total), [n] * d))
 
 
-def _sorted_candidates(xs: np.ndarray) -> np.ndarray:
-    if xs.shape[0] <= 1:
-        return xs
-    flat = xs.reshape(xs.shape[0], -1)
-    order = np.lexsort(flat.T[::-1])
-    return xs[order]
-
-
 def forces_exact_equivariance(metric: Pseudometric, delta: Fraction, d: int) -> bool:
     """Whether a single violated coordinate already exceeds delta.
 
@@ -473,8 +465,7 @@ def enumerate_top_microstates(
         isinstance(model, FiniteModel)
         and forces_exact_equivariance(metric, delta, sigma.d)
     ):
-        out = _enumerate_equivariant(model, sigma, F, action, budget)
-        return _sorted_candidates(out)
+        return _enumerate_equivariant(model, sigma, F, action, budget)
     xs = _all_candidates(model, sigma.d, budget)
     mask = top_microstate_mask(xs, sigma, F, delta, metric, action)
     return xs[mask]
@@ -488,65 +479,58 @@ def _enumerate_equivariant(
     budget: int,
 ) -> np.ndarray:
     """Solutions of x(sigma(g) j) = g. x(j) for all g in F, by propagating
-    transfer maps over the orbit graph and intersecting cycle constraints."""
+    transfer maps over the orbit graph and intersecting cycle constraints,
+    in lexicographic order.
+
+    Each component of the graph with edges j -> p(j) for p = sigma(g) is
+    walked from its root, its least coordinate, along the edges forward
+    only: a permutation has finite order, so p^-1(j) is some p^k(j) and the
+    forward walk reaches the whole component, and each equation is the edge
+    out of one coordinate, checked when that coordinate is reached.
+    ``transfer[j]`` maps the root's value to x(j), and the root values that
+    satisfy every edge are kept in increasing order.
+
+    The solutions are counted in mixed radix over these value lists, roots
+    in increasing order and the last fastest.  This is lexicographic: two
+    distinct solutions first differ at some coordinate j, and j is a root,
+    since x(j) is a function of the value at the root of j's component, which
+    is no later than j and where the two agree unless it is j itself.  So
+    their order is that of their first differing root values, which is the
+    mixed-radix order.
+    """
     _check_window_support(sigma, F)
     d = sigma.d
     n = model.n_points
-    ident = np.arange(n, dtype=np.int64)
-    edges = []
-    for g in F:
-        m = action.point_map(g)
-        p = sigma.perm(g)
-        edges.append((p, m, np.argsort(p), np.argsort(m)))
-    transfer = [None] * d  # x(j) = transfer[j][root value]
-    comp_root = [-1] * d
-    roots: list[int] = []
+    edges = [(sigma.perm(g), action.point_map(g)) for g in F]  # x(p[j]) = m[x(j)]
+    transfer = np.empty((d, n), dtype=np.int64)  # x(j) = transfer[j, root value]
+    comp = [-1] * d  # the component index of each coordinate
     valid: list[np.ndarray] = []
-    for start in range(d):
-        if comp_root[start] >= 0:
+    for root in range(d):
+        if comp[root] >= 0:
             continue
-        root = start
-        roots.append(root)
-        transfer[root] = ident
-        comp_root[root] = root
+        k = comp[root] = len(valid)
+        transfer[root] = np.arange(n)
         ok = np.ones(n, dtype=bool)
         stack = [root]
         while stack:
             j = stack.pop()
-            tj = transfer[j]
-            for p, m, p_inv, m_inv in edges:
-                jf = int(p[j])  # x(jf) = m[x(j)]
-                tf = m[tj]
-                if comp_root[jf] < 0:
-                    comp_root[jf] = root
-                    transfer[jf] = tf
-                    stack.append(jf)
+            for p, m in edges:
+                i, t = int(p[j]), m[transfer[j]]
+                if comp[i] < 0:
+                    comp[i] = k
+                    transfer[i] = t
+                    stack.append(i)
                 else:
-                    ok &= transfer[jf] == tf
-                jb = int(p_inv[j])  # x(j) = m[x(jb)]  =>  x(jb) = m_inv[x(j)]
-                tb = m_inv[tj]
-                if comp_root[jb] < 0:
-                    comp_root[jb] = root
-                    transfer[jb] = tb
-                    stack.append(jb)
-                else:
-                    ok &= transfer[jb] == tb
-        valid.append(np.nonzero(ok)[0])
-    total = 1
-    for v in valid:
-        total *= len(v)
-        if total > budget:
-            raise BudgetExceededError(total, budget, "equivariant enumeration")
-    if total == 0:
-        return np.empty((0, d), dtype=np.int64)
+                    ok &= transfer[i] == t
+        valid.append(np.flatnonzero(ok))
+    total = math.prod(len(v) for v in valid)
+    if total > budget:
+        raise BudgetExceededError(total, budget, "equivariant enumeration")
+    digits = mixed_radix(np.arange(total), [len(v) for v in valid])
+    roots = [v[digits[:, k]] for k, v in enumerate(valid)]
     out = np.empty((total, d), dtype=np.int64)
-    # mixed-radix assignment of root values, lexicographic over root order
-    digit = mixed_radix(np.arange(total), [len(v) for v in valid])
-    for k, (root, vals) in enumerate(zip(roots, valid)):
-        root_vals = vals[digit[:, k]]
-        members = [j for j in range(d) if comp_root[j] == root]
-        for j in members:
-            out[:, j] = transfer[j][root_vals]
+    for j in range(d):
+        out[:, j] = transfer[j, roots[comp[j]]]
     return out
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import time_cap
+from conftest import s3_spec, time_cap
 from soficlab.actions import (
     AlgebraicActionModel,
     AutomorphismAction,
@@ -174,6 +174,103 @@ class TestActions:
                 action.point_map(other)
 
 
+    def test_cached_maps_are_read_only(self, Z):
+        m = cyclic_model(5)
+        action = AutomorphismAction(Z, m, {"t": unit_automorphism(m, 2)})
+        t2 = Z.power(Z.generator(0), 2)
+        cached = action.point_map(t2)
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[1] = 0
+        assert action.point_map(t2).tolist() == [0, 4, 3, 2, 1]
+        assert not action.generator_maps["t"].flags.writeable
+        table_action = sign_action(cyclic_model(3))
+        for g in S3.elements():
+            assert not table_action.point_map(g).flags.writeable
+
+
+S3 = s3_spec([1, 2])
+Z4_TABLE = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+V4_TABLE = [[a ^ b for b in range(4)] for a in range(4)]
+
+
+def sign_action(model):
+    """S3 acting on a cyclic model by negation through the sign."""
+    neg = unit_automorphism(model, -1)
+    return AutomorphismAction(S3, model, {name: neg for name in S3.generators})
+
+
+def klein_model():
+    """Z/2 x Z/2 as a table, whose automorphism group is S3."""
+    return FiniteGroupModel(range(4), V4_TABLE, 0, name="V4")
+
+
+def automorphisms(model):
+    """Every automorphism of a small finite model, by brute force."""
+    out = []
+    for rest in itertools.permutations(range(1, model.n_points)):
+        m = np.array((0,) + rest)
+        if (m[model.mul] == model.mul[m[:, None], m[None, :]]).all():
+            out.append(m)
+    return out
+
+
+TABLE_GROUPS = [
+    S3,
+    s3_spec([1, 3]),  # a transposition and a 3-cycle
+    GroupSpec.from_table(["0", "1", "2", "3"], Z4_TABLE, generator_indices=[1]),
+    GroupSpec.from_table(["e", "a", "b", "ab"], V4_TABLE, generator_indices=[1, 2]),
+]
+SMALL_MODELS = [cyclic_model(3), cyclic_model(4), cyclic_model(5), klein_model()]
+AUTOMORPHISMS = [automorphisms(m) for m in SMALL_MODELS]
+
+
+def word_oracle(group, model, maps):
+    """The map of every element, composed along every word of length at most
+    |G| in the generators, or None when two words equal in G act differently.
+
+    Every element has a word shorter than |G|, so with s a generator, w s
+    covers every product g s: agreement on these words is agreement of
+    phi(g s) with phi(g) phi(s), which is what makes phi a homomorphism."""
+    seen = {}
+    for length in range(group.order() + 1):
+        for word in itertools.product(range(len(maps)), repeat=length):
+            g, m = group.identity(), model.identity_map()
+            for i in word:
+                g, m = group.multiply(g, group.generator(i)), model.compose(m, maps[i])
+            if not np.array_equal(seen.setdefault(g, m), m):
+                return None
+    return seen
+
+
+class TestTableGroupActions:
+    def test_elements_of_another_group_are_refused(self):
+        action = sign_action(cyclic_model(3))
+        z3 = GroupSpec.from_table(["e", "g", "g2"], [[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+        for other in (GroupSpec.cyclic(6).generator(0), z3.generator(1)):
+            with pytest.raises(UnsupportedElementError):
+                action.point_map(other)
+
+    @pytest.mark.parametrize("group", TABLE_GROUPS, ids=["S3-transpositions", "S3-mixed", "Z4", "V4"])
+    def test_accepted_exactly_when_the_word_oracle_accepts(self, group):
+        # every choice of generator automorphisms, on every small model
+        verdicts = []
+        for model, auts in zip(SMALL_MODELS, AUTOMORPHISMS):
+            for maps in itertools.product(auts, repeat=len(group.generators)):
+                want = word_oracle(group, model, maps)
+                try:
+                    action = AutomorphismAction(group, model, dict(zip(group.generators, maps)))
+                except ValidationError:
+                    assert want is None
+                    verdicts.append(False)
+                    continue
+                assert want is not None
+                verdicts.append(True)
+                for g in group.elements():
+                    assert np.array_equal(action.point_map(g), want[g])
+        assert any(verdicts) and not all(verdicts)
+
+
 class TestDualModel:
     def test_two_plus_t_is_z3_with_trivial_action(self, Z2):
         model, action = dual_model(two_plus_t(Z2))
@@ -203,6 +300,13 @@ class TestDualModel:
         f = IntegerGroupMatrix.single(Z2, [(1, "e")])
         model, _ = dual_model(f)
         assert model.n_points == 1
+
+    def test_trivial_group_without_generators(self):
+        # Z/3 dual to 3 on G = {e}: no generator maps, and e acts as the identity
+        for spec in (GroupSpec.abelian([], []), GroupSpec.from_table(["e"], [[0]], generator_indices=[])):
+            model, action = dual_model(IntegerGroupMatrix.single(spec, [(3, "e")]))
+            assert model.n_points == 3 and action.generator_maps == {}
+            assert action.point_map(spec.identity()).tolist() == [0, 1, 2]
 
     def test_digit_products_refused_past_int64(self):
         # over the trivial group R^T = [[3, 0], [M, 1]]: three points k / 3,
@@ -431,6 +535,12 @@ class TestVerifyHypotheses:
         assert rep.lambda_dense_image.value is True
         assert "determinant" in rep.lambda_injective.method
 
+    def test_rectangular_finite_verdict_uses_the_rank(self, Z2):
+        # [1, t]: rank 2 of a 2 x 4 regular matrix, onto but not injective
+        rep = verify_hypotheses(IntegerGroupMatrix.from_pairs(Z2, [[[(1, "e")], [(1, "t")]]], m=1, n=2))
+        assert (rep.lambda_injective.value, rep.lambda_injective.method) == (False, "left-regular-rank")
+        assert rep.lambda_dense_image.value is True
+
     def test_torus_four_by_four_injective(self):
         spec = GroupSpec.abelian(("s", "t"), (4, 4))
         f = IntegerGroupMatrix.single(spec, [(5, "e"), (-1, "s"), (-1, "s^-1"), (-1, "t"), (-1, "t^-1")])
@@ -553,10 +663,8 @@ class TestRegularMatrix:
         assert mat.shape == (2, 4)
 
     def test_non_abelian_entries_without_the_identity_in_support(self):
-        # S3 as permutations of three points: entry (g, g') is f(g g'^-1)
-        perms = list(itertools.permutations(range(3)))
-        table = [[perms.index(tuple(p[q[i]] for i in range(3))) for q in perms] for p in perms]
-        S3 = GroupSpec.from_table([str(p) for p in perms], table)
+        # entry (g, g') is f(g g'^-1)
+        S3 = s3_spec()
         els = S3.elements()
         coeff = {els[1]: 1, els[3]: 2}
         mat = regular_matrix(IntegerGroupMatrix.single(S3, list(zip(coeff.values(), coeff))))

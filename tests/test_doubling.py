@@ -1,13 +1,13 @@
 """The lazy doubled model, doubled metric and diagonal action, and the
 vectorized dual-model tables, against materialized reference constructions."""
 
-import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import s3_spec
 from soficlab.actions import (
     AutomorphismAction,
     IntegerGroupMatrix,
@@ -217,13 +217,6 @@ def test_pair_model_automorphism_check_is_complete():
 
 
 # -- dual model tables ----------------------------------------------------------------
-
-
-def s3_spec():
-    """S3 as permutations of three points, composed right to left."""
-    perms = list(itertools.permutations(range(3)))
-    table = [[perms.index(tuple(p[q[i]] for i in range(3))) for q in perms] for p in perms]
-    return GroupSpec.from_table([str(p) for p in perms], table)
 
 
 S3 = s3_spec()

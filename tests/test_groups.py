@@ -104,6 +104,19 @@ class TestGroupAlgebra:
         sigma = quotient_sofic(z3, {"kind": "regular"}, list(z3.elements()))
         assert (sigma.perm(g) == [1, 2, 0]).all()
 
+    def test_table_generator_indices_are_validated(self):
+        z4 = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+        labels = ["0", "1", "2", "3"]
+        # [2] reaches only {0, 2}; [7] used to be a bare IndexError, and [-1]
+        # a generator whose key -1 broke g e = g
+        with pytest.raises(ValidationError, match="do not generate"):
+            GroupSpec.from_table(labels, z4, generator_indices=[2])
+        for bad in ([7], [-1], [1, 4]):
+            with pytest.raises(ValidationError, match="out of range"):
+                GroupSpec.from_table(labels, z4, generator_indices=bad)
+        z4_spec = GroupSpec.from_table(labels, z4, generator_indices=[2, 1])
+        assert len(z4_spec.ball(3)) == 4
+
     def test_parse_prefers_a_table_label(self):
         z3 = GroupSpec.from_table(
             labels=["0", "1", "2"],
@@ -313,6 +326,13 @@ class TestQuotientSofic:
         assert (sigma.perm(t) == np.array([1, 0, 3, 2, 5, 4])).all()
         report = sofic_defects(sigma, list(Z2_group.elements()))
         assert report.max_pair_defect() == 0
+
+    def test_trivial_abelian_group_regular_quotient(self):
+        # no generators: the strides sum used to be the int 0, with no reshape
+        trivial = GroupSpec.abelian([], [])
+        sigma = quotient_sofic(trivial, {"kind": "regular", "copies": 2}, [trivial.identity()])
+        assert sigma.d == 2
+        assert sigma.perm(trivial.identity()).tolist() == [0, 1]
 
     def test_table_regular_rep(self):
         z3 = GroupSpec.from_table(

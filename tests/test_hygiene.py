@@ -1,8 +1,8 @@
 """Source hygiene: every name a soficlab module imports is used in it, every
 module-level private function or class is referenced somewhere, every public
 function, class and method is referenced by the package, its tests or the
-benchmark, and every parameter of a module-level function is read in its
-body."""
+benchmark, and every parameter of a module-level function or of a method
+(other than ``self`` and ``cls``) is read in its body."""
 
 import ast
 from collections import Counter
@@ -95,20 +95,27 @@ def unreferenced_publics(modules: dict[str, ast.Module], readers) -> list[str]:
 
 
 def unread_parameters(tree: ast.Module) -> list[str]:
-    """Parameters of module-level functions that the function body never
+    """Parameters of module-level functions, and of the methods of
+    module-level classes other than ``self`` and ``cls``, that the body never
     reads."""
-    out = []
+    funcs = []
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
-            a = node.args
-            params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
-            read = {
-                n.id
-                for stmt in node.body
-                for n in ast.walk(stmt)
-                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
-            }
-            out += [f"{node.name}({p.arg}) (line {node.lineno})" for p in params if p.arg not in read]
+            funcs.append((node.name, node, set()))
+        elif isinstance(node, ast.ClassDef):
+            methods = [m for m in node.body if isinstance(m, ast.FunctionDef)]
+            funcs += [(f"{node.name}.{m.name}", m, {"self", "cls"}) for m in methods]
+    out = []
+    for name, node, skip in funcs:
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        read = {
+            n.id
+            for stmt in node.body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        out += [f"{name}({p.arg}) (line {node.lineno})" for p in params if p.arg not in read | skip]
     return out
 
 
@@ -183,4 +190,20 @@ def test_scan_flags_an_unread_parameter():
         "def g(x, y):\n    y = 2\n    def inner(): return x\n    return inner\n\n"
         "class C:\n    def method(self, unused): pass\n"
     )
-    assert unread_parameters(tree) == ["f(b) (line 1)", "g(y) (line 3)"]
+    assert unread_parameters(tree) == ["f(b) (line 1)", "g(y) (line 3)", "C.method(unused) (line 9)"]
+
+
+def test_scan_flags_an_unread_method_parameter_but_not_self_or_cls():
+    tree = ast.parse(
+        "class C:\n"
+        "    def __init__(self, a, b): self.a = a\n\n"
+        "    @classmethod\n"
+        "    def make(cls, n): return cls(n, n)\n\n"
+        "    @staticmethod\n"
+        "    def twice(x, y): return 2 * x\n\n"
+        "    def read(self): return self.a\n\n"
+        "    def nested(self, z):\n"
+        "        def inner(): return z\n"
+        "        return inner\n"
+    )
+    assert unread_parameters(tree) == ["C.__init__(b) (line 2)", "C.twice(y) (line 8)"]

@@ -1,5 +1,7 @@
 """rho2, microstate membership, enumeration, sampling, lifts."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,13 +12,14 @@ from soficlab.actions import (
     AutomorphismAction,
     TorusGridModel,
     cyclic_model,
+    diagonal_action,
     dual_model,
     trivial_action,
     unit_automorphism,
     IntegerGroupMatrix,
 )
 from soficlab.errors import BudgetExceededError, UnsupportedElementError, ValidationError
-from soficlab.groups import GroupSpec, quotient_sofic
+from soficlab.groups import GroupSpec, perturb, quotient_sofic
 from soficlab.measures import SiteMeasure
 from soficlab.microstates import (
     MapWindow,
@@ -30,6 +33,7 @@ from soficlab.microstates import (
     doubled_metric,
     empirical_pushforward,
     enumerate_top_microstates,
+    forces_exact_equivariance,
     indicator_panel,
     is_meas_microstate,
     is_top_microstate,
@@ -256,6 +260,18 @@ class TestEnumeration:
             )
         assert err.value.required == 9
 
+    def test_equivariant_budget_reports_the_full_count(self):
+        # F = {e}: six one-point components of three values each, 3^6 in all
+        group = GroupSpec.cyclic(2)
+        model = cyclic_model(3)
+        sigma = quotient_sofic(group, {"kind": "regular", "copies": 3}, list(group.elements()))
+        with pytest.raises(BudgetExceededError) as err:
+            enumerate_top_microstates(
+                model, sigma, [group.identity()], Fraction(1, 4), discrete_metric(model),
+                trivial_action(group, model), budget=100,
+            )
+        assert err.value.required == 729
+
     def test_block_copies_count(self):
         # f=2+t dual: trivial action; k blocks: 3^k equivariant candidates
         group = GroupSpec.cyclic(2)
@@ -268,6 +284,42 @@ class TestEnumeration:
                 model, sigma, list(group.elements()), Fraction(1, 4), metric, action
             )
             assert out.shape[0] == 3**k
+
+
+@st.composite
+def equivariant_cases(draw):
+    """Z acting on Z/n by a unit, or diagonally on (Z/n)^2, with sigma a
+    cyclic quotient of order d (perturbed half the time) and F drawn from
+    {e, t, t^-1, t^2}."""
+    Z = GroupSpec.integers()
+    pair = draw(st.booleans())
+    n = draw(st.integers(2, 3 if pair else 5))
+    model = cyclic_model(n)
+    unit = draw(st.sampled_from([k for k in range(1, n) if math.gcd(k, n) == 1]))
+    action = AutomorphismAction(Z, model, {"t": unit_automorphism(model, unit)})
+    metric = discrete_metric(model)
+    if pair:
+        action, metric = diagonal_action(action), doubled_metric(metric)
+    d = draw(st.integers(1, 4 if pair else 6))
+    words = draw(st.lists(st.sampled_from(["e", "t", "t^-1", "t^2"]), min_size=1, max_size=4, unique=True))
+    F = [Z.parse(w) for w in words]
+    sigma = quotient_sofic(Z, {"kind": "cyclic-powers", "orders": [d]}, [Z.identity()] + F)
+    if draw(st.booleans()):
+        sigma = perturb(sigma, draw(st.sampled_from([0.2, 0.5])), draw(st.integers(0, 99)))
+    return action, metric, sigma, F
+
+
+@settings(max_examples=150, deadline=None)
+@given(equivariant_cases())
+def test_equivariant_enumeration_is_the_brute_force_list_in_order(case):
+    action, metric, sigma, F = case
+    model, d = action.model, sigma.d
+    delta = Fraction(1, 2 * d)
+    assert forces_exact_equivariance(metric, delta, d)
+    xs = np.array(list(itertools.product(range(model.n_points), repeat=d)), dtype=np.int64)
+    want = xs[top_microstate_mask(xs, sigma, F, delta, metric, action)]
+    got = enumerate_top_microstates(model, sigma, F, delta, metric, action)
+    assert got.shape == want.shape and np.array_equal(got, want)
 
 
 class TestSampling:
