@@ -137,7 +137,7 @@ class FiniteGroupModel(FiniteModel):
 
     def __init__(self, labels: Sequence, mul: np.ndarray, identity: int, name: str = ""):
         self.labels = tuple(labels)
-        self.mul = np.asarray(mul, dtype=np.int64)
+        self.mul = np.array(mul, dtype=np.int64)  # a copy: the caller's table stays writable
         self.identity = int(identity)
         self.name = name or f"finite({len(self.labels)})"
         n = len(self.labels)
@@ -530,7 +530,7 @@ def sigma_matrix(f: IntegerGroupMatrix, sigma: SoficApproximation) -> np.ndarray
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlgebraicActionModel:
     """Approximate-kernel model of X_f at one sofic level.
 

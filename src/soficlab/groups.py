@@ -16,7 +16,10 @@ instantiate):
   optional k-fold block copies.
 
 Permutations are stored 0-based as full one-line int64 arrays of length d.
-All objects are immutable after construction; operations are pure.
+Groups keep read-only copies of their tables, sofic approximations keep
+read-only copies of their permutations, and operations are pure.  A group
+element knows its group by its tag alone; a sofic approximation is one
+object, equal only to itself.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -39,12 +43,15 @@ from .intlin import mixed_radix
 class GroupElement:
     """A group element in canonical form.
 
-    ``key`` is (tag, body): the tag identifies the group family and its
-    defining data (so elements of different groups never compare equal), the
-    body is the canonical content: an exponent tuple for abelian groups, a
-    reduced ((gen_index, exponent), ...) word for free groups, an integer
-    index for table groups.  Identity has the empty word (all-zero exponents
-    / index of the table identity).
+    ``key`` is (tag, body).  The tag identifies the group, so elements of
+    different groups never compare equal: ``("a", moduli)`` for an abelian
+    group, ``("f", rank)`` for a free group, and ``("x", labels, table
+    bytes)`` for a table group, so two table groups share elements exactly
+    when their labels and tables are equal.  Generator names are not part of
+    the tag.  The body is the canonical content: an exponent tuple for
+    abelian groups, a reduced ((gen_index, exponent), ...) word for free
+    groups, an integer index for table groups.  Identity has the empty word
+    (all-zero exponents / index of the table identity).
     """
 
     key: tuple
@@ -78,8 +85,9 @@ def _display(el: GroupElement) -> str:
 class GroupSpec:
     """A group presentation plus its family of finite quotients.
 
-    Construct through the factory classmethods (``integers``, ``abelian``,
-    ``free``, ``from_table`` / ``cyclic_table``); the constructor is internal.
+    Construct through the factory classmethods (``integers``, ``integers2``,
+    ``abelian``, ``cyclic``, ``free``, ``from_table``); the constructor is
+    internal.
     """
 
     def __init__(self, kind: str, generators: tuple[str, ...], **params):
@@ -89,24 +97,33 @@ class GroupSpec:
             self.moduli: tuple[int, ...] = params["moduli"]
             if len(self.moduli) != len(generators):
                 raise ValidationError("one modulus per generator")
+            if any(m < 0 for m in self.moduli):
+                raise ValidationError(f"moduli must be >= 0 (0 = infinite order), not {self.moduli}")
             self._tag = ("a", self.moduli)
         elif kind == "free":
             self.rank = len(generators)
             self._tag = ("f", self.rank)
         elif kind == "table":
-            self.mul_table: np.ndarray = params["mul_table"]
+            # a copy, frozen: the tag below reads the table once
+            self.mul_table: np.ndarray = np.array(params["mul_table"], dtype=np.int64)
+            self.mul_table.setflags(write=False)
             self.labels: tuple[str, ...] = params["labels"]
             n = len(self.labels)
+            if len(set(self.labels)) != n:
+                raise ValidationError(f"repeated table labels {self.labels}")
             if self.mul_table.shape != (n, n):
                 raise ValidationError("multiplication table shape mismatch")
             self.identity_index: int = params["identity_index"]
             self.generator_indices: tuple[int, ...] = params["generator_indices"]
             self.inv_table, gens = _validate_table(self.mul_table, self.identity_index, self.generator_indices)
+            self.inv_table.setflags(write=False)
             if not set(gens) <= set(self.generator_indices):
                 raise ValidationError(f"generator indices {self.generator_indices} do not generate the group")
-            self._tag = ("x", self.labels)
+            self._tag = ("x", self.labels, self.mul_table.tobytes())
         else:
             raise ValidationError(f"unknown group kind {kind!r}")
+        if len(set(generators)) != len(generators):
+            raise ValidationError(f"repeated generator names {generators}")
 
     # -- factories ---------------------------------------------------------
 
@@ -120,13 +137,13 @@ class GroupSpec:
 
     @classmethod
     def abelian(cls, names: Sequence[str], moduli: Sequence[int]) -> "GroupSpec":
-        return cls("abelian", tuple(names), moduli=tuple(int(m) for m in moduli))
+        return cls("abelian", tuple(names), moduli=tuple(_integer(m, "a modulus") for m in moduli))
 
     @classmethod
     def cyclic(cls, order: int, name: str = "t") -> "GroupSpec":
         if order < 1:
             raise ValidationError("cyclic order must be >= 1")
-        return cls("abelian", (name,), moduli=(order,))
+        return cls.abelian((name,), (order,))
 
     @classmethod
     def free(cls, rank: int, names: Sequence[str] | None = None) -> "GroupSpec":
@@ -144,15 +161,16 @@ class GroupSpec:
         identity_index: int = 0,
         generator_indices: Sequence[int] | None = None,
     ) -> "GroupSpec":
-        table = np.asarray(mul_table, dtype=np.int64)
         n = len(labels)
-        gens = tuple(map(int, generator_indices)) if generator_indices is not None else tuple(range(n))
+        gens = tuple(range(n)) if generator_indices is None else tuple(
+            _integer(i, "a generator index") for i in generator_indices
+        )
         if any(not 0 <= i < n for i in gens):
             raise ValidationError(f"generator indices {gens} out of range 0..{n - 1}")
         return cls(
             "table",
             tuple(labels[i] for i in gens),
-            mul_table=table,
+            mul_table=mul_table,
             labels=tuple(labels),
             identity_index=identity_index,
             generator_indices=gens,
@@ -217,18 +235,6 @@ class GroupSpec:
         if self.kind == "free":
             return GroupElement((self._tag, tuple((g, -e) for g, e in reversed(a.key[1]))))
         return GroupElement((self._tag, int(self.inv_table[a.key[1]])))
-
-    def canonicalize(self, a: GroupElement) -> GroupElement:
-        """Re-reduce an element; idempotent (confluence of word reduction)."""
-        if self.kind == "abelian":
-            return self._reduce_abelian(a.key[1])
-        if self.kind == "free":
-            out = self.identity()
-            for gen, exp in a.key[1]:
-                step = GroupElement((self._tag, ((gen, exp),))) if exp else self.identity()
-                out = self.multiply(out, step)
-            return out
-        return a
 
     def power(self, a: GroupElement, n: int) -> GroupElement:
         out = self.identity()
@@ -306,16 +312,9 @@ class GroupSpec:
 
     # -- quotients ---------------------------------------------------------
 
-    def offers_quotient(self, quotient: Mapping) -> bool:
-        try:
-            self._quotient_data(quotient)
-            return True
-        except ValidationError:
-            return False
-
     def _quotient_data(self, quotient: Mapping):
         kind = quotient.get("kind")
-        copies = int(quotient.get("copies", 1))
+        copies = _integer(quotient.get("copies", 1), "copies")
         if copies < 1:
             raise ValidationError("copies must be >= 1")
         if self.kind == "abelian":
@@ -326,7 +325,7 @@ class GroupSpec:
                 return ("cyclic-powers", self.moduli, copies)
             if kind != "cyclic-powers":
                 raise ValidationError(f"abelian groups offer cyclic-powers quotients, not {kind!r}")
-            orders = tuple(int(x) for x in quotient["orders"])
+            orders = tuple(_integer(x, "a quotient order") for x in quotient["orders"])
             if len(orders) != len(self.generators):
                 raise ValidationError("one quotient order per generator")
             for m, o in zip(self.moduli, orders):
@@ -339,28 +338,12 @@ class GroupSpec:
             if kind != "regular":
                 raise ValidationError(f"table groups offer regular quotients, not {kind!r}")
             return ("regular", None, copies)
-        if self.kind == "free":
-            if kind != "random-permutations":
-                raise ValidationError(f"free groups offer random-permutations models, not {kind!r}")
-            degree = int(quotient["degree"])
-            if degree < 1:
-                raise ValidationError("degree must be >= 1")
-            return ("random-permutations", degree, copies)
-        raise ValidationError("no quotient family")
-
-    def descriptor(self) -> dict:
-        """JSON-able description used for hashing and caching."""
-        if self.kind == "abelian":
-            return {"kind": "abelian", "generators": list(self.generators), "moduli": list(self.moduli)}
-        if self.kind == "free":
-            return {"kind": "free", "generators": list(self.generators)}
-        return {
-            "kind": "table",
-            "labels": list(self.labels),
-            "mul_table": self.mul_table.tolist(),
-            "identity_index": self.identity_index,
-            "generator_indices": list(self.generator_indices),
-        }
+        if kind != "random-permutations":
+            raise ValidationError(f"free groups offer random-permutations models, not {kind!r}")
+        degree = _integer(quotient["degree"], "degree")
+        if degree < 1:
+            raise ValidationError("degree must be >= 1")
+        return ("random-permutations", degree, copies)
 
     # -- misc ----------------------------------------------------------------
 
@@ -369,13 +352,6 @@ class GroupSpec:
             list(a.key[1]) if self.kind == "abelian" else a.key[1]
         )
 
-    def element_from_json(self, data) -> GroupElement:
-        if self.kind == "free":
-            return GroupElement((self._tag, tuple((int(g), int(e)) for g, e in data)))
-        if self.kind == "abelian":
-            return self._reduce_abelian(tuple(int(x) for x in data))
-        return GroupElement((self._tag, int(data)))
-
     def __repr__(self) -> str:
         if self.kind == "abelian":
             parts = [f"Z" if m == 0 else f"Z/{m}" for m in self.moduli]
@@ -383,6 +359,15 @@ class GroupSpec:
         if self.kind == "free":
             return f"GroupSpec(F_{self.rank})"
         return f"GroupSpec(table order {len(self.labels)})"
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int, refusing floats and other non-integers (numpy
+    integers pass)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{what} must be an integer, not {value!r}") from None
 
 
 def _sort_key(el: GroupElement):
@@ -473,14 +458,16 @@ def _close(mul: np.ndarray, reached: np.ndarray, g: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SoficApproximation:
     """A finite-support map sigma: G -> S_d stored as one-line permutations.
 
     Invariants enforced at construction: every table entry is a bijection of
     {0..d-1}; sigma(e) is the identity permutation whenever e is in the
     support.  sigma(g^-1) == sigma(g)^-1 is *not* enforced; the deviation is
-    part of what sofic_defects measures.
+    part of what sofic_defects measures.  ``provenance``, ``seed`` and
+    ``quotient`` record how it was made.  It compares and hashes as an
+    object: two approximations built alike are still two.
     """
 
     group: GroupSpec
@@ -513,49 +500,6 @@ class SoficApproximation:
             return self.table[g]
         except KeyError:
             raise UnsupportedElementError(g, "sofic approximation support") from None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "format": "soficlab-sofic/1",
-            "group": self.group.descriptor(),
-            "d": self.d,
-            "provenance": self.provenance,
-            "seed": self.seed,
-            "quotient": dict(self.quotient) if self.quotient is not None else None,
-            "table": [
-                [self.group.element_to_json(g), perm.tolist()] for g, perm in sorted(
-                    self.table.items(), key=lambda kv: _sort_key(kv[0])
-                )
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping, group: GroupSpec) -> "SoficApproximation":
-        if data.get("format") != "soficlab-sofic/1":
-            raise ValidationError("unknown sofic serialization format")
-        table = {
-            group.element_from_json(g): np.array(perm, dtype=np.int64)
-            for g, perm in data["table"]
-        }
-        return cls(
-            group=group,
-            d=int(data["d"]),
-            table=table,
-            provenance=data["provenance"],
-            seed=data["seed"],
-            quotient=data["quotient"],
-        )
-
-    def cache_key(self) -> str:
-        payload = {
-            "group": self.group.descriptor(),
-            "quotient": dict(self.quotient) if self.quotient is not None else None,
-            "support": [self.group.element_to_json(g) for g in sorted(self.table, key=_sort_key)],
-            "seed": self.seed,
-            "provenance": self.provenance,
-        }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-        return hashlib.sha256(blob).hexdigest()[:24]
 
 
 @dataclass(frozen=True)

@@ -196,7 +196,7 @@ class Convolution:
         return self.left.d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleBased:
     """Finitely many weighted atoms.
 

@@ -43,7 +43,7 @@ from .measures import SiteMeasure
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pseudometric:
     """A pseudometric on model points via squared distances.
 
@@ -204,7 +204,7 @@ def _lt_threshold(nums, count: int, metric: Pseudometric, delta: Fraction):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TestFunction:
     """A bounded test function given by its values on model points.
 

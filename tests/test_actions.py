@@ -65,6 +65,16 @@ class TestModels:
         assert m.inverse(1) == 2
         assert m.identity == 0
 
+    def test_finite_group_model_copies_its_table(self):
+        # the model used to freeze the caller's own array in place
+        arr = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]], dtype=np.int64)
+        m = FiniteGroupModel(range(3), arr, 0)
+        arr[1, 1] = 0
+        assert arr.flags.writeable
+        assert m.op(1, 1) == 2
+        with pytest.raises(ValueError, match="read-only"):
+            m.mul[0] = 1
+
     def test_torus_ops_exact(self):
         t = TorusGridModel(8, 2)
         assert t.op((7, 3), (2, 6)) == (1, 1)

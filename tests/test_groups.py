@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from soficlab.actions import FiniteGroupModel
+from soficlab.actions import FiniteGroupModel, trivial_action
 from soficlab.errors import UnsupportedElementError, ValidationError
 from soficlab.groups import (
     GroupSpec,
@@ -34,6 +34,10 @@ def support_range(spec, lo, hi):
     return [spec.power(t, n) for n in range(lo, hi + 1)]
 
 
+def trivial_quotient(spec, quotient):
+    return quotient_sofic(spec, quotient, [spec.identity()])
+
+
 class TestGroupAlgebra:
     def test_identity_has_empty_word(self, Z):
         assert Z.identity().key[1] == (0,)
@@ -42,12 +46,12 @@ class TestGroupAlgebra:
         assert Z.generator(0) != GroupSpec.cyclic(2).generator(0)
 
     def test_canonical_form_idempotent(self, Z):
-        el = Z.parse("t^3")
-        assert Z.canonicalize(Z.canonicalize(el)) == Z.canonicalize(el)
+        assert Z.parse("t^3*t^-5") == Z.parse("t^-2")
         free = GroupSpec.free(2)
         w = free.parse("a*b^-1*b*a")  # reduces to a^2
         assert w == free.parse("a^2")
-        assert free.canonicalize(w) == w
+        assert w.key[1] == ((0, 2),)
+        assert free.multiply(w, free.identity()) == w
 
     def test_free_reduction(self):
         free = GroupSpec.free(2)
@@ -64,13 +68,15 @@ class TestGroupAlgebra:
     def test_relations_die_in_quotients(self):
         z2 = GroupSpec.integers2()
         quotient = {"kind": "cyclic-powers", "orders": [4, 6]}
-        assert z2.offers_quotient(quotient)
+        assert trivial_quotient(z2, quotient).d == 24
         # commutator is trivially satisfied; order relations must divide
         bad = {"kind": "cyclic-powers", "orders": [4]}
-        assert not z2.offers_quotient(bad)
+        with pytest.raises(ValidationError, match="one quotient order per generator"):
+            trivial_quotient(z2, bad)
         z4 = GroupSpec.cyclic(4)
-        assert z4.offers_quotient({"kind": "cyclic-powers", "orders": [2]})
-        assert not z4.offers_quotient({"kind": "cyclic-powers", "orders": [3]})
+        assert trivial_quotient(z4, {"kind": "cyclic-powers", "orders": [2]}).d == 2
+        with pytest.raises(ValidationError, match="does not die"):
+            trivial_quotient(z4, {"kind": "cyclic-powers", "orders": [3]})
 
     def test_abelian_elements_in_product_order(self):
         g = GroupSpec.abelian(("a", "b", "c"), (2, 3, 4))
@@ -116,6 +122,73 @@ class TestGroupAlgebra:
                 GroupSpec.from_table(labels, z4, generator_indices=bad)
         z4_spec = GroupSpec.from_table(labels, z4, generator_indices=[2, 1])
         assert len(z4_spec.ball(3)) == 4
+
+    def test_table_elements_know_their_table(self):
+        # Z/4 and the Klein group with the same labels used to share elements
+        labels = ["0", "1", "2", "3"]
+        z4_table = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+        klein_table = [[i ^ j for j in range(4)] for i in range(4)]
+        z4 = GroupSpec.from_table(labels, z4_table)
+        klein = GroupSpec.from_table(labels, klein_table)
+        assert z4.generator(0) != klein.generator(0)
+        assert z4.parse("3") != klein.parse("3")
+        model = FiniteGroupModel(range(3), [[(i + j) % 3 for j in range(3)] for i in range(3)], 0)
+        action = trivial_action(klein, model)
+        assert action.point_map(klein.parse("3")).tolist() == [0, 1, 2]
+        with pytest.raises(UnsupportedElementError):
+            action.point_map(z4.parse("3"))
+        # equal tables still give one group, however they were passed in
+        again = GroupSpec.from_table(labels, np.array(z4_table), generator_indices=[1])
+        assert again.parse("3") == z4.parse("3")
+        assert again.multiply(again.generator(0), z4.parse("2")) == z4.parse("3")
+
+    def test_table_is_a_frozen_copy(self):
+        # Z/3's table used to be kept as passed, writable: changing it changed
+        # the group's law with no error
+        arr = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]], dtype=np.int64)
+        z3 = GroupSpec.from_table(["0", "1", "2"], arr)
+        g = z3.generator(1)
+        arr[1, 1] = 0
+        assert z3.multiply(g, g) == z3.parse("2")
+        for table in (z3.mul_table, z3.inv_table):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: GroupSpec.abelian(["t"], [-3]),
+            lambda: GroupSpec.cyclic(2.5),
+            lambda: GroupSpec.abelian(["t", "t"], [0, 0]),
+            lambda: GroupSpec.free(2, ["a", "a"]),
+            lambda: GroupSpec.from_table(["a", "a"], [[0, 1], [1, 0]]),
+            lambda: GroupSpec.from_table(["e", "g"], [[0, 1], [1, 0]], generator_indices=[1, 1]),
+            lambda: GroupSpec.from_table(["e", "g"], [[0, 1], [1, 0]], generator_indices=[1.5]),
+            lambda: trivial_quotient(GroupSpec.cyclic(2), {"kind": "regular", "copies": 1.5}),
+            lambda: trivial_quotient(GroupSpec.integers(), {"kind": "cyclic-powers", "orders": [2.7]}),
+            lambda: trivial_quotient(GroupSpec.free(1), {"kind": "random-permutations", "degree": 4.0}),
+        ],
+        ids=[
+            "negative-modulus",
+            "float-cyclic-order",
+            "repeated-abelian-names",
+            "repeated-free-names",
+            "repeated-table-labels",
+            "repeated-table-generators",
+            "float-table-generator",
+            "float-copies",
+            "float-order",
+            "float-degree",
+        ],
+    )
+    def test_bad_group_input_is_refused(self, build):
+        with pytest.raises(ValidationError):
+            build()
+
+    def test_quotient_parameters_take_numpy_integers(self):
+        Z = GroupSpec.integers()
+        quotient = {"kind": "cyclic-powers", "orders": [np.int64(3)], "copies": np.int32(2)}
+        assert quotient_sofic(Z, quotient, [Z.identity(), Z.generator(0)]).d == 6
 
     def test_parse_prefers_a_table_label(self):
         z3 = GroupSpec.from_table(
@@ -432,34 +505,3 @@ class TestDefectInvariance:
         b = sofic_defects(conj, window)
         assert a.pair_defects == b.pair_defects
         assert a.fixed_fractions == b.fixed_fractions
-
-
-class TestSerialization:
-    def test_round_trip_bit_identical(self):
-        Z = GroupSpec.integers()
-        sigma = perturb(
-            quotient_sofic(
-                Z, {"kind": "cyclic-powers", "orders": [8]}, support_range(Z, -2, 2)
-            ),
-            0.25,
-            seed=11,
-        )
-        data = sigma.to_json_dict()
-        back = SoficApproximation.from_json_dict(data, Z)
-        assert back.to_json_dict() == data
-        for g in sigma.table:
-            assert (back.table[g] == sigma.table[g]).all()
-
-    def test_cache_key_stable(self):
-        Z = GroupSpec.integers()
-        s1 = quotient_sofic(
-            Z, {"kind": "cyclic-powers", "orders": [8], "seed": 3}, support_range(Z, -1, 1)
-        )
-        s2 = quotient_sofic(
-            Z, {"kind": "cyclic-powers", "orders": [8], "seed": 3}, support_range(Z, -1, 1)
-        )
-        assert s1.cache_key() == s2.cache_key()
-        s3 = quotient_sofic(
-            Z, {"kind": "cyclic-powers", "orders": [16], "seed": 3}, support_range(Z, -1, 1)
-        )
-        assert s3.cache_key() != s1.cache_key()

@@ -1,8 +1,9 @@
 """Source hygiene: every name a soficlab module imports is used in it, every
 module-level private function or class is referenced somewhere, every public
 function, class and method is referenced by the package, its tests or the
-benchmark, and every parameter of a module-level function or of a method
-(other than ``self`` and ``cls``) is read in its body."""
+benchmark, every parameter of a module-level function or of a method
+(other than ``self`` and ``cls``) is read in its body, and no dataclass
+compares arrays with its generated ``__eq__``."""
 
 import ast
 from collections import Counter
@@ -119,6 +120,33 @@ def unread_parameters(tree: ast.Module) -> list[str]:
     return out
 
 
+def array_eq_dataclasses(tree: ast.Module) -> list[str]:
+    """Dataclasses with a field annotated with ``ndarray`` that keep the
+    generated field-by-field ``__eq__``, which raises on arrays: each must
+    pass ``eq=False`` or define its own ``__eq__``."""
+    def names(node):
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+            n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+        }
+
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decos = [d for d in node.decorator_list if "dataclass" in names(d)]
+        no_eq = any(
+            k.arg == "eq" and isinstance(k.value, ast.Constant) and k.value.value is False
+            for d in decos
+            if isinstance(d, ast.Call)
+            for k in d.keywords
+        )
+        own_eq = any(isinstance(m, ast.FunctionDef) and m.name == "__eq__" for m in node.body)
+        arrays = any(isinstance(f, ast.AnnAssign) and "ndarray" in names(f.annotation) for f in node.body)
+        if decos and arrays and not (no_eq or own_eq):
+            out.append(f"{node.name} (line {node.lineno})")
+    return out
+
+
 def test_sources_found():
     assert {p.name for p in SOURCES} >= {"actions.py", "measures.py", "microstates.py"}
 
@@ -131,6 +159,11 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unread_parameters(path):
     assert unread_parameters(ast.parse(path.read_text())) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_array_fields_under_a_generated_eq(path):
+    assert array_eq_dataclasses(ast.parse(path.read_text())) == []
 
 
 def test_no_unreferenced_private_helpers():
@@ -207,3 +240,16 @@ def test_scan_flags_an_unread_method_parameter_but_not_self_or_cls():
         "        return inner\n"
     )
     assert unread_parameters(tree) == ["C.__init__(b) (line 2)", "C.twice(y) (line 8)"]
+
+
+def test_scan_flags_a_dataclass_comparing_arrays():
+    tree = ast.parse(
+        "import numpy as np\nfrom dataclasses import dataclass\n\n"
+        "@dataclass(frozen=True)\nclass Flagged:\n    a: np.ndarray | None\n\n"
+        "@dataclass\nclass Mapped:\n    m: dict[int, np.ndarray]\n\n"
+        "@dataclass(frozen=True, eq=False)\nclass ByIdentity:\n    a: np.ndarray\n\n"
+        "@dataclass(frozen=True)\nclass OwnEq:\n    a: np.ndarray\n    def __eq__(self, other): return self is other\n\n"
+        "@dataclass(frozen=True)\nclass NoArrays:\n    n: int\n\n"
+        "class Plain:\n    a: np.ndarray\n"
+    )
+    assert array_eq_dataclasses(tree) == ["Flagged (line 5)", "Mapped (line 9)"]

@@ -14,13 +14,14 @@ from soficlab.actions import (
     cyclic_model,
     diagonal_action,
     dual_model,
+    instantiate_Xf,
     trivial_action,
     unit_automorphism,
     IntegerGroupMatrix,
 )
 from soficlab.errors import BudgetExceededError, UnsupportedElementError, ValidationError
 from soficlab.groups import GroupSpec, perturb, quotient_sofic
-from soficlab.measures import SiteMeasure
+from soficlab.measures import Doubled, SiteMeasure, UniformOnSet
 from soficlab.microstates import (
     MapWindow,
     Pseudometric,
@@ -440,11 +441,47 @@ class TestExport:
             model, sigma, list(group.elements()), Fraction(1, 4), metric, action
         )
         path = tmp_path / "micro.npz"
-        manifest = {"sigma": sigma.cache_key(), "delta": "1/4", "F": ["e", "t"]}
+        manifest = {"sigma": "Z/2 regular", "delta": "1/4", "F": ["e", "t"]}
         save_microstates(path, xs, manifest)
         back, mani = load_microstates(path)
         assert (back == xs).all()
         assert mani == manifest
+
+
+def _regular_z2():
+    group = GroupSpec.cyclic(2)
+    return quotient_sofic(group, {"kind": "regular"}, list(group.elements()))
+
+
+def _kernel_model():
+    f = IntegerGroupMatrix.single(GroupSpec.cyclic(2), [(2, "e"), (1, "t")])
+    return instantiate_Xf(f, _regular_z2(), q=6, tol=0)
+
+
+def _window():
+    m = cyclic_model(3)
+    return MapWindow(F=(GroupSpec.cyclic(2).identity(),), delta=Fraction(1, 4), L=indicator_panel(m), target=SiteMeasure.uniform(m))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        _regular_z2,
+        _kernel_model,
+        lambda: UniformOnSet(cyclic_model(3), np.array([[0, 1], [2, 2]])),
+        lambda: discrete_metric(cyclic_model(3)),
+        lambda: indicator_panel(cyclic_model(3))[0],
+        _window,
+        lambda: Doubled(UniformOnSet(cyclic_model(3), np.array([[0, 1], [2, 2]]))),
+    ],
+    ids=["SoficApproximation", "AlgebraicActionModel", "SampleBased", "Pseudometric", "TestFunction", "MapWindow", "Doubled"],
+)
+def test_array_holders_compare_as_objects(build):
+    # field-by-field == on their arrays used to raise "truth value of an
+    # array is ambiguous", and hash a TypeError
+    a, b = build(), build()
+    assert a == a and not a == b and a != b
+    assert len({a, b, a}) == 2
 
 
 class TestMonotonicity:
