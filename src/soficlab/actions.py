@@ -133,17 +133,17 @@ class FiniteModel:
 
 
 class FiniteGroupModel(FiniteModel):
-    """Explicit finite group: element labels plus multiplication table."""
+    """Explicit finite group: element labels plus multiplication table, whose
+    identity is the element whose row fixes every column."""
 
-    def __init__(self, labels: Sequence, mul: np.ndarray, identity: int, name: str = ""):
+    def __init__(self, labels: Sequence, mul: np.ndarray, *, name: str = ""):
         self.labels = tuple(labels)
         self.mul = np.array(mul, dtype=np.int64)  # a copy: the caller's table stays writable
-        self.identity = int(identity)
         self.name = name or f"finite({len(self.labels)})"
         n = len(self.labels)
         if self.mul.shape != (n, n):
             raise ValidationError("multiplication table shape mismatch")
-        self.inv, self.generators = _validate_table(self.mul, self.identity)
+        self.identity, self.inv, self.generators = _validate_table(self.mul)
         self.mul.setflags(write=False)
         self.inv.setflags(write=False)
 
@@ -432,7 +432,7 @@ def cyclic_model(order: int) -> FiniteGroupModel:
     """Z/order as a finite model with labels 0..order-1."""
     n = order
     mul = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
-    return FiniteGroupModel(tuple(range(n)), mul, 0, name=f"Z/{n}")
+    return FiniteGroupModel(tuple(range(n)), mul, name=f"Z/{n}")
 
 
 def unit_automorphism(model: FiniteGroupModel, k: int) -> np.ndarray:
@@ -454,20 +454,19 @@ class IntegerGroupMatrix:
 
     ``entries[l][j]`` maps group elements to integer coefficients (finite
     support).  Row index l ranges over the domain copies, column index j over
-    the codomain copies, matching (r(f) xi)(j) = sum_l xi(l) f_{lj}.
+    the codomain copies, matching (r(f) xi)(j) = sum_l xi(l) f_{lj}.  The
+    shape m x n is read from the grid, which must be rectangular.
     """
 
     group: GroupSpec
-    m: int
-    n: int
     entries: tuple[tuple[Mapping[GroupElement, int], ...], ...]
 
     def __post_init__(self):
         # an empty f^(sigma) has no rows to list, so its columns would be lost
         if self.m < 1 or self.n < 1:
             raise ValidationError(f"f must be at least 1 x 1, not {self.m} x {self.n}")
-        if len(self.entries) != self.m or any(len(r) != self.n for r in self.entries):
-            raise ValidationError("entry grid must be m x n")
+        if any(len(r) != self.n for r in self.entries):
+            raise ValidationError("entry grid must be rectangular")
         frozen = tuple(
             tuple(
                 MappingProxyType({g: int(c) for g, c in cell.items() if int(c) != 0})
@@ -477,14 +476,17 @@ class IntegerGroupMatrix:
         )
         object.__setattr__(self, "entries", frozen)
 
+    @property
+    def m(self) -> int:
+        return len(self.entries)
+
+    @property
+    def n(self) -> int:
+        return len(self.entries[0]) if self.entries else 0
+
     @classmethod
-    def from_pairs(
-        cls, group: GroupSpec, entries: Sequence[Sequence[Sequence]], m: int | None = None,
-        n: int | None = None,
-    ) -> "IntegerGroupMatrix":
+    def from_pairs(cls, group: GroupSpec, entries: Sequence[Sequence[Sequence]]) -> "IntegerGroupMatrix":
         """Entries as [[ [(coeff, word), ...] , ...], ...]; words parsed by the group."""
-        m = m if m is not None else len(entries)
-        n = n if n is not None else (len(entries[0]) if entries else 0)
         grid = []
         for row in entries:
             cells = []
@@ -495,12 +497,12 @@ class IntegerGroupMatrix:
                     acc[g] = acc.get(g, 0) + int(coeff)
                 cells.append(acc)
             grid.append(tuple(cells))
-        return cls(group=group, m=m, n=n, entries=tuple(grid))
+        return cls(group=group, entries=tuple(grid))
 
     @classmethod
     def single(cls, group: GroupSpec, pairs: Sequence) -> "IntegerGroupMatrix":
         """The 1x1 (principal) case."""
-        return cls.from_pairs(group, [[pairs]], m=1, n=1)
+        return cls.from_pairs(group, [[pairs]])
 
     def support(self) -> tuple[GroupElement, ...]:
         seen: dict[GroupElement, None] = {}
@@ -735,7 +737,7 @@ def dual_model(f: IntegerGroupMatrix) -> tuple[FiniteGroupModel, AutomorphismAct
     sums = np.zeros((K, K), dtype=np.int64)
     for i in range(len(moduli)):
         sums += (y[:, None, i] + y[None, :, i]) % moduli[i] * place[i]
-    model = FiniteGroupModel(_grid_labels(pts, scale), rank[sums], int(rank[0]), name=f"dual(|G|={N}, n={f.n})")
+    model = FiniteGroupModel(_grid_labels(pts, scale), rank[sums], name=f"dual(|G|={N}, n={f.n})")
     # (g.x)[(h, j)] = x[(g^-1 h, j)]: the source column of every target
     # column, for each generator g
     gens = [spec.generator(i) for i in range(len(spec.generators))]

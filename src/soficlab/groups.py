@@ -12,10 +12,12 @@ instantiate):
   multiplicatively (an evaluation homomorphism, so pair defects vanish and
   only freeness is approximate).
 * finite groups by explicit multiplication table: canonical form is the
-  element index; quotient model is the left regular representation, with
-  optional k-fold block copies.
+  element index, and the identity is the row of the table that fixes every
+  column; quotient model is the left regular representation, with optional
+  k-fold block copies.
 
-Permutations are stored 0-based as full one-line int64 arrays of length d.
+Permutations are stored 0-based as full one-line int64 arrays; their
+common length is the degree d of a sofic approximation.
 Groups keep read-only copies of their tables, sofic approximations keep
 read-only copies of their permutations, and operations are pure.  A group
 element knows its group by its tag alone; a sofic approximation is one
@@ -28,7 +30,7 @@ import hashlib
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -113,9 +115,8 @@ class GroupSpec:
                 raise ValidationError(f"repeated table labels {self.labels}")
             if self.mul_table.shape != (n, n):
                 raise ValidationError("multiplication table shape mismatch")
-            self.identity_index: int = params["identity_index"]
             self.generator_indices: tuple[int, ...] = params["generator_indices"]
-            self.inv_table, gens = _validate_table(self.mul_table, self.identity_index, self.generator_indices)
+            self.identity_index, self.inv_table, gens = _validate_table(self.mul_table, self.generator_indices)
             self.inv_table.setflags(write=False)
             if not set(gens) <= set(self.generator_indices):
                 raise ValidationError(f"generator indices {self.generator_indices} do not generate the group")
@@ -158,7 +159,7 @@ class GroupSpec:
         cls,
         labels: Sequence[str],
         mul_table: Sequence[Sequence[int]],
-        identity_index: int = 0,
+        *,
         generator_indices: Sequence[int] | None = None,
     ) -> "GroupSpec":
         n = len(labels)
@@ -172,7 +173,6 @@ class GroupSpec:
             tuple(labels[i] for i in gens),
             mul_table=mul_table,
             labels=tuple(labels),
-            identity_index=identity_index,
             generator_indices=gens,
         )
 
@@ -381,11 +381,14 @@ def _sort_key(el: GroupElement):
     return (2, len(body), flat)
 
 
-def _validate_table(mul: np.ndarray, e: int, first: tuple[int, ...] = ()) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Check that ``mul`` is the multiplication table of a group with identity
-    index ``e``; return its inverse table and a generating set, drawn from the
+def _validate_table(mul: np.ndarray, first: tuple[int, ...] = ()) -> tuple[int, np.ndarray, tuple[int, ...]]:
+    """Check that ``mul`` is the multiplication table of a group; return its
+    identity index e, its inverse table and a generating set, drawn from the
     indices ``first`` before any other, so that it lies inside ``first``
     exactly when ``first`` generates the group.
+
+    e is the first row equal to 0..n-1, the one element that fixes every
+    column; the identity axiom then checks that row and its column.
 
     Associativity is checked completely by Light's test: if (x g) y = x (g y)
     for all x, y and every g in a generating set S, it holds for all g, since
@@ -397,8 +400,11 @@ def _validate_table(mul: np.ndarray, e: int, first: tuple[int, ...] = ()) -> tup
     n = mul.shape[0]
     if mul.shape != (n, n):
         raise ValidationError("multiplication table shape mismatch")
-    if not 0 <= e < n or (mul < 0).any() or (mul >= n).any():
+    if n == 0:
+        raise ValidationError("a group table needs at least one element")
+    if (mul < 0).any() or (mul >= n).any():
         raise ValidationError("table entries out of range")
+    e = int(np.argmax((mul == np.arange(n)).all(axis=1)))
     if not ((mul[e, :] == np.arange(n)).all() and (mul[:, e] == np.arange(n)).all()):
         raise ValidationError("identity axiom fails")
     inv = np.full(n, -1, dtype=np.int64)
@@ -426,7 +432,7 @@ def _validate_table(mul: np.ndarray, e: int, first: tuple[int, ...] = ()) -> tup
             x_rows = mul[lo : lo + block]
             if not (mul[x_rows[:, g]] == np.take(x_rows, mul[g], axis=1)).all():
                 raise ValidationError("multiplication table is not associative")
-    return inv, tuple(gens)
+    return e, inv, tuple(gens)
 
 
 def _close(mul: np.ndarray, reached: np.ndarray, g: int) -> None:
@@ -462,34 +468,37 @@ def _close(mul: np.ndarray, reached: np.ndarray, g: int) -> None:
 class SoficApproximation:
     """A finite-support map sigma: G -> S_d stored as one-line permutations.
 
-    Invariants enforced at construction: every table entry is a bijection of
-    {0..d-1}; sigma(e) is the identity permutation whenever e is in the
-    support.  sigma(g^-1) == sigma(g)^-1 is *not* enforced; the deviation is
-    part of what sofic_defects measures.  ``provenance``, ``seed`` and
-    ``quotient`` record how it was made.  It compares and hashes as an
-    object: two approximations built alike are still two.
+    The degree d is read from the table: the length of its first
+    permutation.  Invariants enforced at construction: the table is nonempty,
+    every entry is a bijection of {0..d-1} for that one d >= 1, and sigma(e)
+    is the identity permutation whenever e is in the support.
+    sigma(g^-1) == sigma(g)^-1 is *not* enforced; the deviation is part of
+    what sofic_defects measures.  ``provenance``, ``seed`` and ``quotient``
+    record how it was made.  It compares and hashes as an object: two
+    approximations built alike are still two.
     """
 
     group: GroupSpec
-    d: int
+    d: int = field(init=False)
     table: Mapping[GroupElement, np.ndarray]
     provenance: str
     seed: int | None = None
     quotient: Mapping | None = None
 
     def __post_init__(self):
-        frozen = {}
-        for g, perm in self.table.items():
-            arr = np.asarray(perm, dtype=np.int64)
-            if arr.shape != (self.d,) or not _is_permutation(arr, self.d):
-                raise ValidationError(f"table entry for {g} is not a permutation of 0..{self.d - 1}")
-            arr = arr.copy()
+        perms = {g: np.array(perm, dtype=np.int64) for g, perm in self.table.items()}
+        d = next(iter(perms.values())).size if perms else 0
+        if d == 0:
+            raise ValidationError("sigma needs a nonempty table of nonempty permutations")
+        for g, arr in perms.items():
+            if arr.shape != (d,) or not _is_permutation(arr, d):
+                raise ValidationError(f"table entry for {g} is not a permutation of 0..{d - 1}")
             arr.setflags(write=False)
-            frozen[g] = arr
         e = self.group.identity()
-        if e in frozen and not (frozen[e] == np.arange(self.d)).all():
+        if e in perms and not (perms[e] == np.arange(d)).all():
             raise ValidationError("sigma(e) must be the identity permutation")
-        object.__setattr__(self, "table", MappingProxyType(frozen))
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "table", MappingProxyType(perms))
 
     @property
     def support(self) -> tuple[GroupElement, ...]:
@@ -551,22 +560,18 @@ def quotient_sofic(
     table: dict[GroupElement, np.ndarray] = {}
     if kind == "cyclic-powers":
         orders = data
-        d0 = math.prod(orders)
         # the index of (a_1..a_k) is lexicographic, the last coordinate fastest
         grids = np.meshgrid(*[np.arange(o) for o in orders], indexing="ij")
         for g in support:
             coords = [(grid + e) % o for grid, (_, e), o in zip(grids, spec.word(g), orders)]
             perm = np.ravel_multi_index(coords, orders).reshape(-1)
             table[g] = _block_copies(perm.astype(np.int64), copies)
-        d = d0 * copies
     elif kind == "regular":
-        n = len(spec.labels)
         for g in support:
             if g.key[0] != spec._tag:
                 raise UnsupportedElementError(g, f"not an element of {spec!r}")
             perm = spec.mul_table[g.key[1], :].astype(np.int64)  # j -> g*j
             table[g] = _block_copies(perm, copies)
-        d = n * copies
     else:  # random-permutations, free group
         degree = data
         seed = quotient.get("seed", 0)
@@ -583,10 +588,8 @@ def quotient_sofic(
                 for _ in range(abs(exp)):
                     perm = perm[step]
             table[g] = _block_copies(perm, copies)
-        d = degree * copies
     return SoficApproximation(
         group=spec,
-        d=d,
         table=table,
         provenance="quotient-induced",
         seed=quotient.get("seed"),
@@ -646,7 +649,6 @@ def perturb(sigma: SoficApproximation, rate: float, seed: int) -> SoficApproxima
         table[g] = perm
     return SoficApproximation(
         group=sigma.group,
-        d=sigma.d,
         table=table,
         provenance="perturbed",
         seed=seed,

@@ -143,12 +143,12 @@ def _product_den(a: int, b: int) -> int:
 
 def _same_model(a: CompactGroupModel, b: CompactGroupModel) -> bool:
     """Whether two models have one group law: the same class, size, grid,
-    pair factor, and table and identity."""
+    pair factor and table."""
     while isinstance(a, PairModel) and isinstance(b, PairModel):
         a, b = a.factor, b.factor
     same = (type(a), a.n_points, getattr(a, "q", None)) == (type(b), b.n_points, getattr(b, "q", None))
     if same and isinstance(a, FiniteGroupModel) and a is not b:
-        same = a.identity == b.identity and np.array_equal(a.mul, b.mul)
+        same = np.array_equal(a.mul, b.mul)
     return same
 
 
@@ -488,27 +488,16 @@ def mass(
 def convolve(nu: ModelMeasure, mu: ModelMeasure, budget: int = 4096) -> ModelMeasure:
     """The measure of psi*phi (pointwise group product), psi ~ nu, phi ~ mu.
 
-    Exact weighted atoms when both supports are small; Product (x) Product
-    collapses to the product of site convolutions; otherwise a lazy
-    Convolution node (exact marginals, sampled masses).
+    Product (x) Product collapses to the product of site convolutions; an
+    exact convolution whose support fits the budget is materialized by
+    ``exact_support``; otherwise the lazy Convolution node (exact marginals,
+    sampled masses).
     """
-    if nu.d != mu.d:
-        raise ValidationError("convolve needs equal d")
-    model = nu.model
-    _check_same_model(model, mu.model)
+    lazy = Convolution(nu, mu)
     if isinstance(nu, ProductMeasure) and isinstance(mu, ProductMeasure):
         return ProductMeasure(nu.site.convolve(mu.site), nu.d)
-    sa = exact_support(nu, budget)
-    sb = exact_support(mu, budget)
-    if (
-        sa is not None
-        and sb is not None
-        and sa.exact
-        and sb.exact
-        and sa.points.shape[0] * sb.points.shape[0] <= budget
-    ):
-        return _merged(_cross(model, sa, sb, model.candidate_mul))
-    return Convolution(nu, mu)
+    atoms = exact_support(lazy, budget) if is_exact(lazy) else None
+    return lazy if atoms is None else atoms
 
 
 def doubled(mu: ModelMeasure) -> ModelMeasure:

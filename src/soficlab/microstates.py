@@ -24,7 +24,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .actions import (
-    AlgebraicActionModel,
     AutomorphismAction,
     CompactGroupModel,
     FiniteModel,
@@ -50,13 +49,12 @@ class Pseudometric:
     Squared distances are exact, ``num/den``: finite models tabulate the
     numerators in ``table_num`` (an n x n array, or a ``PairTable`` for a
     doubled metric); torus metrics have no table and compute them from
-    residues.
+    residues.  ``min_positive_sq``, the least positive squared distance, is
+    read from the table or the grid.
     """
 
     name: str
     model: CompactGroupModel
-    diam_sq: Fraction
-    min_positive_sq: Fraction | None
     table_num: np.ndarray | PairTable | None = field(default=None, repr=False)
     den: int = 1
 
@@ -65,10 +63,31 @@ class Pseudometric:
         if (self.table_num is not None) != isinstance(self.model, FiniteModel):
             raise ValidationError("a finite model needs a table_num, a torus model none")
 
+    @property
+    def min_positive_sq(self) -> Fraction | None:
+        """The least positive squared distance, or None when every distance
+        is 0.  On a torus it is one site at circle distance 1/q: 1/den."""
+        if self.table_num is None:
+            return Fraction(1, self.den)
+        least = _least_entries(self.table_num)[1]
+        return None if least is None else Fraction(least, self.den)
+
     def sq(self, x, y) -> Fraction:
         """Squared distance between two points."""
         x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
         return Fraction(int(_sq_nums(self, x, y)), self.den)
+
+
+def _least_entries(table) -> tuple[int, int | None]:
+    """The least entry of a nonnegative table and its least positive entry
+    (None when there is none).  A pair table's entries are sums of two factor
+    entries, so its least positive entry is the factor's when the factor has
+    a zero, and twice the factor's least entry otherwise."""
+    if isinstance(table, PairTable):
+        least, positive = _least_entries(table.factor)
+        return 2 * least, positive if least == 0 else 2 * least
+    positive = table[table > 0]
+    return int(table.min()), int(positive.min()) if positive.size else None
 
 
 def discrete_metric(model: FiniteModel) -> Pseudometric:
@@ -76,28 +95,13 @@ def discrete_metric(model: FiniteModel) -> Pseudometric:
     n = model.n_points
     table = np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64)
     table.setflags(write=False)
-    return Pseudometric(
-        name="discrete",
-        model=model,
-        diam_sq=Fraction(1),
-        min_positive_sq=Fraction(1),
-        table_num=table,
-        den=1,
-    )
+    return Pseudometric(name="discrete", model=model, table_num=table, den=1)
 
 
 def torus_metric(model: TorusGridModel) -> Pseudometric:
     """Flat quotient metric, squared and averaged over sites:
     sq(x, y) = (1/sites) * sum_s (circle distance of (x_s - y_s)/q)^2."""
-    q, s = model.q, model.sites
-    half = q // 2
-    return Pseudometric(
-        name="torus-l2",
-        model=model,
-        diam_sq=Fraction(s * half * half, s * q * q),
-        min_positive_sq=Fraction(1, s * q * q),
-        den=s * q * q,
-    )
+    return Pseudometric(name="torus-l2", model=model, den=model.sites * model.q**2)
 
 
 class PairTable:
@@ -132,16 +136,7 @@ def doubled_metric(metric: Pseudometric) -> Pseudometric:
     model2 = product_model(metric.model)
     if metric.table_num is None:
         return torus_metric(model2)
-    return Pseudometric(
-        name=f"{metric.name}^2",
-        model=model2,
-        diam_sq=metric.diam_sq,
-        min_positive_sq=(
-            metric.min_positive_sq / 2 if metric.min_positive_sq is not None else None
-        ),
-        table_num=PairTable(metric.table_num),
-        den=2 * metric.den,
-    )
+    return Pseudometric(f"{metric.name}^2", model2, table_num=PairTable(metric.table_num), den=2 * metric.den)
 
 
 # -- rho2 ---------------------------------------------------------------------
@@ -209,13 +204,18 @@ class TestFunction:
     """A bounded test function given by its values on model points.
 
     Exact functions carry integer values over a denominator; float functions
-    carry a float table.  Values are indexed by point index.
+    carry a float table.  Exactly one of the two tables is given.  Values are
+    indexed by point index.
     """
 
     name: str
     values_num: np.ndarray | None = field(default=None, repr=False)
     values_den: int = 1
     values_float: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if (self.values_num is None) == (self.values_float is None):
+            raise ValidationError(f"test function {self.name!r} needs exactly one of values_num, values_float")
 
     @property
     def exact(self) -> bool:
@@ -438,28 +438,27 @@ def forces_exact_equivariance(metric: Pseudometric, delta: Fraction, d: int) -> 
     True when delta^2 <= min_positive_sq / d, so Map(delta) is exactly the
     solution set of the equivariance equations.
     """
-    if metric.min_positive_sq is None:
-        return False
-    return Fraction(delta) ** 2 <= metric.min_positive_sq / d
+    least = metric.min_positive_sq
+    return least is not None and Fraction(delta) ** 2 <= least / d
 
 
 def enumerate_top_microstates(
-    model: CompactGroupModel | AlgebraicActionModel,
-    sigma: SoficApproximation | None,
+    model: CompactGroupModel,
+    sigma: SoficApproximation,
     F: Sequence[GroupElement],
     delta,
-    metric: Pseudometric | None,
-    action: AutomorphismAction | None,
+    metric: Pseudometric,
+    action: AutomorphismAction,
     budget: int = 10**6,
 ) -> np.ndarray:
     """The full Map(rho, F, delta, sigma) in deterministic lexicographic order.
 
-    Dispatch: algebraic-action kernel models enumerate their tolerance kernel;
-    finite models with a threshold forcing exact equivariance solve the
-    constraint system orbit by orbit; otherwise brute force within budget.
+    Finite models with a threshold forcing exact equivariance (see
+    ``forces_exact_equivariance``, which reads the metric's least positive
+    distance) solve the constraint system orbit by orbit; otherwise brute
+    force within budget.  The kernel of an algebraic action model is listed
+    by its own ``enumerate_kernel``.
     """
-    if isinstance(model, AlgebraicActionModel):
-        return model.enumerate_kernel(budget)
     delta = Fraction(delta)
     if (
         isinstance(model, FiniteModel)

@@ -68,12 +68,22 @@ class TestModels:
     def test_finite_group_model_copies_its_table(self):
         # the model used to freeze the caller's own array in place
         arr = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]], dtype=np.int64)
-        m = FiniteGroupModel(range(3), arr, 0)
+        m = FiniteGroupModel(range(3), arr)
         arr[1, 1] = 0
         assert arr.flags.writeable
         assert m.op(1, 1) == 2
         with pytest.raises(ValueError, match="read-only"):
             m.mul[0] = 1
+
+    def test_identity_is_read_from_the_table(self):
+        # Z/3 with its identity at index 2 used to be refused ("identity axiom
+        # fails") unless the index was passed as well
+        table = [[(i + j + 1) % 3 for j in range(3)] for i in range(3)]
+        m = FiniteGroupModel(range(3), table)
+        assert m.identity == 2
+        assert m.op(0, 0) == 1 and m.inverse(0) == 1
+        with pytest.raises(ValidationError, match="identity"):
+            FiniteGroupModel(range(2), [[1, 1], [0, 0]])
 
     def test_torus_ops_exact(self):
         t = TorusGridModel(8, 2)
@@ -212,7 +222,7 @@ def sign_action(model):
 
 def klein_model():
     """Z/2 x Z/2 as a table, whose automorphism group is S3."""
-    return FiniteGroupModel(range(4), V4_TABLE, 0, name="V4")
+    return FiniteGroupModel(range(4), V4_TABLE, name="V4")
 
 
 def automorphisms(model):
@@ -422,13 +432,16 @@ class TestSigmaMatrix:
         with pytest.raises(UnsupportedElementError):
             instantiate_Xf(f, sigma_e_only, q=4, tol=0)
 
-    @pytest.mark.parametrize("m, n", [(0, 1), (1, 0), (0, 0)])
+    @pytest.mark.parametrize("m, n", [(0, 1), (1, 0), (0, 0), (2, None)])
     def test_empty_matrix_refused(self, m, n):
         # f^(sigma) of an empty f would have no rows to hold its columns: a
-        # 0 x 1 f counted 1 grid-exact point instead of all q^d
+        # 0 x 1 f counted 1 grid-exact point instead of all q^d.  The shape is
+        # the grid's, so 0 rows have no columns; n = None is a ragged grid,
+        # rows of 1 and 0 cells
         Z3 = GroupSpec.cyclic(3)
-        with pytest.raises(ValidationError):
-            IntegerGroupMatrix.from_pairs(Z3, [[]] * m, m=m, n=n)
+        grid = [[[(1, "e")]], []] if n is None else [[[(1, "e")]] * n] * m
+        with pytest.raises(ValidationError, match="1 x 1|rectangular"):
+            IntegerGroupMatrix.from_pairs(Z3, grid)
 
     def test_q_too_small(self, Z2):
         with pytest.raises(ValidationError):
@@ -547,7 +560,7 @@ class TestVerifyHypotheses:
 
     def test_rectangular_finite_verdict_uses_the_rank(self, Z2):
         # [1, t]: rank 2 of a 2 x 4 regular matrix, onto but not injective
-        rep = verify_hypotheses(IntegerGroupMatrix.from_pairs(Z2, [[[(1, "e")], [(1, "t")]]], m=1, n=2))
+        rep = verify_hypotheses(IntegerGroupMatrix.from_pairs(Z2, [[[(1, "e")], [(1, "t")]]]))
         assert (rep.lambda_injective.value, rep.lambda_injective.method) == (False, "left-regular-rank")
         assert rep.lambda_dense_image.value is True
 
@@ -645,7 +658,7 @@ def z_symbols(draw):
         cells[-1] = [{e + shift: c * v for e, v in cell.items()} for cell in (cells[0] if n > 1 else [{}])]
     t = Z.generator(0)
     return IntegerGroupMatrix.from_pairs(
-        Z, [[[(v, Z.power(t, e)) for e, v in cell.items()] for cell in row] for row in cells], m=n, n=n
+        Z, [[[(v, Z.power(t, e)) for e, v in cell.items()] for cell in row] for row in cells]
     )
 
 
@@ -666,9 +679,7 @@ class TestRegularMatrix:
         assert mat.tolist() == [[2, 1], [1, 2]]
 
     def test_rectangular_shape(self, Z2):
-        f = IntegerGroupMatrix.from_pairs(
-            Z2, [[[(1, "e")], [(1, "t")]]], m=1, n=2
-        )
+        f = IntegerGroupMatrix.from_pairs(Z2, [[[(1, "e")], [(1, "t")]]])
         mat = regular_matrix(f)
         assert mat.shape == (2, 4)
 

@@ -155,10 +155,7 @@ def test_doubled_metric_matches_averaged_factor_distances(model_action, data):
         data.draw(st.lists(st.integers(0, 50), min_size=n * n, max_size=n * n)), dtype=np.int64
     ).reshape(n, n)
     den = data.draw(st.integers(1, 7))
-    metric = Pseudometric(
-        name="t", model=model, diam_sq=Fraction(50, den),
-        min_positive_sq=None, table_num=table, den=den,
-    )
+    metric = Pseudometric(name="t", model=model, table_num=table, den=den)
     for base in (metric, discrete_metric(model)):
         dm = doubled_metric(base)
         ref = materialized_doubled_table(base.table_num)
@@ -175,6 +172,13 @@ def test_doubled_metric_matches_averaged_factor_distances(model_action, data):
             + Fraction(int(base.table_num[a % n, b % n]), base.den)
         ) / 2
         assert dm.sq(a, b) == want
+        # the least positive distance, read from the factor table whether it
+        # has a zero entry or not, and from a pair table's pair table
+        for doubled, full in ((dm, ref), (doubled_metric(dm), materialized_doubled_table(ref) if n <= 3 else None)):
+            if full is not None:
+                positive = full[full > 0]
+                want = Fraction(int(positive.min()), doubled.den) if positive.size else None
+                assert doubled.min_positive_sq == want
 
 
 # -- diagonal action ------------------------------------------------------------------

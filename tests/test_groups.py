@@ -132,7 +132,7 @@ class TestGroupAlgebra:
         klein = GroupSpec.from_table(labels, klein_table)
         assert z4.generator(0) != klein.generator(0)
         assert z4.parse("3") != klein.parse("3")
-        model = FiniteGroupModel(range(3), [[(i + j) % 3 for j in range(3)] for i in range(3)], 0)
+        model = FiniteGroupModel(range(3), [[(i + j) % 3 for j in range(3)] for i in range(3)])
         action = trivial_action(klein, model)
         assert action.point_map(klein.parse("3")).tolist() == [0, 1, 2]
         with pytest.raises(UnsupportedElementError):
@@ -190,6 +190,17 @@ class TestGroupAlgebra:
         quotient = {"kind": "cyclic-powers", "orders": [np.int64(3)], "copies": np.int32(2)}
         assert quotient_sofic(Z, quotient, [Z.identity(), Z.generator(0)]).d == 6
 
+    def test_table_identity_is_read_from_the_table(self):
+        # Z/3 with its identity at index 2 used to be refused ("identity axiom
+        # fails") unless identity_index=2 was passed as well
+        z3 = GroupSpec.from_table(["a", "b", "e"], [[(i + j + 1) % 3 for j in range(3)] for i in range(3)])
+        assert z3.identity() == z3.parse("e") == z3.parse("a^3")
+        assert z3.multiply(z3.parse("a"), z3.parse("b")) == z3.identity()
+        sigma = quotient_sofic(z3, {"kind": "regular"}, z3.elements())
+        assert (sigma.perm(z3.identity()) == np.arange(3)).all()
+        with pytest.raises(ValidationError, match="at least one element"):
+            GroupSpec.from_table([], np.zeros((0, 0), dtype=np.int64))
+
     def test_parse_prefers_a_table_label(self):
         z3 = GroupSpec.from_table(
             labels=["0", "1", "2"],
@@ -209,7 +220,7 @@ class TestGroupAlgebra:
         with pytest.raises(ValidationError, match="associative"):
             GroupSpec.from_table(labels=labels, mul_table=table)
         with pytest.raises(ValidationError, match="associative"):
-            FiniteGroupModel(labels, table, 0)
+            FiniteGroupModel(labels, table)
 
     def test_large_groups_accepted(self):
         # Z/5 x S_3 x Z/3 (90 elements, non-abelian) as a table
@@ -220,7 +231,7 @@ class TestGroupAlgebra:
             [index[((a + b) % 5, tuple(p[k] for k in q), (c + e) % 3)] for b, q, e in elements]
             for a, p, c in elements
         ]
-        model = FiniteGroupModel(range(90), table, 0)
+        model = FiniteGroupModel(range(90), table)
         assert len(model.generators) <= 7
         assert (model.mul[np.arange(90), model.inv] == 0).all()
         GroupSpec.from_table(labels=[str(i) for i in range(90)], mul_table=table)
@@ -289,8 +300,9 @@ class TestTableValidator:
     @given(group_tables())
     def test_same_generators_as_the_right_closure(self, case):
         table, e = case
-        inv, gens = _validate_table(table, e)
+        found, inv, gens = _validate_table(table)
         ref_inv, ref_gens = _reference_validate_table(table, e)
+        assert found == e
         assert gens == ref_gens and inv.tolist() == ref_inv.tolist()
 
     @settings(max_examples=80, deadline=None)
@@ -305,7 +317,7 @@ class TestTableValidator:
         a, b = data.draw(st.sampled_from(others)), data.draw(st.sampled_from(others))
         table[a, b] = data.draw(st.sampled_from([v for v in range(n) if v != table[a, b]]))
         with pytest.raises(ValidationError) as got:
-            _validate_table(table, e)
+            _validate_table(table)
         with pytest.raises(ValidationError) as ref:
             _reference_validate_table(table, e)
         assert type(got.value) is type(ref.value)
@@ -450,6 +462,16 @@ class TestQuotientSofic:
             inv = np.argsort(perm)
             assert (perm[inv] == np.arange(sigma.d)).all()
 
+    def test_degree_is_read_from_the_table(self, Z):
+        t = Z.generator(0)
+        sigma = SoficApproximation(Z, {Z.identity(): [0, 1, 2], t: [1, 2, 0]}, "custom")
+        assert sigma.d == 3
+        # no permutation to read d from, permutations of two lengths, and
+        # permutations of no points
+        for table in ({}, {Z.identity(): [0, 1], t: [1, 2, 0]}, {t: []}):
+            with pytest.raises(ValidationError):
+                SoficApproximation(Z, table, "custom")
+
 
 class TestPerturb:
     def make_sigma(self, d=64):
@@ -497,9 +519,7 @@ class TestDefectInvariance:
         relabel = rng.permutation(sigma.d)
         inv = np.argsort(relabel)
         conj_table = {g: relabel[perm[inv]] for g, perm in sigma.table.items()}
-        conj = SoficApproximation(
-            group=Z, d=sigma.d, table=conj_table, provenance="custom"
-        )
+        conj = SoficApproximation(group=Z, table=conj_table, provenance="custom")
         window = support_range(Z, -1, 1)
         a = sofic_defects(sigma, window)
         b = sofic_defects(conj, window)

@@ -44,7 +44,7 @@ def z3():
     return cyclic_model(3)
 
 
-KLEIN = FiniteGroupModel(range(4), np.arange(4)[:, None] ^ np.arange(4)[None, :], 0)
+KLEIN = FiniteGroupModel(range(4), np.arange(4)[:, None] ^ np.arange(4)[None, :])
 
 
 class TestSiteMeasure:

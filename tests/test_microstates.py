@@ -93,7 +93,6 @@ class TestRho2:
         y = np.array([[4], [2]])
         # distances 1/2 and 1/4: mean of squares = (16+4)/(2*64)
         assert rho2_sq(metric, x, y) == Fraction(20, 128)
-        assert metric.diam_sq == Fraction(16, 64)
 
     def test_length_mismatch(self):
         m = cyclic_model(2)
@@ -206,6 +205,16 @@ class TestMeasMembership:
                     x, sigma, tuple(group.elements()), Fraction(1, 4), metric, action
                 )
 
+    def test_panel_function_needs_exactly_one_table(self):
+        # with neither table, means() raised AttributeError and integral()
+        # TypeError; with both, the float table was silently ignored
+        num, val = np.array([1, 0, 0]), np.array([0.5, 0.0, 0.0])
+        for kwargs in ({}, {"values_num": num, "values_float": val}):
+            with pytest.raises(ValidationError, match="exactly one"):
+                PanelFunction(name="f", **kwargs)
+        assert PanelFunction("f", values_num=num).exact
+        assert not PanelFunction("f", values_float=val).exact
+
 
 class TestEnumeration:
     def test_trivial_action_identity_window(self):
@@ -290,33 +299,54 @@ class TestEnumeration:
 @st.composite
 def equivariant_cases(draw):
     """Z acting on Z/n by a unit, or diagonally on (Z/n)^2, with sigma a
-    cyclic quotient of order d (perturbed half the time) and F drawn from
-    {e, t, t^-1, t^2}."""
+    cyclic quotient of order d (perturbed half the time), F drawn from
+    {e, t, t^-1, t^2}, the discrete table times a over den k, and delta on
+    either side of the bound sqrt(min_positive_sq / d) that forces exact
+    equivariance."""
     Z = GroupSpec.integers()
     pair = draw(st.booleans())
     n = draw(st.integers(2, 3 if pair else 5))
     model = cyclic_model(n)
     unit = draw(st.sampled_from([k for k in range(1, n) if math.gcd(k, n) == 1]))
     action = AutomorphismAction(Z, model, {"t": unit_automorphism(model, unit)})
-    metric = discrete_metric(model)
+    a, k = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    metric = Pseudometric("scaled", model, table_num=a * discrete_metric(model).table_num, den=k)
+    least = Fraction(a, k)  # one differing point
     if pair:
-        action, metric = diagonal_action(action), doubled_metric(metric)
+        # one differing point in one of the two halves
+        action, metric, least = diagonal_action(action), doubled_metric(metric), least / 2
     d = draw(st.integers(1, 4 if pair else 6))
     words = draw(st.lists(st.sampled_from(["e", "t", "t^-1", "t^2"]), min_size=1, max_size=4, unique=True))
     F = [Z.parse(w) for w in words]
     sigma = quotient_sofic(Z, {"kind": "cyclic-powers", "orders": [d]}, [Z.identity()] + F)
     if draw(st.booleans()):
         sigma = perturb(sigma, draw(st.sampled_from([0.2, 0.5])), draw(st.integers(0, 99)))
-    return action, metric, sigma, F
+    # floor(sqrt(N)) / b <= sqrt(bound) < (floor(sqrt(N)) + 1) / b, for bound = N / b^2
+    bound = least / d
+    delta = Fraction(math.isqrt(bound.numerator * bound.denominator) + draw(st.integers(0, 1)), bound.denominator)
+    return action, metric, sigma, F, delta, least
+
+
+def _declared_floor_case():
+    """Z/2 acting on Z/3 by x -> 2x, sigma the regular quotient (d = 2), F = G,
+    the discrete table over den 4 and delta = 2/3.  Its least positive
+    distance is 1/4; declared as 1, it sent enumeration down the equivariant
+    path, which listed 3 of the 9 candidates that the mask admits."""
+    group, model = GroupSpec.cyclic(2), cyclic_model(3)
+    action = AutomorphismAction(group, model, {"t": unit_automorphism(model, 2)})
+    sigma = quotient_sofic(group, {"kind": "regular"}, list(group.elements()))
+    metric = Pseudometric("quarter", model, table_num=discrete_metric(model).table_num, den=4)
+    return action, metric, sigma, list(group.elements()), Fraction(2, 3), Fraction(1, 4)
 
 
 @settings(max_examples=150, deadline=None)
 @given(equivariant_cases())
+@example(_declared_floor_case())
 def test_equivariant_enumeration_is_the_brute_force_list_in_order(case):
-    action, metric, sigma, F = case
+    action, metric, sigma, F, delta, least = case
     model, d = action.model, sigma.d
-    delta = Fraction(1, 2 * d)
-    assert forces_exact_equivariance(metric, delta, d)
+    assert metric.min_positive_sq == least
+    assert forces_exact_equivariance(metric, delta, d) == (delta * delta <= least / d)
     xs = np.array(list(itertools.product(range(model.n_points), repeat=d)), dtype=np.int64)
     want = xs[top_microstate_mask(xs, sigma, F, delta, metric, action)]
     got = enumerate_top_microstates(model, sigma, F, delta, metric, action)
@@ -544,7 +574,7 @@ class TestTorusModels:
         dm = doubled_metric(torus_metric(TorusGridModel(6, 2)))
         ref = torus_metric(TorusGridModel(6, 4))
         assert (dm.model.q, dm.model.sites) == (6, 4)
-        assert (dm.den, dm.diam_sq, dm.min_positive_sq) == (ref.den, ref.diam_sq, ref.min_positive_sq)
+        assert (dm.den, dm.min_positive_sq) == (ref.den, ref.min_positive_sq)
         x, y = (1, 5, 0, 3), (4, 0, 0, 2)
         # circle distances 3, 1, 0, 1 over 4 sites of the 6-grid
         assert dm.sq(x, y) == ref.sq(x, y) == Fraction(9 + 1 + 0 + 1, 4 * 36)
@@ -599,9 +629,7 @@ class TestTorusModels:
     def test_table_metric_needs_a_finite_model(self):
         # a table reads point indices: on a torus it would read residues as
         # indices, so the metric is refused, as is a finite model without one
-        fields = dict(
-            name="discrete", diam_sq=Fraction(1), min_positive_sq=Fraction(1),
-        )
+        fields = dict(name="discrete")
         table = discrete_metric(cyclic_model(9)).table_num
         with pytest.raises(ValidationError, match="table_num"):
             Pseudometric(model=TorusGridModel(3, 2), table_num=table, **fields)
