@@ -15,8 +15,12 @@ Three model classes stand in for the compact group X:
   them as int64 rows.  All torus arithmetic is exact (residues, never floats).
 
 Every model owns its point encoding and its automorphisms, so the code built
-on top (actions, measures, microstates) never asks which kind it holds:
+on top (actions, measures, microstates) never asks which kind it holds.  The
+interface is one set of vectorized calls on candidate arrays, with no
+one-point copy; a single point is an array of one point:
 
+* ``n_points``, ``identity`` and ``name`` describe the model;
+* ``candidate_mul(a, b)`` and ``candidate_inv(a)`` are the group law;
 * ``point_indices(x)`` / ``points_from_indices(idx)`` convert a candidate
   array to point indices 0..n_points-1 and back.  Finite points are their own
   indices; a residue row's index is lexicographic, the last site fastest.
@@ -50,7 +54,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -61,7 +65,8 @@ from .errors import (
     UnsupportedElementError,
     ValidationError,
 )
-from .groups import GroupElement, GroupSpec, SoficApproximation, _sort_key, _validate_table, quotient_sofic
+from .groups import GroupElement, GroupSpec, SoficApproximation, quotient_sofic
+from .groups import _integer, _sort_key, _validate_table
 
 
 # ---------------------------------------------------------------------------
@@ -74,18 +79,13 @@ class FiniteModel:
 
     Subclasses supply ``n_points``, ``identity``, ``name``, ``labels``,
     ``generators`` (point indices whose right products, starting from the
-    identity, reach every point) and the vectorized ``candidate_mul`` and
-    ``candidate_inv``.
+    identity, reach every point) and the group law ``candidate_mul`` and
+    ``candidate_inv``.  The base class adds the rest of the one model
+    interface: ``point_indices``, ``points_from_indices``, ``identity_map``,
+    ``compose``, ``invert_map``, ``apply_map``, ``check_map`` and
+    ``lift_map``.  Every call takes arrays of points, of any shape; one point
+    is a 0-d array or an int.
     """
-
-    def iter_points(self) -> Iterable[int]:
-        return range(self.n_points)
-
-    def op(self, a: int, b: int) -> int:
-        return int(self.candidate_mul(a, b))
-
-    def inverse(self, a: int) -> int:
-        return int(self.candidate_inv(a))
 
     # candidate arrays are int64 index vectors of shape (d,) or (N, d), and
     # points are their own indices
@@ -210,18 +210,9 @@ class TorusGridModel:
     def n_points(self) -> int:
         return self.q**self.sites
 
-    def iter_points(self) -> Iterable[tuple[int, ...]]:
-        return itertools.product(range(self.q), repeat=self.sites)
-
     @property
     def identity(self) -> tuple[int, ...]:
         return (0,) * self.sites
-
-    def op(self, a, b):
-        return tuple((x + y) % self.q for x, y in zip(a, b))
-
-    def inverse(self, a):
-        return tuple((-x) % self.q for x in a)
 
     # candidate arrays are int64 of shape (d, sites) or (N, d, sites)
     def candidate_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -239,12 +230,6 @@ class TorusGridModel:
 
     def points_from_indices(self, idx) -> np.ndarray:
         return intlin.mixed_radix(idx, [self.q] * self.sites)
-
-    def point_index(self, p: tuple[int, ...]) -> int:
-        return int(self.point_indices(p))
-
-    def point_from_index(self, idx: int) -> tuple[int, ...]:
-        return tuple(self.points_from_indices(idx).tolist())
 
     # automorphisms are integer matrices M, with x -> M x mod q
     def identity_map(self) -> np.ndarray:
@@ -324,7 +309,8 @@ class AutomorphismAction:
     * free groups: there are no relations.
 
     Other elements' maps are composed along the canonical word on first use.
-    Every cached map is read-only.
+    Every cached map is read-only.  ``point_map(g)`` returns g's map and
+    ``act_candidates(g, x)`` applies it to an array of points.
     """
 
     def __init__(self, group: GroupSpec, model: CompactGroupModel, generator_maps: Mapping[str, np.ndarray]):
@@ -396,24 +382,14 @@ class AutomorphismAction:
         self._cache[g] = _read_only(out)
         return out
 
-    def act_point(self, g: GroupElement, x):
-        """g.x for one point: an int index, or a residue tuple on a torus."""
-        y = self.model.apply_map(self.point_map(g), np.asarray(x, dtype=np.int64))
-        return tuple(y.tolist()) if y.ndim else int(y)
-
     def act_candidates(self, g: GroupElement, x: np.ndarray) -> np.ndarray:
-        """Apply g pointwise to a candidate array (vectorized)."""
+        """Apply g pointwise to a candidate array, or to one point."""
         return self.model.apply_map(self.point_map(g), x)
 
 
 def _read_only(m: np.ndarray) -> np.ndarray:
     m.setflags(write=False)
     return m
-
-
-def act(action: AutomorphismAction, g: GroupElement, x):
-    """The automorphism action, one point at a time: act(e, x) = x."""
-    return action.act_point(g, x)
 
 
 def trivial_action(group: GroupSpec, model: CompactGroupModel) -> AutomorphismAction:
@@ -467,9 +443,10 @@ class IntegerGroupMatrix:
             raise ValidationError(f"f must be at least 1 x 1, not {self.m} x {self.n}")
         if any(len(r) != self.n for r in self.entries):
             raise ValidationError("entry grid must be rectangular")
+        # _integer refuses a float, which int() would truncate (2.5 -> 2)
         frozen = tuple(
             tuple(
-                MappingProxyType({g: int(c) for g, c in cell.items() if int(c) != 0})
+                MappingProxyType({g: k for g, c in cell.items() if (k := _integer(c, "a coefficient of f"))})
                 for cell in row
             )
             for row in self.entries
@@ -494,7 +471,7 @@ class IntegerGroupMatrix:
                 acc: dict[GroupElement, int] = {}
                 for coeff, word in cell:
                     g = group.parse(word) if isinstance(word, str) else word
-                    acc[g] = acc.get(g, 0) + int(coeff)
+                    acc[g] = acc.get(g, 0) + _integer(coeff, "a coefficient of f")
                 cells.append(acc)
             grid.append(tuple(cells))
         return cls(group=group, entries=tuple(grid))
@@ -538,14 +515,31 @@ class AlgebraicActionModel:
 
     The point set is {x in (T_q^n)^d : circle distance of every coordinate of
     f^(sigma) x to 0 is at most tol}; candidates are (d, n) residue arrays.
-    tol = 0 gives the exact grid kernel, a subgroup.
+    tol = 0 gives the exact grid kernel, a subgroup.  q must be an integer
+    >= 2, tol >= 0 and sigma's support must cover f's; ``matrix`` is
+    f^(sigma), built from them (read-only).
     """
 
     source: IntegerGroupMatrix
     sigma: SoficApproximation
     q: int
     tol: Fraction
-    matrix: np.ndarray = field(repr=False)
+    matrix: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        q, tol = _integer(self.q, "grid resolution q"), Fraction(self.tol)
+        if q < 2:
+            raise ValidationError("grid resolution q must be >= 2")
+        if tol < 0:
+            raise ValidationError("tolerance must be >= 0")
+        for g in self.source.support():
+            if g not in self.sigma.table:
+                raise UnsupportedElementError(g, "sigma support must cover f")
+        mat = sigma_matrix(self.source, self.sigma)
+        mat.setflags(write=False)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "tol", tol)
+        object.__setattr__(self, "matrix", mat)
 
     @property
     def d(self) -> int:
@@ -576,17 +570,7 @@ def instantiate_Xf(
     f: IntegerGroupMatrix, sigma: SoficApproximation, q: int, tol
 ) -> AlgebraicActionModel:
     """Build the approximate-kernel model of X_f over sigma on the q-grid."""
-    if q < 2:
-        raise ValidationError("grid resolution q must be >= 2")
-    tol = Fraction(tol)
-    if tol < 0:
-        raise ValidationError("tolerance must be >= 0")
-    for g in f.support():
-        if g not in sigma.table:
-            raise UnsupportedElementError(g, "sigma support must cover f")
-    mat = sigma_matrix(f, sigma)
-    mat.setflags(write=False)
-    return AlgebraicActionModel(source=f, sigma=sigma, q=q, tol=tol, matrix=mat)
+    return AlgebraicActionModel(source=f, sigma=sigma, q=q, tol=tol)
 
 
 def _solve_residue_box(mat: np.ndarray, q: int, bound: int, budget: int) -> np.ndarray:
@@ -770,7 +754,6 @@ class HypothesisReport:
 
     lambda_injective: Verdict
     lambda_dense_image: Verdict
-    homoclinic_dense_surrogate: Verdict
 
 
 def verify_hypotheses(f: IntegerGroupMatrix) -> HypothesisReport:
@@ -792,7 +775,6 @@ def verify_hypotheses(f: IntegerGroupMatrix) -> HypothesisReport:
         return HypothesisReport(
             lambda_injective=Verdict(inj, method),
             lambda_dense_image=Verdict(dense, method),
-            homoclinic_dense_surrogate=Verdict(True, "finite-group-vacuous"),
         )
     if spec.kind == "abelian" and spec.moduli == (0,) and f.m == f.n:
         # det(t^-lo f(t)) is a polynomial of degree at most n (hi - lo), so it
@@ -808,10 +790,8 @@ def verify_hypotheses(f: IntegerGroupMatrix) -> HypothesisReport:
         return HypothesisReport(
             lambda_injective=Verdict(inj, "fourier-symbol-determinant"),
             lambda_dense_image=Verdict(inj, "fourier-symbol-determinant+rank-nullity"),
-            homoclinic_dense_surrogate=Verdict(None, "not-computed"),
         )
     return HypothesisReport(
         lambda_injective=Verdict(None, "unknown-group-class"),
         lambda_dense_image=Verdict(None, "unknown-group-class"),
-        homoclinic_dense_surrogate=Verdict(None, "unknown-group-class"),
     )

@@ -470,8 +470,9 @@ class SoficApproximation:
 
     The degree d is read from the table: the length of its first
     permutation.  Invariants enforced at construction: the table is nonempty,
-    every entry is a bijection of {0..d-1} for that one d >= 1, and sigma(e)
-    is the identity permutation whenever e is in the support.
+    every entry is an integer array and a bijection of {0..d-1} for that one
+    d >= 1, and sigma(e) is the identity permutation whenever e is in the
+    support.
     sigma(g^-1) == sigma(g)^-1 is *not* enforced; the deviation is part of
     what sofic_defects measures.  ``provenance``, ``seed`` and ``quotient``
     record how it was made.  It compares and hashes as an object: two
@@ -486,7 +487,13 @@ class SoficApproximation:
     quotient: Mapping | None = None
 
     def __post_init__(self):
-        perms = {g: np.array(perm, dtype=np.int64) for g, perm in self.table.items()}
+        perms = {}
+        for g, perm in self.table.items():
+            arr = np.asarray(perm)
+            # the int64 cast would truncate a float entry: [1.7, 0.2] -> [1, 0]
+            if arr.size and arr.dtype.kind not in "iu":
+                raise ValidationError(f"table entry for {g} must hold integers, not {arr.dtype}")
+            perms[g] = arr.astype(np.int64)
         d = next(iter(perms.values())).size if perms else 0
         if d == 0:
             raise ValidationError("sigma needs a nonempty table of nonempty permutations")

@@ -49,7 +49,8 @@ class Pseudometric:
     Squared distances are exact, ``num/den``: finite models tabulate the
     numerators in ``table_num`` (an n x n array, or a ``PairTable`` for a
     doubled metric); torus metrics have no table and compute them from
-    residues.  ``min_positive_sq``, the least positive squared distance, is
+    residues.  A table must be n x n over the model's n points, nonnegative
+    and symmetric with a zero diagonal.  ``min_positive_sq``, the least positive squared distance, is
     read from the table or the grid.
     """
 
@@ -62,6 +63,12 @@ class Pseudometric:
         # a table reads point indices, which only a finite model's points are
         if (self.table_num is not None) != isinstance(self.model, FiniteModel):
             raise ValidationError("a finite model needs a table_num, a torus model none")
+        t, n = self.table_num, self.model.n_points
+        # a PairTable over a valid factor is valid by construction
+        if isinstance(t, np.ndarray) and (
+            t.shape != (n, n) or (t < 0).any() or np.diagonal(t).any() or not np.array_equal(t, t.T)
+        ):
+            raise ValidationError(f"table_num must be a nonnegative symmetric {n} x {n} table with a zero diagonal")
 
     @property
     def min_positive_sq(self) -> Fraction | None:
@@ -69,25 +76,18 @@ class Pseudometric:
         is 0.  On a torus it is one site at circle distance 1/q: 1/den."""
         if self.table_num is None:
             return Fraction(1, self.den)
-        least = _least_entries(self.table_num)[1]
+        least = _least_positive(self.table_num)
         return None if least is None else Fraction(least, self.den)
 
-    def sq(self, x, y) -> Fraction:
-        """Squared distance between two points."""
-        x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
-        return Fraction(int(_sq_nums(self, x, y)), self.den)
 
-
-def _least_entries(table) -> tuple[int, int | None]:
-    """The least entry of a nonnegative table and its least positive entry
-    (None when there is none).  A pair table's entries are sums of two factor
-    entries, so its least positive entry is the factor's when the factor has
-    a zero, and twice the factor's least entry otherwise."""
+def _least_positive(table) -> int | None:
+    """The least positive entry of a pseudometric table, or None when there
+    is none.  A pair table's entries are sums of two factor entries, and the
+    factor's diagonal is 0, so its least positive entry is the factor's."""
     if isinstance(table, PairTable):
-        least, positive = _least_entries(table.factor)
-        return 2 * least, positive if least == 0 else 2 * least
+        return _least_positive(table.factor)
     positive = table[table > 0]
-    return int(table.min()), int(positive.min()) if positive.size else None
+    return int(positive.min()) if positive.size else None
 
 
 def discrete_metric(model: FiniteModel) -> Pseudometric:
@@ -538,6 +538,10 @@ def _enumerate_equivariant(
 # ---------------------------------------------------------------------------
 
 
+# Repair walks started per requested sample before its slot is left empty.
+_ATTEMPTS_PER_SAMPLE = 40
+
+
 def sample_microstates(
     model: CompactGroupModel,
     sigma: SoficApproximation,
@@ -546,13 +550,13 @@ def sample_microstates(
     action: AutomorphismAction,
     n_samples: int,
     seed: int,
-    max_attempts_per_sample: int = 40,
 ) -> np.ndarray:
     """Randomized search for measure microstates: seed uniform candidates,
     greedily repair them against the F-equations x(sigma(g) j) = g.x(j), and
-    keep the first candidate of each slot that passes the full membership
-    test.  Repair lowers only the count of broken F-equations; the delta
-    threshold and the L-panel conditions are checked at the end.
+    keep the first of at most ``_ATTEMPTS_PER_SAMPLE`` candidates of each
+    slot that passes the full membership test.  Repair lowers only the count
+    of broken F-equations; the delta threshold and the L-panel conditions are
+    checked at the end.
 
     Returns up to n_samples verified candidates (possibly fewer); the result
     is a pure function of the arguments.  Finite models only.
@@ -571,7 +575,7 @@ def sample_microstates(
         eqs.append((p.tolist(), np.argsort(p).tolist(), action.point_map(g).tolist()))
     for slot in range(n_samples):
         rng = np.random.default_rng([seed, 0x5A3C, slot])
-        for _ in range(max_attempts_per_sample):
+        for _ in range(_ATTEMPTS_PER_SAMPLE):
             x = rng.integers(0, n, size=d).astype(np.int64)
             x = _repair(x, eqs, n, rng, rounds=4 * d)
             if member(x[None])[0]:
@@ -667,11 +671,11 @@ def shift_lift(
 
 
 def psi_window(p, W: Sequence[GroupElement], action: AutomorphismAction) -> tuple:
-    """The orbit window of one point: (act(g^{-1}, p)) for g in W."""
-    out = []
-    for g in W:
-        out.append(action.act_point(action.group.inverse(g), p))
-    return tuple(out)
+    """The orbit window of one point: g^{-1}.p for g in W, each an int index,
+    or a residue tuple on a torus."""
+    x = np.asarray(p, dtype=np.int64)
+    out = [action.act_candidates(action.group.inverse(g), x).tolist() for g in W]
+    return tuple(map(tuple, out)) if x.ndim else tuple(out)
 
 
 # ---------------------------------------------------------------------------

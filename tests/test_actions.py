@@ -16,7 +16,6 @@ from soficlab.actions import (
     FiniteGroupModel,
     IntegerGroupMatrix,
     TorusGridModel,
-    act,
     continuous_kernel,
     count_kernel_points,
     cyclic_model,
@@ -61,8 +60,8 @@ def regular_sigma(Z2, copies=1):
 class TestModels:
     def test_cyclic_model_ops(self):
         m = cyclic_model(3)
-        assert m.op(1, 2) == 0
-        assert m.inverse(1) == 2
+        assert int(m.candidate_mul(1, 2)) == 0
+        assert int(m.candidate_inv(1)) == 2
         assert m.identity == 0
 
     def test_finite_group_model_copies_its_table(self):
@@ -71,7 +70,7 @@ class TestModels:
         m = FiniteGroupModel(range(3), arr)
         arr[1, 1] = 0
         assert arr.flags.writeable
-        assert m.op(1, 1) == 2
+        assert int(m.candidate_mul(1, 1)) == 2
         with pytest.raises(ValueError, match="read-only"):
             m.mul[0] = 1
 
@@ -81,22 +80,22 @@ class TestModels:
         table = [[(i + j + 1) % 3 for j in range(3)] for i in range(3)]
         m = FiniteGroupModel(range(3), table)
         assert m.identity == 2
-        assert m.op(0, 0) == 1 and m.inverse(0) == 1
+        assert int(m.candidate_mul(0, 0)) == 1 and int(m.candidate_inv(0)) == 1
         with pytest.raises(ValidationError, match="identity"):
             FiniteGroupModel(range(2), [[1, 1], [0, 0]])
 
     def test_torus_ops_exact(self):
         t = TorusGridModel(8, 2)
-        assert t.op((7, 3), (2, 6)) == (1, 1)
-        assert t.inverse((1, 0)) == (7, 0)
+        assert t.candidate_mul(np.array([7, 3]), np.array([2, 6])).tolist() == [1, 1]
+        assert t.candidate_inv(np.array([1, 0])).tolist() == [7, 0]
         assert t.n_points == 64
-        assert t.point_from_index(t.point_index((5, 2))) == (5, 2)
+        assert t.points_from_indices(t.point_indices([5, 2])).tolist() == [5, 2]
 
     def test_torus_point_index_overflow_is_refused(self):
-        assert TorusGridModel(2, 63).point_index((1,) * 63) == 2**63 - 1
+        assert int(TorusGridModel(2, 63).point_indices([1] * 63)) == 2**63 - 1
         # 2^64 points: the index of (1, 0, ..., 0) would wrap int64 to 0
         with pytest.raises(OverflowError, match="int64"):
-            TorusGridModel(2, 64).point_index((1,) + (0,) * 63)
+            TorusGridModel(2, 64).point_indices([1] + [0] * 63)
 
     def test_product_model(self):
         m = cyclic_model(3)
@@ -105,7 +104,7 @@ class TestModels:
         # componentwise: (1,2)*(2,2) = (0,1)
         a = 1 * 3 + 2
         b = 2 * 3 + 2
-        assert p.op(a, b) == 0 * 3 + 1
+        assert int(p.candidate_mul(a, b)) == 0 * 3 + 1
 
     def test_pair_candidates(self):
         m = cyclic_model(3)
@@ -119,14 +118,14 @@ class TestActions:
     def test_identity_axiom(self, Z):
         m = cyclic_model(3)
         action = AutomorphismAction(Z, m, generator_maps={"t": unit_automorphism(m, 2)})
-        for x in m.iter_points():
-            assert act(action, Z.identity(), x) == x
+        xs = np.arange(m.n_points)
+        assert (action.act_candidates(Z.identity(), xs) == xs).all()
 
     def test_negation_action_value(self, Z):
-        # G=Z acting on Z/3 by g.x = (-1)^g x: act(1, 1) = 2
+        # G=Z acting on Z/3 by g.x = (-1)^g x: t.1 = 2
         m = cyclic_model(3)
         action = AutomorphismAction(Z, m, generator_maps={"t": unit_automorphism(m, -1)})
-        assert act(action, Z.generator(0), 1) == 2
+        assert int(action.act_candidates(Z.generator(0), np.asarray(1))) == 2
 
     def test_inverse_axiom_random(self, Z):
         m = cyclic_model(5)
@@ -138,8 +137,8 @@ class TestActions:
             g_exp = int(rng.integers(-3, 4))
             g = Z.power(t, g_exp)
             ginv = Z.inverse(g)
-            x = int(rng.integers(0, 5))
-            assert act(action, g, act(action, ginv, x)) == x
+            x = np.asarray(int(rng.integers(0, 5)))
+            assert action.act_candidates(g, action.act_candidates(ginv, x)) == x
 
     def test_relation_enforcement(self):
         z2 = GroupSpec.cyclic(2)
@@ -162,11 +161,11 @@ class TestActions:
         t = TorusGridModel(8, 2)
         mat = np.array([[1, 1], [0, 1]])
         action = AutomorphismAction(Z, t, generator_maps={"t": mat})
-        assert act(action, Z.generator(0), (3, 5)) == (0, 5)
+        assert action.act_candidates(Z.generator(0), np.asarray([3, 5])).tolist() == [0, 5]
         # inverse matrix works mod q
         g = Z.generator(0)
-        x = (3, 5)
-        assert act(action, Z.inverse(g), act(action, g, x)) == x
+        x = np.asarray([3, 5])
+        assert action.act_candidates(Z.inverse(g), action.act_candidates(g, x)).tolist() == [3, 5]
 
     def test_torus_diagonal_action_is_block_diagonal(self, Z):
         shear = np.array([[1, 1], [0, 1]])  # (a, b) -> (a + b, b)
@@ -177,7 +176,7 @@ class TestActions:
         g = Z.power(Z.generator(0), -2)  # (a, b) -> (a - 2b, b) on each factor
         for x in [(3, 4, 1, 2), (0, 0, 4, 1), (2, 3, 2, 3)]:
             a, b, c, d = x
-            assert act(action, g, x) == ((a - 2 * b) % 5, b, (c - 2 * d) % 5, d)
+            assert action.act_candidates(g, np.asarray(x)).tolist() == [(a - 2 * b) % 5, b, (c - 2 * d) % 5, d]
 
     def test_unsupported_element(self, Z2):
         model, action = dual_model(two_plus_t(Z2))
@@ -345,11 +344,11 @@ class TestDualModel:
 
     def test_kernel_points_form_subgroup(self, Z2):
         model, action = dual_model(two_minus_t(Z2))
-        pts = range(model.n_points)
+        pts = np.arange(model.n_points)
         for a, b in itertools.product(pts, pts):
-            assert model.op(a, b) in pts
+            assert 0 <= model.candidate_mul(a, b) < model.n_points
         for a in pts:
-            assert model.op(a, model.inverse(a)) == model.identity
+            assert model.candidate_mul(a, model.candidate_inv(a)) == model.identity
 
 
 class TestSigmaMatrix:
@@ -446,6 +445,38 @@ class TestSigmaMatrix:
     def test_q_too_small(self, Z2):
         with pytest.raises(ValidationError):
             instantiate_Xf(two_plus_t(Z2), regular_sigma(Z2), q=1, tol=0)
+
+    def test_coefficients_must_be_integers(self, Z):
+        # int() used to truncate the coefficient 2.5 to 2, so f was silently
+        # another matrix; numpy integers still pass
+        with pytest.raises(ValidationError, match="coefficient"):
+            IntegerGroupMatrix.single(Z, [(2.5, "e")])
+        with pytest.raises(ValidationError, match="coefficient"):
+            IntegerGroupMatrix(Z, (({Z.identity(): 2.5},),))
+        f = IntegerGroupMatrix.single(Z, [(np.int64(3), "e"), (-1, "t"), (np.int32(1), "t")])
+        assert dict(f.entries[0][0]) == {Z.identity(): 3}
+        assert type(f.entries[0][0][Z.identity()]) is int
+
+    def test_direct_model_derives_and_checks_itself(self, Z):
+        # built directly, the model used to skip every check and trust its
+        # matrix: q = 1, tol = -1 and the identity for 3 - t over Z/4 counted
+        # 1 continuous-exact point instead of 3^4 - 1 = 80
+        f = IntegerGroupMatrix.single(Z, [(3, "e"), (-1, "t")])
+        t = Z.generator(0)
+        sigma = quotient_sofic(Z, {"kind": "cyclic-powers", "orders": [4]}, [Z.identity(), t, Z.inverse(t)])
+        with pytest.raises(TypeError):
+            AlgebraicActionModel(source=f, sigma=sigma, q=2, tol=0, matrix=np.eye(4, dtype=np.int64))
+        model = AlgebraicActionModel(source=f, sigma=sigma, q=2, tol=0)
+        assert np.array_equal(model.matrix, sigma_matrix(f, sigma))
+        assert not model.matrix.flags.writeable
+        assert count_kernel_points(model, "continuous-exact") == 80
+        assert (model.q, model.tol) == (2, Fraction(0))
+        for q, tol in ((1, 0), (2.5, 0), (2, -1)):
+            with pytest.raises(ValidationError):
+                AlgebraicActionModel(source=f, sigma=sigma, q=q, tol=tol)
+        e_only = quotient_sofic(Z, {"kind": "cyclic-powers", "orders": [4]}, [Z.identity()])
+        with pytest.raises(UnsupportedElementError):
+            AlgebraicActionModel(source=f, sigma=e_only, q=2, tol=0)
 
 
 class TestContinuousExactAtScale:

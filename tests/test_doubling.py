@@ -27,6 +27,7 @@ from soficlab.microstates import (
     character_panel,
     discrete_metric,
     doubled_metric,
+    rho2_sq,
     top_microstate_mask,
 )
 
@@ -125,8 +126,8 @@ def test_pair_model_matches_componentwise_formulas(model_action, data):
     b = np.array(data.draw(st.lists(idx, min_size=len(a), max_size=len(a))))
     assert (pair.candidate_mul(a, b) == mul[a, b]).all()
     assert (pair.candidate_inv(a) == inv[a]).all()
-    assert pair.op(int(a[0]), int(b[0])) == mul[a[0], b[0]]
-    assert pair.inverse(int(a[0])) == inv[a[0]]
+    assert pair.candidate_mul(int(a[0]), int(b[0])) == mul[a[0], b[0]]
+    assert pair.candidate_inv(int(a[0])) == inv[a[0]]
     # the pair encoding is the one pair_candidates builds
     assert (pair_candidates(model, a // n, a % n) == a).all()
 
@@ -137,7 +138,7 @@ def test_pair_model_generators_generate():
     reached = {pair.identity}
     frontier = [pair.identity]
     while frontier:
-        frontier = [pair.op(x, s) for x in frontier for s in pair.generators]
+        frontier = [int(pair.candidate_mul(x, s)) for x in frontier for s in pair.generators]
         frontier = [x for x in dict.fromkeys(frontier) if x not in reached]
         reached.update(frontier)
     assert len(reached) == pair.n_points
@@ -151,9 +152,11 @@ def test_pair_model_generators_generate():
 def test_doubled_metric_matches_averaged_factor_distances(model_action, data):
     model, _ = model_action
     n = model.n_points
-    table = np.array(
-        data.draw(st.lists(st.integers(0, 50), min_size=n * n, max_size=n * n)), dtype=np.int64
-    ).reshape(n, n)
+    # a pseudometric table: symmetric, with a zero diagonal
+    pairs = n * (n - 1) // 2
+    table = np.zeros((n, n), dtype=np.int64)
+    table[np.triu_indices(n, 1)] = data.draw(st.lists(st.integers(0, 50), min_size=pairs, max_size=pairs))
+    table += table.T
     den = data.draw(st.integers(1, 7))
     metric = Pseudometric(name="t", model=model, table_num=table, den=den)
     for base in (metric, discrete_metric(model)):
@@ -171,9 +174,9 @@ def test_doubled_metric_matches_averaged_factor_distances(model_action, data):
             Fraction(int(base.table_num[a // n, b // n]), base.den)
             + Fraction(int(base.table_num[a % n, b % n]), base.den)
         ) / 2
-        assert dm.sq(a, b) == want
-        # the least positive distance, read from the factor table whether it
-        # has a zero entry or not, and from a pair table's pair table
+        assert rho2_sq(dm, [a], [b]) == want
+        # the least positive distance, read from the factor table, and from a
+        # pair table's pair table
         for doubled, full in ((dm, ref), (doubled_metric(dm), materialized_doubled_table(ref) if n <= 3 else None)):
             if full is not None:
                 positive = full[full > 0]

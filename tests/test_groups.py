@@ -472,6 +472,16 @@ class TestQuotientSofic:
             with pytest.raises(ValidationError):
                 SoficApproximation(Z, table, "custom")
 
+    def test_permutations_must_hold_integers(self, Z):
+        # the int64 cast used to truncate [1.7, 0.2] to the permutation [1, 0]
+        t = Z.generator(0)
+        for perm in ([1.7, 0.2], [1.0, 0.0]):
+            with pytest.raises(ValidationError, match="integers"):
+                SoficApproximation(Z, {Z.identity(): [0, 1], t: perm}, "custom")
+        ints = {Z.identity(): np.arange(2, dtype=np.int32), t: np.array([1, 0], dtype=np.uint8)}
+        sigma = SoficApproximation(Z, ints, "custom")
+        assert sigma.perm(t).dtype == np.int64 and sigma.perm(t).tolist() == [1, 0]
+
 
 class TestPerturb:
     def make_sigma(self, d=64):

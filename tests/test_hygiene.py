@@ -2,8 +2,9 @@
 module-level private function or class is referenced somewhere, every public
 function, class and method is referenced by the package, its tests or the
 benchmark, every parameter of a module-level function or of a method
-(other than ``self`` and ``cls``) is read in its body, and no dataclass
-compares arrays with its generated ``__eq__``."""
+(other than ``self`` and ``cls``) is read in its body, every dataclass field
+is read as an attribute, and no dataclass compares arrays with its generated
+``__eq__``."""
 
 import ast
 from collections import Counter
@@ -120,20 +121,29 @@ def unread_parameters(tree: ast.Module) -> list[str]:
     return out
 
 
+def names(node: ast.AST) -> set[str]:
+    """The names and attribute names anywhere in ``node``."""
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+    }
+
+
+def dataclass_decorators(node: ast.AST) -> list[ast.expr]:
+    """The ``dataclass`` decorators of a class (none for anything else)."""
+    if not isinstance(node, ast.ClassDef):
+        return []
+    return [d for d in node.decorator_list if "dataclass" in names(d)]
+
+
 def array_eq_dataclasses(tree: ast.Module) -> list[str]:
     """Dataclasses with a field annotated with ``ndarray`` that keep the
     generated field-by-field ``__eq__``, which raises on arrays: each must
     pass ``eq=False`` or define its own ``__eq__``."""
-    def names(node):
-        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
-            n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
-        }
-
     out = []
     for node in ast.walk(tree):
-        if not isinstance(node, ast.ClassDef):
+        decos = dataclass_decorators(node)
+        if not decos:
             continue
-        decos = [d for d in node.decorator_list if "dataclass" in names(d)]
         no_eq = any(
             k.arg == "eq" and isinstance(k.value, ast.Constant) and k.value.value is False
             for d in decos
@@ -142,9 +152,28 @@ def array_eq_dataclasses(tree: ast.Module) -> list[str]:
         )
         own_eq = any(isinstance(m, ast.FunctionDef) and m.name == "__eq__" for m in node.body)
         arrays = any(isinstance(f, ast.AnnAssign) and "ndarray" in names(f.annotation) for f in node.body)
-        if decos and arrays and not (no_eq or own_eq):
+        if arrays and not (no_eq or own_eq):
             out.append(f"{node.name} (line {node.lineno})")
     return out
+
+
+def unread_fields(modules: dict[str, ast.Module], readers) -> list[str]:
+    """Dataclass fields of ``modules`` that no reader loads as an attribute:
+    a field that is only ever set is a value nobody uses."""
+    loaded = {
+        n.attr
+        for tree in readers
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    }
+    return [
+        f"{mod}.{node.name}.{f.target.id} (line {f.lineno})"
+        for mod, tree in modules.items()
+        for node in ast.walk(tree)
+        if dataclass_decorators(node)
+        for f in node.body
+        if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name) and f.target.id not in loaded
+    ]
 
 
 def test_sources_found():
@@ -174,6 +203,11 @@ def test_no_unreferenced_private_helpers():
 def test_no_unreferenced_public_names():
     modules = {p.stem: ast.parse(p.read_text()) for p in SOURCES}
     assert unreferenced_publics(modules, [ast.parse(p.read_text()) for p in READERS]) == []
+
+
+def test_no_unread_dataclass_fields():
+    modules = {p.stem: ast.parse(p.read_text()) for p in SOURCES}
+    assert unread_fields(modules, [ast.parse(p.read_text()) for p in READERS]) == []
 
 
 def test_scan_flags_an_unreferenced_private_helper():
@@ -253,3 +287,13 @@ def test_scan_flags_a_dataclass_comparing_arrays():
         "class Plain:\n    a: np.ndarray\n"
     )
     assert array_eq_dataclasses(tree) == ["Flagged (line 5)", "Mapped (line 9)"]
+
+
+def test_scan_flags_an_unread_dataclass_field():
+    lib = ast.parse(
+        "from dataclasses import dataclass\n\n"
+        "@dataclass(frozen=True)\nclass Report:\n    read: int\n    written: int\n\n"
+        "class Plain:\n    unread: int\n"
+    )
+    user = ast.parse("r = Report(read=1, written=2)\nr.written = 3\nprint(r.read)\n")
+    assert unread_fields({"lib": lib}, [lib, user]) == ["lib.Report.written (line 6)"]

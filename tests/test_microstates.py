@@ -107,8 +107,21 @@ class TestRho2:
         # pair (0,1) vs (0,2): first coordinate equal, second differs: (0+1)/2
         a = 0 * 3 + 1
         b = 0 * 3 + 2
-        assert dm.sq(a, b) == Fraction(1, 2)
+        assert rho2_sq(dm, [a], [b]) == Fraction(1, 2)
         assert dm.min_positive_sq == Fraction(1, 2)
+
+    def test_table_must_be_a_pseudometric(self):
+        # the negated discrete table used to be accepted: rho2_sq returned -1
+        # and, with no positive entry, every threshold admitted everything; a
+        # 2 x 2 table on Z/3 raised IndexError at point 2
+        m = cyclic_model(3)
+        discrete = discrete_metric(m).table_num
+        asymmetric = discrete.copy()
+        asymmetric[0, 1] = 2
+        for table in (-discrete, asymmetric, discrete + 1, discrete[:2, :2]):
+            with pytest.raises(ValidationError, match="3 x 3 table with a zero diagonal"):
+                Pseudometric(name="bad", model=m, table_num=table)
+        assert Pseudometric(name="zero", model=m, table_num=0 * discrete).min_positive_sq is None
 
 
 class TestTopMembership:
@@ -227,6 +240,24 @@ class TestEnumeration:
             model, sigma, [group.identity()], Fraction(1, 2), metric, action
         )
         assert out.shape[0] == 9  # all |X|^d pass on the e-window
+
+    def test_a_table_with_a_nonzero_diagonal_is_refused(self):
+        # Z by its order-1 quotient acting trivially on Z/2, F = {t}, delta =
+        # 1/2: with the all-ones table over den 1, the equivariant path listed
+        # [[0], [1]] and the mask admitted neither row.  That table is no
+        # longer a metric; with the discrete one both paths admit both rows
+        Z = GroupSpec.integers()
+        t = Z.generator(0)
+        model = cyclic_model(2)
+        sigma = quotient_sofic(Z, {"kind": "cyclic-powers", "orders": [1]}, [Z.identity(), t])
+        action = trivial_action(Z, model)
+        with pytest.raises(ValidationError, match="diagonal"):
+            Pseudometric(name="ones", model=model, table_num=np.ones((2, 2), dtype=np.int64))
+        metric = discrete_metric(model)
+        assert forces_exact_equivariance(metric, Fraction(1, 2), sigma.d)
+        out = enumerate_top_microstates(model, sigma, [t], Fraction(1, 2), metric, action)
+        xs = np.array([[0], [1]])
+        assert out.tolist() == xs[top_microstate_mask(xs, sigma, [t], Fraction(1, 2), metric, action)].tolist() == [[0], [1]]
 
     def test_negation_exact_count(self, neg_setup):
         group, model, action, sigma = neg_setup
@@ -462,6 +493,17 @@ class TestEmpiricalAndLifts:
         group, model, action, sigma = neg_setup
         assert psi_window(1, [group.identity()], action) == (1,)
 
+    def test_psi_window_values_are_python_points(self, neg_setup):
+        # ints on a finite model, residue tuples on a torus
+        group, model, action, sigma = neg_setup
+        out = psi_window(np.int64(1), list(group.elements()), action)
+        assert out == (1, 2) and all(type(v) is int for v in out)
+        Z = GroupSpec.integers()
+        shear = AutomorphismAction(Z, TorusGridModel(5, 2), generator_maps={"t": np.array([[1, 1], [0, 1]])})
+        # t^-1.(3, 4) = (3 - 4, 4)
+        out = psi_window((3, 4), [Z.identity(), Z.generator(0)], shear)
+        assert out == ((3, 4), (4, 4)) and all(type(v) is tuple and type(v[0]) is int for v in out)
+
 
 class TestExport:
     def test_round_trip(self, tmp_path, neg_setup):
@@ -577,7 +619,7 @@ class TestTorusModels:
         assert (dm.den, dm.min_positive_sq) == (ref.den, ref.min_positive_sq)
         x, y = (1, 5, 0, 3), (4, 0, 0, 2)
         # circle distances 3, 1, 0, 1 over 4 sites of the 6-grid
-        assert dm.sq(x, y) == ref.sq(x, y) == Fraction(9 + 1 + 0 + 1, 4 * 36)
+        assert rho2_sq(dm, [x], [y]) == rho2_sq(ref, [x], [y]) == Fraction(9 + 1 + 0 + 1, 4 * 36)
 
     def test_sq_agrees_with_rho2_at_d_1(self):
         q, s = 5, 3
@@ -585,7 +627,7 @@ class TestTorusModels:
         rng = np.random.default_rng(3)
         for x, y in rng.integers(0, q, size=(20, 2, s)):
             want = Fraction(sum(self.circle_sq(a, b, q) for a, b in zip(x, y)), s * q * q)
-            assert metric.sq(x, y) == rho2_sq(metric, x[None], y[None]) == want
+            assert rho2_sq(metric, x[None], y[None]) == want
 
     def test_top_mask(self):
         Z = GroupSpec.integers()
