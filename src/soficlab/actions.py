@@ -195,15 +195,21 @@ class PairModel(FiniteModel):
 
 
 class TorusGridModel:
-    """The grid ((1/q)Z/Z)^sites; points are residue tuples, exact arithmetic."""
+    """The grid ((1/q)Z/Z)^sites; points are residue tuples, exact arithmetic.
+
+    q and sites are integers with sites (q - 1)^2 < 2^63, so the int64 sums of
+    products of residues in ``compose`` and ``apply_map`` cannot wrap."""
 
     def __init__(self, q: int, sites: int, name: str = ""):
+        # _integer refuses a float, which int() would truncate (2.5 -> 2)
+        q, sites = _integer(q, "grid resolution q"), _integer(sites, "the number of sites")
         if q < 2:
             raise ValidationError("grid resolution q must be >= 2")
         if sites < 1:
             raise ValidationError("need at least one site")
-        self.q = int(q)
-        self.sites = int(sites)
+        if sites * (q - 1) ** 2 >= 2**63:
+            raise OverflowError(f"sites * (q - 1)^2 = {sites * (q - 1) ** 2} reaches 2^63: int64 map products wrap")
+        self.q, self.sites = q, sites
         self.name = name or f"torus(q={q})^{sites}"
 
     @property
@@ -237,21 +243,22 @@ class TorusGridModel:
 
     def compose(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Function composition a o b."""
-        return (a @ b) % self.q
+        return (a % self.q) @ (b % self.q) % self.q
 
     def invert_map(self, m: np.ndarray) -> np.ndarray:
-        """The inverse mod q: column j solves m x = e_j."""
-        units = np.eye(self.sites, dtype=np.int64)
-        return np.array([next(intlin.solve_mod(m, e, self.q)) for e in units], dtype=np.int64).T
+        """The inverse mod q, V diag(s_i^-1) U for the Smith form U m V = diag(s)."""
+        s, u, v = intlin.smith_normal_form(m)
+        units = [pow(s[i][i], -1, self.q) for i in range(self.sites)]
+        return (np.array(v, dtype=object) * units @ np.array(u, dtype=object) % self.q).astype(np.int64)
 
     def apply_map(self, m: np.ndarray, x) -> np.ndarray:
-        return np.einsum("st,...t->...s", m, x) % self.q
+        return np.einsum("st,...t->...s", m % self.q, x) % self.q
 
     def check_map(self, m: np.ndarray) -> None:
+        """m is invertible mod q exactly when m x = 0 (mod q) has only x = 0."""
         if m.shape != (self.sites, self.sites):
             raise ValidationError("torus map must be a sites x sites integer matrix")
-        det = intlin.det_bareiss(m.tolist())
-        if math.gcd(det % self.q, self.q) != 1:
+        if intlin.kernel_count_mod(m, self.q) != 1:
             raise ValidationError("torus matrix is not invertible mod q")
 
     def lift_map(self, m: np.ndarray) -> np.ndarray:
@@ -603,7 +610,10 @@ def count_kernel_points(model: AlgebraicActionModel, mode: str, budget: int = 10
     if mode == "continuous-exact":
         if model.source.m != model.source.n:
             raise ValidationError("continuous-exact needs a square matrix")
-        return intlin.abs_det(mat)
+        det = intlin.det_multimodular(mat)
+        if det == 0:
+            raise SingularMatrixError("matrix is singular")
+        return abs(det)
     if mode == "grid-exact":
         return intlin.kernel_count_mod(mat, model.q)
     if mode == "grid-tolerance":
@@ -664,10 +674,21 @@ def regular_matrix(f: IntegerGroupMatrix) -> np.ndarray:
     return sigma_matrix(f, quotient_sofic(spec, {"kind": "regular"}, (spec.identity(),) + f.support()))
 
 
+def _blocks(idx: np.ndarray, k: int) -> np.ndarray:
+    """The indices i * k + r of the k-blocks of the indices i in ``idx``, in
+    order: blocks of rows or columns of a matrix with k per group element."""
+    return (idx[:, None] * k + np.arange(k)).reshape(-1)
+
+
 def dual_model(f: IntegerGroupMatrix) -> tuple[FiniteGroupModel, AutomorphismAction]:
     """Exact model of X_f for finite G: the subgroup of (Q/Z)^{n|G|} annihilated
     by the transpose of the r(f) matrix, with the coordinate-permutation dual
     action (g.x)[(h, j)] = x[(g^-1 h, j)].
+
+    Both come from one left-regular sigma, as in ``regular_matrix``: R^T is
+    ``sigma_matrix(f, sigma)`` with its row and column blocks permuted by
+    g -> g^-1, and sigma(g^-1) gives the source column of every coordinate
+    under g.
 
     The points x = k / s_r come in lexicographic order of k.  For the Smith
     form U R^T V = diag(s), the digits y_i = (U R^T k / s_r)_i mod s_i over the
@@ -683,18 +704,15 @@ def dual_model(f: IntegerGroupMatrix) -> tuple[FiniteGroupModel, AutomorphismAct
     spec = f.group
     if spec.order() is None:
         raise ValidationError("dual_model needs a finite group")
-    els = list(spec.elements())
+    els = spec.elements()
     pos = {g: i for i, g in enumerate(els)}
     N = len(els)
-    # r(f) matrix: R[(h,j),(g,l)] = f_{lj}(g^-1 h); kernel condition uses R^T
-    rt = np.zeros((N * f.m, N * f.n), dtype=np.int64)
-    for l in range(f.m):
-        for j in range(f.n):
-            for w, c in f.entries[l][j].items():
-                # g^-1 h = w  <=>  h = g w
-                for g in els:
-                    h = spec.multiply(g, w)
-                    rt[pos[g] * f.m + l, pos[h] * f.n + j] += c
+    inverses = [spec.inverse(spec.generator(i)) for i in range(len(spec.generators))]
+    sigma = quotient_sofic(spec, {"kind": "regular"}, (spec.identity(), *f.support(), *inverses))
+    # R^T[(g, l), (h, j)] = f_{lj}(g^-1 h) is the entry of f^(sigma) at
+    # ((a, l), (b, j)), f_{lj}(a b^-1), read at a = g^-1 and b = h^-1
+    inv = np.array([pos[spec.inverse(g)] for g in els], dtype=np.int64)
+    rt = sigma_matrix(f, sigma)[np.ix_(_blocks(inv, f.m), _blocks(inv, f.n))]
     # the kernel points are pts / scale: sorted, distinct int64 rows
     pts, diag, u = _torsion_kernel(rt, budget=4096)
     K, cols = pts.shape
@@ -723,12 +741,8 @@ def dual_model(f: IntegerGroupMatrix) -> tuple[FiniteGroupModel, AutomorphismAct
         sums += (y[:, None, i] + y[None, :, i]) % moduli[i] * place[i]
     model = FiniteGroupModel(_grid_labels(pts, scale), rank[sums], name=f"dual(|G|={N}, n={f.n})")
     # (g.x)[(h, j)] = x[(g^-1 h, j)]: the source column of every target
-    # column, for each generator g
-    gens = [spec.generator(i) for i in range(len(spec.generators))]
-    src = np.array([
-        [pos[spec.multiply(spec.inverse(g), h)] * f.n + j for h in els for j in range(f.n)]
-        for g in gens
-    ], dtype=np.int64).reshape(len(gens), N * f.n)
+    # column, for each generator g; sigma(g^-1) sends h to g^-1 h
+    src = np.array([_blocks(sigma.perm(g), f.n) for g in inverses], dtype=np.int64).reshape(len(inverses), N * f.n)
     perms = rank[digits(pts[:, src].transpose(1, 0, 2)) @ place]
     action = AutomorphismAction(spec, model, dict(zip(spec.generators, perms)))
     return model, action
@@ -769,7 +783,7 @@ def verify_hypotheses(f: IntegerGroupMatrix) -> HypothesisReport:
     spec = f.group
     order = spec.order()
     if order is not None:
-        rank = intlin.integer_rank(regular_matrix(f).tolist())
+        rank = len(intlin.invariant_factors(regular_matrix(f).tolist()))
         inj, dense = rank == f.n * order, rank == f.m * order
         method = "left-regular-determinant" if f.m == f.n else "left-regular-rank"
         return HypothesisReport(
@@ -782,7 +796,7 @@ def verify_hypotheses(f: IntegerGroupMatrix) -> HypothesisReport:
         exps = [g.key[1][0] for g in f.support()] or [0]
         lo, hi = min(exps), max(exps)
         inj = any(
-            intlin.det_bareiss(
+            intlin.det_multimodular(
                 [[sum(c * t ** (g.key[1][0] - lo) for g, c in cell.items()) for cell in row] for row in f.entries]
             )
             for t in range(1, f.n * (hi - lo) + 2)

@@ -310,41 +310,6 @@ class GroupSpec:
             return math.prod(self.moduli)
         return None
 
-    # -- quotients ---------------------------------------------------------
-
-    def _quotient_data(self, quotient: Mapping):
-        kind = quotient.get("kind")
-        copies = _integer(quotient.get("copies", 1), "copies")
-        if copies < 1:
-            raise ValidationError("copies must be >= 1")
-        if self.kind == "abelian":
-            if kind == "regular":
-                # alias: regular representation of a finite abelian group
-                if not all(self.moduli):
-                    raise ValidationError("regular quotient needs a finite group")
-                return ("cyclic-powers", self.moduli, copies)
-            if kind != "cyclic-powers":
-                raise ValidationError(f"abelian groups offer cyclic-powers quotients, not {kind!r}")
-            orders = tuple(_integer(x, "a quotient order") for x in quotient["orders"])
-            if len(orders) != len(self.generators):
-                raise ValidationError("one quotient order per generator")
-            for m, o in zip(self.moduli, orders):
-                if o < 1:
-                    raise ValidationError("quotient orders must be >= 1")
-                if m and m % o != 0:
-                    raise ValidationError(f"relation g^{m} does not die in Z/{o}")
-            return ("cyclic-powers", orders, copies)
-        if self.kind == "table":
-            if kind != "regular":
-                raise ValidationError(f"table groups offer regular quotients, not {kind!r}")
-            return ("regular", None, copies)
-        if kind != "random-permutations":
-            raise ValidationError(f"free groups offer random-permutations models, not {kind!r}")
-        degree = _integer(quotient["degree"], "degree")
-        if degree < 1:
-            raise ValidationError("degree must be >= 1")
-        return ("random-permutations", degree, copies)
-
     # -- misc ----------------------------------------------------------------
 
     def element_to_json(self, a: GroupElement):
@@ -543,14 +508,6 @@ def _is_permutation(arr: np.ndarray, d: int) -> bool:
     return np.bincount(arr, minlength=d).max() == 1
 
 
-def _block_copies(perm: np.ndarray, copies: int) -> np.ndarray:
-    d = perm.shape[0]
-    if copies == 1:
-        return perm
-    out = np.concatenate([perm + k * d for k in range(copies)])
-    return out
-
-
 def quotient_sofic(
     spec: GroupSpec, quotient: Mapping, support: Sequence[GroupElement]
 ) -> SoficApproximation:
@@ -558,34 +515,57 @@ def quotient_sofic(
     random-permutation model), by left multiplication on the quotient.
 
     ``support`` must be finite and contain the identity.  Elements that the
-    quotient family cannot express are rejected by name.
+    quotient family cannot express are rejected by name.  Each group family
+    is validated and built in one branch: ``cyclic-powers`` (or ``regular``
+    when finite) for abelian groups, ``regular`` for table groups and
+    ``random-permutations`` for free groups.
     """
-    kind, data, copies = spec._quotient_data(quotient)
+    kind = quotient.get("kind")
+    copies = _integer(quotient.get("copies", 1), "copies")
+    if copies < 1:
+        raise ValidationError("copies must be >= 1")
     support = tuple(dict.fromkeys(support))
     if spec.identity() not in support:
         raise ValidationError("support must contain the identity")
-    table: dict[GroupElement, np.ndarray] = {}
-    if kind == "cyclic-powers":
-        orders = data
+    perms: dict[GroupElement, np.ndarray] = {}
+    if spec.kind == "abelian":
+        if kind == "regular":
+            # alias: regular representation of a finite abelian group
+            if not all(spec.moduli):
+                raise ValidationError("regular quotient needs a finite group")
+            orders = spec.moduli
+        elif kind != "cyclic-powers":
+            raise ValidationError(f"abelian groups offer cyclic-powers quotients, not {kind!r}")
+        else:
+            orders = tuple(_integer(x, "a quotient order") for x in quotient["orders"])
+            if len(orders) != len(spec.generators):
+                raise ValidationError("one quotient order per generator")
+            for m, o in zip(spec.moduli, orders):
+                if o < 1:
+                    raise ValidationError("quotient orders must be >= 1")
+                if m and m % o != 0:
+                    raise ValidationError(f"relation g^{m} does not die in Z/{o}")
         # the index of (a_1..a_k) is lexicographic, the last coordinate fastest
         grids = np.meshgrid(*[np.arange(o) for o in orders], indexing="ij")
         for g in support:
             coords = [(grid + e) % o for grid, (_, e), o in zip(grids, spec.word(g), orders)]
-            perm = np.ravel_multi_index(coords, orders).reshape(-1)
-            table[g] = _block_copies(perm.astype(np.int64), copies)
-    elif kind == "regular":
+            perms[g] = np.ravel_multi_index(coords, orders).reshape(-1).astype(np.int64)
+    elif spec.kind == "table":
+        if kind != "regular":
+            raise ValidationError(f"table groups offer regular quotients, not {kind!r}")
         for g in support:
             if g.key[0] != spec._tag:
                 raise UnsupportedElementError(g, f"not an element of {spec!r}")
-            perm = spec.mul_table[g.key[1], :].astype(np.int64)  # j -> g*j
-            table[g] = _block_copies(perm, copies)
-    else:  # random-permutations, free group
-        degree = data
-        seed = quotient.get("seed", 0)
-        rng_gens = [
-            np.random.default_rng([int(seed), 0xF2EE, i]) for i in range(spec.rank)
-        ]
-        gen_perms = [rng.permutation(degree).astype(np.int64) for rng in rng_gens]
+            perms[g] = spec.mul_table[g.key[1], :].astype(np.int64)  # j -> g*j
+    else:
+        if kind != "random-permutations":
+            raise ValidationError(f"free groups offer random-permutations models, not {kind!r}")
+        degree = _integer(quotient["degree"], "degree")
+        if degree < 1:
+            raise ValidationError("degree must be >= 1")
+        seed = int(quotient.get("seed", 0))
+        rngs = (np.random.default_rng([seed, 0xF2EE, i]) for i in range(spec.rank))
+        gen_perms = [rng.permutation(degree).astype(np.int64) for rng in rngs]
         inv_perms = [np.argsort(p).astype(np.int64) for p in gen_perms]
         for g in support:
             # left-to-right function composition: sigma(uv) = sigma(u) o sigma(v)
@@ -594,10 +574,13 @@ def quotient_sofic(
                 step = gen_perms[gen] if exp > 0 else inv_perms[gen]
                 for _ in range(abs(exp)):
                     perm = perm[step]
-            table[g] = _block_copies(perm, copies)
+            perms[g] = perm
+    if copies > 1:
+        # copy k of the quotient acts on the points k * d .. k * d + d - 1
+        perms = {g: (p + len(p) * np.arange(copies)[:, None]).reshape(-1) for g, p in perms.items()}
     return SoficApproximation(
         group=spec,
-        table=table,
+        table=perms,
         provenance="quotient-induced",
         seed=quotient.get("seed"),
         quotient=dict(quotient),

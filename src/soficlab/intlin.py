@@ -4,30 +4,29 @@ Determinants, Smith normal form with unimodular transforms, grid-exact
 kernel counts and the one lattice solver for ``A x = t (mod q)``.
 ``det_multimodular`` computes determinants: a Crout LU in float64 modulo
 word-size primes, batched over the primes, combined by CRT past twice the
-Hadamard bound, so every result is exact.  ``abs_det``, and with it
-continuous-exact counting, goes through it.  ``det_bareiss`` (fraction-free
-elimination over Python ints) stays for small exact determinants.  The Smith
-form works over Python ints, so nothing overflows; it repeats one round (move
-the least nonzero entry of the trailing block to the pivot, reduce its row and
-column by floor division) until the pivot divides the block, and the pivot
-falls at least every second round, so the loop ends.  ``kernel_count_mod``
-eliminates on unit pivots mod q in int64 (q < 2^31) and hands the Smith form
-only the block left without a unit pivot.  ``solve_mod_batch`` takes a Smith
-form, reduces its transforms mod q once and solves a batch of targets in
+Hadamard bound, so every result is exact.  ``det_bareiss`` (fraction-free
+elimination over Python ints) is only the reference that tests check it
+against; nothing in the package calls it.  The Smith form works over Python
+ints, so nothing overflows; it repeats one round (move the least nonzero
+entry of the trailing block to the pivot, reduce its row and column by floor
+division) until the pivot divides the block, and the pivot falls at least
+every second round, so the loop ends.  ``kernel_count_mod`` eliminates on
+unit pivots mod q in int64 (q < 2^31) and hands the Smith form only the
+block left without a unit pivot.  ``solve_mod_batch`` takes a Smith form,
+reduces its transforms mod q once and solves a batch of targets in
 vectorized int64 (q < 2^31), decoding the solution lattice with
-``mixed_radix``; ``solve_mod`` is its one-target iterator.  Matrices are
-accepted as nested sequences or numpy arrays; ``as_int_array`` keeps the
-shape of an array, so a matrix without rows still has its columns.
+``mixed_radix``.  Matrices are accepted as nested sequences or numpy arrays;
+``as_int_array`` keeps the shape of an array, so a matrix without rows still
+has its columns.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator
 
 import numpy as np
 
-from .errors import BudgetExceededError, SingularMatrixError
+from .errors import BudgetExceededError
 
 
 def as_int_rows(mat) -> list[list[int]]:
@@ -255,10 +254,6 @@ def invariant_factors(mat) -> list[int]:
     return [s[i][i] for i in range(min(len(s), len(s[0]) if s else 0)) if s[i][i] != 0]
 
 
-def integer_rank(mat) -> int:
-    return len(invariant_factors(mat))
-
-
 def kernel_count_mod(mat, q: int) -> int:
     """Number of x in (Z/q)^cols with mat @ x = 0 (mod q).
 
@@ -366,22 +361,3 @@ def solve_mod_batch(snf, targets, q: int, budget: int | None = None) -> np.ndarr
     x = _apply_mod(v_q, y, q)
     return x[np.lexsort(x.T[::-1])] if cols else x
 
-
-def solve_mod(mat, target, q: int, budget: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Iterate all x in (Z/q)^cols with mat @ x = target (mod q).
-
-    Lexicographic order.  Raises BudgetExceededError before yielding anything
-    if the solution count exceeds ``budget``.
-    """
-    a = as_int_array(mat)
-    t = [int(v) % q for v in target]
-    if len(t) != len(a):
-        raise ValueError("target length mismatch")
-    return map(tuple, solve_mod_batch(smith_normal_form(a), [t], q, budget).tolist())
-
-
-def abs_det(mat) -> int:
-    d = det_multimodular(mat)
-    if d == 0:
-        raise SingularMatrixError("matrix is singular")
-    return abs(d)

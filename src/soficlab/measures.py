@@ -202,14 +202,13 @@ class SampleBased:
 
     ``exact=True`` marks an exactly computed weighted support (e.g. the result
     of convolving two explicit sets); ``exact=False`` marks a Monte Carlo
-    draw, with ``seed`` recording its provenance.
+    draw.
     """
 
     model: CompactGroupModel
     points: np.ndarray = field(repr=False)
     weights_num: np.ndarray = field(repr=False)
     weights_den: int
-    seed: int | None = None
     exact: bool = False
 
     def __post_init__(self):

@@ -97,6 +97,32 @@ class TestModels:
         with pytest.raises(OverflowError, match="int64"):
             TorusGridModel(2, 64).point_indices([1] + [0] * 63)
 
+    @pytest.mark.parametrize("q, sites", [(2.5, 1), (2, 1.7), (2.5, 1.7), (Fraction(3), 1)])
+    def test_torus_refuses_non_integer_arguments(self, q, sites):
+        # int() used to truncate them: TorusGridModel(2.5, 1.7) was q = 2 on
+        # one site, named torus(q=2.5)^1.7
+        with pytest.raises(ValidationError, match="must be an integer"):
+            TorusGridModel(q, sites)
+
+    def test_torus_refuses_grids_whose_map_products_wrap(self, Z):
+        # at q = 2^40 + 15 the map [[q - 1, 1], [0, 1]] passed check_map and
+        # sent (q - 2, 5) to 1099511627573 instead of 7: (q - 1)(q - 2) wraps
+        with pytest.raises(OverflowError, match="2\\^63"):
+            TorusGridModel(2**40 + 15, 2)
+        # the largest q on one site: (q - 1)^2 < 2^63, so products are exact
+        q = math.isqrt(2**63 - 1) + 1
+        with pytest.raises(OverflowError, match="2\\^63"):
+            TorusGridModel(q + 1, 1)
+        t = TorusGridModel(q, 1)
+        action = AutomorphismAction(Z, t, generator_maps={"t": np.array([[q - 1]])})
+        g = Z.generator(0)
+        assert action.act_candidates(g, np.array([q - 2])).tolist() == [2]
+        assert action.point_map(Z.power(g, 2)).tolist() == [[1]]
+        assert action.point_map(Z.inverse(g)).tolist() == [[q - 1]]
+        # the doubled grid has two sites, past the bound
+        with pytest.raises(OverflowError, match="2\\^63"):
+            product_model(t)
+
     def test_product_model(self):
         m = cyclic_model(3)
         p = product_model(m)
@@ -766,3 +792,45 @@ def test_torus_inverse_map_mod_q(q, sites, data):
     assert ((inv >= 0) & (inv < q)).all()
     assert np.array_equal(m @ inv % q, np.eye(sites, dtype=np.int64))
     assert np.array_equal(inv @ m % q, np.eye(sites, dtype=np.int64))
+
+
+def _refusal_cases():
+    """(label, call, error, message) for refusals that no other test reaches."""
+    Z, Z2d, F2, S3 = GroupSpec.integers(), GroupSpec.integers2(), GroupSpec.free(2), s3_spec()
+    e = Z.identity()
+    one = IntegerGroupMatrix.single(Z, [(3, "e"), (-1, "t")])
+    wide = IntegerGroupMatrix.from_pairs(Z, [[[(3, "e")], [(1, "t")]]])
+    sigma = quotient_sofic(Z, {"kind": "cyclic-powers", "orders": [4]}, wide.support())
+    torus2, torus6, torus5 = TorusGridModel(7, 2), TorusGridModel(6, 2), TorusGridModel(5, 2)
+    return [
+        ("copies-0", lambda: quotient_sofic(Z, {"kind": "cyclic-powers", "orders": [3], "copies": 0}, [e]),
+         ValidationError, "copies must be >= 1"),
+        ("abelian-kind", lambda: quotient_sofic(Z, {"kind": "random-permutations", "degree": 3}, [e]),
+         ValidationError, "abelian groups offer cyclic-powers"),
+        ("table-kind", lambda: quotient_sofic(S3, {"kind": "cyclic-powers", "orders": [3]}, [S3.identity()]),
+         ValidationError, "table groups offer regular"),
+        ("free-kind", lambda: quotient_sofic(F2, {"kind": "regular"}, [F2.identity()]),
+         ValidationError, "free groups offer random-permutations"),
+        ("order-0", lambda: quotient_sofic(Z, {"kind": "cyclic-powers", "orders": [0]}, [e]),
+         ValidationError, "quotient orders must be >= 1"),
+        ("degree-0", lambda: quotient_sofic(F2, {"kind": "random-permutations", "degree": 0}, [F2.identity()]),
+         ValidationError, "degree must be >= 1"),
+        ("unknown-mode", lambda: count_kernel_points(instantiate_Xf(one, sigma, q=5, tol=0), "grid-exactly"),
+         ValidationError, "unknown counting mode"),
+        ("continuous-1x2", lambda: count_kernel_points(instantiate_Xf(wide, sigma, q=5, tol=0), "continuous-exact"),
+         ValidationError, "square"),
+        ("dual-of-Z", lambda: dual_model(one), ValidationError, "finite group"),
+        ("map-shape", lambda: torus2.check_map(np.eye(3, dtype=np.int64)), ValidationError, "sites x sites"),
+        ("map-mod-6", lambda: torus6.check_map(np.array([[2, 0], [0, 1]])), ValidationError, "not invertible mod q"),
+        ("map-mod-5", lambda: torus5.check_map(np.array([[1, 1], [1, 1]])), ValidationError, "not invertible mod q"),
+        ("non-commuting", lambda: AutomorphismAction(
+            Z2d, torus5, {"s": np.array([[1, 1], [0, 1]]), "t": np.array([[1, 0], [1, 1]])}),
+         ValidationError, "do not commute"),
+    ]
+
+
+@pytest.mark.parametrize("case", _refusal_cases(), ids=lambda c: c[0])
+def test_refusals_are_pinned(case):
+    _, call, error, message = case
+    with pytest.raises(error, match=message):
+        call()

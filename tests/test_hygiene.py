@@ -3,8 +3,9 @@ module-level private function or class is referenced somewhere, every public
 function, class and method is referenced by the package, its tests or the
 benchmark, every parameter of a module-level function or of a method
 (other than ``self`` and ``cls``) is read in its body, every dataclass field
-is read as an attribute, and no dataclass compares arrays with its generated
-``__eq__``."""
+is read as an attribute, no dataclass compares arrays with its generated
+``__eq__``, and no module uses the reference determinant ``det_bareiss``,
+which stays only for tests to check ``det_multimodular`` against."""
 
 import ast
 from collections import Counter
@@ -176,6 +177,22 @@ def unread_fields(modules: dict[str, ast.Module], readers) -> list[str]:
     ]
 
 
+def uses_outside_definition(tree: ast.Module, name: str) -> list[int]:
+    """Lines where ``tree`` loads, reads as an attribute or imports ``name``,
+    outside the definition of ``name`` itself."""
+    own = {id(n) for node in ast.walk(tree) if isinstance(node, DEFS) and node.name == name for n in ast.walk(node)}
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if id(node) not in own
+        and (
+            (isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.Attribute) and node.attr == name)
+            or (isinstance(node, ast.ImportFrom) and any(alias.name == name for alias in node.names))
+        )
+    )
+
+
 def test_sources_found():
     assert {p.name for p in SOURCES} >= {"actions.py", "measures.py", "microstates.py"}
 
@@ -203,6 +220,11 @@ def test_no_unreferenced_private_helpers():
 def test_no_unreferenced_public_names():
     modules = {p.stem: ast.parse(p.read_text()) for p in SOURCES}
     assert unreferenced_publics(modules, [ast.parse(p.read_text()) for p in READERS]) == []
+
+
+def test_no_source_uses_the_reference_determinant():
+    uses = {p.name: uses_outside_definition(ast.parse(p.read_text()), "det_bareiss") for p in SOURCES}
+    assert {name: lines for name, lines in uses.items() if lines} == {}
 
 
 def test_no_unread_dataclass_fields():
@@ -297,3 +319,13 @@ def test_scan_flags_an_unread_dataclass_field():
     )
     user = ast.parse("r = Report(read=1, written=2)\nr.written = 3\nprint(r.read)\n")
     assert unread_fields({"lib": lib}, [lib, user]) == ["lib.Report.written (line 6)"]
+
+
+def test_scan_flags_a_use_outside_the_definition():
+    tree = ast.parse(
+        "from .intlin import det_bareiss\n\n"
+        "def det_bareiss(m):\n    return det_bareiss(m[1:]) if m else 1\n\n"
+        "def check(m):\n    return intlin.det_bareiss(m)\n\n"
+        "def other(det_bareiss_like):\n    return 'det_bareiss'\n"
+    )
+    assert uses_outside_definition(tree, "det_bareiss") == [1, 7]

@@ -490,7 +490,6 @@ class TestDoubled:
             points=np.array([[0, 0]]),
             weights_num=np.array([1]),
             weights_den=1,
-            seed=5,
             exact=False,
         )
         assert not is_exact(sb)

@@ -59,7 +59,8 @@ def test_batch_solve_matches_brute_force(system):
 def test_solve_mod_is_the_one_target_solve(system):
     mat, targets, q = system
     target = [t + q * k for k, t in enumerate(targets[0])]  # unreduced residues
-    assert list(intlin.solve_mod(mat, target, q)) == brute_solutions(mat, [targets[0]], q)
+    got = intlin.solve_mod_batch(intlin.smith_normal_form(mat), [target], q)
+    assert list(map(tuple, got.tolist())) == brute_solutions(mat, [targets[0]], q)
 
 
 @PROPERTY
@@ -132,12 +133,12 @@ def test_residue_box_refuses_too_many_targets_first():
 
 def test_modulus_of_2_pow_31_is_refused():
     with pytest.raises(OverflowError, match=str(2**31)):
-        list(intlin.solve_mod([[3]], [1], 2**31))
+        intlin.solve_mod_batch(intlin.smith_normal_form([[3]]), [[1]], 2**31)
     q = 2**31 - 1
     # the largest accepted modulus: products of residues stay exact
     mat = [[3, q - 2, 5], [q - 5, 7, -1], [2, -9, q - 4]]
     target = [q - 1, q - 2, q - 3]
-    sols = list(intlin.solve_mod(mat, target, q))
+    sols = intlin.solve_mod_batch(intlin.smith_normal_form(mat), [target], q).tolist()
     assert sols
     for x in sols:
         assert [sum(a * b for a, b in zip(row, x)) % q for row in mat] == target
