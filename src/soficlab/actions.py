@@ -49,7 +49,6 @@ An algebraic action X_f given by f in M_{m,n}(Z(G)) is modeled two ways:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -77,14 +76,15 @@ from .groups import _integer, _sort_key, _validate_table
 class FiniteModel:
     """A finite group model whose points are the indices 0..n-1.
 
-    Subclasses supply ``n_points``, ``identity``, ``name``, ``labels``,
-    ``generators`` (point indices whose right products, starting from the
-    identity, reach every point) and the group law ``candidate_mul`` and
-    ``candidate_inv``.  The base class adds the rest of the one model
-    interface: ``point_indices``, ``points_from_indices``, ``identity_map``,
-    ``compose``, ``invert_map``, ``apply_map``, ``check_map`` and
-    ``lift_map``.  Every call takes arrays of points, of any shape; one point
-    is a 0-d array or an int.
+    Subclasses supply ``n_points``, ``identity``, ``name``, ``generators``
+    (point indices whose right products, starting from the identity, reach
+    every point) and the group law ``candidate_mul`` and ``candidate_inv``.
+    Only ``FiniteGroupModel`` names its points, by ``labels``; a
+    ``PairModel``'s points are named by its factor's.  The base class adds the
+    rest of the one model interface: ``point_indices``,
+    ``points_from_indices``, ``identity_map``, ``compose``, ``invert_map``,
+    ``apply_map``, ``check_map`` and ``lift_map``.  Every call takes arrays
+    of points, of any shape; one point is a 0-d array or an int.
     """
 
     # candidate arrays are int64 index vectors of shape (d,) or (N, d), and
@@ -177,10 +177,6 @@ class PairModel(FiniteModel):
         self.generators = tuple(s * n + e for s in factor.generators) + tuple(
             e * n + s for s in factor.generators
         )
-
-    @property
-    def labels(self) -> tuple:
-        return tuple(itertools.product(self.factor.labels, repeat=2))
 
     def candidate_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         n = self.factor.n_points

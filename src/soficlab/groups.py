@@ -439,16 +439,15 @@ class SoficApproximation:
     d >= 1, and sigma(e) is the identity permutation whenever e is in the
     support.
     sigma(g^-1) == sigma(g)^-1 is *not* enforced; the deviation is part of
-    what sofic_defects measures.  ``provenance``, ``seed`` and ``quotient``
-    record how it was made.  It compares and hashes as an object: two
-    approximations built alike are still two.
+    what sofic_defects measures.  ``provenance`` and ``quotient`` record how
+    it was made.  It compares and hashes as an object: two approximations
+    built alike are still two.
     """
 
     group: GroupSpec
     d: int = field(init=False)
     table: Mapping[GroupElement, np.ndarray]
     provenance: str
-    seed: int | None = None
     quotient: Mapping | None = None
 
     def __post_init__(self):
@@ -471,10 +470,6 @@ class SoficApproximation:
             raise ValidationError("sigma(e) must be the identity permutation")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "table", MappingProxyType(perms))
-
-    @property
-    def support(self) -> tuple[GroupElement, ...]:
-        return tuple(self.table.keys())
 
     def perm(self, g: GroupElement) -> np.ndarray:
         try:
@@ -582,7 +577,6 @@ def quotient_sofic(
         group=spec,
         table=perms,
         provenance="quotient-induced",
-        seed=quotient.get("seed"),
         quotient=dict(quotient),
     )
 
@@ -641,7 +635,6 @@ def perturb(sigma: SoficApproximation, rate: float, seed: int) -> SoficApproxima
         group=sigma.group,
         table=table,
         provenance="perturbed",
-        seed=seed,
         quotient=sigma.quotient,
     )
 

@@ -78,13 +78,13 @@ class SiteMeasure:
     def weights(self) -> list[Fraction]:
         return [Fraction(int(v), self.den) for v in self.num]
 
-    def integral(self, values_num: np.ndarray, values_den: int) -> Fraction:
-        """Exact integral of a rational-valued function given per point."""
-        total = int(np.dot(self.num.astype(object), np.asarray(values_num).astype(object)))
-        return Fraction(total, self.den * values_den)
-
-    def integral_float(self, values: np.ndarray) -> float:
-        return float(np.dot(self.num.astype(np.float64), values) / self.den)
+    def integral(self, values: np.ndarray, den: int = 1) -> Fraction | float:
+        """The integral of the function with value values[i] / den at point i:
+        an exact Fraction for integer values, a float for float values."""
+        values = np.asarray(values)
+        if values.dtype.kind == "f":
+            return float(np.dot(self.num.astype(np.float64), values) / (self.den * den))
+        return Fraction(int(np.dot(self.num.astype(object), values.astype(object))), self.den * den)
 
     def tv_distance(self, other: "SiteMeasure") -> Fraction:
         _check_same_model(self.model, other.model)

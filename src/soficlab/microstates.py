@@ -10,7 +10,8 @@ over a common denominator, and each rational threshold is turned once into an
 inclusive integer range for those numerators, which int64 arrays are then
 compared against.  The membership rule is strict inequality with the
 zero-distance case admitted (so exactly equivariant candidates pass at every
-delta, including 0).
+delta, including 0).  ``_band`` is that one rule, for the top test and for
+exact panel functions alike.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .actions import (
     product_model,
 )
 from .errors import BudgetExceededError, UnsupportedElementError, ValidationError
-from .groups import GroupElement, SoficApproximation
+from .groups import GroupElement, SoficApproximation, _integer
 from .intlin import mixed_radix
 from .measures import SiteMeasure
 
@@ -181,17 +182,17 @@ def _in_range(nums: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return (nums >= max(lo, _INT64.min)) & (nums <= min(hi, _INT64.max))
 
 
+def _band(c, r) -> tuple[int, int]:
+    """The inclusive range (lo, hi) of the integers n with |n - c| < r, plus
+    c itself when c is an integer; c and r are rationals."""
+    lo, hi = math.floor(c - r) + 1, math.ceil(c + r) - 1
+    if c.denominator == 1:
+        lo, hi = min(lo, int(c)), max(hi, int(c))
+    return lo, hi
+
+
 # Panel means gather at most this many values at once.
 _GATHER_ITEMS = 2**17
-
-
-def _lt_threshold(nums, count: int, metric: Pseudometric, delta: Fraction):
-    """Vectorized test: (num / (count*den)) < delta^2, or num == 0.
-
-    For integer nums that is num <= ceil(delta^2 * count * den) - 1, or
-    num <= 0 when that bound is -1 (delta = 0)."""
-    limit = math.ceil(delta * delta * count * metric.den)
-    return nums <= min(max(limit - 1, 0), _INT64.max)
 
 
 # ---------------------------------------------------------------------------
@@ -201,25 +202,34 @@ def _lt_threshold(nums, count: int, metric: Pseudometric, delta: Fraction):
 
 @dataclass(frozen=True, eq=False)
 class TestFunction:
-    """A bounded test function given by its values on model points.
+    """A bounded test function given by its values on model points, indexed
+    by point index.
 
-    Exact functions carry integer values over a denominator; float functions
-    carry a float table.  Exactly one of the two tables is given.  Values are
-    indexed by point index.
+    Integer values are exact: the value at point i is values[i] / den, with
+    den >= 1.  Float values are compared as floats, and den stays 1.
+    ``exact`` reads the dtype.  The table is copied and frozen.
     """
 
     name: str
-    values_num: np.ndarray | None = field(default=None, repr=False)
-    values_den: int = 1
-    values_float: np.ndarray | None = field(default=None, repr=False)
+    values: np.ndarray = field(repr=False)
+    den: int = 1
 
     def __post_init__(self):
-        if (self.values_num is None) == (self.values_float is None):
-            raise ValidationError(f"test function {self.name!r} needs exactly one of values_num, values_float")
+        values = np.asarray(self.values)
+        floats = values.dtype.kind == "f"
+        if values.ndim != 1 or not (floats or values.dtype.kind in "iu" and np.can_cast(values.dtype, np.int64)):
+            raise ValidationError(f"test function {self.name!r} needs a 1-d table of int64 or float values")
+        den = _integer(self.den, f"the denominator of test function {self.name!r}")
+        if den < 1 or (floats and den != 1):
+            raise ValidationError(f"test function {self.name!r} needs a denominator >= 1, and 1 for float values")
+        values = values.astype(values.dtype if floats else np.int64)  # a copy: the caller's table stays writable
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "den", den)
 
     @property
     def exact(self) -> bool:
-        return self.values_num is not None
+        return self.values.dtype.kind == "i"
 
     def means(self, idx: np.ndarray):
         """Empirical mean over coordinates for a batch of candidates, given
@@ -231,20 +241,18 @@ class TestFunction:
         numpy's own reduction, whose rounding the float thresholds see.
         """
         n, d = idx.shape
-        table = self.values_num if self.exact else self.values_float
-        out = np.empty(n, dtype=table.dtype)
+        out = np.empty(n, dtype=self.values.dtype)
         rows = max(1, _GATHER_ITEMS // d)
         for s in range(0, n, rows):
-            out[s : s + rows] = table[idx[s : s + rows]].sum(axis=-1)
+            out[s : s + rows] = self.values[idx[s : s + rows]].sum(axis=-1)
         if self.exact:
-            return out, d * self.values_den
+            return out, d * self.den
         return out / d
 
     def integral(self, mu: SiteMeasure):
-        """Exact (Fraction) or float integral against a site measure."""
-        if self.exact:
-            return mu.integral(self.values_num, self.values_den)
-        return mu.integral_float(self.values_float)
+        """The integral against a site measure: a Fraction for exact
+        functions, a float otherwise."""
+        return mu.integral(self.values, self.den)
 
 
 def indicator_panel(model: CompactGroupModel, scale: Fraction = Fraction(1)) -> tuple[TestFunction, ...]:
@@ -254,7 +262,7 @@ def indicator_panel(model: CompactGroupModel, scale: Fraction = Fraction(1)) -> 
     for i in range(n):
         num = np.zeros(n, dtype=np.int64)
         num[i] = scale.numerator
-        out.append(TestFunction(name=f"ind[{i}]", values_num=num, values_den=scale.denominator))
+        out.append(TestFunction(name=f"ind[{i}]", values=num, den=scale.denominator))
     return tuple(out)
 
 
@@ -282,7 +290,7 @@ def character_panel(model: CompactGroupModel, freqs: Sequence[int] = (1,), scale
     for k in freqs:
         for part, fn in (("re", np.cos), ("im", np.sin)):
             out.append(
-                TestFunction(name=f"chi{k}.{part}", values_float=float(scale) * fn(2 * np.pi * k * phases))
+                TestFunction(name=f"chi{k}.{part}", values=float(scale) * fn(2 * np.pi * k * phases))
             )
     return tuple(out)
 
@@ -322,80 +330,29 @@ def _check_window_support(sigma: SoficApproximation, F: Iterable[GroupElement]):
             raise UnsupportedElementError(g, "window F must lie in sigma support")
 
 
-def top_microstate_mask(
-    xs: np.ndarray,
-    sigma: SoficApproximation,
-    F: Sequence[GroupElement],
-    delta: Fraction,
-    metric: Pseudometric,
-    action: AutomorphismAction,
-) -> np.ndarray:
-    """Vectorized Map membership for a candidate batch of shape (N, d[, sites])."""
+def _membership(sigma: SoficApproximation, F, delta, L, target: SiteMeasure | None, metric: Pseudometric, action) -> Callable:
+    """Map_mu membership (Map when L is empty) of candidate batches of length
+    sigma.d, as a function of the batch.  The window support is checked, and
+    every band computed, once here: rho2^2 < delta^2 bands the squared
+    distance sums around 0, and an exact panel function bands its value sums
+    around its integral.  Float panel functions are compared as floats."""
     _check_window_support(sigma, F)
-    return _top_mask(xs, sigma, F, Fraction(delta), metric, action)
-
-
-def _top_mask(xs: np.ndarray, sigma: SoficApproximation, F, delta: Fraction, metric: Pseudometric, action):
-    """``top_microstate_mask`` without the window support check."""
-    N, d = xs.shape[0], xs.shape[1]
-    ok = np.ones(N, dtype=bool)
-    for g in F:
-        moved = action.act_candidates(g, xs)
-        permuted = xs[:, sigma.perm(g)]
-        nums = _sq_nums(metric, moved, permuted).sum(axis=-1)
-        ok &= np.asarray(_lt_threshold(nums, d, metric, delta), dtype=bool)
-    return ok
-
-
-def is_top_microstate(
-    x: np.ndarray,
-    sigma: SoficApproximation,
-    F: Sequence[GroupElement],
-    delta,
-    metric: Pseudometric,
-    action: AutomorphismAction,
-) -> bool:
-    """rho2(g.x, x o sigma(g)) < delta for every g in F (zero admitted)."""
-    return bool(
-        top_microstate_mask(np.asarray(x)[None, ...], sigma, F, Fraction(delta), metric, action)[0]
-    )
-
-
-def meas_microstate_mask(
-    xs: np.ndarray,
-    sigma: SoficApproximation,
-    window: MapWindow,
-    metric: Pseudometric,
-    action: AutomorphismAction,
-) -> np.ndarray:
-    """Map_mu membership: topological membership plus the L-panel conditions."""
-    return _meas_test(sigma, window, metric, action)(xs)
-
-
-def _meas_test(sigma: SoficApproximation, window: MapWindow, metric: Pseudometric, action) -> Callable:
-    """Map_mu membership of candidate batches of length sigma.d, as a
-    function of the batch.  The window support is checked, and each panel
-    function's target and threshold are computed, once here."""
-    _check_window_support(sigma, window.F)
-    delta = window.delta
+    delta, d = Fraction(delta), sigma.d
+    top = _band(0, delta * delta * d * metric.den)
+    edges = [(g, sigma.perm(g)) for g in F]
     panel = []
-    for f in window.L:
-        target = f.integral(window.target)
-        if f.exact:
-            # |num - c| < delta*den or num == c, for c = target*den: the
-            # integers strictly inside the interval, plus c when integral
-            den = sigma.d * f.values_den
-            c, r = Fraction(target) * den, delta * den
-            lo, hi = math.floor(c - r) + 1, math.ceil(c + r) - 1
-            if c.denominator == 1:
-                lo, hi = min(lo, int(c)), max(hi, int(c))
-            panel.append((f, (lo, hi)))
-        else:
-            panel.append((f, float(target)))
+    for f in L:
+        t = f.integral(target)
+        panel.append((f, _band(t * d * f.den, delta * d * f.den) if f.exact else t))
 
     def test(xs: np.ndarray) -> np.ndarray:
-        ok = _top_mask(xs, sigma, window.F, delta, metric, action)
-        idx = metric.model.point_indices(xs)
+        ok = np.ones(xs.shape[0], dtype=bool)
+        for g, p in edges:
+            moved = action.act_candidates(g, xs)
+            permuted = xs[:, p]
+            nums = _sq_nums(metric, moved, permuted).sum(axis=-1)
+            ok &= _in_range(nums, *top)
+        idx = metric.model.point_indices(xs) if panel else None
         for f, bound in panel:
             if f.exact:
                 ok &= _in_range(f.means(idx)[0], *bound)
@@ -407,6 +364,41 @@ def _meas_test(sigma: SoficApproximation, window: MapWindow, metric: Pseudometri
     return test
 
 
+def top_microstate_mask(
+    xs: np.ndarray,
+    sigma: SoficApproximation,
+    F: Sequence[GroupElement],
+    delta: Fraction,
+    metric: Pseudometric,
+    action: AutomorphismAction,
+) -> np.ndarray:
+    """Vectorized Map membership for a candidate batch of shape (N, d[, sites])."""
+    return _membership(sigma, F, delta, (), None, metric, action)(xs)
+
+
+def is_top_microstate(
+    x: np.ndarray,
+    sigma: SoficApproximation,
+    F: Sequence[GroupElement],
+    delta,
+    metric: Pseudometric,
+    action: AutomorphismAction,
+) -> bool:
+    """rho2(g.x, x o sigma(g)) < delta for every g in F (zero admitted)."""
+    return bool(top_microstate_mask(np.asarray(x)[None, ...], sigma, F, delta, metric, action)[0])
+
+
+def meas_microstate_mask(
+    xs: np.ndarray,
+    sigma: SoficApproximation,
+    window: MapWindow,
+    metric: Pseudometric,
+    action: AutomorphismAction,
+) -> np.ndarray:
+    """Map_mu membership: topological membership plus the L-panel conditions."""
+    return _membership(sigma, window.F, window.delta, window.L, window.target, metric, action)(xs)
+
+
 def is_meas_microstate(
     x: np.ndarray,
     sigma: SoficApproximation,
@@ -414,9 +406,7 @@ def is_meas_microstate(
     metric: Pseudometric,
     action: AutomorphismAction,
 ) -> bool:
-    return bool(
-        meas_microstate_mask(np.asarray(x)[None, ...], sigma, window, metric, action)[0]
-    )
+    return bool(meas_microstate_mask(np.asarray(x)[None, ...], sigma, window, metric, action)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +555,7 @@ def sample_microstates(
         raise ValidationError("randomized repair search needs a finite model")
     if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")
-    member = _meas_test(sigma, window, metric, action)
+    member = _membership(sigma, window.F, window.delta, window.L, window.target, metric, action)
     d = sigma.d
     n = model.n_points
     found = []

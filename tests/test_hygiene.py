@@ -160,12 +160,15 @@ def array_eq_dataclasses(tree: ast.Module) -> list[str]:
 
 def unread_fields(modules: dict[str, ast.Module], readers) -> list[str]:
     """Dataclass fields of ``modules`` that no reader loads as an attribute:
-    a field that is only ever set is a value nobody uses."""
+    a field that is only ever set is a value nobody uses.  Loads on the name
+    ``args``, an argparse namespace, read no dataclass."""
     loaded = {
         n.attr
         for tree in readers
         for n in ast.walk(tree)
-        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+        if isinstance(n, ast.Attribute)
+        and isinstance(n.ctx, ast.Load)
+        and not (isinstance(n.value, ast.Name) and n.value.id == "args")
     }
     return [
         f"{mod}.{node.name}.{f.target.id} (line {f.lineno})"
@@ -317,7 +320,7 @@ def test_scan_flags_an_unread_dataclass_field():
         "@dataclass(frozen=True)\nclass Report:\n    read: int\n    written: int\n\n"
         "class Plain:\n    unread: int\n"
     )
-    user = ast.parse("r = Report(read=1, written=2)\nr.written = 3\nprint(r.read)\n")
+    user = ast.parse("r = Report(read=1, written=2)\nr.written = 3\nprint(r.read, args.written)\n")
     assert unread_fields({"lib": lib}, [lib, user]) == ["lib.Report.written (line 6)"]
 
 

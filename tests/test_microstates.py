@@ -21,12 +21,13 @@ from soficlab.actions import (
 )
 from soficlab.errors import BudgetExceededError, UnsupportedElementError, ValidationError
 from soficlab.groups import GroupSpec, perturb, quotient_sofic
-from soficlab.measures import Doubled, SiteMeasure, UniformOnSet
+from soficlab.measures import Doubled, Mixture, ProductMeasure, SampleBased, SiteMeasure, UniformOnSet, mass
 from soficlab.microstates import (
     MapWindow,
     Pseudometric,
     TestFunction as PanelFunction,  # aliased so pytest does not collect it
-    _lt_threshold,
+    _band,
+    _in_range,
     _repair,
     character_panel,
     default_panel,
@@ -218,15 +219,42 @@ class TestMeasMembership:
                     x, sigma, tuple(group.elements()), Fraction(1, 4), metric, action
                 )
 
-    def test_panel_function_needs_exactly_one_table(self):
-        # with neither table, means() raised AttributeError and integral()
-        # TypeError; with both, the float table was silently ignored
-        num, val = np.array([1, 0, 0]), np.array([0.5, 0.0, 0.0])
-        for kwargs in ({}, {"values_num": num, "values_float": val}):
-            with pytest.raises(ValidationError, match="exactly one"):
-                PanelFunction(name="f", **kwargs)
-        assert PanelFunction("f", values_num=num).exact
-        assert not PanelFunction("f", values_float=val).exact
+    def test_panel_denominators_below_1_are_refused(self):
+        # den 0 was accepted and integral() raised ZeroDivisionError.  Values
+        # [-1, 0, 0] over -1 are [1, 0, 0] over 1, whose mean 1/2 on
+        # [0, 1, 2, 0] is within 1/2 of the integral 1/3, but the mask said no.
+        model, group = cyclic_model(3), GroupSpec.cyclic(2)
+        sigma = quotient_sofic(group, {"kind": "regular", "copies": 2}, list(group.elements()))
+        uniform = SiteMeasure.uniform(model)
+        f = PanelFunction("f", [1, 0, 0])
+        window = MapWindow(F=(), delta=Fraction(1, 2), L=(f,), target=uniform)
+        x = np.array([[0, 1, 2, 0]])
+        assert f.integral(uniform) == Fraction(1, 3)
+        assert meas_microstate_mask(x, sigma, window, discrete_metric(model), trivial_action(group, model)).tolist() == [True]
+        for values, den in (([1, 0, 0], 0), ([-1, 0, 0], -1)):
+            with pytest.raises(ValidationError, match="denominator >= 1"):
+                PanelFunction("f", values, den)
+
+    def test_panel_function_refuses_bad_tables(self):
+        for values, den, message in (
+            ([1, 0, 0], 1.0, "must be an integer"),
+            ([1, 0, 0], Fraction(2), "must be an integer"),
+            ([0.5, 0.0, 0.0], 2, "1 for float values"),
+            ([Fraction(1, 2), 0, 0], 1, "int64 or float"),
+            (["1", "0", "0"], 1, "int64 or float"),
+            ([1j, 0, 0], 1, "int64 or float"),
+            ([True, False, False], 1, "int64 or float"),
+            (np.array([2**63, 0, 0], dtype=np.uint64), 1, "int64 or float"),
+            ([[1, 0, 0]], 1, "1-d"),
+        ):
+            with pytest.raises(ValidationError, match=message):
+                PanelFunction("f", values, den)
+        table = np.array([1, 0, 0])
+        f = PanelFunction("f", table, np.int64(3))
+        table[0] = 5
+        assert f.exact and f.values.tolist() == [1, 0, 0] and f.den == 3
+        assert not f.values.flags.writeable
+        assert not PanelFunction("f", [0.5, 0.0, 0.0]).exact
 
 
 class TestEnumeration:
@@ -665,7 +693,7 @@ class TestTorusModels:
         assert nums.tolist() == [2] and den == 4
         re, im = character_panel(t)
         # the character of the first coordinate: exp(2 pi i a / 3)
-        assert np.allclose(re.values_float, [np.cos(2 * np.pi * (i // 3) / 3) for i in range(9)])
+        assert np.allclose(re.values, [np.cos(2 * np.pi * (i // 3) / 3) for i in range(9)])
         assert np.allclose(im.means(t.point_indices(x[None])), [np.mean([np.sin(2 * np.pi * a / 3) for a, _ in x])])
 
     def test_table_metric_needs_a_finite_model(self):
@@ -696,7 +724,7 @@ class TestExactThresholds:
     def test_top_threshold(self, nums, count, q, delta):
         metric = discrete_metric(cyclic_model(2)) if q == 1 else torus_metric(TorusGridModel(q, 2))
         want = [Fraction(k, count * metric.den) < delta * delta or k == 0 for k in nums]
-        got = _lt_threshold(np.array(nums, dtype=np.int64), count, metric, delta)
+        got = _in_range(np.array(nums, dtype=np.int64), *_band(Fraction(0), delta * delta * count * metric.den))
         assert got.tolist() == want
 
     @settings(max_examples=150, deadline=None)
@@ -714,7 +742,7 @@ class TestExactThresholds:
         model = cyclic_model(3)
         group = GroupSpec.cyclic(2)
         sigma = quotient_sofic(group, {"kind": "regular", "copies": 2}, list(group.elements()))
-        f = PanelFunction("f", values_num=np.array(values, dtype=np.int64), values_den=values_den)
+        f = PanelFunction("f", values=np.array(values, dtype=np.int64), den=values_den)
         target = SiteMeasure(model, np.array(weights, dtype=np.int64), sum(weights))
         xs = np.array(np.meshgrid(*[range(3)] * 4, indexing="ij")).reshape(4, -1).T
         t = sum(Fraction(w * v, sum(weights) * values_den) for w, v in zip(weights, values))
@@ -734,12 +762,12 @@ def _gather_mask(xs, sigma, window, metric, action):
         target = f.integral(window.target)
         if f.exact:
             # |nums/den - target| < delta, or equal, cross-multiplied
-            nums, den = f.values_num[idx].sum(axis=-1), idx.shape[-1] * f.values_den
+            nums, den = f.values[idx].sum(axis=-1), idx.shape[-1] * f.den
             t, delta = Fraction(target), window.delta
             gap = np.abs(nums * t.denominator - t.numerator * den)
             ok &= (gap * delta.denominator < delta.numerator * den * t.denominator) | (gap == 0)
         else:
-            gap = np.abs(f.values_float[idx].mean(axis=-1) - float(target))
+            gap = np.abs(f.values[idx].mean(axis=-1) - float(target))
             ok &= (gap < float(window.delta)) | (gap == 0)
     return ok
 
@@ -886,3 +914,50 @@ class TestRepairWalk:
             got = sample_microstates(model, sigma, window, metric, action, n_samples=3, seed=4)
             assert got.shape == (len(want), d) and got.dtype == np.int64
             assert ["".join(map(str, row)) for row in got.tolist()] == want
+
+
+# -- refusals -----------------------------------------------------------------
+
+
+def _refusal_cases():
+    """(label, call, error, message) for refusals that no other test reaches."""
+    Z = GroupSpec.integers()
+    t = Z.generator(0)
+    sigma = quotient_sofic(Z, {"kind": "cyclic-powers", "orders": [4]}, [Z.identity(), t, Z.inverse(t)])
+    model, torus = cyclic_model(3), TorusGridModel(3, 1)
+    uniform = SiteMeasure.uniform(model)
+    window = MapWindow(F=(t,), delta=Fraction(1, 4), L=(), target=uniform)
+    neg = AutomorphismAction(Z, model, generator_maps={"t": unit_automorphism(model, -1)})
+    torus_window = MapWindow(F=(t,), delta=Fraction(1, 4), L=(), target=SiteMeasure.uniform(torus))
+    product2, product3 = ProductMeasure(uniform, 2), ProductMeasure(uniform, 3)
+    return [
+        ("negative-delta", lambda: MapWindow(F=(t,), delta=Fraction(-1, 4), L=(), target=uniform),
+         ValidationError, "delta must be >= 0"),
+        ("sample-on-a-torus", lambda: sample_microstates(
+            torus, sigma, torus_window, torus_metric(torus), trivial_action(Z, torus), n_samples=1, seed=0),
+         ValidationError, "needs a finite model"),
+        ("sample-none", lambda: sample_microstates(model, sigma, window, discrete_metric(model), neg, 0, 0),
+         ValidationError, "n_samples must be >= 1"),
+        ("site-length", lambda: SiteMeasure(model, [1, 1], 2), ValidationError, "length must match"),
+        ("site-negative", lambda: SiteMeasure(model, [2, -1, 0], 1), ValidationError, "nonnegative"),
+        ("atoms-one-weight", lambda: SampleBased(model, np.zeros((2, 4), dtype=np.int64), [1], 1),
+         ValidationError, "one weight per atom"),
+        ("atoms-sum", lambda: SampleBased(model, np.zeros((2, 4), dtype=np.int64), [1, 1], 3),
+         ValidationError, "sum to 1"),
+        ("mixture-coefficients", lambda: Mixture((product2, product2), (Fraction(1),)),
+         ValidationError, "one coefficient per part"),
+        ("mixture-sum", lambda: Mixture((product2, product2), (Fraction(1, 2), Fraction(1, 3))),
+         ValidationError, "must sum to 1"),
+        ("mixture-d", lambda: Mixture((product2, product3), (Fraction(1, 2), Fraction(1, 2))),
+         ValidationError, "share d"),
+        ("mass-without-rng", lambda: mass(product3, lambda xs: xs[:, 0] == 0, budget=1),
+         ValidationError, "needs a generator"),
+        ("perm-outside-support", lambda: sigma.perm(Z.power(t, 5)), UnsupportedElementError, "outside"),
+    ]
+
+
+@pytest.mark.parametrize("case", _refusal_cases(), ids=lambda c: c[0])
+def test_refusals_are_pinned(case):
+    _, call, error, message = case
+    with pytest.raises(error, match=message):
+        call()
