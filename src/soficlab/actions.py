@@ -64,8 +64,8 @@ from .errors import (
     UnsupportedElementError,
     ValidationError,
 )
-from .groups import GroupElement, GroupSpec, SoficApproximation, quotient_sofic
-from .groups import _integer, _sort_key, _validate_table
+from .groups import GroupElement, GroupSpec, SoficApproximation, _sort_key, _validate_table, quotient_sofic
+from .intlin import _int_table, _integer, _read_only
 
 
 # ---------------------------------------------------------------------------
@@ -138,14 +138,12 @@ class FiniteGroupModel(FiniteModel):
 
     def __init__(self, labels: Sequence, mul: np.ndarray, *, name: str = ""):
         self.labels = tuple(labels)
-        self.mul = np.array(mul, dtype=np.int64)  # a copy: the caller's table stays writable
+        self.mul = _int_table(mul, "a multiplication table")  # a copy: the caller's table stays writable
         self.name = name or f"finite({len(self.labels)})"
         n = len(self.labels)
         if self.mul.shape != (n, n):
             raise ValidationError("multiplication table shape mismatch")
         self.identity, self.inv, self.generators = _validate_table(self.mul)
-        self.mul.setflags(write=False)
-        self.inv.setflags(write=False)
 
     @property
     def n_points(self) -> int:
@@ -198,11 +196,7 @@ class TorusGridModel:
 
     def __init__(self, q: int, sites: int, name: str = ""):
         # _integer refuses a float, which int() would truncate (2.5 -> 2)
-        q, sites = _integer(q, "grid resolution q"), _integer(sites, "the number of sites")
-        if q < 2:
-            raise ValidationError("grid resolution q must be >= 2")
-        if sites < 1:
-            raise ValidationError("need at least one site")
+        q, sites = _integer(q, "grid resolution q", least=2), _integer(sites, "the number of sites", least=1)
         if sites * (q - 1) ** 2 >= 2**63:
             raise OverflowError(f"sites * (q - 1)^2 = {sites * (q - 1) ** 2} reaches 2^63: int64 map products wrap")
         self.q, self.sites = q, sites
@@ -324,9 +318,8 @@ class AutomorphismAction:
         for name in group.generators:
             if name not in generator_maps:
                 raise ValidationError(f"missing generator map for {name!r}")
-            m = np.array(generator_maps[name], dtype=np.int64)
-            model.check_map(m)
-            frozen[name] = _read_only(m)
+            frozen[name] = _int_table(generator_maps[name], f"the map of generator {name!r}")
+            model.check_map(frozen[name])
         self.generator_maps = MappingProxyType(frozen)
         if group.kind == "table":
             self._walk_cayley_graph()
@@ -388,11 +381,6 @@ class AutomorphismAction:
     def act_candidates(self, g: GroupElement, x: np.ndarray) -> np.ndarray:
         """Apply g pointwise to a candidate array, or to one point."""
         return self.model.apply_map(self.point_map(g), x)
-
-
-def _read_only(m: np.ndarray) -> np.ndarray:
-    m.setflags(write=False)
-    return m
 
 
 def trivial_action(group: GroupSpec, model: CompactGroupModel) -> AutomorphismAction:
@@ -530,19 +518,15 @@ class AlgebraicActionModel:
     matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        q, tol = _integer(self.q, "grid resolution q"), Fraction(self.tol)
-        if q < 2:
-            raise ValidationError("grid resolution q must be >= 2")
+        q, tol = _integer(self.q, "grid resolution q", least=2), Fraction(self.tol)
         if tol < 0:
             raise ValidationError("tolerance must be >= 0")
         for g in self.source.support():
             if g not in self.sigma.table:
                 raise UnsupportedElementError(g, "sigma support must cover f")
-        mat = sigma_matrix(self.source, self.sigma)
-        mat.setflags(write=False)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "tol", tol)
-        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "matrix", _read_only(sigma_matrix(self.source, self.sigma)))
 
     @property
     def d(self) -> int:

@@ -29,7 +29,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
@@ -38,7 +37,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import UnsupportedElementError, ValidationError
-from .intlin import mixed_radix
+from .intlin import _int_table, _integer, _read_only, mixed_radix
 
 
 @dataclass(frozen=True)
@@ -99,16 +98,13 @@ class GroupSpec:
             self.moduli: tuple[int, ...] = params["moduli"]
             if len(self.moduli) != len(generators):
                 raise ValidationError("one modulus per generator")
-            if any(m < 0 for m in self.moduli):
-                raise ValidationError(f"moduli must be >= 0 (0 = infinite order), not {self.moduli}")
             self._tag = ("a", self.moduli)
         elif kind == "free":
             self.rank = len(generators)
             self._tag = ("f", self.rank)
         elif kind == "table":
             # a copy, frozen: the tag below reads the table once
-            self.mul_table: np.ndarray = np.array(params["mul_table"], dtype=np.int64)
-            self.mul_table.setflags(write=False)
+            self.mul_table: np.ndarray = _int_table(params["mul_table"], "a multiplication table")
             self.labels: tuple[str, ...] = params["labels"]
             n = len(self.labels)
             if len(set(self.labels)) != n:
@@ -117,7 +113,6 @@ class GroupSpec:
                 raise ValidationError("multiplication table shape mismatch")
             self.generator_indices: tuple[int, ...] = params["generator_indices"]
             self.identity_index, self.inv_table, gens = _validate_table(self.mul_table, self.generator_indices)
-            self.inv_table.setflags(write=False)
             if not set(gens) <= set(self.generator_indices):
                 raise ValidationError(f"generator indices {self.generator_indices} do not generate the group")
             self._tag = ("x", self.labels, self.mul_table.tobytes())
@@ -138,13 +133,11 @@ class GroupSpec:
 
     @classmethod
     def abelian(cls, names: Sequence[str], moduli: Sequence[int]) -> "GroupSpec":
-        return cls("abelian", tuple(names), moduli=tuple(_integer(m, "a modulus") for m in moduli))
+        return cls("abelian", tuple(names), moduli=tuple(_integer(m, "a modulus", least=0) for m in moduli))
 
     @classmethod
     def cyclic(cls, order: int, name: str = "t") -> "GroupSpec":
-        if order < 1:
-            raise ValidationError("cyclic order must be >= 1")
-        return cls.abelian((name,), (order,))
+        return cls.abelian((name,), (_integer(order, "cyclic order", least=1),))
 
     @classmethod
     def free(cls, rank: int, names: Sequence[str] | None = None) -> "GroupSpec":
@@ -326,15 +319,6 @@ class GroupSpec:
         return f"GroupSpec(table order {len(self.labels)})"
 
 
-def _integer(value, what: str) -> int:
-    """``value`` as an int, refusing floats and other non-integers (numpy
-    integers pass)."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValidationError(f"{what} must be an integer, not {value!r}") from None
-
-
 def _sort_key(el: GroupElement):
     tag = el.key[0][0]
     body = el.key[1]
@@ -348,9 +332,9 @@ def _sort_key(el: GroupElement):
 
 def _validate_table(mul: np.ndarray, first: tuple[int, ...] = ()) -> tuple[int, np.ndarray, tuple[int, ...]]:
     """Check that ``mul`` is the multiplication table of a group; return its
-    identity index e, its inverse table and a generating set, drawn from the
-    indices ``first`` before any other, so that it lies inside ``first``
-    exactly when ``first`` generates the group.
+    identity index e, its read-only inverse table and a generating set, drawn
+    from the indices ``first`` before any other, so that it lies inside
+    ``first`` exactly when ``first`` generates the group.
 
     e is the first row equal to 0..n-1, the one element that fixes every
     column; the identity axiom then checks that row and its column.
@@ -397,7 +381,7 @@ def _validate_table(mul: np.ndarray, first: tuple[int, ...] = ()) -> tuple[int, 
             x_rows = mul[lo : lo + block]
             if not (mul[x_rows[:, g]] == np.take(x_rows, mul[g], axis=1)).all():
                 raise ValidationError("multiplication table is not associative")
-    return e, inv, tuple(gens)
+    return e, _read_only(inv), tuple(gens)
 
 
 def _close(mul: np.ndarray, reached: np.ndarray, g: int) -> None:
@@ -451,20 +435,13 @@ class SoficApproximation:
     quotient: Mapping | None = None
 
     def __post_init__(self):
-        perms = {}
-        for g, perm in self.table.items():
-            arr = np.asarray(perm)
-            # the int64 cast would truncate a float entry: [1.7, 0.2] -> [1, 0]
-            if arr.size and arr.dtype.kind not in "iu":
-                raise ValidationError(f"table entry for {g} must hold integers, not {arr.dtype}")
-            perms[g] = arr.astype(np.int64)
+        perms = {g: _int_table(perm, f"table entry for {g}") for g, perm in self.table.items()}
         d = next(iter(perms.values())).size if perms else 0
         if d == 0:
             raise ValidationError("sigma needs a nonempty table of nonempty permutations")
         for g, arr in perms.items():
             if arr.shape != (d,) or not _is_permutation(arr, d):
                 raise ValidationError(f"table entry for {g} is not a permutation of 0..{d - 1}")
-            arr.setflags(write=False)
         e = self.group.identity()
         if e in perms and not (perms[e] == np.arange(d)).all():
             raise ValidationError("sigma(e) must be the identity permutation")
@@ -516,9 +493,7 @@ def quotient_sofic(
     ``random-permutations`` for free groups.
     """
     kind = quotient.get("kind")
-    copies = _integer(quotient.get("copies", 1), "copies")
-    if copies < 1:
-        raise ValidationError("copies must be >= 1")
+    copies = _integer(quotient.get("copies", 1), "copies", least=1)
     support = tuple(dict.fromkeys(support))
     if spec.identity() not in support:
         raise ValidationError("support must contain the identity")
@@ -532,36 +507,32 @@ def quotient_sofic(
         elif kind != "cyclic-powers":
             raise ValidationError(f"abelian groups offer cyclic-powers quotients, not {kind!r}")
         else:
-            orders = tuple(_integer(x, "a quotient order") for x in quotient["orders"])
+            orders = tuple(_integer(x, "quotient orders", least=1) for x in quotient["orders"])
             if len(orders) != len(spec.generators):
                 raise ValidationError("one quotient order per generator")
             for m, o in zip(spec.moduli, orders):
-                if o < 1:
-                    raise ValidationError("quotient orders must be >= 1")
                 if m and m % o != 0:
                     raise ValidationError(f"relation g^{m} does not die in Z/{o}")
         # the index of (a_1..a_k) is lexicographic, the last coordinate fastest
         grids = np.meshgrid(*[np.arange(o) for o in orders], indexing="ij")
         for g in support:
             coords = [(grid + e) % o for grid, (_, e), o in zip(grids, spec.word(g), orders)]
-            perms[g] = np.ravel_multi_index(coords, orders).reshape(-1).astype(np.int64)
+            perms[g] = np.ravel_multi_index(coords, orders).reshape(-1)
     elif spec.kind == "table":
         if kind != "regular":
             raise ValidationError(f"table groups offer regular quotients, not {kind!r}")
         for g in support:
             if g.key[0] != spec._tag:
                 raise UnsupportedElementError(g, f"not an element of {spec!r}")
-            perms[g] = spec.mul_table[g.key[1], :].astype(np.int64)  # j -> g*j
+            perms[g] = spec.mul_table[g.key[1], :]  # j -> g*j
     else:
         if kind != "random-permutations":
             raise ValidationError(f"free groups offer random-permutations models, not {kind!r}")
-        degree = _integer(quotient["degree"], "degree")
-        if degree < 1:
-            raise ValidationError("degree must be >= 1")
-        seed = int(quotient.get("seed", 0))
+        degree = _integer(quotient["degree"], "degree", least=1)
+        seed = _integer(quotient.get("seed", 0), "seed", least=0)
         rngs = (np.random.default_rng([seed, 0xF2EE, i]) for i in range(spec.rank))
-        gen_perms = [rng.permutation(degree).astype(np.int64) for rng in rngs]
-        inv_perms = [np.argsort(p).astype(np.int64) for p in gen_perms]
+        gen_perms = [rng.permutation(degree) for rng in rngs]
+        inv_perms = [np.argsort(p) for p in gen_perms]
         for g in support:
             # left-to-right function composition: sigma(uv) = sigma(u) o sigma(v)
             perm = np.arange(degree, dtype=np.int64)
@@ -620,13 +591,14 @@ def perturb(sigma: SoficApproximation, rate: float, seed: int) -> SoficApproxima
     """
     if not 0 <= rate <= 1:
         raise ValidationError("perturbation rate must be in [0, 1]")
+    seed = _integer(seed, "seed", least=0)
     n_swaps = math.ceil(rate * sigma.d)
     table = {}
     for g in sorted(sigma.table, key=_sort_key):
         perm = sigma.table[g].copy()
         if n_swaps and not sigma.group.is_identity(g):
             tag = _element_stream_tag(sigma.group, g)
-            rng = np.random.default_rng([int(seed), 0x5EED, tag])
+            rng = np.random.default_rng([seed, 0x5EED, tag])
             for _ in range(n_swaps):
                 i, j = rng.integers(0, sigma.d, size=2)
                 perm[i], perm[j] = perm[j], perm[i]

@@ -18,20 +18,56 @@ vectorized int64 (q < 2^31), decoding the solution lattice with
 ``mixed_radix``.  Matrices are accepted as nested sequences or numpy arrays;
 ``as_int_array`` keeps the shape of an array, so a matrix without rows still
 has its columns.
+
+Integer input enters the package through three readers here, under one rule:
+a non-integer is refused with ValidationError, never truncated, and a kept
+array is a read-only copy.  ``_integer(value, what, least)`` reads one
+integer by ``operator.index`` (bools refused), at least ``least`` if given;
+``_int_table(values, what)`` returns an int64 copy of an array whose dtype is
+an integer that casts to int64; ``_read_only(a)``, the one place that sets
+array flags, freezes an array.  Matrix entries follow the same rule, and
+uint64 or object entries are read one by one, as Python ints past int64.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, ValidationError
+
+
+def _integer(value, what: str, least: int | None = None) -> int:
+    """``value`` as an int (numpy integers pass), at least ``least`` if given."""
+    try:
+        out = operator.index(value)
+    except TypeError:
+        out = None
+    if out is None or isinstance(value, bool):
+        raise ValidationError(f"{what} must be an integer, not {value!r}")
+    if least is not None and out < least:
+        raise ValidationError(f"{what} must be >= {least}")
+    return out
+
+
+def _int_table(values, what: str) -> np.ndarray:
+    """``values`` as a read-only int64 copy; an empty array passes."""
+    a = np.asarray(values)
+    if a.size and not (a.dtype.kind in "iu" and np.can_cast(a.dtype, np.int64)):
+        raise ValidationError(f"{what} must hold integers, not {a.dtype}")
+    return _read_only(a.astype(np.int64))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def as_int_rows(mat) -> list[list[int]]:
     """Normalize a matrix-like object to a list of rows of Python ints."""
-    rows = [[int(v) for v in row] for row in mat]
+    rows = [[_integer(v, "a matrix entry") for v in row] for row in mat]
     if rows:
         width = len(rows[0])
         if any(len(r) != width for r in rows):
@@ -43,10 +79,15 @@ def as_int_array(mat) -> np.ndarray:
     """mat as a 2-D int64 array, or an object array of Python ints when an
     entry is beyond int64.  The shape of an array is kept, so a (0, k) input
     still has k columns; an empty sequence is 0 x 0."""
-    try:
-        a = np.array(mat, dtype=np.int64)
-    except OverflowError:
-        a = np.array(as_int_rows(mat), dtype=object)
+    a = np.asarray(mat)
+    if a.dtype.kind in "uO" and not np.can_cast(a.dtype, np.int64):
+        rows = as_int_rows(a)
+        try:
+            a = np.array(rows, dtype=np.int64)
+        except OverflowError:
+            a = np.array(rows, dtype=object)
+    else:
+        a = _int_table(a, "a matrix")
     return a.reshape(0, 0) if a.size == 0 and a.ndim < 2 else a
 
 

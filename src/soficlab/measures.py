@@ -32,7 +32,7 @@ import numpy as np
 
 from .actions import CompactGroupModel, FiniteGroupModel, PairModel, pair_candidates, product_model
 from .errors import ValidationError
-from .intlin import mixed_radix
+from .intlin import _int_table, _integer, _read_only, mixed_radix
 
 
 # ---------------------------------------------------------------------------
@@ -42,27 +42,20 @@ from .intlin import mixed_radix
 
 @dataclass(frozen=True)
 class SiteMeasure:
-    """Exact probability measure on model points: weight(i) = num[i]/den."""
+    """Exact probability measure on model points: weight(i) = num[i]/den,
+    read by ``_weights`` and kept in lowest terms."""
 
     model: CompactGroupModel
     num: np.ndarray
     den: int
 
     def __post_init__(self):
-        if self.den < 1:
-            raise ValidationError("a measure needs a positive denominator")
-        num = np.asarray(self.num, dtype=np.int64).copy()
+        num, den = _weights(self.num, self.den)
         if num.shape != (self.model.n_points,):
             raise ValidationError("weight vector length must match the model")
-        if (num < 0).any():
-            raise ValidationError("weights must be nonnegative")
-        if int(num.sum()) != self.den:
-            raise ValidationError("weights must sum to 1")
-        g = int(np.gcd.reduce(np.append(num, self.den)))
-        num //= g
-        num.setflags(write=False)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", self.den // g)
+        g = math.gcd(den, int(np.gcd.reduce(num)))
+        object.__setattr__(self, "num", _read_only(num // g))
+        object.__setattr__(self, "den", den // g)
 
     @classmethod
     def uniform(cls, model: CompactGroupModel) -> "SiteMeasure":
@@ -72,7 +65,7 @@ class SiteMeasure:
     @classmethod
     def point_mass(cls, model: CompactGroupModel, point) -> "SiteMeasure":
         num = np.zeros(model.n_points, dtype=np.int64)
-        num[int(model.point_indices(point))] = 1
+        num[int(model.point_indices(_points(model, point, "a point mass")))] = 1
         return cls(model, num, 1)
 
     def weights(self) -> list[Fraction]:
@@ -127,6 +120,34 @@ class SiteMeasure:
 
     def __hash__(self):
         return hash((self.den, self.num.tobytes()))
+
+
+def _weights(num, den) -> tuple[np.ndarray, int]:
+    """Probability weights num[i]/den: den an integer >= 1 and num a read-only
+    copy of nonnegative integers summing to den, in int64 only when
+    len(num) * max(num) < 2^63 and over Python ints otherwise."""
+    den = _integer(den, "a measure's denominator")
+    if den < 1:
+        raise ValidationError("a measure needs a positive denominator")
+    num = _int_table(num, "measure weights")
+    if num.ndim != 1:
+        raise ValidationError("measure weights must be a 1-d table")
+    if (num < 0).any():
+        raise ValidationError("weights must be nonnegative")
+    total = int(num.sum()) if len(num) * int(num.max(initial=0)) < 2**63 else sum(num.tolist())
+    if total != den:
+        raise ValidationError("weights must sum to 1")
+    return num, den
+
+
+def _points(model: CompactGroupModel, points, what: str) -> np.ndarray:
+    """``points`` as a read-only int64 copy, refused unless each is a point of
+    ``model``: its index lies in 0..n-1 and maps back to it."""
+    pts = _int_table(points, what)
+    idx = model.point_indices(pts)
+    if ((idx < 0) | (idx >= model.n_points)).any() or not np.array_equal(model.points_from_indices(idx), pts):
+        raise ValidationError(f"{what} must hold points of {model!r}")
+    return pts
 
 
 def _product_den(a: int, b: int) -> int:
@@ -198,7 +219,9 @@ class Convolution:
 
 @dataclass(frozen=True, eq=False)
 class SampleBased:
-    """Finitely many weighted atoms.
+    """Finitely many weighted atoms: ``points[k]`` has weight
+    ``weights_num[k] / weights_den``, read by ``_weights``; every entry of an
+    atom must be a point of the model.
 
     ``exact=True`` marks an exactly computed weighted support (e.g. the result
     of convolving two explicit sets); ``exact=False`` marks a Monte Carlo
@@ -212,22 +235,13 @@ class SampleBased:
     exact: bool = False
 
     def __post_init__(self):
-        if self.weights_den < 1:
-            raise ValidationError("a measure needs a positive denominator")
-        pts = np.asarray(self.points, dtype=np.int64).copy()
-        num = np.asarray(self.weights_num, dtype=np.int64).copy()
+        num, den = _weights(self.weights_num, self.weights_den)
+        pts = _points(self.model, self.points, "atoms")
         if num.shape[0] != pts.shape[0]:
             raise ValidationError("one weight per atom")
-        if (num < 0).any():
-            raise ValidationError("weights must be nonnegative")
-        # an int64 sum would wrap once the denominator reaches 2^63
-        total = int(num.sum()) if self.weights_den < 2**63 else sum(num.tolist())
-        if total != self.weights_den:
-            raise ValidationError("atom weights must sum to 1")
-        pts.setflags(write=False)
-        num.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights_num", num)
+        object.__setattr__(self, "weights_den", den)
 
     @property
     def d(self) -> int:

@@ -33,8 +33,8 @@ from .actions import (
     product_model,
 )
 from .errors import BudgetExceededError, UnsupportedElementError, ValidationError
-from .groups import GroupElement, SoficApproximation, _integer
-from .intlin import mixed_radix
+from .groups import GroupElement, SoficApproximation
+from .intlin import _int_table, _integer, _read_only, mixed_radix
 from .measures import SiteMeasure
 
 
@@ -50,9 +50,10 @@ class Pseudometric:
     Squared distances are exact, ``num/den``: finite models tabulate the
     numerators in ``table_num`` (an n x n array, or a ``PairTable`` for a
     doubled metric); torus metrics have no table and compute them from
-    residues.  A table must be n x n over the model's n points, nonnegative
-    and symmetric with a zero diagonal.  ``min_positive_sq``, the least positive squared distance, is
-    read from the table or the grid.
+    residues.  A table is read as integers and kept as a read-only copy; it
+    must be n x n over the model's n points, nonnegative and symmetric with a
+    zero diagonal.  ``den`` is an integer >= 1.  ``min_positive_sq``, the
+    least positive squared distance, is read from the table or the grid.
     """
 
     name: str
@@ -66,10 +67,12 @@ class Pseudometric:
             raise ValidationError("a finite model needs a table_num, a torus model none")
         t, n = self.table_num, self.model.n_points
         # a PairTable over a valid factor is valid by construction
-        if isinstance(t, np.ndarray) and (
-            t.shape != (n, n) or (t < 0).any() or np.diagonal(t).any() or not np.array_equal(t, t.T)
-        ):
-            raise ValidationError(f"table_num must be a nonnegative symmetric {n} x {n} table with a zero diagonal")
+        if t is not None and not isinstance(t, PairTable):
+            t = _int_table(t, "table_num")
+            if t.shape != (n, n) or (t < 0).any() or np.diagonal(t).any() or not np.array_equal(t, t.T):
+                raise ValidationError(f"table_num must be a nonnegative symmetric {n} x {n} table with a zero diagonal")
+            object.__setattr__(self, "table_num", t)
+        object.__setattr__(self, "den", _integer(self.den, "a metric's denominator", least=1))
 
     @property
     def min_positive_sq(self) -> Fraction | None:
@@ -79,6 +82,12 @@ class Pseudometric:
             return Fraction(1, self.den)
         least = _least_positive(self.table_num)
         return None if least is None else Fraction(least, self.den)
+
+
+def _largest(table) -> int:
+    """The largest entry of a pseudometric table: twice the factor's for a
+    pair table."""
+    return 2 * _largest(table.factor) if isinstance(table, PairTable) else int(table.max())
 
 
 def _least_positive(table) -> int | None:
@@ -95,7 +104,6 @@ def discrete_metric(model: FiniteModel) -> Pseudometric:
     """0/1 metric on a finite model; bi-invariant, diameter 1."""
     n = model.n_points
     table = np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64)
-    table.setflags(write=False)
     return Pseudometric(name="discrete", model=model, table_num=table, den=1)
 
 
@@ -159,12 +167,12 @@ def _sq_nums(metric: Pseudometric, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def rho2_sq(metric: Pseudometric, x: np.ndarray, y: np.ndarray) -> Fraction:
-    """Exact squared rho2: the mean of squared point distances."""
-    x = np.asarray(x, dtype=np.int64)
-    y = np.asarray(y, dtype=np.int64)
+    """Exact squared rho2: the mean of squared point distances, summed over
+    Python ints so that no int64 sum can wrap."""
+    x, y = _int_table(x, "a candidate"), _int_table(y, "a candidate")
     if x.shape != y.shape:
         raise ValidationError("rho2 needs equal-length candidates")
-    return Fraction(int(_sq_nums(metric, x, y).sum()), x.shape[0] * metric.den)
+    return Fraction(sum(_sq_nums(metric, x, y).tolist()), x.shape[0] * metric.den)
 
 
 def rho2(metric: Pseudometric, x: np.ndarray, y: np.ndarray) -> float:
@@ -222,9 +230,8 @@ class TestFunction:
         den = _integer(self.den, f"the denominator of test function {self.name!r}")
         if den < 1 or (floats and den != 1):
             raise ValidationError(f"test function {self.name!r} needs a denominator >= 1, and 1 for float values")
-        values = values.astype(values.dtype if floats else np.int64)  # a copy: the caller's table stays writable
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        # a copy: the caller's table stays writable
+        object.__setattr__(self, "values", _read_only(values.astype(values.dtype if floats else np.int64)))
         object.__setattr__(self, "den", den)
 
     @property
@@ -335,9 +342,20 @@ def _membership(sigma: SoficApproximation, F, delta, L, target: SiteMeasure | No
     sigma.d, as a function of the batch.  The window support is checked, and
     every band computed, once here: rho2^2 < delta^2 bands the squared
     distance sums around 0, and an exact panel function bands its value sums
-    around its integral.  Float panel functions are compared as floats."""
+    around its integral.  Float panel functions are compared as floats.
+
+    The sums are int64 sums of d terms, so OverflowError is raised when d
+    times the largest squared distance, or d times an exact panel function's
+    largest |value|, reaches 2^63."""
     _check_window_support(sigma, F)
     delta, d = Fraction(delta), sigma.d
+    m = metric.model
+    top_sq = m.sites * (m.q // 2) ** 2 if metric.table_num is None else _largest(metric.table_num)
+    if F and d * top_sq >= 2**63:
+        raise OverflowError(f"{d} squared distances of up to {top_sq} can wrap an int64 sum")
+    for f in L:
+        if f.exact and d * max(int(f.values.max()), -int(f.values.min())) >= 2**63:
+            raise OverflowError(f"{d} values of test function {f.name!r} can wrap an int64 sum")
     top = _band(0, delta * delta * d * metric.den)
     edges = [(g, sigma.perm(g)) for g in F]
     panel = []
@@ -553,8 +571,7 @@ def sample_microstates(
     """
     if not isinstance(model, FiniteModel):
         raise ValidationError("randomized repair search needs a finite model")
-    if n_samples < 1:
-        raise ValidationError("n_samples must be >= 1")
+    n_samples, seed = _integer(n_samples, "n_samples", least=1), _integer(seed, "seed", least=0)
     member = _membership(sigma, window.F, window.delta, window.L, window.target, metric, action)
     d = sigma.d
     n = model.n_points

@@ -4,8 +4,9 @@ function, class and method is referenced by the package, its tests or the
 benchmark, every parameter of a module-level function or of a method
 (other than ``self`` and ``cls``) is read in its body, every dataclass field
 is read as an attribute, no dataclass compares arrays with its generated
-``__eq__``, and no module uses the reference determinant ``det_bareiss``,
-which stays only for tests to check ``det_multimodular`` against."""
+``__eq__``, no module uses the reference determinant ``det_bareiss``,
+which stays only for tests to check ``det_multimodular`` against, and no
+code but ``intlin._read_only`` sets array flags."""
 
 import ast
 from collections import Counter
@@ -180,10 +181,11 @@ def unread_fields(modules: dict[str, ast.Module], readers) -> list[str]:
     ]
 
 
-def uses_outside_definition(tree: ast.Module, name: str) -> list[int]:
+def uses_outside_definition(tree: ast.Module, name: str, owner: str | None = None) -> list[int]:
     """Lines where ``tree`` loads, reads as an attribute or imports ``name``,
-    outside the definition of ``name`` itself."""
-    own = {id(n) for node in ast.walk(tree) if isinstance(node, DEFS) and node.name == name for n in ast.walk(node)}
+    outside the definition of ``owner`` (``name`` itself by default)."""
+    owner = owner or name
+    own = {id(n) for node in ast.walk(tree) if isinstance(node, DEFS) and node.name == owner for n in ast.walk(node)}
     return sorted(
         node.lineno
         for node in ast.walk(tree)
@@ -227,6 +229,13 @@ def test_no_unreferenced_public_names():
 
 def test_no_source_uses_the_reference_determinant():
     uses = {p.name: uses_outside_definition(ast.parse(p.read_text()), "det_bareiss") for p in SOURCES}
+    assert {name: lines for name, lines in uses.items() if lines} == {}
+
+
+def test_only_intlin_read_only_sets_array_flags():
+    # outside intlin the owner defaults to setflags itself, which no module defines
+    owners = {"intlin.py": "_read_only"}
+    uses = {p.name: uses_outside_definition(ast.parse(p.read_text()), "setflags", owners.get(p.name)) for p in SOURCES}
     assert {name: lines for name, lines in uses.items() if lines} == {}
 
 
@@ -332,3 +341,13 @@ def test_scan_flags_a_use_outside_the_definition():
         "def other(det_bareiss_like):\n    return 'det_bareiss'\n"
     )
     assert uses_outside_definition(tree, "det_bareiss") == [1, 7]
+
+
+def test_scan_flags_setflags_outside_its_owner():
+    tree = ast.parse(
+        "def _read_only(a):\n    a.setflags(write=False)\n    return a\n\n"
+        "def freeze(a):\n    a.setflags(write=False)\n    return _read_only(a)\n\n"
+        "flag = 'setflags'\n"
+    )
+    assert uses_outside_definition(tree, "setflags", "_read_only") == [6]
+    assert uses_outside_definition(tree, "setflags") == [2, 6]

@@ -1,0 +1,129 @@
+"""Integer input: every table, map, permutation, weight vector, matrix and
+count is read as integers or refused, never truncated; kept tables are
+read-only copies; and int64 sums that could wrap are refused or taken over
+Python ints."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from soficlab.actions import AutomorphismAction, FiniteGroupModel, TorusGridModel, cyclic_model, trivial_action
+from soficlab.errors import ValidationError
+from soficlab.groups import GroupSpec, perturb, quotient_sofic
+from soficlab.intlin import det_bareiss, det_multimodular, kernel_count_mod, smith_normal_form
+from soficlab.measures import SampleBased, SiteMeasure
+from soficlab.microstates import (
+    MapWindow,
+    Pseudometric,
+    TestFunction as PanelFunction,  # aliased so pytest does not collect it
+    discrete_metric,
+    meas_microstate_mask,
+    rho2_sq,
+    top_microstate_mask,
+)
+
+BIG = 2**62
+
+
+def _far_metric(model):
+    """A metric on ``model`` with every distinct pair at squared distance 2^62."""
+    n = model.n_points
+    return Pseudometric("far", model, table_num=BIG * (1 - np.eye(n, dtype=np.int64)))
+
+
+def _shift_window():
+    """Z by its order-4 quotient, acting trivially on Z/3, with F = {t}."""
+    Z = GroupSpec.integers()
+    t = Z.generator(0)
+    sigma = quotient_sofic(Z, {"kind": "cyclic-powers", "orders": [4]}, [Z.identity(), t])
+    return Z, t, sigma
+
+
+def _input_cases():
+    """(label, call, error) for input each of which was accepted, truncated or
+    wrapped, or raised a bare numpy error, before it went through the readers
+    in ``intlin``."""
+    Z, t, sigma = _shift_window()
+    F2 = GroupSpec.free(2)
+    z3, z4, z5 = cyclic_model(3), cyclic_model(4), cyclic_model(5)
+    half = [[0, 1], [1, 0.7]]
+    wrapping = [BIG] * 3 + [BIG + 1]  # sums to 2^64 + 1, which wraps int64 to 1
+    big_panel = MapWindow(
+        F=(), delta=Fraction(1, 2), L=(PanelFunction("f", [BIG, 0, 0]),), target=SiteMeasure.uniform(z3)
+    )
+    return [
+        ("group-table-float", lambda: GroupSpec.from_table(["a", "b"], half), ValidationError),
+        ("model-table-float", lambda: FiniteGroupModel(["a", "b"], half), ValidationError),
+        ("model-table-uint64", lambda: FiniteGroupModel(["a", "b"], np.array([[0, 1], [1, 0]], dtype=np.uint64)),
+         ValidationError),
+        ("action-map-float", lambda: AutomorphismAction(Z, z5, {"t": [0, 2.9, 4.2, 1.5, 3.1]}), ValidationError),
+        ("torus-map-float", lambda: AutomorphismAction(Z, TorusGridModel(5, 2), {"t": [[1.5, 0], [0, 1]]}),
+         ValidationError),
+        ("cyclic-order-bool", lambda: GroupSpec.cyclic(True), ValidationError),
+        ("site-weights-float", lambda: SiteMeasure(z4, [1.7, 0.2, 0.1, 0], 1), ValidationError),
+        ("site-weights-wrap", lambda: SiteMeasure(z4, wrapping, 1), ValidationError),
+        ("atom-weights-wrap", lambda: SampleBased(z4, [[0], [1], [2], [3]], wrapping, 1), ValidationError),
+        ("site-den-float", lambda: SiteMeasure(z4, [1, 0, 0, 0], 1.0), ValidationError),
+        ("atoms-float", lambda: SampleBased(z4, [[0.5], [1]], [1, 0], 1), ValidationError),
+        ("atom-below-0", lambda: SampleBased(z4, [[-1], [1]], [1, 1], 2), ValidationError),
+        ("atom-past-n", lambda: SampleBased(z4, [[7], [1]], [1, 1], 2), ValidationError),
+        ("torus-atom-residue", lambda: SampleBased(TorusGridModel(3, 2), [[[0, 3]]], [1], 1), ValidationError),
+        ("point-mass-below-0", lambda: SiteMeasure.point_mass(z4, -1), ValidationError),
+        ("point-mass-float", lambda: SiteMeasure.point_mass(z4, 1.5), ValidationError),
+        ("metric-table-float", lambda: Pseudometric(
+            "half", cyclic_model(2), table_num=np.array([[0, 0.5], [0.5, 0]])), ValidationError),
+        ("metric-den-0", lambda: Pseudometric("d", z3, table_num=discrete_metric(z3).table_num, den=0),
+         ValidationError),
+        ("perturb-seed-float", lambda: perturb(sigma, 0.5, 1.5), ValidationError),
+        ("free-seed-float", lambda: quotient_sofic(
+            F2, {"kind": "random-permutations", "degree": 4, "seed": 1.5}, [F2.identity()]), ValidationError),
+        ("det-float", lambda: det_multimodular([[2.5, 0], [0, 1]]), ValidationError),
+        ("det-bareiss-float", lambda: det_bareiss([[2.5, 0], [0, 1]]), ValidationError),
+        ("det-bareiss-bool", lambda: det_bareiss([[True]]), ValidationError),
+        ("kernel-count-float", lambda: kernel_count_mod([[2.5]], 6), ValidationError),
+        ("kernel-count-bool", lambda: kernel_count_mod(np.array([[True]]), 6), ValidationError),
+        ("smith-float", lambda: smith_normal_form([[2.5]]), ValidationError),
+        ("smith-object-float", lambda: smith_normal_form(np.array([[2**70, 2.5]], dtype=object)), ValidationError),
+        ("panel-sum-wrap", lambda: meas_microstate_mask(
+            np.zeros((1, 4), dtype=np.int64), sigma, big_panel, discrete_metric(z3), trivial_action(Z, z3)),
+         OverflowError),
+        ("metric-sum-wrap", lambda: top_microstate_mask(
+            np.array([[0, 1, 0, 1]]), sigma, [t], Fraction(1, 2), _far_metric(z3), trivial_action(Z, z3)),
+         OverflowError),
+    ]
+
+
+@pytest.mark.parametrize("case", _input_cases(), ids=lambda c: c[0])
+def test_bad_integer_input_is_refused(case):
+    _, call, error = case
+    with pytest.raises(error):
+        call()
+
+
+def test_metric_table_is_a_frozen_copy():
+    # the metric kept the caller's table: after t[0, 1] = -5, rho2_sq was -5
+    z3 = cyclic_model(3)
+    t = np.ones((3, 3), dtype=np.int64) - np.eye(3, dtype=np.int64)
+    metric = Pseudometric("discrete", z3, table_num=t)
+    t[0, 1] = t[1, 0] = -5
+    assert rho2_sq(metric, [0], [1]) == 1
+    assert not metric.table_num.flags.writeable
+
+
+def test_rho2_sums_over_python_ints():
+    # four squared distances of 2^62 summed to 2^64, which wrapped int64 to 0
+    metric = _far_metric(cyclic_model(3))
+    assert rho2_sq(metric, [0, 1, 0, 1], [1, 0, 1, 0]) == BIG
+
+
+def test_integer_input_of_every_integer_dtype_is_read():
+    # numpy integers, narrow dtypes and Python ints past int64 are read exactly
+    z4 = cyclic_model(4)
+    mu = SiteMeasure(z4, np.array([2, 0, 2, 0], dtype=np.uint8), np.int32(4))
+    assert mu.den == 2 and mu.num.tolist() == [1, 0, 1, 0] and not mu.num.flags.writeable
+    huge = SiteMeasure(z4, [BIG] * 4, 2**64)
+    assert huge.den == 4 and huge.num.tolist() == [1, 1, 1, 1]
+    assert det_multimodular(np.array([[2**70, 0], [0, 1]], dtype=object)) == 2**70
+    assert det_multimodular(np.array([[3, 1], [1, 2]], dtype=np.uint64)) == 5
+    assert SiteMeasure.point_mass(TorusGridModel(3, 2), [2, 1]).num.tolist() == [0] * 7 + [1, 0]
