@@ -65,7 +65,7 @@ from .errors import (
     ValidationError,
 )
 from .groups import GroupElement, GroupSpec, SoficApproximation, _sort_key, _validate_table, quotient_sofic
-from .intlin import _int_table, _integer, _read_only
+from .intlin import _int_table, _int_view, _integer, _read_only
 
 
 # ---------------------------------------------------------------------------
@@ -90,10 +90,10 @@ class FiniteModel:
     # candidate arrays are int64 index vectors of shape (d,) or (N, d), and
     # points are their own indices
     def point_indices(self, x) -> np.ndarray:
-        return np.asarray(x, dtype=np.int64)
+        return _int_view(x, "points")
 
     def points_from_indices(self, idx) -> np.ndarray:
-        return np.asarray(idx, dtype=np.int64)
+        return _int_view(idx, "point indices")
 
     # automorphisms are permutation arrays m, with x -> m[x]
     def identity_map(self) -> np.ndarray:
@@ -222,7 +222,7 @@ class TorusGridModel:
         if self.n_points > 2**63:
             raise OverflowError(f"{self!r} has {self.n_points} points: indices overflow int64")
         powers = self.q ** np.arange(self.sites - 1, -1, -1, dtype=np.int64)
-        return np.asarray(x, dtype=np.int64) @ powers
+        return _int_view(x, "points") @ powers
 
     def points_from_indices(self, idx) -> np.ndarray:
         return intlin.mixed_radix(idx, [self.q] * self.sites)
@@ -540,7 +540,7 @@ class AlgebraicActionModel:
 
     def is_kernel_point(self, x: np.ndarray) -> bool:
         """Exact membership test for a (d, n) candidate."""
-        flat = np.asarray(x, dtype=np.int64).reshape(-1)
+        flat = _int_view(x, "a candidate").reshape(-1)
         res = (self.matrix @ flat) % self.q
         dist = np.minimum(res, self.q - res)
         return bool((dist <= self.residue_bound()).all())

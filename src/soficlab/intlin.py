@@ -25,8 +25,11 @@ array is a read-only copy.  ``_integer(value, what, least)`` reads one
 integer by ``operator.index`` (bools refused), at least ``least`` if given;
 ``_int_table(values, what)`` returns an int64 copy of an array whose dtype is
 an integer that casts to int64; ``_read_only(a)``, the one place that sets
-array flags, freezes an array.  Matrix entries follow the same rule, and
-uint64 or object entries are read one by one, as Python ints past int64.
+array flags, freezes an array.  Candidates and lattice targets, which are
+only read, go through ``_int_view(values, what)``: the same dtype rule, with
+no copy of an int64 array.  Matrix entries follow the same rule, and uint64
+or object entries, and nested lists that numpy reads as floats, are read one
+by one, as Python ints past int64.
 """
 
 from __future__ import annotations
@@ -52,12 +55,18 @@ def _integer(value, what: str, least: int | None = None) -> int:
     return out
 
 
-def _int_table(values, what: str) -> np.ndarray:
-    """``values`` as a read-only int64 copy; an empty array passes."""
+def _int_view(values, what: str) -> np.ndarray:
+    """``values`` as an int64 array, the input itself when it is one; an
+    empty array passes."""
     a = np.asarray(values)
     if a.size and not (a.dtype.kind in "iu" and np.can_cast(a.dtype, np.int64)):
         raise ValidationError(f"{what} must hold integers, not {a.dtype}")
-    return _read_only(a.astype(np.int64))
+    return a.astype(np.int64, copy=False)
+
+
+def _int_table(values, what: str) -> np.ndarray:
+    """``values`` as a read-only int64 copy; an empty array passes."""
+    return _read_only(np.array(_int_view(values, what)))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -80,8 +89,12 @@ def as_int_array(mat) -> np.ndarray:
     entry is beyond int64.  The shape of an array is kept, so a (0, k) input
     still has k columns; an empty sequence is 0 x 0."""
     a = np.asarray(mat)
-    if a.dtype.kind in "uO" and not np.can_cast(a.dtype, np.int64):
-        rows = as_int_rows(a)
+    # numpy reads a nested list that mixes small ints with one in
+    # [2^63, 2^64) as float64, so such a list is read entry by entry too
+    if a.dtype.kind in "uO" and not np.can_cast(a.dtype, np.int64) or (
+        a.dtype.kind == "f" and not isinstance(mat, np.ndarray)
+    ):
+        rows = as_int_rows(mat)
         try:
             a = np.array(rows, dtype=np.int64)
         except OverflowError:
@@ -387,7 +400,7 @@ def solve_mod_batch(snf, targets, q: int, budget: int | None = None) -> np.ndarr
     u_q = np.zeros((n, rows), dtype=np.int64)
     u_q[:rows] = [[x % q for x in row] for row in u]
     v_q = np.array([[x % q for x in row] for row in v], dtype=np.int64).reshape(cols, cols)
-    c = _apply_mod(u_q, np.array(targets, dtype=np.int64, ndmin=2) % q, q)
+    c = _apply_mod(u_q, np.atleast_2d(_int_view(targets, "lattice targets")) % q, q)
     c = c[(c % np.array(g, dtype=np.int64) == 0).all(axis=1), :cols]
     widths = g[:cols]
     per_target = math.prod(widths)

@@ -12,6 +12,12 @@ compared against.  The membership rule is strict inequality with the
 zero-distance case admitted (so exactly equivariant candidates pass at every
 delta, including 0).  ``_band`` is that one rule, for the top test and for
 exact panel functions alike.
+
+Membership streams: a batch is tested one row block of ``_BLOCK_COORDS``
+coordinates at a time, and brute-force enumeration builds and tests its n^d
+candidates block by block, so it holds one block plus the survivors.
+Candidates must be model points of an integer dtype; floats and entries out
+of range are refused, never truncated or wrapped.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from .actions import (
 )
 from .errors import BudgetExceededError, UnsupportedElementError, ValidationError
 from .groups import GroupElement, SoficApproximation
-from .intlin import _int_table, _integer, _read_only, mixed_radix
+from .intlin import _int_table, _int_view, _integer, _read_only, mixed_radix
 from .measures import SiteMeasure
 
 
@@ -169,7 +175,7 @@ def _sq_nums(metric: Pseudometric, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def rho2_sq(metric: Pseudometric, x: np.ndarray, y: np.ndarray) -> Fraction:
     """Exact squared rho2: the mean of squared point distances, summed over
     Python ints so that no int64 sum can wrap."""
-    x, y = _int_table(x, "a candidate"), _int_table(y, "a candidate")
+    x, y = _int_view(x, "a candidate"), _int_view(y, "a candidate")
     if x.shape != y.shape:
         raise ValidationError("rho2 needs equal-length candidates")
     return Fraction(sum(_sq_nums(metric, x, y).tolist()), x.shape[0] * metric.den)
@@ -199,8 +205,10 @@ def _band(c, r) -> tuple[int, int]:
     return lo, hi
 
 
-# Panel means gather at most this many values at once.
-_GATHER_ITEMS = 2**17
+# Membership tests a batch, and brute-force enumeration builds its
+# candidates, this many coordinates at a time (d * sites per candidate), so
+# the temporaries of each block stay in cache.
+_BLOCK_COORDS = 2**15
 
 
 # ---------------------------------------------------------------------------
@@ -243,18 +251,15 @@ class TestFunction:
         by their point indices ``idx`` of shape (N, d).
 
         Returns (nums, den) with mean = num/den for exact functions, or a
-        float array otherwise.  The values are gathered a block of rows at a
-        time, so the gathered array stays small; each row is still summed by
-        numpy's own reduction, whose rounding the float thresholds see.
+        float array otherwise.  Each row is summed by numpy's own reduction,
+        whose rounding the float thresholds see.  Membership hands it one
+        row block at a time, so the gathered values stay small.
         """
-        n, d = idx.shape
-        out = np.empty(n, dtype=self.values.dtype)
-        rows = max(1, _GATHER_ITEMS // d)
-        for s in range(0, n, rows):
-            out[s : s + rows] = self.values[idx[s : s + rows]].sum(axis=-1)
+        d = idx.shape[-1]
+        sums = self.values[idx].sum(axis=-1)
         if self.exact:
-            return out, d * self.den
-        return out / d
+            return sums, d * self.den
+        return sums / d
 
     def integral(self, mu: SiteMeasure):
         """The integral against a site measure: a Fraction for exact
@@ -342,7 +347,16 @@ def _membership(sigma: SoficApproximation, F, delta, L, target: SiteMeasure | No
     sigma.d, as a function of the batch.  The window support is checked, and
     every band computed, once here: rho2^2 < delta^2 bands the squared
     distance sums around 0, and an exact panel function bands its value sums
-    around its integral.  Float panel functions are compared as floats.
+    around its integral.  Float panel functions are compared as floats.  An
+    edge g with sigma(g) the identity permutation and g acting as the
+    identity map has squared distance sum 0, which the band always admits,
+    so it is dropped here.
+
+    The function tests a batch ``_BLOCK_COORDS`` coordinates at a time, so
+    every temporary is the size of one row block.  A batch must hold model
+    points: an integer array of shape (N, d) of point indices 0..n-1 for a
+    finite model, or (N, d, sites) of residues 0..q-1 for a torus; any other
+    raises ValidationError.
 
     The sums are int64 sums of d terms, so OverflowError is raised when d
     times the largest squared distance, or d times an exact panel function's
@@ -350,33 +364,45 @@ def _membership(sigma: SoficApproximation, F, delta, L, target: SiteMeasure | No
     _check_window_support(sigma, F)
     delta, d = Fraction(delta), sigma.d
     m = metric.model
-    top_sq = m.sites * (m.q // 2) ** 2 if metric.table_num is None else _largest(metric.table_num)
+    if metric.table_num is None:
+        top_sq, limit = m.sites * (m.q // 2) ** 2, m.q
+    else:
+        top_sq, limit = _largest(metric.table_num), m.n_points
     if F and d * top_sq >= 2**63:
         raise OverflowError(f"{d} squared distances of up to {top_sq} can wrap an int64 sum")
     for f in L:
         if f.exact and d * max(int(f.values.max()), -int(f.values.min())) >= 2**63:
             raise OverflowError(f"{d} values of test function {f.name!r} can wrap an int64 sum")
     top = _band(0, delta * delta * d * metric.den)
+    still, fixed = np.arange(d), action.model.identity_map()
     edges = [(g, sigma.perm(g)) for g in F]
+    edges = [(g, p) for g, p in edges if not (np.array_equal(p, still) and np.array_equal(action.point_map(g), fixed))]
     panel = []
     for f in L:
         t = f.integral(target)
         panel.append((f, _band(t * d * f.den, delta * d * f.den) if f.exact else t))
+    shape = (d,) + np.shape(m.identity)
+    rows = max(1, _BLOCK_COORDS // math.prod(shape))
 
     def test(xs: np.ndarray) -> np.ndarray:
+        xs = _int_view(xs, "candidates")
+        if xs.shape[1:] != shape:
+            raise ValidationError(f"candidates of {m!r} at d = {d} need shape (N, {', '.join(map(str, shape))})")
         ok = np.ones(xs.shape[0], dtype=bool)
-        for g, p in edges:
-            moved = action.act_candidates(g, xs)
-            permuted = xs[:, p]
-            nums = _sq_nums(metric, moved, permuted).sum(axis=-1)
-            ok &= _in_range(nums, *top)
-        idx = metric.model.point_indices(xs) if panel else None
-        for f, bound in panel:
-            if f.exact:
-                ok &= _in_range(f.means(idx)[0], *bound)
-            else:
-                gap = np.abs(f.means(idx) - bound)
-                ok &= (gap < float(delta)) | (gap == 0)
+        for s in range(0, xs.shape[0], rows):
+            block, out = xs[s : s + rows], ok[s : s + rows]
+            if block.min() < 0 or block.max() >= limit:
+                raise ValidationError(f"candidates must hold points of {m!r}, with entries in 0..{limit - 1}")
+            for g, p in edges:
+                nums = _sq_nums(metric, action.act_candidates(g, block), block[:, p]).sum(axis=-1)
+                out &= _in_range(nums, *top)
+            idx = m.point_indices(block) if panel else None
+            for f, bound in panel:
+                if f.exact:
+                    out &= _in_range(f.means(idx)[0], *bound)
+                else:
+                    gap = np.abs(f.means(idx) - bound)
+                    out &= (gap < float(delta)) | (gap == 0)
         return ok
 
     return test
@@ -432,14 +458,6 @@ def is_meas_microstate(
 # ---------------------------------------------------------------------------
 
 
-def _all_candidates(model: CompactGroupModel, d: int, budget: int) -> np.ndarray:
-    n = model.n_points
-    total = n**d
-    if total > budget:
-        raise BudgetExceededError(total, budget, "candidate enumeration")
-    return model.points_from_indices(mixed_radix(np.arange(total), [n] * d))
-
-
 def forces_exact_equivariance(metric: Pseudometric, delta: Fraction, d: int) -> bool:
     """Whether a single violated coordinate already exceeds delta.
 
@@ -464,8 +482,13 @@ def enumerate_top_microstates(
     Finite models with a threshold forcing exact equivariance (see
     ``forces_exact_equivariance``, which reads the metric's least positive
     distance) solve the constraint system orbit by orbit; otherwise brute
-    force within budget.  The kernel of an algebraic action model is listed
-    by its own ``enumerate_kernel``.
+    force within budget.  Brute force counts the n^d candidates in
+    lexicographic order and builds and tests them ``_BLOCK_COORDS``
+    coordinates at a time, each block by ``top_microstate_mask``, so it
+    holds one block plus the survivors.  The budget counts all n^d
+    candidates, and BudgetExceededError is raised before any is built.  The
+    kernel of an algebraic action model is listed by its own
+    ``enumerate_kernel``.
     """
     delta = Fraction(delta)
     if (
@@ -473,9 +496,16 @@ def enumerate_top_microstates(
         and forces_exact_equivariance(metric, delta, sigma.d)
     ):
         return _enumerate_equivariant(model, sigma, F, action, budget)
-    xs = _all_candidates(model, sigma.d, budget)
-    mask = top_microstate_mask(xs, sigma, F, delta, metric, action)
-    return xs[mask]
+    n, d = model.n_points, sigma.d
+    total = n**d
+    if total > budget:
+        raise BudgetExceededError(total, budget, "candidate enumeration")
+    rows = max(1, _BLOCK_COORDS // (d * np.size(model.identity)))
+    found = []
+    for s in range(0, total, rows):
+        xs = model.points_from_indices(mixed_radix(np.arange(s, min(s + rows, total)), [n] * d))
+        found.append(xs[top_microstate_mask(xs, sigma, F, delta, metric, action)])
+    return np.concatenate(found)
 
 
 def _enumerate_equivariant(
@@ -680,7 +710,7 @@ def shift_lift(
 def psi_window(p, W: Sequence[GroupElement], action: AutomorphismAction) -> tuple:
     """The orbit window of one point: g^{-1}.p for g in W, each an int index,
     or a residue tuple on a torus."""
-    x = np.asarray(p, dtype=np.int64)
+    x = _int_view(p, "a point")
     out = [action.act_candidates(action.group.inverse(g), x).tolist() for g in W]
     return tuple(map(tuple, out)) if x.ndim else tuple(out)
 

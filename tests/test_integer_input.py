@@ -8,10 +8,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from soficlab.actions import AutomorphismAction, FiniteGroupModel, TorusGridModel, cyclic_model, trivial_action
+from soficlab.actions import (
+    AutomorphismAction,
+    FiniteGroupModel,
+    IntegerGroupMatrix,
+    TorusGridModel,
+    cyclic_model,
+    instantiate_Xf,
+    trivial_action,
+)
 from soficlab.errors import ValidationError
 from soficlab.groups import GroupSpec, perturb, quotient_sofic
-from soficlab.intlin import det_bareiss, det_multimodular, kernel_count_mod, smith_normal_form
+from soficlab.intlin import det_bareiss, det_multimodular, kernel_count_mod, smith_normal_form, solve_mod_batch
 from soficlab.measures import SampleBased, SiteMeasure
 from soficlab.microstates import (
     MapWindow,
@@ -21,6 +29,7 @@ from soficlab.microstates import (
     meas_microstate_mask,
     rho2_sq,
     top_microstate_mask,
+    torus_metric,
 )
 
 BIG = 2**62
@@ -49,6 +58,17 @@ def _input_cases():
     z3, z4, z5 = cyclic_model(3), cyclic_model(4), cyclic_model(5)
     half = [[0, 1], [1, 0.7]]
     wrapping = [BIG] * 3 + [BIG + 1]  # sums to 2^64 + 1, which wraps int64 to 1
+    Z2 = GroupSpec.cyclic(2)
+    regular = quotient_sofic(Z2, {"kind": "regular"}, list(Z2.elements()))
+    three_minus_t = instantiate_Xf(IntegerGroupMatrix.single(Z2, [(3, "e"), (-1, "t")]), regular, q=8, tol=0)
+    torus = TorusGridModel(4, 1)
+
+    def z3_mask(xs):
+        return top_microstate_mask(xs, sigma, [t], Fraction(1, 2), discrete_metric(z3), trivial_action(Z, z3))
+
+    def torus_mask(xs):
+        return top_microstate_mask(xs, sigma, [t], Fraction(1, 2), torus_metric(torus), trivial_action(Z, torus))
+
     big_panel = MapWindow(
         F=(), delta=Fraction(1, 2), L=(PanelFunction("f", [BIG, 0, 0]),), target=SiteMeasure.uniform(z3)
     )
@@ -88,6 +108,21 @@ def _input_cases():
         ("panel-sum-wrap", lambda: meas_microstate_mask(
             np.zeros((1, 4), dtype=np.int64), sigma, big_panel, discrete_metric(z3), trivial_action(Z, z3)),
          OverflowError),
+        # candidates: float points were truncated, and points out of range
+        # were read through a negative table index or a wrong circle distance
+        ("point-indices-float", lambda: z3.point_indices(1.7), ValidationError),
+        ("points-from-indices-float", lambda: z3.points_from_indices([0.5]), ValidationError),
+        ("torus-point-indices-float", lambda: torus.point_indices([[0.5]]), ValidationError),
+        ("kernel-point-float", lambda: three_minus_t.is_kernel_point([[0.9], [0.9]]), ValidationError),
+        ("lattice-target-float", lambda: solve_mod_batch(smith_normal_form([[1, 0], [0, 1]]), [[1.5, 0.2]], 5),
+         ValidationError),
+        ("mask-float", lambda: z3_mask(np.array([[0, 1.5, 0, 1]])), ValidationError),
+        ("mask-point-below-0", lambda: z3_mask(np.array([[0, 1, -1, 1]])), ValidationError),
+        ("mask-point-past-n", lambda: z3_mask(np.array([[0, 1, 3, 1]])), ValidationError),
+        ("mask-wrong-d", lambda: z3_mask(np.array([[0, 1, 0, 1, 0]])), ValidationError),
+        ("mask-torus-residue-past-q", lambda: torus_mask(np.array([[[7], [0], [0], [0]]])), ValidationError),
+        ("mask-torus-float", lambda: torus_mask(np.array([[[0.5], [0], [0], [0]]])), ValidationError),
+        ("mask-torus-no-sites-axis", lambda: torus_mask(np.array([[0, 0, 0, 0]])), ValidationError),
         ("metric-sum-wrap", lambda: top_microstate_mask(
             np.array([[0, 1, 0, 1]]), sigma, [t], Fraction(1, 2), _far_metric(z3), trivial_action(Z, z3)),
          OverflowError),
@@ -127,3 +162,12 @@ def test_integer_input_of_every_integer_dtype_is_read():
     assert det_multimodular(np.array([[2**70, 0], [0, 1]], dtype=object)) == 2**70
     assert det_multimodular(np.array([[3, 1], [1, 2]], dtype=np.uint64)) == 5
     assert SiteMeasure.point_mass(TorusGridModel(3, 2), [2, 1]).num.tolist() == [0] * 7 + [1, 0]
+
+
+def test_integer_candidates_are_read_without_a_copy():
+    # an int64 batch is read in place; a narrower integer dtype is cast
+    z3, torus = cyclic_model(3), TorusGridModel(4, 2)
+    xs = np.array([[0, 2, 1]], dtype=np.int64)
+    assert z3.point_indices(xs) is xs and z3.points_from_indices(xs) is xs
+    assert z3.point_indices(xs.astype(np.uint8)).dtype == np.int64
+    assert torus.point_indices(np.array([[3, 1], [0, 2]], dtype=np.int16)).tolist() == [13, 2]

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from soficlab.actions import (
     unit_automorphism,
     IntegerGroupMatrix,
 )
+from soficlab import microstates
 from soficlab.errors import BudgetExceededError, UnsupportedElementError, ValidationError
 from soficlab.groups import GroupSpec, perturb, quotient_sofic
 from soficlab.measures import Doubled, Mixture, ProductMeasure, SampleBased, SiteMeasure, UniformOnSet, mass
@@ -823,6 +825,198 @@ class TestPanelSums:
             want = _gather_mask(xs, sigma, window, metric, action)
             assert meas_microstate_mask(xs, sigma, window, metric, action).tolist() == want.tolist()
             assert delta == 0 or want.any()
+
+
+# -- row blocks -----------------------------------------------------------------
+
+
+def _reference_mask(xs, sigma, F, delta, L, target, sq, den, move, index):
+    """Map_mu membership of each candidate by its definition, in Fractions:
+    ``sq(a, b)`` is the squared distance numerator of two points over
+    ``den``, ``move(g, a)`` the point g.a and ``index(a)`` its point index.
+    The reference for the row-block masks."""
+    d, weights = sigma.d, target.weights() if L else None
+    want = []
+    for x in xs:
+        ok = True
+        for g in F:
+            p = sigma.perm(g)
+            r = Fraction(sum(sq(move(g, x[j]), x[p[j]]) for j in range(d)), d * den)
+            ok &= r < delta * delta or r == 0
+        idx = [index(a) for a in x]
+        for f in L:
+            if f.exact:
+                mean = Fraction(sum(int(f.values[i]) for i in idx), d * f.den)
+                t = sum(w * int(v) for w, v in zip(weights, f.values)) / f.den
+                ok &= abs(mean - t) < delta or mean == t
+            else:
+                gap = abs(f.values[idx].sum() / d - f.integral(target))
+                ok &= gap < float(delta) or gap == 0
+        want.append(bool(ok))
+    return np.array(want, dtype=bool)
+
+
+def _block_cases():
+    """(label, sigma, F, delta, metric, action, panel, sq, den, move, index)
+    for a finite table metric, a doubled (PairTable) metric and a torus
+    metric, each with exact and float panel functions; brute enumeration
+    runs at ``delta``, which passes some candidates and not all."""
+    Z = GroupSpec.integers()
+    e, t = Z.identity(), Z.generator(0)
+    support = [e, t, Z.inverse(t)]
+    def circle_sq(a, b, q):
+        c = abs(int(a) - int(b)) % q
+        return min(c, q - c) ** 2
+
+    # Z/5 with the squared circle distance as its table, t acting by x -> 2x
+    # over a perturbed sigma
+    z5 = cyclic_model(5)
+    table = np.array([[circle_sq(i, j, 5) for j in range(5)] for i in range(5)])
+    double = AutomorphismAction(Z, z5, generator_maps={"t": unit_automorphism(z5, 2)})
+    sigma5 = perturb(quotient_sofic(Z, {"kind": "cyclic-powers", "orders": [5]}, support), 0.4, 3)
+    finite = (
+        "finite-table", sigma5, (e, t, Z.inverse(t)), Fraction(1, 4),
+        Pseudometric("circle", z5, table_num=table, den=25), double, indicator_panel(z5, Fraction(1, 2)) + character_panel(z5),
+        lambda a, b: table[a, b], 25, lambda g, a: double.point_map(g)[a], int,
+    )
+    # the doubled discrete metric on (Z/3)^2, t negating both halves
+    z3 = cyclic_model(3)
+    neg = AutomorphismAction(Z, z3, generator_maps={"t": unit_automorphism(z3, -1)})
+    pairs = diagonal_action(neg)
+    sigma4 = quotient_sofic(Z, {"kind": "cyclic-powers", "orders": [4]}, support)
+    doubled = (
+        "doubled-table", sigma4, (e, t), Fraction(1, 2), doubled_metric(discrete_metric(z3)),
+        pairs, indicator_panel(pairs.model) + character_panel(pairs.model),
+        lambda a, b: int(a // 3 != b // 3) + int(a % 3 != b % 3), 2, lambda g, a: pairs.point_map(g)[a], int,
+    )
+    # the 3-grid on two sites, t acting by (a, b) -> (a + b, b)
+    torus = TorusGridModel(3, 2)
+    shear = np.array([[1, 1], [0, 1]])
+    sheared = AutomorphismAction(Z, torus, generator_maps={"t": shear})
+    grid = (
+        "torus", sigma4, (t, Z.inverse(t)), Fraction(1, 4), torus_metric(torus),
+        sheared, default_panel(torus),
+        lambda a, b: sum(circle_sq(u, v, 3) for u, v in zip(a, b)), 2 * 9,
+        lambda g, a: sheared.point_map(g) @ a % 3, lambda a: 3 * int(a[0]) + int(a[1]),
+    )
+    return [finite, doubled, grid]
+
+
+def _all_points(case):
+    """Every candidate of the case's model at its sigma's d, in order."""
+    _, sigma, _, _, metric, *_ = case
+    n, d = metric.model.n_points, sigma.d
+    return metric.model.points_from_indices(np.array(list(itertools.product(range(n), repeat=d))))
+
+
+class TestRowBlocks:
+    """Masks and brute enumeration with the block constant cut to a few
+    coordinates, so that block boundaries fall everywhere, against the
+    reference by definition."""
+
+    # 1 coordinate: one row a block; 29: 7 rows of d = 4 coordinates, or 3
+    # torus rows of 8, neither of which divides the batches
+    BLOCKS = (1, 29, microstates._BLOCK_COORDS)
+    DELTAS = (Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2))
+
+    @pytest.mark.parametrize("case", _block_cases(), ids=lambda c: c[0])
+    def test_masks(self, monkeypatch, case):
+        _, sigma, F, _, metric, action, panel, sq, den, move, index = case
+        rng = np.random.default_rng(21)
+        every = _all_points(case)
+        # a batch of 61 candidates, the constant ones first so that some pass
+        xs = np.concatenate([every[:: len(every) // 5 + 1], every[rng.integers(0, len(every), size=56)]])
+        target = SiteMeasure.uniform(metric.model)
+        seen = set()
+        for delta in self.DELTAS:
+            window = MapWindow(F=F, delta=delta, L=panel, target=target)
+            for batch in (xs, xs[:1]):
+                top = _reference_mask(batch, sigma, F, delta, (), None, sq, den, move, index)
+                meas = _reference_mask(batch, sigma, F, delta, panel, target, sq, den, move, index)
+                for block in self.BLOCKS:
+                    monkeypatch.setattr(microstates, "_BLOCK_COORDS", block)
+                    assert top_microstate_mask(batch, sigma, F, delta, metric, action).tolist() == top.tolist()
+                    assert meas_microstate_mask(batch, sigma, window, metric, action).tolist() == meas.tolist()
+            seen.update(top.tolist() + meas.tolist())
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("case", _block_cases(), ids=lambda c: c[0])
+    def test_brute_enumeration(self, monkeypatch, case):
+        _, sigma, F, delta, metric, action, _, sq, den, move, index = case
+        every = _all_points(case)
+        assert not forces_exact_equivariance(metric, delta, sigma.d)
+        want = every[_reference_mask(every, sigma, F, delta, (), None, sq, den, move, index)]
+        assert 0 < len(want) < len(every)
+        for block in self.BLOCKS:
+            monkeypatch.setattr(microstates, "_BLOCK_COORDS", block)
+            got = enumerate_top_microstates(metric.model, sigma, F, delta, metric, action)
+            assert got.dtype == np.int64 and got.shape == want.shape and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("case", _block_cases(), ids=lambda c: c[0])
+    def test_no_survivors_keep_the_candidate_shape(self, monkeypatch, case):
+        # every automorphism fixes the identity, so the constant identity
+        # candidate always passes; a mask passing none stands in for an
+        # empty Map, and shows that each block goes through the public mask
+        _, sigma, F, delta, metric, action, *_ = case
+        blocks = []
+        monkeypatch.setattr(microstates, "_BLOCK_COORDS", 29)
+
+        def passes_none(xs, *args):
+            blocks.append(len(xs))
+            return np.zeros(len(xs), dtype=bool)
+
+        monkeypatch.setattr(microstates, "top_microstate_mask", passes_none)
+        got = enumerate_top_microstates(metric.model, sigma, F, delta, metric, action)
+        point_shape = metric.model.points_from_indices(np.zeros(1, dtype=np.int64)).shape[1:]
+        assert got.shape == (0, sigma.d) + point_shape and got.dtype == np.int64
+        assert sum(blocks) == metric.model.n_points**sigma.d and len(blocks) > 1
+
+    def test_brute_enumeration_holds_one_block(self):
+        # 3^12 candidates of length 12: building them all took 51 MB, and
+        # their masks three more arrays of that size (a 213 MB peak)
+        Z = GroupSpec.integers()
+        e, t = Z.identity(), Z.generator(0)
+        model = cyclic_model(3)
+        neg = AutomorphismAction(Z, model, generator_maps={"t": unit_automorphism(model, -1)})
+        sigma = quotient_sofic(Z, {"kind": "cyclic-powers", "orders": [12]}, [e, t, Z.inverse(t)])
+        tracemalloc.start()
+        try:
+            got = enumerate_top_microstates(model, sigma, (e, t), Fraction(1, 2), discrete_metric(model), neg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.shape == (399, 12)
+        assert peak < 16 * 2**20
+
+    def test_identity_edges_are_skipped_only_when_the_map_is_the_identity(self, monkeypatch):
+        Z = GroupSpec.integers()
+        e, t = Z.identity(), Z.generator(0)
+        t2, t3 = Z.power(t, 2), Z.power(t, 3)
+        model = cyclic_model(3)
+        metric = discrete_metric(model)
+        neg = AutomorphismAction(Z, model, generator_maps={"t": unit_automorphism(model, -1)})
+        moved = []
+        act = neg.act_candidates
+        monkeypatch.setattr(neg, "act_candidates", lambda g, x: moved.append(g) or act(g, x))
+
+        def mask(sigma, F):
+            moved.clear()
+            xs = np.array(list(itertools.product(range(3), repeat=sigma.d)))
+            return top_microstate_mask(xs, sigma, F, Fraction(0), metric, neg)
+
+        # t^2 acts as the identity (negation twice), and on the blocks of
+        # Z/2 sigma(t^2) is the identity too: e and t^2 move nothing
+        sigma = quotient_sofic(Z, {"kind": "cyclic-powers", "orders": [2], "copies": 3}, [e, t2])
+        assert mask(sigma, (e, t2)).all() and moved == []
+        # perturbed, sigma(t^2) moves coordinates: t^2 is tested
+        perturbed = perturb(sigma, Fraction(1, 2), 1)
+        assert not np.array_equal(perturbed.perm(t2), np.arange(6))
+        assert not mask(perturbed, (e, t2)).all() and moved == [t2]
+        # on Z/3, sigma(t^3) is the identity but t^3 negates: t^3 is tested,
+        # and the constant candidates 1 and 2 fail
+        sigma = quotient_sofic(Z, {"kind": "cyclic-powers", "orders": [3]}, [e, t3])
+        ok = mask(sigma, (t3,))
+        assert moved == [t3] and ok.sum() == 1 and ok[0]
 
 
 # -- the repair walk ----------------------------------------------------------
