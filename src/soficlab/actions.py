@@ -15,15 +15,19 @@ Three model classes stand in for the compact group X:
   them as int64 rows.  All torus arithmetic is exact (residues, never floats).
 
 Every model owns its point encoding and its automorphisms, so the code built
-on top (actions, measures, microstates) never asks which kind it holds.  The
+on top (actions, measures, microstates) never asks which kind it holds, and
+``_check_same_model`` refuses to combine two of different group laws.  The
 interface is one set of vectorized calls on candidate arrays, with no
 one-point copy; a single point is an array of one point:
 
 * ``n_points``, ``identity`` and ``name`` describe the model;
 * ``candidate_mul(a, b)`` and ``candidate_inv(a)`` are the group law;
-* ``point_indices(x)`` / ``points_from_indices(idx)`` convert a candidate
-  array to point indices 0..n_points-1 and back.  Finite points are their own
-  indices; a residue row's index is lexicographic, the last site fastest.
+* ``read_points(x, what)`` returns x as an int64 view, or raises
+  ValidationError unless it holds points: indices 0..n-1, or rows of
+  ``sites`` residues 0..q-1.  Points are read only through it;
+* ``point_indices(x)`` / ``points_from_indices(idx)`` convert points to
+  indices 0..n_points-1 and back.  Finite points are their own indices; a
+  residue row's index is lexicographic, the last site fastest.
 * ``identity_map()``, ``compose(a, b)`` (a o b), ``invert_map(m)`` and
   ``apply_map(m, x)`` work on automorphisms, stored as permutation arrays of
   point indices on a finite model (x -> m[x]) and as sites x sites integer
@@ -61,7 +65,6 @@ from . import intlin
 from .errors import (
     BudgetExceededError,
     SingularMatrixError,
-    UnsupportedElementError,
     ValidationError,
 )
 from .groups import GroupElement, GroupSpec, SoficApproximation, _sort_key, _validate_table, quotient_sofic
@@ -81,7 +84,7 @@ class FiniteModel:
     every point) and the group law ``candidate_mul`` and ``candidate_inv``.
     Only ``FiniteGroupModel`` names its points, by ``labels``; a
     ``PairModel``'s points are named by its factor's.  The base class adds the
-    rest of the one model interface: ``point_indices``,
+    rest of the one model interface: ``read_points``, ``point_indices``,
     ``points_from_indices``, ``identity_map``, ``compose``, ``invert_map``,
     ``apply_map``, ``check_map`` and ``lift_map``.  Every call takes arrays
     of points, of any shape; one point is a 0-d array or an int.
@@ -89,11 +92,17 @@ class FiniteModel:
 
     # candidate arrays are int64 index vectors of shape (d,) or (N, d), and
     # points are their own indices
+    def read_points(self, x, what: str = "points") -> np.ndarray:
+        pts = _int_view(x, what)
+        if pts.size and (pts.min() < 0 or pts.max() >= self.n_points):
+            raise ValidationError(f"{what} must hold points of {self!r}, indices in 0..{self.n_points - 1}")
+        return pts
+
     def point_indices(self, x) -> np.ndarray:
-        return _int_view(x, "points")
+        return self.read_points(x)
 
     def points_from_indices(self, idx) -> np.ndarray:
-        return _int_view(idx, "point indices")
+        return self.read_points(idx, "point indices")
 
     # automorphisms are permutation arrays m, with x -> m[x]
     def identity_map(self) -> np.ndarray:
@@ -218,13 +227,22 @@ class TorusGridModel:
         return (-a) % self.q
 
     # points are residue rows with their lexicographic index
+    def read_points(self, x, what: str = "points") -> np.ndarray:
+        pts = _int_view(x, what)
+        if pts.shape[-1:] != (self.sites,) or pts.size and (pts.min() < 0 or pts.max() >= self.q):
+            raise ValidationError(f"{what} must hold points of {self!r}: rows of {self.sites} residues 0..{self.q - 1}")
+        return pts
+
     def point_indices(self, x) -> np.ndarray:
         if self.n_points > 2**63:
             raise OverflowError(f"{self!r} has {self.n_points} points: indices overflow int64")
         powers = self.q ** np.arange(self.sites - 1, -1, -1, dtype=np.int64)
-        return _int_view(x, "points") @ powers
+        return self.read_points(x) @ powers
 
     def points_from_indices(self, idx) -> np.ndarray:
+        idx = _int_view(idx, "point indices")
+        if idx.size and (idx.min() < 0 or int(idx.max()) >= self.n_points):
+            raise ValidationError(f"point indices of {self!r} lie in 0..{self.n_points - 1}")
         return intlin.mixed_radix(idx, [self.q] * self.sites)
 
     # automorphisms are integer matrices M, with x -> M x mod q
@@ -260,6 +278,23 @@ class TorusGridModel:
 
 
 CompactGroupModel = FiniteModel | TorusGridModel
+
+
+def _same_model(a: CompactGroupModel, b: CompactGroupModel) -> bool:
+    """Whether two models have one group law: the same class, size, grid,
+    pair factor and table."""
+    while isinstance(a, PairModel) and isinstance(b, PairModel):
+        a, b = a.factor, b.factor
+    same = (type(a), a.n_points, getattr(a, "q", None)) == (type(b), b.n_points, getattr(b, "q", None))
+    if same and isinstance(a, FiniteGroupModel) and a is not b:
+        same = np.array_equal(a.mul, b.mul)
+    return same
+
+
+def _check_same_model(a: CompactGroupModel, b: CompactGroupModel) -> None:
+    """Refuse to combine points of two models with different group laws."""
+    if not _same_model(a, b):
+        raise ValidationError(f"measures live on different models: {a!r} and {b!r}")
 
 
 def product_model(model):
@@ -508,7 +543,7 @@ class AlgebraicActionModel:
     f^(sigma) x to 0 is at most tol}; candidates are (d, n) residue arrays.
     tol = 0 gives the exact grid kernel, a subgroup.  q must be an integer
     >= 2, tol >= 0 and sigma's support must cover f's; ``matrix`` is
-    f^(sigma), built from them (read-only).
+    f^(sigma), built from them (read-only) by ``sigma.perm``.
     """
 
     source: IntegerGroupMatrix
@@ -521,9 +556,6 @@ class AlgebraicActionModel:
         q, tol = _integer(self.q, "grid resolution q", least=2), Fraction(self.tol)
         if tol < 0:
             raise ValidationError("tolerance must be >= 0")
-        for g in self.source.support():
-            if g not in self.sigma.table:
-                raise UnsupportedElementError(g, "sigma support must cover f")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "tol", tol)
         object.__setattr__(self, "matrix", _read_only(sigma_matrix(self.source, self.sigma)))
@@ -539,9 +571,11 @@ class AlgebraicActionModel:
         return min(int(bound), self.q // 2)
 
     def is_kernel_point(self, x: np.ndarray) -> bool:
-        """Exact membership test for a (d, n) candidate."""
-        flat = _int_view(x, "a candidate").reshape(-1)
-        res = (self.matrix @ flat) % self.q
+        """Exact membership test for a (d, n) candidate of residues 0..q-1."""
+        x, shape = _int_view(x, "a candidate"), (self.d, self.source.n)
+        if x.shape != shape or x.min() < 0 or x.max() >= self.q:
+            raise ValidationError(f"a candidate must be a {shape} array of residues 0..{self.q - 1}")
+        res = (self.matrix @ x.reshape(-1)) % self.q
         dist = np.minimum(res, self.q - res)
         return bool((dist <= self.residue_bound()).all())
 

@@ -554,28 +554,24 @@ def quotient_sofic(
 
 def sofic_defects(sigma: SoficApproximation, F: Sequence[GroupElement]) -> SoficDefectReport:
     """Defect report over F: pair defects for (g, h) with g, h, gh all in the
-    table support, fixed-point fractions for g != e."""
+    table support, fixed-point fractions for g != e; F must lie in it."""
     spec = sigma.group
-    F = tuple(dict.fromkeys(F))
-    for g in F:
-        if g not in sigma.table:
-            raise UnsupportedElementError(g, "defect report window")
+    perm = {g: sigma.perm(g) for g in F}  # the window, in order and without repeats
     pair_defects: dict[tuple[GroupElement, GroupElement], Fraction] = {}
-    for g in F:
-        for h in F:
+    for g in perm:
+        for h in perm:
             gh = spec.multiply(g, h)
             if gh not in sigma.table:
                 # pairs whose product leaves the support are not measurable
                 continue
-            composed = sigma.table[g][sigma.table[h]]
-            mismatches = int((composed != sigma.table[gh]).sum())
+            mismatches = int((perm[g][perm[h]] != sigma.table[gh]).sum())
             pair_defects[(g, h)] = Fraction(mismatches, sigma.d)
     fixed: dict[GroupElement, Fraction] = {}
     idx = np.arange(sigma.d)
-    for g in F:
+    for g in perm:
         if spec.is_identity(g):
             continue
-        fixed[g] = Fraction(int((sigma.table[g] == idx).sum()), sigma.d)
+        fixed[g] = Fraction(int((perm[g] == idx).sum()), sigma.d)
     return SoficDefectReport(
         pair_defects=MappingProxyType(pair_defects),
         fixed_fractions=MappingProxyType(fixed),

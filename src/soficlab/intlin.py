@@ -353,9 +353,10 @@ def mixed_radix(idx, widths) -> np.ndarray:
 
     Counting idx = 0, 1, ... runs through the product of the ranges
     ``range(w)`` in ``itertools.product`` order.  The output has shape
-    ``idx.shape + (len(widths),)``.
+    ``idx.shape + (len(widths),)``.  The indices must be integers: a float
+    is refused, not truncated.
     """
-    rem = np.array(idx, dtype=np.int64)
+    rem = np.array(_int_view(idx, "mixed-radix indices"))
     out = np.empty(rem.shape + (len(widths),), dtype=np.int64)
     for k in range(len(widths) - 1, -1, -1):
         np.remainder(rem, widths[k], out=out[..., k])

@@ -17,7 +17,7 @@ factors, and returns ``Doubled`` for every other variant.
 
 Weights are exact rationals wherever the variant is exact; Monte Carlo paths
 are reproducible from the generator handed in.  Total mass 1 is enforced at
-construction.
+construction, and the model's ``read_points`` reads atoms and point masses.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .actions import CompactGroupModel, FiniteGroupModel, PairModel, pair_candidates, product_model
+from .actions import CompactGroupModel, _check_same_model, _same_model, pair_candidates, product_model
 from .errors import ValidationError
 from .intlin import _int_table, _integer, _read_only, mixed_radix
 
@@ -65,7 +65,7 @@ class SiteMeasure:
     @classmethod
     def point_mass(cls, model: CompactGroupModel, point) -> "SiteMeasure":
         num = np.zeros(model.n_points, dtype=np.int64)
-        num[int(model.point_indices(_points(model, point, "a point mass")))] = 1
+        num[int(model.point_indices(point))] = 1
         return cls(model, num, 1)
 
     def weights(self) -> list[Fraction]:
@@ -140,16 +140,6 @@ def _weights(num, den) -> tuple[np.ndarray, int]:
     return num, den
 
 
-def _points(model: CompactGroupModel, points, what: str) -> np.ndarray:
-    """``points`` as a read-only int64 copy, refused unless each is a point of
-    ``model``: its index lies in 0..n-1 and maps back to it."""
-    pts = _int_table(points, what)
-    idx = model.point_indices(pts)
-    if ((idx < 0) | (idx >= model.n_points)).any() or not np.array_equal(model.points_from_indices(idx), pts):
-        raise ValidationError(f"{what} must hold points of {model!r}")
-    return pts
-
-
 def _product_den(a: int, b: int) -> int:
     """The denominator of a product of two measures with denominators a and b.
 
@@ -160,23 +150,6 @@ def _product_den(a: int, b: int) -> int:
     if den >= 2**63:
         raise OverflowError(f"product denominator {den} = {a} * {b} does not fit int64 weights")
     return den
-
-
-def _same_model(a: CompactGroupModel, b: CompactGroupModel) -> bool:
-    """Whether two models have one group law: the same class, size, grid,
-    pair factor and table."""
-    while isinstance(a, PairModel) and isinstance(b, PairModel):
-        a, b = a.factor, b.factor
-    same = (type(a), a.n_points, getattr(a, "q", None)) == (type(b), b.n_points, getattr(b, "q", None))
-    if same and isinstance(a, FiniteGroupModel) and a is not b:
-        same = np.array_equal(a.mul, b.mul)
-    return same
-
-
-def _check_same_model(a: CompactGroupModel, b: CompactGroupModel) -> None:
-    """Refuse to combine points of two models with different group laws."""
-    if not _same_model(a, b):
-        raise ValidationError(f"measures live on different models: {a!r} and {b!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +209,7 @@ class SampleBased:
 
     def __post_init__(self):
         num, den = _weights(self.weights_num, self.weights_den)
-        pts = _points(self.model, self.points, "atoms")
+        pts = _read_only(np.array(self.model.read_points(self.points, "atoms")))
         if num.shape[0] != pts.shape[0]:
             raise ValidationError("one weight per atom")
         object.__setattr__(self, "points", pts)

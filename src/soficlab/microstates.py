@@ -16,8 +16,8 @@ exact panel functions alike.
 Membership streams: a batch is tested one row block of ``_BLOCK_COORDS``
 coordinates at a time, and brute-force enumeration builds and tests its n^d
 candidates block by block, so it holds one block plus the survivors.
-Candidates must be model points of an integer dtype; floats and entries out
-of range are refused, never truncated or wrapped.
+Candidates are read by the model, which refuses floats and entries out of
+range; the metric, the action and every model must share one group law.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -36,11 +36,12 @@ from .actions import (
     FiniteModel,
     PairModel,
     TorusGridModel,
+    _check_same_model,
     product_model,
 )
-from .errors import BudgetExceededError, UnsupportedElementError, ValidationError
+from .errors import BudgetExceededError, ValidationError
 from .groups import GroupElement, SoficApproximation
-from .intlin import _int_table, _int_view, _integer, _read_only, mixed_radix
+from .intlin import _int_table, _integer, _read_only, mixed_radix
 from .measures import SiteMeasure
 
 
@@ -175,7 +176,7 @@ def _sq_nums(metric: Pseudometric, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def rho2_sq(metric: Pseudometric, x: np.ndarray, y: np.ndarray) -> Fraction:
     """Exact squared rho2: the mean of squared point distances, summed over
     Python ints so that no int64 sum can wrap."""
-    x, y = _int_view(x, "a candidate"), _int_view(y, "a candidate")
+    x, y = metric.model.read_points(x, "a candidate"), metric.model.read_points(y, "a candidate")
     if x.shape != y.shape:
         raise ValidationError("rho2 needs equal-length candidates")
     return Fraction(sum(_sq_nums(metric, x, y).tolist()), x.shape[0] * metric.den)
@@ -336,41 +337,36 @@ class MapWindow:
 # ---------------------------------------------------------------------------
 
 
-def _check_window_support(sigma: SoficApproximation, F: Iterable[GroupElement]):
-    for g in F:
-        if g not in sigma.table:
-            raise UnsupportedElementError(g, "window F must lie in sigma support")
-
-
 def _membership(sigma: SoficApproximation, F, delta, L, target: SiteMeasure | None, metric: Pseudometric, action) -> Callable:
     """Map_mu membership (Map when L is empty) of candidate batches of length
-    sigma.d, as a function of the batch.  The window support is checked, and
-    every band computed, once here: rho2^2 < delta^2 bands the squared
-    distance sums around 0, and an exact panel function bands its value sums
-    around its integral.  Float panel functions are compared as floats.  An
-    edge g with sigma(g) the identity permutation and g acting as the
+    sigma.d, as a function of the batch.  The window (by ``sigma.perm``), the
+    models' group laws and the panel lengths are checked, and every band
+    computed, once here: rho2^2 < delta^2 bands the squared distance sums
+    around 0, and an exact panel function bands its value sums around its
+    integral.  Float panel functions are compared as floats.  An edge g with sigma(g) the identity permutation and g acting as the
     identity map has squared distance sum 0, which the band always admits,
     so it is dropped here.
 
     The function tests a batch ``_BLOCK_COORDS`` coordinates at a time, so
-    every temporary is the size of one row block.  A batch must hold model
-    points: an integer array of shape (N, d) of point indices 0..n-1 for a
-    finite model, or (N, d, sites) of residues 0..q-1 for a torus; any other
-    raises ValidationError.
+    every temporary is the size of one row block.  A batch must have shape
+    (N, d) for a finite model or (N, d, sites) for a torus, and each block is
+    read once by the model, before any edge is tested, so anything but model
+    points raises ValidationError.
 
     The sums are int64 sums of d terms, so OverflowError is raised when d
     times the largest squared distance, or d times an exact panel function's
     largest |value|, reaches 2^63."""
-    _check_window_support(sigma, F)
     delta, d = Fraction(delta), sigma.d
     m = metric.model
-    if metric.table_num is None:
-        top_sq, limit = m.sites * (m.q // 2) ** 2, m.q
-    else:
-        top_sq, limit = _largest(metric.table_num), m.n_points
+    _check_same_model(m, action.model)
+    if L:
+        _check_same_model(m, target.model)
+    top_sq = m.sites * (m.q // 2) ** 2 if metric.table_num is None else _largest(metric.table_num)
     if F and d * top_sq >= 2**63:
         raise OverflowError(f"{d} squared distances of up to {top_sq} can wrap an int64 sum")
     for f in L:
+        if f.values.shape != (m.n_points,):
+            raise ValidationError(f"test function {f.name!r} needs one value per point of {m!r}")
         if f.exact and d * max(int(f.values.max()), -int(f.values.min())) >= 2**63:
             raise OverflowError(f"{d} values of test function {f.name!r} can wrap an int64 sum")
     top = _band(0, delta * delta * d * metric.den)
@@ -385,18 +381,16 @@ def _membership(sigma: SoficApproximation, F, delta, L, target: SiteMeasure | No
     rows = max(1, _BLOCK_COORDS // math.prod(shape))
 
     def test(xs: np.ndarray) -> np.ndarray:
-        xs = _int_view(xs, "candidates")
+        xs = np.asarray(xs)
         if xs.shape[1:] != shape:
             raise ValidationError(f"candidates of {m!r} at d = {d} need shape (N, {', '.join(map(str, shape))})")
         ok = np.ones(xs.shape[0], dtype=bool)
         for s in range(0, xs.shape[0], rows):
             block, out = xs[s : s + rows], ok[s : s + rows]
-            if block.min() < 0 or block.max() >= limit:
-                raise ValidationError(f"candidates must hold points of {m!r}, with entries in 0..{limit - 1}")
+            idx = m.point_indices(block) if panel else m.read_points(block, "candidates")
             for g, p in edges:
                 nums = _sq_nums(metric, action.act_candidates(g, block), block[:, p]).sum(axis=-1)
                 out &= _in_range(nums, *top)
-            idx = m.point_indices(block) if panel else None
             for f, bound in panel:
                 if f.exact:
                     out &= _in_range(f.means(idx)[0], *bound)
@@ -491,6 +485,8 @@ def enumerate_top_microstates(
     ``enumerate_kernel``.
     """
     delta = Fraction(delta)
+    _check_same_model(model, metric.model)
+    _check_same_model(model, action.model)
     if (
         isinstance(model, FiniteModel)
         and forces_exact_equivariance(metric, delta, sigma.d)
@@ -535,7 +531,6 @@ def _enumerate_equivariant(
     their order is that of their first differing root values, which is the
     mixed-radix order.
     """
-    _check_window_support(sigma, F)
     d = sigma.d
     n = model.n_points
     edges = [(sigma.perm(g), action.point_map(g)) for g in F]  # x(p[j]) = m[x(j)]
@@ -602,6 +597,7 @@ def sample_microstates(
     if not isinstance(model, FiniteModel):
         raise ValidationError("randomized repair search needs a finite model")
     n_samples, seed = _integer(n_samples, "n_samples", least=1), _integer(seed, "seed", least=0)
+    _check_same_model(model, metric.model)
     member = _membership(sigma, window.F, window.delta, window.L, window.target, metric, action)
     d = sigma.d
     n = model.n_points
@@ -699,7 +695,11 @@ def shift_lift(
     """The finite-window lift: entry [j, w] = x(sigma(g_w)^{-1}(j)).
 
     Output shape (d, |W|) for finite models, (d, |W|, sites) for torus models.
+    x must have length d.
     """
+    x = np.asarray(x)
+    if x.shape[:1] != (sigma.d,):
+        raise ValidationError(f"a candidate at d = {sigma.d} needs length {sigma.d}, not shape {x.shape}")
     cols = []
     for g in W:
         inv = np.argsort(sigma.perm(g))
@@ -710,7 +710,7 @@ def shift_lift(
 def psi_window(p, W: Sequence[GroupElement], action: AutomorphismAction) -> tuple:
     """The orbit window of one point: g^{-1}.p for g in W, each an int index,
     or a residue tuple on a torus."""
-    x = _int_view(p, "a point")
+    x = action.model.read_points(p, "a point")
     out = [action.act_candidates(action.group.inverse(g), x).tolist() for g in W]
     return tuple(map(tuple, out)) if x.ndim else tuple(out)
 

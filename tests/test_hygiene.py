@@ -5,8 +5,9 @@ benchmark, every parameter of a module-level function or of a method
 (other than ``self`` and ``cls``) is read in its body, every dataclass field
 is read as an attribute, no dataclass compares arrays with its generated
 ``__eq__``, no module uses the reference determinant ``det_bareiss``,
-which stays only for tests to check ``det_multimodular`` against, and no
-code but ``intlin._read_only`` sets array flags."""
+which stays only for tests to check ``det_multimodular`` against, no
+code but ``intlin._read_only`` sets array flags, and no module but
+``intlin`` and ``actions`` reads integer views with ``_int_view``."""
 
 import ast
 from collections import Counter
@@ -237,6 +238,12 @@ def test_only_intlin_read_only_sets_array_flags():
     owners = {"intlin.py": "_read_only"}
     uses = {p.name: uses_outside_definition(ast.parse(p.read_text()), "setflags", owners.get(p.name)) for p in SOURCES}
     assert {name: lines for name, lines in uses.items() if lines} == {}
+
+
+def test_only_intlin_and_the_models_read_integer_views():
+    # every other module reads points through its model's read_points
+    uses = {p.name: uses_outside_definition(ast.parse(p.read_text()), "_int_view") for p in SOURCES}
+    assert {name: lines for name, lines in uses.items() if lines and name not in ("intlin.py", "actions.py")} == {}
 
 
 def test_no_unread_dataclass_fields():

@@ -1,7 +1,8 @@
 """Integer input: every table, map, permutation, weight vector, matrix and
 count is read as integers or refused, never truncated; kept tables are
-read-only copies; and int64 sums that could wrap are refused or taken over
-Python ints."""
+read-only copies; int64 sums that could wrap are refused or taken over
+Python ints; and points are read by their model, which refuses anything but
+its own points, and combined only with points of the same group law."""
 
 from fractions import Fraction
 
@@ -16,18 +17,32 @@ from soficlab.actions import (
     cyclic_model,
     instantiate_Xf,
     trivial_action,
+    unit_automorphism,
 )
 from soficlab.errors import ValidationError
 from soficlab.groups import GroupSpec, perturb, quotient_sofic
-from soficlab.intlin import det_bareiss, det_multimodular, kernel_count_mod, smith_normal_form, solve_mod_batch
+from soficlab.intlin import (
+    det_bareiss,
+    det_multimodular,
+    kernel_count_mod,
+    mixed_radix,
+    smith_normal_form,
+    solve_mod_batch,
+)
 from soficlab.measures import SampleBased, SiteMeasure
 from soficlab.microstates import (
     MapWindow,
     Pseudometric,
     TestFunction as PanelFunction,  # aliased so pytest does not collect it
     discrete_metric,
+    empirical_pushforward,
+    enumerate_top_microstates,
+    indicator_panel,
     meas_microstate_mask,
+    psi_window,
     rho2_sq,
+    sample_microstates,
+    shift_lift,
     top_microstate_mask,
     torus_metric,
 )
@@ -52,7 +67,7 @@ def _shift_window():
 def _input_cases():
     """(label, call, error) for input each of which was accepted, truncated or
     wrapped, or raised a bare numpy error, before it went through the readers
-    in ``intlin``."""
+    in ``intlin`` and the models' ``read_points``."""
     Z, t, sigma = _shift_window()
     F2 = GroupSpec.free(2)
     z3, z4, z5 = cyclic_model(3), cyclic_model(4), cyclic_model(5)
@@ -69,6 +84,18 @@ def _input_cases():
     def torus_mask(xs):
         return top_microstate_mask(xs, sigma, [t], Fraction(1, 2), torus_metric(torus), trivial_action(Z, torus))
 
+    neg3 = AutomorphismAction(Z, z3, {"t": unit_automorphism(z3, -1)})
+    neg5 = AutomorphismAction(Z, z5, {"t": unit_automorphism(z5, -1)})
+    half_delta = Fraction(1, 2)
+
+    def neg3_window(L, target):
+        xs = np.zeros((1, 4), dtype=np.int64)
+        window = MapWindow(F=(t,), delta=half_delta, L=L, target=target)
+        return meas_microstate_mask(xs, sigma, window, discrete_metric(z3), neg3)
+
+    # 1 - t on Z/3 with two codomain copies: a 3 x 2 candidate at d = 3
+    sigma3 = quotient_sofic(Z, {"kind": "cyclic-powers", "orders": [3]}, [Z.identity(), t])
+    pair = instantiate_Xf(IntegerGroupMatrix.from_pairs(Z, [[[(1, "e")], [(-1, "t")]]]), sigma3, q=4, tol=0)
     big_panel = MapWindow(
         F=(), delta=Fraction(1, 2), L=(PanelFunction("f", [BIG, 0, 0]),), target=SiteMeasure.uniform(z3)
     )
@@ -126,6 +153,50 @@ def _input_cases():
         ("metric-sum-wrap", lambda: top_microstate_mask(
             np.array([[0, 1, 0, 1]]), sigma, [t], Fraction(1, 2), _far_metric(z3), trivial_action(Z, z3)),
          OverflowError),
+        # points out of range were read through a negative table index, a
+        # wrapped residue or a wrapped index, and a float index was truncated
+        ("rho2-point-below-0", lambda: rho2_sq(discrete_metric(z3), [-1], [2]), ValidationError),
+        ("rho2-torus-residue-past-q", lambda: rho2_sq(torus_metric(torus), [[7]], [[0]]), ValidationError),
+        ("mixed-radix-float", lambda: mixed_radix(2.9, [3, 3]), ValidationError),
+        ("torus-points-from-indices-float", lambda: TorusGridModel(3, 2).points_from_indices(4.7), ValidationError),
+        ("torus-index-n", lambda: TorusGridModel(3, 2).points_from_indices(9), ValidationError),
+        ("torus-index-past-n", lambda: TorusGridModel(3, 2).points_from_indices(10), ValidationError),
+        ("torus-index-below-0", lambda: TorusGridModel(3, 2).points_from_indices(-1), ValidationError),
+        ("torus-point-indices-residue-past-q", lambda: torus.point_indices([[7]]), ValidationError),
+        ("torus-point-indices-wrong-sites", lambda: TorusGridModel(3, 2).point_indices([0, 1, 2]), ValidationError),
+        ("point-indices-past-n", lambda: z3.point_indices(5), ValidationError),
+        ("points-from-indices-past-n", lambda: z3.points_from_indices(5), ValidationError),
+        ("psi-window-point-below-0", lambda: psi_window(-1, (t,), neg3), ValidationError),
+        ("pushforward-point-below-0", lambda: empirical_pushforward([-1, 0], z3), ValidationError),
+        # models of different group laws were combined
+        ("enumerate-model-not-metric", lambda: enumerate_top_microstates(
+            cyclic_model(2), sigma, (t,), half_delta, discrete_metric(z3), neg3), ValidationError),
+        ("enumerate-model-not-metric-alone", lambda: enumerate_top_microstates(
+            cyclic_model(2), sigma, (t,), half_delta, discrete_metric(z3), trivial_action(Z, cyclic_model(2))),
+         ValidationError),
+        ("enumerate-model-not-action", lambda: enumerate_top_microstates(
+            z3, sigma, (t,), half_delta, discrete_metric(z3), neg5), ValidationError),
+        ("sample-model-not-metric", lambda: sample_microstates(
+            cyclic_model(2), sigma, MapWindow(F=(t,), delta=half_delta, L=(), target=SiteMeasure.uniform(z3)),
+            discrete_metric(z3), neg3, 1, 0), ValidationError),
+        ("mask-metric-not-action", lambda: top_microstate_mask(
+            np.array([[1, 2, 1, 2]]), sigma, (t,), half_delta, discrete_metric(z5), neg3), ValidationError),
+        ("mask-metric-not-action-past-n", lambda: top_microstate_mask(
+            np.array([[4, 4, 4, 4]]), sigma, (t,), half_delta, discrete_metric(z5), neg3), ValidationError),
+        ("panel-on-another-model", lambda: neg3_window(indicator_panel(z5), SiteMeasure.uniform(z5)),
+         ValidationError),
+        ("panel-target-on-another-model", lambda: neg3_window(
+            (PanelFunction("f", [1, 0, 0]),), SiteMeasure.uniform(z5)), ValidationError),
+        ("panel-two-values", lambda: neg3_window((PanelFunction("f", [1, 0]),), SiteMeasure.uniform(z3)),
+         ValidationError),
+        ("panel-five-values", lambda: neg3_window(
+            (PanelFunction("f", [1, 0, 0, 0, 0]),), SiteMeasure.uniform(z3)), ValidationError),
+        # a kernel candidate is a (d, n) array of residues 0..q-1
+        ("kernel-point-wrong-size", lambda: pair.is_kernel_point([0, 0, 0, 0, 0]), ValidationError),
+        ("kernel-point-transposed", lambda: pair.is_kernel_point(np.zeros((2, 3), dtype=np.int64)),
+         ValidationError),
+        ("kernel-point-residue-past-q", lambda: pair.is_kernel_point([[4, 0], [0, 0], [0, 0]]), ValidationError),
+        ("shift-lift-wrong-length", lambda: shift_lift(np.arange(5), sigma3, (t,)), ValidationError),
     ]
 
 
@@ -171,3 +242,14 @@ def test_integer_candidates_are_read_without_a_copy():
     assert z3.point_indices(xs) is xs and z3.points_from_indices(xs) is xs
     assert z3.point_indices(xs.astype(np.uint8)).dtype == np.int64
     assert torus.point_indices(np.array([[3, 1], [0, 2]], dtype=np.int16)).tolist() == [13, 2]
+
+
+def test_kernel_candidates_are_d_by_n_residue_arrays():
+    # 1 - t on Z/3 with two codomain copies: candidates are 3 x 2, and every
+    # listed kernel point is read back as one
+    Z = GroupSpec.integers()
+    sigma3 = quotient_sofic(Z, {"kind": "cyclic-powers", "orders": [3]}, [Z.identity(), Z.generator(0)])
+    pair = instantiate_Xf(IntegerGroupMatrix.from_pairs(Z, [[[(1, "e")], [(-1, "t")]]]), sigma3, q=4, tol=0)
+    pts = pair.enumerate_kernel()
+    assert pts.shape[1:] == (3, 2) and all(pair.is_kernel_point(x) for x in pts)
+    assert not pair.is_kernel_point([[1, 0], [0, 0], [0, 0]])
