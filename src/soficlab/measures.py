@@ -64,8 +64,11 @@ class SiteMeasure:
 
     @classmethod
     def point_mass(cls, model: CompactGroupModel, point) -> "SiteMeasure":
+        i = model.point_indices(point)
+        if i.ndim:
+            raise ValidationError(f"a point mass needs one point, not a batch of shape {i.shape}")
         num = np.zeros(model.n_points, dtype=np.int64)
-        num[int(model.point_indices(point))] = 1
+        num[i] = 1
         return cls(model, num, 1)
 
     def weights(self) -> list[Fraction]:
@@ -210,6 +213,8 @@ class SampleBased:
     def __post_init__(self):
         num, den = _weights(self.weights_num, self.weights_den)
         pts = _read_only(np.array(self.model.read_points(self.points, "atoms")))
+        if pts.ndim != 2 + np.ndim(self.model.identity):
+            raise ValidationError(f"atoms of shape (N, d[, sites]) are needed, not {pts.shape}")
         if num.shape[0] != pts.shape[0]:
             raise ValidationError("one weight per atom")
         object.__setattr__(self, "points", pts)

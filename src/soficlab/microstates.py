@@ -14,8 +14,10 @@ delta, including 0).  ``_band`` is that one rule, for the top test and for
 exact panel functions alike.
 
 Membership streams: a batch is tested one row block of ``_BLOCK_COORDS``
-coordinates at a time, and brute-force enumeration builds and tests its n^d
-candidates block by block, so it holds one block plus the survivors.
+coordinates at a time.  Brute-force enumeration tests its n^d candidates in
+blocks of no more rows, so it holds one block plus the survivors.  A block is
+the n^k candidates that share their first d - k digits: the last k digits
+come from one table built once, and only the prefix is written per block.
 Candidates are read by the model, which refuses floats and entries out of
 range; the metric, the action and every model must share one group law.
 """
@@ -175,10 +177,11 @@ def _sq_nums(metric: Pseudometric, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def rho2_sq(metric: Pseudometric, x: np.ndarray, y: np.ndarray) -> Fraction:
     """Exact squared rho2: the mean of squared point distances, summed over
-    Python ints so that no int64 sum can wrap."""
+    Python ints so that no int64 sum can wrap.  x and y are two candidates of
+    one length d >= 1."""
     x, y = metric.model.read_points(x, "a candidate"), metric.model.read_points(y, "a candidate")
-    if x.shape != y.shape:
-        raise ValidationError("rho2 needs equal-length candidates")
+    if x.shape != y.shape or x.ndim != 1 + np.ndim(metric.model.identity) or not len(x):
+        raise ValidationError(f"rho2 needs two candidates of length d >= 1 of one shape, not {x.shape} and {y.shape}")
     return Fraction(sum(_sq_nums(metric, x, y).tolist()), x.shape[0] * metric.den)
 
 
@@ -476,13 +479,16 @@ def enumerate_top_microstates(
     Finite models with a threshold forcing exact equivariance (see
     ``forces_exact_equivariance``, which reads the metric's least positive
     distance) solve the constraint system orbit by orbit; otherwise brute
-    force within budget.  Brute force counts the n^d candidates in
-    lexicographic order and builds and tests them ``_BLOCK_COORDS``
-    coordinates at a time, each block by ``top_microstate_mask``, so it
-    holds one block plus the survivors.  The budget counts all n^d
-    candidates, and BudgetExceededError is raised before any is built.  The
-    kernel of an algebraic action model is listed by its own
-    ``enumerate_kernel``.
+    force within budget.  Brute force runs through the n^d candidates in
+    lexicographic order, in blocks of at most ``_BLOCK_COORDS`` coordinates
+    (and at least one row), each tested by ``top_microstate_mask``, so it
+    holds one block plus the survivors.  A block is the n^k candidates that
+    share their first d - k digits, k as large as that bound allows: their
+    last k digits are one table, built once, and the blocks run over the
+    prefixes.  When n alone exceeds the bound, the last digit's range is
+    cut into runs.  The budget counts all n^d candidates, and
+    BudgetExceededError is raised before any is built.  The kernel of an
+    algebraic action model is listed by its own ``enumerate_kernel``.
     """
     delta = Fraction(delta)
     _check_same_model(model, metric.model)
@@ -497,10 +503,27 @@ def enumerate_top_microstates(
     if total > budget:
         raise BudgetExceededError(total, budget, "candidate enumeration")
     rows = max(1, _BLOCK_COORDS // (d * np.size(model.identity)))
+    k = 0  # the number of trailing digits one block runs through
+    while k < d and n ** (k + 1) <= rows:
+        k += 1
+    if k:
+        tails = [mixed_radix(np.arange(n**k), [n] * k)]
+    else:  # n alone exceeds a block: the last digit's range is cut into runs
+        k = 1
+        tails = [np.arange(s, min(s + rows, n))[:, None] for s in range(0, n, rows)]
+    # one buffer serves every block, since boolean selection copies the
+    # survivors; one tail is written into it once
+    block = np.empty((len(tails[0]), d), dtype=np.int64)
+    block[:, d - k :] = tails[0]
     found = []
-    for s in range(0, total, rows):
-        xs = model.points_from_indices(mixed_radix(np.arange(s, min(s + rows, total)), [n] * d))
-        found.append(xs[top_microstate_mask(xs, sigma, F, delta, metric, action)])
+    for head in mixed_radix(np.arange(n ** (d - k)), [n] * (d - k)):
+        for tail in tails:
+            ids = block[: len(tail)]
+            ids[:, : d - k] = head
+            if len(tails) > 1:
+                ids[:, d - k :] = tail
+            xs = model.points_from_indices(ids)
+            found.append(xs[top_microstate_mask(xs, sigma, F, delta, metric, action)])
     return np.concatenate(found)
 
 
@@ -523,13 +546,16 @@ def _enumerate_equivariant(
     ``transfer[j]`` maps the root's value to x(j), and the root values that
     satisfy every edge are kept in increasing order.
 
-    The solutions are counted in mixed radix over these value lists, roots
-    in increasing order and the last fastest.  This is lexicographic: two
-    distinct solutions first differ at some coordinate j, and j is a root,
-    since x(j) is a function of the value at the root of j's component, which
-    is no later than j and where the two agree unless it is j itself.  So
-    their order is that of their first differing root values, which is the
-    mixed-radix order.
+    The output is built one component at a time from one empty row: every
+    row so far is repeated once for each valid value of the next component,
+    in increasing order, and that component's columns take the value's
+    transfer images.  So the solutions run in mixed radix over the value
+    lists, roots in increasing order and the last fastest.  This is
+    lexicographic: two distinct solutions first differ at some coordinate j,
+    and j is a root, since x(j) is a function of the value at the root of
+    j's component, which is no later than j and where the two agree unless
+    it is j itself.  So their order is that of their first differing root
+    values, which is the mixed-radix order.
     """
     d = sigma.d
     n = model.n_points
@@ -558,11 +584,14 @@ def _enumerate_equivariant(
     total = math.prod(len(v) for v in valid)
     if total > budget:
         raise BudgetExceededError(total, budget, "equivariant enumeration")
-    digits = mixed_radix(np.arange(total), [len(v) for v in valid])
-    roots = [v[digits[:, k]] for k, v in enumerate(valid)]
-    out = np.empty((total, d), dtype=np.int64)
-    for j in range(d):
-        out[:, j] = transfer[j, roots[comp[j]]]
+    if not total:
+        return np.empty((0, d), dtype=np.int64)
+    comp = np.array(comp)
+    out = np.empty((1, d), dtype=np.int64)
+    for k, v in enumerate(valid):
+        cols = np.flatnonzero(comp == k)
+        out = np.repeat(out, len(v), axis=0)
+        out.reshape(-1, len(v), d)[:, :, cols] = transfer[cols][:, v].T
     return out
 
 

@@ -126,6 +126,14 @@ class TestSiteMeasure:
             a.tv_distance(b)
         assert a == SiteMeasure.point_mass(cyclic_model(4), 1)
 
+    def test_point_mass_refuses_a_batch(self, z3):
+        # a batch of points used to raise a bare TypeError from int()
+        torus = TorusGridModel(3, 2)
+        for model, points in ((cyclic_model(4), [1, 2]), (torus, [[1, 2], [0, 0]])):
+            with pytest.raises(ValidationError, match="one point"):
+                SiteMeasure.point_mass(model, points)
+        assert SiteMeasure.point_mass(torus, [1, 2]) == SiteMeasure(torus, np.eye(9, dtype=np.int64)[5], 1)
+
     def test_zero_denominator_refused(self, z3):
         with pytest.raises(ValidationError, match="positive denominator"):
             SiteMeasure(z3, [0, 0, 0], 0)
@@ -239,6 +247,14 @@ class TestSupport:
             SampleBased(z3, np.empty((0, 2)), [], 0)
         with pytest.raises(ValidationError, match="positive denominator"):
             UniformOnSet(z3, np.empty((0, 2)))
+
+    def test_atoms_need_candidate_shape(self, z3):
+        # two 0-d atoms used to be accepted, and .d then raised IndexError
+        torus = TorusGridModel(3, 2)
+        for model, points in ((cyclic_model(4), [0, 1]), (z3, [[[0]], [[1]]]), (torus, [[1, 2], [0, 0]])):
+            with pytest.raises(ValidationError, match="atoms of shape"):
+                SampleBased(model, points, [1, 1], 2)
+        assert SampleBased(torus, [[[1, 2]], [[0, 0]]], [1, 1], 2).d == 1
 
     def test_mixture_parts_on_different_models_refused(self):
         # marginal used to raise a broadcast ValueError, and exact_support to

@@ -103,6 +103,24 @@ class TestRho2:
         with pytest.raises(Exception):
             rho2_sq(metric, np.array([0, 1]), np.array([0, 1, 0]))
 
+    def test_one_point_or_an_empty_candidate_is_refused(self):
+        # one point, on a finite model or a torus, used to raise a bare
+        # TypeError from summing the .tolist() of a 0-d array; an empty
+        # candidate divided by zero, and a batch raised TypeError too
+        finite, torus = discrete_metric(cyclic_model(3)), torus_metric(TorusGridModel(3, 2))
+        no_rows = np.zeros((0, 2), dtype=np.int64)
+        for metric, x, y in (
+            (finite, 1, 2),
+            (torus, [1, 2], [0, 0]),
+            (finite, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)),
+            (torus, no_rows, no_rows),
+            (finite, [[0, 1]], [[1, 1]]),
+            (torus, [[[1, 2]]], [[[0, 0]]]),
+        ):
+            with pytest.raises(ValidationError, match="two candidates of length d >= 1"):
+                rho2_sq(metric, x, y)
+        assert rho2_sq(finite, [1], [2]) == 1 and rho2_sq(torus, [[1, 2]], [[0, 0]]) == Fraction(2, 18)
+
     def test_doubled_metric_averages(self):
         m = cyclic_model(3)
         metric = discrete_metric(m)
@@ -1069,6 +1087,57 @@ def repair_cases(draw):
         maps.append((np.array(p, dtype=np.int64), np.array(m, dtype=np.int64)))
     x = np.array(draw(st.lists(st.integers(0, n - 1), min_size=d, max_size=d)), dtype=np.int64)
     return maps, n, x, draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 4 * d + 4))
+
+
+def _bound_cases():
+    """(label, sigma, F, delta, metric, action, block coordinates): the block
+    cases at every block constant of ``TestRowBlocks``, and two cases at d = 1
+    whose n exceeds the rows of one block, one of them at the default
+    constant."""
+    out = [
+        (f"{c[0]}-{block}", *c[1:6], block) for c in _block_cases() for block in TestRowBlocks.BLOCKS
+    ]
+    Z = GroupSpec.integers()
+    e, t = Z.identity(), Z.generator(0)
+    one = quotient_sofic(Z, {"kind": "cyclic-powers", "orders": [1]}, [e, t, Z.inverse(t)])
+    # Z/5 with the squared circle distance over 25, which delta^2 = 1/16
+    # exceeds, so that brute force runs
+    z5 = cyclic_model(5)
+    table = [[min((i - j) % 5, (j - i) % 5) ** 2 for j in range(5)] for i in range(5)]
+    circle = Pseudometric("circle", z5, table_num=table, den=25)
+    double = AutomorphismAction(Z, z5, generator_maps={"t": unit_automorphism(z5, 2)})
+    out.append(("finite-d1", one, (t,), Fraction(1, 4), circle, double, 2))
+    # 40,000 points of 2 residues each, against 2^15 // 2 = 16,384 rows a block
+    grid = TorusGridModel(200, 2)
+    sheared = AutomorphismAction(Z, grid, generator_maps={"t": np.array([[1, 1], [0, 1]])})
+    out.append(("torus-d1", one, (t,), Fraction(1, 4), torus_metric(grid), sheared, microstates._BLOCK_COORDS))
+    return out
+
+
+class TestBlockBound:
+    @pytest.mark.parametrize("case", _bound_cases(), ids=lambda c: c[0])
+    def test_blocks_stay_within_the_row_bound(self, monkeypatch, case):
+        # every block handed to the mask has at most the bound's rows, and the
+        # blocks run through every candidate once, in order; at d = 1 with
+        # n above the bound the one digit's range is cut into runs
+        _, sigma, F, delta, metric, action, coords = case
+        model, d = metric.model, sigma.d
+        bound = max(1, coords // (d * getattr(model, "sites", 1)))
+        monkeypatch.setattr(microstates, "_BLOCK_COORDS", coords)
+        mask, blocks = microstates.top_microstate_mask, []
+
+        def recording(xs, *args):
+            blocks.append(np.array(xs))
+            return mask(xs, *args)
+
+        monkeypatch.setattr(microstates, "top_microstate_mask", recording)
+        got = enumerate_top_microstates(model, sigma, F, delta, metric, action)
+        every = model.points_from_indices(np.array(list(itertools.product(range(model.n_points), repeat=d))))
+        assert max(len(b) for b in blocks) <= bound
+        assert np.array_equal(np.concatenate(blocks), every)
+        assert np.array_equal(got, every[mask(every, sigma, F, delta, metric, action)])
+        if d == 1:
+            assert model.n_points > bound
 
 
 class TestRepairWalk:
