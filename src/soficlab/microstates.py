@@ -16,8 +16,9 @@ exact panel functions alike.
 Membership streams: a batch is tested one row block of ``_BLOCK_COORDS``
 coordinates at a time.  Brute-force enumeration tests its n^d candidates in
 blocks of no more rows, so it holds one block plus the survivors.  A block is
-the n^k candidates that share their first d - k digits: the last k digits
-come from one table built once, and only the prefix is written per block.
+q consecutive prefixes of d - k digits, each followed by all n^k tails, with
+k and then q as large as the bound allows: the last k digits come from one
+table written once, and only the prefixes are written per block.
 Candidates are read by the model, which refuses floats and entries out of
 range; the metric, the action and every model must share one group law.
 """
@@ -482,11 +483,13 @@ def enumerate_top_microstates(
     force within budget.  Brute force runs through the n^d candidates in
     lexicographic order, in blocks of at most ``_BLOCK_COORDS`` coordinates
     (and at least one row), each tested by ``top_microstate_mask``, so it
-    holds one block plus the survivors.  A block is the n^k candidates that
-    share their first d - k digits, k as large as that bound allows: their
-    last k digits are one table, built once, and the blocks run over the
-    prefixes.  When n alone exceeds the bound, the last digit's range is
-    cut into runs.  The budget counts all n^d candidates, and
+    holds one block plus the survivors.  A block is q consecutive prefixes
+    of d - k digits, each followed by all n^k tails: k is the largest with
+    n^k rows within the bound, and q the most such runs that fit, so a
+    block holds more than half the bound's rows unless it is the last.
+    The tails are one table, built once, and only the prefixes are written
+    per block; k = 0 when n alone exceeds the bound, and a block is then a
+    run of consecutive candidates.  The budget counts all n^d candidates, and
     BudgetExceededError is raised before any is built.  The kernel of an
     algebraic action model is listed by its own ``enumerate_kernel``.
     """
@@ -503,27 +506,22 @@ def enumerate_top_microstates(
     if total > budget:
         raise BudgetExceededError(total, budget, "candidate enumeration")
     rows = max(1, _BLOCK_COORDS // (d * np.size(model.identity)))
-    k = 0  # the number of trailing digits one block runs through
+    k = 0  # the trailing digits that run through all n^k values in a block
     while k < d and n ** (k + 1) <= rows:
         k += 1
-    if k:
-        tails = [mixed_radix(np.arange(n**k), [n] * k)]
-    else:  # n alone exceeds a block: the last digit's range is cut into runs
-        k = 1
-        tails = [np.arange(s, min(s + rows, n))[:, None] for s in range(0, n, rows)]
+    heads = n ** (d - k)
+    q = min(rows // n**k, heads)  # a block is q prefixes times the n^k tails
     # one buffer serves every block, since boolean selection copies the
-    # survivors; one tail is written into it once
-    block = np.empty((len(tails[0]), d), dtype=np.int64)
-    block[:, d - k :] = tails[0]
+    # survivors; its tail columns are written once
+    block = np.empty((q, n**k, d), dtype=np.int64)
+    block[:, :, d - k :] = mixed_radix(np.arange(n**k), [n] * k)
     found = []
-    for head in mixed_radix(np.arange(n ** (d - k)), [n] * (d - k)):
-        for tail in tails:
-            ids = block[: len(tail)]
-            ids[:, : d - k] = head
-            if len(tails) > 1:
-                ids[:, d - k :] = tail
-            xs = model.points_from_indices(ids)
-            found.append(xs[top_microstate_mask(xs, sigma, F, delta, metric, action)])
+    for s in range(0, heads, q):
+        head = mixed_radix(np.arange(s, min(s + q, heads)), [n] * (d - k))
+        ids = block[: len(head)]
+        ids[:, :, : d - k] = head[:, None]
+        xs = model.points_from_indices(ids.reshape(-1, d))
+        found.append(xs[top_microstate_mask(xs, sigma, F, delta, metric, action)])
     return np.concatenate(found)
 
 

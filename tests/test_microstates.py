@@ -927,6 +927,26 @@ def _all_points(case):
     return metric.model.points_from_indices(np.array(list(itertools.product(range(n), repeat=d))))
 
 
+def _enumerate_in_blocks(monkeypatch, case, sigma):
+    """Brute enumeration of the case's Map at ``sigma``, recording every
+    block handed to the mask: each has at most the bound's rows, and the
+    blocks run through every candidate once, in order."""
+    _, _, F, delta, metric, action, *_ = case
+    mask, blocks = microstates.top_microstate_mask, []
+
+    def recording(xs, *args):
+        blocks.append(np.array(xs))
+        return mask(xs, *args)
+
+    monkeypatch.setattr(microstates, "top_microstate_mask", recording)
+    got = enumerate_top_microstates(metric.model, sigma, F, delta, metric, action)
+    monkeypatch.setattr(microstates, "top_microstate_mask", mask)
+    bound = max(1, microstates._BLOCK_COORDS // (sigma.d * np.size(metric.model.identity)))
+    assert max(len(b) for b in blocks) <= bound
+    assert np.array_equal(np.concatenate(blocks), _all_points((None, sigma, *case[2:])))
+    return got
+
+
 class TestRowBlocks:
     """Masks and brute enumeration with the block constant cut to a few
     coordinates, so that block boundaries fall everywhere, against the
@@ -967,8 +987,20 @@ class TestRowBlocks:
         assert 0 < len(want) < len(every)
         for block in self.BLOCKS:
             monkeypatch.setattr(microstates, "_BLOCK_COORDS", block)
-            got = enumerate_top_microstates(metric.model, sigma, F, delta, metric, action)
+            got = _enumerate_in_blocks(monkeypatch, case, sigma)
             assert got.dtype == np.int64 and got.shape == want.shape and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("case", _block_cases()[::2], ids=lambda c: c[0])
+    def test_one_digit_wider_than_a_block(self, monkeypatch, case):
+        # at d = 1, with 2 coordinates a block, the 5 points of Z/5 and the 9
+        # of the 3-grid exceed a block's rows, so the digit's range is cut
+        _, sigma, F, delta, metric, action, _, sq, den, move, index = case
+        one = quotient_sofic(sigma.group, {"kind": "cyclic-powers", "orders": [1]}, list(sigma.table))
+        monkeypatch.setattr(microstates, "_BLOCK_COORDS", 2)
+        assert not forces_exact_equivariance(metric, delta, 1)
+        every = _all_points((None, one, *case[2:]))
+        want = every[_reference_mask(every, one, F, delta, (), None, sq, den, move, index)]
+        assert np.array_equal(_enumerate_in_blocks(monkeypatch, case, one), want)
 
     @pytest.mark.parametrize("case", _block_cases(), ids=lambda c: c[0])
     def test_no_survivors_keep_the_candidate_shape(self, monkeypatch, case):
@@ -1087,57 +1119,6 @@ def repair_cases(draw):
         maps.append((np.array(p, dtype=np.int64), np.array(m, dtype=np.int64)))
     x = np.array(draw(st.lists(st.integers(0, n - 1), min_size=d, max_size=d)), dtype=np.int64)
     return maps, n, x, draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 4 * d + 4))
-
-
-def _bound_cases():
-    """(label, sigma, F, delta, metric, action, block coordinates): the block
-    cases at every block constant of ``TestRowBlocks``, and two cases at d = 1
-    whose n exceeds the rows of one block, one of them at the default
-    constant."""
-    out = [
-        (f"{c[0]}-{block}", *c[1:6], block) for c in _block_cases() for block in TestRowBlocks.BLOCKS
-    ]
-    Z = GroupSpec.integers()
-    e, t = Z.identity(), Z.generator(0)
-    one = quotient_sofic(Z, {"kind": "cyclic-powers", "orders": [1]}, [e, t, Z.inverse(t)])
-    # Z/5 with the squared circle distance over 25, which delta^2 = 1/16
-    # exceeds, so that brute force runs
-    z5 = cyclic_model(5)
-    table = [[min((i - j) % 5, (j - i) % 5) ** 2 for j in range(5)] for i in range(5)]
-    circle = Pseudometric("circle", z5, table_num=table, den=25)
-    double = AutomorphismAction(Z, z5, generator_maps={"t": unit_automorphism(z5, 2)})
-    out.append(("finite-d1", one, (t,), Fraction(1, 4), circle, double, 2))
-    # 40,000 points of 2 residues each, against 2^15 // 2 = 16,384 rows a block
-    grid = TorusGridModel(200, 2)
-    sheared = AutomorphismAction(Z, grid, generator_maps={"t": np.array([[1, 1], [0, 1]])})
-    out.append(("torus-d1", one, (t,), Fraction(1, 4), torus_metric(grid), sheared, microstates._BLOCK_COORDS))
-    return out
-
-
-class TestBlockBound:
-    @pytest.mark.parametrize("case", _bound_cases(), ids=lambda c: c[0])
-    def test_blocks_stay_within_the_row_bound(self, monkeypatch, case):
-        # every block handed to the mask has at most the bound's rows, and the
-        # blocks run through every candidate once, in order; at d = 1 with
-        # n above the bound the one digit's range is cut into runs
-        _, sigma, F, delta, metric, action, coords = case
-        model, d = metric.model, sigma.d
-        bound = max(1, coords // (d * getattr(model, "sites", 1)))
-        monkeypatch.setattr(microstates, "_BLOCK_COORDS", coords)
-        mask, blocks = microstates.top_microstate_mask, []
-
-        def recording(xs, *args):
-            blocks.append(np.array(xs))
-            return mask(xs, *args)
-
-        monkeypatch.setattr(microstates, "top_microstate_mask", recording)
-        got = enumerate_top_microstates(model, sigma, F, delta, metric, action)
-        every = model.points_from_indices(np.array(list(itertools.product(range(model.n_points), repeat=d))))
-        assert max(len(b) for b in blocks) <= bound
-        assert np.array_equal(np.concatenate(blocks), every)
-        assert np.array_equal(got, every[mask(every, sigma, F, delta, metric, action)])
-        if d == 1:
-            assert model.n_points > bound
 
 
 class TestRepairWalk:
