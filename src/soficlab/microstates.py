@@ -14,18 +14,20 @@ delta, including 0).  ``_band`` is that one rule, for the top test and for
 exact panel functions alike.
 
 Membership streams: a batch is tested one row block of ``_BLOCK_COORDS``
-coordinates at a time.  Brute-force enumeration tests its n^d candidates in
-blocks of no more rows, so it holds one block plus the survivors.  A block is
-q consecutive prefixes of d - k digits, each followed by all n^k tails, with
-k and then q as large as the bound allows: the last k digits come from one
-table written once, and only the prefixes are written per block.
+coordinates at a time, and each block is copied once coordinates first, so
+that sigma(g) moves whole rows of the copy and every integer sum over the d
+coordinates adds d contiguous rows.  Brute-force enumeration tests its n^d
+candidates in blocks of no more rows, so it holds one block plus the
+survivors.  A block is q consecutive prefixes of d - k digits, each followed
+by all n^k tails, with k and then q as large as the bound allows: the last k
+digits come from one table written once, and only the prefixes are written
+per block.
 Candidates are read by the model, which refuses floats and entries out of
 range; the metric, the action and every model must share one group law.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -166,10 +168,15 @@ def _sq_nums(metric: Pseudometric, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     x, y are int64 arrays of points of matching shape: indices (...) for a
     table metric, residue rows (..., sites) for a torus metric, whose sites
-    axis is summed.  The result has the leading point shape (...).
+    axis is summed.  The result has the leading point shape (...), which
+    membership gives as (d, rows) for a coordinates-first block.  An n x n
+    table is read by one gather from its flat view, at x * n + y.
     """
-    if metric.table_num is not None:
-        return metric.table_num[x, y]
+    table = metric.table_num
+    if isinstance(table, PairTable):
+        return table[x, y]
+    if table is not None:
+        return table.ravel().take(x * table.shape[0] + y)
     q = metric.model.q
     dx = np.abs(x - y)
     m = np.minimum(dx, q - dx)
@@ -184,11 +191,6 @@ def rho2_sq(metric: Pseudometric, x: np.ndarray, y: np.ndarray) -> Fraction:
     if x.shape != y.shape or x.ndim != 1 + np.ndim(metric.model.identity) or not len(x):
         raise ValidationError(f"rho2 needs two candidates of length d >= 1 of one shape, not {x.shape} and {y.shape}")
     return Fraction(sum(_sq_nums(metric, x, y).tolist()), x.shape[0] * metric.den)
-
-
-def rho2(metric: Pseudometric, x: np.ndarray, y: np.ndarray) -> float:
-    """The normalized l2 average of point distances, as a float."""
-    return math.sqrt(float(rho2_sq(metric, x, y)))
 
 
 _INT64 = np.iinfo(np.int64)
@@ -253,15 +255,18 @@ class TestFunction:
 
     def means(self, idx: np.ndarray):
         """Empirical mean over coordinates for a batch of candidates, given
-        by their point indices ``idx`` of shape (N, d).
+        by their point indices ``idx`` of shape (N, d), in any memory layout.
 
         Returns (nums, den) with mean = num/den for exact functions, or a
-        float array otherwise.  Each row is summed by numpy's own reduction,
-        whose rounding the float thresholds see.  Membership hands it one
-        row block at a time, so the gathered values stay small.
+        float array otherwise.  The values are gathered into a new array of
+        rows, so each row is summed by numpy's own pairwise reduction, whose
+        rounding the float thresholds see.  Membership calls it for float
+        functions only, on the transpose of a coordinates-first block: a sum
+        over the coordinates axis of that block would add the terms in
+        another order and could round differently.
         """
         d = idx.shape[-1]
-        sums = self.values[idx].sum(axis=-1)
+        sums = self.values.take(idx).sum(axis=-1)
         if self.exact:
             return sums, d * self.den
         return sums / d
@@ -321,6 +326,15 @@ def default_panel(model: CompactGroupModel, scale: Fraction = Fraction(1)) -> tu
     return tuple(fns)
 
 
+def _read_delta(delta) -> Fraction:
+    """A threshold delta as a Fraction; a negative one is refused, since the
+    tests square it."""
+    delta = Fraction(delta)
+    if delta < 0:
+        raise ValidationError("delta must be >= 0")
+    return delta
+
+
 @dataclass(frozen=True)
 class MapWindow:
     """The (F, delta, L, mu) data cutting out Map_mu inside X^d."""
@@ -331,9 +345,7 @@ class MapWindow:
     target: SiteMeasure
 
     def __post_init__(self):
-        if self.delta < 0:
-            raise ValidationError("delta must be >= 0")
-        object.__setattr__(self, "delta", Fraction(self.delta))
+        object.__setattr__(self, "delta", _read_delta(self.delta))
 
 
 # ---------------------------------------------------------------------------
@@ -343,24 +355,29 @@ class MapWindow:
 
 def _membership(sigma: SoficApproximation, F, delta, L, target: SiteMeasure | None, metric: Pseudometric, action) -> Callable:
     """Map_mu membership (Map when L is empty) of candidate batches of length
-    sigma.d, as a function of the batch.  The window (by ``sigma.perm``), the
-    models' group laws and the panel lengths are checked, and every band
-    computed, once here: rho2^2 < delta^2 bands the squared distance sums
-    around 0, and an exact panel function bands its value sums around its
-    integral.  Float panel functions are compared as floats.  An edge g with sigma(g) the identity permutation and g acting as the
-    identity map has squared distance sum 0, which the band always admits,
-    so it is dropped here.
+    sigma.d, as a function of the batch.  delta is read (a negative one is
+    refused), the window (by ``sigma.perm``), the models' group laws and the
+    panel lengths are checked, and every band computed, once here:
+    rho2^2 < delta^2 bands the squared distance sums around 0, and an exact
+    panel function bands its value sums around its integral.  Float panel
+    functions are compared as floats.  An edge g with sigma(g) the identity
+    permutation and g acting as the identity map has squared distance sum 0,
+    which the band always admits, so it is dropped here.
 
     The function tests a batch ``_BLOCK_COORDS`` coordinates at a time, so
     every temporary is the size of one row block.  A batch must have shape
-    (N, d) for a finite model or (N, d, sites) for a torus, and each block is
-    read once by the model, before any edge is tested, so anything but model
-    points raises ValidationError.
+    (N, d) for a finite model or (N, d, sites) for a torus.  Each block is
+    copied coordinates first, to shape (d, rows[, sites]), and read once by
+    the model before any edge is tested, so anything but model points raises
+    ValidationError.  sigma(g) then reindexes whole rows of the copy, and the
+    squared distances and exact panel values are summed over its first axis.
+    Float panel functions are summed one candidate at a time by
+    ``TestFunction.means``, so their rounding does not depend on the layout.
 
     The sums are int64 sums of d terms, so OverflowError is raised when d
     times the largest squared distance, or d times an exact panel function's
     largest |value|, reaches 2^63."""
-    delta, d = Fraction(delta), sigma.d
+    delta, d = _read_delta(delta), sigma.d
     m = metric.model
     _check_same_model(m, action.model)
     if L:
@@ -390,16 +407,16 @@ def _membership(sigma: SoficApproximation, F, delta, L, target: SiteMeasure | No
             raise ValidationError(f"candidates of {m!r} at d = {d} need shape (N, {', '.join(map(str, shape))})")
         ok = np.ones(xs.shape[0], dtype=bool)
         for s in range(0, xs.shape[0], rows):
-            block, out = xs[s : s + rows], ok[s : s + rows]
-            idx = m.point_indices(block) if panel else m.read_points(block, "candidates")
+            cols, out = np.moveaxis(xs[s : s + rows], 1, 0).copy(), ok[s : s + rows]
+            idx = m.point_indices(cols) if panel else m.read_points(cols, "candidates")
             for g, p in edges:
-                nums = _sq_nums(metric, action.act_candidates(g, block), block[:, p]).sum(axis=-1)
+                nums = _sq_nums(metric, action.act_candidates(g, cols), cols[p]).sum(axis=0)
                 out &= _in_range(nums, *top)
             for f, bound in panel:
                 if f.exact:
-                    out &= _in_range(f.means(idx)[0], *bound)
+                    out &= _in_range(f.values.take(idx).sum(axis=0), *bound)
                 else:
-                    gap = np.abs(f.means(idx) - bound)
+                    gap = np.abs(f.means(idx.T) - bound)
                     out &= (gap < float(delta)) | (gap == 0)
         return ok
 
@@ -493,7 +510,7 @@ def enumerate_top_microstates(
     BudgetExceededError is raised before any is built.  The kernel of an
     algebraic action model is listed by its own ``enumerate_kernel``.
     """
-    delta = Fraction(delta)
+    delta = _read_delta(delta)
     _check_same_model(model, metric.model)
     _check_same_model(model, action.model)
     if (
@@ -710,8 +727,11 @@ def _repair(x: np.ndarray, eqs, n: int, rng: np.random.Generator, rounds: int) -
 
 
 def empirical_pushforward(x: np.ndarray, model: CompactGroupModel) -> SiteMeasure:
-    """The empirical distribution of the coordinates of x (total mass 1)."""
+    """The empirical distribution of the coordinates of x (total mass 1).
+    x is one candidate of length d >= 1."""
     idx = model.point_indices(x)
+    if idx.ndim != 1 or not len(idx):
+        raise ValidationError(f"a pushforward needs one candidate of length d >= 1, not shape {np.shape(x)}")
     counts = np.bincount(idx, minlength=model.n_points)
     return SiteMeasure(model, counts, int(counts.sum()))
 
@@ -740,18 +760,3 @@ def psi_window(p, W: Sequence[GroupElement], action: AutomorphismAction) -> tupl
     x = action.model.read_points(p, "a point")
     out = [action.act_candidates(action.group.inverse(g), x).tolist() for g in W]
     return tuple(map(tuple, out)) if x.ndim else tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# import/export
-# ---------------------------------------------------------------------------
-
-
-def save_microstates(path, xs: np.ndarray, manifest: dict) -> None:
-    """Persist a microstate set as arrays plus a JSON manifest."""
-    np.savez_compressed(path, points=xs, manifest=json.dumps(manifest, sort_keys=True))
-
-
-def load_microstates(path) -> tuple[np.ndarray, dict]:
-    data = np.load(path, allow_pickle=False)
-    return data["points"], json.loads(str(data["manifest"]))

@@ -41,13 +41,10 @@ from soficlab.microstates import (
     indicator_panel,
     is_meas_microstate,
     is_top_microstate,
-    load_microstates,
     psi_window,
-    rho2,
     rho2_sq,
     sample_microstates,
     meas_microstate_mask,
-    save_microstates,
     shift_lift,
     top_microstate_mask,
     torus_metric,
@@ -69,25 +66,27 @@ class TestRho2:
         m = cyclic_model(2)
         metric = discrete_metric(m)
         x = np.array([0, 1, 0, 1])
-        assert rho2(metric, x, x) == 0.0
         assert rho2_sq(metric, x, x) == 0
 
     def test_single_mismatch_value(self):
-        # discrete metric on Z/2, d=4, one mismatch: rho2 = sqrt(1/4) = 1/2
+        # discrete metric on Z/2, d=4, one mismatch: rho2^2 = 1/4
         m = cyclic_model(2)
         metric = discrete_metric(m)
         x = np.array([0, 0, 0, 0])
         y = np.array([1, 0, 0, 0])
         assert rho2_sq(metric, x, y) == Fraction(1, 4)
-        assert rho2(metric, x, y) == 0.5
 
     def test_triangle_inequality_random(self):
         m = cyclic_model(3)
         metric = discrete_metric(m)
         rng = np.random.default_rng(0)
+
+        def rho2(a, b):
+            return math.sqrt(float(rho2_sq(metric, a, b)))
+
         for _ in range(100):
             x, y, z = (rng.integers(0, 3, size=6) for _ in range(3))
-            assert rho2(metric, x, y) <= rho2(metric, x, z) + rho2(metric, z, y) + 1e-12
+            assert rho2(x, y) <= rho2(x, z) + rho2(z, y) + 1e-12
 
     def test_torus_metric_exact(self):
         t = TorusGridModel(8, 1)
@@ -551,21 +550,6 @@ class TestEmpiricalAndLifts:
         # t^-1.(3, 4) = (3 - 4, 4)
         out = psi_window((3, 4), [Z.identity(), Z.generator(0)], shear)
         assert out == ((3, 4), (4, 4)) and all(type(v) is tuple and type(v[0]) is int for v in out)
-
-
-class TestExport:
-    def test_round_trip(self, tmp_path, neg_setup):
-        group, model, action, sigma = neg_setup
-        metric = discrete_metric(model)
-        xs = enumerate_top_microstates(
-            model, sigma, list(group.elements()), Fraction(1, 4), metric, action
-        )
-        path = tmp_path / "micro.npz"
-        manifest = {"sigma": "Z/2 regular", "delta": "1/4", "F": ["e", "t"]}
-        save_microstates(path, xs, manifest)
-        back, mani = load_microstates(path)
-        assert (back == xs).all()
-        assert mani == manifest
 
 
 def _regular_z2():
@@ -1069,6 +1053,60 @@ class TestRowBlocks:
         assert moved == [t3] and ok.sum() == 1 and ok[0]
 
 
+class TestCoordinatesFirst:
+    """Membership copies each block coordinates first; its masks are those
+    of the definition for any window, batch and block size."""
+
+    CASES = _block_cases()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_masks_match_the_reference(self, data):
+        case = data.draw(st.sampled_from(self.CASES), label="case")
+        _, sigma, _, _, metric, action, panel, sq, den, move, index = case
+        support = list(sigma.table)
+        keep = data.draw(st.lists(st.booleans(), min_size=len(support), max_size=len(support)), label="F")
+        F = tuple(g for g, k in zip(support, keep) if k)
+        delta = data.draw(st.just(Fraction(0)) | st.fractions(0, 1, max_denominator=12), label="delta")
+        n = metric.model.n_points
+        weights = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any), label="target")
+        target = SiteMeasure(metric.model, np.array(weights), sum(weights))
+        every = _all_points(case)
+        rows = data.draw(st.lists(st.integers(0, len(every) - 1), max_size=40) | st.lists(st.just(0), max_size=1), label="rows")
+        batch = every[np.array(rows, dtype=np.int64)].reshape((len(rows),) + every.shape[1:])
+        block = data.draw(st.sampled_from((1, 29, 2**15)), label="block")
+        window = MapWindow(F=F, delta=delta, L=panel, target=target)
+        top = _reference_mask(batch, sigma, F, delta, (), None, sq, den, move, index)
+        meas = _reference_mask(batch, sigma, F, delta, panel, target, sq, den, move, index)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(microstates, "_BLOCK_COORDS", block)
+            got_top = top_microstate_mask(batch, sigma, F, delta, metric, action)
+            got_meas = meas_microstate_mask(batch, sigma, window, metric, action)
+        assert got_top.dtype == bool and got_top.tolist() == top.tolist()
+        assert got_meas.dtype == bool and got_meas.tolist() == meas.tolist()
+
+    def test_float_panels_keep_the_row_sum(self):
+        # d = 9: numpy sums a row pairwise (eight partial sums, then the
+        # ninth term), and a sum over the first axis of a coordinates-first
+        # block adds the terms one at a time; here the two differ in the last
+        # bit, and delta is the column order's gap to the integral, which the
+        # row order's smaller gap passes and the column order's would not
+        Z = GroupSpec.integers()
+        sigma = quotient_sofic(Z, {"kind": "cyclic-powers", "orders": [9]}, [Z.identity()])
+        model = cyclic_model(3)
+        f = PanelFunction("f", values=np.array([0.1, 0.2, 0.7]))
+        x = np.array([2, 2, 0, 2, 1, 1, 1, 0, 2])
+        t = f.integral(SiteMeasure.uniform(model))
+        row = f.values[x].sum()
+        column = f.values.take(np.repeat(x[:, None], 64, axis=1)).sum(axis=0)[0]
+        assert row == 3.5999999999999996 and column == 3.6000000000000005
+        assert abs(row / 9 - t) < abs(column / 9 - t)
+        window = MapWindow(F=(), delta=Fraction(abs(column / 9 - t)), L=(f,), target=SiteMeasure.uniform(model))
+        xs = np.repeat(x[None], 64, axis=0)
+        got = meas_microstate_mask(xs, sigma, window, discrete_metric(model), trivial_action(Z, model))
+        assert got.all()
+
+
 # -- the repair walk ----------------------------------------------------------
 
 
@@ -1205,3 +1243,46 @@ def test_refusals_are_pinned(case):
     _, call, error, message = case
     with pytest.raises(error, match=message):
         call()
+
+
+def test_a_negative_delta_is_refused_everywhere():
+    # the masks and brute force squared delta, so -3/4 acted as 3/4: brute
+    # force listed 39 rows on the 4-cycle, and [0, 0, 0, 1], at rho2^2 = 1/2,
+    # passed the top mask
+    Z = GroupSpec.integers()
+    t = Z.generator(0)
+    sigma = quotient_sofic(Z, {"kind": "cyclic-powers", "orders": [4]}, [Z.identity(), t, Z.inverse(t)])
+    model = cyclic_model(3)
+    metric = discrete_metric(model)
+    neg = AutomorphismAction(Z, model, generator_maps={"t": unit_automorphism(model, -1)})
+    x = np.array([[0, 0, 0, 1]])
+    assert len(enumerate_top_microstates(model, sigma, (t,), Fraction(3, 4), metric, neg)) == 39
+    assert len(enumerate_top_microstates(model, sigma, (t,), Fraction(0), metric, neg)) == 3
+    assert rho2_sq(metric, neg.act_candidates(t, x[0]), x[0, sigma.perm(t)]) == Fraction(1, 2)
+    assert top_microstate_mask(x, sigma, (t,), Fraction(3, 4), metric, neg).tolist() == [True]
+    uniform = SiteMeasure.uniform(model)
+    for call in (
+        lambda: enumerate_top_microstates(model, sigma, (t,), Fraction(-3, 4), metric, neg),
+        lambda: enumerate_top_microstates(model, sigma, (t,), -1, metric, neg),
+        lambda: top_microstate_mask(x, sigma, (t,), Fraction(-3, 4), metric, neg),
+        lambda: top_microstate_mask(x[:0], sigma, (), Fraction(-1, 4), metric, neg),
+        lambda: MapWindow(F=(t,), delta=Fraction(-3, 4), L=(), target=uniform),
+    ):
+        with pytest.raises(ValidationError, match="delta must be >= 0"):
+            call()
+
+
+def test_empirical_pushforward_takes_one_candidate():
+    # a batch raised a bare ValueError from np.bincount
+    model, torus = cyclic_model(3), TorusGridModel(3, 2)
+    for x, m in (
+        (np.zeros((2, 3), dtype=np.int64), model),
+        (np.zeros((2, 3, 2), dtype=np.int64), torus),
+        (np.zeros(0, dtype=np.int64), model),
+        (np.zeros((0, 2), dtype=np.int64), torus),
+        (1, model),
+        ([1, 2], torus),
+    ):
+        with pytest.raises(ValidationError, match="one candidate of length d >= 1"):
+            empirical_pushforward(x, m)
+    assert empirical_pushforward([[1, 2], [1, 2]], torus).weights()[5] == 1
