@@ -3,8 +3,8 @@ and the algebraic actions presented by integer group matrices.
 
 Three model classes stand in for the compact group X:
 
-* ``FiniteGroupModel``: an explicit finite group (element list, multiplication
-  and inverse tables).  Points are integer indices into ``labels``.
+* ``FiniteGroupModel``: an explicit finite group (element list and
+  multiplication table).  Points are integer indices into ``labels``.
 * ``PairModel``: the doubled model X x X of a finite model, as built by
   ``product_model``.  Points are the pair indices i*n + j; the group law
   decodes them to the factor's tables, so doubling costs O(1) memory beyond
@@ -21,7 +21,7 @@ interface is one set of vectorized calls on candidate arrays, with no
 one-point copy; a single point is an array of one point:
 
 * ``n_points``, ``identity`` and ``name`` describe the model;
-* ``candidate_mul(a, b)`` and ``candidate_inv(a)`` are the group law;
+* ``candidate_mul(a, b)`` is the group law;
 * ``read_points(x, what)`` returns x as an int64 view, or raises
   ValidationError unless it holds points: indices 0..n-1, or rows of
   ``sites`` residues 0..q-1.  Points are read only through it;
@@ -81,7 +81,7 @@ class FiniteModel:
 
     Subclasses supply ``n_points``, ``identity``, ``name``, ``generators``
     (point indices whose right products, starting from the identity, reach
-    every point) and the group law ``candidate_mul`` and ``candidate_inv``.
+    every point) and the group law ``candidate_mul``.
     Only ``FiniteGroupModel`` names its points, by ``labels``; a
     ``PairModel``'s points are named by its factor's.  The base class adds the
     rest of the one model interface: ``read_points``, ``point_indices``,
@@ -152,7 +152,7 @@ class FiniteGroupModel(FiniteModel):
         n = len(self.labels)
         if self.mul.shape != (n, n):
             raise ValidationError("multiplication table shape mismatch")
-        self.identity, self.inv, self.generators = _validate_table(self.mul)
+        self.identity, _, self.generators = _validate_table(self.mul)
 
     @property
     def n_points(self) -> int:
@@ -160,9 +160,6 @@ class FiniteGroupModel(FiniteModel):
 
     def candidate_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self.mul[a, b]
-
-    def candidate_inv(self, a: np.ndarray) -> np.ndarray:
-        return self.inv[a]
 
 
 class PairModel(FiniteModel):
@@ -191,11 +188,6 @@ class PairModel(FiniteModel):
         b1, b2 = np.divmod(b, n)
         return self.factor.candidate_mul(a1, b1) * n + self.factor.candidate_mul(a2, b2)
 
-    def candidate_inv(self, a: np.ndarray) -> np.ndarray:
-        n = self.factor.n_points
-        a1, a2 = np.divmod(a, n)
-        return self.factor.candidate_inv(a1) * n + self.factor.candidate_inv(a2)
-
 
 class TorusGridModel:
     """The grid ((1/q)Z/Z)^sites; points are residue tuples, exact arithmetic.
@@ -222,9 +214,6 @@ class TorusGridModel:
     # candidate arrays are int64 of shape (d, sites) or (N, d, sites)
     def candidate_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return (a + b) % self.q
-
-    def candidate_inv(self, a: np.ndarray) -> np.ndarray:
-        return (-a) % self.q
 
     # points are residue rows with their lexicographic index
     def read_points(self, x, what: str = "points") -> np.ndarray:

@@ -268,25 +268,6 @@ class GroupSpec:
             out = self.multiply(out, self.power(base, exp))
         return out
 
-    def ball(self, radius: int) -> tuple[GroupElement, ...]:
-        """All products of at most ``radius`` generators/inverses, identity included."""
-        seen = {self.identity()}
-        frontier = [self.identity()]
-        steps = []
-        for i in range(len(self.generators)):
-            g = self.generator(i)
-            steps += [g, self.inverse(g)]
-        for _ in range(radius):
-            nxt = []
-            for a in frontier:
-                for s in steps:
-                    b = self.multiply(a, s)
-                    if b not in seen:
-                        seen.add(b)
-                        nxt.append(b)
-            frontier = nxt
-        return tuple(sorted(seen, key=_sort_key))
-
     def elements(self) -> tuple[GroupElement, ...]:
         """All elements (finite groups only)."""
         if self.kind == "table":
@@ -466,12 +447,6 @@ class SoficDefectReport:
 
     pair_defects: Mapping[tuple[GroupElement, GroupElement], Fraction]
     fixed_fractions: Mapping[GroupElement, Fraction]
-
-    def max_pair_defect(self) -> Fraction:
-        return max(self.pair_defects.values(), default=Fraction(0))
-
-    def max_fixed_fraction(self) -> Fraction:
-        return max(self.fixed_fractions.values(), default=Fraction(0))
 
 
 def _is_permutation(arr: np.ndarray, d: int) -> bool:

@@ -2,18 +2,17 @@
 
 ``SiteMeasure`` is an exact finitely-supported measure on the model points
 (integer weights over a common denominator).  ``ModelMeasure`` is the union of
-the five candidate-space variants: product measures (``ProductMeasure``),
-lazy convolutions (``Convolution``), weighted atom lists (``SampleBased``),
-convex mixtures (``Mixture``) and the lazy doubled measure mu (x) mu on the
-product model (``Doubled``).
+the four candidate-space variants: product measures (``ProductMeasure``),
+lazy convolutions (``Convolution``), weighted atom lists (``SampleBased``)
+and the lazy doubled measure mu (x) mu on the product model (``Doubled``).
 
 ``SampleBased`` is the one atom list.  ``PointMass`` and ``UniformOnSet``
 build it, ``exact_support`` materializes every variant as one, and
 ``convolve`` returns one for small exact supports.  Atoms that a convolution
-or a mixture makes equal are merged, and the merged atoms come in
-lexicographic order of their candidate rows.  ``doubled`` keeps two
-structural shortcuts, a product of doubled sites and a convolution of doubled
-factors, and returns ``Doubled`` for every other variant.
+makes equal are merged, and the merged atoms come in lexicographic order of
+their candidate rows.  ``doubled`` keeps two structural shortcuts, a product
+of doubled sites and a convolution of doubled factors, and returns
+``Doubled`` for every other variant.
 
 Weights are exact rationals wherever the variant is exact; Monte Carlo paths
 are reproducible from the generator handed in.  Total mass 1 is enforced at
@@ -241,32 +240,6 @@ def UniformOnSet(model: CompactGroupModel, points) -> SampleBased:
 
 
 @dataclass(frozen=True)
-class Mixture:
-    """Convex combination of measures on the same candidate space."""
-
-    parts: tuple
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.parts) != len(self.coeffs) or not self.parts:
-            raise ValidationError("one coefficient per part")
-        if sum(self.coeffs, Fraction(0)) != 1:
-            raise ValidationError("mixture coefficients must sum to 1")
-        if len({p.d for p in self.parts}) != 1:
-            raise ValidationError("mixture parts must share d")
-        for p in self.parts[1:]:
-            _check_same_model(self.parts[0].model, p.model)
-
-    @property
-    def model(self):
-        return self.parts[0].model
-
-    @property
-    def d(self) -> int:
-        return self.parts[0].d
-
-
-@dataclass(frozen=True)
 class Doubled:
     """The product measure inner (x) inner on the doubled model."""
 
@@ -281,7 +254,7 @@ class Doubled:
         return self.inner.d
 
 
-ModelMeasure = ProductMeasure | Convolution | SampleBased | Mixture | Doubled
+ModelMeasure = ProductMeasure | Convolution | SampleBased | Doubled
 
 
 def is_exact(mu: ModelMeasure) -> bool:
@@ -292,8 +265,6 @@ def is_exact(mu: ModelMeasure) -> bool:
         return mu.exact
     if isinstance(mu, Convolution):
         return is_exact(mu.left) and is_exact(mu.right)
-    if isinstance(mu, Mixture):
-        return all(is_exact(p) for p in mu.parts)
     return is_exact(mu.inner)
 
 
@@ -303,8 +274,8 @@ def is_exact(mu: ModelMeasure) -> bool:
 def marginal(mu: ModelMeasure, j: int) -> tuple[SiteMeasure, bool]:
     """Coordinate-j marginal and whether it is exact.
 
-    Exact for products, exact atom lists, and convolutions, mixtures and
-    doublings of exacts; sample-estimated (flagged) for Monte Carlo atoms.
+    Exact for products, exact atom lists, and convolutions and doublings of
+    exacts; sample-estimated (flagged) for Monte Carlo atoms.
     """
     if not 0 <= j < mu.d:
         raise ValidationError(f"coordinate {j} out of range")
@@ -320,10 +291,6 @@ def marginal(mu: ModelMeasure, j: int) -> tuple[SiteMeasure, bool]:
         a, ea = marginal(mu.left, j)
         b, eb = marginal(mu.right, j)
         return a.convolve(b), ea and eb
-    if isinstance(mu, Mixture):
-        parts = [marginal(p, j) for p in mu.parts]
-        nums, den = _mix([s.num for s, _ in parts], [s.den for s, _ in parts], mu.coeffs)
-        return SiteMeasure(model, sum(nums), den), all(e for _, e in parts)
     # Doubled
     inner, exact = marginal(mu.inner, j)
     return inner.tensor(inner), exact
@@ -336,8 +303,8 @@ def exact_support(mu: ModelMeasure, budget: int = 10**6) -> SampleBased | None:
     """Materialize mu as weighted atoms when the representable support is
     within budget; None when it is too large.  ``exact`` echoes the variant.
 
-    The atoms of convolutions and mixtures are merged and lexicographically
-    sorted; the other variants keep their atoms as listed."""
+    The atoms of a convolution are merged and lexicographically sorted; the
+    other variants keep their atoms as listed."""
     model = mu.model
     if isinstance(mu, SampleBased):
         return None if mu.points.shape[0] > budget else mu
@@ -346,26 +313,19 @@ def exact_support(mu: ModelMeasure, budget: int = 10**6) -> SampleBased | None:
         total = len(nz) ** mu.d
         if total > budget:
             return None
+        den, top = mu.site.den**mu.d, int(mu.site.num.max()) ** mu.d  # top: the largest atom weight
+        if top >= 2**63:
+            raise OverflowError(f"atom weight {top} over product denominator {den} = {mu.site.den}^{mu.d} does not fit int64")
         idx = nz[mixed_radix(np.arange(total), [len(nz)] * mu.d)]
         pts = model.points_from_indices(idx)
         w = mu.site.num[idx].astype(object).prod(axis=-1)
-        return SampleBased(model, pts, np.array(w, dtype=np.int64), mu.site.den**mu.d, exact=True)
+        return SampleBased(model, pts, np.array(w, dtype=np.int64), den, exact=True)
     if isinstance(mu, Convolution):
         la = exact_support(mu.left, budget)
         lb = exact_support(mu.right, budget)
         if la is None or lb is None or la.points.shape[0] * lb.points.shape[0] > budget:
             return None
         return _merged(_cross(model, la, lb, model.candidate_mul))
-    if isinstance(mu, Mixture):
-        subs = [exact_support(p, budget) for p in mu.parts]
-        if any(s is None for s in subs):
-            return None
-        nums, den = _mix([s.weights_num for s in subs], [s.weights_den for s in subs], mu.coeffs)
-        points = np.concatenate([s.points for s in subs])
-        exact = all(s.exact for s in subs)
-        atoms = _merged(SampleBased(model, points, np.concatenate(nums), den, exact=exact))
-        g = math.gcd(den, *atoms.weights_num.tolist())
-        return replace(atoms, weights_num=atoms.weights_num // g, weights_den=den // g)
     # Doubled
     sub = exact_support(mu.inner, budget)
     if sub is None or sub.points.shape[0] ** 2 > budget:
@@ -392,15 +352,6 @@ def _merged(atoms: SampleBased) -> SampleBased:
     return replace(atoms, points=points, weights_num=num)
 
 
-def _mix(nums: list[np.ndarray], dens: list[int], coeffs) -> tuple[list[np.ndarray], int]:
-    """Mixture weights coeffs[k] * nums[k] / dens[k] over one common denominator."""
-    den = math.lcm(*(c.denominator * d for c, d in zip(coeffs, dens)))
-    if den >= 2**63:
-        raise OverflowError(f"mixture denominator {den} does not fit int64 weights")
-    # every scaled weight is at most den, so the int64 products cannot wrap
-    return [n * (c.numerator * den // (c.denominator * d)) for n, c, d in zip(nums, coeffs, dens)], den
-
-
 # -- sampling -----------------------------------------------------------------
 
 
@@ -418,19 +369,6 @@ def sample(mu: ModelMeasure, k: int, rng: np.random.Generator) -> np.ndarray:
         a = sample(mu.left, k, rng)
         b = sample(mu.right, k, rng)
         return model.candidate_mul(a, b)
-    if isinstance(mu, Mixture):
-        coeffs = np.array([float(c) for c in mu.coeffs])
-        which = rng.choice(len(mu.parts), size=k, p=coeffs)
-        out = None
-        for i, part in enumerate(mu.parts):
-            n_i = int((which == i).sum())
-            if n_i == 0:
-                continue
-            drawn = sample(part, n_i, rng)
-            if out is None:
-                out = np.empty((k,) + drawn.shape[1:], dtype=np.int64)
-            out[which == i] = drawn
-        return out
     # Doubled
     a = sample(mu.inner, k, rng)
     b = sample(mu.inner, k, rng)
@@ -457,17 +395,18 @@ def mass(
     rng: np.random.Generator | None = None,
 ) -> MassEstimate:
     """mu(predicate): exact summation over the representable support when it
-    fits the budget, Monte Carlo with recorded standard error otherwise."""
+    fits the budget, Monte Carlo with recorded standard error otherwise.  The
+    predicate maps a batch of N candidates to a bool array of shape (N,)."""
     sup = exact_support(mu, budget)
-    if sup is not None:
-        mask = predicate(sup.points)
-        num = int(sup.weights_num[mask].astype(object).sum())
-        frac = Fraction(num, sup.weights_den)
-        return MassEstimate(float(frac), sup.exact, None, None, frac)
-    if rng is None:
+    if sup is None and rng is None:
         raise ValidationError("sampled mass needs a generator")
-    xs = sample(mu, n_samples, rng)
-    hits = predicate(xs)
+    xs = sample(mu, n_samples, rng) if sup is None else sup.points
+    hits = np.asarray(predicate(xs))
+    if hits.dtype != bool or hits.shape != xs.shape[:1]:
+        raise ValidationError(f"a predicate must return one bool per candidate, not {hits.dtype} of shape {hits.shape}")
+    if sup is not None:
+        frac = Fraction(int(sup.weights_num[hits].astype(object).sum()), sup.weights_den)
+        return MassEstimate(float(frac), sup.exact, None, None, frac)
     p = float(hits.mean())
     stderr = math.sqrt(max(p * (1 - p), 1e-12) / n_samples)
     return MassEstimate(p, False, stderr, n_samples)

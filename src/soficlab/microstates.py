@@ -435,18 +435,6 @@ def top_microstate_mask(
     return _membership(sigma, F, delta, (), None, metric, action)(xs)
 
 
-def is_top_microstate(
-    x: np.ndarray,
-    sigma: SoficApproximation,
-    F: Sequence[GroupElement],
-    delta,
-    metric: Pseudometric,
-    action: AutomorphismAction,
-) -> bool:
-    """rho2(g.x, x o sigma(g)) < delta for every g in F (zero admitted)."""
-    return bool(top_microstate_mask(np.asarray(x)[None, ...], sigma, F, delta, metric, action)[0])
-
-
 def meas_microstate_mask(
     xs: np.ndarray,
     sigma: SoficApproximation,
@@ -476,11 +464,24 @@ def is_meas_microstate(
 def forces_exact_equivariance(metric: Pseudometric, delta: Fraction, d: int) -> bool:
     """Whether a single violated coordinate already exceeds delta.
 
-    True when delta^2 <= min_positive_sq / d, so Map(delta) is exactly the
-    solution set of the equivariance equations.
+    True when the metric separates points (distinct points are at positive
+    distance) and delta^2 <= min_positive_sq / d, so Map(delta) is exactly
+    the solution set of the equivariance equations.  A table with a zero off
+    the diagonal lets an equation break at no cost.
     """
     least = metric.min_positive_sq
-    return least is not None and Fraction(delta) ** 2 <= least / d
+    return least is not None and _separates(metric.table_num) and Fraction(delta) ** 2 <= least / d
+
+
+def _separates(table) -> bool:
+    """Whether distinct points are at positive distance: always on a torus
+    (no table), for a pair table when its factor separates, and for an n x n
+    table when all n^2 - n entries off its zero diagonal are positive."""
+    if table is None:
+        return True
+    if isinstance(table, PairTable):
+        return _separates(table.factor)
+    return np.count_nonzero(table) == table.size - table.shape[0]
 
 
 def enumerate_top_microstates(
@@ -495,12 +496,12 @@ def enumerate_top_microstates(
     """The full Map(rho, F, delta, sigma) in deterministic lexicographic order.
 
     Finite models with a threshold forcing exact equivariance (see
-    ``forces_exact_equivariance``, which reads the metric's least positive
-    distance) solve the constraint system orbit by orbit; otherwise brute
-    force within budget.  Brute force runs through the n^d candidates in
-    lexicographic order, in blocks of at most ``_BLOCK_COORDS`` coordinates
-    (and at least one row), each tested by ``top_microstate_mask``, so it
-    holds one block plus the survivors.  A block is q consecutive prefixes
+    ``forces_exact_equivariance``, which reads whether the metric separates
+    points and its least positive distance) solve the constraint system
+    orbit by orbit; otherwise brute force within budget.  Brute force runs
+    through the n^d candidates in lexicographic order, in blocks of at most
+    ``_BLOCK_COORDS`` coordinates (and at least one row), each tested by
+    ``top_microstate_mask``, so it holds one block plus the survivors.  A block is q consecutive prefixes
     of d - k digits, each followed by all n^k tails: k is the largest with
     n^k rows within the bound, and q the most such runs that fit, so a
     block holds more than half the bound's rows unless it is the last.

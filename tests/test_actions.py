@@ -61,7 +61,6 @@ class TestModels:
     def test_cyclic_model_ops(self):
         m = cyclic_model(3)
         assert int(m.candidate_mul(1, 2)) == 0
-        assert int(m.candidate_inv(1)) == 2
         assert m.identity == 0
 
     def test_finite_group_model_copies_its_table(self):
@@ -80,14 +79,13 @@ class TestModels:
         table = [[(i + j + 1) % 3 for j in range(3)] for i in range(3)]
         m = FiniteGroupModel(range(3), table)
         assert m.identity == 2
-        assert int(m.candidate_mul(0, 0)) == 1 and int(m.candidate_inv(0)) == 1
+        assert int(m.candidate_mul(0, 0)) == 1
         with pytest.raises(ValidationError, match="identity"):
             FiniteGroupModel(range(2), [[1, 1], [0, 0]])
 
     def test_torus_ops_exact(self):
         t = TorusGridModel(8, 2)
         assert t.candidate_mul(np.array([7, 3]), np.array([2, 6])).tolist() == [1, 1]
-        assert t.candidate_inv(np.array([1, 0])).tolist() == [7, 0]
         assert t.n_points == 64
         assert t.points_from_indices(t.point_indices([5, 2])).tolist() == [5, 2]
 
@@ -373,8 +371,8 @@ class TestDualModel:
         pts = np.arange(model.n_points)
         for a, b in itertools.product(pts, pts):
             assert 0 <= model.candidate_mul(a, b) < model.n_points
-        for a in pts:
-            assert model.candidate_mul(a, model.candidate_inv(a)) == model.identity
+        # every point has an inverse among the points
+        assert (model.candidate_mul(pts[:, None], pts[None, :]) == model.identity).any(axis=1).all()
 
 
 class TestSigmaMatrix:

@@ -1,13 +1,15 @@
 """Source hygiene: every name a soficlab module imports is used in it, every
 module-level private function or class is referenced somewhere, every public
-function, class and method is referenced by the package, its tests or the
-benchmark, every parameter of a module-level function or of a method
-(other than ``self`` and ``cls``) is read in its body, every dataclass field
-is read as an attribute, no dataclass compares arrays with its generated
-``__eq__``, no module uses the reference determinant ``det_bareiss``,
-which stays only for tests to check ``det_multimodular`` against, no
-code but ``intlin._read_only`` sets array flags, and no module but
-``intlin`` and ``actions`` reads integer views with ``_int_view``."""
+function, class and method is referenced by the package or the benchmark
+(a test is no reader: a name only tests call is dead code, unless
+``UNCALLED`` names it with the reason it stays), every parameter of a
+module-level function or of a method (other than ``self`` and ``cls``) is
+read in its body, every dataclass field is read as an attribute by the
+package, its tests or the benchmark, no dataclass compares arrays with its
+generated ``__eq__``, no module uses the reference determinant
+``det_bareiss``, which stays only for tests to check ``det_multimodular``
+against, no code but ``intlin._read_only`` sets array flags, and no module
+but ``intlin`` and ``actions`` reads integer views with ``_int_view``."""
 
 import ast
 from collections import Counter
@@ -19,6 +21,34 @@ ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "soficlab").glob("*.py"))
 READERS = SOURCES + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "soficbench").glob("*.py"))
 DEFS = (ast.FunctionDef, ast.ClassDef)
+
+# The public names that neither the package nor the benchmark calls, and why
+# each stays.  "direction 4": the convergence report of ROADMAP direction 4
+# will call it, and the entry goes when the report lands.  "input
+# constructor": the one way to build an input the package reads.  "oracle":
+# the check that tests hold a listing to.  The list can only shrink:
+# test_every_uncalled_name_is_defined_and_uncalled fails on an entry that
+# the package starts to call.
+UNCALLED = {
+    "actions.continuous_kernel": "direction 4",
+    "actions.AlgebraicActionModel.enumerate_kernel": "direction 4",
+    "measures.SiteMeasure.tv_distance": "direction 4",
+    "microstates.rho2_sq": "direction 4",
+    "microstates.default_panel": "direction 4",
+    "microstates.empirical_pushforward": "direction 4",
+    "microstates.shift_lift": "direction 4",
+    "microstates.psi_window": "direction 4",
+    "groups.GroupSpec.from_table": "input constructor",
+    "measures.SiteMeasure.point_mass": "input constructor",
+    "measures.PointMass": "input constructor",
+    "actions.AlgebraicActionModel.is_kernel_point": "oracle",
+}
+
+
+def callers(root: Path) -> list[Path]:
+    """The files whose references count for a public name: the package's
+    modules and the benchmark's, never the tests under ``tests/``."""
+    return sorted((root / "src" / "soficlab").glob("*.py")) + sorted((root / "soficbench").glob("*.py"))
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -223,9 +253,19 @@ def test_no_unreferenced_private_helpers():
     assert unreferenced_privates(modules) == []
 
 
+def uncalled_publics(root: Path) -> set[str]:
+    """The qualified public names under ``root`` that no caller references."""
+    modules = {p.stem: ast.parse(p.read_text()) for p in sorted((root / "src" / "soficlab").glob("*.py"))}
+    flagged = unreferenced_publics(modules, [ast.parse(p.read_text()) for p in callers(root)])
+    return {entry.split(" (line")[0] for entry in flagged}
+
+
 def test_no_unreferenced_public_names():
-    modules = {p.stem: ast.parse(p.read_text()) for p in SOURCES}
-    assert unreferenced_publics(modules, [ast.parse(p.read_text()) for p in READERS]) == []
+    assert uncalled_publics(ROOT) - set(UNCALLED) == set()
+
+
+def test_every_uncalled_name_is_defined_and_uncalled():
+    assert set(UNCALLED) - uncalled_publics(ROOT) == set()
 
 
 def test_no_source_uses_the_reference_determinant():
@@ -290,6 +330,24 @@ def test_scan_flags_unreferenced_public_names():
         "lib.recursive (line 3)",
         "lib.Quoted.unread (line 15)",
     ]
+
+
+def test_scan_flags_a_public_name_that_only_a_test_reads(tmp_path):
+    files = {
+        "src/soficlab/lib.py": "def only_tested(): pass\n\ndef used(): pass\n\ndef internal(): pass\n",
+        "src/soficlab/user.py": "from .lib import internal\n",
+        "soficbench/run.py": "from soficlab.lib import used\n",
+        "tests/test_lib.py": "from soficlab.lib import only_tested, used\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert [p.relative_to(tmp_path).as_posix() for p in callers(tmp_path)] == [
+        "src/soficlab/lib.py",
+        "src/soficlab/user.py",
+        "soficbench/run.py",
+    ]
+    assert uncalled_publics(tmp_path) == {"lib.only_tested"}
 
 
 def test_scan_flags_an_unread_parameter():

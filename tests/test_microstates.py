@@ -23,7 +23,7 @@ from soficlab.actions import (
 from soficlab import microstates
 from soficlab.errors import BudgetExceededError, UnsupportedElementError, ValidationError
 from soficlab.groups import GroupSpec, perturb, quotient_sofic
-from soficlab.measures import Doubled, Mixture, ProductMeasure, SampleBased, SiteMeasure, UniformOnSet, mass
+from soficlab.measures import Doubled, ProductMeasure, SampleBased, SiteMeasure, UniformOnSet, mass
 from soficlab.microstates import (
     MapWindow,
     Pseudometric,
@@ -40,7 +40,6 @@ from soficlab.microstates import (
     forces_exact_equivariance,
     indicator_panel,
     is_meas_microstate,
-    is_top_microstate,
     psi_window,
     rho2_sq,
     sample_microstates,
@@ -150,7 +149,7 @@ class TestTopMembership:
         x = np.array([0, 0])  # identity of Z/3 is fixed by negation
         metric = discrete_metric(model)
         for delta in (Fraction(1, 100), Fraction(1, 2), Fraction(0)):
-            assert is_top_microstate(x, sigma, list(group.elements()), delta, metric, action)
+            assert top_microstate_mask(x[None], sigma, list(group.elements()), delta, metric, action)[0]
 
     def test_shift_window_example(self):
         # G=Z on Z/3 by g.x = (-1)^g x, sigma = shift on Z/8,
@@ -170,7 +169,7 @@ class TestTopMembership:
         neg = unit_automorphism(model, -1)
         mism = sum(1 for j in range(8) if neg[x[j]] != x[perm[j]])
         expected = Fraction(mism, 8) < Fraction(1, 2) ** 2 or mism == 0
-        got = is_top_microstate(x, sigma, [one], Fraction(1, 2), metric, action)
+        got = top_microstate_mask(x[None], sigma, [one], Fraction(1, 2), metric, action)[0]
         assert got == expected
 
     def test_delta_zero_boundary(self, neg_setup):
@@ -179,15 +178,15 @@ class TestTopMembership:
         exact = np.array([1, 2])  # (x, -x): exactly equivariant
         not_exact = np.array([1, 1])
         F = list(group.elements())
-        assert is_top_microstate(exact, sigma, F, Fraction(0), metric, action)
-        assert not is_top_microstate(not_exact, sigma, F, Fraction(0), metric, action)
+        assert top_microstate_mask(exact[None], sigma, F, Fraction(0), metric, action)[0]
+        assert not top_microstate_mask(not_exact[None], sigma, F, Fraction(0), metric, action)[0]
 
     def test_unsupported_window_element(self, neg_setup):
         group, model, action, sigma = neg_setup
         Z = GroupSpec.integers()
         metric = discrete_metric(model)
         with pytest.raises(UnsupportedElementError):
-            is_top_microstate(np.array([0, 0]), sigma, [Z.generator(0)], Fraction(1, 2), metric, action)
+            top_microstate_mask(np.array([0, 0])[None], sigma, [Z.generator(0)], Fraction(1, 2), metric, action)[0]
 
 
 class TestMeasMembership:
@@ -234,9 +233,9 @@ class TestMeasMembership:
         for a in range(3):
             for b in range(3):
                 x = np.array([a, b])
-                assert is_meas_microstate(x, sigma, window, metric, action) == is_top_microstate(
-                    x, sigma, tuple(group.elements()), Fraction(1, 4), metric, action
-                )
+                assert is_meas_microstate(x, sigma, window, metric, action) == top_microstate_mask(
+                    x[None], sigma, tuple(group.elements()), Fraction(1, 4), metric, action
+                )[0]
 
     def test_panel_denominators_below_1_are_refused(self):
         # den 0 was accepted and integral() raised ZeroDivisionError.  Values
@@ -327,7 +326,7 @@ class TestEnumeration:
             (a, b)
             for a in range(3)
             for b in range(3)
-            if is_top_microstate(np.array([a, b]), sigma, F, Fraction(1, 4), metric, action)
+            if top_microstate_mask(np.array([a, b])[None], sigma, F, Fraction(1, 4), metric, action)[0]
         ]
         assert sorted(map(tuple, fast.tolist())) == sorted(brute)
 
@@ -378,9 +377,12 @@ class TestEnumeration:
 def equivariant_cases(draw):
     """Z acting on Z/n by a unit, or diagonally on (Z/n)^2, with sigma a
     cyclic quotient of order d (perturbed half the time), F drawn from
-    {e, t, t^-1, t^2}, the discrete table times a over den k, and delta on
-    either side of the bound sqrt(min_positive_sq / d) that forces exact
-    equivariance."""
+    {e, t, t^-1, t^2}, a table times a over den k, and delta on either side
+    of the bound sqrt(min_positive_sq / d) below which a metric that
+    separates points forces exact equivariance.  The table is the discrete
+    one, or, for a metric that does not separate points when n > 2, the
+    distance between the classes {0} and {1, ..., n - 1}, which every unit
+    preserves."""
     Z = GroupSpec.integers()
     pair = draw(st.booleans())
     n = draw(st.integers(2, 3 if pair else 5))
@@ -388,7 +390,10 @@ def equivariant_cases(draw):
     unit = draw(st.sampled_from([k for k in range(1, n) if math.gcd(k, n) == 1]))
     action = AutomorphismAction(Z, model, {"t": unit_automorphism(model, unit)})
     a, k = draw(st.integers(1, 3)), draw(st.integers(1, 4))
-    metric = Pseudometric("scaled", model, table_num=a * discrete_metric(model).table_num, den=k)
+    classes = np.arange(n) if draw(st.booleans()) else np.arange(n) > 0
+    separates = len(set(classes.tolist())) == n
+    table = a * (classes[:, None] != classes[None, :]).astype(np.int64)
+    metric = Pseudometric("scaled", model, table_num=table, den=k)
     least = Fraction(a, k)  # one differing point
     if pair:
         # one differing point in one of the two halves
@@ -402,7 +407,7 @@ def equivariant_cases(draw):
     # floor(sqrt(N)) / b <= sqrt(bound) < (floor(sqrt(N)) + 1) / b, for bound = N / b^2
     bound = least / d
     delta = Fraction(math.isqrt(bound.numerator * bound.denominator) + draw(st.integers(0, 1)), bound.denominator)
-    return action, metric, sigma, F, delta, least
+    return action, metric, sigma, F, delta, least, separates
 
 
 def _declared_floor_case():
@@ -414,17 +419,31 @@ def _declared_floor_case():
     action = AutomorphismAction(group, model, {"t": unit_automorphism(model, 2)})
     sigma = quotient_sofic(group, {"kind": "regular"}, list(group.elements()))
     metric = Pseudometric("quarter", model, table_num=discrete_metric(model).table_num, den=4)
-    return action, metric, sigma, list(group.elements()), Fraction(2, 3), Fraction(1, 4)
+    return action, metric, sigma, list(group.elements()), Fraction(2, 3), Fraction(1, 4), True
+
+
+def _non_separating_case():
+    """Z acting trivially on Z/3, sigma(t) the 4-cycle, F = (t,), delta = 1/4
+    and a table with distance 0 between the points 1 and 2.  A single broken
+    equation costs nothing there, yet enumeration took the equivariant path
+    and listed 3 rows, where the mask admits 17: the zero row and the 16 rows
+    over {1, 2}."""
+    Z, model = GroupSpec.integers(), cyclic_model(3)
+    action = AutomorphismAction(Z, model, {"t": unit_automorphism(model, 1)})
+    sigma = quotient_sofic(Z, {"kind": "cyclic-powers", "orders": [4]}, [Z.identity(), Z.parse("t")])
+    metric = Pseudometric("pseudo", model, table_num=[[0, 1, 1], [1, 0, 0], [1, 0, 0]])
+    return action, metric, sigma, [Z.parse("t")], Fraction(1, 4), Fraction(1), False
 
 
 @settings(max_examples=150, deadline=None)
 @given(equivariant_cases())
 @example(_declared_floor_case())
+@example(_non_separating_case())
 def test_equivariant_enumeration_is_the_brute_force_list_in_order(case):
-    action, metric, sigma, F, delta, least = case
+    action, metric, sigma, F, delta, least, separates = case
     model, d = action.model, sigma.d
     assert metric.min_positive_sq == least
-    assert forces_exact_equivariance(metric, delta, d) == (delta * delta <= least / d)
+    assert forces_exact_equivariance(metric, delta, d) == (separates and delta * delta <= least / d)
     xs = np.array(list(itertools.product(range(model.n_points), repeat=d)), dtype=np.int64)
     want = xs[top_microstate_mask(xs, sigma, F, delta, metric, action)]
     got = enumerate_top_microstates(model, sigma, F, delta, metric, action)
@@ -600,8 +619,8 @@ class TestMonotonicity:
             for b in range(3):
                 x = np.array([a, b])
                 # Map(F_big, small) subset Map(F_small, big)
-                if is_top_microstate(x, sigma, F_big, small_delta, metric, action):
-                    assert is_top_microstate(x, sigma, F_small, big_delta, metric, action)
+                if top_microstate_mask(x[None], sigma, F_big, small_delta, metric, action)[0]:
+                    assert top_microstate_mask(x[None], sigma, F_small, big_delta, metric, action)[0]
 
     def test_meas_subset_of_top(self, neg_setup):
         group, model, action, sigma = neg_setup
@@ -616,7 +635,7 @@ class TestMonotonicity:
             for b in range(3):
                 x = np.array([a, b])
                 if is_meas_microstate(x, sigma, window, metric, action):
-                    assert is_top_microstate(x, sigma, window.F, window.delta, metric, action)
+                    assert top_microstate_mask(x[None], sigma, window.F, window.delta, metric, action)[0]
 
     def test_product_of_microstates_doubles_delta(self, neg_setup):
         # bi-invariant metric: x, y in Map(delta) implies xy in Map(2 delta)
@@ -628,12 +647,12 @@ class TestMonotonicity:
             np.array([a, b])
             for a in range(3)
             for b in range(3)
-            if is_top_microstate(np.array([a, b]), sigma, F, delta, metric, action)
+            if top_microstate_mask(np.array([a, b])[None], sigma, F, delta, metric, action)[0]
         ]
         for x in members:
             for y in members:
                 xy = model.candidate_mul(x, y)
-                assert is_top_microstate(xy, sigma, F, 2 * delta, metric, action)
+                assert top_microstate_mask(xy[None], sigma, F, 2 * delta, metric, action)[0]
 
 
 class TestTorusModels:
@@ -1211,7 +1230,7 @@ def _refusal_cases():
     window = MapWindow(F=(t,), delta=Fraction(1, 4), L=(), target=uniform)
     neg = AutomorphismAction(Z, model, generator_maps={"t": unit_automorphism(model, -1)})
     torus_window = MapWindow(F=(t,), delta=Fraction(1, 4), L=(), target=SiteMeasure.uniform(torus))
-    product2, product3 = ProductMeasure(uniform, 2), ProductMeasure(uniform, 3)
+    product3 = ProductMeasure(uniform, 3)
     return [
         ("negative-delta", lambda: MapWindow(F=(t,), delta=Fraction(-1, 4), L=(), target=uniform),
          ValidationError, "delta must be >= 0"),
@@ -1226,12 +1245,6 @@ def _refusal_cases():
          ValidationError, "one weight per atom"),
         ("atoms-sum", lambda: SampleBased(model, np.zeros((2, 4), dtype=np.int64), [1, 1], 3),
          ValidationError, "sum to 1"),
-        ("mixture-coefficients", lambda: Mixture((product2, product2), (Fraction(1),)),
-         ValidationError, "one coefficient per part"),
-        ("mixture-sum", lambda: Mixture((product2, product2), (Fraction(1, 2), Fraction(1, 3))),
-         ValidationError, "must sum to 1"),
-        ("mixture-d", lambda: Mixture((product2, product3), (Fraction(1, 2), Fraction(1, 2))),
-         ValidationError, "share d"),
         ("mass-without-rng", lambda: mass(product3, lambda xs: xs[:, 0] == 0, budget=1),
          ValidationError, "needs a generator"),
         ("perm-outside-support", lambda: sigma.perm(Z.power(t, 5)), UnsupportedElementError, "outside"),
