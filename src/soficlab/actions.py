@@ -511,6 +511,9 @@ def sigma_matrix(f: IntegerGroupMatrix, sigma: SoficApproximation) -> np.ndarray
     Block (l, j) is sum_g f_{lj}(g) P_g with P_g the permutation matrix of
     sigma(g) acting by (P_g x)_a = x_{sigma(g)^{-1}(a)}.  Row index a*m + l,
     column index b*n + j, matching candidates flattened C-order from (d, n).
+    Where sigma sends two elements of the support to one entry, their
+    coefficients add, so OverflowError is raised for a block whose
+    coefficients' absolute sum reaches 2^63 before it is filled.
     """
     d = sigma.d
     rows, cols = f.m * d, f.n * d
@@ -518,6 +521,10 @@ def sigma_matrix(f: IntegerGroupMatrix, sigma: SoficApproximation) -> np.ndarray
     b_idx = np.arange(d)
     for l in range(f.m):
         for j in range(f.n):
+            if (total := sum(map(abs, f.entries[l][j].values()))) >= 2**63:
+                raise OverflowError(
+                    f"block ({l}, {j}) of f: |coefficients| sum to {total} >= 2^63, so an int64 entry can wrap"
+                )
             for g, c in f.entries[l][j].items():
                 p = sigma.perm(g)
                 out[p * f.m + l, b_idx * f.n + j] += c
@@ -560,11 +567,16 @@ class AlgebraicActionModel:
         return min(int(bound), self.q // 2)
 
     def is_kernel_point(self, x: np.ndarray) -> bool:
-        """Exact membership test for a (d, n) candidate of residues 0..q-1."""
+        """Exact membership test for a (d, n) candidate of residues 0..q-1.
+        f^(sigma) x is summed over Python ints when (largest row |sum|) *
+        (q - 1) reaches 2^63, since an int64 sum could wrap."""
         x, shape = _int_view(x, "a candidate"), (self.d, self.source.n)
         if x.shape != shape or x.min() < 0 or x.max() >= self.q:
             raise ValidationError(f"a candidate must be a {shape} array of residues 0..{self.q - 1}")
-        res = (self.matrix @ x.reshape(-1)) % self.q
+        mat, x = self.matrix, x.reshape(-1)
+        if max(np.abs(mat).sum(axis=1, dtype=object)) * (self.q - 1) >= 2**63:
+            mat, x = mat.astype(object), x.astype(object)
+        res = (mat @ x) % self.q
         dist = np.minimum(res, self.q - res)
         return bool((dist <= self.residue_bound()).all())
 

@@ -59,57 +59,56 @@ from .measures import SiteMeasure
 class Pseudometric:
     """A pseudometric on model points via squared distances.
 
-    Squared distances are exact, ``num/den``: finite models tabulate the
-    numerators in ``table_num`` (an n x n array, or a ``PairTable`` for a
-    doubled metric); torus metrics have no table and compute them from
-    residues.  A table is read as integers and kept as a read-only copy; it
-    must be n x n over the model's n points, nonnegative and symmetric with a
-    zero diagonal.  ``den`` is an integer >= 1.  ``min_positive_sq``, the
-    least positive squared distance, is read from the table or the grid.
+    Squared distances are exact, ``num/den`` with ``den`` an integer >= 1:
+    finite models tabulate the numerators in ``table_num`` (an n x n array,
+    or a ``PairTable`` over a ``PairModel`` for a doubled metric); torus
+    metrics have no table and compute them from residues.  ``_read_table``
+    reads the table once, and the metric keeps what it derives: the largest
+    numerator, the least positive squared distance (None when every
+    distance is 0) and whether distinct points are at positive distance.
     """
 
     name: str
     model: CompactGroupModel
     table_num: np.ndarray | PairTable | None = field(default=None, repr=False)
     den: int = 1
+    largest: int = field(init=False, repr=False)
+    min_positive_sq: Fraction | None = field(init=False, repr=False)
+    separates: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        # a table reads point indices, which only a finite model's points are
-        if (self.table_num is not None) != isinstance(self.model, FiniteModel):
-            raise ValidationError("a finite model needs a table_num, a torus model none")
-        t, n = self.table_num, self.model.n_points
-        # a PairTable over a valid factor is valid by construction
-        if t is not None and not isinstance(t, PairTable):
-            t = _int_table(t, "table_num")
-            if t.shape != (n, n) or (t < 0).any() or np.diagonal(t).any() or not np.array_equal(t, t.T):
-                raise ValidationError(f"table_num must be a nonnegative symmetric {n} x {n} table with a zero diagonal")
-            object.__setattr__(self, "table_num", t)
-        object.__setattr__(self, "den", _integer(self.den, "a metric's denominator", least=1))
-
-    @property
-    def min_positive_sq(self) -> Fraction | None:
-        """The least positive squared distance, or None when every distance
-        is 0.  On a torus it is one site at circle distance 1/q: 1/den."""
-        if self.table_num is None:
-            return Fraction(1, self.den)
-        least = _least_positive(self.table_num)
-        return None if least is None else Fraction(least, self.den)
+        den = _integer(self.den, "a metric's denominator", least=1)
+        table, largest, least, separates = _read_table(self.table_num, self.model)
+        least = None if least is None else Fraction(least, den)
+        names = ("table_num", "den", "largest", "min_positive_sq", "separates")
+        for name, value in zip(names, (table, den, largest, least, separates)):
+            object.__setattr__(self, name, value)
 
 
-def _largest(table) -> int:
-    """The largest entry of a pseudometric table: twice the factor's for a
-    pair table."""
-    return 2 * _largest(table.factor) if isinstance(table, PairTable) else int(table.max())
-
-
-def _least_positive(table) -> int | None:
-    """The least positive entry of a pseudometric table, or None when there
-    is none.  A pair table's entries are sums of two factor entries, and the
-    factor's diagonal is 0, so its least positive entry is the factor's."""
+def _read_table(table, model: CompactGroupModel) -> tuple:
+    """(table, largest, least positive, separates) for a metric's table on
+    ``model``.  An array must be an integer, nonnegative, symmetric n x n
+    table with a zero diagonal, and is kept as a read-only copy.  A
+    ``PairTable`` needs a ``PairModel``, and its factor is read against the
+    factor model: its entries add two factor entries, so its largest is
+    twice the factor's and the rest are the factor's.  A torus has no table:
+    a site is at most q // 2 from another around the circle, and 1 at the
+    least."""
     if isinstance(table, PairTable):
-        return _least_positive(table.factor)
-    positive = table[table > 0]
-    return int(positive.min()) if positive.size else None
+        if not isinstance(model, PairModel):
+            raise ValidationError(f"a PairTable table_num needs a doubled PairModel, not {model!r}")
+        factor, largest, least, separates = _read_table(table.factor, model.factor)
+        return PairTable(factor), 2 * largest, least, separates
+    # a table reads point indices, which only a finite model's points are
+    if (table is not None) != isinstance(model, FiniteModel):
+        raise ValidationError("a finite model needs a table_num, a torus model none")
+    if table is None:
+        return None, model.sites * (model.q // 2) ** 2, 1, True
+    t, n = _int_table(table, "table_num"), model.n_points
+    if t.shape != (n, n) or (t < 0).any() or np.diagonal(t).any() or not np.array_equal(t, t.T):
+        raise ValidationError(f"table_num must be a nonnegative symmetric {n} x {n} table with a zero diagonal")
+    positive = t[t > 0]
+    return t, int(t.max()), int(positive.min()) if positive.size else None, positive.size == n * n - n
 
 
 def discrete_metric(model: FiniteModel) -> Pseudometric:
@@ -148,16 +147,15 @@ class PairTable:
 
 
 def doubled_metric(metric: Pseudometric) -> Pseudometric:
-    """The metric on X x X averaging the squared per-factor distances.
+    """The metric on X x X averaging the squared per-factor distances: the
+    numerators of the two factors add, and the denominator doubles.
 
-    A torus metric doubles to the torus metric on twice the sites.  A table
-    metric keeps its factor table behind a lazy ``PairTable`` (entries add,
-    the denominator doubles), so no n^2 x n^2 table is built.
+    A table metric keeps its factor table behind a lazy ``PairTable``, so no
+    n^2 x n^2 table is built.  A torus metric has no table: its doubled
+    model has twice the sites, and their squared circle distances add.
     """
-    model2 = product_model(metric.model)
-    if metric.table_num is None:
-        return torus_metric(model2)
-    return Pseudometric(f"{metric.name}^2", model2, table_num=PairTable(metric.table_num), den=2 * metric.den)
+    table = None if metric.table_num is None else PairTable(metric.table_num)
+    return Pseudometric(f"{metric.name}^2", product_model(metric.model), table_num=table, den=2 * metric.den)
 
 
 # -- rho2 ---------------------------------------------------------------------
@@ -382,9 +380,8 @@ def _membership(sigma: SoficApproximation, F, delta, L, target: SiteMeasure | No
     _check_same_model(m, action.model)
     if L:
         _check_same_model(m, target.model)
-    top_sq = m.sites * (m.q // 2) ** 2 if metric.table_num is None else _largest(metric.table_num)
-    if F and d * top_sq >= 2**63:
-        raise OverflowError(f"{d} squared distances of up to {top_sq} can wrap an int64 sum")
+    if F and d * metric.largest >= 2**63:
+        raise OverflowError(f"{d} squared distances of up to {metric.largest} can wrap an int64 sum")
     for f in L:
         if f.values.shape != (m.n_points,):
             raise ValidationError(f"test function {f.name!r} needs one value per point of {m!r}")
@@ -464,24 +461,13 @@ def is_meas_microstate(
 def forces_exact_equivariance(metric: Pseudometric, delta: Fraction, d: int) -> bool:
     """Whether a single violated coordinate already exceeds delta.
 
-    True when the metric separates points (distinct points are at positive
-    distance) and delta^2 <= min_positive_sq / d, so Map(delta) is exactly
-    the solution set of the equivariance equations.  A table with a zero off
-    the diagonal lets an equation break at no cost.
+    True when the metric separates points (``metric.separates``: distinct
+    points are at positive distance) and delta^2 <= min_positive_sq / d, so
+    Map(delta) is exactly the solution set of the equivariance equations.  A
+    table with a zero off the diagonal lets an equation break at no cost.
     """
     least = metric.min_positive_sq
-    return least is not None and _separates(metric.table_num) and Fraction(delta) ** 2 <= least / d
-
-
-def _separates(table) -> bool:
-    """Whether distinct points are at positive distance: always on a torus
-    (no table), for a pair table when its factor separates, and for an n x n
-    table when all n^2 - n entries off its zero diagonal are positive."""
-    if table is None:
-        return True
-    if isinstance(table, PairTable):
-        return _separates(table.factor)
-    return np.count_nonzero(table) == table.size - table.shape[0]
+    return least is not None and metric.separates and Fraction(delta) ** 2 <= least / d
 
 
 def enumerate_top_microstates(

@@ -171,13 +171,16 @@ def test_doubled_metric_matches_averaged_factor_distances(model_action, data):
             + Fraction(int(base.table_num[a % n, b % n]), base.den)
         ) / 2
         assert rho2_sq(dm, [a], [b]) == want
-        # the least positive distance, read from the factor table, and from a
-        # pair table's pair table
+        # the least positive distance, the largest and whether distinct
+        # points are apart, read from the factor table, and from a pair
+        # table's pair table
         for doubled, full in ((dm, ref), (doubled_metric(dm), materialized_doubled_table(ref) if n <= 3 else None)):
             if full is not None:
                 positive = full[full > 0]
                 want = Fraction(int(positive.min()), doubled.den) if positive.size else None
                 assert doubled.min_positive_sq == want
+                assert doubled.largest == int(full.max())
+                assert doubled.separates == (positive.size == full.size - len(full))
 
 
 # -- diagonal action ------------------------------------------------------------------

@@ -14,8 +14,10 @@ from soficlab.actions import (
     FiniteGroupModel,
     IntegerGroupMatrix,
     TorusGridModel,
+    count_kernel_points,
     cyclic_model,
     instantiate_Xf,
+    sigma_matrix,
     trivial_action,
     unit_automorphism,
 )
@@ -221,6 +223,31 @@ def test_rho2_sums_over_python_ints():
     # four squared distances of 2^62 summed to 2^64, which wrapped int64 to 0
     metric = _far_metric(cyclic_model(3))
     assert rho2_sq(metric, [0, 1, 0, 1], [1, 0, 1, 0]) == BIG
+
+
+def test_kernel_point_sums_over_python_ints():
+    # 4x = 3q = 0 mod q for x = 3q/4, but 4x = 9 * 2^61 wrapped int64 to 2^61
+    Z = GroupSpec.integers()
+    sigma = quotient_sofic(Z, {"kind": "cyclic-powers", "orders": [1]}, [Z.identity()])
+    q = 3 * 2**61
+    model = instantiate_Xf(IntegerGroupMatrix.single(Z, [(4, "e")]), sigma, q=q, tol=0)
+    assert model.is_kernel_point([[3 * q // 4]]) and not model.is_kernel_point([[q // 4 + 1]])
+    assert count_kernel_points(model, "grid-exact") == 4
+
+
+def test_sigma_matrix_refuses_entries_past_int64():
+    # t and t^4 meet in one entry on Z/3, where 2^62 + 2^62 wrapped to -2^63,
+    # so continuous-exact counted |1 - 2^189| in place of 1 + 2^189; a single
+    # coefficient 2^63 raised numpy's bare "Python int too large"
+    Z = GroupSpec.integers()
+    t = Z.generator(0)
+    sigma = quotient_sofic(Z, {"kind": "cyclic-powers", "orders": [3]}, [Z.identity(), t, Z.power(t, 4)])
+    for pairs in ([(1, "e"), (2**62, "t"), (2**62, "t^4")], [(2**63, "e")], [(-(2**63), "t")]):
+        with pytest.raises(OverflowError, match=r"block \(0, 0\)"):
+            sigma_matrix(IntegerGroupMatrix.single(Z, pairs), sigma)
+    # coefficients whose absolute sum is 2^63 - 1 still fit every entry
+    f = IntegerGroupMatrix.single(Z, [(1, "e"), (2**62 - 2, "t"), (2**62, "t^4")])
+    assert count_kernel_points(instantiate_Xf(f, sigma, q=2, tol=0), "continuous-exact") == 1 + (2**63 - 2) ** 3
 
 
 def test_integer_input_of_every_integer_dtype_is_read():

@@ -16,6 +16,7 @@ from soficlab.actions import (
     diagonal_action,
     dual_model,
     instantiate_Xf,
+    product_model,
     trivial_action,
     unit_automorphism,
     IntegerGroupMatrix,
@@ -26,6 +27,7 @@ from soficlab.groups import GroupSpec, perturb, quotient_sofic
 from soficlab.measures import Doubled, ProductMeasure, SampleBased, SiteMeasure, UniformOnSet, mass
 from soficlab.microstates import (
     MapWindow,
+    PairTable,
     Pseudometric,
     TestFunction as PanelFunction,  # aliased so pytest does not collect it
     _band,
@@ -671,6 +673,14 @@ class TestTorusModels:
         x, y = (1, 5, 0, 3), (4, 0, 0, 2)
         # circle distances 3, 1, 0, 1 over 4 sites of the 6-grid
         assert rho2_sq(dm, [x], [y]) == rho2_sq(ref, [x], [y]) == Fraction(9 + 1 + 0 + 1, 4 * 36)
+        # a torus metric of another denominator doubles by the same rule: the
+        # doubled metric averages the factor's squared distances, where it
+        # used to be the standard metric, den 2 * 9 = 18 in place of 2
+        raw = Pseudometric("raw", TorusGridModel(3, 1), den=1)
+        dr = doubled_metric(raw)
+        assert (dr.model.q, dr.model.sites, dr.den, dr.min_positive_sq) == (3, 2, 2, Fraction(1, 2))
+        halves = rho2_sq(raw, [(1,)], [(0,)]) + rho2_sq(raw, [(0,)], [(0,)])
+        assert rho2_sq(dr, [(1, 0)], [(0, 0)]) == halves / 2 == Fraction(1, 2)
 
     def test_sq_agrees_with_rho2_at_d_1(self):
         q, s = 5, 3
@@ -1248,6 +1258,15 @@ def _refusal_cases():
         ("mass-without-rng", lambda: mass(product3, lambda xs: xs[:, 0] == 0, budget=1),
          ValidationError, "needs a generator"),
         ("perm-outside-support", lambda: sigma.perm(Z.power(t, 5)), UnsupportedElementError, "outside"),
+        # a PairTable was never read: on Z/3 a 2 x 2 factor gave point 2 a
+        # distance to 0 of 1, and a negative, asymmetric factor gave
+        # min_positive_sq 3 and rho2_sq(1, 2) = 4
+        ("pair-table-off-a-pair-model", lambda: Pseudometric(
+            "p", model, table_num=PairTable(discrete_metric(cyclic_model(2)).table_num)),
+         ValidationError, "PairTable"),
+        ("pair-table-factor", lambda: Pseudometric(
+            "p", product_model(cyclic_model(2)), table_num=PairTable(np.array([[0, -1], [5, 3]]))),
+         ValidationError, "2 x 2 table with a zero diagonal"),
     ]
 
 
