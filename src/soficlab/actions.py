@@ -512,8 +512,10 @@ def sigma_matrix(f: IntegerGroupMatrix, sigma: SoficApproximation) -> np.ndarray
     sigma(g) acting by (P_g x)_a = x_{sigma(g)^{-1}(a)}.  Row index a*m + l,
     column index b*n + j, matching candidates flattened C-order from (d, n).
     Where sigma sends two elements of the support to one entry, their
-    coefficients add, so OverflowError is raised for a block whose
-    coefficients' absolute sum reaches 2^63 before it is filled.
+    coefficients add.  A block whose coefficients' absolute sum is below 2^63
+    is filled in int64; any other is summed over Python ints first, and
+    OverflowError is raised when one of its entries reaches 2^63 in absolute
+    value.
     """
     d = sigma.d
     rows, cols = f.m * d, f.n * d
@@ -521,13 +523,17 @@ def sigma_matrix(f: IntegerGroupMatrix, sigma: SoficApproximation) -> np.ndarray
     b_idx = np.arange(d)
     for l in range(f.m):
         for j in range(f.n):
-            if (total := sum(map(abs, f.entries[l][j].values()))) >= 2**63:
-                raise OverflowError(
-                    f"block ({l}, {j}) of f: |coefficients| sum to {total} >= 2^63, so an int64 entry can wrap"
-                )
-            for g, c in f.entries[l][j].items():
-                p = sigma.perm(g)
-                out[p * f.m + l, b_idx * f.n + j] += c
+            terms = [(sigma.perm(g), c) for g, c in f.entries[l][j].items()]
+            if sum(abs(c) for _, c in terms) < 2**63:
+                for p, c in terms:
+                    out[p * f.m + l, b_idx * f.n + j] += c
+                continue
+            block = np.zeros((d, d), dtype=object)
+            for p, c in terms:
+                block[p, b_idx] += c
+            if abs(worst := max(block.flat, key=abs)) >= 2**63:
+                raise OverflowError(f"block ({l}, {j}) of f: an entry sums to {worst}, outside the int64 range ±(2^63 - 1)")
+            out[l :: f.m, j :: f.n] = block
     return out
 
 

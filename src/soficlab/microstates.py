@@ -22,6 +22,11 @@ survivors.  A block is q consecutive prefixes of d - k digits, each followed
 by all n^k tails, with k and then q as large as the bound allows: the last k
 digits come from one table written once, and only the prefixes are written
 per block.
+
+Randomized search draws from one generator per requested sample, through a
+buffer of 32-bit words that gives numpy's own bounded draws, so the samples
+do not depend on the buffering.  The samples' searches run in lockstep, and
+each round of repaired candidates goes through one membership call.
 Candidates are read by the model, which refuses floats and entries out of
 range; the metric, the action and every model must share one group law.
 """
@@ -128,11 +133,17 @@ class PairTable:
     """The n^2 x n^2 table of a doubled table metric, computed on demand.
 
     Entry [i, j] for pair indices i, j is t[i // n, j // n] + t[i % n, j % n],
-    with t the n x n factor table; only t is stored.  Indexing takes integer
-    arrays of any matching shape, like ``ndarray[i, j]``.
+    with t the n x n factor table; only t is stored.  t is a PairTable (the
+    table of a metric doubled twice) or a square integer table, kept as a
+    read-only int64 copy.  Indexing takes integer arrays of any matching
+    shape, like ``ndarray[i, j]``.
     """
 
     def __init__(self, factor):
+        if not isinstance(factor, PairTable):
+            factor = _int_table(factor, "a PairTable factor")
+            if factor.ndim != 2 or factor.shape[0] != factor.shape[1]:
+                raise ValidationError(f"a PairTable factor must be a square table, not of shape {factor.shape}")
         self.factor = factor
         n = factor.shape[0]
         self.shape = (n * n, n * n)
@@ -604,6 +615,9 @@ def _enumerate_equivariant(
 
 # Repair walks started per requested sample before its slot is left empty.
 _ATTEMPTS_PER_SAMPLE = 40
+# Slots searched in lockstep; each live slot holds a generator and a buffer of
+# 512 words, about 21 KiB.
+_SLOTS_PER_GROUP = 64
 
 
 def sample_microstates(
@@ -622,8 +636,16 @@ def sample_microstates(
     of broken F-equations; the delta threshold and the L-panel conditions are
     checked at the end.
 
-    Returns up to n_samples verified candidates (possibly fewer); the result
-    is a pure function of the arguments.  Finite models only.
+    Slot k draws from its own generator ``default_rng([seed, 0x5A3C, k])``
+    through a ``_Words`` buffer, which takes the stream of numpy's scalar and
+    vector draws unchanged.  Slots do not depend on each other, so up to
+    ``_SLOTS_PER_GROUP`` of them run in lockstep: each round repairs one
+    attempt of every slot still pending, and the round's candidates go
+    through one membership call.
+
+    Returns up to n_samples verified candidates (possibly fewer), in slot
+    order; the result is a pure function of the arguments.  Finite models
+    only.
     """
     if not isinstance(model, FiniteModel):
         raise ValidationError("randomized repair search needs a finite model")
@@ -632,35 +654,67 @@ def sample_microstates(
     member = _membership(sigma, window.F, window.delta, window.L, window.target, metric, action)
     d = sigma.d
     n = model.n_points
-    found = []
+    found = {}
     eqs = []
     for g in window.F:
         p = sigma.perm(g)
         eqs.append((p.tolist(), np.argsort(p).tolist(), action.point_map(g).tolist()))
-    for slot in range(n_samples):
-        rng = np.random.default_rng([seed, 0x5A3C, slot])
+    for first in range(0, n_samples, _SLOTS_PER_GROUP):
+        slots = range(first, min(first + _SLOTS_PER_GROUP, n_samples))
+        pending = {k: _Words(np.random.default_rng([seed, 0x5A3C, k])) for k in slots}
         for _ in range(_ATTEMPTS_PER_SAMPLE):
-            x = rng.integers(0, n, size=d).astype(np.int64)
-            x = _repair(x, eqs, n, rng, rounds=4 * d)
-            if member(x[None])[0]:
-                found.append(x)
+            if not pending:
                 break
+            xs = np.stack([
+                _repair(np.array([w.below(n) for _ in range(d)], dtype=np.int64), eqs, n, w, rounds=4 * d)
+                for w in pending.values()
+            ])
+            for k, x, ok in zip(list(pending), xs, member(xs)):
+                if ok:
+                    found[k] = x
+                    del pending[k]
     if not found:
         return np.empty((0, d), dtype=np.int64)
-    return np.stack(found)
+    return np.stack([found[k] for k in sorted(found)])
 
 
-def _repair(x: np.ndarray, eqs, n: int, rng: np.random.Generator, rounds: int) -> np.ndarray:
+class _Words:
+    """Bounded draws from a generator's 32-bit words, read 512 at a time:
+    ``below(b)`` is ``int(rng.integers(0, b))``, and d calls are
+    ``rng.integers(0, b, size=d)``.  This is numpy's rule for int64 draws
+    with b <= 2^32 (Lemire's): a word w gives m = w * b, which is drawn
+    again while m mod 2^32 < (2^32 - b) mod b, and m >> 32 is returned; a
+    bound of 1 takes no word.  Words read ahead are never handed back, so
+    the generator must serve nothing else."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng, self.words = rng, []
+
+    def below(self, b: int) -> int:
+        if not 1 <= b <= 2**32:
+            raise ValidationError(f"a bound drawn from 32-bit words must be in 1..2^32, not {b}")
+        if b == 1:
+            return 0
+        while True:
+            if not self.words:
+                self.words = self.rng.integers(0, 2**32, size=512, dtype=np.uint32).tolist()[::-1]
+            m = self.words.pop() * b
+            if m & 0xFFFFFFFF >= (2**32 - b) % b:
+                return m >> 32
+
+
+def _repair(x: np.ndarray, eqs, n: int, words: _Words, rounds: int) -> np.ndarray:
     """Greedy walk lowering the broken equations m(x_j) = x_{p(j)}, one for
     each (p, p^-1, m) in ``eqs`` and each coordinate j, over values 0..n-1.
 
     Each round takes the first coordinate j of most broken equations through
     it and moves it to the smallest value that breaks strictly fewer; when no
     value does, one random coordinate takes a random value (the value is drawn
-    first).  A move changes only the <= 2|eqs| equations through j, so the
-    flags ``bad``, the per-coordinate counts ``viol`` (an equation counts at
-    j and at p(j), so twice at a fixed point) and the total are updated in
-    place, and each value is scored from those equations alone.
+    first, both by ``words.below``).  A move changes only the <= 2|eqs|
+    equations through j, so the flags ``bad``, the per-coordinate counts
+    ``viol`` (an equation counts at j and at p(j), so twice at a fixed point)
+    and the total are updated in place, and each value is scored from those
+    equations alone.
     """
     x = x.tolist()
     d = len(x)
@@ -703,8 +757,8 @@ def _repair(x: np.ndarray, eqs, n: int, rng: np.random.Generator, rounds: int) -
         if best < scores[x[j]]:
             move(j, scores.index(best))
         else:
-            v = int(rng.integers(0, n))
-            move(int(rng.integers(0, d)), v)
+            v = words.below(n)
+            move(words.below(d), v)
     return np.array(x, dtype=np.int64)
 
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
 from soficlab.actions import (
     AutomorphismAction,
@@ -248,6 +249,20 @@ def test_sigma_matrix_refuses_entries_past_int64():
     # coefficients whose absolute sum is 2^63 - 1 still fit every entry
     f = IntegerGroupMatrix.single(Z, [(1, "e"), (2**62 - 2, "t"), (2**62, "t^4")])
     assert count_kernel_points(instantiate_Xf(f, sigma, q=2, tol=0), "continuous-exact") == 1 + (2**63 - 2) ** 3
+
+
+def test_sigma_matrix_takes_coefficients_that_fill_separate_entries():
+    # e and t fill separate entries on Z/3, each 2^62, but the block's
+    # absolute sum 2^63 was refused; continuous-exact is |det 2^62 (I + P)|
+    Z = GroupSpec.integers()
+    t = Z.generator(0)
+    sigma = quotient_sofic(Z, {"kind": "cyclic-powers", "orders": [3]}, [Z.identity(), t])
+    f = IntegerGroupMatrix.single(Z, [(BIG, "e"), (BIG, "t")])
+    mat = sigma_matrix(f, sigma)
+    shift = np.eye(3, dtype=np.int64)[sigma.perm(t)].T
+    assert mat.dtype == np.int64 and mat.tolist() == (BIG * (np.eye(3, dtype=np.int64) + shift)).tolist()
+    assert abs(sympy.Matrix(mat.tolist()).det()) == 2**187
+    assert count_kernel_points(instantiate_Xf(f, sigma, q=2, tol=0), "continuous-exact") == 2**187
 
 
 def test_integer_input_of_every_integer_dtype_is_read():

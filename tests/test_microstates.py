@@ -33,6 +33,7 @@ from soficlab.microstates import (
     _band,
     _in_range,
     _repair,
+    _Words,
     character_panel,
     default_panel,
     discrete_metric,
@@ -1188,18 +1189,76 @@ def repair_cases(draw):
     return maps, n, x, draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 4 * d + 4))
 
 
+def _reference_sample(model, sigma, window, metric, action, n_samples, seed):
+    """One slot after another, one attempt and one membership test at a
+    time, with numpy's draws: the reference for the lockstep sampler."""
+    d, n = sigma.d, model.n_points
+    maps = [(sigma.perm(g), action.point_map(g)) for g in window.F]
+    found = []
+    for slot in range(n_samples):
+        rng = np.random.default_rng([seed, 0x5A3C, slot])
+        for _ in range(microstates._ATTEMPTS_PER_SAMPLE):
+            x = _reference_repair(rng.integers(0, n, size=d), maps, rng, 4 * d)
+            if is_meas_microstate(x, sigma, window, metric, action):
+                found.append(x.tolist())
+                break
+    return np.array(found, dtype=np.int64).reshape(len(found), d)
+
+
+@st.composite
+def sampler_cases(draw):
+    """Z acting on Z/n by a unit, sigma the d-cycle, F a subset of e, t and
+    t^-1, delta 1/4 or 1/2, with or without the indicator panel."""
+    Z = GroupSpec.integers()
+    t = Z.generator(0)
+    n = draw(st.sampled_from((2, 3, 5)))
+    model = cyclic_model(n)
+    unit = draw(st.sampled_from([u for u in (1, -1, 2) if math.gcd(u, n) == 1]))
+    action = AutomorphismAction(Z, model, generator_maps={"t": unit_automorphism(model, unit)})
+    support = [Z.identity(), t, Z.inverse(t)]
+    sigma = quotient_sofic(Z, {"kind": "cyclic-powers", "orders": [draw(st.integers(1, 6))]}, support)
+    F = tuple(support[i] for i in draw(st.lists(st.integers(0, 2), unique=True, max_size=3)))
+    panel = draw(st.sampled_from(((), indicator_panel(model))))
+    window = MapWindow(F=F, delta=draw(st.sampled_from((Fraction(1, 4), Fraction(1, 2)))), L=panel,
+                       target=SiteMeasure.uniform(model))
+    return model, sigma, window, discrete_metric(model), action
+
+
 class TestRepairWalk:
     @settings(max_examples=300, deadline=None)
     @given(repair_cases())
     def test_matches_the_reference_walk(self, case):
         maps, n, x, seed, rounds = case
         eqs = [(p.tolist(), np.argsort(p).tolist(), m.tolist()) for p, m in maps]
-        rng_ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        rng_ref, words = np.random.default_rng(seed), _Words(np.random.default_rng(seed))
         want = _reference_repair(x, maps, rng_ref, rounds)
-        got = _repair(x, eqs, n, rng, rounds)
+        got = _repair(x, eqs, n, words, rounds)
         assert got.dtype == np.int64 and got.tolist() == want.tolist()
         # the same draws were taken, in the same order
-        assert rng.integers(0, 2**63) == rng_ref.integers(0, 2**63)
+        assert words.below(2**32) == rng_ref.integers(0, 2**32, dtype=np.uint32)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        size=st.integers(0, 40),
+        vector_bound=st.integers(1, 2**32),
+        bounds=st.lists(st.integers(1, 2**32) | st.sampled_from((1, 2, 3, 2**32 - 5, 3 * 2**30, 2**32)), max_size=12),
+        repeats=st.integers(1, 120),
+    )
+    def test_words_take_numpys_stream(self, seed, size, vector_bound, bounds, repeats):
+        # a vector draw, then scalar draws past a buffer refill, then one word
+        rng, words = np.random.default_rng(seed), _Words(np.random.default_rng(seed))
+        assert [words.below(vector_bound) for _ in range(size)] == rng.integers(0, vector_bound, size=size).tolist()
+        assert [words.below(b) for b in bounds * repeats] == [int(rng.integers(0, b)) for b in bounds * repeats]
+        assert words.below(2**32) == rng.integers(0, 2**32, dtype=np.uint32)
+
+    @settings(max_examples=30, deadline=None)
+    @given(sampler_cases(), st.integers(0, 2**32 - 1), st.sampled_from((1, 3, 65)))
+    def test_matches_the_reference_sampler(self, case, seed, n_samples):
+        model, sigma, window, metric, action = case
+        want = _reference_sample(model, sigma, window, metric, action, n_samples, seed)
+        got = sample_microstates(model, sigma, window, metric, action, n_samples, seed)
+        assert got.dtype == np.int64 and got.shape == want.shape and got.tolist() == want.tolist()
 
     def test_pinned_samples(self):
         # Z on Z/3 by negation, sigma the shift on Z/d: the samples the
@@ -1267,6 +1326,15 @@ def _refusal_cases():
         ("pair-table-factor", lambda: Pseudometric(
             "p", product_model(cyclic_model(2)), table_num=PairTable(np.array([[0, -1], [5, 3]]))),
          ValidationError, "2 x 2 table with a zero diagonal"),
+        # a factor that is not a square integer table raised a bare
+        # AttributeError for a list, and a 2 x 3 array was accepted
+        ("pair-table-float", lambda: PairTable([[0.0, 1.0], [1.0, 0.0]]), ValidationError, "PairTable factor"),
+        ("pair-table-flat", lambda: PairTable([0, 1]), ValidationError, "square table"),
+        ("pair-table-not-square", lambda: PairTable(np.zeros((2, 3), dtype=np.int64)),
+         ValidationError, "square table"),
+        # the sampler's word reader draws only bounds numpy draws from one word
+        ("words-bound-zero", lambda: _Words(np.random.default_rng(0)).below(0), ValidationError, "1..2\\^32"),
+        ("words-past-a-word", lambda: _Words(np.random.default_rng(0)).below(2**32 + 1), ValidationError, "1..2\\^32"),
     ]
 
 
@@ -1275,6 +1343,19 @@ def test_refusals_are_pinned(case):
     _, call, error, message = case
     with pytest.raises(error, match=message):
         call()
+
+
+def test_a_pair_table_reads_a_nested_list():
+    # PairTable([[0, 1], [1, 0]]) raised AttributeError: 'list' object has no
+    # attribute 'shape'
+    table = PairTable([[0, 1], [1, 0]])
+    assert table.shape == (4, 4) and table[np.array([1, 3]), np.array([2, 0])].tolist() == [2, 2]
+    pair = product_model(cyclic_model(2))
+    got = Pseudometric("p", pair, table_num=table, den=2)
+    want = doubled_metric(discrete_metric(cyclic_model(2)))
+    i, j = np.divmod(np.arange(16), 4)
+    assert got.table_num[i, j].tolist() == want.table_num[i, j].tolist()
+    assert (got.largest, got.min_positive_sq, got.separates) == (2, Fraction(1, 2), True)
 
 
 def test_a_negative_delta_is_refused_everywhere():
