@@ -67,7 +67,7 @@ from .errors import (
     SingularMatrixError,
     ValidationError,
 )
-from .groups import GroupElement, GroupSpec, SoficApproximation, _sort_key, _validate_table, quotient_sofic
+from .groups import GroupElement, GroupSpec, SoficApproximation, _abelian_quotient, _sort_key, _validate_table, quotient_sofic
 from .intlin import _int_table, _int_view, _integer, _read_only
 
 
@@ -614,31 +614,69 @@ def _solve_residue_box(mat: np.ndarray, q: int, bound: int, budget: int) -> np.n
     return intlin.solve_mod_batch(intlin.smith_normal_form(mat.tolist()), targets, q, budget)
 
 
+def _character_det(model: AlgebraicActionModel) -> int | None:
+    """det f^(sigma) by ``intlin.det_circulant`` when f is 1 x 1 and sigma is,
+    on f's support, left multiplication on copies of a finite abelian
+    quotient (``groups._abelian_quotient``); else None.  f^(sigma) is then
+    block diagonal with one group circulant per copy, so its determinant is
+    that of the first block, with its Hadamard bound, to the power copies."""
+    f = model.source
+    quotient = None if (f.m, f.n) != (1, 1) else _abelian_quotient(model.sigma, f.support())
+    if quotient is None:
+        return None
+    orders, copies = quotient
+    terms = f.entries[0][0]
+    shifts = [[e % o for (_, e), o in zip(f.group.word(g), orders)] for g in terms]
+    size = math.prod(orders)
+    det = intlin.det_circulant(
+        list(terms.values()), shifts, orders, intlin._hadamard_bound(model.matrix[:size, :size])
+    )
+    return None if det is None else det**copies
+
+
 def count_kernel_points(model: AlgebraicActionModel, mode: str, budget: int = 10**6) -> int:
     """Kernel size under one of three counting modes.
 
-    continuous-exact: |det f^(sigma)| (square, nonsingular), exact by the
-    multi-modular CRT of ``intlin.det_multimodular``.
+    continuous-exact: |det f^(sigma)| (square, nonsingular), exact.  When f
+    is 1 x 1 and sigma is, on f's support, left multiplication on copies of
+    a finite abelian quotient, as ``quotient_sofic`` builds for abelian
+    groups (checked against sigma's table, so a perturbed or relabelled
+    sigma fails), the determinant is the product of f's character values,
+    by ``intlin.det_circulant``.  Every other case (free and table groups,
+    perturbed sigma, f larger than 1 x 1, or too few primes = 1 mod the
+    quotient's exponent) takes the multi-modular CRT of
+    ``intlin.det_multimodular``.
     grid-exact: exact solutions on the q-grid, by ``intlin.kernel_count_mod``:
     elimination on unit pivots mod q in int64 for q < 2^31, then
     prod gcd(s_i, q) * q^(skipped - rank) over the Smith form of the block
     left without a unit pivot (zero for a prime q).
-    grid-tolerance: tolerance-kernel grid points, listed by one batch solve
-    over the admissible residue targets.  Refused with BudgetExceededError
-    when the targets or the points exceed ``budget``.
+    grid-tolerance: the x in (Z/q)^cols with every residue of A x within
+    the tolerance of 0, for A = f^(sigma).  By Poisson summation on
+    (Z/q)^rows the count is q^(cols - rows) times a sum over ker A^T mod q,
+    and when that kernel is {0} it is |B|^rows q^(cols - rows), for B the
+    allowed residues, with nothing listed.  Otherwise the points are listed
+    by one batch solve over the admissible residue targets, and refused with
+    BudgetExceededError when the targets or the points exceed ``budget``; so
+    a refusal depends on |ker A^T mod q|, not on the number of targets.
     """
     mat = model.matrix
     if mode == "continuous-exact":
         if model.source.m != model.source.n:
             raise ValidationError("continuous-exact needs a square matrix")
-        det = intlin.det_multimodular(mat)
+        det = _character_det(model)
+        if det is None:
+            det = intlin.det_multimodular(mat)
         if det == 0:
             raise SingularMatrixError("matrix is singular")
         return abs(det)
     if mode == "grid-exact":
         return intlin.kernel_count_mod(mat, model.q)
     if mode == "grid-tolerance":
-        return len(_solve_residue_box(mat, model.q, model.residue_bound(), budget))
+        rows, cols = mat.shape
+        bound = model.residue_bound()
+        if intlin.kernel_count_mod(mat.T, model.q) == 1:
+            return min(2 * bound + 1, model.q) ** rows * model.q ** (cols - rows)
+        return len(_solve_residue_box(mat, model.q, bound, budget))
     raise ValidationError(f"unknown counting mode {mode!r}")
 
 

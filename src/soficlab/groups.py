@@ -474,25 +474,7 @@ def quotient_sofic(
         raise ValidationError("support must contain the identity")
     perms: dict[GroupElement, np.ndarray] = {}
     if spec.kind == "abelian":
-        if kind == "regular":
-            # alias: regular representation of a finite abelian group
-            if not all(spec.moduli):
-                raise ValidationError("regular quotient needs a finite group")
-            orders = spec.moduli
-        elif kind != "cyclic-powers":
-            raise ValidationError(f"abelian groups offer cyclic-powers quotients, not {kind!r}")
-        else:
-            orders = tuple(_integer(x, "quotient orders", least=1) for x in quotient["orders"])
-            if len(orders) != len(spec.generators):
-                raise ValidationError("one quotient order per generator")
-            for m, o in zip(spec.moduli, orders):
-                if m and m % o != 0:
-                    raise ValidationError(f"relation g^{m} does not die in Z/{o}")
-        # the index of (a_1..a_k) is lexicographic, the last coordinate fastest
-        grids = np.meshgrid(*[np.arange(o) for o in orders], indexing="ij")
-        for g in support:
-            coords = [(grid + e) % o for grid, (_, e), o in zip(grids, spec.word(g), orders)]
-            perms[g] = np.ravel_multi_index(coords, orders).reshape(-1)
+        _, perms = _abelian_perms(spec, quotient, support)
     elif spec.kind == "table":
         if kind != "regular":
             raise ValidationError(f"table groups offer regular quotients, not {kind!r}")
@@ -517,14 +499,71 @@ def quotient_sofic(
                     perm = perm[step]
             perms[g] = perm
     if copies > 1:
-        # copy k of the quotient acts on the points k * d .. k * d + d - 1
-        perms = {g: (p + len(p) * np.arange(copies)[:, None]).reshape(-1) for g, p in perms.items()}
+        perms = {g: _in_copies(p, copies) for g, p in perms.items()}
     return SoficApproximation(
         group=spec,
         table=perms,
         provenance="quotient-induced",
         quotient=dict(quotient),
     )
+
+
+def _abelian_perms(
+    spec: GroupSpec, quotient: Mapping, support: Sequence[GroupElement]
+) -> tuple[tuple[int, ...], dict[GroupElement, np.ndarray]]:
+    """The orders (o_1, ..., o_k) of the abelian quotient that ``quotient``
+    names, ``cyclic-powers`` or ``regular``, and sigma(g) for each g in
+    ``support``: translation by g's exponents mod the orders.  The point of
+    (a_1, ..., a_k) is its lexicographic index, the last coordinate fastest."""
+    kind = quotient.get("kind")
+    if kind == "regular":
+        # alias: regular representation of a finite abelian group
+        if not all(spec.moduli):
+            raise ValidationError("regular quotient needs a finite group")
+        orders = spec.moduli
+    elif kind != "cyclic-powers":
+        raise ValidationError(f"abelian groups offer cyclic-powers quotients, not {kind!r}")
+    else:
+        orders = tuple(_integer(x, "quotient orders", least=1) for x in quotient["orders"])
+        if len(orders) != len(spec.generators):
+            raise ValidationError("one quotient order per generator")
+        for m, o in zip(spec.moduli, orders):
+            if m and m % o != 0:
+                raise ValidationError(f"relation g^{m} does not die in Z/{o}")
+    grids = np.meshgrid(*[np.arange(o) for o in orders], indexing="ij")
+    perms = {}
+    for g in support:
+        coords = [(grid + e) % o for grid, (_, e), o in zip(grids, spec.word(g), orders)]
+        perms[g] = np.ravel_multi_index(coords, orders).reshape(-1)
+    return orders, perms
+
+
+def _in_copies(perm: np.ndarray, copies: int) -> np.ndarray:
+    """``perm`` on each of ``copies`` copies of its points: copy k acts on
+    the points k * d .. k * d + d - 1."""
+    return (perm + len(perm) * np.arange(copies)[:, None]).reshape(-1)
+
+
+def _abelian_quotient(sigma: SoficApproximation, support: Sequence[GroupElement]) -> tuple[tuple[int, ...], int] | None:
+    """(orders, copies) when sigma is, on ``support``, left multiplication on
+    ``copies`` copies of the abelian quotient its ``quotient`` record names,
+    else None.  Each sigma(g) is rebuilt by ``_abelian_perms`` and compared
+    with the table, at O(d |support|) cost: the record alone certifies
+    nothing, since ``perturb`` keeps it and a table can be built by hand."""
+    spec, quotient = sigma.group, sigma.quotient
+    if spec.kind != "abelian" or quotient is None:
+        return None
+    try:
+        copies = _integer(quotient.get("copies", 1), "copies", least=1)
+        orders, perms = _abelian_perms(spec, quotient, support)
+    except (KeyError, TypeError, ValidationError, UnsupportedElementError):
+        return None
+    if math.prod(orders) * copies != sigma.d:
+        return None
+    for g, p in perms.items():
+        if g not in sigma.table or not np.array_equal(sigma.table[g], _in_copies(p, copies)):
+            return None
+    return orders, copies
 
 
 def sofic_defects(sigma: SoficApproximation, F: Sequence[GroupElement]) -> SoficDefectReport:

@@ -4,7 +4,13 @@ Determinants, Smith normal form with unimodular transforms, grid-exact
 kernel counts and the one lattice solver for ``A x = t (mod q)``.
 ``det_multimodular`` computes determinants: a Crout LU in float64 modulo
 word-size primes, batched over the primes, combined by CRT past twice the
-Hadamard bound, so every result is exact.  ``det_bareiss`` (fraction-free
+Hadamard bound, so every result is exact.  ``det_circulant`` computes the
+determinant of a group circulant on a finite abelian group, the product of
+its character values, mod primes p = 1 (mod the group's exponent) below
+2^31, in int64 and batched over the primes; it shares the prime search
+(``_crt_primes``) and the CRT (``_crt``) with ``det_multimodular``, and
+``actions.count_kernel_points`` says which of the two runs when.
+``det_bareiss`` (fraction-free
 elimination over Python ints) is only the reference that tests check it
 against; nothing in the package calls it.  The Smith form works over Python
 ints, so nothing overflows; it repeats one round (move the least nonzero
@@ -57,8 +63,11 @@ def _integer(value, what: str, least: int | None = None) -> int:
 
 def _int_view(values, what: str) -> np.ndarray:
     """``values`` as an int64 array, the input itself when it is one; an
-    empty array passes."""
-    a = np.asarray(values)
+    empty array passes; a ragged nested list is refused."""
+    try:
+        a = np.asarray(values)
+    except ValueError as exc:
+        raise ValidationError(f"{what} must be a rectangular array of integers ({exc})") from None
     if a.size and not (a.dtype.kind in "iu" and np.can_cast(a.dtype, np.int64)):
         raise ValidationError(f"{what} must hold integers, not {a.dtype}")
     return a.astype(np.int64, copy=False)
@@ -135,8 +144,13 @@ def det_bareiss(mat) -> int:
 
 # The LU stack of one batch of primes stays within this many bytes.
 _LU_BYTES = 32 * 2**20
-# Primes found so far, largest first, for each upper limit.
-_PRIMES: dict[int, list[int]] = {}
+# Primes found so far, largest first, for each upper limit and step.
+_PRIMES: dict[tuple[int, int], list[int]] = {}
+# The primitive n-th root of unity mod p that ``_root`` found, by (p, n).
+_ROOTS: dict[tuple[int, int], int] = {}
+# The character path's primes are at most this, so that a product of two
+# residues stays below 2^62 in int64.
+_CHARACTER_LIMIT = 2**31 - 1
 
 
 def _hadamard_bound(a: np.ndarray) -> int:
@@ -171,21 +185,38 @@ def _is_prime(m: int) -> bool:
 def _primes(n: int, bound: int) -> list[int]:
     """Primes p with n (p - 1)^2 < 2^53, largest first, until their product
     exceeds 2 * bound.  Every dot product of n residues mod p is then exact
-    in float64.  The primes are found lazily and cached per limit."""
-    limit = math.isqrt((2**53 - 1) // n) + 1
-    cache = _PRIMES.setdefault(limit, [])
+    in float64."""
+    return _crt_primes(math.isqrt((2**53 - 1) // n) + 1, bound)
+
+
+def _crt_primes(limit: int, bound: int, step: int = 1) -> list[int]:
+    """Primes p <= limit with p = 1 (mod step), largest first, until their
+    product exceeds 2 * bound; step 1 takes every prime.  They are found
+    lazily, stepping down from the largest candidate, and cached per (limit,
+    step).  Raises OverflowError when the primes run out first."""
+    cache = _PRIMES.setdefault((limit, step), [])
     out, mod = [], 1
     while mod <= 2 * bound:
         if len(out) == len(cache):
-            m = cache[-1] - 1 if cache else limit
+            m = cache[-1] - step if cache else limit - (limit - 1) % step
             while not _is_prime(m):
                 if m < 2:
-                    raise OverflowError(f"the primes below {limit} do not exceed twice the Hadamard bound")
-                m -= 1
+                    raise OverflowError(f"the primes = 1 mod {step} to {limit} do not exceed twice the Hadamard bound")
+                m -= step
             cache.append(m)
         out.append(cache[len(out)])
         mod *= out[-1]
     return out
+
+
+def _crt(residues: list[int], primes: list[int]) -> int:
+    """The x with x = r (mod p) for each residue r and prime p and
+    |x| <= M / 2, for M the product of the primes (Garner's CRT)."""
+    x, mod = 0, 1
+    for r, p in zip(residues, primes):
+        x += mod * ((r - x) * pow(mod, -1, p) % p)
+        mod *= p
+    return x - mod if x > mod // 2 else x
 
 
 def _det_residues(a: np.ndarray, primes: list[int]) -> list[int]:
@@ -239,13 +270,71 @@ def det_multimodular(mat) -> int:
         raise ValueError("determinant needs a square matrix")
     primes = _primes(n, _hadamard_bound(a))
     per_batch = max(1, _LU_BYTES // (8 * n * n))
-    det, mod = 0, 1
-    for i in range(0, len(primes), per_batch):
-        batch = primes[i : i + per_batch]
-        for p, r in zip(batch, _det_residues(a, batch)):
-            det += mod * ((r - det) * pow(mod, -1, p) % p)
-            mod *= p
-    return det - mod if det > mod // 2 else det
+    residues = [r for i in range(0, len(primes), per_batch) for r in _det_residues(a, primes[i : i + per_batch])]
+    return _crt(residues, primes)
+
+
+def _root(p: int, n: int) -> int:
+    """A primitive n-th root of unity mod the prime p, for n | p - 1:
+    w = g^((p - 1) / n) for the least g >= 2 with w^(n / r) != 1 for every
+    prime r | n.  Cached by (p, n)."""
+    if (p, n) not in _ROOTS:
+        factors = [r for r in range(2, n + 1) if n % r == 0 and _is_prime(r)]
+        g = 2
+        while any(pow(g, (p - 1) // r, p) == 1 for r in factors):
+            g += 1
+        _ROOTS[p, n] = pow(g, (p - 1) // n, p)
+    return _ROOTS[p, n]
+
+
+def det_circulant(coeffs: list[int], shifts, orders, bound: int) -> int | None:
+    """Exact determinant of the group circulant sum_t c_t T_t on the finite
+    abelian group A = Z/o_1 x ... x Z/o_k, for T_t the translation of A by
+    row t of ``shifts``; None when too few primes p = 1 (mod N) are at most
+    ``_CHARACTER_LIMIT``.
+
+    The characters of A diagonalize every translation, so the determinant
+    is the product over the characters chi of sum_t c_t chi(shift_t)
+    (Lind, Schmidt and Ward 1990, in finite form).  For a prime p = 1
+    (mod N), N = lcm(o_i), a primitive N-th root of unity w mod p (cached
+    with p) sends chi_j(s) to w^(sum_i j_i s_i N / o_i), so the product is
+    the determinant mod p.  All primes run at once on (primes x |A|) int64
+    arrays: the powers of w by doubling, the character values summed over
+    the terms, and the product taken by pairwise halving.  The primes are
+    taken, largest first, until their product exceeds twice ``bound`` (a
+    bound on |det|, as the Hadamard bound), and the residues are combined by
+    the CRT of ``det_multimodular``.
+    """
+    orders = np.array(orders, dtype=np.int64)
+    n = math.lcm(*orders.tolist())
+    try:
+        primes = _crt_primes(_CHARACTER_LIMIT, bound, n)
+    except OverflowError:
+        return None
+    ps = np.array(primes, dtype=np.int64)[:, None]
+    powers = np.empty((len(primes), n), dtype=np.int64)
+    powers[:, 0] = 1
+    w, filled = np.array([_root(p, n) for p in primes], dtype=np.int64)[:, None], 1
+    while filled < n:
+        k = min(filled, n - filled)
+        powers[:, filled : filled + k] = powers[:, :k] * w % ps
+        w, filled = w * w % ps, filled + k
+    # the exponent of w in chi_j(shift_t): (terms, |A|) for every character j
+    digits = mixed_radix(np.arange(math.prod(orders.tolist())), orders.tolist())
+    shifts = np.asarray(shifts, dtype=np.int64).reshape(len(coeffs), len(orders)) % orders
+    phase = (shifts[:, None, :] * digits % orders) @ (n // orders) % n
+    # each term is below p < 2^31, so a sum of fewer than 2^32 terms fits
+    values = np.zeros((len(primes), len(digits)), dtype=np.int64)
+    for c, ph in zip(coeffs, phase):
+        values += powers[:, ph] * np.array([c % p for p in primes], dtype=np.int64)[:, None] % ps
+    values %= ps
+    while values.shape[1] > 1:
+        half = values.shape[1] // 2
+        head = values[:, :half] * values[:, half : 2 * half] % ps
+        if values.shape[1] % 2:
+            head[:, :1] = head[:, :1] * values[:, -1:] % ps
+        values = head
+    return _crt(values[:, 0].tolist(), primes)
 
 
 def smith_normal_form(mat) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:

@@ -6,10 +6,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import s3_spec, time_cap
+from soficlab import actions, intlin
 from soficlab.actions import (
     AlgebraicActionModel,
     AutomorphismAction,
@@ -31,8 +33,8 @@ from soficlab.actions import (
     verify_hypotheses,
 )
 from soficlab.errors import SingularMatrixError, UnsupportedElementError, ValidationError
-from soficlab.groups import GroupSpec, quotient_sofic
-from soficlab.intlin import det_bareiss
+from soficlab.groups import GroupSpec, SoficApproximation, perturb, quotient_sofic
+from soficlab.intlin import det_bareiss, det_multimodular, kernel_count_mod
 
 
 @pytest.fixture
@@ -525,6 +527,203 @@ class TestContinuousExactAtScale:
         c = 2 * np.cos(2 * np.pi * np.arange(n) / n)
         want = float(np.log(5 - c[:, None] - c[None, :]).sum())
         assert math.log(count) / n**2 == pytest.approx(want / n**2, abs=1e-9)
+
+    def test_z_three_minus_t_at_1024(self, Z):
+        d = 1024
+        f = IntegerGroupMatrix.single(Z, [(3, "e"), (-1, "t")])
+        with time_cap(2):
+            sigma = quotient_sofic(Z, {"kind": "cyclic-powers", "orders": [d]}, list(f.support()))
+            count = count_kernel_points(instantiate_Xf(f, sigma, q=2, tol=0), "continuous-exact")
+        assert count == 3**d - 1
+
+    def test_z2_torus_at_n_32_against_a_float_oracle(self):
+        # a float oracle: the sum of log|symbol| over the characters of
+        # Z/32 x Z/32, in float64, with no exact linear algebra
+        n = 32
+        Z2 = GroupSpec.integers2()
+        f = IntegerGroupMatrix.single(Z2, [(5, "e"), (-1, "s"), (-1, "s^-1"), (-1, "t"), (-1, "t^-1")])
+        with time_cap(2):
+            sigma = quotient_sofic(Z2, {"kind": "cyclic-powers", "orders": [n, n]}, list(f.support()))
+            count = count_kernel_points(instantiate_Xf(f, sigma, q=2, tol=0), "continuous-exact")
+        want = sum(
+            math.log(abs(5 - 2 * math.cos(2 * math.pi * k / n) - 2 * math.cos(2 * math.pi * l / n)))
+            for k in range(n)
+            for l in range(n)
+        )
+        assert abs(math.log(count) - want) < 1e-6
+
+
+def _spy(monkeypatch, module, name) -> list:
+    """Replace ``module.name`` by a wrapper that records each result."""
+    calls, real = [], getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(real(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def _ball(spec: GroupSpec, radius: int) -> list:
+    """The elements g_0^a g_1^b ... with |a| + |b| + ... <= radius."""
+    k = len(spec.generators)
+    out = []
+    for exps in itertools.product(range(-radius, radius + 1), repeat=k):
+        if sum(map(abs, exps)) <= radius:
+            g = spec.identity()
+            for i, e in enumerate(exps):
+                g = spec.multiply(g, spec.power(spec.generator(i), e))
+            out.append(g)
+    return list(dict.fromkeys(out))
+
+
+@st.composite
+def abelian_circulants(draw):
+    """(f, sigma): a 1 x 1 f with coefficients in [-4, 4] on the ball of
+    radius 2, and left multiplication on up to two copies of a cyclic-powers
+    quotient of Z or Z^2 of orders <= 12, or of the regular Z/4 x Z/6."""
+    family = draw(st.sampled_from(["Z", "Z2", "Z4xZ6"]))
+    if family == "Z4xZ6":
+        spec, quotient = GroupSpec.abelian(("a", "b"), (4, 6)), {"kind": "regular"}
+    else:
+        spec = GroupSpec.integers() if family == "Z" else GroupSpec.integers2()
+        orders = [draw(st.integers(1, 12)) for _ in spec.generators]
+        quotient = {"kind": "cyclic-powers", "orders": orders}
+    quotient["copies"] = draw(st.integers(1, 2))
+    ball = _ball(spec, 2)
+    support = draw(st.lists(st.sampled_from(ball), min_size=1, max_size=5, unique=True))
+    f = IntegerGroupMatrix.single(spec, [(draw(st.integers(-4, 4)), g) for g in support])
+    sigma = quotient_sofic(spec, quotient, [spec.identity(), *support])
+    return f, sigma
+
+
+class TestCharacterPath:
+    """Continuous-exact counts on an abelian quotient are products of
+    character values (``intlin.det_circulant``); every other sigma or f
+    keeps the multi-modular determinant."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(abelian_circulants())
+    def test_agrees_with_the_multimodular_determinant(self, case):
+        f, sigma = case
+        model = instantiate_Xf(f, sigma, q=2, tol=0)
+        want = det_multimodular(model.matrix)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _spy(mp, intlin, "det_circulant")
+            if want == 0:
+                with pytest.raises(SingularMatrixError):
+                    count_kernel_points(model, "continuous-exact")
+            else:
+                assert count_kernel_points(model, "continuous-exact") == abs(want)
+        # the determinant of one copy, signed
+        assert len(calls) == 1 and calls[0] ** sigma.quotient["copies"] == want
+
+    def test_collisions_on_z_mod_2(self, Z):
+        # t and t^-1 are one translation of Z/2: 3 - t - t^-1 is [[3, -2], [-2, 3]]
+        f = IntegerGroupMatrix.single(Z, [(3, "e"), (-1, "t"), (-1, "t^-1")])
+        sigma = quotient_sofic(Z, {"kind": "cyclic-powers", "orders": [2], "copies": 2}, f.support())
+        assert count_kernel_points(instantiate_Xf(f, sigma, q=2, tol=0), "continuous-exact") == 5**2
+
+    def test_one_plus_t_on_z_mod_4_is_singular(self, Z, monkeypatch):
+        f = IntegerGroupMatrix.single(Z, [(1, "e"), (1, "t")])
+        sigma = quotient_sofic(Z, {"kind": "cyclic-powers", "orders": [4]}, f.support())
+        calls = _spy(monkeypatch, intlin, "det_circulant")
+        with pytest.raises(SingularMatrixError):
+            count_kernel_points(instantiate_Xf(f, sigma, q=2, tol=0), "continuous-exact")
+        assert calls == [0]
+
+    def test_too_few_primes_keep_the_crt(self, Z, monkeypatch):
+        monkeypatch.setattr(intlin, "_CHARACTER_LIMIT", 40)
+        calls = _spy(monkeypatch, intlin, "det_circulant")
+        f = IntegerGroupMatrix.single(Z, [(3, "e"), (-1, "t")])
+        sigma = quotient_sofic(Z, {"kind": "cyclic-powers", "orders": [12]}, f.support())
+        assert count_kernel_points(instantiate_Xf(f, sigma, q=2, tol=0), "continuous-exact") == 3**12 - 1
+        assert calls == [None]
+
+    def _not_certified(self, monkeypatch, f, sigma):
+        """The count, which must not take the character path, against sympy."""
+        calls = _spy(monkeypatch, intlin, "det_circulant")
+        model = instantiate_Xf(f, sigma, q=2, tol=0)
+        count = count_kernel_points(model, "continuous-exact")
+        assert calls == []
+        assert count == abs(sympy.Matrix(model.matrix.tolist()).det())
+        return count
+
+    def test_a_perturbed_sigma_keeps_the_crt(self, Z, monkeypatch):
+        f = IntegerGroupMatrix.single(Z, [(3, "e"), (-1, "t"), (1, "t^2")])
+        sigma = quotient_sofic(Z, {"kind": "cyclic-powers", "orders": [12]}, f.support())
+        moved = perturb(sigma, 0.25, 3)
+        assert moved.quotient == sigma.quotient
+        assert any(not np.array_equal(moved.table[g], sigma.table[g]) for g in f.support())
+        self._not_certified(monkeypatch, f, moved)
+
+    def test_a_relabelled_table_keeps_the_crt(self, Z, monkeypatch):
+        # sigma conjugated by a relabelling of the points: the same
+        # determinant, but not the table that its quotient record names
+        f = IntegerGroupMatrix.single(Z, [(3, "e"), (-1, "t")])
+        sigma = quotient_sofic(Z, {"kind": "cyclic-powers", "orders": [7]}, f.support())
+        relabel = np.array([3, 0, 6, 1, 5, 2, 4])
+        table = {g: relabel[p][np.argsort(relabel)] for g, p in sigma.table.items()}
+        hand = SoficApproximation(group=Z, table=table, provenance="by hand", quotient=sigma.quotient)
+        assert not np.array_equal(hand.table[Z.generator(0)], sigma.table[Z.generator(0)])
+        assert self._not_certified(monkeypatch, f, hand) == 3**7 - 1
+
+    def test_a_2x2_f_keeps_the_crt(self, Z, monkeypatch):
+        f = IntegerGroupMatrix.from_pairs(Z, [[[(3, "e"), (-1, "t")], [(1, "e")]], [[], [(2, "e"), (1, "t")]]])
+        sigma = quotient_sofic(Z, {"kind": "cyclic-powers", "orders": [5]}, f.support())
+        # block triangular: (3^5 - 1) (2^5 + 1)
+        assert self._not_certified(monkeypatch, f, sigma) == (3**5 - 1) * (2**5 + 1)
+
+
+def _box_count(model) -> int:
+    """The grid-tolerance count by listing the residue box."""
+    return len(actions._solve_residue_box(model.matrix, model.q, model.residue_bound(), 10**6))
+
+
+class TestGridToleranceByDuality:
+    """A trivial ker A^T mod q gives the grid-tolerance count
+    |B|^rows q^(cols - rows) with nothing listed; the listing stays for
+    every other A."""
+
+    @pytest.mark.parametrize(
+        "family, quotient, dual",
+        [
+            ("Z", {"kind": "cyclic-powers", "orders": [8]}, 1),
+            ("Z2", {"kind": "cyclic-powers", "orders": [2, 2]}, 9),
+            ("F2", {"kind": "random-permutations", "degree": 6, "seed": 0}, 3),
+            ("F2", {"kind": "random-permutations", "degree": 6, "seed": 3}, 9),
+        ],
+    )
+    def test_ladder_windows_match_the_listing(self, family, quotient, dual, monkeypatch):
+        # f of the sofic-ladder benchmark: 3 - t on Z, 5 minus the generators
+        # and their inverses on Z^2 and F_2
+        spec = {"Z": GroupSpec.integers(), "Z2": GroupSpec.integers2(), "F2": GroupSpec.free(2)}[family]
+        terms = [(3, "e"), (-1, "t")] if family == "Z" else [(5, "e")] + [
+            (-1, w) for name in spec.generators for w in (name, f"{name}^-1")
+        ]
+        f = IntegerGroupMatrix.single(spec, terms)
+        model = instantiate_Xf(f, quotient_sofic(spec, quotient, f.support()), q=9, tol=Fraction(1, 9))
+        assert kernel_count_mod(model.matrix.T, 9) == dual
+        want = _box_count(model)
+        calls = _spy(monkeypatch, actions, "_solve_residue_box")
+        assert count_kernel_points(model, "grid-tolerance") == want
+        assert len(calls) == (dual > 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.integers(2, 9),
+        st.integers(0, 4),
+        st.lists(st.tuples(st.integers(-4, 4), st.integers(-2, 2)), min_size=1, max_size=3),
+    )
+    def test_small_cyclic_windows_match_the_listing(self, d, q, tol_num, terms):
+        Z = GroupSpec.integers()
+        t = Z.generator(0)
+        f = IntegerGroupMatrix.single(Z, [(c, Z.power(t, e)) for c, e in terms])
+        sigma = quotient_sofic(Z, {"kind": "cyclic-powers", "orders": [d]}, [Z.identity(), *f.support()])
+        model = instantiate_Xf(f, sigma, q=q, tol=Fraction(tol_num, q))
+        assert count_kernel_points(model, "grid-tolerance") == _box_count(model)
 
 
 def rank_mod_prime(mat: np.ndarray, p: int) -> int:

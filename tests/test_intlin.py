@@ -248,6 +248,34 @@ def test_primes_keep_float64_dot_products_exact(n, bits):
     assert math.prod(primes) > 2 * bound >= math.prod(primes[:-1])
 
 
+@settings(max_examples=100, deadline=None)
+@given(step=st.integers(1, 4096), bits=st.integers(0, 2000))
+@example(step=1, bits=2000)
+def test_primes_one_mod_a_step(step, bits):
+    # the character path's search: primes = 1 (mod step), largest first and
+    # consecutive among those, only as many as 2 * bound calls for
+    limit, bound = intlin._CHARACTER_LIMIT, 2**bits
+    primes = intlin._crt_primes(limit, bound, step)
+    assert all((p - 1) % step == 0 and sympy.isprime(p) for p in primes)
+    for hi, lo in zip([limit + step - (limit - 1) % step, *primes], primes):
+        assert not any(sympy.isprime(m) for m in range(lo + step, min(hi, limit + 1), step))
+    assert math.prod(primes) > 2 * bound >= math.prod(primes[:-1])
+    # the primitive step-th root of unity cached with each prime
+    for p in primes[:3]:
+        w = intlin._root(p, step)
+        assert pow(w, step, p) == 1
+        assert all(pow(w, step // r, p) != 1 for r in sympy.primefactors(step))
+
+
+def test_det_circulant_without_enough_primes(monkeypatch):
+    # 13 and 37 are the primes = 1 (mod 12) up to 40, and 13 * 37 = 481 does
+    # not exceed twice the Hadamard bound of 3I - P on Z/12, 10^6 + 1
+    monkeypatch.setattr(intlin, "_CHARACTER_LIMIT", 40)
+    assert intlin.det_circulant([3, -1], [[0], [1]], [12], 10**6 + 1) is None
+    monkeypatch.setattr(intlin, "_CHARACTER_LIMIT", 100)
+    assert intlin.det_circulant([3, -1], [[0], [1]], [12], 10**6 + 1) == 3**12 - 1
+
+
 def test_is_prime_matches_sympy():
     # 25326001 is a strong pseudoprime to bases 2, 3 and 5
     special = [2047, 3277, 4033, 4681, 8321, 1373653, 25326001, 94906249, 94906263]

@@ -1332,6 +1332,13 @@ def _refusal_cases():
         ("pair-table-flat", lambda: PairTable([0, 1]), ValidationError, "square table"),
         ("pair-table-not-square", lambda: PairTable(np.zeros((2, 3), dtype=np.int64)),
          ValidationError, "square table"),
+        # a ragged nested list raised numpy's bare ValueError ("inhomogeneous
+        # shape") from the integer reader
+        ("pair-table-ragged", lambda: PairTable([[0, 1], [1]]), ValidationError, "a PairTable factor"),
+        ("metric-table-ragged", lambda: Pseudometric("p", cyclic_model(2), table_num=[[0, 1], [1]]),
+         ValidationError, "table_num"),
+        ("site-weights-ragged", lambda: SiteMeasure(cyclic_model(2), [[1], [1, 0]], 2),
+         ValidationError, "measure weights"),
         # the sampler's word reader draws only bounds numpy draws from one word
         ("words-bound-zero", lambda: _Words(np.random.default_rng(0)).below(0), ValidationError, "1..2\\^32"),
         ("words-past-a-word", lambda: _Words(np.random.default_rng(0)).below(2**32 + 1), ValidationError, "1..2\\^32"),
