@@ -619,18 +619,22 @@ def _character_det(model: AlgebraicActionModel) -> int | None:
     on f's support, left multiplication on copies of a finite abelian
     quotient (``groups._abelian_quotient``); else None.  f^(sigma) is then
     block diagonal with one group circulant per copy, so its determinant is
-    that of the first block, with its Hadamard bound, to the power copies."""
+    that of the first block, to the power copies.  The coefficients of
+    elements that sigma sends to one shift are merged, and every row of the
+    block holds the merged coefficients, so its Hadamard bound is their
+    squared norm to the power of the block's size, plus 1."""
     f = model.source
     quotient = None if (f.m, f.n) != (1, 1) else _abelian_quotient(model.sigma, f.support())
     if quotient is None:
         return None
     orders, copies = quotient
     terms = f.entries[0][0]
-    shifts = [[e % o for (_, e), o in zip(f.group.word(g), orders)] for g in terms]
-    size = math.prod(orders)
-    det = intlin.det_circulant(
-        list(terms.values()), shifts, orders, intlin._hadamard_bound(model.matrix[:size, :size])
-    )
+    merged: dict[tuple, int] = {}
+    for g, c in terms.items():
+        shift = tuple(e % o for (_, e), o in zip(f.group.word(g), orders))
+        merged[shift] = merged.get(shift, 0) + c
+    bound = math.isqrt(sum(c * c for c in merged.values()) ** math.prod(orders)) + 1
+    det = intlin.det_circulant(list(merged.values()), list(merged), orders, bound)
     return None if det is None else det**copies
 
 

@@ -73,14 +73,6 @@ class SiteMeasure:
     def weights(self) -> list[Fraction]:
         return [Fraction(int(v), self.den) for v in self.num]
 
-    def integral(self, values: np.ndarray, den: int = 1) -> Fraction | float:
-        """The integral of the function with value values[i] / den at point i:
-        an exact Fraction for integer values, a float for float values."""
-        values = np.asarray(values)
-        if values.dtype.kind == "f":
-            return float(np.dot(self.num.astype(np.float64), values) / (self.den * den))
-        return Fraction(int(np.dot(self.num.astype(object), values.astype(object))), self.den * den)
-
     def tv_distance(self, other: "SiteMeasure") -> Fraction:
         _check_same_model(self.model, other.model)
         l = math.lcm(self.den, other.den)

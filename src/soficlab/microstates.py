@@ -11,7 +11,7 @@ inclusive integer range for those numerators, which int64 arrays are then
 compared against.  The membership rule is strict inequality with the
 zero-distance case admitted (so exactly equivariant candidates pass at every
 delta, including 0).  ``_band`` is that one rule, for the top test and for
-exact panel functions alike.
+the panel functions, whose values are integers over a denominator too.
 
 Membership streams: a batch is tested one row block of ``_BLOCK_COORDS``
 coordinates at a time, and each block is copied once coordinates first, so
@@ -51,7 +51,7 @@ from .actions import (
 )
 from .errors import BudgetExceededError, ValidationError
 from .groups import GroupElement, SoficApproximation
-from .intlin import _int_table, _integer, _read_only, mixed_radix
+from .intlin import _int_table, _integer, mixed_radix
 from .measures import SiteMeasure
 
 
@@ -235,11 +235,8 @@ _BLOCK_COORDS = 2**15
 @dataclass(frozen=True, eq=False)
 class TestFunction:
     """A bounded test function given by its values on model points, indexed
-    by point index.
-
-    Integer values are exact: the value at point i is values[i] / den, with
-    den >= 1.  Float values are compared as floats, and den stays 1.
-    ``exact`` reads the dtype.  The table is copied and frozen.
+    by point index: the value at point i is values[i] / den, with integer
+    values and den >= 1.  The table is read as a read-only int64 copy.
     """
 
     name: str
@@ -247,43 +244,20 @@ class TestFunction:
     den: int = 1
 
     def __post_init__(self):
-        values = np.asarray(self.values)
-        floats = values.dtype.kind == "f"
-        if values.ndim != 1 or not (floats or values.dtype.kind in "iu" and np.can_cast(values.dtype, np.int64)):
-            raise ValidationError(f"test function {self.name!r} needs a 1-d table of int64 or float values")
+        values = _int_table(self.values, f"test function {self.name!r}")
+        if values.ndim != 1:
+            raise ValidationError(f"test function {self.name!r} needs a 1-d table, not one of shape {values.shape}")
         den = _integer(self.den, f"the denominator of test function {self.name!r}")
-        if den < 1 or (floats and den != 1):
-            raise ValidationError(f"test function {self.name!r} needs a denominator >= 1, and 1 for float values")
-        # a copy: the caller's table stays writable
-        object.__setattr__(self, "values", _read_only(values.astype(values.dtype if floats else np.int64)))
+        if den < 1:
+            raise ValidationError(f"test function {self.name!r} needs a denominator >= 1")
+        object.__setattr__(self, "values", values)
         object.__setattr__(self, "den", den)
 
-    @property
-    def exact(self) -> bool:
-        return self.values.dtype.kind == "i"
-
-    def means(self, idx: np.ndarray):
-        """Empirical mean over coordinates for a batch of candidates, given
-        by their point indices ``idx`` of shape (N, d), in any memory layout.
-
-        Returns (nums, den) with mean = num/den for exact functions, or a
-        float array otherwise.  The values are gathered into a new array of
-        rows, so each row is summed by numpy's own pairwise reduction, whose
-        rounding the float thresholds see.  Membership calls it for float
-        functions only, on the transpose of a coordinates-first block: a sum
-        over the coordinates axis of that block would add the terms in
-        another order and could round differently.
-        """
-        d = idx.shape[-1]
-        sums = self.values.take(idx).sum(axis=-1)
-        if self.exact:
-            return sums, d * self.den
-        return sums / d
-
-    def integral(self, mu: SiteMeasure):
-        """The integral against a site measure: a Fraction for exact
-        functions, a float otherwise."""
-        return mu.integral(self.values, self.den)
+    def integral(self, mu: SiteMeasure) -> Fraction:
+        """The exact integral against a site measure on as many points."""
+        if mu.num.shape != self.values.shape:
+            raise ValidationError(f"test function {self.name!r} has {len(self.values)} values for {len(mu.num)} points")
+        return Fraction(sum(w * v for w, v in zip(mu.num.tolist(), self.values.tolist())), mu.den * self.den)
 
 
 def indicator_panel(model: CompactGroupModel, scale: Fraction = Fraction(1)) -> tuple[TestFunction, ...]:
@@ -295,44 +269,6 @@ def indicator_panel(model: CompactGroupModel, scale: Fraction = Fraction(1)) -> 
         num[i] = scale.numerator
         out.append(TestFunction(name=f"ind[{i}]", values=num, den=scale.denominator))
     return tuple(out)
-
-
-def character_panel(model: CompactGroupModel, freqs: Sequence[int] = (1,), scale: Fraction = Fraction(1)) -> tuple[TestFunction, ...]:
-    """Real/imaginary parts of low-frequency characters (float-valued).
-
-    Finite models with integer labels use exp(2 pi i k x / n); dual models
-    with rational-tuple labels and torus grids use the first coordinate.  A
-    doubled finite model takes the character of its first coordinate: pair
-    point i gets the factor's phase of i // n.
-    """
-    out = []
-    if isinstance(model, FiniteModel):
-        idx = np.arange(model.n_points)
-        while isinstance(model, PairModel):
-            idx, model = idx // model.factor.n_points, model.factor
-        labels = model.labels
-        if labels and isinstance(labels[0], tuple):
-            phases = np.array([float(l[0]) for l in labels])[idx]
-        else:
-            phases = np.array([float(int(l)) / model.n_points for l in labels])[idx]
-    else:
-        pts = model.points_from_indices(np.arange(model.n_points))
-        phases = pts[:, 0] / model.q
-    for k in freqs:
-        for part, fn in (("re", np.cos), ("im", np.sin)):
-            out.append(
-                TestFunction(name=f"chi{k}.{part}", values=float(scale) * fn(2 * np.pi * k * phases))
-            )
-    return tuple(out)
-
-
-def default_panel(model: CompactGroupModel, scale: Fraction = Fraction(1)) -> tuple[TestFunction, ...]:
-    """Indicators plus a low-frequency character pair; the documented default."""
-    fns = []
-    if model.n_points <= 16:
-        fns.extend(indicator_panel(model, scale))
-    fns.extend(character_panel(model, freqs=(1,), scale=scale))
-    return tuple(fns)
 
 
 def _read_delta(delta) -> Fraction:
@@ -367,11 +303,11 @@ def _membership(sigma: SoficApproximation, F, delta, L, target: SiteMeasure | No
     sigma.d, as a function of the batch.  delta is read (a negative one is
     refused), the window (by ``sigma.perm``), the models' group laws and the
     panel lengths are checked, and every band computed, once here:
-    rho2^2 < delta^2 bands the squared distance sums around 0, and an exact
-    panel function bands its value sums around its integral.  Float panel
-    functions are compared as floats.  An edge g with sigma(g) the identity
-    permutation and g acting as the identity map has squared distance sum 0,
-    which the band always admits, so it is dropped here.
+    rho2^2 < delta^2 bands the squared distance sums around 0, and a panel
+    function bands its value sums around its integral.  An edge g with
+    sigma(g) the identity permutation and g acting as the identity map has
+    squared distance sum 0, which the band always admits, so it is dropped
+    here.
 
     The function tests a batch ``_BLOCK_COORDS`` coordinates at a time, so
     every temporary is the size of one row block.  A batch must have shape
@@ -379,12 +315,10 @@ def _membership(sigma: SoficApproximation, F, delta, L, target: SiteMeasure | No
     copied coordinates first, to shape (d, rows[, sites]), and read once by
     the model before any edge is tested, so anything but model points raises
     ValidationError.  sigma(g) then reindexes whole rows of the copy, and the
-    squared distances and exact panel values are summed over its first axis.
-    Float panel functions are summed one candidate at a time by
-    ``TestFunction.means``, so their rounding does not depend on the layout.
+    squared distances and panel values are summed over its first axis.
 
     The sums are int64 sums of d terms, so OverflowError is raised when d
-    times the largest squared distance, or d times an exact panel function's
+    times the largest squared distance, or d times a panel function's
     largest |value|, reaches 2^63."""
     delta, d = _read_delta(delta), sigma.d
     m = metric.model
@@ -393,19 +327,17 @@ def _membership(sigma: SoficApproximation, F, delta, L, target: SiteMeasure | No
         _check_same_model(m, target.model)
     if F and d * metric.largest >= 2**63:
         raise OverflowError(f"{d} squared distances of up to {metric.largest} can wrap an int64 sum")
+    panel = []
     for f in L:
         if f.values.shape != (m.n_points,):
             raise ValidationError(f"test function {f.name!r} needs one value per point of {m!r}")
-        if f.exact and d * max(int(f.values.max()), -int(f.values.min())) >= 2**63:
+        if d * max(int(f.values.max()), -int(f.values.min())) >= 2**63:
             raise OverflowError(f"{d} values of test function {f.name!r} can wrap an int64 sum")
+        panel.append((f.values, _band(f.integral(target) * d * f.den, delta * d * f.den)))
     top = _band(0, delta * delta * d * metric.den)
     still, fixed = np.arange(d), action.model.identity_map()
     edges = [(g, sigma.perm(g)) for g in F]
     edges = [(g, p) for g, p in edges if not (np.array_equal(p, still) and np.array_equal(action.point_map(g), fixed))]
-    panel = []
-    for f in L:
-        t = f.integral(target)
-        panel.append((f, _band(t * d * f.den, delta * d * f.den) if f.exact else t))
     shape = (d,) + np.shape(m.identity)
     rows = max(1, _BLOCK_COORDS // math.prod(shape))
 
@@ -420,12 +352,8 @@ def _membership(sigma: SoficApproximation, F, delta, L, target: SiteMeasure | No
             for g, p in edges:
                 nums = _sq_nums(metric, action.act_candidates(g, cols), cols[p]).sum(axis=0)
                 out &= _in_range(nums, *top)
-            for f, bound in panel:
-                if f.exact:
-                    out &= _in_range(f.values.take(idx).sum(axis=0), *bound)
-                else:
-                    gap = np.abs(f.means(idx.T) - bound)
-                    out &= (gap < float(delta)) | (gap == 0)
+            for values, bound in panel:
+                out &= _in_range(values.take(idx).sum(axis=0), *bound)
         return ok
 
     return test

@@ -565,6 +565,13 @@ def _spy(monkeypatch, module, name) -> list:
     return calls
 
 
+def _bounds(monkeypatch) -> list:
+    """Record the bound that each call of ``intlin.det_circulant`` is given."""
+    bounds, real = [], intlin.det_circulant
+    monkeypatch.setattr(intlin, "det_circulant", lambda *args: bounds.append(args[3]) or real(*args))
+    return bounds
+
+
 def _ball(spec: GroupSpec, radius: int) -> list:
     """The elements g_0^a g_1^b ... with |a| + |b| + ... <= radius."""
     k = len(spec.generators)
@@ -610,20 +617,27 @@ class TestCharacterPath:
         model = instantiate_Xf(f, sigma, q=2, tol=0)
         want = det_multimodular(model.matrix)
         with pytest.MonkeyPatch.context() as mp:
+            bounds = _bounds(mp)
             calls = _spy(mp, intlin, "det_circulant")
             if want == 0:
                 with pytest.raises(SingularMatrixError):
                     count_kernel_points(model, "continuous-exact")
             else:
                 assert count_kernel_points(model, "continuous-exact") == abs(want)
-        # the determinant of one copy, signed
+        # the determinant of one copy, signed, under the Hadamard bound of
+        # its dense block, where colliding support elements share an entry
         assert len(calls) == 1 and calls[0] ** sigma.quotient["copies"] == want
+        size = sigma.d // sigma.quotient["copies"]
+        assert bounds == [intlin._hadamard_bound(model.matrix[:size, :size])]
 
-    def test_collisions_on_z_mod_2(self, Z):
-        # t and t^-1 are one translation of Z/2: 3 - t - t^-1 is [[3, -2], [-2, 3]]
+    def test_collisions_on_z_mod_2(self, Z, monkeypatch):
+        # t and t^-1 are one translation of Z/2: 3 - t - t^-1 is [[3, -2], [-2, 3]],
+        # whose rows have squared norm 13, not 3^2 + 1 + 1
         f = IntegerGroupMatrix.single(Z, [(3, "e"), (-1, "t"), (-1, "t^-1")])
         sigma = quotient_sofic(Z, {"kind": "cyclic-powers", "orders": [2], "copies": 2}, f.support())
+        bounds = _bounds(monkeypatch)
         assert count_kernel_points(instantiate_Xf(f, sigma, q=2, tol=0), "continuous-exact") == 5**2
+        assert bounds == [13 + 1]
 
     def test_one_plus_t_on_z_mod_4_is_singular(self, Z, monkeypatch):
         f = IntegerGroupMatrix.single(Z, [(1, "e"), (1, "t")])

@@ -24,7 +24,6 @@ from soficlab.errors import SingularMatrixError, ValidationError
 from soficlab.groups import GroupSpec, quotient_sofic
 from soficlab.microstates import (
     Pseudometric,
-    character_panel,
     discrete_metric,
     doubled_metric,
     rho2_sq,
@@ -300,23 +299,3 @@ def test_doubling_the_242_point_dual():
     want = equivariant_rows(x1) & equivariant_rows(x2)
     assert want[:6].all() and not want[6:].any()
     assert (mask == want).all()
-
-
-# -- characters of doubled models --------------------------------------------------
-
-
-def test_character_panel_of_a_doubled_cyclic_model_reads_the_first_coordinate():
-    factor = cyclic_model(3)
-    fns = {fn.name: fn.values for fn in character_panel(product_model(factor))}
-    first = np.arange(9) // 3
-    assert np.allclose(fns["chi1.re"], np.cos(2 * np.pi * first / 3))
-    assert np.allclose(fns["chi1.im"], np.sin(2 * np.pi * first / 3))
-
-
-def test_character_panel_of_a_doubled_dual_model():
-    factor, _ = dual_model(IntegerGroupMatrix.single(GroupSpec.cyclic(2), [(2, "e"), (-1, "t")]))
-    single = {fn.name: fn.values for fn in character_panel(factor)}
-    doubled = {fn.name: fn.values for fn in character_panel(product_model(factor))}
-    first = np.arange(factor.n_points**2) // factor.n_points
-    for name in ("chi1.re", "chi1.im"):
-        assert np.allclose(doubled[name], single[name][first])

@@ -34,7 +34,6 @@ UNCALLED = {
     "actions.AlgebraicActionModel.enumerate_kernel": "direction 4",
     "measures.SiteMeasure.tv_distance": "direction 4",
     "microstates.rho2_sq": "direction 4",
-    "microstates.default_panel": "direction 4",
     "microstates.empirical_pushforward": "direction 4",
     "microstates.shift_lift": "direction 4",
     "microstates.psi_window": "direction 4",

@@ -34,8 +34,6 @@ from soficlab.microstates import (
     _in_range,
     _repair,
     _Words,
-    character_panel,
-    default_panel,
     discrete_metric,
     doubled_metric,
     empirical_pushforward,
@@ -260,12 +258,14 @@ class TestMeasMembership:
         for values, den, message in (
             ([1, 0, 0], 1.0, "must be an integer"),
             ([1, 0, 0], Fraction(2), "must be an integer"),
-            ([0.5, 0.0, 0.0], 2, "1 for float values"),
-            ([Fraction(1, 2), 0, 0], 1, "int64 or float"),
-            (["1", "0", "0"], 1, "int64 or float"),
-            ([1j, 0, 0], 1, "int64 or float"),
-            ([True, False, False], 1, "int64 or float"),
-            (np.array([2**63, 0, 0], dtype=np.uint64), 1, "int64 or float"),
+            # float values are refused, integral ones too
+            ([0.5, 0.0, 0.0], 1, "must hold integers, not float64"),
+            (np.array([1, 0, 0], dtype=np.float32), 1, "must hold integers, not float32"),
+            ([Fraction(1, 2), 0, 0], 1, "must hold integers"),
+            (["1", "0", "0"], 1, "must hold integers"),
+            ([1j, 0, 0], 1, "must hold integers"),
+            ([True, False, False], 1, "must hold integers"),
+            (np.array([2**63, 0, 0], dtype=np.uint64), 1, "must hold integers"),
             ([[1, 0, 0]], 1, "1-d"),
         ):
             with pytest.raises(ValidationError, match=message):
@@ -273,9 +273,8 @@ class TestMeasMembership:
         table = np.array([1, 0, 0])
         f = PanelFunction("f", table, np.int64(3))
         table[0] = 5
-        assert f.exact and f.values.tolist() == [1, 0, 0] and f.den == 3
+        assert f.values.dtype == np.int64 and f.values.tolist() == [1, 0, 0] and f.den == 3
         assert not f.values.flags.writeable
-        assert not PanelFunction("f", [0.5, 0.0, 0.0]).exact
 
 
 class TestEnumeration:
@@ -717,18 +716,12 @@ class TestTorusModels:
         assert any(want) and not all(want)
         assert got.tolist() == want
 
-    def test_empirical_measure_means_and_characters(self):
+    def test_empirical_measure_of_a_torus_candidate(self):
         t = TorusGridModel(3, 2)
         x = np.array([[0, 1], [2, 2], [0, 1], [1, 0]])
         # the point (a, b) has index 3a + b
         weights = empirical_pushforward(x, t).weights()
         assert weights == [0, Fraction(1, 2), 0, Fraction(1, 4), 0, 0, 0, 0, Fraction(1, 4)]
-        nums, den = indicator_panel(t)[1].means(t.point_indices(x[None]))
-        assert nums.tolist() == [2] and den == 4
-        re, im = character_panel(t)
-        # the character of the first coordinate: exp(2 pi i a / 3)
-        assert np.allclose(re.values, [np.cos(2 * np.pi * (i // 3) / 3) for i in range(9)])
-        assert np.allclose(im.means(t.point_indices(x[None])), [np.mean([np.sin(2 * np.pi * a / 3) for a, _ in x])])
 
     def test_table_metric_needs_a_finite_model(self):
         # a table reads point indices: on a torus it would read residues as
@@ -787,22 +780,23 @@ class TestExactThresholds:
         assert got.tolist() == want
 
 
+# Re exp(2 pi i a / 3), exactly: [1, -1/2, -1/2] on Z/3, and the same of the
+# first coordinate a on a 9-point model whose point (a, b) has index 3a + b
+RE_CHI = PanelFunction("chi1.re", [2, -1, -1], 2)
+RE_CHI_FIRST = PanelFunction("chi1.re", [2, 2, 2, -1, -1, -1, -1, -1, -1], 2)
+
+
 def _gather_mask(xs, sigma, window, metric, action):
     """Map_mu membership with each panel mean taken from the gathered (N, d)
     array of values: the reference for the row-block sums."""
     ok = top_microstate_mask(xs, sigma, window.F, window.delta, metric, action)
     idx = metric.model.point_indices(xs)
     for f in window.L:
-        target = f.integral(window.target)
-        if f.exact:
-            # |nums/den - target| < delta, or equal, cross-multiplied
-            nums, den = f.values[idx].sum(axis=-1), idx.shape[-1] * f.den
-            t, delta = Fraction(target), window.delta
-            gap = np.abs(nums * t.denominator - t.numerator * den)
-            ok &= (gap * delta.denominator < delta.numerator * den * t.denominator) | (gap == 0)
-        else:
-            gap = np.abs(f.values[idx].mean(axis=-1) - float(target))
-            ok &= (gap < float(window.delta)) | (gap == 0)
+        # |nums/den - target| < delta, or equal, cross-multiplied
+        nums, den = f.values[idx].sum(axis=-1), idx.shape[-1] * f.den
+        t, delta = f.integral(window.target), window.delta
+        gap = np.abs(nums * t.denominator - t.numerator * den)
+        ok &= (gap * delta.denominator < delta.numerator * den * t.denominator) | (gap == 0)
     return ok
 
 
@@ -824,7 +818,7 @@ class TestPanelSums:
 
     def test_finite_model(self):
         # d = 20 on Z/3: a row-block boundary falls inside the batch, and
-        # the character means tie with the thresholds at delta = 1/4
+        # the panel means tie with the thresholds at delta = 1/4
         Z = GroupSpec.integers()
         model = cyclic_model(3)
         action = AutomorphismAction(Z, model, generator_maps={"t": unit_automorphism(model, -1)})
@@ -833,7 +827,8 @@ class TestPanelSums:
         sigma = quotient_sofic(Z, {"kind": "cyclic-powers", "orders": [d]}, [Z.identity(), t, Z.inverse(t)])
         metric = discrete_metric(model)
         xs = self.near_and_uniform(np.random.default_rng(11), 4000, d, (), 3)
-        panel = default_panel(model, Fraction(2, 3)) + character_panel(model, freqs=(2,))
+        # Re chi scaled by 2/3 and Re chi^2, which equals Re chi on Z/3
+        panel = indicator_panel(model, Fraction(2, 3)) + (PanelFunction("chi1.re", [2, -1, -1], 3), RE_CHI)
         for target in (SiteMeasure.uniform(model), SiteMeasure(model, np.array([3, 1, 2]), 6)):
             for delta in self.DELTAS:
                 window = MapWindow(F=(Z.identity(),), delta=delta, L=panel, target=target)
@@ -853,7 +848,7 @@ class TestPanelSums:
         xs = self.near_and_uniform(np.random.default_rng(12), 1500, d, (2,), q)
         target = SiteMeasure.uniform(model)
         for delta in self.DELTAS:
-            window = MapWindow(F=(Z.identity(),), delta=delta, L=default_panel(model), target=target)
+            window = MapWindow(F=(Z.identity(),), delta=delta, L=indicator_panel(model) + (RE_CHI_FIRST,), target=target)
             want = _gather_mask(xs, sigma, window, metric, action)
             assert meas_microstate_mask(xs, sigma, window, metric, action).tolist() == want.tolist()
             assert delta == 0 or want.any()
@@ -877,13 +872,9 @@ def _reference_mask(xs, sigma, F, delta, L, target, sq, den, move, index):
             ok &= r < delta * delta or r == 0
         idx = [index(a) for a in x]
         for f in L:
-            if f.exact:
-                mean = Fraction(sum(int(f.values[i]) for i in idx), d * f.den)
-                t = sum(w * int(v) for w, v in zip(weights, f.values)) / f.den
-                ok &= abs(mean - t) < delta or mean == t
-            else:
-                gap = abs(f.values[idx].sum() / d - f.integral(target))
-                ok &= gap < float(delta) or gap == 0
+            mean = Fraction(sum(int(f.values[i]) for i in idx), d * f.den)
+            t = sum(w * int(v) for w, v in zip(weights, f.values)) / f.den
+            ok &= abs(mean - t) < delta or mean == t
         want.append(bool(ok))
     return np.array(want, dtype=bool)
 
@@ -891,8 +882,9 @@ def _reference_mask(xs, sigma, F, delta, L, target, sq, den, move, index):
 def _block_cases():
     """(label, sigma, F, delta, metric, action, panel, sq, den, move, index)
     for a finite table metric, a doubled (PairTable) metric and a torus
-    metric, each with exact and float panel functions; brute enumeration
-    runs at ``delta``, which passes some candidates and not all."""
+    metric, each with a panel of indicators and an integer function over a
+    denominator; brute enumeration runs at ``delta``, which passes some
+    candidates and not all."""
     Z = GroupSpec.integers()
     e, t = Z.identity(), Z.generator(0)
     support = [e, t, Z.inverse(t)]
@@ -908,7 +900,8 @@ def _block_cases():
     sigma5 = perturb(quotient_sofic(Z, {"kind": "cyclic-powers", "orders": [5]}, support), 0.4, 3)
     finite = (
         "finite-table", sigma5, (e, t, Z.inverse(t)), Fraction(1, 4),
-        Pseudometric("circle", z5, table_num=table, den=25), double, indicator_panel(z5, Fraction(1, 2)) + character_panel(z5),
+        Pseudometric("circle", z5, table_num=table, den=25), double,
+        indicator_panel(z5, Fraction(1, 2)) + (PanelFunction("sq0", table[0], 4),),
         lambda a, b: table[a, b], 25, lambda g, a: double.point_map(g)[a], int,
     )
     # the doubled discrete metric on (Z/3)^2, t negating both halves
@@ -918,7 +911,7 @@ def _block_cases():
     sigma4 = quotient_sofic(Z, {"kind": "cyclic-powers", "orders": [4]}, support)
     doubled = (
         "doubled-table", sigma4, (e, t), Fraction(1, 2), doubled_metric(discrete_metric(z3)),
-        pairs, indicator_panel(pairs.model) + character_panel(pairs.model),
+        pairs, indicator_panel(pairs.model) + (RE_CHI_FIRST,),
         lambda a, b: int(a // 3 != b // 3) + int(a % 3 != b % 3), 2, lambda g, a: pairs.point_map(g)[a], int,
     )
     # the 3-grid on two sites, t acting by (a, b) -> (a + b, b)
@@ -927,7 +920,7 @@ def _block_cases():
     sheared = AutomorphismAction(Z, torus, generator_maps={"t": shear})
     grid = (
         "torus", sigma4, (t, Z.inverse(t)), Fraction(1, 4), torus_metric(torus),
-        sheared, default_panel(torus),
+        sheared, indicator_panel(torus) + (RE_CHI_FIRST,),
         lambda a, b: sum(circle_sq(u, v, 3) for u, v in zip(a, b)), 2 * 9,
         lambda g, a: sheared.point_map(g) @ a % 3, lambda a: 3 * int(a[0]) + int(a[1]),
     )
@@ -1114,27 +1107,6 @@ class TestCoordinatesFirst:
             got_meas = meas_microstate_mask(batch, sigma, window, metric, action)
         assert got_top.dtype == bool and got_top.tolist() == top.tolist()
         assert got_meas.dtype == bool and got_meas.tolist() == meas.tolist()
-
-    def test_float_panels_keep_the_row_sum(self):
-        # d = 9: numpy sums a row pairwise (eight partial sums, then the
-        # ninth term), and a sum over the first axis of a coordinates-first
-        # block adds the terms one at a time; here the two differ in the last
-        # bit, and delta is the column order's gap to the integral, which the
-        # row order's smaller gap passes and the column order's would not
-        Z = GroupSpec.integers()
-        sigma = quotient_sofic(Z, {"kind": "cyclic-powers", "orders": [9]}, [Z.identity()])
-        model = cyclic_model(3)
-        f = PanelFunction("f", values=np.array([0.1, 0.2, 0.7]))
-        x = np.array([2, 2, 0, 2, 1, 1, 1, 0, 2])
-        t = f.integral(SiteMeasure.uniform(model))
-        row = f.values[x].sum()
-        column = f.values.take(np.repeat(x[:, None], 64, axis=1)).sum(axis=0)[0]
-        assert row == 3.5999999999999996 and column == 3.6000000000000005
-        assert abs(row / 9 - t) < abs(column / 9 - t)
-        window = MapWindow(F=(), delta=Fraction(abs(column / 9 - t)), L=(f,), target=SiteMeasure.uniform(model))
-        xs = np.repeat(x[None], 64, axis=0)
-        got = meas_microstate_mask(xs, sigma, window, discrete_metric(model), trivial_action(Z, model))
-        assert got.all()
 
 
 # -- the repair walk ----------------------------------------------------------
@@ -1339,6 +1311,10 @@ def _refusal_cases():
          ValidationError, "table_num"),
         ("site-weights-ragged", lambda: SiteMeasure(cyclic_model(2), [[1], [1, 0]], 2),
          ValidationError, "measure weights"),
+        # a measure on 4 points raised numpy's bare ValueError ("shapes (4,)
+        # and (3,) not aligned")
+        ("panel-integral-another-size", lambda: PanelFunction("f", [1, 0, 0]).integral(
+            SiteMeasure.uniform(cyclic_model(4))), ValidationError, "3 values"),
         # the sampler's word reader draws only bounds numpy draws from one word
         ("words-bound-zero", lambda: _Words(np.random.default_rng(0)).below(0), ValidationError, "1..2\\^32"),
         ("words-past-a-word", lambda: _Words(np.random.default_rng(0)).below(2**32 + 1), ValidationError, "1..2\\^32"),
