@@ -16,12 +16,12 @@ the panel functions, whose values are integers over a denominator too.
 Membership streams: a batch is tested one row block of ``_BLOCK_COORDS``
 coordinates at a time, and each block is copied once coordinates first, so
 that sigma(g) moves whole rows of the copy and every integer sum over the d
-coordinates adds d contiguous rows.  Brute-force enumeration tests its n^d
-candidates in blocks of no more rows, so it holds one block plus the
-survivors.  A block is q consecutive prefixes of d - k digits, each followed
-by all n^k tails, with k and then q as large as the bound allows: the last k
-digits come from one table written once, and only the prefixes are written
-per block.
+coordinates adds d contiguous rows.  Brute-force enumeration searches
+lexicographic prefixes depth first: the squared distances are >= 0, so a
+prefix whose partial distance sum for some edge is already past the band is
+dropped with all its completions.  The complete candidates left go through
+the membership test in blocks of no more rows, and the search holds at
+most d pending chunks of prefixes plus the survivors.
 
 Randomized search draws from one generator per requested sample, through a
 buffer of 32-bit words that gives numpy's own bounded draws, so the samples
@@ -51,7 +51,7 @@ from .actions import (
 )
 from .errors import BudgetExceededError, ValidationError
 from .groups import GroupElement, SoficApproximation
-from .intlin import _int_table, _integer, mixed_radix
+from .intlin import _int_table, _integer
 from .measures import SiteMeasure
 
 
@@ -221,9 +221,10 @@ def _band(c, r) -> tuple[int, int]:
     return lo, hi
 
 
-# Membership tests a batch, and brute-force enumeration builds its
-# candidates, this many coordinates at a time (d * sites per candidate), so
-# the temporaries of each block stay in cache.
+# Membership tests a batch, and brute-force enumeration extends its
+# prefixes and hands complete candidates to membership, this many
+# coordinates at a time (d * sites per candidate), so the temporaries of
+# each block stay in cache.
 _BLOCK_COORDS = 2**15
 
 
@@ -298,16 +299,30 @@ class MapWindow:
 # ---------------------------------------------------------------------------
 
 
+def _top_edges(sigma: SoficApproximation, F, delta: Fraction, metric: Pseudometric, action) -> tuple[list, tuple[int, int]]:
+    """The edges (g, sigma(g)) that the top test checks, and the band of
+    their squared distance sums: rho2^2 < delta^2 bands each sum around 0.
+    An edge g with sigma(g) the identity permutation and g acting as the
+    identity map has squared distance sum 0, which the band always admits,
+    so it is dropped here.  The sums are int64 sums of d terms, so
+    OverflowError is raised when d times the largest squared distance
+    reaches 2^63."""
+    d = sigma.d
+    if F and d * metric.largest >= 2**63:
+        raise OverflowError(f"{d} squared distances of up to {metric.largest} can wrap an int64 sum")
+    still, fixed = np.arange(d), action.model.identity_map()
+    edges = [(g, sigma.perm(g)) for g in F]
+    edges = [(g, p) for g, p in edges if not (np.array_equal(p, still) and np.array_equal(action.point_map(g), fixed))]
+    return edges, _band(0, delta * delta * d * metric.den)
+
+
 def _membership(sigma: SoficApproximation, F, delta, L, target: SiteMeasure | None, metric: Pseudometric, action) -> Callable:
     """Map_mu membership (Map when L is empty) of candidate batches of length
     sigma.d, as a function of the batch.  delta is read (a negative one is
     refused), the window (by ``sigma.perm``), the models' group laws and the
-    panel lengths are checked, and every band computed, once here:
-    rho2^2 < delta^2 bands the squared distance sums around 0, and a panel
-    function bands its value sums around its integral.  An edge g with
-    sigma(g) the identity permutation and g acting as the identity map has
-    squared distance sum 0, which the band always admits, so it is dropped
-    here.
+    panel lengths are checked, and every band computed, once here: the top
+    edges and band by ``_top_edges``, and a panel function bands its value
+    sums around its integral.
 
     The function tests a batch ``_BLOCK_COORDS`` coordinates at a time, so
     every temporary is the size of one row block.  A batch must have shape
@@ -318,15 +333,14 @@ def _membership(sigma: SoficApproximation, F, delta, L, target: SiteMeasure | No
     squared distances and panel values are summed over its first axis.
 
     The sums are int64 sums of d terms, so OverflowError is raised when d
-    times the largest squared distance, or d times a panel function's
-    largest |value|, reaches 2^63."""
+    times the largest squared distance (by ``_top_edges``), or d times a
+    panel function's largest |value|, reaches 2^63."""
     delta, d = _read_delta(delta), sigma.d
     m = metric.model
     _check_same_model(m, action.model)
     if L:
         _check_same_model(m, target.model)
-    if F and d * metric.largest >= 2**63:
-        raise OverflowError(f"{d} squared distances of up to {metric.largest} can wrap an int64 sum")
+    edges, top = _top_edges(sigma, F, delta, metric, action)
     panel = []
     for f in L:
         if f.values.shape != (m.n_points,):
@@ -334,10 +348,6 @@ def _membership(sigma: SoficApproximation, F, delta, L, target: SiteMeasure | No
         if d * max(int(f.values.max()), -int(f.values.min())) >= 2**63:
             raise OverflowError(f"{d} values of test function {f.name!r} can wrap an int64 sum")
         panel.append((f.values, _band(f.integral(target) * d * f.den, delta * d * f.den)))
-    top = _band(0, delta * delta * d * metric.den)
-    still, fixed = np.arange(d), action.model.identity_map()
-    edges = [(g, sigma.perm(g)) for g in F]
-    edges = [(g, p) for g, p in edges if not (np.array_equal(p, still) and np.array_equal(action.point_map(g), fixed))]
     shape = (d,) + np.shape(m.identity)
     rows = max(1, _BLOCK_COORDS // math.prod(shape))
 
@@ -423,18 +433,22 @@ def enumerate_top_microstates(
     Finite models with a threshold forcing exact equivariance (see
     ``forces_exact_equivariance``, which reads whether the metric separates
     points and its least positive distance) solve the constraint system
-    orbit by orbit; otherwise brute force within budget.  Brute force runs
-    through the n^d candidates in lexicographic order, in blocks of at most
-    ``_BLOCK_COORDS`` coordinates (and at least one row), each tested by
-    ``top_microstate_mask``, so it holds one block plus the survivors.  A block is q consecutive prefixes
-    of d - k digits, each followed by all n^k tails: k is the largest with
-    n^k rows within the bound, and q the most such runs that fit, so a
-    block holds more than half the bound's rows unless it is the last.
-    The tails are one table, built once, and only the prefixes are written
-    per block; k = 0 when n alone exceeds the bound, and a block is then a
-    run of consecutive candidates.  The budget counts all n^d candidates, and
-    BudgetExceededError is raised before any is built.  The kernel of an
-    algebraic action model is listed by its own ``enumerate_kernel``.
+    orbit by orbit; otherwise a depth-first search over lexicographic
+    prefixes within budget.  For each edge g, term j of its squared distance
+    sum, sq(g.x_j, x_sigma(g)j), is fixed once coordinates j and sigma(g)j
+    are, and every term is >= 0 while the band's low end is <= 0, so a
+    prefix whose partial sum for some edge is past the band's high end has
+    no member completion and is dropped.  The prefixes that reach length
+    d - 1 are extended by every last value, and those candidates go to
+    ``top_microstate_mask`` in blocks of at most ``_BLOCK_COORDS``
+    coordinates (and at least one row), so every listed row passed the one
+    membership rule.  Prefixes are extended a block's worth at a time, by
+    the values in increasing order, and the unextended rest waits on a
+    stack, so the listing is lexicographic and the search holds at most d
+    pending chunks plus the survivors.  The budget counts all n^d
+    candidates, and BudgetExceededError is raised before any is built.  The
+    kernel of an algebraic action model is listed by its own
+    ``enumerate_kernel``.
     """
     delta = _read_delta(delta)
     _check_same_model(model, metric.model)
@@ -448,23 +462,42 @@ def enumerate_top_microstates(
     total = n**d
     if total > budget:
         raise BudgetExceededError(total, budget, "candidate enumeration")
-    rows = max(1, _BLOCK_COORDS // (d * np.size(model.identity)))
-    k = 0  # the trailing digits that run through all n^k values in a block
-    while k < d and n ** (k + 1) <= rows:
-        k += 1
-    heads = n ** (d - k)
-    q = min(rows // n**k, heads)  # a block is q prefixes times the n^k tails
-    # one buffer serves every block, since boolean selection copies the
-    # survivors; its tail columns are written once
-    block = np.empty((q, n**k, d), dtype=np.int64)
-    block[:, :, d - k :] = mixed_radix(np.arange(n**k), [n] * k)
-    found = []
-    for s in range(0, heads, q):
-        head = mixed_radix(np.arange(s, min(s + q, heads)), [n] * (d - k))
-        ids = block[: len(head)]
-        ids[:, :, : d - k] = head[:, None]
-        xs = model.points_from_indices(ids.reshape(-1, d))
-        found.append(xs[top_microstate_mask(xs, sigma, F, delta, metric, action)])
+    edges, (lo, hi) = _top_edges(sigma, F, delta, metric, action)
+    shape = np.shape(model.identity)
+    rows = max(1, _BLOCK_COORDS // (d * math.prod(shape)))
+    step = max(1, rows // n)  # prefixes extended at a time
+    values = model.points_from_indices(np.arange(n))
+    # term j of edge e is fixed once coordinate max(j, sigma(g)j) is set
+    fixed_at = [[] for _ in range(d - 1)]
+    for e, (g, p) in enumerate(edges):
+        last = np.maximum(np.arange(d), p)
+        for k in range(d - 1):
+            js = np.flatnonzero(last == k)
+            if js.size:
+                fixed_at[k].append((e, g, js, p[js]))
+    found = [np.empty((0, d) + shape, dtype=np.int64)]
+    stack = [(np.empty((1, 0) + shape, dtype=np.int64), np.zeros((1, len(edges)), dtype=np.int64))]
+    while stack:
+        xs, sums = stack.pop()
+        if len(xs) > step:
+            stack.append((xs[step:], sums[step:]))
+            xs, sums = xs[:step], sums[:step]
+        k = xs.shape[1]
+        ext = np.empty((len(xs), n, k + 1) + shape, dtype=np.int64)
+        ext[:, :, :k] = xs[:, None]
+        ext[:, :, k] = values
+        ext = ext.reshape((-1, k + 1) + shape)
+        if k + 1 == d:
+            for s in range(0, len(ext), rows):
+                block = ext[s : s + rows]
+                found.append(block[top_microstate_mask(block, sigma, F, delta, metric, action)])
+            continue
+        sums = np.repeat(sums, n, axis=0)
+        for e, g, js, ps in fixed_at[k]:
+            sums[:, e] += _sq_nums(metric, action.act_candidates(g, ext[:, js]), ext[:, ps]).sum(axis=1)
+        keep = _in_range(sums, lo, hi).all(axis=1)
+        if keep.any():
+            stack.append((ext[keep], sums[keep]))
     return np.concatenate(found)
 
 

@@ -156,6 +156,10 @@ def _input_cases():
         ("metric-sum-wrap", lambda: top_microstate_mask(
             np.array([[0, 1, 0, 1]]), sigma, [t], Fraction(1, 2), _far_metric(z3), trivial_action(Z, z3)),
          OverflowError),
+        # past forces_exact_equivariance, so the prefix search sums these
+        # distances too
+        ("enumerate-top-sum-wrap", lambda: enumerate_top_microstates(
+            z3, sigma, (t,), 2**31, _far_metric(z3), trivial_action(Z, z3)), OverflowError),
         # points out of range were read through a negative table index, a
         # wrapped residue or a wrapped index, and a float index was truncated
         ("rho2-point-below-0", lambda: rho2_sq(discrete_metric(z3), [-1], [2]), ValidationError),

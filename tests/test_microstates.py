@@ -23,7 +23,7 @@ from soficlab.actions import (
 )
 from soficlab import microstates
 from soficlab.errors import BudgetExceededError, UnsupportedElementError, ValidationError
-from soficlab.groups import GroupSpec, perturb, quotient_sofic
+from soficlab.groups import GroupSpec, SoficApproximation, perturb, quotient_sofic
 from soficlab.measures import Doubled, ProductMeasure, SampleBased, SiteMeasure, UniformOnSet, mass
 from soficlab.microstates import (
     MapWindow,
@@ -657,13 +657,14 @@ class TestMonotonicity:
                 assert top_microstate_mask(xy[None], sigma, F, 2 * delta, metric, action)[0]
 
 
+def _circle_sq(a, b, q):
+    """The squared circle distance of two residues mod q."""
+    c = abs(int(a) - int(b)) % q
+    return min(c, q - c) ** 2
+
+
 class TestTorusModels:
     """The torus paths, each against explicit residue arithmetic."""
-
-    @staticmethod
-    def circle_sq(u, v, q):
-        c = abs(int(u) - int(v)) % q
-        return min(c, q - c) ** 2
 
     def test_doubled_metric_is_the_metric_on_twice_the_sites(self):
         dm = doubled_metric(torus_metric(TorusGridModel(6, 2)))
@@ -687,7 +688,7 @@ class TestTorusModels:
         metric = torus_metric(TorusGridModel(q, s))
         rng = np.random.default_rng(3)
         for x, y in rng.integers(0, q, size=(20, 2, s)):
-            want = Fraction(sum(self.circle_sq(a, b, q) for a, b in zip(x, y)), s * q * q)
+            want = Fraction(sum(_circle_sq(a, b, q) for a, b in zip(x, y)), s * q * q)
             assert rho2_sq(metric, x[None], y[None]) == want
 
     def test_top_mask(self):
@@ -709,7 +710,7 @@ class TestTorusModels:
             for j in range(d):
                 a, b = x[j]
                 moved = ((a + b) % q, b)
-                total += sum(self.circle_sq(u, v, q) for u, v in zip(moved, x[perm[j]]))
+                total += sum(_circle_sq(u, v, q) for u, v in zip(moved, x[perm[j]]))
             total = total / (d * 2 * q * q)
             want.append(total < delta**2 or total == 0)
         got = top_microstate_mask(xs, sigma, [one], delta, torus_metric(model), action)
@@ -888,14 +889,11 @@ def _block_cases():
     Z = GroupSpec.integers()
     e, t = Z.identity(), Z.generator(0)
     support = [e, t, Z.inverse(t)]
-    def circle_sq(a, b, q):
-        c = abs(int(a) - int(b)) % q
-        return min(c, q - c) ** 2
 
     # Z/5 with the squared circle distance as its table, t acting by x -> 2x
     # over a perturbed sigma
     z5 = cyclic_model(5)
-    table = np.array([[circle_sq(i, j, 5) for j in range(5)] for i in range(5)])
+    table = np.array([[_circle_sq(i, j, 5) for j in range(5)] for i in range(5)])
     double = AutomorphismAction(Z, z5, generator_maps={"t": unit_automorphism(z5, 2)})
     sigma5 = perturb(quotient_sofic(Z, {"kind": "cyclic-powers", "orders": [5]}, support), 0.4, 3)
     finite = (
@@ -921,7 +919,7 @@ def _block_cases():
     grid = (
         "torus", sigma4, (t, Z.inverse(t)), Fraction(1, 4), torus_metric(torus),
         sheared, indicator_panel(torus) + (RE_CHI_FIRST,),
-        lambda a, b: sum(circle_sq(u, v, 3) for u, v in zip(a, b)), 2 * 9,
+        lambda a, b: sum(_circle_sq(u, v, 3) for u, v in zip(a, b)), 2 * 9,
         lambda g, a: sheared.point_map(g) @ a % 3, lambda a: 3 * int(a[0]) + int(a[1]),
     )
     return [finite, doubled, grid]
@@ -934,10 +932,27 @@ def _all_points(case):
     return metric.model.points_from_indices(np.array(list(itertools.product(range(n), repeat=d))))
 
 
+def _check_blocks(blocks, case, sigma):
+    """The blocks a listing handed to the mask: each has at most the bound's
+    rows, together they run in strictly increasing lexicographic order, and
+    every candidate left out of them fails the reference mask, so the search
+    dropped no member of Map."""
+    _, _, F, delta, metric, action, _, sq, den, move, index = case
+    n, d = metric.model.n_points, sigma.d
+    bound = max(1, microstates._BLOCK_COORDS // (d * np.size(metric.model.identity)))
+    assert max(len(b) for b in blocks) <= bound
+    # a candidate's rank in the lexicographic order of all n^d candidates
+    ranks = metric.model.point_indices(np.concatenate(blocks)) @ n ** np.arange(d - 1, -1, -1)
+    assert (np.diff(ranks) > 0).all()
+    left = np.ones(n**d, dtype=bool)
+    left[ranks] = False
+    missing = _all_points((None, sigma, *case[2:]))[left]
+    assert not _reference_mask(missing, sigma, F, delta, (), None, sq, den, move, index).any()
+
+
 def _enumerate_in_blocks(monkeypatch, case, sigma):
     """Brute enumeration of the case's Map at ``sigma``, recording every
-    block handed to the mask: each has at most the bound's rows, and the
-    blocks run through every candidate once, in order."""
+    block handed to the mask and checking them by ``_check_blocks``."""
     _, _, F, delta, metric, action, *_ = case
     mask, blocks = microstates.top_microstate_mask, []
 
@@ -948,9 +963,7 @@ def _enumerate_in_blocks(monkeypatch, case, sigma):
     monkeypatch.setattr(microstates, "top_microstate_mask", recording)
     got = enumerate_top_microstates(metric.model, sigma, F, delta, metric, action)
     monkeypatch.setattr(microstates, "top_microstate_mask", mask)
-    bound = max(1, microstates._BLOCK_COORDS // (sigma.d * np.size(metric.model.identity)))
-    assert max(len(b) for b in blocks) <= bound
-    assert np.array_equal(np.concatenate(blocks), _all_points((None, sigma, *case[2:])))
+    _check_blocks(blocks, case, sigma)
     return got
 
 
@@ -1019,14 +1032,15 @@ class TestRowBlocks:
         monkeypatch.setattr(microstates, "_BLOCK_COORDS", 29)
 
         def passes_none(xs, *args):
-            blocks.append(len(xs))
+            blocks.append(np.array(xs))
             return np.zeros(len(xs), dtype=bool)
 
         monkeypatch.setattr(microstates, "top_microstate_mask", passes_none)
         got = enumerate_top_microstates(metric.model, sigma, F, delta, metric, action)
         point_shape = metric.model.points_from_indices(np.zeros(1, dtype=np.int64)).shape[1:]
         assert got.shape == (0, sigma.d) + point_shape and got.dtype == np.int64
-        assert sum(blocks) == metric.model.n_points**sigma.d and len(blocks) > 1
+        assert len(blocks) > 1
+        _check_blocks(blocks, case, sigma)
 
     def test_brute_enumeration_holds_one_block(self):
         # 3^12 candidates of length 12: building them all took 51 MB, and
@@ -1107,6 +1121,84 @@ class TestCoordinatesFirst:
             got_meas = meas_microstate_mask(batch, sigma, window, metric, action)
         assert got_top.dtype == bool and got_top.tolist() == top.tolist()
         assert got_meas.dtype == bool and got_meas.tolist() == meas.tolist()
+
+
+class TestPrefixSearch:
+    """Brute enumeration drops a prefix once a partial squared distance sum
+    is past the band; its listing is the reference mask's rows of all n^d
+    candidates, in order, whatever the sigma, window and block size."""
+
+    # two automorphisms of each model: x -> 2x and x -> -x on Z/5, negation
+    # and the identity on both halves of (Z/3)^2, two shears of the 3-grid
+    MAPS = {
+        "finite-table": (np.array([0, 2, 4, 1, 3]), np.array([0, 4, 3, 2, 1])),
+        "doubled-table": (np.array([0, 2, 1]), np.array([0, 1, 2])),
+        "torus": (np.array([[1, 1], [0, 1]]), np.array([[1, 0], [1, 1]])),
+    }
+
+    @classmethod
+    def _setup(cls, kind, group):
+        """(metric, action, sq, den, move) for ``_reference_mask`` on the
+        model of ``kind``, the group's generators acting by its MAPS."""
+        gens = dict(zip(group.generators, cls.MAPS[kind]))
+        if kind == "finite-table":
+            z5 = cyclic_model(5)
+            table = np.array([[_circle_sq(i, j, 5) for j in range(5)] for i in range(5)])
+            action = AutomorphismAction(group, z5, generator_maps=gens)
+            metric, sq, den = Pseudometric("circle", z5, table_num=table, den=25), lambda a, b: table[a, b], 25
+            move = lambda g, a: action.point_map(g)[a]
+        elif kind == "doubled-table":
+            z3 = cyclic_model(3)
+            action = diagonal_action(AutomorphismAction(group, z3, generator_maps=gens))
+            metric, den = doubled_metric(discrete_metric(z3)), 2
+            sq = lambda a, b: int(a // 3 != b // 3) + int(a % 3 != b % 3)
+            move = lambda g, a: action.point_map(g)[a]
+        else:
+            action = AutomorphismAction(group, TorusGridModel(3, 2), generator_maps=gens)
+            metric, den = torus_metric(action.model), 2 * 9
+            sq = lambda a, b: sum(_circle_sq(u, v, 3) for u, v in zip(a, b))
+            move = lambda g, a: action.point_map(g) @ a % 3
+        return metric, action, sq, den, move
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_listing_matches_the_reference(self, data):
+        kind = data.draw(st.sampled_from(sorted(self.MAPS)), label="model")
+        # d = 1 is test_one_digit_wider_than_a_block's; n^d stays <= 729
+        d = data.draw(st.sampled_from((4, 3, 2) if kind == "finite-table" else (3, 2)), label="d")
+        if data.draw(st.booleans(), label="free"):
+            # sigma(a^-1) is drawn apart from sigma(a): sofic, not a homomorphism
+            group = GroupSpec.free(2)
+            a, b = group.generator(0), group.generator(1)
+            perms = st.permutations(range(d))
+            table = {group.identity(): np.arange(d)}
+            for g in (a, group.inverse(a), b):
+                table[g] = np.array(data.draw(perms, label=f"sigma({g})"))
+            sigma = SoficApproximation(group=group, table=table, provenance="drawn")
+        else:
+            group = GroupSpec.integers()
+            t = group.generator(0)
+            rate = data.draw(st.sampled_from((0, 0.4, 1)), label="rate")
+            cycle = quotient_sofic(group, {"kind": "cyclic-powers", "orders": [d]}, [group.identity(), t, group.inverse(t)])
+            sigma = perturb(cycle, rate, data.draw(st.integers(0, 20), label="seed"))
+        support = sorted(sigma.table, key=str)
+        keep = data.draw(st.lists(st.booleans(), min_size=len(support), max_size=len(support)), label="F")
+        F = tuple(g for g, k in zip(support, keep) if k)
+        metric, action, sq, den, move = self._setup(kind, group)
+        # delta = m / s with s^2 | d * den puts delta^2 * d * den on an integer,
+        # the strict edge of the band (m = 0 is delta = 0); past delta^2 =
+        # largest / den every candidate passes
+        s = max(k for k in range(1, d * den + 1) if d * den % (k * k) == 0)
+        top = Fraction(math.isqrt(metric.largest * s * s // den) + 1, s)
+        edge = st.integers(0, top.numerator * s // top.denominator).map(lambda m: Fraction(m, s))
+        delta = data.draw(edge | st.fractions(0, top, max_denominator=12), label="delta")
+        every = _all_points((None, sigma, F, delta, metric))
+        want = every[_reference_mask(every, sigma, F, delta, (), None, sq, den, move, lambda a: None)]
+        block = data.draw(st.sampled_from((1, 29, microstates._BLOCK_COORDS)), label="block")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(microstates, "_BLOCK_COORDS", block)
+            got = enumerate_top_microstates(metric.model, sigma, F, delta, metric, action)
+        assert got.dtype == np.int64 and got.shape == want.shape and np.array_equal(got, want)
 
 
 # -- the repair walk ----------------------------------------------------------
