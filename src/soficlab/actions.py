@@ -20,7 +20,8 @@ on top (actions, measures, microstates) never asks which kind it holds, and
 interface is one set of vectorized calls on candidate arrays, with no
 one-point copy; a single point is an array of one point:
 
-* ``n_points``, ``identity`` and ``name`` describe the model;
+* ``n_points`` and ``identity`` describe the model, and a finite model's
+  ``name`` shows in its repr;
 * ``candidate_mul(a, b)`` is the group law;
 * ``read_points(x, what)`` returns x as an int64 view, or raises
   ValidationError unless it holds points: indices 0..n-1, or rows of
@@ -67,7 +68,16 @@ from .errors import (
     SingularMatrixError,
     ValidationError,
 )
-from .groups import GroupElement, GroupSpec, SoficApproximation, _abelian_quotient, _sort_key, _validate_table, quotient_sofic
+from .groups import (
+    GroupElement,
+    GroupSpec,
+    SoficApproximation,
+    _abelian_quotient,
+    _sort_key,
+    _validate_table,
+    _word_image,
+    quotient_sofic,
+)
 from .intlin import _int_table, _int_view, _integer, _read_only
 
 
@@ -147,12 +157,9 @@ class FiniteGroupModel(FiniteModel):
 
     def __init__(self, labels: Sequence, mul: np.ndarray, *, name: str = ""):
         self.labels = tuple(labels)
-        self.mul = _int_table(mul, "a multiplication table")  # a copy: the caller's table stays writable
         self.name = name or f"finite({len(self.labels)})"
-        n = len(self.labels)
-        if self.mul.shape != (n, n):
-            raise ValidationError("multiplication table shape mismatch")
-        self.identity, _, self.generators = _validate_table(self.mul)
+        # a copy: the caller's table stays writable
+        self.mul, self.identity, _, self.generators = _validate_table(mul, len(self.labels))
 
     @property
     def n_points(self) -> int:
@@ -195,13 +202,12 @@ class TorusGridModel:
     q and sites are integers with sites (q - 1)^2 < 2^63, so the int64 sums of
     products of residues in ``compose`` and ``apply_map`` cannot wrap."""
 
-    def __init__(self, q: int, sites: int, name: str = ""):
+    def __init__(self, q: int, sites: int):
         # _integer refuses a float, which int() would truncate (2.5 -> 2)
         q, sites = _integer(q, "grid resolution q", least=2), _integer(sites, "the number of sites", least=1)
         if sites * (q - 1) ** 2 >= 2**63:
             raise OverflowError(f"sites * (q - 1)^2 = {sites * (q - 1) ** 2} reaches 2^63: int64 map products wrap")
         self.q, self.sites = q, sites
-        self.name = name or f"torus(q={q})^{sites}"
 
     @property
     def n_points(self) -> int:
@@ -294,7 +300,7 @@ def product_model(model):
     """
     if isinstance(model, FiniteModel):
         return PairModel(model)
-    return TorusGridModel(model.q, 2 * model.sites, name=f"{model.name}^2")
+    return TorusGridModel(model.q, 2 * model.sites)
 
 
 def pair_candidates(model, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
@@ -371,21 +377,14 @@ class AutomorphismAction:
             frontier = nxt
 
     def _check_abelian_relations(self):
-        names = self.group.generators
-        maps = [self.generator_maps[n] for n in names]
-        compose = self.model.compose
-        ident = self.model.identity_map()
-        for i in range(len(names)):
-            for j in range(i + 1, len(names)):
+        maps = [self.generator_maps[n] for n in self.group.generators]
+        compose, ident = self.model.compose, self.model.identity_map()
+        for i, m in enumerate(self.group.moduli):
+            for j in range(i + 1, len(maps)):
                 if not np.array_equal(compose(maps[i], maps[j]), compose(maps[j], maps[i])):
                     raise ValidationError("generator maps do not commute")
-            m = self.group.moduli[i]
-            if m:
-                acc = ident
-                for _ in range(m):
-                    acc = compose(maps[i], acc)
-                if not np.array_equal(acc, ident):
-                    raise ValidationError(f"relation g^{m} does not act as identity")
+            if m and not np.array_equal(_word_image(((i, m),), maps, self.model.invert_map, compose, ident), ident):
+                raise ValidationError(f"relation g^{m} does not act as identity")
 
     # -- application -----------------------------------------------------------
 
@@ -393,12 +392,8 @@ class AutomorphismAction:
         """The automorphism of the model implementing g (cached, read-only)."""
         if g in self._cache:
             return self._cache[g]
-        out = self.model.identity_map()
-        for gen, e in self.group.word(g):
-            base = self.generator_maps[self.group.generators[gen]]
-            step = base if e >= 0 else self.model.invert_map(base)
-            for _ in range(abs(e)):
-                out = self.model.compose(out, step)
+        model, maps = self.model, [self.generator_maps[n] for n in self.group.generators]
+        out = _word_image(self.group.word(g), maps, model.invert_map, model.compose, model.identity_map())
         self._cache[g] = _read_only(out)
         return out
 
@@ -820,9 +815,6 @@ def dual_model(f: IntegerGroupMatrix) -> tuple[FiniteGroupModel, AutomorphismAct
 class Verdict:
     value: bool | None
     method: str
-
-    def __bool__(self) -> bool:
-        return bool(self.value)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,14 @@ instantiate):
   column; quotient model is the left regular representation, with optional
   k-fold block copies.
 
+Each kind is decided in one place.  ``GroupSpec.__init__`` branches once
+per kind and fixes there the tag, the identity's and the generators' bodies,
+the order and the display name; only ``multiply``, ``inverse``, ``word``,
+``elements`` and ``parse`` branch on the kind again, and ``quotient_sofic``
+picks each kind's quotient family.  A word becomes its image under a
+homomorphism (a group element, a permutation or a model automorphism) through
+one product, ``_word_image``.
+
 Permutations are stored 0-based as full one-line int64 arrays; their
 common length is the degree d of a sofic approximation.
 Groups keep read-only copies of their tables, sofic approximations keep
@@ -94,32 +102,41 @@ class GroupSpec:
     def __init__(self, kind: str, generators: tuple[str, ...], **params):
         self.kind = kind
         self.generators = generators
+        k = len(generators)
+        # each branch fixes the tag, the identity's and the generators'
+        # bodies, the order (None when infinite) and the display name
         if kind == "abelian":
             self.moduli: tuple[int, ...] = params["moduli"]
-            if len(self.moduli) != len(generators):
+            if len(self.moduli) != k:
                 raise ValidationError("one modulus per generator")
             self._tag = ("a", self.moduli)
+            identity = (0,) * k
+            # the exponent 1 reduces to 0 only mod 1
+            gens = [tuple(int(i == j and m != 1) for j, m in enumerate(self.moduli)) for i in range(k)]
+            order = math.prod(self.moduli) if all(self.moduli) else None
+            name = " x ".join("Z" if m == 0 else f"Z/{m}" for m in self.moduli)
         elif kind == "free":
-            self.rank = len(generators)
-            self._tag = ("f", self.rank)
+            self._tag = ("f", k)
+            identity, gens, order, name = (), [((i, 1),) for i in range(k)], None, f"F_{k}"
         elif kind == "table":
-            # a copy, frozen: the tag below reads the table once
-            self.mul_table: np.ndarray = _int_table(params["mul_table"], "a multiplication table")
             self.labels: tuple[str, ...] = params["labels"]
             n = len(self.labels)
             if len(set(self.labels)) != n:
                 raise ValidationError(f"repeated table labels {self.labels}")
-            if self.mul_table.shape != (n, n):
-                raise ValidationError("multiplication table shape mismatch")
-            self.generator_indices: tuple[int, ...] = params["generator_indices"]
-            self.identity_index, self.inv_table, gens = _validate_table(self.mul_table, self.generator_indices)
-            if not set(gens) <= set(self.generator_indices):
-                raise ValidationError(f"generator indices {self.generator_indices} do not generate the group")
+            gens = params["generator_indices"]
+            # a frozen copy: the tag below reads the table once
+            self.mul_table, identity, self.inv_table, spanning = _validate_table(params["mul_table"], n, gens)
+            if not set(spanning) <= set(gens):
+                raise ValidationError(f"generator indices {gens} do not generate the group")
             self._tag = ("x", self.labels, self.mul_table.tobytes())
+            order, name = n, f"table order {n}"
         else:
             raise ValidationError(f"unknown group kind {kind!r}")
-        if len(set(generators)) != len(generators):
+        if len(set(generators)) != k:
             raise ValidationError(f"repeated generator names {generators}")
+        self._identity = GroupElement((self._tag, identity))
+        self._generators = tuple(GroupElement((self._tag, g)) for g in gens)
+        self._order, self._name = order, name
 
     # -- factories ---------------------------------------------------------
 
@@ -172,20 +189,12 @@ class GroupSpec:
     # -- element algebra ---------------------------------------------------
 
     def identity(self) -> GroupElement:
-        if self.kind == "abelian":
-            return GroupElement((self._tag, (0,) * len(self.generators)))
-        if self.kind == "free":
-            return GroupElement((self._tag, ()))
-        return GroupElement((self._tag, self.identity_index))
+        return self._identity
 
     def generator(self, i: int) -> GroupElement:
-        if self.kind == "abelian":
-            exps = [0] * len(self.generators)
-            exps[i] = 1
-            return self._reduce_abelian(tuple(exps))
-        if self.kind == "free":
-            return GroupElement((self._tag, ((i, 1),)))
-        return GroupElement((self._tag, self.generator_indices[i]))
+        if not 0 <= _integer(i, "a generator index") < len(self._generators):
+            raise ValidationError(f"generator index {i} out of range 0..{len(self._generators) - 1}")
+        return self._generators[i]
 
     def word(self, g: GroupElement) -> tuple[tuple[int, int], ...]:
         """g as (generator index, exponent) pairs: one exponent per generator
@@ -230,14 +239,10 @@ class GroupSpec:
         return GroupElement((self._tag, int(self.inv_table[a.key[1]])))
 
     def power(self, a: GroupElement, n: int) -> GroupElement:
-        out = self.identity()
-        base = a if n >= 0 else self.inverse(a)
-        for _ in range(abs(n)):
-            out = self.multiply(out, base)
-        return out
+        return _word_image(((0, n),), (a,), self.inverse, self.multiply, self._identity)
 
     def is_identity(self, a: GroupElement) -> bool:
-        return a == self.identity()
+        return a == self._identity
 
     def parse(self, text: str) -> GroupElement:
         """Parse a word like ``"t^2"``, ``"s*t^-1"``, ``"a b^-2"`` or ``"e"``.
@@ -247,12 +252,12 @@ class GroupSpec:
         """
         text = text.strip()
         if text in ("e", "1", "") and not (self.kind == "table" and text in self.labels):
-            return self.identity()
+            return self._identity
         name_to_index = {n: i for i, n in enumerate(self.generators)}
         if self.kind == "table":
             # also allow raw element labels
             label_to_index = {lab: i for i, lab in enumerate(self.labels)}
-        out = self.identity()
+        out = self._identity
         for token in text.replace("*", " ").split():
             if "^" in token:
                 name, _, exp_s = token.partition("^")
@@ -260,7 +265,7 @@ class GroupSpec:
             else:
                 name, exp = token, 1
             if name in name_to_index:
-                base = self.generator(name_to_index[name])
+                base = self._generators[name_to_index[name]]
             elif self.kind == "table" and name in label_to_index:
                 base = GroupElement((self._tag, label_to_index[name]))
             else:
@@ -270,34 +275,18 @@ class GroupSpec:
 
     def elements(self) -> tuple[GroupElement, ...]:
         """All elements (finite groups only)."""
+        if self._order is None:
+            raise ValidationError("elements() needs a finite group")
         if self.kind == "table":
-            return tuple(GroupElement((self._tag, i)) for i in range(len(self.labels)))
-        if self.kind == "abelian" and all(self.moduli):
-            exps = mixed_radix(np.arange(math.prod(self.moduli)), self.moduli)
-            return tuple(GroupElement((self._tag, tuple(e))) for e in exps.tolist())
-        raise ValidationError("elements() needs a finite group")
+            return tuple(GroupElement((self._tag, i)) for i in range(self._order))
+        exps = mixed_radix(np.arange(self._order), self.moduli)
+        return tuple(GroupElement((self._tag, tuple(e))) for e in exps.tolist())
 
     def order(self) -> int | None:
-        if self.kind == "table":
-            return len(self.labels)
-        if self.kind == "abelian" and all(self.moduli):
-            return math.prod(self.moduli)
-        return None
-
-    # -- misc ----------------------------------------------------------------
-
-    def element_to_json(self, a: GroupElement):
-        return list(list(p) for p in a.key[1]) if self.kind == "free" else (
-            list(a.key[1]) if self.kind == "abelian" else a.key[1]
-        )
+        return self._order
 
     def __repr__(self) -> str:
-        if self.kind == "abelian":
-            parts = [f"Z" if m == 0 else f"Z/{m}" for m in self.moduli]
-            return f"GroupSpec({' x '.join(parts)})"
-        if self.kind == "free":
-            return f"GroupSpec(F_{self.rank})"
-        return f"GroupSpec(table order {len(self.labels)})"
+        return f"GroupSpec({self._name})"
 
 
 def _sort_key(el: GroupElement):
@@ -311,8 +300,9 @@ def _sort_key(el: GroupElement):
     return (2, len(body), flat)
 
 
-def _validate_table(mul: np.ndarray, first: tuple[int, ...] = ()) -> tuple[int, np.ndarray, tuple[int, ...]]:
-    """Check that ``mul`` is the multiplication table of a group; return its
+def _validate_table(table, n: int, first: tuple[int, ...] = ()) -> tuple[np.ndarray, int, np.ndarray, tuple[int, ...]]:
+    """Read ``table`` as the multiplication table of a group of order n, the
+    one reader of group tables: return a read-only int64 copy of it, its
     identity index e, its read-only inverse table and a generating set, drawn
     from the indices ``first`` before any other, so that it lies inside
     ``first`` exactly when ``first`` generates the group.
@@ -327,7 +317,7 @@ def _validate_table(mul: np.ndarray, first: tuple[int, ...] = ()) -> tuple[int, 
     so |S| <= log2(n) and the whole check costs O(n^2 log n) time, compared
     in row blocks of about 2^20 entries.
     """
-    n = mul.shape[0]
+    mul = _int_table(table, "a multiplication table")
     if mul.shape != (n, n):
         raise ValidationError("multiplication table shape mismatch")
     if n == 0:
@@ -362,7 +352,7 @@ def _validate_table(mul: np.ndarray, first: tuple[int, ...] = ()) -> tuple[int, 
             x_rows = mul[lo : lo + block]
             if not (mul[x_rows[:, g]] == np.take(x_rows, mul[g], axis=1)).all():
                 raise ValidationError("multiplication table is not associative")
-    return e, _read_only(inv), tuple(gens)
+    return mul, e, _read_only(inv), tuple(gens)
 
 
 def _close(mul: np.ndarray, reached: np.ndarray, g: int) -> None:
@@ -387,6 +377,20 @@ def _close(mul: np.ndarray, reached: np.ndarray, g: int) -> None:
             hit[mul[np.ix_(old, part)]] = True
         new = np.flatnonzero(hit & ~reached)
         reached[new] = True
+
+
+def _word_image(word, images, invert, compose, start):
+    """The image of ``word``, (generator index, exponent) pairs, under the
+    homomorphism sending generator i to ``images[i]``: ``start`` composed on
+    the right with each letter's image in turn, by ``compose(out, step)``,
+    where a negative exponent steps by ``invert(images[i])``.  Elements of a
+    group, permutations and automorphisms of a model are all composed here."""
+    out = start
+    for gen, exp in word:
+        step = images[gen] if exp >= 0 else invert(images[gen])
+        for _ in range(abs(exp)):
+            out = compose(out, step)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -487,17 +491,12 @@ def quotient_sofic(
             raise ValidationError(f"free groups offer random-permutations models, not {kind!r}")
         degree = _integer(quotient["degree"], "degree", least=1)
         seed = _integer(quotient.get("seed", 0), "seed", least=0)
-        rngs = (np.random.default_rng([seed, 0xF2EE, i]) for i in range(spec.rank))
+        rngs = (np.random.default_rng([seed, 0xF2EE, i]) for i in range(len(spec.generators)))
         gen_perms = [rng.permutation(degree) for rng in rngs]
-        inv_perms = [np.argsort(p) for p in gen_perms]
+        start = np.arange(degree, dtype=np.int64)
         for g in support:
             # left-to-right function composition: sigma(uv) = sigma(u) o sigma(v)
-            perm = np.arange(degree, dtype=np.int64)
-            for gen, exp in spec.word(g):
-                step = gen_perms[gen] if exp > 0 else inv_perms[gen]
-                for _ in range(abs(exp)):
-                    perm = perm[step]
-            perms[g] = perm
+            perms[g] = _word_image(spec.word(g), gen_perms, np.argsort, np.take, start)
     if copies > 1:
         perms = {g: _in_copies(p, copies) for g, p in perms.items()}
     return SoficApproximation(
@@ -607,7 +606,7 @@ def perturb(sigma: SoficApproximation, rate: float, seed: int) -> SoficApproxima
     for g in sorted(sigma.table, key=_sort_key):
         perm = sigma.table[g].copy()
         if n_swaps and not sigma.group.is_identity(g):
-            tag = _element_stream_tag(sigma.group, g)
+            tag = _element_stream_tag(g)
             rng = np.random.default_rng([seed, 0x5EED, tag])
             for _ in range(n_swaps):
                 i, j = rng.integers(0, sigma.d, size=2)
@@ -621,6 +620,6 @@ def perturb(sigma: SoficApproximation, rate: float, seed: int) -> SoficApproxima
     )
 
 
-def _element_stream_tag(spec: GroupSpec, g: GroupElement) -> int:
-    blob = json.dumps(spec.element_to_json(g), sort_keys=True).encode()
+def _element_stream_tag(g: GroupElement) -> int:
+    blob = json.dumps(g.key[1]).encode()
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")

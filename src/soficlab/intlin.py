@@ -21,9 +21,10 @@ unit pivots mod q in int64 (q < 2^31) and hands the Smith form only the
 block left without a unit pivot.  ``solve_mod_batch`` takes a Smith form,
 reduces its transforms mod q once and solves a batch of targets in
 vectorized int64 (q < 2^31), decoding the solution lattice with
-``mixed_radix``.  Matrices are accepted as nested sequences or numpy arrays;
-``as_int_array`` keeps the shape of an array, so a matrix without rows still
-has its columns.
+``mixed_radix``.  Matrices are accepted as nested sequences or numpy arrays
+and read by ``as_int_array``, which keeps the shape of an array, so a matrix
+without rows still has its columns, reads an int64 array without a copy and
+refuses a ragged matrix or one without two axes with ValidationError.
 
 Integer input enters the package through three readers here, under one rule:
 a non-integer is refused with ValidationError, never truncated, and a kept
@@ -31,8 +32,8 @@ array is a read-only copy.  ``_integer(value, what, least)`` reads one
 integer by ``operator.index`` (bools refused), at least ``least`` if given;
 ``_int_table(values, what)`` returns an int64 copy of an array whose dtype is
 an integer that casts to int64; ``_read_only(a)``, the one place that sets
-array flags, freezes an array.  Candidates and lattice targets, which are
-only read, go through ``_int_view(values, what)``: the same dtype rule, with
+array flags, freezes an array.  Candidates, lattice targets and matrices,
+which are only read, go through ``_int_view(values, what)``: the same dtype rule, with
 no copy of an int64 array.  Matrix entries follow the same rule, and uint64
 or object entries, and nested lists that numpy reads as floats, are read one
 by one, as Python ints past int64.
@@ -83,34 +84,31 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def as_int_rows(mat) -> list[list[int]]:
-    """Normalize a matrix-like object to a list of rows of Python ints."""
-    rows = [[_integer(v, "a matrix entry") for v in row] for row in mat]
-    if rows:
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise ValueError("ragged matrix")
-    return rows
-
-
 def as_int_array(mat) -> np.ndarray:
-    """mat as a 2-D int64 array, or an object array of Python ints when an
-    entry is beyond int64.  The shape of an array is kept, so a (0, k) input
-    still has k columns; an empty sequence is 0 x 0."""
-    a = np.asarray(mat)
+    """mat as a 2-D int64 array, the input itself when it is one, or an
+    object array of Python ints when an entry is beyond int64.  The shape of
+    an array is kept, so a (0, k) input still has k columns; an empty
+    sequence is 0 x 0.  A ragged matrix, one without two axes or one with a
+    non-integer entry is refused with ValidationError."""
+    try:
+        a = np.asarray(mat)
+    except ValueError as exc:
+        raise ValidationError(f"a matrix must be a rectangular array of integers ({exc})") from None
+    if a.size == 0 and a.ndim < 2:
+        return np.zeros((0, 0), dtype=np.int64)
+    if a.ndim != 2:
+        raise ValidationError(f"a matrix needs two axes, not shape {a.shape}")
     # numpy reads a nested list that mixes small ints with one in
     # [2^63, 2^64) as float64, so such a list is read entry by entry too
     if a.dtype.kind in "uO" and not np.can_cast(a.dtype, np.int64) or (
         a.dtype.kind == "f" and not isinstance(mat, np.ndarray)
     ):
-        rows = as_int_rows(mat)
+        rows = [[_integer(v, "a matrix entry") for v in row] for row in mat]
         try:
-            a = np.array(rows, dtype=np.int64)
+            return np.array(rows, dtype=np.int64)
         except OverflowError:
-            a = np.array(rows, dtype=object)
-    else:
-        a = _int_table(a, "a matrix")
-    return a.reshape(0, 0) if a.size == 0 and a.ndim < 2 else a
+            return np.array(rows, dtype=object)
+    return _int_view(a, "a matrix")
 
 
 def det_bareiss(mat) -> int:
@@ -119,7 +117,7 @@ def det_bareiss(mat) -> int:
     Bareiss fraction-free elimination: every intermediate division is exact,
     so the result is a Python int of unbounded precision.
     """
-    a = as_int_rows(mat)
+    a = as_int_array(mat).tolist()
     n = len(a)
     if any(len(r) != n for r in a):
         raise ValueError("determinant needs a square matrix")

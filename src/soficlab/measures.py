@@ -70,9 +70,6 @@ class SiteMeasure:
         num[i] = 1
         return cls(model, num, 1)
 
-    def weights(self) -> list[Fraction]:
-        return [Fraction(int(v), self.den) for v in self.num]
-
     def tv_distance(self, other: "SiteMeasure") -> Fraction:
         _check_same_model(self.model, other.model)
         l = math.lcm(self.den, other.den)
@@ -215,9 +212,6 @@ class SampleBased:
     @property
     def d(self) -> int:
         return self.points.shape[1]
-
-    def weights(self) -> list[Fraction]:
-        return [Fraction(int(v), self.weights_den) for v in self.weights_num]
 
 
 def PointMass(model: CompactGroupModel, point) -> SampleBased:

@@ -555,11 +555,11 @@ def _enumerate_equivariant(
                 else:
                     ok &= transfer[i] == t
         valid.append(np.flatnonzero(ok))
+    # automorphisms fix the identity, so its value is valid at every root
+    # and total >= 1
     total = math.prod(len(v) for v in valid)
     if total > budget:
         raise BudgetExceededError(total, budget, "equivariant enumeration")
-    if not total:
-        return np.empty((0, d), dtype=np.int64)
     comp = np.array(comp)
     out = np.empty((1, d), dtype=np.int64)
     for k, v in enumerate(valid):

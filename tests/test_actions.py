@@ -682,6 +682,11 @@ class TestCharacterPath:
         hand = SoficApproximation(group=Z, table=table, provenance="by hand", quotient=sigma.quotient)
         assert not np.array_equal(hand.table[Z.generator(0)], sigma.table[Z.generator(0)])
         assert self._not_certified(monkeypatch, f, hand) == 3**7 - 1
+        # sigma's own table under a record of another size, and under one
+        # that does not parse: neither record certifies it
+        for record in ({"kind": "cyclic-powers", "orders": [5]}, {"kind": "cyclic-powers"}):
+            other = SoficApproximation(group=Z, table=sigma.table, provenance="by hand", quotient=record)
+            assert self._not_certified(monkeypatch, f, other) == abs(det_multimodular(sigma_matrix(f, sigma)))
 
     def test_a_2x2_f_keeps_the_crt(self, Z, monkeypatch):
         f = IntegerGroupMatrix.from_pairs(Z, [[[(3, "e"), (-1, "t")], [(1, "e")]], [[], [(2, "e"), (1, "t")]]])
@@ -1037,6 +1042,24 @@ def _refusal_cases():
         ("non-commuting", lambda: AutomorphismAction(
             Z2d, torus5, {"s": np.array([[1, 1], [0, 1]]), "t": np.array([[1, 0], [1, 1]])}),
          ValidationError, "do not commute"),
+        ("missing-generator-map", lambda: AutomorphismAction(Z2d, torus5, {"s": np.eye(2, dtype=np.int64)}),
+         ValidationError, "missing generator map for 't'"),
+        ("map-not-a-bijection", lambda: cyclic_model(3).check_map(np.array([0, 0, 1])),
+         ValidationError, "not a bijection"),
+        ("unit-not-coprime", lambda: unit_automorphism(cyclic_model(6), 4), ValidationError, "coprime"),
+        ("model-shape", lambda: FiniteGroupModel(["a", "b", "c"], [[0, 1], [1, 0]]),
+         ValidationError, "shape mismatch"),
+        ("table-entry-past-n", lambda: GroupSpec.from_table(["e", "g"], [[0, 1], [1, 2]]),
+         ValidationError, "table entries out of range"),
+        ("abelian-names-not-moduli", lambda: GroupSpec.abelian(["s", "t"], [0]),
+         ValidationError, "one modulus per generator"),
+        ("free-names-not-rank", lambda: GroupSpec.free(2, ["a"]), ValidationError, "name count must equal rank"),
+        ("parse-unknown-generator", lambda: Z.parse("t*u"), ValidationError, "unknown generator 'u'"),
+        ("elements-of-Z", lambda: Z.elements(), ValidationError, "needs a finite group"),
+        ("sigma-e-moves", lambda: SoficApproximation(Z, {e: [1, 0]}, "custom"),
+         ValidationError, r"sigma\(e\) must be the identity"),
+        ("perm-past-d", lambda: SoficApproximation(Z, {e: [0, 1], Z.generator(0): [0, 2]}, "custom"),
+         ValidationError, "not a permutation of 0..1"),
     ]
 
 

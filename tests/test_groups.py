@@ -162,6 +162,13 @@ class TestGroupAlgebra:
             lambda: trivial_quotient(GroupSpec.cyclic(2), {"kind": "regular", "copies": 1.5}),
             lambda: trivial_quotient(GroupSpec.integers(), {"kind": "cyclic-powers", "orders": [2.7]}),
             lambda: trivial_quotient(GroupSpec.free(1), {"kind": "random-permutations", "degree": 4.0}),
+            # a generator index outside 0..k-1 gave F_2 the element g5, wrapped
+            # -1 to g1 on Z^2, and raised a bare IndexError on Z and tables
+            lambda: GroupSpec.free(2).generator(5),
+            lambda: GroupSpec.free(2).generator(-1),
+            lambda: GroupSpec.integers2().generator(-1),
+            lambda: GroupSpec.integers().generator(1),
+            lambda: GroupSpec.from_table(["e", "g"], [[0, 1], [1, 0]]).generator(2),
         ],
         ids=[
             "negative-modulus",
@@ -174,6 +181,11 @@ class TestGroupAlgebra:
             "float-copies",
             "float-order",
             "float-degree",
+            "free-generator-past-rank",
+            "free-generator-below-0",
+            "abelian-generator-below-0",
+            "abelian-generator-past-rank",
+            "table-generator-past-rank",
         ],
     )
     def test_bad_group_input_is_refused(self, build):
@@ -295,7 +307,7 @@ class TestTableValidator:
     @given(group_tables())
     def test_same_generators_as_the_right_closure(self, case):
         table, e = case
-        found, inv, gens = _validate_table(table)
+        _, found, inv, gens = _validate_table(table, len(table))
         ref_inv, ref_gens = _reference_validate_table(table, e)
         assert found == e
         assert gens == ref_gens and inv.tolist() == ref_inv.tolist()
@@ -312,7 +324,7 @@ class TestTableValidator:
         a, b = data.draw(st.sampled_from(others)), data.draw(st.sampled_from(others))
         table[a, b] = data.draw(st.sampled_from([v for v in range(n) if v != table[a, b]]))
         with pytest.raises(ValidationError) as got:
-            _validate_table(table)
+            _validate_table(table, len(table))
         with pytest.raises(ValidationError) as ref:
             _reference_validate_table(table, e)
         assert type(got.value) is type(ref.value)

@@ -9,8 +9,9 @@ package or the benchmark (unless ``UNREAD_FIELDS`` names it with the reason
 it stays), no dataclass compares arrays with its generated ``__eq__``, no
 module uses the reference determinant ``det_bareiss``, which stays only for
 tests to check ``det_multimodular`` against, no code but
-``intlin._read_only`` sets array flags, and no module but ``intlin`` and
-``actions`` reads integer views with ``_int_view``."""
+``intlin._read_only`` sets array flags, no module but ``intlin`` and
+``actions`` reads integer views with ``_int_view``, and only the methods of
+``GroupSpec`` that ``KIND_READERS`` names read its ``self.kind``."""
 
 import ast
 from collections import Counter
@@ -53,6 +54,11 @@ UNREAD_FIELDS = {
     "actions.Verdict.method": "observability (ROADMAP aim 4)",
     "groups.SoficApproximation.provenance": "observability (ROADMAP aim 4)",
 }
+
+# The GroupSpec methods that may branch on ``self.kind``: the constructor
+# fixes the identity, the generators, the order and the display name once
+# per kind, so a new kind adds one constructor branch plus these.
+KIND_READERS = {"__init__", "multiply", "inverse", "word", "elements", "parse"}
 
 
 def callers(root: Path) -> list[Path]:
@@ -240,6 +246,25 @@ def uses_outside_definition(tree: ast.Module, name: str, owner: str | None = Non
     )
 
 
+def kind_readers(tree: ast.Module, owner: str = "GroupSpec") -> list[str]:
+    """The methods of the class ``owner`` that load ``self.kind``."""
+    return [
+        m.name
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == owner
+        for m in node.body
+        if isinstance(m, ast.FunctionDef)
+        and any(
+            isinstance(n, ast.Attribute)
+            and isinstance(n.ctx, ast.Load)
+            and n.attr == "kind"
+            and isinstance(n.value, ast.Name)
+            and n.value.id == "self"
+            for n in ast.walk(m)
+        )
+    ]
+
+
 def test_sources_found():
     assert {p.name for p in SOURCES} >= {"actions.py", "measures.py", "microstates.py"}
 
@@ -295,6 +320,11 @@ def test_only_intlin_and_the_models_read_integer_views():
     # every other module reads points through its model's read_points
     uses = {p.name: uses_outside_definition(ast.parse(p.read_text()), "_int_view") for p in SOURCES}
     assert {name: lines for name, lines in uses.items() if lines and name not in ("intlin.py", "actions.py")} == {}
+
+
+def test_only_the_kind_methods_of_group_spec_read_its_kind():
+    readers = kind_readers(ast.parse((ROOT / "src" / "soficlab" / "groups.py").read_text()))
+    assert readers and set(readers) - KIND_READERS == set()
 
 
 def unread_package_fields(root: Path) -> set[str]:
@@ -456,3 +486,14 @@ def test_scan_flags_setflags_outside_its_owner():
     )
     assert uses_outside_definition(tree, "setflags", "_read_only") == [6]
     assert uses_outside_definition(tree, "setflags") == [2, 6]
+
+
+def test_scan_flags_a_kind_read_outside_the_kind_methods():
+    tree = ast.parse(
+        "class GroupSpec:\n"
+        "    def __init__(self, kind):\n        self.kind = kind\n\n"
+        "    def order(self):\n        return 1 if self.kind == 'free' else 2\n\n"
+        "    def name(self, other):\n        return other.kind\n\n"
+        "class Other:\n    def order(self):\n        return self.kind\n"
+    )
+    assert kind_readers(tree) == ["order"]

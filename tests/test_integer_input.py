@@ -135,6 +135,15 @@ def _input_cases():
         ("kernel-count-bool", lambda: kernel_count_mod(np.array([[True]]), 6), ValidationError),
         ("smith-float", lambda: smith_normal_form([[2.5]]), ValidationError),
         ("smith-object-float", lambda: smith_normal_form(np.array([[2**70, 2.5]], dtype=object)), ValidationError),
+        # a ragged matrix raised numpy's bare ValueError, a flat row past
+        # uint64 a bare TypeError, and a flat int row a bare ValueError or
+        # IndexError where its two axes were read
+        ("det-ragged", lambda: det_multimodular([[1, 2], [3]]), ValidationError),
+        ("det-bareiss-ragged", lambda: det_bareiss([[1, 2], [3]]), ValidationError),
+        ("smith-ragged", lambda: smith_normal_form([[1, 2], [3]]), ValidationError),
+        ("det-flat-past-uint64", lambda: det_multimodular([2**64, 1]), ValidationError),
+        ("smith-flat", lambda: smith_normal_form([1, 2]), ValidationError),
+        ("kernel-count-flat", lambda: kernel_count_mod([1, 2], 5), ValidationError),
         ("panel-sum-wrap", lambda: meas_microstate_mask(
             np.zeros((1, 4), dtype=np.int64), sigma, big_panel, discrete_metric(z3), trivial_action(Z, z3)),
          OverflowError),

@@ -48,7 +48,7 @@ KLEIN = FiniteGroupModel(range(4), np.arange(4)[:, None] ^ np.arange(4)[None, :]
 class TestSiteMeasure:
     def test_uniform_weights(self, z3):
         mu = SiteMeasure.uniform(z3)
-        assert mu.weights() == [Fraction(1, 3)] * 3
+        assert mu.num.tolist() == [1, 1, 1] and mu.den == 3
 
     def test_convolution_overflow_names_the_denominator(self):
         # denominator ~10^6: two self-convolutions fit int64, the third's
@@ -78,7 +78,7 @@ class TestSiteMeasure:
         a = SiteMeasure.point_mass(z3, 0)
         b = SiteMeasure(z3, np.array([1, 1, 0]), 2)
         out = a.convolve(b)
-        assert out.weights() == [Fraction(1, 2), Fraction(1, 2), 0]
+        assert out.num.tolist() == [1, 1, 0] and out.den == 2
 
     def test_haar_absorbing(self, z3):
         haar = SiteMeasure.uniform(z3)
@@ -186,7 +186,7 @@ class TestMarginals:
         mu = ProductMeasure(SiteMeasure.uniform(z3), d=2)
         m, exact = marginal(Doubled(mu), 0)
         assert exact
-        assert m.weights() == [Fraction(1, 9)] * 9
+        assert m.num.tolist() == [1] * 9 and m.den == 9
 
 
 class TestSupport:
@@ -195,7 +195,7 @@ class TestSupport:
         mu = ProductMeasure(site, d=3)
         sup = exact_support(mu)
         assert sup.points.shape == (8, 3)
-        assert all(w == Fraction(1, 8) for w in sup.weights())
+        assert (8 * sup.weights_num == sup.weights_den).all()
 
     def test_product_support_with_a_denominator_past_int64(self, z3):
         # 180^9 >= 2^63, though every atom weight fits int64
@@ -211,7 +211,7 @@ class TestSupport:
         a = UniformOnSet(z3, np.array([[0], [1]]))
         b = UniformOnSet(z3, np.array([[0], [2]]))
         sup = exact_support(Convolution(a, b))
-        got = {tuple(p): w for p, w in zip(sup.points.tolist(), sup.weights())}
+        got = {tuple(p): Fraction(w, sup.weights_den) for p, w in zip(sup.points.tolist(), sup.weights_num.tolist())}
         assert got == {(0,): Fraction(1, 2), (1,): Fraction(1, 4), (2,): Fraction(1, 4)}
 
 
@@ -273,7 +273,7 @@ def law(points, weights) -> dict:
 def assert_merged(sup, want: dict):
     rows = [tuple(r) for r in sup.points.reshape(len(sup.points), -1).tolist()]
     assert rows == sorted(want)  # one atom per candidate, lexicographic order
-    assert sup.weights() == [want[r] for r in rows]
+    assert [Fraction(w, sup.weights_den) for w in sup.weights_num.tolist()] == [want[r] for r in rows]
 
 
 @settings(max_examples=80, deadline=None)
@@ -283,7 +283,8 @@ def test_merged_supports_match_fraction_sums(model, d, data):
     ia, ib = np.divmod(np.arange(len(a.points) * len(b.points)), len(b.points))
     prods = model.candidate_mul(a.points[ia], b.points[ib])
     conv = exact_support(Convolution(a, b))
-    assert_merged(conv, law(prods, [a.weights()[i] * b.weights()[j] for i, j in zip(ia, ib)]))
+    an, bn = a.weights_num.tolist(), b.weights_num.tolist()
+    assert_merged(conv, law(prods, [Fraction(an[i] * bn[j], a.weights_den * b.weights_den) for i, j in zip(ia, ib)]))
     assert conv.weights_den == a.weights_den * b.weights_den
 
 
@@ -310,7 +311,8 @@ class TestSampling:
         k = 6000
         out = sample(mu, k, np.random.default_rng(3))
         assert (out == sample(mu, k, np.random.default_rng(3))).all()
-        for atom, w in zip(mu.points, mu.weights()):
+        for atom, num in zip(mu.points, mu.weights_num.tolist()):
+            w = Fraction(num, mu.weights_den)
             freq = (out == atom).all(axis=1).mean()
             assert abs(freq - float(w)) < 5 * math.sqrt(float(w * (1 - w)) / k)
 
@@ -385,7 +387,7 @@ class TestConvolve:
         e = PointMass(z3, np.zeros(2, dtype=np.int64))
         out = convolve(e, mu)
         sup = exact_support(out)
-        got = {tuple(p): w for p, w in zip(sup.points.tolist(), sup.weights())}
+        got = {tuple(p): Fraction(w, sup.weights_den) for p, w in zip(sup.points.tolist(), sup.weights_num.tolist())}
         assert got == {(0, 1): Fraction(1, 2), (2, 2): Fraction(1, 2)}
 
     def test_exact_atoms_flagged(self, z3):
@@ -401,7 +403,8 @@ class TestConvolve:
         small = convolve(a, b, budget=12)
         assert isinstance(small, SampleBased)
         sup = exact_support(out)
-        assert (sup.points == small.points).all() and sup.weights() == small.weights()
+        assert (sup.points == small.points).all()
+        assert sup.weights_num.tolist() == small.weights_num.tolist() and sup.weights_den == small.weights_den
 
     def test_d_mismatch(self, z3):
         with pytest.raises(ValidationError):
@@ -460,7 +463,7 @@ class TestDoubled:
     def test_point_mass_doubles(self, z3):
         sup = exact_support(doubled(PointMass(z3, np.array([1, 2]))))
         assert sup.points.tolist() == [[1 * 3 + 1, 2 * 3 + 2]]
-        assert sup.weights() == [1]
+        assert sup.weights_num.tolist() == [sup.weights_den]
 
     def test_convolution_doubles_structurally(self, z3):
         a = ProductMeasure(SiteMeasure.uniform(z3), d=2)
@@ -474,7 +477,7 @@ class TestDoubled:
         mu = UniformOnSet(z3, np.array([[0, 0], [1, 1]]))
         sup = exact_support(doubled(mu))
         assert sup.points.shape[0] == 4
-        assert all(w == Fraction(1, 4) for w in sup.weights())
+        assert (4 * sup.weights_num == sup.weights_den).all()
 
     def test_exactness_flags(self, z3):
         assert is_exact(ProductMeasure(SiteMeasure.uniform(z3), 2))

@@ -502,7 +502,7 @@ class TestEmpiricalAndLifts:
         model = cyclic_model(3)
         x = np.array([2, 2, 2, 2])
         mu = empirical_pushforward(x, model)
-        assert mu.weights() == [0, 0, 1]
+        assert mu.num.tolist() == [0, 0, 1] and mu.den == 1
 
     def test_uniform(self):
         model = cyclic_model(3)
@@ -512,11 +512,8 @@ class TestEmpiricalAndLifts:
     def test_counting(self):
         model = cyclic_model(3)
         x = np.array([0, 0, 1, 2])
-        assert empirical_pushforward(x, model).weights() == [
-            Fraction(1, 2),
-            Fraction(1, 4),
-            Fraction(1, 4),
-        ]
+        mu = empirical_pushforward(x, model)
+        assert mu.num.tolist() == [2, 1, 1] and mu.den == 4
 
     def test_shift_lift_identity_window(self, neg_setup):
         group, model, action, sigma = neg_setup
@@ -721,8 +718,8 @@ class TestTorusModels:
         t = TorusGridModel(3, 2)
         x = np.array([[0, 1], [2, 2], [0, 1], [1, 0]])
         # the point (a, b) has index 3a + b
-        weights = empirical_pushforward(x, t).weights()
-        assert weights == [0, Fraction(1, 2), 0, Fraction(1, 4), 0, 0, 0, 0, Fraction(1, 4)]
+        mu = empirical_pushforward(x, t)
+        assert mu.num.tolist() == [0, 2, 0, 1, 0, 0, 0, 0, 1] and mu.den == 4
 
     def test_table_metric_needs_a_finite_model(self):
         # a table reads point indices: on a torus it would read residues as
@@ -863,7 +860,7 @@ def _reference_mask(xs, sigma, F, delta, L, target, sq, den, move, index):
     ``sq(a, b)`` is the squared distance numerator of two points over
     ``den``, ``move(g, a)`` the point g.a and ``index(a)`` its point index.
     The reference for the row-block masks."""
-    d, weights = sigma.d, target.weights() if L else None
+    d = sigma.d
     want = []
     for x in xs:
         ok = True
@@ -874,7 +871,7 @@ def _reference_mask(xs, sigma, F, delta, L, target, sq, den, move, index):
         idx = [index(a) for a in x]
         for f in L:
             mean = Fraction(sum(int(f.values[i]) for i in idx), d * f.den)
-            t = sum(w * int(v) for w, v in zip(weights, f.values)) / f.den
+            t = Fraction(sum(int(w) * int(v) for w, v in zip(target.num, f.values)), target.den * f.den)
             ok &= abs(mean - t) < delta or mean == t
         want.append(bool(ok))
     return np.array(want, dtype=bool)
@@ -1374,6 +1371,7 @@ def _refusal_cases():
          ValidationError, "n_samples must be >= 1"),
         ("site-length", lambda: SiteMeasure(model, [1, 1], 2), ValidationError, "length must match"),
         ("site-negative", lambda: SiteMeasure(model, [2, -1, 0], 1), ValidationError, "nonnegative"),
+        ("site-weights-2d", lambda: SiteMeasure(model, [[1, 1, 1]], 3), ValidationError, "1-d table"),
         ("atoms-one-weight", lambda: SampleBased(model, np.zeros((2, 4), dtype=np.int64), [1], 1),
          ValidationError, "one weight per atom"),
         ("atoms-sum", lambda: SampleBased(model, np.zeros((2, 4), dtype=np.int64), [1, 1], 3),
@@ -1473,4 +1471,5 @@ def test_empirical_pushforward_takes_one_candidate():
     ):
         with pytest.raises(ValidationError, match="one candidate of length d >= 1"):
             empirical_pushforward(x, m)
-    assert empirical_pushforward([[1, 2], [1, 2]], torus).weights()[5] == 1
+    mu = empirical_pushforward([[1, 2], [1, 2]], torus)
+    assert mu.num[5] == mu.den == 1
