@@ -76,6 +76,7 @@ from .groups import (
     _sort_key,
     _validate_table,
     _word_image,
+    _word_text,
     quotient_sofic,
 )
 from .intlin import _int_table, _int_view, _integer, _read_only
@@ -323,17 +324,15 @@ class AutomorphismAction:
     ``generator_maps`` maps each generator name to a permutation array
     (finite models) or an integer matrix acting by x -> M x mod q (torus
     models); each must be an automorphism of the model.  The relations are
-    checked by group kind, with tolerance zero:
-
-    * table groups: a breadth-first walk of the Cayley graph from e sets
-      phi(g s) = phi(g) o phi(s) for every generator s, and every later visit
-      of an element must give the map already cached for it.  If
-      phi(g s) = phi(g) phi(s) for all g and s, then phi is a homomorphism (by
-      induction on word length), so every relation holds; the walk costs
-      |G| |S| compositions and leaves every element's map cached;
-    * abelian groups: the generator maps commute and g^m acts as the
-      identity for a generator of order m;
-    * free groups: there are no relations.
+    checked with tolerance zero, by one rule: both words of every relation
+    that the group lists in ``relations`` must have the same map.  A table
+    group lists none, since its elements are not words; instead a
+    breadth-first walk of the Cayley graph from e sets
+    phi(g s) = phi(g) o phi(s) for every generator s, and every later visit
+    of an element must give the map already cached for it.  If
+    phi(g s) = phi(g) phi(s) for all g and s, then phi is a homomorphism (by
+    induction on word length), so every relation holds; the walk costs
+    |G| |S| compositions and leaves every element's map cached.
 
     Other elements' maps are composed along the canonical word on first use.
     Every cached map is read-only.  ``point_map(g)`` returns g's map and
@@ -351,10 +350,11 @@ class AutomorphismAction:
             frozen[name] = _int_table(generator_maps[name], f"the map of generator {name!r}")
             model.check_map(frozen[name])
         self.generator_maps = MappingProxyType(frozen)
-        if group.kind == "table":
+        if group.relations is None:
             self._walk_cayley_graph()
-        elif group.kind == "abelian":
-            self._check_abelian_relations()
+        for lhs, rhs in group.relations or ():
+            if not np.array_equal(self._word_map(lhs), self._word_map(rhs)):
+                raise ValidationError(f"generator maps break the relation {_word_text(lhs)} = {_word_text(rhs)}")
 
     # -- validation ----------------------------------------------------------
 
@@ -376,26 +376,18 @@ class AutomorphismAction:
                         raise ValidationError(f"generator maps are not a homomorphism: two words for {gs} differ")
             frontier = nxt
 
-    def _check_abelian_relations(self):
-        maps = [self.generator_maps[n] for n in self.group.generators]
-        compose, ident = self.model.compose, self.model.identity_map()
-        for i, m in enumerate(self.group.moduli):
-            for j in range(i + 1, len(maps)):
-                if not np.array_equal(compose(maps[i], maps[j]), compose(maps[j], maps[i])):
-                    raise ValidationError("generator maps do not commute")
-            if m and not np.array_equal(_word_image(((i, m),), maps, self.model.invert_map, compose, ident), ident):
-                raise ValidationError(f"relation g^{m} does not act as identity")
+    def _word_map(self, word) -> np.ndarray:
+        """The map of a word, (generator index, exponent) pairs."""
+        model, maps = self.model, [self.generator_maps[n] for n in self.group.generators]
+        return _word_image(word, maps, model.invert_map, model.compose, model.identity_map())
 
     # -- application -----------------------------------------------------------
 
     def point_map(self, g: GroupElement) -> np.ndarray:
         """The automorphism of the model implementing g (cached, read-only)."""
-        if g in self._cache:
-            return self._cache[g]
-        model, maps = self.model, [self.generator_maps[n] for n in self.group.generators]
-        out = _word_image(self.group.word(g), maps, model.invert_map, model.compose, model.identity_map())
-        self._cache[g] = _read_only(out)
-        return out
+        if g not in self._cache:
+            self._cache[g] = _read_only(self._word_map(self.group.word(g)))
+        return self._cache[g]
 
     def act_candidates(self, g: GroupElement, x: np.ndarray) -> np.ndarray:
         """Apply g pointwise to a candidate array, or to one point."""
@@ -830,10 +822,11 @@ def verify_hypotheses(f: IntegerGroupMatrix) -> HypothesisReport:
     criterion exists; return explicit unknowns elsewhere.
 
     Finite G: rank of the left-regular integer matrix (in the square case,
-    full rank is a nonzero determinant).  G = Z with square f: the
-    Fourier-symbol determinant is the zero polynomial iff lambda(f) fails
-    injectivity, which exact determinants at enough integer points decide;
-    injective and dense image coincide there by rank-nullity.
+    full rank is a nonzero determinant).  G = Z (one generator and no
+    relations, so F_1 too; g = t^k for k the exponent sum of g's word) with
+    square f: the Fourier-symbol determinant is the zero polynomial iff
+    lambda(f) fails injectivity, which exact determinants at enough integer
+    points decide; injective and dense image coincide there by rank-nullity.
     """
     spec = f.group
     order = spec.order()
@@ -845,14 +838,14 @@ def verify_hypotheses(f: IntegerGroupMatrix) -> HypothesisReport:
             lambda_injective=Verdict(inj, method),
             lambda_dense_image=Verdict(dense, method),
         )
-    if spec.kind == "abelian" and spec.moduli == (0,) and f.m == f.n:
+    if len(spec.generators) == 1 and spec.relations == () and f.m == f.n:
         # det(t^-lo f(t)) is a polynomial of degree at most n (hi - lo), so it
         # is zero exactly when it vanishes at n (hi - lo) + 1 points
-        exps = [g.key[1][0] for g in f.support()] or [0]
-        lo, hi = min(exps), max(exps)
+        exp = {g: sum(e for _, e in spec.word(g)) for g in f.support()}
+        lo, hi = min(exp.values(), default=0), max(exp.values(), default=0)
         inj = any(
             intlin.det_multimodular(
-                [[sum(c * t ** (g.key[1][0] - lo) for g, c in cell.items()) for cell in row] for row in f.entries]
+                [[sum(c * t ** (exp[g] - lo) for g, c in cell.items()) for cell in row] for row in f.entries]
             )
             for t in range(1, f.n * (hi - lo) + 2)
         )

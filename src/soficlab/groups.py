@@ -18,11 +18,12 @@ instantiate):
 
 Each kind is decided in one place.  ``GroupSpec.__init__`` branches once
 per kind and fixes there the tag, the identity's and the generators' bodies,
-the order and the display name; only ``multiply``, ``inverse``, ``word``,
-``elements`` and ``parse`` branch on the kind again, and ``quotient_sofic``
-picks each kind's quotient family.  A word becomes its image under a
-homomorphism (a group element, a permutation or a model automorphism) through
-one product, ``_word_image``.
+the order, the display name and the defining relations, as pairs of equal
+words in ``relations`` (None for a table group, whose elements are not
+words); only ``multiply``, ``inverse``, ``word``, ``elements`` and ``parse``
+branch on the kind again, and ``quotient_sofic`` picks each kind's quotient
+family.  A word becomes its image under a homomorphism (a group element, a
+permutation or a model automorphism) through one product, ``_word_image``.
 
 Permutations are stored 0-based as full one-line int64 arrays; their
 common length is the degree d of a sofic approximation.
@@ -73,22 +74,15 @@ class GroupElement:
 
 
 def _display(el: GroupElement) -> str:
-    tag = el.key[0][0]
-    if tag == "a":
-        exps = el.key[1]
-        if not any(exps):
-            return "e"
-        return "*".join(
-            f"g{i}^{e}" if abs(e) != 1 else (f"g{i}" if e == 1 else f"g{i}^-1")
-            for i, e in enumerate(exps)
-            if e
-        )
-    if tag == "f":
-        letters = el.key[1]
-        if not letters:
-            return "e"
-        return "*".join(f"g{i}^{e}" if e != 1 else f"g{i}" for i, e in letters)
-    return f"x{el.key[1]}"
+    tag, body = el.key[0][0], el.key[1]
+    if tag == "x":
+        return f"x{body}"
+    return _word_text(body if tag == "f" else [(i, e) for i, e in enumerate(body) if e])
+
+
+def _word_text(word) -> str:
+    """A word of (generator index, exponent) pairs as ``g0*g1^-2``, or ``e``."""
+    return "*".join(f"g{i}^{e}" if e != 1 else f"g{i}" for i, e in word) or "e"
 
 
 class GroupSpec:
@@ -103,8 +97,8 @@ class GroupSpec:
         self.kind = kind
         self.generators = generators
         k = len(generators)
-        # each branch fixes the tag, the identity's and the generators'
-        # bodies, the order (None when infinite) and the display name
+        # each branch fixes the tag, the identity's and the generators' bodies,
+        # the order (None when infinite), the display name and the relations
         if kind == "abelian":
             self.moduli: tuple[int, ...] = params["moduli"]
             if len(self.moduli) != k:
@@ -115,9 +109,13 @@ class GroupSpec:
             gens = [tuple(int(i == j and m != 1) for j, m in enumerate(self.moduli)) for i in range(k)]
             order = math.prod(self.moduli) if all(self.moduli) else None
             name = " x ".join("Z" if m == 0 else f"Z/{m}" for m in self.moduli)
+            # g_i g_j = g_j g_i, and g_i^m_i = e for each m_i > 0
+            relations = tuple((((i, 1), (j, 1)), ((j, 1), (i, 1))) for i in range(k) for j in range(i + 1, k))
+            relations += tuple((((i, m),), ()) for i, m in enumerate(self.moduli) if m)
         elif kind == "free":
             self._tag = ("f", k)
             identity, gens, order, name = (), [((i, 1),) for i in range(k)], None, f"F_{k}"
+            relations = ()
         elif kind == "table":
             self.labels: tuple[str, ...] = params["labels"]
             n = len(self.labels)
@@ -129,14 +127,14 @@ class GroupSpec:
             if not set(spanning) <= set(gens):
                 raise ValidationError(f"generator indices {gens} do not generate the group")
             self._tag = ("x", self.labels, self.mul_table.tobytes())
-            order, name = n, f"table order {n}"
+            order, name, relations = n, f"table order {n}", None
         else:
             raise ValidationError(f"unknown group kind {kind!r}")
         if len(set(generators)) != k:
             raise ValidationError(f"repeated generator names {generators}")
         self._identity = GroupElement((self._tag, identity))
         self._generators = tuple(GroupElement((self._tag, g)) for g in gens)
-        self._order, self._name = order, name
+        self._order, self._name, self.relations = order, name, relations
 
     # -- factories ---------------------------------------------------------
 
@@ -259,11 +257,11 @@ class GroupSpec:
             label_to_index = {lab: i for i, lab in enumerate(self.labels)}
         out = self._identity
         for token in text.replace("*", " ").split():
-            if "^" in token:
-                name, _, exp_s = token.partition("^")
-                exp = int(exp_s)
-            else:
-                name, exp = token, 1
+            name, hat, exp_s = token.partition("^")
+            try:
+                exp = int(exp_s) if hat else 1
+            except ValueError:
+                raise ValidationError(f"malformed exponent in {token!r}") from None
             if name in name_to_index:
                 base = self._generators[name_to_index[name]]
             elif self.kind == "table" and name in label_to_index:
@@ -382,14 +380,21 @@ def _close(mul: np.ndarray, reached: np.ndarray, g: int) -> None:
 def _word_image(word, images, invert, compose, start):
     """The image of ``word``, (generator index, exponent) pairs, under the
     homomorphism sending generator i to ``images[i]``: ``start`` composed on
-    the right with each letter's image in turn, by ``compose(out, step)``,
-    where a negative exponent steps by ``invert(images[i])``.  Elements of a
-    group, permutations and automorphisms of a model are all composed here."""
+    the right, by ``compose(a, b)``, with each letter's image in turn, where
+    a negative exponent steps by ``invert(images[i])``.  A letter's power is
+    taken by squaring, in O(log |e|) compositions: the powers of one image
+    commute, and every compose here is exact and associative, so the grouping
+    changes no output.  Elements of a group, permutations and automorphisms
+    of a model are all composed here."""
     out = start
     for gen, exp in word:
-        step = images[gen] if exp >= 0 else invert(images[gen])
-        for _ in range(abs(exp)):
-            out = compose(out, step)
+        step, n = (images[gen] if exp >= 0 else invert(images[gen])), abs(exp)
+        while n:
+            if n & 1:
+                out = compose(out, step)
+            n >>= 1
+            if n:
+                step = compose(step, step)
     return out
 
 

@@ -260,11 +260,15 @@ def automorphisms(model):
     return out
 
 
-TABLE_GROUPS = [
+# the table groups go through the Cayley-graph walk, the abelian ones through
+# their listed relations
+FINITE_GROUPS = [
     S3,
     s3_spec([1, 3]),  # a transposition and a 3-cycle
     GroupSpec.from_table(["0", "1", "2", "3"], Z4_TABLE, generator_indices=[1]),
     GroupSpec.from_table(["e", "a", "b", "ab"], V4_TABLE, generator_indices=[1, 2]),
+    GroupSpec.cyclic(4),
+    GroupSpec.abelian(("u", "v"), (2, 2)),
 ]
 SMALL_MODELS = [cyclic_model(3), cyclic_model(4), cyclic_model(5), klein_model()]
 AUTOMORPHISMS = [automorphisms(m) for m in SMALL_MODELS]
@@ -296,7 +300,9 @@ class TestTableGroupActions:
             with pytest.raises(UnsupportedElementError):
                 action.point_map(other)
 
-    @pytest.mark.parametrize("group", TABLE_GROUPS, ids=["S3-transpositions", "S3-mixed", "Z4", "V4"])
+    @pytest.mark.parametrize(
+        "group", FINITE_GROUPS, ids=["S3-transpositions", "S3-mixed", "Z4", "V4", "Z4-abelian", "V4-abelian"]
+    )
     def test_accepted_exactly_when_the_word_oracle_accepts(self, group):
         # every choice of generator automorphisms, on every small model
         verdicts = []
@@ -863,6 +869,12 @@ class TestVerifyHypotheses:
         zero = IntegerGroupMatrix.single(Z, [])
         rep0 = verify_hypotheses(zero)
         assert rep0.lambda_injective.value is False
+        # det [[1, t], [t, t^2]] = 0
+        singular = IntegerGroupMatrix.from_pairs(Z, [[[(1, "e")], [(1, "t")]], [[(1, "t")], [(1, "t^2")]]])
+        assert verify_hypotheses(singular).lambda_injective.value is False
+        # F_1 is Z by its presentation: one generator, no relations
+        for g in (f, zero, singular):
+            assert verify_hypotheses(on_free_rank_one(g)) == verify_hypotheses(g)
 
     def test_unknown_class(self):
         free = GroupSpec.free(2)
@@ -935,6 +947,15 @@ def z_symbols(draw):
     )
 
 
+def on_free_rank_one(f: IntegerGroupMatrix) -> IntegerGroupMatrix:
+    """f over Z moved to F_1, t^k to a^k."""
+    F1 = GroupSpec.free(1)
+    a = F1.generator(0)
+    return IntegerGroupMatrix.from_pairs(
+        F1, [[[(c, F1.power(a, g.key[1][0])) for g, c in cell.items()] for cell in row] for row in f.entries]
+    )
+
+
 @settings(max_examples=300, deadline=None)
 @given(z_symbols())
 def test_symbol_verdict_matches_cofactor_expansion(f):
@@ -944,6 +965,7 @@ def test_symbol_verdict_matches_cofactor_expansion(f):
     assert (rep.lambda_dense_image.value, rep.lambda_dense_image.method) == (
         want, "fourier-symbol-determinant+rank-nullity"
     )
+    assert verify_hypotheses(on_free_rank_one(f)) == rep
 
 
 class TestRegularMatrix:
@@ -986,6 +1008,14 @@ class TestWordMaps:
         assert not np.array_equal(want, A @ A @ A @ B_inv % 5)
         assert np.array_equal(action.point_map(F2.parse("a*b^-1*a^2")), want)
 
+    def test_large_powers_are_taken_by_squaring(self):
+        # one factor at a time, parsing t^1000000 took seconds
+        Z, z7 = GroupSpec.integers(), cyclic_model(7)
+        action = AutomorphismAction(Z, z7, {"t": unit_automorphism(z7, 3)})
+        with time_cap(0.5):
+            m = action.point_map(Z.parse("t^1000000"))
+        assert np.array_equal(m, unit_automorphism(z7, pow(3, 10**6, 7)))
+
     def test_abelian_word_map_with_mixed_sign_exponents(self):
         Z2 = GroupSpec.integers2()
         model = cyclic_model(7)
@@ -1018,6 +1048,7 @@ def _refusal_cases():
     wide = IntegerGroupMatrix.from_pairs(Z, [[[(3, "e")], [(1, "t")]]])
     sigma = quotient_sofic(Z, {"kind": "cyclic-powers", "orders": [4]}, wide.support())
     torus2, torus6, torus5 = TorusGridModel(7, 2), TorusGridModel(6, 2), TorusGridModel(5, 2)
+    z7 = cyclic_model(7)
     return [
         ("copies-0", lambda: quotient_sofic(Z, {"kind": "cyclic-powers", "orders": [3], "copies": 0}, [e]),
          ValidationError, "copies must be >= 1"),
@@ -1041,7 +1072,13 @@ def _refusal_cases():
         ("map-mod-5", lambda: torus5.check_map(np.array([[1, 1], [1, 1]])), ValidationError, "not invertible mod q"),
         ("non-commuting", lambda: AutomorphismAction(
             Z2d, torus5, {"s": np.array([[1, 1], [0, 1]]), "t": np.array([[1, 0], [1, 1]])}),
-         ValidationError, "do not commute"),
+         ValidationError, r"break the relation g0\*g1 = g1\*g0"),
+        # x -> 3x has order 6 on Z/7, so neither t^3 nor u^2 acts as the identity
+        ("cube-not-identity", lambda: AutomorphismAction(GroupSpec.cyclic(3), z7, {"t": unit_automorphism(z7, 3)}),
+         ValidationError, r"break the relation g0\^3 = e"),
+        ("square-not-identity", lambda: AutomorphismAction(
+            GroupSpec.abelian(("s", "u"), (0, 2)), z7, {"s": unit_automorphism(z7, 2), "u": unit_automorphism(z7, 3)}),
+         ValidationError, r"break the relation g1\^2 = e"),
         ("missing-generator-map", lambda: AutomorphismAction(Z2d, torus5, {"s": np.eye(2, dtype=np.int64)}),
          ValidationError, "missing generator map for 't'"),
         ("map-not-a-bijection", lambda: cyclic_model(3).check_map(np.array([0, 0, 1])),
@@ -1055,6 +1092,11 @@ def _refusal_cases():
          ValidationError, "one modulus per generator"),
         ("free-names-not-rank", lambda: GroupSpec.free(2, ["a"]), ValidationError, "name count must equal rank"),
         ("parse-unknown-generator", lambda: Z.parse("t*u"), ValidationError, "unknown generator 'u'"),
+        ("parse-exponent-name", lambda: Z.parse("t^x"), ValidationError, r"malformed exponent in 't\^x'"),
+        ("parse-exponent-float", lambda: Z.parse("t*t^1.5"), ValidationError, r"malformed exponent in 't\^1.5'"),
+        ("parse-exponent-empty", lambda: Z.parse("t^"), ValidationError, r"malformed exponent in 't\^'"),
+        ("unknown-group-kind", lambda: GroupSpec("nilpotent", ("x",)), ValidationError,
+         "unknown group kind 'nilpotent'"),
         ("elements-of-Z", lambda: Z.elements(), ValidationError, "needs a finite group"),
         ("sigma-e-moves", lambda: SoficApproximation(Z, {e: [1, 0]}, "custom"),
          ValidationError, r"sigma\(e\) must be the identity"),

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from soficlab.actions import FiniteGroupModel, trivial_action
+from soficlab.actions import FiniteGroupModel, TorusGridModel, trivial_action
 from soficlab.errors import UnsupportedElementError, ValidationError
 from soficlab.groups import (
     GroupSpec,
     SoficApproximation,
     _validate_table,
+    _word_image,
     perturb,
     quotient_sofic,
     sofic_defects,
@@ -346,6 +347,44 @@ class TestWords:
         z3 = GroupSpec.from_table(labels=["e", "g", "g2"], mul_table=[[0, 1, 2], [1, 2, 0], [2, 0, 1]])
         with pytest.raises(UnsupportedElementError):
             z3.word(z3.generator(0))
+
+
+def one_factor_at_a_time(word, images, invert, compose, start):
+    """The reference word product: |e| compositions per letter."""
+    out = start
+    for gen, exp in word:
+        step = images[gen] if exp >= 0 else invert(images[gen])
+        for _ in range(abs(exp)):
+            out = compose(out, step)
+    return out
+
+
+F2, Z_Z5, TORUS = GroupSpec.free(2), GroupSpec.abelian(("s", "u"), (0, 5)), TorusGridModel(5, 2)
+# (images, invert, compose, start) for each kind of factor the word product
+# composes; each pair of images fails to commute where the kind allows it
+WORD_DOMAINS = {
+    "permutations": (
+        [np.array([1, 2, 0, 4, 3]), np.array([0, 2, 4, 1, 3])], np.argsort, np.take, np.array([4, 3, 2, 1, 0])
+    ),
+    "free": ([F2.parse("a*b"), F2.parse("b^-1")], F2.inverse, F2.multiply, F2.parse("b^2")),
+    "abelian": ([Z_Z5.parse("s*u^2"), Z_Z5.parse("u")], Z_Z5.inverse, Z_Z5.multiply, Z_Z5.parse("s^-3")),
+    "torus": ([np.array([[1, 1], [0, 1]]), np.array([[2, 1], [1, 1]])], TORUS.invert_map, TORUS.compose,
+              np.array([[1, 0], [3, 1]])),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(sorted(WORD_DOMAINS)),
+    st.lists(st.tuples(st.integers(0, 1), st.integers(-64, 64)), max_size=4),
+)
+def test_word_image_equals_the_product_one_factor_at_a_time(domain, word):
+    args = WORD_DOMAINS[domain]
+    got, want = _word_image(word, *args), one_factor_at_a_time(word, *args)
+    if isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    else:
+        assert got == want
 
 
 class TestQuotientSofic:

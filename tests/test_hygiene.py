@@ -10,8 +10,13 @@ it stays), no dataclass compares arrays with its generated ``__eq__``, no
 module uses the reference determinant ``det_bareiss``, which stays only for
 tests to check ``det_multimodular`` against, no code but
 ``intlin._read_only`` sets array flags, no module but ``intlin`` and
-``actions`` reads integer views with ``_int_view``, and only the methods of
-``GroupSpec`` that ``KIND_READERS`` names read its ``self.kind``."""
+``actions`` reads integer views with ``_int_view``, no module but ``groups``
+reads a group's ``kind``, and only the methods of ``GroupSpec`` that
+``KIND_READERS`` names read its ``self.kind``.
+
+The benchmark subclasses no package class, so in its files an attribute on
+``self`` is one of its own members and never counts as a read of a package
+name or field."""
 
 import ast
 from collections import Counter
@@ -66,6 +71,26 @@ def callers(root: Path) -> list[Path]:
     field: the package's modules and the benchmark's, never the tests under
     ``tests/``."""
     return sorted((root / "src" / "soficlab").glob("*.py")) + sorted((root / "soficbench").glob("*.py"))
+
+
+class DropSelfAttributes(ast.NodeTransformer):
+    """Replace each attribute ``self.x`` by its ``self``; in ``self.x.y`` the
+    ``y`` stays, as a name read through the member."""
+
+    def visit_Attribute(self, node: ast.Attribute) -> ast.AST:
+        if isinstance(node.value, ast.Name) and node.value.id == "self":
+            return node.value
+        return self.generic_visit(node)
+
+
+def caller_trees(root: Path) -> list[ast.Module]:
+    """The parsed ``callers``, with the benchmark's ``self`` attributes
+    dropped: they name its own members, never the package's."""
+    trees = []
+    for path in callers(root):
+        tree = ast.parse(path.read_text())
+        trees.append(DropSelfAttributes().visit(tree) if path.parent.name == "soficbench" else tree)
+    return trees
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -246,6 +271,19 @@ def uses_outside_definition(tree: ast.Module, name: str, owner: str | None = Non
     )
 
 
+def kind_loads(tree: ast.Module) -> list[int]:
+    """Lines that load an attribute ``kind``, other than numpy's
+    ``dtype.kind``."""
+    return sorted(
+        n.lineno
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute)
+        and isinstance(n.ctx, ast.Load)
+        and n.attr == "kind"
+        and not (isinstance(n.value, ast.Attribute) and n.value.attr == "dtype")
+    )
+
+
 def kind_readers(tree: ast.Module, owner: str = "GroupSpec") -> list[str]:
     """The methods of the class ``owner`` that load ``self.kind``."""
     return [
@@ -292,7 +330,7 @@ def test_no_unreferenced_private_helpers():
 def uncalled_publics(root: Path) -> set[str]:
     """The qualified public names under ``root`` that no caller references."""
     modules = {p.stem: ast.parse(p.read_text()) for p in sorted((root / "src" / "soficlab").glob("*.py"))}
-    flagged = unreferenced_publics(modules, [ast.parse(p.read_text()) for p in callers(root)])
+    flagged = unreferenced_publics(modules, caller_trees(root))
     return {entry.split(" (line")[0] for entry in flagged}
 
 
@@ -327,10 +365,16 @@ def test_only_the_kind_methods_of_group_spec_read_its_kind():
     assert readers and set(readers) - KIND_READERS == set()
 
 
+def test_only_groups_reads_a_group_kind():
+    # every other module reads a group through its relations, words and order
+    uses = {p.name: kind_loads(ast.parse(p.read_text())) for p in SOURCES if p.name != "groups.py"}
+    assert {name: lines for name, lines in uses.items() if lines} == {}
+
+
 def unread_package_fields(root: Path) -> set[str]:
     """The qualified dataclass fields under ``root`` that no caller reads."""
     modules = {p.stem: ast.parse(p.read_text()) for p in sorted((root / "src" / "soficlab").glob("*.py"))}
-    flagged = unread_fields(modules, [ast.parse(p.read_text()) for p in callers(root)])
+    flagged = unread_fields(modules, caller_trees(root))
     return {entry.split(" (line")[0] for entry in flagged}
 
 
@@ -497,3 +541,37 @@ def test_scan_flags_a_kind_read_outside_the_kind_methods():
         "class Other:\n    def order(self):\n        return self.kind\n"
     )
     assert kind_readers(tree) == ["order"]
+
+
+def test_scan_flags_a_kind_load():
+    tree = ast.parse(
+        "def f(spec, a, quotient):\n"
+        "    spec.kind = 'free'\n"
+        "    if a.dtype.kind in 'iu' and quotient.get('kind'):\n"
+        "        return spec.kind\n"
+        "    return spec.group.kind\n"
+    )
+    assert kind_loads(tree) == [4, 5]
+
+
+def test_scan_skips_the_benchmarks_own_members(tmp_path):
+    # the benchmark's self.weights and self.seed are its own members; a
+    # package name read through a member still counts
+    files = {
+        "src/soficlab/lib.py": (
+            "from dataclasses import dataclass\n\n"
+            "@dataclass\nclass Report:\n    seed: int\n    used: int\n\n"
+            "class Measure:\n    def weights(self): pass\n\n    def mass(self): pass\n"
+        ),
+        "soficbench/run.py": (
+            "from soficlab.lib import Measure, Report\n\n"
+            "class Bench:\n"
+            "    def __init__(self, report: Report, measure: Measure):\n"
+            "        self.weights, self.seed, self.measure = [1], report.used, measure\n\n"
+            "    def run(self):\n"
+            "        return self.weights, self.seed, self.measure.mass()\n"
+        ),
+    }
+    write_tree(tmp_path, files)
+    assert uncalled_publics(tmp_path) == {"lib.Measure.weights"}
+    assert unread_package_fields(tmp_path) == {"lib.Report.seed"}

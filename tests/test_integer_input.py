@@ -70,7 +70,8 @@ def _shift_window():
 def _input_cases():
     """(label, call, error) for input each of which was accepted, truncated or
     wrapped, or raised a bare numpy error, before it went through the readers
-    in ``intlin`` and the models' ``read_points``."""
+    in ``intlin`` and the models' ``read_points``; and for a non-square
+    determinant, which the reference ``det_bareiss`` refuses itself."""
     Z, t, sigma = _shift_window()
     F2 = GroupSpec.free(2)
     z3, z4, z5 = cyclic_model(3), cyclic_model(4), cyclic_model(5)
@@ -140,6 +141,7 @@ def _input_cases():
         # IndexError where its two axes were read
         ("det-ragged", lambda: det_multimodular([[1, 2], [3]]), ValidationError),
         ("det-bareiss-ragged", lambda: det_bareiss([[1, 2], [3]]), ValidationError),
+        ("det-bareiss-not-square", lambda: det_bareiss([[1, 2]]), ValueError),
         ("smith-ragged", lambda: smith_normal_form([[1, 2], [3]]), ValidationError),
         ("det-flat-past-uint64", lambda: det_multimodular([2**64, 1]), ValidationError),
         ("smith-flat", lambda: smith_normal_form([1, 2]), ValidationError),

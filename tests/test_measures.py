@@ -286,6 +286,20 @@ def test_merged_supports_match_fraction_sums(model, d, data):
     an, bn = a.weights_num.tolist(), b.weights_num.tolist()
     assert_merged(conv, law(prods, [Fraction(an[i] * bn[j], a.weights_den * b.weights_den) for i, j in zip(ia, ib)]))
     assert conv.weights_den == a.weights_den * b.weights_den
+    # a (x) a: the pair of atoms i, j is the pair point (x_i, x_j) with
+    # weight w_i w_j, and the marginal is the tensor square of a's
+    ii, jj = np.divmod(np.arange(len(a.points) ** 2), len(a.points))
+    n, pairs = model.n_points, product_model(model)
+    sq = exact_support(doubled(a))
+    idx = model.point_indices(a.points)
+    assert np.array_equal(sq.points, pairs.points_from_indices(idx[ii] * n + idx[jj]))
+    assert sq.weights_num.tolist() == [an[i] * an[j] for i, j in zip(ii, jj)]
+    assert sq.weights_den == a.weights_den**2
+    site = marginal(a, d - 1)[0]
+    assert marginal(doubled(a), d - 1) == (site.tensor(site), True)
+    atoms = {tuple(r) for r in idx.tolist()}
+    for half in np.divmod(pairs.point_indices(sample(doubled(a), 8, np.random.default_rng(d))), n):
+        assert {tuple(r) for r in half.tolist()} <= atoms
 
 
 class TestSampling:
