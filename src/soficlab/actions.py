@@ -824,9 +824,11 @@ def verify_hypotheses(f: IntegerGroupMatrix) -> HypothesisReport:
     Finite G: rank of the left-regular integer matrix (in the square case,
     full rank is a nonzero determinant).  G = Z (one generator and no
     relations, so F_1 too; g = t^k for k the exponent sum of g's word) with
-    square f: the Fourier-symbol determinant is the zero polynomial iff
-    lambda(f) fails injectivity, which exact determinants at enough integer
-    points decide; injective and dense image coincide there by rank-nullity.
+    square f: lambda(f) is injective iff P = det(t^-lo f(t)) is not zero, lo
+    the least exponent, and dense image coincides with it by rank-nullity.
+    Leibniz gives ||P||_1 <= B, the product of the rows' absolute coefficient
+    sums, so by Cauchy's bound no nonzero P has a root at T = B + 1: one
+    exact determinant at T decides.
     """
     spec = f.group
     order = spec.order()
@@ -839,16 +841,11 @@ def verify_hypotheses(f: IntegerGroupMatrix) -> HypothesisReport:
             lambda_dense_image=Verdict(dense, method),
         )
     if len(spec.generators) == 1 and spec.relations == () and f.m == f.n:
-        # det(t^-lo f(t)) is a polynomial of degree at most n (hi - lo), so it
-        # is zero exactly when it vanishes at n (hi - lo) + 1 points
         exp = {g: sum(e for _, e in spec.word(g)) for g in f.support()}
-        lo, hi = min(exp.values(), default=0), max(exp.values(), default=0)
-        inj = any(
-            intlin.det_multimodular(
-                [[sum(c * t ** (exp[g] - lo) for g, c in cell.items()) for cell in row] for row in f.entries]
-            )
-            for t in range(1, f.n * (hi - lo) + 2)
-        )
+        lo = min(exp.values(), default=0)
+        T = math.prod(sum(abs(c) for cell in row for c in cell.values()) for row in f.entries) + 1
+        mat = [[sum(c * T ** (exp[g] - lo) for g, c in cell.items()) for cell in row] for row in f.entries]
+        inj = intlin.det_multimodular(mat) != 0
         return HypothesisReport(
             lambda_injective=Verdict(inj, "fourier-symbol-determinant"),
             lambda_dense_image=Verdict(inj, "fourier-symbol-determinant+rank-nullity"),

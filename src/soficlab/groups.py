@@ -237,7 +237,7 @@ class GroupSpec:
         return GroupElement((self._tag, int(self.inv_table[a.key[1]])))
 
     def power(self, a: GroupElement, n: int) -> GroupElement:
-        return _word_image(((0, n),), (a,), self.inverse, self.multiply, self._identity)
+        return _word_image(((0, _integer(n, "an exponent")),), (a,), self.inverse, self.multiply, self._identity)
 
     def is_identity(self, a: GroupElement) -> bool:
         return a == self._identity
@@ -245,16 +245,15 @@ class GroupSpec:
     def parse(self, text: str) -> GroupElement:
         """Parse a word like ``"t^2"``, ``"s*t^-1"``, ``"a b^-2"`` or ``"e"``.
 
-        A table group's own element labels take precedence over the identity
-        spellings ``"e"`` and ``"1"``.
+        A table group first matches the whole text against its element labels,
+        so they take precedence over the identity spellings ``"e"`` and ``"1"``.
         """
         text = text.strip()
-        if text in ("e", "1", "") and not (self.kind == "table" and text in self.labels):
+        if self.kind == "table" and text in self.labels:
+            return GroupElement((self._tag, self.labels.index(text)))
+        if text in ("e", "1", ""):
             return self._identity
         name_to_index = {n: i for i, n in enumerate(self.generators)}
-        if self.kind == "table":
-            # also allow raw element labels
-            label_to_index = {lab: i for i, lab in enumerate(self.labels)}
         out = self._identity
         for token in text.replace("*", " ").split():
             name, hat, exp_s = token.partition("^")
@@ -264,8 +263,8 @@ class GroupSpec:
                 raise ValidationError(f"malformed exponent in {token!r}") from None
             if name in name_to_index:
                 base = self._generators[name_to_index[name]]
-            elif self.kind == "table" and name in label_to_index:
-                base = GroupElement((self._tag, label_to_index[name]))
+            elif self.kind == "table" and name in self.labels:  # a raw element label
+                base = GroupElement((self._tag, self.labels.index(name)))
             else:
                 raise ValidationError(f"unknown generator {name!r}")
             out = self.multiply(out, self.power(base, exp))

@@ -263,7 +263,7 @@ class TestFunction:
 
 def indicator_panel(model: CompactGroupModel, scale: Fraction = Fraction(1)) -> tuple[TestFunction, ...]:
     """Scaled indicator of every model point (finite and small-torus models)."""
-    n = model.n_points
+    n, scale = model.n_points, Fraction(scale)
     out = []
     for i in range(n):
         num = np.zeros(n, dtype=np.int64)
@@ -292,6 +292,8 @@ class MapWindow:
 
     def __post_init__(self):
         object.__setattr__(self, "delta", _read_delta(self.delta))
+        if self.L and self.target is None:
+            raise ValidationError("a window with test functions L needs a target SiteMeasure")
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,10 @@ from soficlab.actions import (
     AlgebraicActionModel,
     AutomorphismAction,
     FiniteGroupModel,
+    HypothesisReport,
     IntegerGroupMatrix,
     TorusGridModel,
+    Verdict,
     continuous_kernel,
     count_kernel_points,
     cyclic_model,
@@ -876,6 +878,16 @@ class TestVerifyHypotheses:
         for g in (f, zero, singular):
             assert verify_hypotheses(on_free_rank_one(g)) == verify_hypotheses(g)
 
+    def test_far_apart_exponents_are_decided_at_one_point(self, Z):
+        # det [[1, t^800], [t^800, t^1600]] = 0 took 60 s as 3,201 determinants
+        # with entries t^1600, one per evaluation point
+        f = IntegerGroupMatrix.from_pairs(Z, [[[(1, "e")], [(1, "t^800")]], [[(1, "t^800")], [(1, "t^1600")]]])
+        for g in (f, on_free_rank_one(f)):
+            with time_cap(2):
+                rep = verify_hypotheses(g)
+            assert rep.lambda_injective == Verdict(False, "fourier-symbol-determinant")
+            assert rep.lambda_dense_image == Verdict(False, "fourier-symbol-determinant+rank-nullity")
+
     def test_unknown_class(self):
         free = GroupSpec.free(2)
         f = IntegerGroupMatrix.single(free, [(1, "e"), (1, "a")])
@@ -936,7 +948,7 @@ def z_symbols(draw):
     a monomial multiple of the first (or zero when n = 1), so are singular."""
     Z = GroupSpec.integers()
     n = draw(st.integers(1, 3))
-    poly = st.dictionaries(st.integers(-2, 2), st.integers(-2, 2), max_size=3)
+    poly = st.dictionaries(st.integers(-40, 40), st.integers(-2, 2), max_size=3)
     cells = [[draw(poly) for _ in range(n)] for _ in range(n)]
     if draw(st.booleans()):
         shift, c = draw(st.integers(-1, 1)), draw(st.integers(-2, 2))
@@ -966,6 +978,34 @@ def test_symbol_verdict_matches_cofactor_expansion(f):
         want, "fourier-symbol-determinant+rank-nullity"
     )
     assert verify_hypotheses(on_free_rank_one(f)) == rep
+
+
+FINITE_VERDICT_GROUPS = [GroupSpec.cyclic(k) for k in range(2, 7)] + [
+    GroupSpec.abelian(("s", "t"), (2, 3)),
+    s3_spec(),
+]
+
+
+@st.composite
+def finite_symbols(draw):
+    """An m x n matrix over Z(G), m, n <= 2, for G one of Z/2..Z/6, Z/2 x Z/3
+    and S3."""
+    G = draw(st.sampled_from(FINITE_VERDICT_GROUPS))
+    m, n = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    poly = st.dictionaries(st.sampled_from(G.elements()), st.integers(-2, 2), max_size=3)
+    return IntegerGroupMatrix(G, tuple(tuple(draw(poly) for _ in range(n)) for _ in range(m)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(finite_symbols())
+def test_finite_verdict_matches_sympy_rank(f):
+    order = f.group.order()
+    rank = sympy.Matrix(regular_matrix(f).tolist()).rank()
+    method = "left-regular-determinant" if f.m == f.n else "left-regular-rank"
+    assert verify_hypotheses(f) == HypothesisReport(
+        lambda_injective=Verdict(rank == f.n * order, method),
+        lambda_dense_image=Verdict(rank == f.m * order, method),
+    )
 
 
 class TestRegularMatrix:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import s3_spec
 from soficlab.actions import FiniteGroupModel, TorusGridModel, trivial_action
 from soficlab.errors import UnsupportedElementError, ValidationError
 from soficlab.groups import (
@@ -217,6 +218,13 @@ class TestGroupAlgebra:
         assert z3.parse("1").key[1] == 1
         assert z3.parse("e") == z3.identity()
         assert GroupSpec.cyclic(3).parse("1") == GroupSpec.cyclic(3).identity()
+
+    def test_parse_reads_a_label_with_spaces(self):
+        # "(0, 2, 1)" was split on whitespace: "unknown generator '(0,'"
+        S = s3_spec()
+        assert S.parse("(0, 2, 1)") == S.elements()[1]
+        assert S.parse(" (0, 2, 1) ") == S.elements()[1]
+        assert S.parse("(0, 1, 2)") == S.identity() == S.parse("e")
 
     def test_large_non_associative_table_rejected(self):
         # Z/65 with one entry changed: identity row and column and an inverse

@@ -112,6 +112,9 @@ def _input_cases():
         ("torus-map-float", lambda: AutomorphismAction(Z, TorusGridModel(5, 2), {"t": [[1.5, 0], [0, 1]]}),
          ValidationError),
         ("cyclic-order-bool", lambda: GroupSpec.cyclic(True), ValidationError),
+        # a float exponent raised a bare TypeError, and True returned t
+        ("power-float", lambda: Z.power(t, 2.0), ValidationError),
+        ("power-bool", lambda: Z.power(t, True), ValidationError),
         ("site-weights-float", lambda: SiteMeasure(z4, [1.7, 0.2, 0.1, 0], 1), ValidationError),
         ("site-weights-wrap", lambda: SiteMeasure(z4, wrapping, 1), ValidationError),
         ("atom-weights-wrap", lambda: SampleBased(z4, [[0], [1], [2], [3]], wrapping, 1), ValidationError),

@@ -1408,6 +1408,16 @@ def _refusal_cases():
         # the sampler's word reader draws only bounds numpy draws from one word
         ("words-bound-zero", lambda: _Words(np.random.default_rng(0)).below(0), ValidationError, "1..2\\^32"),
         ("words-past-a-word", lambda: _Words(np.random.default_rng(0)).below(2**32 + 1), ValidationError, "1..2\\^32"),
+        # a panel without a target was built, and its first mask call raised
+        # AttributeError: 'NoneType' object has no attribute 'model'
+        ("window-panel-without-target", lambda: MapWindow(
+            F=(t,), delta=Fraction(1, 4), L=indicator_panel(model), target=None), ValidationError, "needs a target"),
+        # a float scale raised AttributeError: 'float' object has no attribute
+        # 'numerator' before the panel reached the window's checks
+        ("float-scale-panel-on-another-model", lambda: meas_microstate_mask(
+            np.zeros((1, 4), dtype=np.int64), sigma,
+            MapWindow(F=(t,), delta=Fraction(1, 4), L=indicator_panel(cyclic_model(2), 0.5), target=uniform),
+            discrete_metric(model), neg), ValidationError, "one value per point"),
     ]
 
 
@@ -1416,6 +1426,14 @@ def test_refusals_are_pinned(case):
     _, call, error, message = case
     with pytest.raises(error, match=message):
         call()
+
+
+def test_an_indicator_panel_reads_its_scale_as_a_fraction():
+    # indicator_panel(cyclic_model(3), 0.5) raised AttributeError: 'float'
+    # object has no attribute 'numerator'
+    want = [("ind[0]", [1, 0, 0], 2), ("ind[1]", [0, 1, 0], 2), ("ind[2]", [0, 0, 1], 2)]
+    for scale in (0.5, "1/2", Fraction(1, 2)):
+        assert [(f.name, f.values.tolist(), f.den) for f in indicator_panel(cyclic_model(3), scale)] == want
 
 
 def test_a_pair_table_reads_a_nested_list():
