@@ -636,7 +636,9 @@ def count_kernel_points(model: AlgebraicActionModel, mode: str, budget: int = 10
     by ``intlin.det_circulant``.  Every other case (free and table groups,
     perturbed sigma, f larger than 1 x 1, or too few primes = 1 mod the
     quotient's exponent) takes the multi-modular CRT of
-    ``intlin.det_multimodular``.
+    ``intlin.det_multimodular``: a lift certifies a divisor s of det by an
+    exact product, so the CRT only runs past twice the Hadamard bound over
+    s, and the full CRT runs where the lift falls back.
     grid-exact: exact solutions on the q-grid, by ``intlin.kernel_count_mod``:
     elimination on unit pivots mod q in int64 for q < 2^31, then
     prod gcd(s_i, q) * q^(skipped - rank) over the Smith form of the block

@@ -4,13 +4,19 @@ Determinants, Smith normal form with unimodular transforms, grid-exact
 kernel counts and the one lattice solver for ``A x = t (mod q)``.
 ``det_multimodular`` computes determinants: a Crout LU in float64 modulo
 word-size primes, batched over the primes, combined by CRT past twice the
-Hadamard bound, so every result is exact.  ``det_circulant`` computes the
-determinant of a group circulant on a finite abelian group, the product of
-its character values, mod primes p = 1 (mod the group's exponent) below
-2^31, in int64 and batched over the primes; it shares the prime search
-(``_crt_primes``) and the CRT (``_crt``) with ``det_multimodular``, and
-``actions.count_kernel_points`` says which of the two runs when.
-``det_bareiss`` (fraction-free
+Hadamard bound B, so every result is exact.  When an int64 matrix would need
+more than two primes, a lift first finds a divisor s of det: a float64
+inverse refines a^-1 b for a fixed +-1 vector b by exact int64 residuals,
+continued fractions read off the common denominator s of a^-1 b, and an
+exact product a (s a^-1 b) = s b over Python ints certifies it.  The CRT
+then runs on primes prime to s only past 2 B / s; a lift that cannot run or
+fails its certificate falls back to the full CRT.
+``det_circulant`` computes the determinant of a group circulant on a finite
+abelian group, the product of its character values, mod primes
+p = 1 (mod the group's exponent) below 2^31, in int64 and batched over the
+primes; it shares the prime search (``_crt_primes``) and the CRT (``_crt``)
+with ``det_multimodular``, and ``actions.count_kernel_points`` says which of
+the two runs when.  ``det_bareiss`` (fraction-free
 elimination over Python ints) is only the reference that tests check it
 against; nothing in the package calls it.  The Smith form works over Python
 ints, so nothing overflows; it repeats one round (move the least nonzero
@@ -180,30 +186,33 @@ def _is_prime(m: int) -> bool:
     return True
 
 
-def _primes(n: int, bound: int) -> list[int]:
-    """Primes p with n (p - 1)^2 < 2^53, largest first, until their product
-    exceeds 2 * bound.  Every dot product of n residues mod p is then exact
-    in float64."""
-    return _crt_primes(math.isqrt((2**53 - 1) // n) + 1, bound)
+def _primes(n: int, bound: int, coprime_to: int = 1) -> list[int]:
+    """Primes p with n (p - 1)^2 < 2^53 that do not divide ``coprime_to``,
+    largest first, until their product exceeds 2 * bound.  Every dot product
+    of n residues mod p is then exact in float64."""
+    return _crt_primes(math.isqrt((2**53 - 1) // n) + 1, bound, coprime_to=coprime_to)
 
 
-def _crt_primes(limit: int, bound: int, step: int = 1) -> list[int]:
-    """Primes p <= limit with p = 1 (mod step), largest first, until their
-    product exceeds 2 * bound; step 1 takes every prime.  They are found
-    lazily, stepping down from the largest candidate, and cached per (limit,
-    step).  Raises OverflowError when the primes run out first."""
+def _crt_primes(limit: int, bound: int, step: int = 1, coprime_to: int = 1) -> list[int]:
+    """Primes p <= limit with p = 1 (mod step) that do not divide
+    ``coprime_to``, largest first, until their product exceeds 2 * bound;
+    step 1 takes every prime.  They are found lazily, stepping down from the
+    largest candidate, and cached per (limit, step).  Raises OverflowError
+    when the primes run out first."""
     cache = _PRIMES.setdefault((limit, step), [])
-    out, mod = [], 1
+    out, mod, i = [], 1, 0
     while mod <= 2 * bound:
-        if len(out) == len(cache):
+        if i == len(cache):
             m = cache[-1] - step if cache else limit - (limit - 1) % step
             while not _is_prime(m):
                 if m < 2:
                     raise OverflowError(f"the primes = 1 mod {step} to {limit} do not exceed twice the Hadamard bound")
                 m -= step
             cache.append(m)
-        out.append(cache[len(out)])
-        mod *= out[-1]
+        p, i = cache[i], i + 1
+        if coprime_to % p:
+            out.append(p)
+            mod *= p
     return out
 
 
@@ -250,15 +259,107 @@ def _det_residues(a: np.ndarray, primes: list[int]) -> list[int]:
     return det.tolist()
 
 
+def _denominator(num: int, den: int, limit: int) -> int:
+    """The denominator of the last continued-fraction convergent of num/den
+    whose denominator is at most ``limit`` (den > 0)."""
+    lo, hi = 1, 0
+    while den:
+        a, (num, den) = num // den, (den, num % den)
+        lo, hi = hi, a * hi + lo
+        if hi > limit:
+            return lo
+    return hi
+
+
+def _is_product(a: np.ndarray, y: list[int], s: int, b: np.ndarray) -> bool:
+    """Whether a @ y == s * b over the integers, for Python ints y and s,
+    summed over the nonzero entries of a."""
+    rows, cols = np.nonzero(a)
+    acc = [-s * v for v in b.tolist()]
+    for i, j, c in zip(rows.tolist(), cols.tolist(), a[rows, cols].tolist()):
+        acc[i] += c * y[j]
+    return not any(acc)
+
+
+def _lifted_denominator(a: np.ndarray, bound: int) -> int | None:
+    """A divisor s of det a for an int64 matrix with |det a| < ``bound``:
+    the least common denominator of x = a^-1 b for a fixed +-1 vector b.
+    None when the lift cannot run or its answer fails the certificate.
+
+    One float64 inverse C of a; then, with r_0 = b, the digits
+    x_i = round(2^k C r_i) and the exact int64 residuals
+    r_{i+1} = 2^k r_i - a x_i keep a N = 2^(km) b - r_m for
+    N = sum_i x_i 2^(k(m - 1 - i)).  k leaves float64 room for C's error,
+    n cond(a) 2^k < 2^50, and int64 room for every product: with
+    |r_i| <= ||a|| (the largest row sum of |a|), |x_i| <= 2^k ||C|| ||a||,
+    and cond(a) ||a|| 2^k < 2^61 keeps 2^k r_i and a x_i below 2^61.  m
+    steps make 2^(km) exceed 2 bound^2 times the error |a^-1 r_m|, so by
+    continued fractions the first entry's denominator is found and each
+    further one multiplies in what the next entry still needs.  The
+    certificate is exact: a y = s b over Python ints (``_is_product``), for
+    y the integers nearest s x, and gcd(s, y) = 1 make s the least common
+    denominator of a^-1 b, which divides det a because det a * a^-1 is
+    integral.  None comes back on entries whose row sums may leave float64's
+    exact range (n max|a| >= 2^52), a singular float inverse, no room for
+    k >= 1, a residual above ||a|| (the inverse is too coarse for the
+    refinement to converge) or a failed certificate.
+    """
+    n = len(a)
+    if n * max(int(a.max()), -int(a.min())) >= 2**52:
+        return None
+    norm = int(np.abs(a).sum(axis=1).max())
+    try:
+        inv = np.linalg.inv(a.astype(np.float64))
+    except np.linalg.LinAlgError:
+        return None
+    # cond(a) >= 1; a coarse inverse may read lower
+    cond = max(norm * float(np.abs(inv).sum(axis=1).max()), 1.0)
+    k = min(50 - math.log2(n * cond), 61 - math.log2(cond * norm))
+    if not k >= 1:  # also an inverse with inf or nan entries
+        return None
+    k = int(k)
+    err = 2 * math.ceil(cond) + 1
+    steps = -(-(2 * bound * bound * err).bit_length() // k)
+    # a fixed aperiodic +-1 pattern (the top bit of a Weyl sequence), so that
+    # b is no eigenvector of a group-structured a, as all-ones would be
+    b = np.where(np.arange(n, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15) >> np.uint64(63), -1, 1)
+    r, num = b, np.zeros(n, dtype=object)
+    for _ in range(steps):
+        x = np.rint(inv @ (r * 2.0**k)).astype(np.int64)
+        r = (r << k) - a @ x
+        if np.abs(r).max() > norm:
+            return None
+        num = num * (1 << k) + x.astype(object)
+    km, s = k * steps, 1
+
+    def nearest(t):  # the integer nearest t / 2^(km)
+        return ((t >> (km - 1)) + 1) >> 1
+
+    for v in num.tolist():
+        t = s * v
+        if abs(t - (nearest(t) << km)) > s * err:
+            s *= _denominator(t, 1 << km, bound // s)
+    y = [nearest(s * v) for v in num.tolist()]
+    if math.gcd(s, *y) != 1 or not _is_product(a, y, s, b):
+        return None
+    return s
+
+
 def det_multimodular(mat) -> int:
     """Exact determinant of a square integer matrix, by CRT over primes.
 
-    The primes, below a limit set by n so that float64 elimination mod p is
-    exact, are taken until their product M exceeds twice the Hadamard bound;
-    every one of them is used.  The residues are found in batches whose LU
-    stack stays within ``_LU_BYTES``, combined by CRT, and the symmetric
-    residue mod M is the determinant.  Entries beyond int64 are reduced mod
-    p over Python ints.
+    The primes lie below a limit set by n so that float64 elimination mod p
+    is exact.  When a is int64 and twice the Hadamard bound B calls for more
+    than two of them, ``_lifted_denominator`` first looks for a certified
+    divisor s of det a (Dixon 1982; Abbott, Bronstein and Mulders 1999), so
+    the CRT only needs det a / s, below B / s: the primes that do not divide
+    s are taken until their product M exceeds 2 * ceil(B / s), det a * s^-1
+    mod p is combined by CRT, and det a is s times the symmetric residue mod
+    M.  Without s (object entries beyond int64, at most two primes, or the
+    lift fell back) s = 1 and the CRT runs past 2 * B.  Either way every
+    result is exact.  The residues are found in batches whose LU stack stays
+    within ``_LU_BYTES``.  Entries beyond int64 are reduced mod p over
+    Python ints.
     """
     a = as_int_array(mat)
     n = len(a)
@@ -266,10 +367,15 @@ def det_multimodular(mat) -> int:
         return 1
     if a.shape != (n, n):
         raise ValueError("determinant needs a square matrix")
-    primes = _primes(n, _hadamard_bound(a))
+    bound = _hadamard_bound(a)
+    primes = _primes(n, bound)
+    s = 1
+    if a.dtype == np.int64 and len(primes) > 2:
+        s = _lifted_denominator(a, bound) or 1
+        primes = _primes(n, -(-bound // s), s)
     per_batch = max(1, _LU_BYTES // (8 * n * n))
     residues = [r for i in range(0, len(primes), per_batch) for r in _det_residues(a, primes[i : i + per_batch])]
-    return _crt(residues, primes)
+    return s * _crt([r * pow(s, -1, p) % p for r, p in zip(residues, primes)], primes)
 
 
 def _root(p: int, n: int) -> int:

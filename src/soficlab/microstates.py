@@ -262,8 +262,11 @@ class TestFunction:
 
 
 def indicator_panel(model: CompactGroupModel, scale: Fraction = Fraction(1)) -> tuple[TestFunction, ...]:
-    """Scaled indicator of every model point (finite and small-torus models)."""
-    n, scale = model.n_points, Fraction(scale)
+    """Scaled indicator of every model point (finite and small-torus models).
+    Raises OverflowError when the scale's numerator does not fit int64."""
+    n, scale = model.n_points, _read_fraction(scale, "the scale of an indicator panel")
+    if not _INT64.min <= scale.numerator <= _INT64.max:
+        raise OverflowError(f"the scale's numerator {scale.numerator} does not fit int64")
     out = []
     for i in range(n):
         num = np.zeros(n, dtype=np.int64)
@@ -272,10 +275,20 @@ def indicator_panel(model: CompactGroupModel, scale: Fraction = Fraction(1)) -> 
     return tuple(out)
 
 
+def _read_fraction(value, what: str) -> Fraction:
+    """``value`` as an exact Fraction (ints, Fractions, floats, decimal
+    strings); a non-number, NaN or an infinity is refused with
+    ValidationError naming ``what``."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{what} must be a finite number, not {value!r}") from None
+
+
 def _read_delta(delta) -> Fraction:
     """A threshold delta as a Fraction; a negative one is refused, since the
     tests square it."""
-    delta = Fraction(delta)
+    delta = _read_fraction(delta, "delta")
     if delta < 0:
         raise ValidationError("delta must be >= 0")
     return delta

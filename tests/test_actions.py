@@ -560,6 +560,25 @@ class TestContinuousExactAtScale:
         )
         assert abs(math.log(count) - want) < 1e-6
 
+    @pytest.mark.parametrize("rate", [0, 1 / 16], ids=["sofic", "perturbed"])
+    def test_f2_at_128_needs_two_primes_after_the_lift(self, monkeypatch, rate):
+        # twice the Hadamard bound of 5 - a - a^-1 - b - b^-1 at d = 128 calls
+        # for 14 primes; the lifted denominator s leaves at most 2 for det / s
+        F2 = GroupSpec.free(2)
+        f = IntegerGroupMatrix.single(F2, [(5, "e"), (-1, "a"), (-1, "a^-1"), (-1, "b"), (-1, "b^-1")])
+        sigma = quotient_sofic(F2, {"kind": "random-permutations", "degree": 128, "seed": 7}, f.support())
+        if rate:
+            sigma = perturb(sigma, rate, 7)
+        primes, real = [], intlin._det_residues
+        monkeypatch.setattr(intlin, "_det_residues", lambda a, ps: primes.append(len(ps)) or real(a, ps))
+        count = count_kernel_points(instantiate_Xf(f, sigma, q=2, tol=0), "continuous-exact")
+        assert sum(primes) <= 2
+        # the full CRT, as when the lift falls back
+        primes.clear()
+        monkeypatch.setattr(intlin, "_lifted_denominator", lambda a, bound: None)
+        assert count == abs(det_multimodular(sigma_matrix(f, sigma)))
+        assert primes == [14]
+
 
 def _spy(monkeypatch, module, name) -> list:
     """Replace ``module.name`` by a wrapper that records each result."""

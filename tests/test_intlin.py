@@ -2,11 +2,12 @@
 
 import itertools
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 import sympy
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
 
 from conftest import time_cap
@@ -214,10 +215,11 @@ def test_det_multimodular_sylvester_hadamard_meets_the_bound():
 
 def test_det_multimodular_across_batches(monkeypatch):
     # an LU stack of two primes at a time: the residues of several batches
-    # are combined by one CRT
+    # are combined by one CRT (the full CRT, as when the lift falls back)
     rng = np.random.default_rng(8)
     m = random_matrix(rng, 20, 20, bound=40)
     monkeypatch.setattr(intlin, "_LU_BYTES", 2 * 8 * 20 * 20)
+    monkeypatch.setattr(intlin, "_lifted_denominator", lambda a, bound: None)
     assert len(intlin._primes(20, intlin._hadamard_bound(np.array(m)))) > 4
     assert intlin.det_multimodular(m) == intlin.det_bareiss(m)
 
@@ -229,6 +231,149 @@ def test_det_multimodular_big_circulant():
         mat[j][j] = -2
         mat[(j + 1) % d][j] += 1
     assert abs(intlin.det_multimodular(mat)) == 2**d - 1
+
+
+# -- the lifted denominator ------------------------------------------------------
+
+
+@contextmanager
+def spying(name):
+    """Record (arguments, result) of every call to ``intlin.<name>``."""
+    real, calls = getattr(intlin, name), []
+
+    def spy(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    setattr(intlin, name, spy)
+    try:
+        yield calls
+    finally:
+        setattr(intlin, name, real)
+
+
+def lifted(m):
+    """det_multimodular(m), with the lift's results and the primes handed
+    to ``_det_residues``."""
+    with spying("_lifted_denominator") as lifts, spying("_det_residues") as batches:
+        det = intlin.det_multimodular(m)
+    return det, [s for _, s in lifts], [p for (_, primes), _ in batches for p in primes]
+
+
+@st.composite
+def lift_matrices(draw):
+    """(kind, m): an n x n matrix, n <= 8, with entries near 2^20, so that
+    twice the Hadamard bound calls for three primes or more."""
+    kind = draw(st.sampled_from(["dominant", "dense", "singular", "small-s"]))
+    n = draw(st.integers(2, 8))
+    cells = st.lists(st.integers(-(2**20), 2**20), min_size=n, max_size=n)
+    m = draw(st.lists(cells, min_size=n, max_size=n))
+    if kind == "dominant":
+        m = [[x // 8 if i != j else 0 for j, x in enumerate(row)] for i, row in enumerate(m)]
+        for i, row in enumerate(m):
+            row[i] = draw(st.sampled_from([-1, 1])) * (sum(map(abs, row)) + draw(st.integers(1, 2**17)))
+    elif kind == "singular":
+        m = with_dependent_row(m)
+    elif kind == "small-s":
+        # diag(e) (I + N), N strictly lower triangular: the denominators of
+        # m^-1 b divide lcm(e), far below det m = prod(e)
+        e = draw(st.sampled_from([[2**19 - 1] * n, [2**16 * q for q in (2, 3, 5, 7, 11, 13, 17, 19)[:n]]]))
+        low = st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)
+        w = np.eye(n, dtype=np.int64) + np.tril(np.array(draw(low), dtype=np.int64), -1)
+        m = (np.diag(e) @ w).tolist()
+    return kind, m
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=lift_matrices())
+def test_the_lift_agrees_with_sympy(case):
+    kind, m = case
+    assume(len(intlin._primes(len(m), intlin._hadamard_bound(np.array(m)))) >= 3)
+    want = int(sympy.Matrix(m).det())
+    det, lifts, primes = lifted(m)
+    assert det == want and len(lifts) == 1
+    s = lifts[0]
+    if s is not None:
+        assert want % s == 0 and not any(s % p == 0 for p in primes)
+    if kind in ("dominant", "small-s"):
+        assert s is not None
+    if kind == "small-s":
+        assert math.lcm(*(m[i][i] for i in range(len(m)))) % s == 0
+
+
+def wilkinson_ramp(n):
+    """1 on the diagonal, -1 below it and a last column (1, ..., 7, 1, ...):
+    well conditioned, but partial pivoting doubles the last column n - 1
+    times, so the float64 inverse is too coarse for the refinement."""
+    a = np.eye(n, dtype=np.int64) - np.tril(np.ones((n, n), dtype=np.int64), -1)
+    a[:, -1] = np.arange(n) % 7 + 1
+    return a
+
+
+def test_the_lift_falls_back_when_the_residual_grows():
+    a = wilkinson_ramp(30)
+    inv = np.linalg.inv(a.astype(float))
+    cond = np.abs(a).sum(axis=1).max() * np.abs(inv).sum(axis=1).max()
+    assert 30 * cond < 2**40 and np.abs(np.eye(30) - a @ inv).max() > 1e-10
+    with spying("_denominator") as cfs, spying("_is_product") as checks:
+        det, lifts, primes = lifted(a)
+    # none of the other ways out applies, and nothing was reconstructed
+    assert lifts == [None] and cfs == [] and checks == []
+    assert primes == intlin._primes(30, intlin._hadamard_bound(a))
+    assert det == int(sympy.Matrix(a.tolist()).det())
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        # a repeated row: the float LU meets an exact zero pivot
+        [[3, 2**20, -5, 7], [11, -13, 2**19, 17], [3, 2**20, -5, 7], [19, 23, -29, 2**20]],
+        # n max|a| >= 2^52: row sums past float64's exact range
+        [[2**51, 1, 0], [1, 2**51 + 1, 3], [5, 0, 2**51 - 7]],
+        # cond(a) near 2^54: no room for even one bit per step
+        [[2**26, 2**26 + 1], [2**26 - 1, 2**26]],
+    ],
+    ids=["singular-float-inverse", "entries-too-large", "no-room-for-a-bit"],
+)
+def test_the_lift_falls_back_before_refining(m):
+    a = np.array(m, dtype=np.int64)
+    assert len(intlin._primes(len(a), intlin._hadamard_bound(a))) >= 3
+    with spying("_denominator") as cfs:
+        det, lifts, primes = lifted(a)
+    assert lifts == [None] and cfs == []
+    assert primes == intlin._primes(len(a), intlin._hadamard_bound(a))
+    assert det == int(sympy.Matrix(m).det())
+
+
+@pytest.mark.parametrize("wrong", [lambda q: 2 * q, lambda q: 1], ids=["twice-the-denominator", "no-denominator"])
+def test_a_failed_certificate_falls_back(monkeypatch, wrong):
+    # 2 s gives a y = 2 s b with gcd(2 s, y) = 2; s = 1 leaves a y != b
+    real = intlin._denominator
+    monkeypatch.setattr(intlin, "_denominator", lambda num, den, limit: wrong(real(num, den, limit)))
+    rng = np.random.default_rng(10)
+    m = random_matrix(rng, 8, 8, bound=2**20)
+    det, lifts, primes = lifted(m)
+    assert lifts == [None]
+    assert primes == intlin._primes(8, intlin._hadamard_bound(np.array(m)))
+    assert det == int(sympy.Matrix(m).det())
+
+
+def test_is_product_is_exact_on_large_entries():
+    a = np.array([[2, -1], [-1, 2]], dtype=np.int64)
+    b = np.array([1, -1], dtype=np.int64)
+    s = 3 * 2**200 + 12345
+    y = [s, -s]  # a y = 3 s b
+    assert intlin._is_product(a, y, 3 * s, b)
+    assert not intlin._is_product(a, y, 3 * s + 1, b)
+    assert not intlin._is_product(a, [s, -s + 2**150], 3 * s, b)
+    assert not intlin._is_product(a, [s, s], 3 * s, b)
+
+
+def test_an_object_matrix_skips_the_lift():
+    m = [[2**70 + 1, 3, 0], [5, 2**66, 7], [0, 11, -(2**65)]]
+    with spying("_lifted_denominator") as lifts:
+        assert intlin.det_multimodular(m) == int(sympy.Matrix(m).det())
+    assert lifts == []
 
 
 @settings(max_examples=200, deadline=None)

@@ -1418,6 +1418,21 @@ def _refusal_cases():
             np.zeros((1, 4), dtype=np.int64), sigma,
             MapWindow(F=(t,), delta=Fraction(1, 4), L=indicator_panel(cyclic_model(2), 0.5), target=uniform),
             discrete_metric(model), neg), ValidationError, "one value per point"),
+        # the scale and delta were read by a bare Fraction(...): None raised
+        # TypeError, NaN and "x" ValueError, an infinity OverflowError
+        ("scale-none", lambda: indicator_panel(model, None), ValidationError, "the scale .* not None"),
+        ("scale-nan", lambda: indicator_panel(model, float("nan")), ValidationError, "the scale .* not nan"),
+        ("scale-inf", lambda: indicator_panel(model, float("-inf")), ValidationError, "the scale .* not -inf"),
+        ("delta-not-a-number", lambda: MapWindow(F=(t,), delta="x", L=(), target=uniform),
+         ValidationError, "delta must be a finite number, not 'x'"),
+        ("delta-nan", lambda: top_microstate_mask(np.zeros((1, 4), dtype=np.int64), sigma, (t,), float("nan"),
+            discrete_metric(model), neg), ValidationError, "delta must be a finite number, not nan"),
+        ("delta-inf", lambda: enumerate_top_microstates(model, sigma, (t,), float("inf"), discrete_metric(model), neg),
+         ValidationError, "delta must be a finite number, not inf"),
+        # numpy's "Python int too large to convert to C long" came out where
+        # the numerator was stored
+        ("scale-past-int64", lambda: indicator_panel(model, Fraction(2**70, 3)), OverflowError,
+         "numerator 1180591620717411303424 does not fit int64"),
     ]
 
 
