@@ -310,11 +310,19 @@ def wilkinson_ramp(n):
     return a
 
 
+def n_cond(a):
+    """n cond(a) in the infinity norm, read from the float64 inverse as the
+    lift reads it; inf when the float LU meets a zero pivot."""
+    try:
+        inv = np.linalg.inv(a.astype(float))
+    except np.linalg.LinAlgError:
+        return math.inf
+    return len(a) * np.abs(a).sum(axis=1).max() * np.abs(inv).sum(axis=1).max()
+
+
 def test_the_lift_falls_back_when_the_residual_grows():
     a = wilkinson_ramp(30)
-    inv = np.linalg.inv(a.astype(float))
-    cond = np.abs(a).sum(axis=1).max() * np.abs(inv).sum(axis=1).max()
-    assert 30 * cond < 2**40 and np.abs(np.eye(30) - a @ inv).max() > 1e-10
+    assert n_cond(a) < 2**40 and np.abs(np.eye(30) - a @ np.linalg.inv(a.astype(float))).max() > 1e-10
     with spying("_denominator") as cfs, spying("_is_product") as checks:
         det, lifts, primes = lifted(a)
     # none of the other ways out applies, and nothing was reconstructed
@@ -324,20 +332,23 @@ def test_the_lift_falls_back_when_the_residual_grows():
 
 
 @pytest.mark.parametrize(
-    "m",
+    "m, why",
     [
         # a repeated row: the float LU meets an exact zero pivot
-        [[3, 2**20, -5, 7], [11, -13, 2**19, 17], [3, 2**20, -5, 7], [19, 23, -29, 2**20]],
-        # n max|a| >= 2^52: row sums past float64's exact range
-        [[2**51, 1, 0], [1, 2**51 + 1, 3], [5, 0, 2**51 - 7]],
+        (
+            [[3, 2**20, -5, 7], [11, -13, 2**19, 17], [3, 2**20, -5, 7], [19, 23, -29, 2**20]],
+            lambda a: n_cond(a) == math.inf,
+        ),
+        # row sums past float64's exact range
+        ([[2**51, 1, 0], [1, 2**51 + 1, 3], [5, 0, 2**51 - 7]], lambda a: len(a) * np.abs(a).max() >= 2**52),
         # cond(a) near 2^54: no room for even one bit per step
-        [[2**26, 2**26 + 1], [2**26 - 1, 2**26]],
+        ([[2**26, 2**26 + 1], [2**26 - 1, 2**26]], lambda a: 2**49 <= n_cond(a) < math.inf),
     ],
     ids=["singular-float-inverse", "entries-too-large", "no-room-for-a-bit"],
 )
-def test_the_lift_falls_back_before_refining(m):
+def test_the_lift_falls_back_before_refining(m, why):
     a = np.array(m, dtype=np.int64)
-    assert len(intlin._primes(len(a), intlin._hadamard_bound(a))) >= 3
+    assert why(a) and len(intlin._primes(len(a), intlin._hadamard_bound(a))) >= 3
     with spying("_denominator") as cfs:
         det, lifts, primes = lifted(a)
     assert lifts == [None] and cfs == []
