@@ -637,8 +637,11 @@ def count_kernel_points(model: AlgebraicActionModel, mode: str, budget: int = 10
     perturbed sigma, f larger than 1 x 1, or too few primes = 1 mod the
     quotient's exponent) takes the multi-modular CRT of
     ``intlin.det_multimodular``: a lift certifies a divisor s of det by an
-    exact product, so the CRT only runs past twice the Hadamard bound over
-    s, and the full CRT runs where the lift falls back.
+    exact product.  When f^(sigma) is strictly diagonally dominant, as it is
+    when |f(e)| > sum_{g != e} |f(g)| and sigma(e) is the identity, an exact
+    bound on det^2 then pins det / s with no prime; otherwise the CRT only
+    runs past twice the Hadamard bound over s, and the full CRT runs where
+    the lift falls back.
     grid-exact: exact solutions on the q-grid, by ``intlin.kernel_count_mod``:
     elimination on unit pivots mod q in int64 for q < 2^31, then
     prod gcd(s_i, q) * q^(skipped - rank) over the Smith form of the block
@@ -830,7 +833,10 @@ def verify_hypotheses(f: IntegerGroupMatrix) -> HypothesisReport:
     the least exponent, and dense image coincides with it by rank-nullity.
     Leibniz gives ||P||_1 <= B, the product of the rows' absolute coefficient
     sums, so by Cauchy's bound no nonzero P has a root at T = B + 1: one
-    exact determinant at T decides.
+    exact determinant at T decides.  Any other G with 1 x 1 f: if
+    |f(e)| > sum_{g != e} |f(g)|, f is invertible in l^1(G) (a Neumann series
+    for f(e) (1 + h) with ||h||_1 < 1), so lambda(f) is injective with dense
+    image (Deninger and Schmidt 2007); equality decides nothing.
     """
     spec = f.group
     order = spec.order()
@@ -852,6 +858,11 @@ def verify_hypotheses(f: IntegerGroupMatrix) -> HypothesisReport:
             lambda_injective=Verdict(inj, "fourier-symbol-determinant"),
             lambda_dense_image=Verdict(inj, "fourier-symbol-determinant+rank-nullity"),
         )
+    if (f.m, f.n) == (1, 1):
+        terms = f.entries[0][0]
+        if 2 * abs(terms.get(spec.identity(), 0)) > sum(abs(c) for c in terms.values()):
+            verdict = Verdict(True, "l1-invertible")
+            return HypothesisReport(lambda_injective=verdict, lambda_dense_image=verdict)
     return HypothesisReport(
         lambda_injective=Verdict(None, "unknown-group-class"),
         lambda_dense_image=Verdict(None, "unknown-group-class"),

@@ -8,9 +8,12 @@ Hadamard bound B, so every result is exact.  When an int64 matrix would need
 more than two primes, a lift first finds a divisor s of det: a float64
 inverse refines a^-1 b for a fixed +-1 vector b by exact int64 residuals,
 continued fractions read off the common denominator s of a^-1 b, and an
-exact product a (s a^-1 b) = s b over Python ints certifies it.  The CRT
-then runs on primes prime to s only past 2 B / s; a lift that cannot run or
-fails its certificate falls back to the full CRT.
+exact product a (s a^-1 b) = s b over Python ints certifies it.  When a is
+strictly diagonally dominant, t = det a / s needs no prime at all: its sign
+is that of the diagonal's product, and an exact bound on det a^2 after an
+integer Cholesky-type preconditioning leaves one perfect square for t^2.
+Otherwise the CRT runs on primes prime to s only past 2 B / s; a lift that
+cannot run or fails its certificate falls back to the full CRT.
 ``det_circulant`` computes the determinant of a group circulant on a finite
 abelian group, the product of its character values, mod primes
 p = 1 (mod the group's exponent) below 2^31, in int64 and batched over the
@@ -49,6 +52,7 @@ from __future__ import annotations
 
 import math
 import operator
+from fractions import Fraction
 
 import numpy as np
 
@@ -155,6 +159,9 @@ _ROOTS: dict[tuple[int, int], int] = {}
 # The character path's primes are at most this, so that a product of two
 # residues stays below 2^62 in int64.
 _CHARACTER_LIMIT = 2**31 - 1
+# The dominance certificate's scale: G = round(2^_PIN_BITS L^-1) puts
+# M = G a^T a G^T near 2^50 I, whose exact products need M below 2^52.
+_PIN_BITS = 25
 
 
 def _hadamard_bound(a: np.ndarray) -> int:
@@ -345,6 +352,89 @@ def _lifted_denominator(a: np.ndarray, bound: int) -> int | None:
     return s
 
 
+def _dominant(a: np.ndarray) -> bool:
+    """Whether a is strictly diagonally dominant by rows or by columns."""
+    twice = 2 * np.abs(np.diagonal(a))
+    return any(bool((twice > np.abs(a).sum(axis=k)).all()) for k in (0, 1))
+
+
+def _tri_inverse(low: np.ndarray) -> np.ndarray:
+    """The float64 inverse of a lower triangular matrix, by halves:
+    [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]]."""
+    n = len(low)
+    if n <= 64:
+        return np.linalg.inv(low)
+    h = n // 2
+    top, bottom = _tri_inverse(low[:h, :h]), _tri_inverse(low[h:, h:])
+    out = np.zeros_like(low)
+    out[:h, :h], out[h:, h:], out[h:, :h] = top, bottom, -bottom @ (low[h:, :h] @ top)
+    return out
+
+
+def _pinned_cofactor(a: np.ndarray, s: int) -> int | None:
+    """|det a| / s for a strictly diagonally dominant int64 matrix a and a
+    divisor s of det a, or None when the bound below leaves it open.
+
+    L is the float64 Cholesky factor of a^T a and G = round(2^_PIN_BITS L^-1)
+    with its upper triangle zeroed, so det G = prod G_ii exactly.  N = G a^T
+    and M = N N^T = G a^T a G^T are exact integer matrices: each is a float64
+    matmul of integers whose absolute partial sums stay below 2^53, for N
+    because max|G| ||a|| < 2^53 (||a|| the largest row sum of |a|), for M
+    because sum_j |N_ij N_lj| <= sqrt(M_ii M_ll) (Cauchy-Schwarz) and a
+    computed diagonal below 2^52 puts the exact one below 2^53.  With
+    D = diag M and X = D^-1 (M - D), tr X = 0 and, when
+    eta = max_i sum_j |X_ij| < 1, every eigenvalue of X has modulus at most
+    eta, so the series for log det(I + X) = sum_i log(1 + lambda_i) gives
+    |log det(I + X)| <= sum_i |lambda_i|^2 / (2 (1 - eta)) <= beta =
+    ||X||_F^2 / (2 (1 - eta)) (Schur's inequality); det(I + X) is real, so it
+    lies in [1 - beta, 1 / (1 - beta)].  As det M = prod M_ii det(I + X) =
+    (det G det a)^2, t^2 = (det a / s)^2 lies in
+    [P (1 - beta) / Q, P / ((1 - beta) Q)] for P = prod M_ii and
+    Q = (s prod G_ii)^2, and t is returned when its square is the only one
+    there.  Each X_ij is one rounded quotient of exact integers, and eta and
+    ||X||_F^2 are float sums of at most n^2 of them or their rounded squares,
+    so raising both by the factor 1 + (n^2 + 4) 2^-52 covers every rounding;
+    P, Q and the interval are exact.  Only G, which the floats choose, is
+    inexact, and any G gives a true bound.
+
+    On 5 - M over a free group beta comes out near n^2 2^-(2 _PIN_BITS), and
+    a t much above 1 / beta cannot be pinned, so when the Cholesky diagonal
+    (log2 |det a| = sum_i log2 L_ii) puts t past 2^(2 _PIN_BITS + 2) / n^2,
+    None comes back before the inverse and the exact products.
+    """
+    n = len(a)
+    af = a.astype(np.float64)
+    try:
+        low = np.linalg.cholesky(af.T @ af)
+    except np.linalg.LinAlgError:
+        return None
+    if np.log2(np.diagonal(low)).sum() - math.log2(s) + 2 * math.log2(n) > 2 * _PIN_BITS + 2:
+        return None
+    g = np.tril(np.rint(_tri_inverse(low) * 2.0**_PIN_BITS))
+    if not np.abs(g).max() * np.abs(a).sum(axis=1).max() < 2**53:  # also inf or nan
+        return None
+    nt = g @ af.T
+    m = nt @ nt.T
+    diag = np.diagonal(m)
+    if not 0 < diag.min() <= diag.max() < 2**52:
+        return None
+    x = np.abs(m) / diag[:, None]
+    np.fill_diagonal(x, 0)
+    up = 1 + Fraction(n * n + 4, 2**52)
+    eta = Fraction(float(x.sum(axis=1).max())) * up
+    if not eta < 1:
+        return None
+    beta = Fraction(float((x * x).sum())) * up / (2 * (1 - eta))
+    p = math.prod(int(v) for v in diag.tolist())
+    q = (s * math.prod(int(v) for v in np.diagonal(g).tolist())) ** 2
+    if not (beta < 1 and q):
+        return None
+    # t^2 in [p (den - num) / (den q), p den / ((den - num) q)] for beta = num / den
+    num, den = beta.numerator, beta.denominator
+    t = math.isqrt(-(-p * (den - num) // (den * q)) - 1) + 1
+    return t if t * t * (den - num) * q <= p * den < (t + 1) ** 2 * (den - num) * q else None
+
+
 def det_multimodular(mat) -> int:
     """Exact determinant of a square integer matrix, by CRT over primes.
 
@@ -352,12 +442,18 @@ def det_multimodular(mat) -> int:
     is exact.  When a is int64 and twice the Hadamard bound B calls for more
     than two of them, ``_lifted_denominator`` first looks for a certified
     divisor s of det a (Dixon 1982; Abbott, Bronstein and Mulders 1999), so
-    the CRT only needs det a / s, below B / s: the primes that do not divide
-    s are taken until their product M exceeds 2 * ceil(B / s), det a * s^-1
-    mod p is combined by CRT, and det a is s times the symmetric residue mod
-    M.  Without s (object entries beyond int64, at most two primes, or the
-    lift fell back) s = 1 and the CRT runs past 2 * B.  Either way every
-    result is exact.  The residues are found in batches whose LU stack stays
+    the CRT only needs t = det a / s, below B / s.  When the lift found s and a
+    is strictly diagonally dominant by rows or columns, ``_pinned_cofactor``
+    first tries
+    to find |t| with no prime: every a + tau (D - a), 0 <= tau <= 1, D the
+    diagonal, is dominant and so nonsingular (Levy-Desplanques), so
+    sign det a = prod sign a_ii, and an exact interval for t^2 that holds one
+    perfect square pins |t|.  Otherwise the primes that do not divide s are
+    taken until their product M exceeds 2 * ceil(B / s), det a * s^-1 mod p
+    is combined by CRT, and det a is s times the symmetric residue mod M.
+    Without s (object entries beyond int64, at most two primes, or the lift
+    fell back) s = 1 and the CRT runs past 2 * B.  Every path's result is
+    exact.  The residues are found in batches whose LU stack stays
     within ``_LU_BYTES``.  Entries beyond int64 are reduced mod p over
     Python ints.
     """
@@ -371,7 +467,11 @@ def det_multimodular(mat) -> int:
     primes = _primes(n, bound)
     s = 1
     if a.dtype == np.int64 and len(primes) > 2:
-        s = _lifted_denominator(a, bound) or 1
+        s = _lifted_denominator(a, bound)
+        t = _pinned_cofactor(a, s) if s and _dominant(a) else None
+        if t is not None:
+            return (-1) ** int((np.diagonal(a) < 0).sum()) * s * t
+        s = s or 1
         primes = _primes(n, -(-bound // s), s)
     per_batch = max(1, _LU_BYTES // (8 * n * n))
     residues = [r for i in range(0, len(primes), per_batch) for r in _det_residues(a, primes[i : i + per_batch])]

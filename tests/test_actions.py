@@ -563,7 +563,8 @@ class TestContinuousExactAtScale:
     @pytest.mark.parametrize("rate", [0, 1 / 16], ids=["sofic", "perturbed"])
     def test_f2_at_128_needs_two_primes_after_the_lift(self, monkeypatch, rate):
         # twice the Hadamard bound of 5 - a - a^-1 - b - b^-1 at d = 128 calls
-        # for 14 primes; the lifted denominator s leaves at most 2 for det / s
+        # for 14 primes; the lifted denominator s and the dominance
+        # certificate for det / s leave none
         F2 = GroupSpec.free(2)
         f = IntegerGroupMatrix.single(F2, [(5, "e"), (-1, "a"), (-1, "a^-1"), (-1, "b"), (-1, "b^-1")])
         sigma = quotient_sofic(F2, {"kind": "random-permutations", "degree": 128, "seed": 7}, f.support())
@@ -572,12 +573,50 @@ class TestContinuousExactAtScale:
         primes, real = [], intlin._det_residues
         monkeypatch.setattr(intlin, "_det_residues", lambda a, ps: primes.append(len(ps)) or real(a, ps))
         count = count_kernel_points(instantiate_Xf(f, sigma, q=2, tol=0), "continuous-exact")
-        assert sum(primes) <= 2
+        assert primes == []
         # the full CRT, as when the lift falls back
-        primes.clear()
         monkeypatch.setattr(intlin, "_lifted_denominator", lambda a, bound: None)
         assert count == abs(det_multimodular(sigma_matrix(f, sigma)))
         assert primes == [14]
+
+    @pytest.mark.parametrize("rate", [0, 1 / 16], ids=["sofic", "perturbed"])
+    def test_f2_at_256_needs_no_prime(self, monkeypatch, rate):
+        # the Hadamard bound overshoots |det| of 5 - a - a^-1 - b - b^-1 by
+        # about 0.24 bits a row, so after the lift the CRT still took primes
+        # for det / s; every f^(sigma) here is strictly diagonally dominant,
+        # and the certificate pins det / s without one
+        F2 = GroupSpec.free(2)
+        f = IntegerGroupMatrix.single(F2, [(5, "e"), (-1, "a"), (-1, "a^-1"), (-1, "b"), (-1, "b^-1")])
+        sigma = quotient_sofic(F2, {"kind": "random-permutations", "degree": 256, "seed": 7}, f.support())
+        if rate:
+            sigma = perturb(sigma, rate, 7)
+        primes, real = [], intlin._det_residues
+        monkeypatch.setattr(intlin, "_det_residues", lambda a, ps: primes.append(len(ps)) or real(a, ps))
+        count = count_kernel_points(instantiate_Xf(f, sigma, q=2, tol=0), "continuous-exact")
+        assert primes == []
+        # the full CRT, with the lift and the certificate patched off
+        monkeypatch.setattr(intlin, "_lifted_denominator", lambda a, bound: None)
+        monkeypatch.setattr(intlin, "_pinned_cofactor", lambda a, s: None)
+        assert count == abs(det_multimodular(sigma_matrix(f, sigma)))
+        assert primes == [len(intlin._primes(256, intlin._hadamard_bound(sigma_matrix(f, sigma))))]
+
+    def test_f2_certificate_agrees_with_the_full_crt(self, monkeypatch):
+        # d = 64 to 256, seeds 1 to 3, plain and perturbed sigma: every
+        # certified count equals the full CRT's, with the lift and the
+        # certificate patched off
+        F2 = GroupSpec.free(2)
+        f = IntegerGroupMatrix.single(F2, [(5, "e"), (-1, "a"), (-1, "a^-1"), (-1, "b"), (-1, "b^-1")])
+        mats = []
+        for d, seed, rate in itertools.product((64, 128, 256), (1, 2, 3), (0, 1 / 16)):
+            sigma = quotient_sofic(F2, {"kind": "random-permutations", "degree": d, "seed": seed}, f.support())
+            mats.append(sigma_matrix(f, perturb(sigma, rate, seed) if rate else sigma))
+        pins, real = [], intlin._pinned_cofactor
+        monkeypatch.setattr(intlin, "_pinned_cofactor", lambda a, s: pins.append(real(a, s)) or pins[-1])
+        certified = [det_multimodular(m) for m in mats]
+        assert len(pins) == len(mats) and None not in pins and max(pins) > 1
+        monkeypatch.setattr(intlin, "_lifted_denominator", lambda a, bound: None)
+        monkeypatch.setattr(intlin, "_pinned_cofactor", lambda a, s: None)
+        assert certified == [det_multimodular(m) for m in mats]
 
 
 def _spy(monkeypatch, module, name) -> list:
@@ -913,6 +952,28 @@ class TestVerifyHypotheses:
         rep = verify_hypotheses(f)
         assert rep.lambda_injective.value is None
         assert rep.lambda_injective.method == "unknown-group-class"
+
+    def test_l1_invertible_on_free_groups(self):
+        F2 = GroupSpec.free(2)
+        f = IntegerGroupMatrix.single(F2, [(5, "e"), (-1, "a"), (-1, "a^-1"), (-1, "b"), (-1, "b^-1")])
+        verdict = Verdict(True, "l1-invertible")
+        assert verify_hypotheses(f) == HypothesisReport(lambda_injective=verdict, lambda_dense_image=verdict)
+        # any sign on the identity, on Z^2 too
+        g = IntegerGroupMatrix.single(GroupSpec.integers2(), [(-7, "e"), (3, "s"), (-3, "t^2")])
+        assert verify_hypotheses(g).lambda_dense_image == verdict
+
+    def test_equality_is_not_l1_invertible(self):
+        # |f(e)| = sum of the others decides nothing: 1 + a, and 2 - a - b
+        F2 = GroupSpec.free(2)
+        for terms in ([(1, "e"), (1, "a")], [(2, "e"), (-1, "a"), (-1, "b")]):
+            rep = verify_hypotheses(IntegerGroupMatrix.single(F2, terms))
+            assert rep.lambda_injective == rep.lambda_dense_image == Verdict(None, "unknown-group-class")
+
+    def test_a_two_by_two_matrix_over_f2_stays_unknown(self):
+        F2 = GroupSpec.free(2)
+        f = IntegerGroupMatrix.from_pairs(F2, [[[(5, "e")], [(1, "a")]], [[(1, "b")], [(5, "e")]]])
+        rep = verify_hypotheses(f)
+        assert rep.lambda_injective == rep.lambda_dense_image == Verdict(None, "unknown-group-class")
 
     def test_injectivity_matches_finite_kernel_cross_check(self, Z2):
         # for finite G: injective <=> continuous kernel of the regular model finite

@@ -11,14 +11,19 @@ module uses the reference determinant ``det_bareiss``, which stays only for
 tests to check ``det_multimodular`` against, no code but
 ``intlin._read_only`` sets array flags, no module but ``intlin`` and
 ``actions`` reads integer views with ``_int_view``, no module but ``groups``
-reads a group's ``kind``, and only the methods of ``GroupSpec`` that
-``KIND_READERS`` names read its ``self.kind``.
+reads a group's ``kind``, only the methods of ``GroupSpec`` that
+``KIND_READERS`` names read its ``self.kind``, and the package imports
+nothing but the standard library and the dependencies that
+``pyproject.toml`` declares (an undeclared import such as ``scipy.linalg``
+would also add its memory to every run).
 
 The benchmark subclasses no package class, so in its files an attribute on
 ``self`` is one of its own members and never counts as a read of a package
 name or field."""
 
 import ast
+import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -303,6 +308,27 @@ def kind_readers(tree: ast.Module, owner: str = "GroupSpec") -> list[str]:
     ]
 
 
+def declared_dependencies(root: Path) -> set[str]:
+    """The distribution names in ``[project] dependencies`` of pyproject.toml."""
+    block = re.search(r"^dependencies = \[(.*?)\]", (root / "pyproject.toml").read_text(), re.S | re.M)
+    return set(re.findall(r'"([A-Za-z0-9_.-]+)', block.group(1)))
+
+
+def foreign_imports(tree: ast.Module, allowed: set[str]) -> list[str]:
+    """The absolute imports whose top-level module is neither in the
+    standard library nor in ``allowed``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            tops = [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            tops = [node.module.split(".")[0]]
+        else:
+            continue
+        found += [f"{top} (line {node.lineno})" for top in tops if top not in sys.stdlib_module_names | allowed]
+    return found
+
+
 def test_sources_found():
     assert {p.name for p in SOURCES} >= {"actions.py", "measures.py", "microstates.py"}
 
@@ -363,6 +389,20 @@ def test_only_intlin_and_the_models_read_integer_views():
 def test_only_the_kind_methods_of_group_spec_read_its_kind():
     readers = kind_readers(ast.parse((ROOT / "src" / "soficlab" / "groups.py").read_text()))
     assert readers and set(readers) - KIND_READERS == set()
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_only_the_standard_library_and_declared_dependencies(path):
+    assert declared_dependencies(ROOT) == {"numpy"}
+    assert foreign_imports(ast.parse(path.read_text()), declared_dependencies(ROOT)) == []
+
+
+def test_scan_flags_an_undeclared_import():
+    tree = ast.parse(
+        "import math\nimport numpy as np\nfrom . import intlin\nfrom fractions import Fraction\n"
+        "import scipy.linalg\nfrom scipy import linalg\n\ndef f():\n    import sympy\n"
+    )
+    assert foreign_imports(tree, {"numpy"}) == ["scipy (line 5)", "scipy (line 6)", "sympy (line 9)"]
 
 
 def test_only_groups_reads_a_group_kind():

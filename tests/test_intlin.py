@@ -381,10 +381,102 @@ def test_is_product_is_exact_on_large_entries():
 
 
 def test_an_object_matrix_skips_the_lift():
+    # strictly diagonally dominant, so only its object entries keep it off
+    # the certificate
     m = [[2**70 + 1, 3, 0], [5, 2**66, 7], [0, 11, -(2**65)]]
-    with spying("_lifted_denominator") as lifts:
+    with spying("_lifted_denominator") as lifts, spying("_pinned_cofactor") as pins:
         assert intlin.det_multimodular(m) == int(sympy.Matrix(m).det())
-    assert lifts == []
+    assert lifts == [] and pins == []
+
+
+# -- the dominance certificate ---------------------------------------------------
+
+
+def pinned(m):
+    """det_multimodular(m), with the certificate's results, the lift's and
+    the primes handed to ``_det_residues``."""
+    with spying("_pinned_cofactor") as pins:
+        det, lifts, primes = lifted(m)
+    return det, [t for _, t in pins], lifts, primes
+
+
+@st.composite
+def dominant_matrices(draw):
+    """A strictly diagonally dominant n x n matrix, 3 <= n <= 10: random
+    off-diagonal entries, a diagonal of mixed signs past each row's absolute
+    sum, rows scaled by small integers, which as a rule make det / s exceed
+    1, and half the time transposed to column dominance.  The entries grow
+    as n falls, so that twice the Hadamard bound calls for three primes or
+    more."""
+    n = draw(st.integers(3, 10))
+    w = 2 ** max(2, -(-52 // n) - n.bit_length() + 2)
+    cells = st.lists(st.integers(-w, w), min_size=n, max_size=n)
+    m = [[0 if i == j else x for j, x in enumerate(row)] for i, row in enumerate(draw(st.lists(cells, min_size=n, max_size=n)))]
+    for i, row in enumerate(m):
+        row[i] = draw(st.sampled_from([-1, 1])) * (sum(map(abs, row)) + draw(st.integers(1, w)))
+    scale = draw(st.lists(st.sampled_from([1, 1, 2, 3, 6]), min_size=n, max_size=n))
+    m = [[c * x for x in row] for c, row in zip(scale, m)]
+    return [list(col) for col in zip(*m)] if draw(st.booleans()) else m
+
+
+def shifted_dominant(c):
+    """diag(2, 3, 6, 6, 2, 3, 6, 6) diag(+-1) (c I - P + 2 P^-2), for P the
+    8-cycle: non-symmetric, diagonal signs mixed, and det / s = 5,458,752
+    at c = 101."""
+    p = np.roll(np.eye(8, dtype=np.int64), 1, axis=0)
+    b = c * np.eye(8, dtype=np.int64) - p + 2 * p.T @ p.T
+    return np.diag([2, -3, 6, 6, -2, 3, 6, -6]) @ b
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=dominant_matrices())
+@example(m=shifted_dominant(101).tolist())
+def test_the_certificate_agrees_with_sympy(m):
+    assume(len(intlin._primes(len(m), intlin._hadamard_bound(np.array(m)))) >= 3)
+    want = int(sympy.Matrix(m).det())
+    det, pins, lifts, primes = pinned(m)
+    assert det == want
+    # the lift certifies s on every dominant matrix, and the certificate runs
+    assert len(lifts) == 1 and lifts[0] is not None and len(pins) == 1
+    if pins[0] is not None:
+        assert lifts[0] * pins[0] == abs(want) and primes == []
+
+
+def test_the_certificate_pins_a_cofactor_above_one():
+    a = shifted_dominant(101)
+    det, pins, lifts, primes = pinned(a)
+    assert det == int(sympy.Matrix(a.tolist()).det()) < 0
+    assert pins == [5458752] and primes == []
+
+
+def test_a_matrix_that_is_not_dominant_never_reaches_the_certificate():
+    rng = np.random.default_rng(10)
+    m = random_matrix(rng, 8, 8, bound=2**20)
+    assert not intlin._dominant(np.array(m))
+    det, pins, lifts, primes = pinned(m)
+    assert pins == [] and lifts[0] is not None
+    assert det == int(sympy.Matrix(m).det())
+
+
+def test_too_wide_an_interval_falls_back(monkeypatch):
+    # with G = round(2^11 L^-1) on this F_2 matrix, beta is about 0.02, so
+    # the interval around (det / s)^2 = 93^2 also holds 94^2
+    from soficlab.actions import IntegerGroupMatrix, sigma_matrix
+    from soficlab.groups import GroupSpec, perturb, quotient_sofic
+
+    F2 = GroupSpec.free(2)
+    f = IntegerGroupMatrix.single(F2, [(5, "e"), (-1, "a"), (-1, "a^-1"), (-1, "b"), (-1, "b^-1")])
+    sigma = quotient_sofic(F2, {"kind": "random-permutations", "degree": 256, "seed": 3}, f.support())
+    a = np.asarray(sigma_matrix(f, perturb(sigma, 1 / 16, 3)))
+    det, pins, lifts, primes = pinned(a)
+    assert pins == [93] and primes == []
+    monkeypatch.setattr(intlin, "_PIN_BITS", 11)
+    with spying("_tri_inverse") as inverses:
+        again, pins, lifts, primes = pinned(a)
+    # past the estimate, through the exact products, and no pin
+    assert inverses and pins == [None]
+    assert primes == intlin._primes(256, -(-intlin._hadamard_bound(a) // lifts[0]), lifts[0])
+    assert again == det
 
 
 @settings(max_examples=200, deadline=None)
