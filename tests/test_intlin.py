@@ -12,7 +12,9 @@ from sympy.matrices.normalforms import invariant_factors as sympy_invariant_fact
 
 from conftest import time_cap
 from soficlab import intlin
+from soficlab.actions import IntegerGroupMatrix, sigma_matrix
 from soficlab.errors import BudgetExceededError
+from soficlab.groups import GroupSpec, perturb, quotient_sofic
 
 
 def random_matrix(rng, rows, cols, bound=5):
@@ -461,9 +463,6 @@ def test_a_matrix_that_is_not_dominant_never_reaches_the_certificate():
 def test_too_wide_an_interval_falls_back(monkeypatch):
     # with G = round(2^11 L^-1) on this F_2 matrix, beta is about 0.02, so
     # the interval around (det / s)^2 = 93^2 also holds 94^2
-    from soficlab.actions import IntegerGroupMatrix, sigma_matrix
-    from soficlab.groups import GroupSpec, perturb, quotient_sofic
-
     F2 = GroupSpec.free(2)
     f = IntegerGroupMatrix.single(F2, [(5, "e"), (-1, "a"), (-1, "a^-1"), (-1, "b"), (-1, "b^-1")])
     sigma = quotient_sofic(F2, {"kind": "random-permutations", "degree": 256, "seed": 3}, f.support())
