@@ -55,7 +55,6 @@ An algebraic action X_f given by f in M_{m,n}(Z(G)) is modeled two ways:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -67,6 +66,7 @@ from .errors import (
     BudgetExceededError,
     SingularMatrixError,
     ValidationError,
+    _Record,
 )
 from .groups import (
     GroupElement,
@@ -426,8 +426,7 @@ def unit_automorphism(model: FiniteGroupModel, k: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntegerGroupMatrix:
+class IntegerGroupMatrix(_Record):
     """An m x n matrix over the integral group ring Z(G).
 
     ``entries[l][j]`` maps group elements to integer coefficients (finite
@@ -439,7 +438,9 @@ class IntegerGroupMatrix:
     group: GroupSpec
     entries: tuple[tuple[Mapping[GroupElement, int], ...], ...]
 
-    def __post_init__(self):
+    def __init__(self, group: GroupSpec, entries: tuple[tuple[Mapping[GroupElement, int], ...], ...]):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "entries", entries)
         # an empty f^(sigma) has no rows to list, so its columns would be lost
         if self.m < 1 or self.n < 1:
             raise ValidationError(f"f must be at least 1 x 1, not {self.m} x {self.n}")
@@ -524,8 +525,7 @@ def sigma_matrix(f: IntegerGroupMatrix, sigma: SoficApproximation) -> np.ndarray
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class AlgebraicActionModel:
+class AlgebraicActionModel(_Record, eq=False, hidden=("matrix",)):
     """Approximate-kernel model of X_f at one sofic level.
 
     The point set is {x in (T_q^n)^d : circle distance of every coordinate of
@@ -539,9 +539,13 @@ class AlgebraicActionModel:
     sigma: SoficApproximation
     q: int
     tol: Fraction
-    matrix: np.ndarray = field(init=False, repr=False)
+    matrix: np.ndarray
 
-    def __post_init__(self):
+    def __init__(self, source: IntegerGroupMatrix, sigma: SoficApproximation, q: int, tol: Fraction):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "tol", tol)
         q, tol = _integer(self.q, "grid resolution q", least=2), Fraction(self.tol)
         if tol < 0:
             raise ValidationError("tolerance must be >= 0")
@@ -808,18 +812,24 @@ def dual_model(f: IntegerGroupMatrix) -> tuple[FiniteGroupModel, AutomorphismAct
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(_Record):
     value: bool | None
     method: str
 
+    def __init__(self, value: bool | None, method: str):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "method", method)
 
-@dataclass(frozen=True)
-class HypothesisReport:
+
+class HypothesisReport(_Record):
     """Finite-scale verdicts on the operator hypotheses behind X_f."""
 
     lambda_injective: Verdict
     lambda_dense_image: Verdict
+
+    def __init__(self, lambda_injective: Verdict, lambda_dense_image: Verdict):
+        object.__setattr__(self, "lambda_injective", lambda_injective)
+        object.__setattr__(self, "lambda_dense_image", lambda_dense_image)
 
 
 def verify_hypotheses(f: IntegerGroupMatrix) -> HypothesisReport:

@@ -1,4 +1,50 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the base of its records."""
+
+
+class _Record:
+    """A frozen record.  Its fields are the annotated lines of the class body,
+    in order; the class's own ``__init__`` sets them with
+    ``object.__setattr__``.  Assignment and deletion raise
+    ``dataclasses.FrozenInstanceError``.  The repr shows every field but those
+    named by the class keyword ``hidden``.  A record compares and hashes by
+    its field tuple, as a frozen dataclass does; the class keyword
+    ``eq=False`` keeps object identity instead.
+
+    Not a dataclass: ``@dataclass`` builds each class's methods by ``exec``
+    at import, which took most of the package's import time.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _shown: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, eq: bool = True, hidden: tuple[str, ...] = (), **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._shown = tuple(f for f in cls._fields if f not in hidden)
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._shown)})"
+
+    def __setattr__(self, name, *value):
+        # imported on refusal only, so that importing the package does not load dataclasses
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+    __delattr__ = __setattr__
 
 
 class SoficlabError(Exception):

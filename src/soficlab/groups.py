@@ -38,19 +38,17 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import UnsupportedElementError, ValidationError
+from .errors import UnsupportedElementError, ValidationError, _Record
 from .intlin import _int_table, _integer, _read_only, mixed_radix
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(_Record):
     """A group element in canonical form.
 
     ``key`` is (tag, body).  The tag identifies the group, so elements of
@@ -65,6 +63,19 @@ class GroupElement:
     """
 
     key: tuple
+
+    def __init__(self, key: tuple):
+        object.__setattr__(self, "key", key)
+
+    # written out, not inherited: elements are built, hashed and compared on
+    # every sigma table, product and parse
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.key,) == (other.key,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.key,))
 
     def __str__(self) -> str:
         return _display(self)
@@ -402,8 +413,7 @@ def _word_image(word, images, invert, compose, start):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class SoficApproximation:
+class SoficApproximation(_Record, eq=False):
     """A finite-support map sigma: G -> S_d stored as one-line permutations.
 
     The degree d is read from the table: the length of its first
@@ -418,12 +428,22 @@ class SoficApproximation:
     """
 
     group: GroupSpec
-    d: int = field(init=False)
+    d: int
     table: Mapping[GroupElement, np.ndarray]
     provenance: str
-    quotient: Mapping | None = None
+    quotient: Mapping | None
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        group: GroupSpec,
+        table: Mapping[GroupElement, np.ndarray],
+        provenance: str,
+        quotient: Mapping | None = None,
+    ):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "provenance", provenance)
+        object.__setattr__(self, "quotient", quotient)
         perms = {g: _int_table(perm, f"table entry for {g}") for g, perm in self.table.items()}
         d = next(iter(perms.values())).size if perms else 0
         if d == 0:
@@ -444,8 +464,7 @@ class SoficApproximation:
             raise UnsupportedElementError(g, "sofic approximation support") from None
 
 
-@dataclass(frozen=True)
-class SoficDefectReport:
+class SoficDefectReport(_Record):
     """Multiplicativity and freeness defects of a sofic approximation.
 
     ``pair_defects[(g, h)]`` is the fraction of j with
@@ -455,6 +474,14 @@ class SoficDefectReport:
 
     pair_defects: Mapping[tuple[GroupElement, GroupElement], Fraction]
     fixed_fractions: Mapping[GroupElement, Fraction]
+
+    def __init__(
+        self,
+        pair_defects: Mapping[tuple[GroupElement, GroupElement], Fraction],
+        fixed_fractions: Mapping[GroupElement, Fraction],
+    ):
+        object.__setattr__(self, "pair_defects", pair_defects)
+        object.__setattr__(self, "fixed_fractions", fixed_fractions)
 
 
 def _is_permutation(arr: np.ndarray, d: int) -> bool:

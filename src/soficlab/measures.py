@@ -22,7 +22,6 @@ construction, and the model's ``read_points`` reads atoms and point masses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 from typing import Callable
@@ -30,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .actions import CompactGroupModel, _check_same_model, _same_model, pair_candidates, product_model
-from .errors import ValidationError
+from .errors import ValidationError, _Record
 from .intlin import _int_table, _integer, _read_only, mixed_radix
 
 
@@ -39,8 +38,7 @@ from .intlin import _int_table, _integer, _read_only, mixed_radix
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SiteMeasure:
+class SiteMeasure(_Record):
     """Exact probability measure on model points: weight(i) = num[i]/den,
     read by ``_weights`` and kept in lowest terms."""
 
@@ -48,7 +46,10 @@ class SiteMeasure:
     num: np.ndarray
     den: int
 
-    def __post_init__(self):
+    def __init__(self, model: CompactGroupModel, num: np.ndarray, den: int):
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
         num, den = _weights(self.num, self.den)
         if num.shape != (self.model.n_points,):
             raise ValidationError("weight vector length must match the model")
@@ -148,26 +149,30 @@ def _product_den(a: int, b: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProductMeasure:
+class ProductMeasure(_Record):
     """Independent identical site measure at every coordinate."""
 
     site: SiteMeasure
     d: int
+
+    def __init__(self, site: SiteMeasure, d: int):
+        object.__setattr__(self, "site", site)
+        object.__setattr__(self, "d", d)
 
     @property
     def model(self) -> CompactGroupModel:
         return self.site.model
 
 
-@dataclass(frozen=True)
-class Convolution:
+class Convolution(_Record):
     """Lazy convolution: law of psi*phi with psi ~ left, phi ~ right."""
 
     left: "ModelMeasure"
     right: "ModelMeasure"
 
-    def __post_init__(self):
+    def __init__(self, left: "ModelMeasure", right: "ModelMeasure"):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
         if self.left.d != self.right.d:
             raise ValidationError("convolution needs equal d")
         _check_same_model(self.left.model, self.right.model)
@@ -181,8 +186,7 @@ class Convolution:
         return self.left.d
 
 
-@dataclass(frozen=True, eq=False)
-class SampleBased:
+class SampleBased(_Record, eq=False, hidden=("points", "weights_num")):
     """Finitely many weighted atoms: ``points[k]`` has weight
     ``weights_num[k] / weights_den``, read by ``_weights``; every entry of an
     atom must be a point of the model.
@@ -193,12 +197,19 @@ class SampleBased:
     """
 
     model: CompactGroupModel
-    points: np.ndarray = field(repr=False)
-    weights_num: np.ndarray = field(repr=False)
+    points: np.ndarray
+    weights_num: np.ndarray
     weights_den: int
-    exact: bool = False
+    exact: bool
 
-    def __post_init__(self):
+    def __init__(
+        self, model: CompactGroupModel, points: np.ndarray, weights_num: np.ndarray, weights_den: int, exact: bool = False
+    ):
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "weights_num", weights_num)
+        object.__setattr__(self, "weights_den", weights_den)
+        object.__setattr__(self, "exact", exact)
         num, den = _weights(self.weights_num, self.weights_den)
         pts = _read_only(np.array(self.model.read_points(self.points, "atoms")))
         if pts.ndim != 2 + np.ndim(self.model.identity):
@@ -225,11 +236,13 @@ def UniformOnSet(model: CompactGroupModel, points) -> SampleBased:
     return SampleBased(model, points, np.ones(n, dtype=np.int64), n, exact=True)
 
 
-@dataclass(frozen=True)
-class Doubled:
+class Doubled(_Record):
     """The product measure inner (x) inner on the doubled model."""
 
     inner: "ModelMeasure"
+
+    def __init__(self, inner: "ModelMeasure"):
+        object.__setattr__(self, "inner", inner)
 
     @property
     def model(self):
@@ -335,7 +348,7 @@ def _merged(atoms: SampleBased) -> SampleBased:
     num = np.zeros(rows.shape[0], dtype=np.int64)
     np.add.at(num, inverse.reshape(-1), atoms.weights_num)
     points = rows.reshape((rows.shape[0],) + atoms.points.shape[1:])
-    return replace(atoms, points=points, weights_num=num)
+    return SampleBased(atoms.model, points, num, atoms.weights_den, atoms.exact)
 
 
 # -- sampling -----------------------------------------------------------------
@@ -364,13 +377,21 @@ def sample(mu: ModelMeasure, k: int, rng: np.random.Generator) -> np.ndarray:
 # -- mass of a set --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MassEstimate:
+class MassEstimate(_Record):
     value: float
     exact: bool
     stderr: float | None
     n_samples: int | None
-    fraction: Fraction | None = None
+    fraction: Fraction | None
+
+    def __init__(
+        self, value: float, exact: bool, stderr: float | None, n_samples: int | None, fraction: Fraction | None = None
+    ):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "stderr", stderr)
+        object.__setattr__(self, "n_samples", n_samples)
+        object.__setattr__(self, "fraction", fraction)
 
 
 def mass(

@@ -34,7 +34,6 @@ range; the metric, the action and every model must share one group law.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -49,7 +48,7 @@ from .actions import (
     _check_same_model,
     product_model,
 )
-from .errors import BudgetExceededError, ValidationError
+from .errors import BudgetExceededError, ValidationError, _Record
 from .groups import GroupElement, SoficApproximation
 from .intlin import _int_table, _integer
 from .measures import SiteMeasure
@@ -60,8 +59,7 @@ from .measures import SiteMeasure
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class Pseudometric:
+class Pseudometric(_Record, eq=False, hidden=("table_num", "largest", "min_positive_sq", "separates")):
     """A pseudometric on model points via squared distances.
 
     Squared distances are exact, ``num/den`` with ``den`` an integer >= 1:
@@ -75,13 +73,19 @@ class Pseudometric:
 
     name: str
     model: CompactGroupModel
-    table_num: np.ndarray | PairTable | None = field(default=None, repr=False)
-    den: int = 1
-    largest: int = field(init=False, repr=False)
-    min_positive_sq: Fraction | None = field(init=False, repr=False)
-    separates: bool = field(init=False, repr=False)
+    table_num: np.ndarray | PairTable | None
+    den: int
+    largest: int
+    min_positive_sq: Fraction | None
+    separates: bool
 
-    def __post_init__(self):
+    def __init__(
+        self, name: str, model: CompactGroupModel, table_num: np.ndarray | PairTable | None = None, den: int = 1
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "table_num", table_num)
+        object.__setattr__(self, "den", den)
         den = _integer(self.den, "a metric's denominator", least=1)
         table, largest, least, separates = _read_table(self.table_num, self.model)
         least = None if least is None else Fraction(least, den)
@@ -233,18 +237,20 @@ _BLOCK_COORDS = 2**15
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class TestFunction:
+class TestFunction(_Record, eq=False, hidden=("values",)):
     """A bounded test function given by its values on model points, indexed
     by point index: the value at point i is values[i] / den, with integer
     values and den >= 1.  The table is read as a read-only int64 copy.
     """
 
     name: str
-    values: np.ndarray = field(repr=False)
-    den: int = 1
+    values: np.ndarray
+    den: int
 
-    def __post_init__(self):
+    def __init__(self, name: str, values: np.ndarray, den: int = 1):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "den", den)
         values = _int_table(self.values, f"test function {self.name!r}")
         if values.ndim != 1:
             raise ValidationError(f"test function {self.name!r} needs a 1-d table, not one of shape {values.shape}")
@@ -294,8 +300,7 @@ def _read_delta(delta) -> Fraction:
     return delta
 
 
-@dataclass(frozen=True)
-class MapWindow:
+class MapWindow(_Record):
     """The (F, delta, L, mu) data cutting out Map_mu inside X^d."""
 
     F: tuple[GroupElement, ...]
@@ -303,7 +308,11 @@ class MapWindow:
     L: tuple[TestFunction, ...]
     target: SiteMeasure
 
-    def __post_init__(self):
+    def __init__(self, F: tuple[GroupElement, ...], delta: Fraction, L: tuple[TestFunction, ...], target: SiteMeasure):
+        object.__setattr__(self, "F", F)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "target", target)
         object.__setattr__(self, "delta", _read_delta(self.delta))
         if self.L and self.target is None:
             raise ValidationError("a window with test functions L needs a target SiteMeasure")

@@ -4,10 +4,12 @@ function, class and method is referenced by the package or the benchmark
 (a test is no reader: a name only tests call is dead code, unless
 ``UNCALLED`` names it with the reason it stays), every parameter of a
 module-level function or of a method (other than ``self`` and ``cls``) is
-read in its body, every dataclass field is read as an attribute by the
-package or the benchmark (unless ``UNREAD_FIELDS`` names it with the reason
-it stays), no dataclass compares arrays with its generated ``__eq__``, no
-module uses the reference determinant ``det_bareiss``, which stays only for
+read in its body, every field of a record (a class deriving from
+``errors._Record``) is read as an attribute by the package or the benchmark
+(unless ``UNREAD_FIELDS`` names it with the reason it stays), no record
+compares arrays with the inherited field-by-field ``__eq__``, no module
+applies a ``dataclass`` decorator, whose generated code costs every import,
+no module uses the reference determinant ``det_bareiss``, which stays only for
 tests to check ``det_multimodular`` against, no code but
 ``intlin._read_only`` sets array flags, no module but ``intlin`` and
 ``actions`` reads integer views with ``_int_view``, no module but ``groups``
@@ -55,7 +57,7 @@ UNCALLED = {
     "actions.AlgebraicActionModel.is_kernel_point": "oracle",
 }
 
-# The dataclass fields that neither the package nor the benchmark reads, and
+# The record fields that neither the package nor the benchmark reads, and
 # why each stays: "observability (ROADMAP aim 4)" records how a result was
 # computed, for the user to read.  The list can only shrink:
 # test_every_unread_field_is_defined_and_unread fails on an entry that the
@@ -72,7 +74,7 @@ KIND_READERS = {"__init__", "multiply", "inverse", "word", "elements", "parse"}
 
 
 def callers(root: Path) -> list[Path]:
-    """The files whose references count for a public name or a dataclass
+    """The files whose references count for a public name or a record
     field: the package's modules and the benchmark's, never the tests under
     ``tests/``."""
     return sorted((root / "src" / "soficlab").glob("*.py")) + sorted((root / "soficbench").glob("*.py"))
@@ -208,27 +210,30 @@ def names(node: ast.AST) -> set[str]:
     }
 
 
-def dataclass_decorators(node: ast.AST) -> list[ast.expr]:
-    """The ``dataclass`` decorators of a class (none for anything else)."""
-    if not isinstance(node, ast.ClassDef):
-        return []
-    return [d for d in node.decorator_list if "dataclass" in names(d)]
+def dataclass_decorators(tree: ast.Module) -> list[str]:
+    """The classes that a ``dataclass`` decorator, called or not, applies to."""
+    return [
+        f"{node.name} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and any("dataclass" in names(d) for d in node.decorator_list)
+    ]
+
+
+def is_record(node: ast.AST) -> bool:
+    """Whether ``node`` is a class deriving from the record base ``_Record``."""
+    return isinstance(node, ast.ClassDef) and any("_Record" in names(b) for b in node.bases)
 
 
 def array_eq_dataclasses(tree: ast.Module) -> list[str]:
-    """Dataclasses with a field annotated with ``ndarray`` that keep the
-    generated field-by-field ``__eq__``, which raises on arrays: each must
-    pass ``eq=False`` or define its own ``__eq__``."""
+    """Records with a field annotated with ``ndarray`` that keep the
+    inherited field-by-field ``__eq__``, which raises on arrays: each must
+    pass the class keyword ``eq=False`` or define its own ``__eq__``."""
     out = []
     for node in ast.walk(tree):
-        decos = dataclass_decorators(node)
-        if not decos:
+        if not is_record(node):
             continue
         no_eq = any(
-            k.arg == "eq" and isinstance(k.value, ast.Constant) and k.value.value is False
-            for d in decos
-            if isinstance(d, ast.Call)
-            for k in d.keywords
+            k.arg == "eq" and isinstance(k.value, ast.Constant) and k.value.value is False for k in node.keywords
         )
         own_eq = any(isinstance(m, ast.FunctionDef) and m.name == "__eq__" for m in node.body)
         arrays = any(isinstance(f, ast.AnnAssign) and "ndarray" in names(f.annotation) for f in node.body)
@@ -238,9 +243,9 @@ def array_eq_dataclasses(tree: ast.Module) -> list[str]:
 
 
 def unread_fields(modules: dict[str, ast.Module], readers) -> list[str]:
-    """Dataclass fields of ``modules`` that no reader loads as an attribute:
-    a field that is only ever set is a value nobody uses.  Loads on the name
-    ``args``, an argparse namespace, read no dataclass."""
+    """Record fields of ``modules`` that no reader loads as an attribute: a
+    field that is only ever set is a value nobody uses.  Loads on the name
+    ``args``, an argparse namespace, read no record."""
     loaded = {
         n.attr
         for tree in readers
@@ -253,7 +258,7 @@ def unread_fields(modules: dict[str, ast.Module], readers) -> list[str]:
         f"{mod}.{node.name}.{f.target.id} (line {f.lineno})"
         for mod, tree in modules.items()
         for node in ast.walk(tree)
-        if dataclass_decorators(node)
+        if is_record(node)
         for f in node.body
         if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name) and f.target.id not in loaded
     ]
@@ -348,6 +353,11 @@ def test_no_array_fields_under_a_generated_eq(path):
     assert array_eq_dataclasses(ast.parse(path.read_text())) == []
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_dataclass_decorators(path):
+    assert dataclass_decorators(ast.parse(path.read_text())) == []
+
+
 def test_no_unreferenced_private_helpers():
     modules = {p.stem: ast.parse(p.read_text()) for p in SOURCES}
     assert unreferenced_privates(modules) == []
@@ -412,7 +422,7 @@ def test_only_groups_reads_a_group_kind():
 
 
 def unread_package_fields(root: Path) -> set[str]:
-    """The qualified dataclass fields under ``root`` that no caller reads."""
+    """The qualified record fields under ``root`` that no caller reads."""
     modules = {p.stem: ast.parse(p.read_text()) for p in sorted((root / "src" / "soficlab").glob("*.py"))}
     flagged = unread_fields(modules, caller_trees(root))
     return {entry.split(" (line")[0] for entry in flagged}
@@ -517,32 +527,43 @@ def test_scan_flags_an_unread_method_parameter_but_not_self_or_cls():
 
 def test_scan_flags_a_dataclass_comparing_arrays():
     tree = ast.parse(
-        "import numpy as np\nfrom dataclasses import dataclass\n\n"
-        "@dataclass(frozen=True)\nclass Flagged:\n    a: np.ndarray | None\n\n"
-        "@dataclass\nclass Mapped:\n    m: dict[int, np.ndarray]\n\n"
-        "@dataclass(frozen=True, eq=False)\nclass ByIdentity:\n    a: np.ndarray\n\n"
-        "@dataclass(frozen=True)\nclass OwnEq:\n    a: np.ndarray\n    def __eq__(self, other): return self is other\n\n"
-        "@dataclass(frozen=True)\nclass NoArrays:\n    n: int\n\n"
+        "import numpy as np\nfrom .errors import _Record\nfrom . import errors\n\n"
+        "class Flagged(_Record):\n    a: np.ndarray | None\n\n"
+        "class Mapped(errors._Record, hidden=('m',)):\n    m: dict[int, np.ndarray]\n\n"
+        "class ByIdentity(_Record, eq=False):\n    a: np.ndarray\n\n"
+        "class OwnEq(_Record):\n    a: np.ndarray\n    def __eq__(self, other): return self is other\n\n"
+        "class NoArrays(_Record):\n    n: int\n\n"
         "class Plain:\n    a: np.ndarray\n"
     )
-    assert array_eq_dataclasses(tree) == ["Flagged (line 5)", "Mapped (line 9)"]
+    assert array_eq_dataclasses(tree) == ["Flagged (line 5)", "Mapped (line 8)"]
+
+
+def test_scan_flags_a_dataclass_decorator():
+    tree = ast.parse(
+        "import dataclasses\nfrom dataclasses import dataclass\n\n"
+        "@dataclass\nclass Bare:\n    n: int\n\n"
+        "@dataclasses.dataclass(frozen=True, eq=False)\nclass Called:\n    n: int\n\n"
+        "@staticmethod\nclass Other:\n    n: int\n\n"
+        "class Record(_Record):\n    n: int\n"
+    )
+    assert dataclass_decorators(tree) == ["Bare (line 5)", "Called (line 9)"]
 
 
 def test_scan_flags_an_unread_dataclass_field():
     lib = ast.parse(
-        "from dataclasses import dataclass\n\n"
-        "@dataclass(frozen=True)\nclass Report:\n    read: int\n    written: int\n\n"
+        "from .errors import _Record\n\n"
+        "class Report(_Record):\n    read: int\n    written: int\n\n"
         "class Plain:\n    unread: int\n"
     )
     user = ast.parse("r = Report(read=1, written=2)\nr.written = 3\nprint(r.read, args.written)\n")
-    assert unread_fields({"lib": lib}, [lib, user]) == ["lib.Report.written (line 6)"]
+    assert unread_fields({"lib": lib}, [lib, user]) == ["lib.Report.written (line 5)"]
 
 
 def test_scan_flags_a_field_that_only_a_test_reads(tmp_path):
     files = {
         "src/soficlab/lib.py": (
-            "from dataclasses import dataclass\n\n"
-            "@dataclass\nclass Report:\n    tested: int\n    used: int\n    internal: int\n"
+            "from .errors import _Record\n\n"
+            "class Report(_Record):\n    tested: int\n    used: int\n    internal: int\n"
         ),
         "src/soficlab/user.py": "def f(r): return r.internal\n",
         "soficbench/run.py": "def g(r): return r.used\n",
@@ -599,8 +620,8 @@ def test_scan_skips_the_benchmarks_own_members(tmp_path):
     # package name read through a member still counts
     files = {
         "src/soficlab/lib.py": (
-            "from dataclasses import dataclass\n\n"
-            "@dataclass\nclass Report:\n    seed: int\n    used: int\n\n"
+            "from .errors import _Record\n\n"
+            "class Report(_Record):\n    seed: int\n    used: int\n\n"
             "class Measure:\n    def weights(self): pass\n\n    def mass(self): pass\n"
         ),
         "soficbench/run.py": (
