@@ -400,7 +400,11 @@ def _pinned_cofactor(a: np.ndarray, s: int) -> int | None:
     On 5 - M over a free group beta comes out near n^2 2^-(2 _PIN_BITS), and
     a t much above 1 / beta cannot be pinned, so when the Cholesky diagonal
     (log2 |det a| = sum_i log2 L_ii) puts t past 2^(2 _PIN_BITS + 2) / n^2,
-    None comes back before the inverse and the exact products.
+    None comes back before the inverse and the exact products.  It also
+    comes back there when n max_i L_ii reaches 2^(_PIN_BITS + 2), whatever
+    t is: G's rounding, up to 1/2 in each entry, adds about
+    (L_ii + L_jj) 2^-(_PIN_BITS + 2) to each |X_ij|, so eta would come out
+    near 2 (on dense dominant matrices the last t pinned was at 3/4 of it).
     """
     n = len(a)
     af = a.astype(np.float64)
@@ -408,7 +412,9 @@ def _pinned_cofactor(a: np.ndarray, s: int) -> int | None:
         low = np.linalg.cholesky(af.T @ af)
     except np.linalg.LinAlgError:
         return None
-    if np.log2(np.diagonal(low)).sum() - math.log2(s) + 2 * math.log2(n) > 2 * _PIN_BITS + 2:
+    lii = np.diagonal(low)
+    past_beta = np.log2(lii).sum() - math.log2(s) + 2 * math.log2(n) > 2 * _PIN_BITS + 2
+    if past_beta or n * lii.max() >= 2.0 ** (_PIN_BITS + 2):
         return None
     g = np.tril(np.rint(_tri_inverse(low) * 2.0**_PIN_BITS))
     if not np.abs(g).max() * np.abs(a).sum(axis=1).max() < 2**53:  # also inf or nan

@@ -478,6 +478,31 @@ def test_too_wide_an_interval_falls_back(monkeypatch):
     assert again == det
 
 
+def dense_dominant(n, w, seed):
+    """A dense n x n matrix, strictly diagonally dominant by rows: entries of
+    random sign with |x| in [7w/8, w) off the diagonal, and each diagonal
+    entry one past its row's absolute sum."""
+    rng = np.random.default_rng(seed)
+    off = rng.integers(w - w // 8, w, size=(n, n)) * rng.choice([-1, 1], size=(n, n))
+    np.fill_diagonal(off, 0)
+    return off + np.diag(np.abs(off).sum(axis=1) + 1)
+
+
+@pytest.mark.parametrize("n, w", [(40, 2**17), (200, 2**12)], ids=["n40", "n200"])
+def test_a_coarse_preconditioner_bails_before_the_inverse(monkeypatch, n, w):
+    # the diagonal, near n w, puts L_ii so high that G = round(2^25 L^-1)
+    # keeps too few bits to pin det / s, whatever det / s is
+    a = dense_dominant(n, w, 1)
+    with spying("_tri_inverse") as inverses:
+        det, pins, lifts, primes = pinned(a)
+    assert inverses == [] and pins == [None] and lifts[0] is not None and primes
+    if n <= 40:
+        assert det == int(sympy.Matrix(a.tolist()).det())
+    else:  # sympy takes minutes here: the full CRT, with the lift off
+        monkeypatch.setattr(intlin, "_lifted_denominator", lambda a, bound: None)
+        assert det == intlin.det_multimodular(a)
+
+
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(1, 10**5), bits=st.integers(0, 3000))
 @example(n=1, bits=3000)
