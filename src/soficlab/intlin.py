@@ -162,6 +162,9 @@ _CHARACTER_LIMIT = 2**31 - 1
 # The dominance certificate's scale: G = round(2^_PIN_BITS L^-1) puts
 # M = G a^T a G^T near 2^50 I, whose exact products need M below 2^52.
 _PIN_BITS = 25
+# The product of the 47 primes below 212: one gcd with it rejects most
+# composite candidates before Miller-Rabin.
+_SMALL_PRIMES = 1645783550795210387735581011435590727981167322669649249414629852197255934130751870910
 
 
 def _hadamard_bound(a: np.ndarray) -> int:
@@ -174,9 +177,12 @@ def _hadamard_bound(a: np.ndarray) -> int:
 
 
 def _is_prime(m: int) -> bool:
-    """Miller-Rabin with bases 2, 3, 5, 7: deterministic for m < 3,215,031,751."""
+    """Miller-Rabin with bases 2, 3, 5, 7: deterministic for m < 3,215,031,751.
+    Past 211, m with a factor below 212 is refused first."""
     if m < 11:
         return m in (2, 3, 5, 7)
+    if m > 211 and math.gcd(m, _SMALL_PRIMES) > 1:
+        return False
     e, s = m - 1, 0
     while e % 2 == 0:
         e, s = e // 2, s + 1
@@ -470,15 +476,17 @@ def det_multimodular(mat) -> int:
     if a.shape != (n, n):
         raise ValueError("determinant needs a square matrix")
     bound = _hadamard_bound(a)
-    primes = _primes(n, bound)
     s = 1
-    if a.dtype == np.int64 and len(primes) > 2:
+    # 2^53 / n exceeds the product of any two primes below the limit, so the
+    # capped bound asks for a third prime exactly when the full one does,
+    # and no more primes are searched for than that
+    if a.dtype == np.int64 and len(_primes(n, min(bound, 2**53 // n))) > 2:
         s = _lifted_denominator(a, bound)
         t = _pinned_cofactor(a, s) if s and _dominant(a) else None
         if t is not None:
             return (-1) ** int((np.diagonal(a) < 0).sum()) * s * t
         s = s or 1
-        primes = _primes(n, -(-bound // s), s)
+    primes = _primes(n, -(-bound // s), s)
     per_batch = max(1, _LU_BYTES // (8 * n * n))
     residues = [r for i in range(0, len(primes), per_batch) for r in _det_residues(a, primes[i : i + per_batch])]
     return s * _crt([r * pow(s, -1, p) % p for r, p in zip(residues, primes)], primes)

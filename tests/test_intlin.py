@@ -556,6 +556,19 @@ def test_is_prime_matches_sympy():
         assert intlin._is_prime(m) == sympy.isprime(m)
 
 
+def test_is_prime_matches_a_sieve():
+    # every m below 10^5: the primes below 212, whose product pre-filters
+    # candidates, and the composites on both sides of 211
+    n = 10**5
+    sieve = np.ones(n, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    assert [m for m in range(-3, n) if intlin._is_prime(m)] == np.flatnonzero(sieve).tolist()
+    assert intlin._SMALL_PRIMES == math.prod(np.flatnonzero(sieve[:212]).tolist())
+
+
 # -- the Smith form at random sizes ----------------------------------------------
 
 
