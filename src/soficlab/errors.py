@@ -17,9 +17,8 @@ class _Record:
     _fields: tuple[str, ...] = ()
     _shown: tuple[str, ...] = ()
 
-    def __init_subclass__(cls, eq: bool = True, hidden: tuple[str, ...] = (), **kwargs):
-        super().__init_subclass__(**kwargs)
-        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+    def __init_subclass__(cls, eq: bool = True, hidden: tuple[str, ...] = ()):
+        cls._fields = tuple(cls.__annotations__)
         cls._shown = tuple(f for f in cls._fields if f not in hidden)
         if not eq:
             cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
