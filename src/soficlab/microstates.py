@@ -544,10 +544,15 @@ def _enumerate_equivariant(
     ``transfer[j]`` maps the root's value to x(j), and the root values that
     satisfy every edge are kept in increasing order.
 
-    The output is built one component at a time from one empty row: every
-    row so far is repeated once for each valid value of the next component,
-    in increasing order, and that component's columns take the value's
-    transfer images.  So the solutions run in mixed radix over the value
+    The components are split at the first h where the squared product of
+    the value counts of components 0..h-1 reaches the total, so each half
+    lists about sqrt(total) rows.  Each half is built one component at a
+    time from one zero row: every row so far is repeated once for each valid
+    value of the next component, in increasing order, and that component's
+    columns take the value's transfer images.  Components own disjoint
+    columns, so each half leaves the other's columns at 0, and the
+    broadcast sum of every head row with every tail row, head major, writes
+    the output once.  So the solutions run in mixed radix over the value
     lists, roots in increasing order and the last fastest.  This is
     lexicographic: two distinct solutions first differ at some coordinate j,
     and j is a root, since x(j) is a function of the value at the root of
@@ -585,12 +590,20 @@ def _enumerate_equivariant(
     if total > budget:
         raise BudgetExceededError(total, budget, "equivariant enumeration")
     comp = np.array(comp)
-    out = np.empty((1, d), dtype=np.int64)
-    for k, v in enumerate(valid):
-        cols = np.flatnonzero(comp == k)
-        out = np.repeat(out, len(v), axis=0)
-        out.reshape(-1, len(v), d)[:, :, cols] = transfer[cols][:, v].T
-    return out
+
+    def rows(ks: range) -> np.ndarray:
+        out = np.zeros((1, d), dtype=np.int64)
+        for k in ks:
+            v, cols = valid[k], np.flatnonzero(comp == k)
+            out = np.repeat(out, len(v), axis=0)
+            out.reshape(-1, len(v), d)[:, :, cols] = transfer[cols][:, v].T
+        return out
+
+    h, head = 0, 1
+    while head * head < total:
+        head *= len(valid[h])
+        h += 1
+    return np.add(rows(range(h))[:, None], rows(range(h, len(valid)))[None]).reshape(total, d)
 
 
 # ---------------------------------------------------------------------------

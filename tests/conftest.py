@@ -1,9 +1,11 @@
-"""Shared test tooling: a wall-clock cap, so that a blow-up fails its test
-quickly instead of hanging the suite, and the table of S3.  Import them with
-``from conftest import s3_spec, time_cap``."""
+"""Shared test tooling: a wall-clock cap and a traced-memory cap, so that a
+blow-up fails its test quickly instead of hanging the suite or filling the
+machine, and the table of S3.  Import them with
+``from conftest import alloc_cap, s3_spec, time_cap``."""
 
 import itertools
 import signal
+import tracemalloc
 from contextlib import contextmanager
 
 import pytest
@@ -29,6 +31,29 @@ def time_cap(seconds: float):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@contextmanager
+def alloc_cap(nbytes: int):
+    """Fail the test when the traced peak of the block exceeds ``nbytes``.
+
+    Counts the bytes ``tracemalloc`` sees allocated above what was live when
+    the block started (numpy reports its buffers to it).  Starts tracing if
+    it was off and stops it again on exit.
+    """
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    base, _ = tracemalloc.get_traced_memory()
+    try:
+        yield
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    if peak - base > nbytes:
+        pytest.fail(f"traced peak {peak - base:,} bytes over the {nbytes:,}-byte cap", pytrace=False)
 
 
 def s3_spec(generator_indices=None) -> GroupSpec:

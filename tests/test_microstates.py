@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import alloc_cap
 from soficlab.actions import (
     AutomorphismAction,
     TorusGridModel,
@@ -450,6 +451,110 @@ def test_equivariant_enumeration_is_the_brute_force_list_in_order(case):
     want = xs[top_microstate_mask(xs, sigma, F, delta, metric, action)]
     got = enumerate_top_microstates(model, sigma, F, delta, metric, action)
     assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def _component_window(n: int, unit: int, p, words):
+    """Z acting on Z/n by x -> unit * x, sigma(t) the permutation p and F
+    the given words over {e, t, t^-1, t^2}."""
+    Z, model = GroupSpec.integers(), cyclic_model(n)
+    action = AutomorphismAction(Z, model, {"t": unit_automorphism(model, unit)})
+    p = np.array(p, dtype=np.int64)
+    perms = {"e": np.arange(p.size), "t": p, "t^-1": np.argsort(p), "t^2": p[p]}
+    sigma = SoficApproximation(Z, {Z.parse(w): perms[w] for w in perms}, "drawn")
+    return action, sigma, [Z.parse(w) for w in words]
+
+
+@st.composite
+def many_component_cases(draw):
+    """Z acting on Z/2 or Z/3 trivially, or on Z/3 by negation, with sigma(t)
+    any permutation of d <= 8 points and F a nonempty subset of {e, t, t^-1,
+    t^2}, so a window has from 1 to d components (d of them for F = (e,)).
+    Negation leaves a component with an odd cycle of t the value 0 alone."""
+    n = draw(st.integers(2, 3))
+    unit = draw(st.sampled_from(range(1, n)))
+    p = draw(st.integers(1, 8).flatmap(lambda d: st.permutations(range(d))))
+    words = draw(st.lists(st.sampled_from(["e", "t", "t^-1", "t^2"]), min_size=1, max_size=4, unique=True))
+    return _component_window(n, unit, p, words)
+
+
+@settings(max_examples=150, deadline=None)
+@given(many_component_cases())
+@example(_component_window(3, 1, [1, 2, 3, 4, 5, 6, 7, 0], ["t"]))  # one component
+@example(_component_window(2, 1, range(8), ["e"]))  # eight components
+# a 3-cycle and a fixed point under negation take only 0, then two 2-cycles
+@example(_component_window(3, 2, [1, 2, 0, 3, 5, 4, 7, 6], ["t"]))
+def test_equivariant_enumeration_across_many_components(case):
+    # the listing is built in two halves, split after the first prefix of
+    # components whose product of value counts squared reaches the total
+    action, sigma, F = case
+    model, d = action.model, sigma.d
+    metric, delta = discrete_metric(model), Fraction(1, 8)
+    assert forces_exact_equivariance(metric, delta, d)
+    xs = np.array(list(itertools.product(range(model.n_points), repeat=d)), dtype=np.int64)
+    want = xs[top_microstate_mask(xs, sigma, F, delta, metric, action)]
+    got = enumerate_top_microstates(model, sigma, F, delta, metric, action)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert got.flags.c_contiguous
+
+
+def _reference_listing(model, sigma, F, action) -> np.ndarray:
+    """The equivariant listing as first built: components walked as in
+    ``_enumerate_equivariant``, then every row so far repeated once per valid
+    value of the next component, starting from one empty row."""
+    d, n = sigma.d, model.n_points
+    edges = [(sigma.perm(g), action.point_map(g)) for g in F]
+    transfer = np.empty((d, n), dtype=np.int64)
+    comp = [-1] * d
+    valid = []
+    for root in range(d):
+        if comp[root] >= 0:
+            continue
+        k = comp[root] = len(valid)
+        transfer[root] = np.arange(n)
+        ok = np.ones(n, dtype=bool)
+        stack = [root]
+        while stack:
+            j = stack.pop()
+            for p, m in edges:
+                i, t = int(p[j]), m[transfer[j]]
+                if comp[i] < 0:
+                    comp[i] = k
+                    transfer[i] = t
+                    stack.append(i)
+                else:
+                    ok &= transfer[i] == t
+        valid.append(np.flatnonzero(ok))
+    comp = np.array(comp)
+    out = np.empty((1, d), dtype=np.int64)
+    for k, v in enumerate(valid):
+        cols = np.flatnonzero(comp == k)
+        out = np.repeat(out, len(v), axis=0)
+        out.reshape(-1, len(v), d)[:, :, cols] = transfer[cols][:, v].T
+    return out
+
+
+def test_equivariant_listing_is_written_once():
+    # Z acting trivially on Z/3, sigma(t) ten copies of the 4-cycle: 3^10
+    # rows of 40 coordinates.  Repeating every row so far once per component
+    # peaked at about 1.33 times the output
+    Z, model = GroupSpec.integers(), cyclic_model(3)
+    e, t = Z.identity(), Z.generator(0)
+    action = trivial_action(Z, model)
+    sigma = quotient_sofic(Z, {"kind": "cyclic-powers", "orders": [4], "copies": 10}, [e, t, Z.inverse(t)])
+    nbytes = 3**10 * 40 * 8
+    with alloc_cap(int(1.2 * nbytes)):
+        got = enumerate_top_microstates(model, sigma, (e, t), Fraction(1, 8), discrete_metric(model), action)
+    assert got.nbytes == nbytes and got.dtype == np.int64 and got.flags.c_contiguous
+    assert np.array_equal(got, _reference_listing(model, sigma, (e, t), action))
+
+
+def test_alloc_cap_fails_over_the_cap_and_passes_under_it():
+    cap = 2**22
+    with alloc_cap(cap):
+        np.ones(cap // 16, dtype=np.int64)  # half the cap
+    with pytest.raises(pytest.fail.Exception, match="over the"):
+        with alloc_cap(cap):
+            np.ones(cap // 4, dtype=np.int64)  # twice the cap
 
 
 class TestSampling:
