@@ -836,28 +836,20 @@ def verify_hypotheses(f: IntegerGroupMatrix) -> HypothesisReport:
     """Decide injectivity / dense image of lambda(f) where a finite-scale
     criterion exists; return explicit unknowns elsewhere.
 
-    Finite G: rank of the left-regular integer matrix (in the square case,
-    full rank is a nonzero determinant).  G = Z (one generator and no
-    relations, so F_1 too; g = t^k for k the exponent sum of g's word) with
-    square f: lambda(f) is injective iff P = det(t^-lo f(t)) is not zero, lo
-    the least exponent, and dense image coincides with it by rank-nullity.
-    Leibniz gives ||P||_1 <= B, the product of the rows' absolute coefficient
-    sums, so by Cauchy's bound no nonzero P has a root at T = B + 1: one
-    exact determinant at T decides.  Any other G with 1 x 1 f: if
-    |f(e)| > sum_{g != e} |f(g)|, f is invertible in l^1(G) (a Neumann series
-    for f(e) (1 + h) with ||h||_1 < 1), so lambda(f) is injective with dense
-    image (Deninger and Schmidt 2007); equality decides nothing.
+    G = Z (one generator and no relations, so F_1 too; g = t^k for k the
+    exponent sum of g's word) with square f: lambda(f) is injective iff
+    P = det(t^-lo f(t)) is not zero, lo the least exponent, and dense image
+    coincides with it by rank-nullity.  Leibniz gives ||P||_1 <= B, the
+    product of the rows' absolute coefficient sums, so by Cauchy's bound no
+    nonzero P has a root at T = B + 1: one exact determinant at T decides.
+    Any other G with 1 x 1 f: if |f(e)| > sum_{g != e} |f(g)|, f is
+    invertible in l^1(G) (a Neumann series for f(e) (1 + h) with
+    ||h||_1 < 1), so lambda(f) is injective with dense image (Deninger and
+    Schmidt 2007); this comes before the finite case, whose Smith form grows
+    with |G|.  Any other f over finite G: rank of the left-regular integer
+    matrix (in the square case, full rank is a nonzero determinant).
     """
     spec = f.group
-    order = spec.order()
-    if order is not None:
-        rank = len(intlin.invariant_factors(regular_matrix(f).tolist()))
-        inj, dense = rank == f.n * order, rank == f.m * order
-        method = "left-regular-determinant" if f.m == f.n else "left-regular-rank"
-        return HypothesisReport(
-            lambda_injective=Verdict(inj, method),
-            lambda_dense_image=Verdict(dense, method),
-        )
     if len(spec.generators) == 1 and spec.relations == () and f.m == f.n:
         exp = {g: sum(e for _, e in spec.word(g)) for g in f.support()}
         lo = min(exp.values(), default=0)
@@ -873,6 +865,15 @@ def verify_hypotheses(f: IntegerGroupMatrix) -> HypothesisReport:
         if 2 * abs(terms.get(spec.identity(), 0)) > sum(abs(c) for c in terms.values()):
             verdict = Verdict(True, "l1-invertible")
             return HypothesisReport(lambda_injective=verdict, lambda_dense_image=verdict)
+    order = spec.order()
+    if order is not None:
+        rank = len(intlin.invariant_factors(regular_matrix(f).tolist()))
+        inj, dense = rank == f.n * order, rank == f.m * order
+        method = "left-regular-determinant" if f.m == f.n else "left-regular-rank"
+        return HypothesisReport(
+            lambda_injective=Verdict(inj, method),
+            lambda_dense_image=Verdict(dense, method),
+        )
     return HypothesisReport(
         lambda_injective=Verdict(None, "unknown-group-class"),
         lambda_dense_image=Verdict(None, "unknown-group-class"),

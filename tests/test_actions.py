@@ -895,7 +895,7 @@ class TestVerifyHypotheses:
         rep = verify_hypotheses(two_plus_t(Z2))
         assert rep.lambda_injective.value is True
         assert rep.lambda_dense_image.value is True
-        assert "determinant" in rep.lambda_injective.method
+        assert rep.lambda_injective.method == "l1-invertible"
 
     def test_rectangular_finite_verdict_uses_the_rank(self, Z2):
         # [1, t]: rank 2 of a 2 x 4 regular matrix, onto but not injective
@@ -909,8 +909,26 @@ class TestVerifyHypotheses:
         with time_cap(2):
             rep = verify_hypotheses(f)
         assert rep.lambda_injective.value is True
-        assert rep.lambda_injective.method == "left-regular-determinant"
+        assert rep.lambda_injective.method == "l1-invertible"
         assert rep.lambda_dense_image.value is True
+
+    def test_l1_invertible_torus_is_decided_before_the_smith_form(self):
+        # 5 - s - s^-1 - t - t^-1 on Z/16 x Z/16: the Smith rank of its
+        # 256 x 256 left-regular matrix took 12.1 s
+        spec = GroupSpec.abelian(("s", "t"), (16, 16))
+        f = IntegerGroupMatrix.single(spec, [(5, "e"), (-1, "s"), (-1, "s^-1"), (-1, "t"), (-1, "t^-1")])
+        with time_cap(1):
+            rep = verify_hypotheses(f)
+        verdict = Verdict(True, "l1-invertible")
+        assert rep == HypothesisReport(lambda_injective=verdict, lambda_dense_image=verdict)
+
+    def test_a_torus_laplacian_takes_the_left_regular_determinant(self):
+        # |f(e)| equals the rest, so the l1 rule decides nothing; f kills the
+        # constants, so lambda(f) is singular
+        spec = GroupSpec.abelian(("s", "t"), (4, 4))
+        f = IntegerGroupMatrix.single(spec, [(4, "e"), (-1, "s"), (-1, "s^-1"), (-1, "t"), (-1, "t^-1")])
+        verdict = Verdict(False, "left-regular-determinant")
+        assert verify_hypotheses(f) == HypothesisReport(lambda_injective=verdict, lambda_dense_image=verdict)
 
     def test_one_plus_t_singular(self, Z2):
         f = IntegerGroupMatrix.single(Z2, [(1, "e"), (1, "t")])
@@ -1081,7 +1099,11 @@ def finite_symbols(draw):
 def test_finite_verdict_matches_sympy_rank(f):
     order = f.group.order()
     rank = sympy.Matrix(regular_matrix(f).tolist()).rank()
-    method = "left-regular-determinant" if f.m == f.n else "left-regular-rank"
+    terms = f.entries[0][0]
+    if (f.m, f.n) == (1, 1) and 2 * abs(terms.get(f.group.identity(), 0)) > sum(map(abs, terms.values())):
+        method = "l1-invertible"
+    else:
+        method = "left-regular-determinant" if f.m == f.n else "left-regular-rank"
     assert verify_hypotheses(f) == HypothesisReport(
         lambda_injective=Verdict(rank == f.n * order, method),
         lambda_dense_image=Verdict(rank == f.m * order, method),
