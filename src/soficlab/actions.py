@@ -845,9 +845,10 @@ def verify_hypotheses(f: IntegerGroupMatrix) -> HypothesisReport:
     Any other G with 1 x 1 f: if |f(e)| > sum_{g != e} |f(g)|, f is
     invertible in l^1(G) (a Neumann series for f(e) (1 + h) with
     ||h||_1 < 1), so lambda(f) is injective with dense image (Deninger and
-    Schmidt 2007); this comes before the finite case, whose Smith form grows
-    with |G|.  Any other f over finite G: rank of the left-regular integer
-    matrix (in the square case, full rank is a nonzero determinant).
+    Schmidt 2007); equality decides nothing.  This rule comes first on
+    finite G too, whose Smith form grows fast with |G|.  Any other f over
+    finite G: rank of the left-regular integer matrix (in the square case,
+    full rank is a nonzero determinant).
     """
     spec = f.group
     if len(spec.generators) == 1 and spec.relations == () and f.m == f.n:
