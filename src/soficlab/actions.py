@@ -439,12 +439,11 @@ class IntegerGroupMatrix(_Record):
     entries: tuple[tuple[Mapping[GroupElement, int], ...], ...]
 
     def __init__(self, group: GroupSpec, entries: tuple[tuple[Mapping[GroupElement, int], ...], ...]):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "entries", entries)
+        m, n = len(entries), len(entries[0]) if entries else 0
         # an empty f^(sigma) has no rows to list, so its columns would be lost
-        if self.m < 1 or self.n < 1:
-            raise ValidationError(f"f must be at least 1 x 1, not {self.m} x {self.n}")
-        if any(len(r) != self.n for r in self.entries):
+        if m < 1 or n < 1:
+            raise ValidationError(f"f must be at least 1 x 1, not {m} x {n}")
+        if any(len(r) != n for r in entries):
             raise ValidationError("entry grid must be rectangular")
         # _integer refuses a float, which int() would truncate (2.5 -> 2)
         frozen = tuple(
@@ -452,9 +451,9 @@ class IntegerGroupMatrix(_Record):
                 MappingProxyType({g: k for g, c in cell.items() if (k := _integer(c, "a coefficient of f"))})
                 for cell in row
             )
-            for row in self.entries
+            for row in entries
         )
-        object.__setattr__(self, "entries", frozen)
+        super().__init__(group, frozen)
 
     @property
     def m(self) -> int:
@@ -542,16 +541,10 @@ class AlgebraicActionModel(_Record, eq=False, hidden=("matrix",)):
     matrix: np.ndarray
 
     def __init__(self, source: IntegerGroupMatrix, sigma: SoficApproximation, q: int, tol: Fraction):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "tol", tol)
-        q, tol = _integer(self.q, "grid resolution q", least=2), Fraction(self.tol)
+        q, tol = _integer(q, "grid resolution q", least=2), Fraction(tol)
         if tol < 0:
             raise ValidationError("tolerance must be >= 0")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "tol", tol)
-        object.__setattr__(self, "matrix", _read_only(sigma_matrix(self.source, self.sigma)))
+        super().__init__(source, sigma, q, tol, _read_only(sigma_matrix(source, sigma)))
 
     @property
     def d(self) -> int:
@@ -816,20 +809,12 @@ class Verdict(_Record):
     value: bool | None
     method: str
 
-    def __init__(self, value: bool | None, method: str):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "method", method)
-
 
 class HypothesisReport(_Record):
     """Finite-scale verdicts on the operator hypotheses behind X_f."""
 
     lambda_injective: Verdict
     lambda_dense_image: Verdict
-
-    def __init__(self, lambda_injective: Verdict, lambda_dense_image: Verdict):
-        object.__setattr__(self, "lambda_injective", lambda_injective)
-        object.__setattr__(self, "lambda_dense_image", lambda_dense_image)
 
 
 def verify_hypotheses(f: IntegerGroupMatrix) -> HypothesisReport:

@@ -3,8 +3,14 @@
 
 class _Record:
     """A frozen record.  Its fields are the annotated lines of the class body,
-    in order; the class's own ``__init__`` sets them with
-    ``object.__setattr__``.  Assignment and deletion raise
+    in order.  The inherited ``__init__`` binds them by position or by
+    keyword; a missing, extra or repeated argument raises TypeError.  A
+    field's default is the value on its annotated line
+    (``fraction: Fraction | None = None``), collected once when the class is
+    made.  A record that checks or derives fields keeps its own signature,
+    so that a derived field passed as an argument is refused, reads its
+    arguments into local values and ends in one ``super().__init__(...)``
+    that passes every field.  Assignment and deletion raise
     ``dataclasses.FrozenInstanceError``.  The repr shows every field but those
     named by the class keyword ``hidden``.  A record compares and hashes by
     its field tuple, as a frozen dataclass does; the class keyword
@@ -16,12 +22,26 @@ class _Record:
 
     _fields: tuple[str, ...] = ()
     _shown: tuple[str, ...] = ()
+    _defaults: dict = {}
 
     def __init_subclass__(cls, eq: bool = True, hidden: tuple[str, ...] = ()):
         cls._fields = tuple(cls.__annotations__)
         cls._shown = tuple(f for f in cls._fields if f not in hidden)
+        cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
         if not eq:
             cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, *args, **kwargs):
+        given = {**dict(zip(self._fields, args)), **kwargs}
+        values = {**self._defaults, **given}
+        # a repeated or surplus argument leaves given short, an unknown or missing field changes the keys
+        if len(given) < len(args) + len(kwargs) or values.keys() != set(self._fields):
+            raise TypeError(
+                f"{self.__class__.__qualname__}() binds {self._fields}, with defaults for {tuple(self._defaults)}, "
+                f"not {len(args)} positional arguments and the keywords {tuple(kwargs)}"
+            )
+        for f in self._fields:
+            object.__setattr__(self, f, values[f])
 
     def _values(self) -> tuple:
         return tuple(getattr(self, f) for f in self._fields)

@@ -64,11 +64,11 @@ class GroupElement(_Record):
 
     key: tuple
 
+    # __init__, __eq__ and __hash__ are written out, not inherited: elements
+    # are built, hashed and compared on every sigma table, product and parse
     def __init__(self, key: tuple):
         object.__setattr__(self, "key", key)
 
-    # written out, not inherited: elements are built, hashed and compared on
-    # every sigma table, product and parse
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return (self.key,) == (other.key,)
@@ -434,28 +434,19 @@ class SoficApproximation(_Record, eq=False):
     quotient: Mapping | None
 
     def __init__(
-        self,
-        group: GroupSpec,
-        table: Mapping[GroupElement, np.ndarray],
-        provenance: str,
-        quotient: Mapping | None = None,
+        self, group: GroupSpec, table: Mapping[GroupElement, np.ndarray], provenance: str, quotient: Mapping | None = None
     ):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "provenance", provenance)
-        object.__setattr__(self, "quotient", quotient)
-        perms = {g: _int_table(perm, f"table entry for {g}") for g, perm in self.table.items()}
+        perms = {g: _int_table(perm, f"table entry for {g}") for g, perm in table.items()}
         d = next(iter(perms.values())).size if perms else 0
         if d == 0:
             raise ValidationError("sigma needs a nonempty table of nonempty permutations")
         for g, arr in perms.items():
             if arr.shape != (d,) or not _is_permutation(arr, d):
                 raise ValidationError(f"table entry for {g} is not a permutation of 0..{d - 1}")
-        e = self.group.identity()
+        e = group.identity()
         if e in perms and not (perms[e] == np.arange(d)).all():
             raise ValidationError("sigma(e) must be the identity permutation")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "table", MappingProxyType(perms))
+        super().__init__(group, d, MappingProxyType(perms), provenance, quotient)
 
     def perm(self, g: GroupElement) -> np.ndarray:
         try:
@@ -474,14 +465,6 @@ class SoficDefectReport(_Record):
 
     pair_defects: Mapping[tuple[GroupElement, GroupElement], Fraction]
     fixed_fractions: Mapping[GroupElement, Fraction]
-
-    def __init__(
-        self,
-        pair_defects: Mapping[tuple[GroupElement, GroupElement], Fraction],
-        fixed_fractions: Mapping[GroupElement, Fraction],
-    ):
-        object.__setattr__(self, "pair_defects", pair_defects)
-        object.__setattr__(self, "fixed_fractions", fixed_fractions)
 
 
 def _is_permutation(arr: np.ndarray, d: int) -> bool:

@@ -47,15 +47,11 @@ class SiteMeasure(_Record):
     den: int
 
     def __init__(self, model: CompactGroupModel, num: np.ndarray, den: int):
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        num, den = _weights(self.num, self.den)
-        if num.shape != (self.model.n_points,):
+        num, den = _weights(num, den)
+        if num.shape != (model.n_points,):
             raise ValidationError("weight vector length must match the model")
         g = math.gcd(den, int(np.gcd.reduce(num)))
-        object.__setattr__(self, "num", _read_only(num // g))
-        object.__setattr__(self, "den", den // g)
+        super().__init__(model, _read_only(num // g), den // g)
 
     @classmethod
     def uniform(cls, model: CompactGroupModel) -> "SiteMeasure":
@@ -155,10 +151,6 @@ class ProductMeasure(_Record):
     site: SiteMeasure
     d: int
 
-    def __init__(self, site: SiteMeasure, d: int):
-        object.__setattr__(self, "site", site)
-        object.__setattr__(self, "d", d)
-
     @property
     def model(self) -> CompactGroupModel:
         return self.site.model
@@ -171,11 +163,10 @@ class Convolution(_Record):
     right: "ModelMeasure"
 
     def __init__(self, left: "ModelMeasure", right: "ModelMeasure"):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        if self.left.d != self.right.d:
+        if left.d != right.d:
             raise ValidationError("convolution needs equal d")
-        _check_same_model(self.left.model, self.right.model)
+        _check_same_model(left.model, right.model)
+        super().__init__(left, right)
 
     @property
     def model(self):
@@ -205,20 +196,13 @@ class SampleBased(_Record, eq=False, hidden=("points", "weights_num")):
     def __init__(
         self, model: CompactGroupModel, points: np.ndarray, weights_num: np.ndarray, weights_den: int, exact: bool = False
     ):
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "weights_num", weights_num)
-        object.__setattr__(self, "weights_den", weights_den)
-        object.__setattr__(self, "exact", exact)
-        num, den = _weights(self.weights_num, self.weights_den)
-        pts = _read_only(np.array(self.model.read_points(self.points, "atoms")))
-        if pts.ndim != 2 + np.ndim(self.model.identity):
+        num, den = _weights(weights_num, weights_den)
+        pts = _read_only(np.array(model.read_points(points, "atoms")))
+        if pts.ndim != 2 + np.ndim(model.identity):
             raise ValidationError(f"atoms of shape (N, d[, sites]) are needed, not {pts.shape}")
         if num.shape[0] != pts.shape[0]:
             raise ValidationError("one weight per atom")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights_num", num)
-        object.__setattr__(self, "weights_den", den)
+        super().__init__(model, pts, num, den, exact)
 
     @property
     def d(self) -> int:
@@ -240,9 +224,6 @@ class Doubled(_Record):
     """The product measure inner (x) inner on the doubled model."""
 
     inner: "ModelMeasure"
-
-    def __init__(self, inner: "ModelMeasure"):
-        object.__setattr__(self, "inner", inner)
 
     @property
     def model(self):
@@ -382,16 +363,7 @@ class MassEstimate(_Record):
     exact: bool
     stderr: float | None
     n_samples: int | None
-    fraction: Fraction | None
-
-    def __init__(
-        self, value: float, exact: bool, stderr: float | None, n_samples: int | None, fraction: Fraction | None = None
-    ):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "exact", exact)
-        object.__setattr__(self, "stderr", stderr)
-        object.__setattr__(self, "n_samples", n_samples)
-        object.__setattr__(self, "fraction", fraction)
+    fraction: Fraction | None = None
 
 
 def mass(

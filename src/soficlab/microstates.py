@@ -82,16 +82,10 @@ class Pseudometric(_Record, eq=False, hidden=("table_num", "largest", "min_posit
     def __init__(
         self, name: str, model: CompactGroupModel, table_num: np.ndarray | PairTable | None = None, den: int = 1
     ):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "table_num", table_num)
-        object.__setattr__(self, "den", den)
-        den = _integer(self.den, "a metric's denominator", least=1)
-        table, largest, least, separates = _read_table(self.table_num, self.model)
+        den = _integer(den, "a metric's denominator", least=1)
+        table, largest, least, separates = _read_table(table_num, model)
         least = None if least is None else Fraction(least, den)
-        names = ("table_num", "den", "largest", "min_positive_sq", "separates")
-        for name, value in zip(names, (table, den, largest, least, separates)):
-            object.__setattr__(self, name, value)
+        super().__init__(name, model, table, den, largest, least, separates)
 
 
 def _read_table(table, model: CompactGroupModel) -> tuple:
@@ -248,17 +242,13 @@ class TestFunction(_Record, eq=False, hidden=("values",)):
     den: int
 
     def __init__(self, name: str, values: np.ndarray, den: int = 1):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "den", den)
-        values = _int_table(self.values, f"test function {self.name!r}")
+        values = _int_table(values, f"test function {name!r}")
         if values.ndim != 1:
-            raise ValidationError(f"test function {self.name!r} needs a 1-d table, not one of shape {values.shape}")
-        den = _integer(self.den, f"the denominator of test function {self.name!r}")
+            raise ValidationError(f"test function {name!r} needs a 1-d table, not one of shape {values.shape}")
+        den = _integer(den, f"the denominator of test function {name!r}")
         if den < 1:
-            raise ValidationError(f"test function {self.name!r} needs a denominator >= 1")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "den", den)
+            raise ValidationError(f"test function {name!r} needs a denominator >= 1")
+        super().__init__(name, values, den)
 
     def integral(self, mu: SiteMeasure) -> Fraction:
         """The exact integral against a site measure on as many points."""
@@ -309,13 +299,10 @@ class MapWindow(_Record):
     target: SiteMeasure
 
     def __init__(self, F: tuple[GroupElement, ...], delta: Fraction, L: tuple[TestFunction, ...], target: SiteMeasure):
-        object.__setattr__(self, "F", F)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "L", L)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "delta", _read_delta(self.delta))
-        if self.L and self.target is None:
+        delta = _read_delta(delta)
+        if L and target is None:
             raise ValidationError("a window with test functions L needs a target SiteMeasure")
+        super().__init__(F, delta, L, target)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,10 @@ module-level function or of a method (other than ``self`` and ``cls``) is
 read in its body, every field of a record (a class deriving from
 ``errors._Record``) is read as an attribute by the package or the benchmark
 (unless ``UNREAD_FIELDS`` names it with the reason it stays), no record
-compares arrays with the inherited field-by-field ``__eq__``, no module
+compares arrays with the inherited field-by-field ``__eq__``, no record
+writes its own fields with ``object.__setattr__`` (the record base binds
+them, and only ``GroupElement``, built on every product, sets its key
+itself), no module
 applies a ``dataclass`` decorator, whose generated code costs every import,
 no module uses the reference determinant ``det_bareiss``, which stays only for
 tests to check ``det_multimodular`` against, no code but
@@ -219,6 +222,17 @@ def dataclass_decorators(tree: ast.Module) -> list[str]:
     ]
 
 
+def setattr_writes(tree: ast.AST, path: tuple[str, ...] = ()) -> list[str]:
+    """Each ``object.__setattr__`` in ``tree``, named by the definitions
+    around it, as "Class.method (line n)"."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "__setattr__" and names(node.value) == {"object"}:
+            found.append(f"{'.'.join(path) or '<module>'} (line {node.lineno})")
+        found += setattr_writes(node, path + (node.name,) if isinstance(node, DEFS) else path)
+    return found
+
+
 def is_record(node: ast.AST) -> bool:
     """Whether ``node`` is a class deriving from the record base ``_Record``."""
     return isinstance(node, ast.ClassDef) and any("_Record" in names(b) for b in node.bases)
@@ -356,6 +370,16 @@ def test_no_array_fields_under_a_generated_eq(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_dataclass_decorators(path):
     assert dataclass_decorators(ast.parse(path.read_text())) == []
+
+
+def test_only_the_record_base_and_group_elements_write_fields():
+    writes = {
+        f"{p.stem}.{where.split(' (line')[0]}"
+        for p in SOURCES
+        if p.name != "errors.py"
+        for where in setattr_writes(ast.parse(p.read_text()))
+    }
+    assert writes == {"groups.GroupElement.__init__"}
 
 
 def test_no_unreferenced_private_helpers():
@@ -536,6 +560,21 @@ def test_scan_flags_a_dataclass_comparing_arrays():
         "class Plain:\n    a: np.ndarray\n"
     )
     assert array_eq_dataclasses(tree) == ["Flagged (line 5)", "Mapped (line 8)"]
+
+
+def test_scan_flags_a_record_that_writes_its_own_fields():
+    tree = ast.parse(
+        "class Bound(_Record):\n    n: int\n\n"
+        "class Writes(_Record):\n    n: int\n\n"
+        "    def __init__(self, n):\n"
+        "        object.__setattr__(self, 'n', n)\n"
+        "        def later(v):\n            object.__setattr__(self, 'n', v)\n\n"
+        "class Checks(_Record):\n    n: int\n\n"
+        "    def __init__(self, n):\n        super().__init__(abs(n))\n\n"
+        "setter = object.__setattr__\n"
+        "other.__setattr__(x, 'n', 1)\n"
+    )
+    assert setattr_writes(tree) == ["Writes.__init__ (line 8)", "Writes.__init__.later (line 10)", "<module> (line 18)"]
 
 
 def test_scan_flags_a_dataclass_decorator():

@@ -2,6 +2,13 @@
 and hash, frozenness, construction by position and by keyword with the
 defaults, and the derived fields that construction refuses.
 
+A record that only stores binds its fields through the record base's
+``__init__``, which takes each field by position or by keyword and reads a
+default from the field's annotated line; a record that checks or derives
+fields keeps its own signature, which has no parameter for a derived field,
+and passes every field to the base.  So a missing, extra, repeated or
+derived argument raises TypeError either way.
+
 A value record compares and hashes by its field tuple; an identity record
 compares and hashes as an object, so two built alike are still two."""
 
@@ -19,6 +26,7 @@ from soficlab.actions import (
     Verdict,
     cyclic_model,
 )
+from soficlab.errors import _Record
 from soficlab.groups import GroupElement, GroupSpec, SoficApproximation, SoficDefectReport
 from soficlab.measures import Convolution, Doubled, MassEstimate, ProductMeasure, SampleBased, SiteMeasure
 from soficlab.microstates import MapWindow, Pseudometric
@@ -269,3 +277,24 @@ def test_defaults():
 def test_construction_refuses_derived_missing_or_extra_fields(build):
     with pytest.raises(TypeError):
         build()
+
+
+class Pair(_Record):
+    left: int
+    right: int = 0
+
+
+@pytest.mark.parametrize(
+    "args, kwargs",
+    [((), {}), ((1, 2, 3), {}), ((1,), {"left": 2}), ((1,), {"other": 2}), ((), {"right": 2})],
+    ids=["missing", "surplus", "repeated", "unknown", "missing-under-a-default"],
+)
+def test_the_record_base_refuses_a_bad_binding(args, kwargs):
+    with pytest.raises(TypeError, match=r"^Pair\(\) binds \('left', 'right'\), with defaults for \('right',\)"):
+        Pair(*args, **kwargs)
+
+
+def test_the_record_base_binds_by_position_or_keyword_with_defaults():
+    assert Pair(1) == Pair(left=1) == Pair(1, 0) and Pair(1).right == 0
+    assert Pair(1, 2) == Pair(right=2, left=1) == Pair(1, right=2)
+    assert repr(Pair(1, right=2)) == "Pair(left=1, right=2)" and vars(Pair(1)) == {"left": 1, "right": 0}
