@@ -38,6 +38,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -612,8 +613,8 @@ def perturb(sigma: SoficApproximation, rate: float, seed: int) -> SoficApproxima
     the same (sigma, rate, seed) always reproduces the same output and the
     result does not depend on dict iteration order.
     """
-    if not 0 <= rate <= 1:
-        raise ValidationError("perturbation rate must be in [0, 1]")
+    if isinstance(rate, bool) or not isinstance(rate, numbers.Real) or not 0 <= rate <= 1:
+        raise ValidationError(f"perturbation rate must be a real number in [0, 1], not {rate!r}")
     seed = _integer(seed, "seed", least=0)
     n_swaps = math.ceil(rate * sigma.d)
     table = {}

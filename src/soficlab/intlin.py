@@ -616,7 +616,7 @@ def invariant_factors(mat) -> list[int]:
 
 
 def kernel_count_mod(mat, q: int) -> int:
-    """Number of x in (Z/q)^cols with mat @ x = 0 (mod q).
+    """Number of x in (Z/q)^cols with mat @ x = 0 (mod q), for an integer q >= 1.
 
     For q < 2^31, one Gaussian elimination mod q in int64: column by column,
     the first unused row whose entry is a unit mod q is swapped up, scaled to
@@ -629,7 +629,7 @@ def kernel_count_mod(mat, q: int) -> int:
     Residues below 2^31 keep every product below 2^62; for a larger q no
     pivot is taken and R is the whole matrix.
     """
-    a = as_int_array(mat)
+    a, q = as_int_array(mat), _integer(q, "the modulus q", least=1)
     cols = a.shape[1]
     used, skipped = 0, []
     if q < 2**31:
@@ -692,12 +692,13 @@ def solve_mod_batch(snf, targets, q: int, budget: int | None = None) -> np.ndarr
     distinct targets have disjoint solution sets.  They come back as
     lexicographically sorted int64 rows of shape (N, cols).
 
-    Raises BudgetExceededError, before building anything, when N exceeds
-    ``budget``, and OverflowError when q >= 2^31, where int64 products of
-    residues could wrap.
+    Raises ValidationError unless q is an integer >= 1, BudgetExceededError,
+    before building anything, when N exceeds ``budget``, and OverflowError
+    when q >= 2^31, where int64 products of residues could wrap.
     """
     s, u, v = snf
     rows, cols = len(u), len(v)
+    q = _integer(q, "the modulus q", least=1)
     if q >= 2**31:
         raise OverflowError(f"modulus q = {q} is at least 2^31: int64 residue products would overflow")
     # c = U t padded with zeros to n coordinates; the rows past cols read

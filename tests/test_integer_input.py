@@ -130,6 +130,10 @@ def _input_cases():
         ("metric-den-0", lambda: Pseudometric("d", z3, table_num=discrete_metric(z3).table_num, den=0),
          ValidationError),
         ("perturb-seed-float", lambda: perturb(sigma, 0.5, 1.5), ValidationError),
+        # True was read as rate 1, and a string raised a bare TypeError
+        ("perturb-rate-bool", lambda: perturb(sigma, True, 1), ValidationError),
+        ("perturb-rate-string", lambda: perturb(sigma, "0.5", 1), ValidationError),
+        ("perturb-rate-complex", lambda: perturb(sigma, 0.5j, 1), ValidationError),
         ("free-seed-float", lambda: quotient_sofic(
             F2, {"kind": "random-permutations", "degree": 4, "seed": 1.5}, [F2.identity()]), ValidationError),
         ("det-float", lambda: det_multimodular([[2.5, 0], [0, 1]]), ValidationError),
@@ -149,6 +153,20 @@ def _input_cases():
         ("det-flat-past-uint64", lambda: det_multimodular([2**64, 1]), ValidationError),
         ("smith-flat", lambda: smith_normal_form([1, 2]), ValidationError),
         ("kernel-count-flat", lambda: kernel_count_mod([1, 2], 5), ValidationError),
+        # a modulus q <= 0 gave a count of -3 (q = -3) or 0 with a numpy
+        # warning (q = 0) and residues -2 and -1; True was read as 1, and 2.0
+        # raised a bare UFuncTypeError
+        ("kernel-count-q-negative", lambda: kernel_count_mod([[2, 0], [0, 3]], -3), ValidationError),
+        ("kernel-count-q-0", lambda: kernel_count_mod([[2, 0], [0, 3]], 0), ValidationError),
+        ("kernel-count-q-bool", lambda: kernel_count_mod([[2, 0], [0, 3]], True), ValidationError),
+        ("kernel-count-q-float", lambda: kernel_count_mod([[2, 0], [0, 3]], 2.0), ValidationError),
+        ("lattice-q-negative", lambda: solve_mod_batch(smith_normal_form([[2, 0], [0, 3]]), [[0, 0]], -3),
+         ValidationError),
+        ("lattice-q-0", lambda: solve_mod_batch(smith_normal_form([[2, 0], [0, 3]]), [[0, 0]], 0), ValidationError),
+        ("lattice-q-bool", lambda: solve_mod_batch(smith_normal_form([[2, 0], [0, 3]]), [[0, 0]], True),
+         ValidationError),
+        ("lattice-q-float", lambda: solve_mod_batch(smith_normal_form([[2, 0], [0, 3]]), [[0, 0]], 2.0),
+         ValidationError),
         ("panel-sum-wrap", lambda: meas_microstate_mask(
             np.zeros((1, 4), dtype=np.int64), sigma, big_panel, discrete_metric(z3), trivial_action(Z, z3)),
          OverflowError),
