@@ -226,6 +226,17 @@ class TestGroupAlgebra:
         assert S.parse(" (0, 2, 1) ") == S.elements()[1]
         assert S.parse("(0, 1, 2)") == S.identity() == S.parse("e")
 
+    def test_parse_reads_a_raw_label_inside_a_word(self):
+        # g2 is a label but not a generator name, so only the raw-label
+        # branch of the token loop reads it
+        z3 = GroupSpec.from_table(["e", "g", "g2"], [[0, 1, 2], [1, 2, 0], [2, 0, 1]], generator_indices=[1])
+        assert z3.generators == ("g",)
+        g, g2 = z3.elements()[1:]
+        assert z3.parse("g g2") == z3.identity() == z3.parse("g2*g")
+        assert z3.parse("g2^2 g") == g2 and z3.parse("g2^-1") == g
+        with pytest.raises(ValidationError, match="unknown generator 'g3'"):
+            z3.parse("g g3")
+
     def test_large_non_associative_table_rejected(self):
         # Z/65 with one entry changed: identity row and column and an inverse
         # in every row survive, associativity does not

@@ -503,6 +503,45 @@ def test_a_coarse_preconditioner_bails_before_the_inverse(monkeypatch, n, w):
         assert det == intlin.det_multimodular(a)
 
 
+def cycle_dominant(*shifts):
+    """3 I plus the powers ``shifts`` of the 32-cycle's permutation matrix:
+    strictly dominant for one or two shifts, with a Hadamard bound that
+    calls for three primes."""
+    cycle = [np.roll(np.eye(32, dtype=np.int64), k, axis=0) for k in shifts]
+    return 3 * np.eye(32, dtype=np.int64) + sum(cycle)
+
+
+def refuse(*args):
+    raise np.linalg.LinAlgError("forced")
+
+
+# one case per bail of _pinned_cofactor between the estimate and the pin,
+# in its order: (matrix shifts, patched name, replacement).  With
+# _tri_inverse = 2^-25 I, G = I and M = a^T a; for 3 I + P its rows hold
+# 10 and two 3s, so eta = 0.6 and beta = 32 * 0.18 / 0.8 > 1, and for
+# 3 I + P + P^2 they hold 11 and 14 off the diagonal, so eta > 1
+BAILS = {
+    "cholesky-fails": ((1,), "cholesky", refuse),
+    "preconditioner-too-large": ((1,), "_tri_inverse", lambda low: 2.0**30 * np.eye(len(low))),
+    "zero-diagonal": ((1,), "_tri_inverse", np.zeros_like),
+    "eta-past-1": ((1, 2), "_tri_inverse", lambda low: 2.0**-25 * np.eye(len(low))),
+    "beta-past-1": ((1,), "_tri_inverse", lambda low: 2.0**-25 * np.eye(len(low))),
+}
+
+
+@pytest.mark.parametrize("shifts, name, replacement", BAILS.values(), ids=BAILS)
+def test_each_bail_of_the_certificate_leaves_the_determinant_to_the_crt(monkeypatch, shifts, name, replacement):
+    a = cycle_dominant(*shifts)
+    det, pins, lifts, primes = pinned(a)
+    assert pins[0] and primes == []  # unpatched, the certificate pins det / s
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg if name == "cholesky" else intlin, name, replacement)
+        again, pins, lifts, primes = pinned(a)
+    assert pins == [None] and lifts[0] and primes
+    monkeypatch.setattr(intlin, "_lifted_denominator", lambda a, bound: None)
+    assert again == det == intlin.det_multimodular(a)
+
+
 @settings(max_examples=200, deadline=None)
 @given(n=st.integers(1, 10**5), bits=st.integers(0, 3000))
 @example(n=1, bits=3000)
