@@ -79,7 +79,7 @@ from .groups import (
     _word_text,
     quotient_sofic,
 )
-from .intlin import _int_table, _int_view, _integer, _read_only
+from .intlin import _int_table, _int_view, _integer, _read_fraction, _read_only
 
 
 # ---------------------------------------------------------------------------
@@ -408,14 +408,14 @@ def diagonal_action(action: AutomorphismAction) -> AutomorphismAction:
 
 def cyclic_model(order: int) -> FiniteGroupModel:
     """Z/order as a finite model with labels 0..order-1."""
-    n = order
+    n = _integer(order, "cyclic order", least=1)
     mul = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
     return FiniteGroupModel(tuple(range(n)), mul, name=f"Z/{n}")
 
 
 def unit_automorphism(model: FiniteGroupModel, k: int) -> np.ndarray:
     """x -> k*x on a cyclic model (gcd(k, n) = 1)."""
-    n = model.n_points
+    n, k = model.n_points, _integer(k, "a unit")
     if math.gcd(k % n, n) != 1:
         raise ValidationError("unit must be coprime to the order")
     return (k * np.arange(n)) % n
@@ -541,7 +541,7 @@ class AlgebraicActionModel(_Record, eq=False, hidden=("matrix",)):
     matrix: np.ndarray
 
     def __init__(self, source: IntegerGroupMatrix, sigma: SoficApproximation, q: int, tol: Fraction):
-        q, tol = _integer(q, "grid resolution q", least=2), Fraction(tol)
+        q, tol = _integer(q, "grid resolution q", least=2), _read_fraction(tol, "tolerance")
         if tol < 0:
             raise ValidationError("tolerance must be >= 0")
         super().__init__(source, sigma, q, tol, _read_only(sigma_matrix(source, sigma)))
@@ -598,47 +598,45 @@ def _solve_residue_box(mat: np.ndarray, q: int, bound: int, budget: int) -> np.n
     return intlin.solve_mod_batch(intlin.smith_normal_form(mat.tolist()), targets, q, budget)
 
 
-def _character_det(model: AlgebraicActionModel) -> int | None:
-    """det f^(sigma) by ``intlin.det_circulant`` when f is 1 x 1 and sigma is,
+def _det(f: IntegerGroupMatrix, sigma: SoficApproximation, mat: np.ndarray) -> int:
+    """det mat, for mat = f^(sigma) square.  When f is 1 x 1 and sigma is,
     on f's support, left multiplication on copies of a finite abelian
-    quotient (``groups._abelian_quotient``); else None.  f^(sigma) is then
-    block diagonal with one group circulant per copy, so its determinant is
-    that of the first block, to the power copies.  The coefficients of
-    elements that sigma sends to one shift are merged, and every row of the
-    block holds the merged coefficients, so its Hadamard bound is their
-    squared norm to the power of the block's size, plus 1."""
-    f = model.source
-    quotient = None if (f.m, f.n) != (1, 1) else _abelian_quotient(model.sigma, f.support())
-    if quotient is None:
-        return None
-    orders, copies = quotient
-    terms = f.entries[0][0]
-    merged: dict[tuple, int] = {}
-    for g, c in terms.items():
-        shift = tuple(e % o for (_, e), o in zip(f.group.word(g), orders))
-        merged[shift] = merged.get(shift, 0) + c
-    bound = math.isqrt(sum(c * c for c in merged.values()) ** math.prod(orders)) + 1
-    det = intlin.det_circulant(list(merged.values()), list(merged), orders, bound)
-    return None if det is None else det**copies
+    quotient (``groups._abelian_quotient`` checks sigma's table, so a
+    perturbed or relabelled sigma fails), mat is block diagonal with one
+    group circulant per copy: ``intlin.det_circulant`` gives the first
+    block's determinant from f's character values, to the power copies.
+    Elements that sigma sends to one shift merge their coefficients, and
+    every row of the block holds the merged coefficients, so its Hadamard
+    bound is their squared norm to the power of the block's size, plus 1.
+    Any other case, or too few primes = 1 mod the quotient's exponent, takes
+    ``intlin.det_multimodular(mat)``."""
+    quotient = None if (f.m, f.n) != (1, 1) else _abelian_quotient(sigma, f.support())
+    if quotient is not None:
+        orders, copies = quotient
+        merged: dict[tuple, int] = {}
+        for g, c in f.entries[0][0].items():
+            shift = tuple(e % o for (_, e), o in zip(f.group.word(g), orders))
+            merged[shift] = merged.get(shift, 0) + c
+        bound = math.isqrt(sum(c * c for c in merged.values()) ** math.prod(orders)) + 1
+        det = intlin.det_circulant(list(merged.values()), list(merged), orders, bound)
+        if det is not None:
+            return det**copies
+    return intlin.det_multimodular(mat)
 
 
 def count_kernel_points(model: AlgebraicActionModel, mode: str, budget: int = 10**6) -> int:
     """Kernel size under one of three counting modes.
 
-    continuous-exact: |det f^(sigma)| (square, nonsingular), exact.  When f
-    is 1 x 1 and sigma is, on f's support, left multiplication on copies of
-    a finite abelian quotient, as ``quotient_sofic`` builds for abelian
-    groups (checked against sigma's table, so a perturbed or relabelled
-    sigma fails), the determinant is the product of f's character values,
-    by ``intlin.det_circulant``.  Every other case (free and table groups,
-    perturbed sigma, f larger than 1 x 1, or too few primes = 1 mod the
-    quotient's exponent) takes the multi-modular CRT of
-    ``intlin.det_multimodular``: a lift certifies a divisor s of det by an
-    exact product.  When f^(sigma) is strictly diagonally dominant, as it is
-    when |f(e)| > sum_{g != e} |f(g)| and sigma(e) is the identity, an exact
-    bound on det^2 then pins det / s with no prime; otherwise the CRT only
-    runs past twice the Hadamard bound over s, and the full CRT runs where
-    the lift falls back.
+    continuous-exact: |det f^(sigma)| (square, nonsingular), exact, by
+    ``_det``: the product of f's character values when f is 1 x 1 and sigma
+    is a certified abelian quotient, as ``quotient_sofic`` builds for
+    abelian groups, else the multi-modular CRT of ``intlin.det_multimodular``,
+    whose lift certifies a divisor s of det by an exact product.  When
+    f^(sigma) is strictly diagonally dominant, as it is when
+    |f(e)| > sum_{g != e} |f(g)| and sigma(e) is the identity, an exact bound
+    on det^2 then pins det / s with no prime; otherwise the CRT only runs
+    past twice the Hadamard bound over s, and the full CRT runs where the
+    lift falls back.
     grid-exact: exact solutions on the q-grid, by ``intlin.kernel_count_mod``:
     elimination on unit pivots mod q in int64 for q < 2^31, then
     prod gcd(s_i, q) * q^(skipped - rank) over the Smith form of the block
@@ -656,9 +654,7 @@ def count_kernel_points(model: AlgebraicActionModel, mode: str, budget: int = 10
     if mode == "continuous-exact":
         if model.source.m != model.source.n:
             raise ValidationError("continuous-exact needs a square matrix")
-        det = _character_det(model)
-        if det is None:
-            det = intlin.det_multimodular(mat)
+        det = _det(model.source, model.sigma, mat)
         if det == 0:
             raise SingularMatrixError("matrix is singular")
         return abs(det)
@@ -716,16 +712,6 @@ def _grid_labels(pts: np.ndarray, scale: int) -> list[tuple[Fraction, ...]]:
 # ---------------------------------------------------------------------------
 
 
-def regular_matrix(f: IntegerGroupMatrix) -> np.ndarray:
-    """The left-regular matrix of lambda(f): rows (g, l), columns (g', j),
-    entry f_{lj}(g g'^-1).  Finite groups only.
-
-    This is f^(sigma) for sigma the left-regular representation, whose
-    sigma(h) sends g' to h g' in the order of ``elements()``."""
-    spec = f.group
-    return sigma_matrix(f, quotient_sofic(spec, {"kind": "regular"}, (spec.identity(),) + f.support()))
-
-
 def _blocks(idx: np.ndarray, k: int) -> np.ndarray:
     """The indices i * k + r of the k-blocks of the indices i in ``idx``, in
     order: blocks of rows or columns of a matrix with k per group element."""
@@ -737,10 +723,10 @@ def dual_model(f: IntegerGroupMatrix) -> tuple[FiniteGroupModel, AutomorphismAct
     by the transpose of the r(f) matrix, with the coordinate-permutation dual
     action (g.x)[(h, j)] = x[(g^-1 h, j)].
 
-    Both come from one left-regular sigma, as in ``regular_matrix``: R^T is
-    ``sigma_matrix(f, sigma)`` with its row and column blocks permuted by
-    g -> g^-1, and sigma(g^-1) gives the source column of every coordinate
-    under g.
+    Both come from one left-regular sigma, whose sigma(h) sends g' to h g'
+    in the order of ``elements()``: R^T is ``sigma_matrix(f, sigma)`` with
+    its row and column blocks permuted by g -> g^-1, and sigma(g^-1) gives
+    the source column of every coordinate under g.
 
     The points x = k / s_r come in lexicographic order of k.  For the Smith
     form U R^T V = diag(s), the digits y_i = (U R^T k / s_r)_i mod s_i over the
@@ -831,9 +817,11 @@ def verify_hypotheses(f: IntegerGroupMatrix) -> HypothesisReport:
     invertible in l^1(G) (a Neumann series for f(e) (1 + h) with
     ||h||_1 < 1), so lambda(f) is injective with dense image (Deninger and
     Schmidt 2007); equality decides nothing.  This rule comes first on
-    finite G too, whose Smith form grows fast with |G|.  Any other f over
-    finite G: rank of the left-regular integer matrix (in the square case,
-    full rank is a nonzero determinant).
+    finite G too, where it needs no matrix.  Any other f over finite G:
+    lambda(f) is R = f^(sigma) for the left-regular sigma, so square f is
+    decided by det R != 0 (``_det``, as counts take it), and rectangular f is
+    injective iff det R^T R != 0 and has dense image iff det R R^T != 0, with
+    the Gram products in int64 when max(R.shape) * max|R|^2 < 2^63.
     """
     spec = f.group
     if len(spec.generators) == 1 and spec.relations == () and f.m == f.n:
@@ -851,10 +839,14 @@ def verify_hypotheses(f: IntegerGroupMatrix) -> HypothesisReport:
         if 2 * abs(terms.get(spec.identity(), 0)) > sum(abs(c) for c in terms.values()):
             verdict = Verdict(True, "l1-invertible")
             return HypothesisReport(lambda_injective=verdict, lambda_dense_image=verdict)
-    order = spec.order()
-    if order is not None:
-        rank = len(intlin.invariant_factors(regular_matrix(f).tolist()))
-        inj, dense = rank == f.n * order, rank == f.m * order
+    if spec.order() is not None:
+        sigma = quotient_sofic(spec, {"kind": "regular"}, (spec.identity(),) + f.support())
+        r = sigma_matrix(f, sigma)
+        if f.m == f.n:
+            inj = dense = _det(f, sigma, r) != 0
+        else:
+            r = r if max(r.shape) * int(np.abs(r).max()) ** 2 < 2**63 else r.astype(object)
+            inj, dense = (intlin.det_multimodular(gram) != 0 for gram in (r.T @ r, r @ r.T))
         method = "left-regular-determinant" if f.m == f.n else "left-regular-rank"
         return HypothesisReport(
             lambda_injective=Verdict(inj, method),

@@ -18,14 +18,17 @@ cannot run or fails its certificate falls back to the full CRT.
 abelian group, the product of its character values, mod primes
 p = 1 (mod the group's exponent) below 2^31, in int64 and batched over the
 primes; it shares the prime search (``_crt_primes``) and the CRT (``_crt``)
-with ``det_multimodular``, and ``actions.count_kernel_points`` says which of
-the two runs when.  ``det_bareiss`` (fraction-free
-elimination over Python ints) is only the reference that tests check it
-against; nothing in the package calls it.  The Smith form works over Python
-ints, so nothing overflows; it repeats one round (move the least nonzero
-entry of the trailing block to the pivot, reduce its row and column by floor
-division) until the pivot divides the block, and the pivot falls at least
-every second round, so the loop ends.  ``kernel_count_mod`` eliminates on
+with ``det_multimodular``, and ``actions._det``, which the counts and the
+finite-group verdicts share, picks which of the two runs.  ``det_bareiss``
+(fraction-free elimination over Python ints) is only the reference that
+tests check it against; nothing in the package calls it.  The Smith form
+works over Python ints, so nothing overflows; it repeats one round (move the
+least nonzero entry of the trailing block to the pivot, reduce its row and
+column by floor division) until the pivot divides the block, and the pivot
+falls at least every second round, so the loop ends.  Only the lattice
+solvers take it: ``kernel_count_mod`` here, and ``_torsion_kernel``,
+``_solve_residue_box`` and ``TorusGridModel.invert_map`` in ``actions``; no
+determinant or verdict does.  ``kernel_count_mod`` eliminates on
 unit pivots mod q in int64 (q < 2^31) and hands the Smith form only the
 block left without a unit pivot.  ``solve_mod_batch`` takes a Smith form,
 reduces its transforms mod q once and solves a batch of targets in
@@ -45,7 +48,9 @@ array flags, freezes an array.  Candidates, lattice targets and matrices,
 which are only read, go through ``_int_view(values, what)``: the same dtype rule, with
 no copy of an int64 array.  Matrix entries follow the same rule, and uint64
 or object entries, and nested lists that numpy reads as floats, are read one
-by one, as Python ints past int64.
+by one, as Python ints past int64.  A rational input (a tolerance, a
+threshold delta, a panel's scale) is read by ``_read_fraction(value, what)``,
+which refuses a bool, a non-number, NaN and an infinity.
 """
 
 from __future__ import annotations
@@ -69,6 +74,19 @@ def _integer(value, what: str, least: int | None = None) -> int:
         raise ValidationError(f"{what} must be an integer, not {value!r}")
     if least is not None and out < least:
         raise ValidationError(f"{what} must be >= {least}")
+    return out
+
+
+def _read_fraction(value, what: str) -> Fraction:
+    """``value`` as an exact Fraction (ints, Fractions, floats, decimal
+    strings); a bool, a non-number, NaN or an infinity is refused with
+    ValidationError naming ``what``."""
+    try:
+        out = Fraction(value)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or isinstance(value, bool):
+        raise ValidationError(f"{what} must be a finite number, not {value!r}")
     return out
 
 
@@ -609,12 +627,6 @@ def smith_normal_form(mat) -> tuple[list[list[int]], list[list[int]], list[list[
     return a, u, v
 
 
-def invariant_factors(mat) -> list[int]:
-    """Nonzero diagonal of the Smith form, in divisibility order."""
-    s, _, _ = smith_normal_form(mat)
-    return [s[i][i] for i in range(min(len(s), len(s[0]) if s else 0)) if s[i][i] != 0]
-
-
 def kernel_count_mod(mat, q: int) -> int:
     """Number of x in (Z/q)^cols with mat @ x = 0 (mod q), for an integer q >= 1.
 
@@ -648,7 +660,8 @@ def kernel_count_mod(mat, q: int) -> int:
     else:
         skipped = list(range(cols))
     block = a[used:, skipped]
-    divisors = invariant_factors(block.tolist()) if block.any() else []
+    smith = smith_normal_form(block)[0] if block.any() else []
+    divisors = [row[i] for i, row in enumerate(smith[: len(skipped)]) if row[i]]
     count = q ** (len(skipped) - len(divisors))
     for s in divisors:
         count *= math.gcd(s, q)
@@ -660,10 +673,12 @@ def mixed_radix(idx, widths) -> np.ndarray:
 
     Counting idx = 0, 1, ... runs through the product of the ranges
     ``range(w)`` in ``itertools.product`` order.  The output has shape
-    ``idx.shape + (len(widths),)``.  The indices must be integers: a float
-    is refused, not truncated.
+    ``idx.shape + (len(widths),)``.  The indices and the widths must be
+    integers, a float is refused, not truncated, and each width is at least
+    1; a width of 0 passes only with no indices, as the empty product.
     """
     rem = np.array(_int_view(idx, "mixed-radix indices"))
+    widths = [_integer(w, "a mixed-radix width", least=1 if rem.size else 0) for w in widths]
     out = np.empty(rem.shape + (len(widths),), dtype=np.int64)
     for k in range(len(widths) - 1, -1, -1):
         np.remainder(rem, widths[k], out=out[..., k])

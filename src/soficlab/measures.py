@@ -146,10 +146,13 @@ def _product_den(a: int, b: int) -> int:
 
 
 class ProductMeasure(_Record):
-    """Independent identical site measure at every coordinate."""
+    """Independent identical site measure at every coordinate; d >= 1."""
 
     site: SiteMeasure
     d: int
+
+    def __init__(self, site: SiteMeasure, d: int):
+        super().__init__(site, _integer(d, "a product measure's d", least=1))
 
     @property
     def model(self) -> CompactGroupModel:

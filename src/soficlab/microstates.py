@@ -50,7 +50,7 @@ from .actions import (
 )
 from .errors import BudgetExceededError, ValidationError, _Record
 from .groups import GroupElement, SoficApproximation
-from .intlin import _int_table, _integer
+from .intlin import _int_table, _integer, _read_fraction
 from .measures import SiteMeasure
 
 
@@ -269,16 +269,6 @@ def indicator_panel(model: CompactGroupModel, scale: Fraction = Fraction(1)) -> 
         num[i] = scale.numerator
         out.append(TestFunction(name=f"ind[{i}]", values=num, den=scale.denominator))
     return tuple(out)
-
-
-def _read_fraction(value, what: str) -> Fraction:
-    """``value`` as an exact Fraction (ints, Fractions, floats, decimal
-    strings); a non-number, NaN or an infinity is refused with
-    ValidationError naming ``what``."""
-    try:
-        return Fraction(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{what} must be a finite number, not {value!r}") from None
 
 
 def _read_delta(delta) -> Fraction:

@@ -1,7 +1,8 @@
 """Shared test tooling: a wall-clock cap and a traced-memory cap, so that a
 blow-up fails its test quickly instead of hanging the suite or filling the
-machine, and the table of S3.  Import them with
-``from conftest import alloc_cap, s3_spec, time_cap``."""
+machine, the table of S3, the left-regular matrix of lambda(f) and the
+invariant factors of a Smith form.  Import them with
+``from conftest import alloc_cap, s3_spec, time_cap`` and so on."""
 
 import itertools
 import signal
@@ -10,7 +11,9 @@ from contextlib import contextmanager
 
 import pytest
 
-from soficlab.groups import GroupSpec
+from soficlab.actions import sigma_matrix
+from soficlab.groups import GroupSpec, quotient_sofic
+from soficlab.intlin import smith_normal_form
 
 
 @contextmanager
@@ -62,3 +65,19 @@ def s3_spec(generator_indices=None) -> GroupSpec:
     perms = list(itertools.permutations(range(3)))
     table = [[perms.index(tuple(p[q[i]] for i in range(3))) for q in perms] for p in perms]
     return GroupSpec.from_table([str(p) for p in perms], table, generator_indices=generator_indices)
+
+
+def regular_matrix(f):
+    """The left-regular matrix of lambda(f) for f over a finite group: rows
+    (g, l), columns (g', j), entry f_{lj}(g g'^-1).  It is f^(sigma) for
+    sigma the left-regular representation, whose sigma(h) sends g' to h g'
+    in the order of ``elements()``."""
+    spec = f.group
+    return sigma_matrix(f, quotient_sofic(spec, {"kind": "regular"}, (spec.identity(),) + f.support()))
+
+
+def invariant_factors(mat) -> list[int]:
+    """The nonzero diagonal of ``smith_normal_form(mat)``, in divisibility
+    order."""
+    s, _, v = smith_normal_form(mat)
+    return [row[i] for i, row in enumerate(s[: len(v)]) if row[i]]

@@ -10,7 +10,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import s3_spec, time_cap
+from conftest import regular_matrix, s3_spec, time_cap
 from soficlab import actions, intlin
 from soficlab.actions import (
     AlgebraicActionModel,
@@ -28,7 +28,6 @@ from soficlab.actions import (
     instantiate_Xf,
     pair_candidates,
     product_model,
-    regular_matrix,
     sigma_matrix,
     trivial_action,
     unit_automorphism,
@@ -930,6 +929,67 @@ class TestVerifyHypotheses:
         verdict = Verdict(False, "left-regular-determinant")
         assert verify_hypotheses(f) == HypothesisReport(lambda_injective=verdict, lambda_dense_image=verdict)
 
+    def test_a_torus_laplacian_at_256_points_is_decided_in_a_second(self):
+        # the Smith rank of its 256 x 256 left-regular matrix took 5.7 s; the
+        # character values of the count's determinant decide it
+        spec = GroupSpec.abelian(("s", "t"), (16, 16))
+        f = IntegerGroupMatrix.single(spec, [(4, "e"), (-1, "s"), (-1, "s^-1"), (-1, "t"), (-1, "t^-1")])
+        with time_cap(1):
+            rep = verify_hypotheses(f)
+        verdict = Verdict(False, "left-regular-determinant")
+        assert rep == HypothesisReport(lambda_injective=verdict, lambda_dense_image=verdict)
+
+    def test_finite_verdicts_take_no_smith_form(self, monkeypatch):
+        # every shape and group kind of the finite branch: characters, the
+        # multi-modular determinant and both Gram products; the Smith rank
+        # the branch took before reached smith_normal_form through
+        # intlin.invariant_factors
+        calls = []
+        smith = intlin.smith_normal_form
+        monkeypatch.setattr(intlin, "smith_normal_form", lambda mat: calls.append(mat) or smith(mat))
+        torus, S3, D4 = GroupSpec.abelian(("s", "t"), (4, 4)), s3_spec(), dihedral_spec(4)
+        r, s = D4.generator(0), D4.generator(1)
+        cases = [
+            IntegerGroupMatrix.single(torus, [(4, "e"), (-1, "s"), (-1, "s^-1"), (-1, "t"), (-1, "t^-1")]),
+            IntegerGroupMatrix.single(D4, [(1, D4.identity()), (1, r), (-1, s)]),
+            IntegerGroupMatrix.from_pairs(S3, [[[(1, S3.identity())], [(1, S3.elements()[1])]],
+                                              [[(2, S3.elements()[3])], [(1, S3.identity())]]]),
+            IntegerGroupMatrix.from_pairs(D4, [[[(1, r)], [(1, s)]]]),
+            IntegerGroupMatrix.from_pairs(D4, [[[(1, r), (1, D4.identity())]], [[(1, s)]]]),
+        ]
+        reports = [verify_hypotheses(f) for f in cases]
+        assert calls == []
+        assert [rep.lambda_injective.method for rep in reports] == ["left-regular-determinant"] * 3 + [
+            "left-regular-rank"
+        ] * 2
+
+    def test_a_rectangular_verdict_with_large_coefficients_takes_python_int_grams(self, monkeypatch):
+        # entries near 2^31 put max(R.shape) * max|R|^2 past 2^63, so the
+        # Gram products R^T R and R R^T are taken over Python ints
+        big = 2**31 - 1
+        Z2, S3 = GroupSpec.cyclic(2), s3_spec()
+        a, b = S3.elements()[1], S3.elements()[3]
+        cases = [
+            # 2 x 1: big (1 + t) and 3 (1 + t) both kill (1, -1), so rank 1
+            IntegerGroupMatrix.from_pairs(Z2, [[[(big, "e"), (big, "t")]], [[(3, "e"), (3, "t")]]]),
+            IntegerGroupMatrix.from_pairs(Z2, [[[(big, "e"), (big - 2, "t")]], [[(3, "e"), (3, "t")]]]),
+            # 1 x 2: rank 1 when both entries are multiples of 1 + t
+            IntegerGroupMatrix.from_pairs(Z2, [[[(big, "e"), (big, "t")], [(big - 1, "e"), (big - 1, "t")]]]),
+            IntegerGroupMatrix.from_pairs(Z2, [[[(big, "e"), (big, "t")], [(big - 1, "e"), (1 - big, "t")]]]),
+            IntegerGroupMatrix.from_pairs(S3, [[[(big, a), (big, S3.identity())]], [[(big - 5, b)]]]),
+            IntegerGroupMatrix.from_pairs(S3, [[[(big, a), (-big, S3.identity())], [(big, b), (-big, S3.identity())]]]),
+        ]
+        dtypes = []
+        det = intlin.det_multimodular
+        monkeypatch.setattr(intlin, "det_multimodular", lambda mat: dtypes.append(np.asarray(mat).dtype) or det(mat))
+        for f in cases:
+            order, rank = f.group.order(), sympy.Matrix(regular_matrix(f).tolist()).rank()
+            assert verify_hypotheses(f) == HypothesisReport(
+                lambda_injective=Verdict(rank == f.n * order, "left-regular-rank"),
+                lambda_dense_image=Verdict(rank == f.m * order, "left-regular-rank"),
+            )
+        assert dtypes == [np.dtype(object)] * 2 * len(cases)
+
     def test_one_plus_t_singular(self, Z2):
         f = IntegerGroupMatrix.single(Z2, [(1, "e"), (1, "t")])
         rep = verify_hypotheses(f)
@@ -1078,16 +1138,29 @@ def test_symbol_verdict_matches_cofactor_expansion(f):
     assert verify_hypotheses(on_free_rank_one(f)) == rep
 
 
+def dihedral_spec(n: int) -> GroupSpec:
+    """The dihedral group of order 2n as a table: index k + n*j is r^k s^j,
+    with s r = r^-1 s, generated by r (index 1) and s (index n)."""
+    labels = [f"r{k}" + "s" * j for j in range(2) for k in range(n)]
+    table = [
+        [(k + (-1) ** j * l) % n + n * ((j + i) % 2) for i in range(2) for l in range(n)]
+        for j in range(2)
+        for k in range(n)
+    ]
+    return GroupSpec.from_table(labels, table, generator_indices=[1, n])
+
+
 FINITE_VERDICT_GROUPS = [GroupSpec.cyclic(k) for k in range(2, 7)] + [
     GroupSpec.abelian(("s", "t"), (2, 3)),
     s3_spec(),
+    dihedral_spec(4),
 ]
 
 
 @st.composite
 def finite_symbols(draw):
-    """An m x n matrix over Z(G), m, n <= 2, for G one of Z/2..Z/6, Z/2 x Z/3
-    and S3."""
+    """An m x n matrix over Z(G), m, n <= 2, for G one of Z/2..Z/6, Z/2 x Z/3,
+    S3 and D4."""
     G = draw(st.sampled_from(FINITE_VERDICT_GROUPS))
     m, n = draw(st.integers(1, 2)), draw(st.integers(1, 2))
     poly = st.dictionaries(st.sampled_from(G.elements()), st.integers(-2, 2), max_size=3)
@@ -1226,6 +1299,24 @@ def _refusal_cases():
         ("map-not-a-bijection", lambda: cyclic_model(3).check_map(np.array([0, 0, 1])),
          ValidationError, "not a bijection"),
         ("unit-not-coprime", lambda: unit_automorphism(cyclic_model(6), 4), ValidationError, "coprime"),
+        # True was read as the unit 1, and 1.0 raised a bare TypeError
+        ("unit-bool", lambda: unit_automorphism(z7, True), ValidationError, "a unit must be an integer, not True"),
+        ("unit-float", lambda: unit_automorphism(z7, 1.0), ValidationError, "a unit must be an integer, not 1.0"),
+        # True built a one-point "Z/True", 2.5 raised a bare TypeError and -3
+        # blamed a group table
+        ("cyclic-model-bool", lambda: cyclic_model(True), ValidationError, "cyclic order must be an integer, not True"),
+        ("cyclic-model-float", lambda: cyclic_model(2.5), ValidationError, "cyclic order must be an integer, not 2.5"),
+        ("cyclic-model-negative", lambda: cyclic_model(-3), ValidationError, "cyclic order must be >= 1"),
+        # the tolerance was read by a bare Fraction(...): "x" and NaN raised
+        # ValueError, None TypeError, and True was read as 1
+        ("tol-not-a-number", lambda: instantiate_Xf(one, sigma, q=5, tol="x"),
+         ValidationError, "tolerance must be a finite number, not 'x'"),
+        ("tol-none", lambda: instantiate_Xf(one, sigma, q=5, tol=None),
+         ValidationError, "tolerance must be a finite number, not None"),
+        ("tol-nan", lambda: instantiate_Xf(one, sigma, q=5, tol=float("nan")),
+         ValidationError, "tolerance must be a finite number, not nan"),
+        ("tol-bool", lambda: instantiate_Xf(one, sigma, q=5, tol=True),
+         ValidationError, "tolerance must be a finite number, not True"),
         ("model-shape", lambda: FiniteGroupModel(["a", "b", "c"], [[0, 1], [1, 0]]),
          ValidationError, "shape mismatch"),
         ("table-entry-past-n", lambda: GroupSpec.from_table(["e", "g"], [[0, 1], [1, 2]]),

@@ -13,7 +13,8 @@ them, and only ``GroupElement``, built on every product, sets its key
 itself), no module
 applies a ``dataclass`` decorator, whose generated code costs every import,
 no module uses the reference determinant ``det_bareiss``, which stays only for
-tests to check ``det_multimodular`` against, no code but
+tests to check ``det_multimodular`` against, only the lattice solvers that
+``SMITH_CALLERS`` names take a Smith form, no code but
 ``intlin._read_only`` sets array flags, no module but ``intlin`` and
 ``actions`` reads integer views with ``_int_view``, no module but ``groups``
 reads a group's ``kind``, only the methods of ``GroupSpec`` that
@@ -68,6 +69,16 @@ UNCALLED = {
 UNREAD_FIELDS = {
     "actions.Verdict.method": "observability (ROADMAP aim 4)",
     "groups.SoficApproximation.provenance": "observability (ROADMAP aim 4)",
+}
+
+# The definitions that may take a Smith form: the lattice solvers, which need
+# its transforms or its invariant factors.  A verdict decides by a
+# determinant instead, as a count does (``actions._det``).
+SMITH_CALLERS = {
+    "actions.TorusGridModel.invert_map",
+    "actions._solve_residue_box",
+    "actions._torsion_kernel",
+    "intlin.kernel_count_mod",
 }
 
 # The GroupSpec methods that may branch on ``self.kind``: the constructor
@@ -222,15 +233,28 @@ def dataclass_decorators(tree: ast.Module) -> list[str]:
     ]
 
 
-def setattr_writes(tree: ast.AST, path: tuple[str, ...] = ()) -> list[str]:
-    """Each ``object.__setattr__`` in ``tree``, named by the definitions
-    around it, as "Class.method (line n)"."""
+def places(tree: ast.AST, hit, path: tuple[str, ...] = ()) -> list[str]:
+    """Each node of ``tree`` that ``hit`` accepts, named by the definitions
+    around it, as "Class.method (line n)", or "<module> (line n)" outside
+    every definition."""
     found = []
     for node in ast.iter_child_nodes(tree):
-        if isinstance(node, ast.Attribute) and node.attr == "__setattr__" and names(node.value) == {"object"}:
+        if hit(node):
             found.append(f"{'.'.join(path) or '<module>'} (line {node.lineno})")
-        found += setattr_writes(node, path + (node.name,) if isinstance(node, DEFS) else path)
+        found += places(node, hit, path + (node.name,) if isinstance(node, DEFS) else path)
     return found
+
+
+def setattr_writes(tree: ast.AST) -> list[str]:
+    """Each ``object.__setattr__`` in ``tree``, named by ``places``."""
+    return places(
+        tree, lambda n: isinstance(n, ast.Attribute) and n.attr == "__setattr__" and names(n.value) == {"object"}
+    )
+
+
+def smith_users(tree: ast.AST) -> list[str]:
+    """Each use of ``smith_normal_form`` in ``tree``, named by ``places``."""
+    return places(tree, lambda n: uses(n, "smith_normal_form"))
 
 
 def is_record(node: ast.AST) -> bool:
@@ -278,21 +302,21 @@ def unread_fields(modules: dict[str, ast.Module], readers) -> list[str]:
     ]
 
 
+def uses(node: ast.AST, name: str) -> bool:
+    """Whether ``node`` loads, reads as an attribute or imports ``name``."""
+    return (
+        (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+        or (isinstance(node, ast.ImportFrom) and any(alias.name == name for alias in node.names))
+    )
+
+
 def uses_outside_definition(tree: ast.Module, name: str, owner: str | None = None) -> list[int]:
-    """Lines where ``tree`` loads, reads as an attribute or imports ``name``,
-    outside the definition of ``owner`` (``name`` itself by default)."""
+    """Lines where ``tree`` uses ``name``, outside the definition of
+    ``owner`` (``name`` itself by default)."""
     owner = owner or name
     own = {id(n) for node in ast.walk(tree) if isinstance(node, DEFS) and node.name == owner for n in ast.walk(node)}
-    return sorted(
-        node.lineno
-        for node in ast.walk(tree)
-        if id(node) not in own
-        and (
-            (isinstance(node, ast.Name) and node.id == name)
-            or (isinstance(node, ast.Attribute) and node.attr == name)
-            or (isinstance(node, ast.ImportFrom) and any(alias.name == name for alias in node.names))
-        )
-    )
+    return sorted(node.lineno for node in ast.walk(tree) if id(node) not in own and uses(node, name))
 
 
 def kind_loads(tree: ast.Module) -> list[int]:
@@ -405,6 +429,13 @@ def test_every_uncalled_name_is_defined_and_uncalled():
 def test_no_source_uses_the_reference_determinant():
     uses = {p.name: uses_outside_definition(ast.parse(p.read_text()), "det_bareiss") for p in SOURCES}
     assert {name: lines for name, lines in uses.items() if lines} == {}
+
+
+def test_only_the_lattice_solvers_take_a_smith_form():
+    users = {
+        f"{p.stem}.{where.split(' (line')[0]}" for p in SOURCES for where in smith_users(ast.parse(p.read_text()))
+    }
+    assert users == SMITH_CALLERS
 
 
 def test_only_intlin_read_only_sets_array_flags():
@@ -620,6 +651,16 @@ def test_scan_flags_a_use_outside_the_definition():
         "def other(det_bareiss_like):\n    return 'det_bareiss'\n"
     )
     assert uses_outside_definition(tree, "det_bareiss") == [1, 7]
+
+
+def test_scan_names_each_definition_that_takes_a_smith_form():
+    tree = ast.parse(
+        "from .intlin import smith_normal_form\n\n"
+        "class Model:\n    def invert(self, m):\n        return intlin.smith_normal_form(m)[1]\n\n"
+        "def verdict(f):\n    def rank(m):\n        return len(smith_normal_form(m)[0])\n    return rank(f)\n\n"
+        "def smith_normal_form_like(m):\n    return 'smith_normal_form'\n"
+    )
+    assert smith_users(tree) == ["<module> (line 1)", "Model.invert (line 5)", "verdict.rank (line 9)"]
 
 
 def test_scan_flags_setflags_outside_its_owner():

@@ -32,7 +32,7 @@ from soficlab.intlin import (
     smith_normal_form,
     solve_mod_batch,
 )
-from soficlab.measures import SampleBased, SiteMeasure
+from soficlab.measures import ProductMeasure, SampleBased, SiteMeasure
 from soficlab.microstates import (
     MapWindow,
     Pseudometric,
@@ -197,6 +197,17 @@ def _input_cases():
         ("rho2-point-below-0", lambda: rho2_sq(discrete_metric(z3), [-1], [2]), ValidationError),
         ("rho2-torus-residue-past-q", lambda: rho2_sq(torus_metric(torus), [[7]], [[0]]), ValidationError),
         ("mixed-radix-float", lambda: mixed_radix(2.9, [3, 3]), ValidationError),
+        # a width of 0 warned and returned garbage, (-2, 3) gave digit -1,
+        # and 2.0 raised a bare UFuncTypeError
+        ("mixed-radix-width-0", lambda: mixed_radix(5, [0, 3]), ValidationError),
+        ("mixed-radix-width-negative", lambda: mixed_radix(5, [-2, 3]), ValidationError),
+        ("mixed-radix-width-float", lambda: mixed_radix(5, [2.0, 3]), ValidationError),
+        # d was stored unread: True gave the mass of one coordinate, 2.5 a
+        # bare TypeError and -1 an error that named no input
+        ("product-measure-d-bool", lambda: ProductMeasure(SiteMeasure.uniform(z3), True), ValidationError),
+        ("product-measure-d-float", lambda: ProductMeasure(SiteMeasure.uniform(z3), 2.5), ValidationError),
+        ("product-measure-d-negative", lambda: ProductMeasure(SiteMeasure.uniform(z3), -1), ValidationError),
+        ("product-measure-d-0", lambda: ProductMeasure(SiteMeasure.uniform(z3), 0), ValidationError),
         ("torus-points-from-indices-float", lambda: TorusGridModel(3, 2).points_from_indices(4.7), ValidationError),
         ("torus-index-n", lambda: TorusGridModel(3, 2).points_from_indices(9), ValidationError),
         ("torus-index-past-n", lambda: TorusGridModel(3, 2).points_from_indices(10), ValidationError),

@@ -1528,6 +1528,10 @@ def _refusal_cases():
         ("scale-none", lambda: indicator_panel(model, None), ValidationError, "the scale .* not None"),
         ("scale-nan", lambda: indicator_panel(model, float("nan")), ValidationError, "the scale .* not nan"),
         ("scale-inf", lambda: indicator_panel(model, float("-inf")), ValidationError, "the scale .* not -inf"),
+        # a bool was read as 1
+        ("scale-bool", lambda: indicator_panel(model, True), ValidationError, "the scale .* not True"),
+        ("delta-bool", lambda: MapWindow(F=(t,), delta=True, L=(), target=uniform),
+         ValidationError, "delta must be a finite number, not True"),
         ("delta-not-a-number", lambda: MapWindow(F=(t,), delta="x", L=(), target=uniform),
          ValidationError, "delta must be a finite number, not 'x'"),
         ("delta-nan", lambda: top_microstate_mask(np.zeros((1, 4), dtype=np.int64), sigma, (t,), float("nan"),

@@ -11,6 +11,7 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+from conftest import invariant_factors
 from soficlab import intlin
 from soficlab.actions import _solve_residue_box, continuous_kernel
 from soficlab.errors import BudgetExceededError
@@ -109,7 +110,7 @@ def test_continuous_kernel_matches_brute_force_on_its_grid(case):
     got = continuous_kernel(np.array(mat, dtype=np.int64))
     assert got == want
     # the denominators' lcm is the largest invariant factor s_r
-    assert math.lcm(*(v.denominator for p in got for v in p)) == intlin.invariant_factors(mat)[-1]
+    assert math.lcm(*(v.denominator for p in got for v in p)) == invariant_factors(mat)[-1]
 
 
 def test_budget_refuses_the_exact_count():
